@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import stripflow as sf
+from stripflow import elliptic
 from stripflow.elliptic import extend_plaplace
 from stripflow.errors import (EmptyInterior, NoConvergence, NonConvexExponent)
 
@@ -146,6 +147,22 @@ def test_plaplace_matches_linear_at_p2(op16, op2d):
         newt, report = extend_plaplace(op, g, 2.0)
         assert report.converged
         assert np.abs(lin.values - newt.values).max() <= 1e-8
+
+
+def test_conjugate_gradient_path_matches_lu(monkeypatch):
+    # above _DENSE_LIMIT interior nodes the interior system is solved by
+    # CG; a limit of 0 sends this 144-node interior down that path
+    def build():
+        return make_op(1.0 / 16.0, 0.125, sf.tent_kernel(0.25, 2), dim=2)
+    direct = build()
+    g = sf.StripField(np.random.default_rng(8).standard_normal(direct.n_strip), direct.grid)
+    lu = sf.extend_linear(direct, g)
+    monkeypatch.setattr(elliptic, "_DENSE_LIMIT", 0)
+    sparse = build()
+    cg = sf.extend_linear(sparse, g)
+    assert sparse.n_interior == 144
+    assert np.abs(cg.values - lu.values).max() <= 1e-13
+    assert sf.interior_residual(sparse, cg, 2.0) <= 1e-12
 
 
 def test_warm_start_is_cheap(op16):

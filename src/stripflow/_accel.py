@@ -1,115 +1,16 @@
-"""Hot loops over the active edge list, with a numba and a numpy backend.
+"""Hot loops over the active edge list, in numpy.
 
 Edges are stored flat as (rows, cols, data) in lexicographic order; every
 summation below runs in that fixed order, so results are reproducible
-bit-for-bit within a backend.
-
-Set STRIPFLOW_NO_NUMBA=1 to force the pure-numpy path (also used
-automatically when numba is not importable).
+bit-for-bit.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:
-    import warnings
-
-    warnings.warn("numba is not installed, falling back to pure numpy kernels")
-    HAVE_NUMBA = False
-
-    def njit(*args, **kw):
-        def passthrough(f):
-            return f
-
-        return passthrough
-
-
-def _env_disabled():
-    return os.environ.get("STRIPFLOW_NO_NUMBA", "").strip().lower() in ("1", "true", "yes")
-
-
-USE_NUMBA = HAVE_NUMBA and not _env_disabled()
-
-
-@njit(cache=True)
 def _phi(d, p, eps):
     # odd power map |d|^(p-2) d; eps > 0 switches to the regularized form.
     # p = 3 and p = 4 skip the per-edge pow call, which dominates otherwise
-    if p == 2.0:
-        return d
-    if p == 3.0:
-        return abs(d) * d
-    if p == 4.0:
-        return d * d * d
-    if eps > 0.0:
-        return d * (d * d + eps * eps) ** ((p - 2.0) / 2.0)
-    if d == 0.0:
-        return 0.0
-    return abs(d) ** (p - 2.0) * d
-
-
-@njit(cache=True)
-def _psi(d, p, eps):
-    # derivative of _phi; nonnegative for p > 1
-    if p == 2.0:
-        return 1.0
-    if p == 3.0:
-        return 2.0 * abs(d)
-    if p == 4.0:
-        return 3.0 * d * d
-    if eps > 0.0:
-        return (d * d + eps * eps) ** ((p - 4.0) / 2.0) * (eps * eps + (p - 1.0) * d * d)
-    if d == 0.0:
-        return 0.0
-    return (p - 1.0) * abs(d) ** (p - 2.0)
-
-
-@njit(cache=True)
-def _phi_row_sums_jit(rows, cols, data, left, right, p, eps, nrows):
-    out = np.zeros(nrows)
-    for e in range(rows.shape[0]):
-        r = rows[e]
-        out[r] += data[e] * _phi(right[cols[e]] - left[r], p, eps)
-    return out
-
-
-@njit(cache=True)
-def _edge_power_sum_jit(rows, cols, data, vals, p):
-    acc = 0.0
-    if p == 2.0:
-        for e in range(rows.shape[0]):
-            d = vals[cols[e]] - vals[rows[e]]
-            acc += data[e] * (d * d)
-    elif p == 3.0:
-        for e in range(rows.shape[0]):
-            d = vals[cols[e]] - vals[rows[e]]
-            acc += data[e] * (d * d * abs(d))
-    elif p == 4.0:
-        for e in range(rows.shape[0]):
-            d = vals[cols[e]] - vals[rows[e]]
-            acc += data[e] * (d * d) * (d * d)
-    else:
-        for e in range(rows.shape[0]):
-            acc += data[e] * abs(vals[cols[e]] - vals[rows[e]]) ** p
-    return acc
-
-
-@njit(cache=True)
-def _hessian_accumulate_jit(rows, cols, data, vals, p, eps, out):
-    for e in range(rows.shape[0]):
-        r = rows[e]
-        c = cols[e]
-        w = data[e] * _psi(vals[r] - vals[c], p, eps)
-        out[r, r] += w
-        out[r, c] -= w
-
-
-def _phi_array(d, p, eps):
     if p == 2.0:
         return d
     if p == 3.0:
@@ -124,7 +25,8 @@ def _phi_array(d, p, eps):
     return out
 
 
-def _psi_array(d, p, eps):
+def _psi(d, p, eps):
+    # derivative of _phi; nonnegative for p > 1
     if p == 2.0:
         return np.ones_like(d)
     if p == 3.0:
@@ -139,12 +41,14 @@ def _psi_array(d, p, eps):
     return out
 
 
-def _phi_row_sums_np(rows, cols, data, left, right, p, eps, nrows):
-    contrib = data * _phi_array(right[cols] - left[rows], p, eps)
+def phi_row_sums(rows, cols, data, left, right, p, eps, nrows):
+    """Per-row sums of data * phi_p(right[col] - left[row])."""
+    contrib = data * _phi(right[cols] - left[rows], p, eps)
     return np.bincount(rows, weights=contrib, minlength=nrows)
 
 
-def _edge_power_sum_np(rows, cols, data, vals, p):
+def edge_power_sum(rows, cols, data, vals, p):
+    """Sum over edges of data * |vals[col] - vals[row]|**p."""
     d = vals[cols] - vals[rows]
     if p == 2.0:
         return float(np.dot(data, d * d))
@@ -155,24 +59,24 @@ def _edge_power_sum_np(rows, cols, data, vals, p):
     return float(np.dot(data, np.abs(d) ** p))
 
 
-def _hessian_accumulate_np(rows, cols, data, vals, p, eps, out):
-    w = data * _psi_array(vals[rows] - vals[cols], p, eps)
+def laplacian_fill(rows, cols, w, out):
+    """Add the Laplacian of the weighted edges to the square C-ordered
+    matrix out: the row sums of w on the diagonal and -w at each
+    (row, col). Returns out. Every weighted Laplacian of the package is
+    built here."""
     n = out.shape[0]
     flat = out.reshape(-1)
-    np.add.at(flat, rows * n + rows, w)
+    np.add.at(flat, rows * (n + 1), w)
     np.add.at(flat, rows * n + cols, -w)
+    return out
 
 
-if USE_NUMBA:
-    phi_row_sums = _phi_row_sums_jit
-    edge_power_sum = _edge_power_sum_jit
-    hessian_accumulate = _hessian_accumulate_jit
-else:
-    phi_row_sums = _phi_row_sums_np
-    edge_power_sum = _edge_power_sum_np
-    hessian_accumulate = _hessian_accumulate_np
+def hessian_accumulate(rows, cols, data, vals, p, eps, out):
+    """Add the Hessian of the edge energy at vals to out: the Laplacian of
+    the edge weights data * phi_p'(vals[row] - vals[col])."""
+    laplacian_fill(rows, cols, data * _psi(vals[rows] - vals[cols], p, eps), out)
 
 
 def backend():
-    """Name of the active backend, 'numba' or 'numpy'."""
-    return "numba" if USE_NUMBA else "numpy"
+    """Name of the edge-kernel backend; numpy is the only one."""
+    return "numpy"

@@ -8,11 +8,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .elliptic import energy_values, extend, gradient_values, eps_for
+from .elliptic import _extended_values, energy_values, gradient_values, eps_for
 from .errors import (ConstantField, EmptyBump, InvalidArgument, NoConvergence,
                      NonPositiveData, NotMeanZero, SingularInterior,
                      TooFewStripNodes, WindowTooSmall)
 from .fields import StripField
+from .geometry import STRIP
 from .kernels import laplacian_dense
 
 SCHUR_EIG = "schur-eig"
@@ -50,7 +51,7 @@ class DecayFit:
 def mass(grid, u):
     """Weighted sum of the strip values."""
     uv = u.values if isinstance(u, StripField) else np.asarray(u, dtype=float)
-    mu_s = grid.mu[grid.klass == 1]
+    mu_s = grid.mu[grid.klass == STRIP]
     return float(np.dot(mu_s, uv))
 
 
@@ -62,12 +63,16 @@ def lq_distance_to_mean(grid, u, q):
     if q < 1.0:
         raise InvalidArgument(f"q must be >= 1, got {q}")
     uv = u.values if isinstance(u, StripField) else np.asarray(u, dtype=float)
-    mu_s = grid.mu[grid.klass == 1]
+    mu_s = grid.mu[grid.klass == STRIP]
     mean = np.dot(mu_s, uv) / np.sum(mu_s)
-    dev = np.abs(uv - mean)
     if np.isinf(q):
-        return float(np.max(dev, initial=0.0))
-    return float(np.sum(mu_s * dev**q) ** (1.0 / q))
+        return float(np.max(np.abs(uv - mean), initial=0.0))
+    return _lp_norm(mu_s, uv - mean, q)
+
+
+def _lp_norm(mu, vals, p):
+    """Weighted L^p norm (sum of mu |vals|^p)^(1/p)."""
+    return float(np.sum(mu * np.abs(vals) ** p) ** (1.0 / p))
 
 
 def schur_complement(op):
@@ -144,12 +149,6 @@ def spectral_gap_beta(op, p=2.0):
     return GapResult(beta=beta, mode=StripField(mode_vals, op.grid), method=SCHUR_EIG)
 
 
-def _extended(op, gv, p):
-    if op.n_interior == 0:
-        return gv
-    return extend(op, gv, p, tol=1e-12).values
-
-
 def rayleigh_quotient(op, g, p):
     """Quotient of the extended edge energy against the strip p-norm.
 
@@ -165,7 +164,7 @@ def rayleigh_quotient(op, g, p):
     mean = np.dot(mu_s, gv) / np.sum(mu_s)
     if abs(mean) > 1e-9 * sup:
         raise NotMeanZero(f"weighted mean {mean:.3e} exceeds 1e-9 * max |g|")
-    full = _extended(op, gv, p)
+    full = _extended_values(op, gv, p, 1e-12)
     numerator = p * energy_values(op, full, p)
     denominator = float(np.sum(mu_s * np.abs(gv) ** p))
     return numerator / denominator
@@ -173,11 +172,6 @@ def rayleigh_quotient(op, g, p):
 
 def _project_mean_zero(gv, mu_s):
     return gv - np.dot(mu_s, gv) / np.sum(mu_s)
-
-
-def _lp_normalize(gv, mu_s, p):
-    norm = np.sum(mu_s * np.abs(gv) ** p) ** (1.0 / p)
-    return gv / norm, norm
 
 
 def estimate_beta_p(op, p, restarts=8, tol=1e-9, max_iter=2000, seed=0):
@@ -199,7 +193,7 @@ def estimate_beta_p(op, p, restarts=8, tol=1e-9, max_iter=2000, seed=0):
     eps = eps_for(p)
 
     def quotient_and_grad(gv):
-        full = _extended(op, gv, p)
+        full = _extended_values(op, gv, p, 1e-12)
         numerator = p * energy_values(op, full, p)
         denominator = float(np.sum(mu_s * np.abs(gv) ** p))
         quot = numerator / denominator
@@ -215,7 +209,7 @@ def estimate_beta_p(op, p, restarts=8, tol=1e-9, max_iter=2000, seed=0):
         gv = _project_mean_zero(gv, mu_s)
         while np.sum(mu_s * np.abs(gv) ** p) < 1e-24:
             gv = _project_mean_zero(rng.standard_normal(op.n_strip), mu_s)
-        gv, _ = _lp_normalize(gv, mu_s, p)
+        gv = gv / _lp_norm(mu_s, gv, p)
 
         quot, grad = quotient_and_grad(gv)
         eta = 1.0
@@ -229,7 +223,7 @@ def estimate_beta_p(op, p, restarts=8, tol=1e-9, max_iter=2000, seed=0):
                 trial = _project_mean_zero(gv - eta * direction, mu_s)
                 tnorm = np.sum(mu_s * np.abs(trial) ** p)
                 if tnorm > 1e-24:
-                    trial, _ = _lp_normalize(trial, mu_s, p)
+                    trial = trial / _lp_norm(mu_s, trial, p)
                     tq, tg = quotient_and_grad(trial)
                     if tq < quot:
                         accepted = True
@@ -288,7 +282,7 @@ def counterexample_sequence(grid, op, n_list):
             raise InvalidArgument(f"bumps of radius 1/{n} overlap")
         f = in_a / np.dot(mu_s, in_a) - in_b / np.dot(mu_s, in_b)
         f = _project_mean_zero(f, mu_s)
-        f, _ = _lp_normalize(f, mu_s, 2.0)
+        f = f / _lp_norm(mu_s, f, 2.0)
         out.append((int(n), rayleigh_quotient(op, f, 2.0)))
     return out
 

@@ -18,11 +18,12 @@ from .analysis import (DIAG_COLUMNS, EXPONENTIAL, POLYNOMIAL,
                        counterexample_sequence, fit_decay, schur_complement,
                        spectral_gap_beta, estimate_beta_p)
 from .config import PICARD, build_geometry, build_problem, initial_field, load_config
-from .elliptic import energy, extend_linear, extend_plaplace, interior_residual
+from .elliptic import energy, extend_with_report, interior_residual
 from .errors import SolverError, StripflowError
 from .evolution import (EXPLICIT, IMPLICIT, ProblemSpec, evolve, picard_solve,
                         rhs, stability_bound, step_explicit, step_implicit)
 from .fields import EnergyReport
+from .geometry import strip_indices
 from .svg import write_svg
 
 
@@ -76,7 +77,7 @@ def grid_cmd(config_path, seed, quiet, out):
     grid = build_geometry(cfg)
     iox.write_grid_csv(out, grid)
     if not quiet:
-        ns = int(np.count_nonzero(grid.klass == 1))
+        ns = strip_indices(grid).shape[0]
         click.echo(f"grid: {grid.n} nodes, {ns} strip, {grid.n - ns} interior -> {out}")
         _, op = build_problem(cfg)
         deg = op.deg_active
@@ -99,14 +100,11 @@ def solve_elliptic_cmd(config_path, seed, quiet, values_path, out):
     else:
         g = iox.read_strip_csv(values_path, grid)
     p = cfg.problem.p
-    if p == 2.0:
-        field = extend_linear(op, g)
+    field, report = extend_with_report(op, g, p, tol=cfg.tol, max_iter=cfg.max_iter)
+    if report is None:
         report = EnergyReport(energy=energy(op, field, p),
                               grad_norm=interior_residual(op, field, p),
                               iterations=1, converged=True)
-    else:
-        field, report = extend_plaplace(op, g, p, tol=cfg.tol,
-                                        max_iter=cfg.max_iter)
     iox.write_field_csv(out, field)
     click.echo(f"energy={iox.fmt(report.energy)} grad_norm={iox.fmt(report.grad_norm)} "
                f"iterations={report.iterations} converged={report.converged}")

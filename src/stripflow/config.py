@@ -13,7 +13,7 @@ from .errors import ConfigInvalid, StripflowError
 from .evolution import (EXPLICIT, IMPLICIT, SINGULAR_VARIANT, VARIANTS,
                         ProblemSpec)
 from .fields import StripField
-from .geometry import DomainBox, build_grid
+from .geometry import DomainBox, build_grid, strip_indices
 from .kernels import (BUMP, SINGULAR, TENT, KernelSpec, assemble,
                       bump_kernel, singular_kernel, tent_kernel)
 
@@ -264,7 +264,7 @@ def initial_field(cfg, grid, op=None, seed=None):
     The anchor node is the lowest-index strip node.
     """
     preset = cfg.initial["preset"]
-    s_idx = np.flatnonzero(grid.klass == 1)
+    s_idx = strip_indices(grid)
     ns = s_idx.shape[0]
     if preset == "constant":
         return StripField(np.full(ns, cfg.initial["c"]), grid)

@@ -14,6 +14,8 @@ import scipy.sparse.linalg as spla
 from . import _accel
 from .errors import EmptyInterior, NoConvergence, NonConvexExponent, SingularSystem
 from .fields import EnergyReport, FullField, StripField
+from .geometry import INTERIOR, STRIP
+from .kernels import edge_block
 
 __all__ = [
     "StripField", "FullField", "EnergyReport", "REG_EPS",
@@ -72,19 +74,26 @@ def interior_residual(op, u, p):
 
 
 def _interior_system(op):
-    """Matrix of the linear interior balance, diag(row sums) - W_II."""
-    if "interior_matrix" not in op._cache:
-        deg = op.deg_active[op.interior_idx]
+    """The linear interior balance A u = B g: A = diag(row sums) - W_II,
+    the interior block of the Laplacian with weights W, dense up to
+    _DENSE_LIMIT interior nodes and CSR above; B = W_IS as CSR."""
+    if "interior_system" not in op._cache:
+        i_idx = op.interior_idx
         if op.n_interior <= _DENSE_LIMIT:
-            mat = np.diag(deg) - op.W_II.toarray()
+            lap = _accel.laplacian_fill(op.act_rows, op.act_cols, op.act_w,
+                                        np.zeros((op.n, op.n)))
+            mat = lap[np.ix_(i_idx, i_idx)]
         else:
-            mat = (sp.diags(deg) - op.W_II).tocsr()
-        op._cache["interior_matrix"] = mat
-    return op._cache["interior_matrix"]
+            rows, cols, w = edge_block(op, INTERIOR, INTERIOR)
+            adj = sp.csr_matrix((w, (rows, cols)), shape=(op.n_interior,) * 2)
+            mat = (sp.diags(op.deg_active[i_idx]) - adj).tocsr()
+        rows, cols, w = edge_block(op, INTERIOR, STRIP)
+        coupling = sp.csr_matrix((w, (rows, cols)), shape=(op.n_interior, op.n_strip))
+        op._cache["interior_system"] = (mat, coupling)
+    return op._cache["interior_system"]
 
 
-def _interior_solve(op, rhs):
-    mat = _interior_system(op)
+def _interior_solve(op, mat, rhs):
     if op.n_interior <= _DENSE_LIMIT:
         if "interior_lu" not in op._cache:
             try:
@@ -100,7 +109,7 @@ def _interior_solve(op, rhs):
             raise SingularSystem(f"conjugate gradient did not converge (info={info})")
     if not np.all(np.isfinite(sol)):
         raise SingularSystem("interior solve produced non-finite values")
-    return sol, mat
+    return sol
 
 
 def extend_linear(op, g):
@@ -115,8 +124,9 @@ def extend_linear(op, g):
     # solve anchored at g[0]: shifting out the constant mode keeps constant
     # data exactly constant and costs nothing for general data
     shift = gv[0]
-    rhs = op.W_IS @ (gv - shift)
-    sol, mat = _interior_solve(op, rhs)
+    mat, coupling = _interior_system(op)
+    rhs = coupling @ (gv - shift)
+    sol = _interior_solve(op, mat, rhs)
     resid = np.max(np.abs(mat @ sol - rhs)) if op.n_interior else 0.0
     if resid > 1e-10 * (1.0 + np.max(np.abs(gv), initial=0.0)):
         raise SingularSystem(f"interior residual {resid:.3e} after direct solve")
@@ -206,9 +216,7 @@ def _reweighted_sweeps(op, p, eps, v, free, pinned, quad_mass, quad_target,
             return v, f, grad, resid, it
         d = v[op.act_cols] - v[op.act_rows]
         w = op.act_coef * (d * d + eps * eps) ** ((p - 2.0) / 2.0)
-        H = np.zeros((op.n, op.n))
-        np.add.at(H, (op.act_rows, op.act_rows), w)
-        np.subtract.at(H, (op.act_rows, op.act_cols), w)
+        H = _accel.laplacian_fill(op.act_rows, op.act_cols, w, np.zeros((op.n, op.n)))
         H *= energy_scale
         mat = H[np.ix_(free, free)]
         rhs = np.zeros(free.shape[0])
@@ -252,15 +260,15 @@ def _levenberg_newton(op, p, eps, v, free, pinned, quad_mass, quad_target,
         hess *= energy_scale
         if quad_mass is not None:
             hess[np.diag_indices_from(hess)] += quad_mass
-        hfree = hess[np.ix_(free, free)]
+        hess = hess[np.ix_(free, free)]  # frees the full matrix before factoring
         gfree = grad[free]
-        dscale = max(np.trace(hfree) / hfree.shape[0], 1e-30)
+        dscale = max(np.trace(hess) / hess.shape[0], 1e-30)
         resid_sup = np.max(np.abs(resid[free]), initial=0.0)
         fnoise = 1e-12 * (1.0 + abs(f))
         found = None
         for _ in range(40):
             try:
-                step = -sla.cho_solve(sla.cho_factor(hfree + (lam * dscale) * eye), gfree)
+                step = -sla.cho_solve(sla.cho_factor(hess + (lam * dscale) * eye), gfree)
             except sla.LinAlgError:
                 lam = max(10.0 * lam, 1e-10)
                 continue
@@ -348,7 +356,25 @@ def extend_plaplace(op, g, p, tol=1e-10, max_iter=100, x0=None):
 def extend(op, g, p, tol=1e-10, max_iter=100, x0=None):
     """Extension by the appropriate path: linear solve at p = 2, energy
     minimization otherwise. Returns only the field."""
+    return extend_with_report(op, g, p, tol=tol, max_iter=max_iter, x0=x0)[0]
+
+
+def _extended_values(op, gv, p, tol, x0=None):
+    """Nodal values of the extension of strip values gv, or gv itself on a
+    grid with no interior."""
+    if op.n_interior == 0:
+        return gv
+    return extend(op, gv, p, tol=tol, x0=x0).values
+
+
+def extend_with_report(op, g, p, tol=1e-10, max_iter=100, x0=None):
+    """The one choice between the two extension paths: extend_linear at
+    p = 2, extend_plaplace otherwise.
+
+    Returns (field, report). The report is extend_plaplace's EnergyReport,
+    or None from the linear path, which does no iterations and whose
+    energy the caller computes only if it wants it.
+    """
     if p == 2.0:
-        return extend_linear(op, g)
-    field, _ = extend_plaplace(op, g, p, tol=tol, max_iter=max_iter, x0=x0)
-    return field
+        return extend_linear(op, g), None
+    return extend_plaplace(op, g, p, tol=tol, max_iter=max_iter, x0=x0)

@@ -17,11 +17,12 @@ import scipy.linalg as sla
 from scipy.integrate import cumulative_trapezoid
 
 from . import _accel
-from .analysis import DIAG_COLUMNS, lq_distance_to_mean, mass
-from .elliptic import (StripField, energy_values, eps_for,
-                       extend_linear, extend_plaplace, _newton_free)
+from .analysis import DIAG_COLUMNS, _lp_norm, lq_distance_to_mean, mass
+from .elliptic import (StripField, energy_values, eps_for, _extended_values,
+                       _newton_free)
 from .errors import (InvalidArgument, NoContraction, SingularSystem, SolverError)
-from .kernels import EXCLUDE_STRIP_STRIP, FULL, SINGULAR, laplacian_dense
+from .geometry import STRIP
+from .kernels import EXCLUDE_STRIP_STRIP, FULL, SINGULAR, edge_block, laplacian_dense
 
 LINEAR = "linear"
 LINEAR_FULL = "linear-full"
@@ -101,20 +102,10 @@ def check_compatible(op, spec):
         raise InvalidArgument("linear variants need a smooth kernel")
 
 
-def _extended_values(op, spec, uv, ext_tol, warm):
-    """Full nodal values with the strip at uv and the interior stationary."""
-    if op.n_interior == 0:
-        return uv.copy()
-    if spec.p == 2.0:
-        return extend_linear(op, uv).values
-    field, _ = extend_plaplace(op, uv, spec.p, tol=ext_tol, x0=warm)
-    return field.values
-
-
 def _rhs_values(op, spec, uv, ext_tol, warm):
-    full = _extended_values(op, spec, uv, ext_tol, warm)
-    out = _accel.phi_row_sums(op.dyn_rows, op.dyn_cols, op.dyn_w,
-                              uv, full, spec.p, eps_for(spec.p), op.n_strip)
+    full = _extended_values(op, uv, spec.p, ext_tol, warm)
+    rows, cols, w = edge_block(op, STRIP)
+    out = _accel.phi_row_sums(rows, cols, w, uv, full, spec.p, eps_for(spec.p), op.n_strip)
     return out, full
 
 
@@ -269,10 +260,10 @@ def evolve(op, spec, u0, t_end, dt, integrator=EXPLICIT, tol=1e-10,
                     warm = full[op.interior_idx]
                 uv = uv + dt * out
                 states[k + 1] = uv
-            full = _extended_values(op, spec, uv, ext_tol, warm)
+            full = _extended_values(op, uv, spec.p, ext_tol, warm)
             diag[nsteps] = _diag_row(op, spec, uv, full)
         else:
-            full = _extended_values(op, spec, uv, ext_tol, None)
+            full = _extended_values(op, uv, spec.p, ext_tol)
             diag[0] = _diag_row(op, spec, uv, full)
             complete = 1
             for k in range(nsteps):
@@ -287,10 +278,6 @@ def evolve(op, spec, u0, t_end, dt, integrator=EXPLICIT, tol=1e-10,
                                  diag[:complete].copy(), op.grid)
         raise
     return Trajectory(times, states, diag, op.grid)
-
-
-def _lp_norm(grid, strip_mu, vals, p):
-    return float(np.sum(strip_mu * np.abs(vals) ** p) ** (1.0 / p))
 
 
 def picard_solve(op, spec, u0, window, nt=11, tol=1e-10, max_iter=50):
@@ -320,13 +307,13 @@ def picard_solve(op, spec, u0, window, nt=11, tol=1e-10, max_iter=50):
             deriv[k], _ = _rhs_values(op, spec, u_iter[k], 1e-12, None)
         integral = cumulative_trapezoid(deriv, x=times, axis=0, initial=0.0)
         u_next = uv0[None, :] + integral
-        delta = max(_lp_norm(op.grid, mu_s, u_next[k] - u_iter[k], spec.p)
+        delta = max(_lp_norm(mu_s, u_next[k] - u_iter[k], spec.p)
                     for k in range(nt))
         u_iter = u_next
         if delta <= tol:
             diag = np.empty((nt, len(DIAG_COLUMNS)))
             for k in range(nt):
-                full = _extended_values(op, spec, u_iter[k], 1e-12, None)
+                full = _extended_values(op, u_iter[k], spec.p, 1e-12)
                 diag[k] = _diag_row(op, spec, u_iter[k], full)
             return Trajectory(times, u_iter, diag, op.grid)
         if not np.all(np.isfinite(u_iter)) or delta > 1e100:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidArgument
 from .fields import StripField
-from .geometry import KLASS_NAMES
+from .geometry import KLASS_NAMES, strip_indices
 
 _DIAG_HEADER = "step,t,mass,d1,d2,dp,dq,dinf,energy"
 
@@ -72,7 +72,7 @@ def write_field_csv(path, field):
 
 def strip_csv(field):
     """Strip values keyed by global node index."""
-    s_idx = np.flatnonzero(field.grid.klass == 1)
+    s_idx = strip_indices(field.grid)
     lines = ["index,value"]
     for pos, i in enumerate(s_idx):
         lines.append(f"{i},{fmt(field.values[pos])}")
@@ -89,7 +89,7 @@ def read_strip_csv(path, grid):
     The index set must exactly match the grid's strip nodes; any order
     is accepted.
     """
-    s_idx = np.flatnonzero(grid.klass == 1)
+    s_idx = strip_indices(grid)
     pos_of = {int(i): k for k, i in enumerate(s_idx)}
     vals = np.full(s_idx.shape[0], np.nan)
     with open(path, encoding="utf-8") as fh:

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.spatial.distance import cdist
 
 from . import _accel
@@ -123,34 +122,31 @@ class NonlocalOperator:
 
     The active edge set contains every ordered node pair with a nonzero
     weight, minus the strip-strip pairs when edge_mode excludes them.
-    Interior rows are identical in both modes.
+    Interior rows are identical in both modes. The lexicographic edge list
+    is the only stored form of the edges; edge_block derives the blocks
+    the solvers need from it.
 
     Attributes
     ----------
-    W_II, W_IS, W_SI, W_SS : scipy.sparse.csr_matrix
-        Weight blocks by (row class, column class).
-    deg_interior : (n_strip,) array
-        Row sums of W_SI; the discrete coupling of each strip node into
-        the interior.
+    act_rows, act_cols : (nnz,) int64 arrays
+        The active ordered pairs (x, y), lexicographic.
+    act_w : (nnz,) array
+        W[x][y] on each active pair.
+    act_coef : (nnz,) array
+        mu[x] W[x][y], the symmetric edge coefficients.
     deg_active : (n,) array
         Per-node row sums of W over the active edge set.
     """
 
-    def __init__(self, grid, spec, edge_mode, blocks, deg_interior, deg_active,
-                 act_rows, act_cols, act_w, act_coef, dyn_rows, dyn_cols, dyn_w):
+    def __init__(self, grid, spec, edge_mode, act_rows, act_cols, act_w):
         self.grid = grid
         self.spec = spec
         self.edge_mode = edge_mode
-        self.W_II, self.W_IS, self.W_SI, self.W_SS = blocks
-        self.deg_interior = deg_interior
-        self.deg_active = deg_active
         self.act_rows = act_rows
         self.act_cols = act_cols
         self.act_w = act_w
-        self.act_coef = act_coef
-        self.dyn_rows = dyn_rows
-        self.dyn_cols = dyn_cols
-        self.dyn_w = dyn_w
+        self.act_coef = grid.mu[act_rows] * act_w
+        self.deg_active = np.bincount(act_rows, weights=act_w, minlength=grid.n)
         self.strip_idx = strip_indices(grid)
         self.interior_idx = interior_indices(grid)
         self._cache = {}
@@ -180,44 +176,17 @@ def _operator_from_dense(grid, spec, jmat, edge_mode):
     """
     if edge_mode not in _EDGE_MODES:
         raise InvalidArgument(f"unknown edge mode {edge_mode!r}")
-    n = grid.n
-    mu = grid.mu
-    w_dense = jmat * mu[None, :]
+    w_dense = jmat * grid.mu[None, :]
     np.fill_diagonal(w_dense, 0.0)
-
-    s_idx = strip_indices(grid)
-    i_idx = interior_indices(grid)
-    blocks = (
-        sp.csr_matrix(w_dense[np.ix_(i_idx, i_idx)]),
-        sp.csr_matrix(w_dense[np.ix_(i_idx, s_idx)]),
-        sp.csr_matrix(w_dense[np.ix_(s_idx, i_idx)]),
-        sp.csr_matrix(w_dense[np.ix_(s_idx, s_idx)]),
-    )
-
     active = w_dense > 0.0
     if edge_mode == EXCLUDE_STRIP_STRIP:
+        s_idx = strip_indices(grid)
         active[np.ix_(s_idx, s_idx)] = False
     rows, cols = np.nonzero(active)
     if rows.shape[0] == 0:
         raise EmptySupport("no active node pair has a nonzero weight")
-    act_w = w_dense[rows, cols]
-    act_coef = mu[rows] * act_w
-
-    deg_active = np.bincount(rows, weights=act_w, minlength=n)
-    deg_interior = np.asarray(blocks[2].sum(axis=1)).reshape(-1)
-
-    strip_pos = np.full(n, -1, dtype=np.int64)
-    strip_pos[s_idx] = np.arange(s_idx.shape[0])
-    on_strip = grid.klass[rows] == 1
-    dyn_rows = strip_pos[rows[on_strip]]
-    dyn_cols = cols[on_strip].astype(np.int64)
-    dyn_w = act_w[on_strip]
-
-    return NonlocalOperator(
-        grid, spec, edge_mode, blocks, deg_interior, deg_active,
-        rows.astype(np.int64), cols.astype(np.int64), act_w, act_coef,
-        dyn_rows, dyn_cols, dyn_w,
-    )
+    return NonlocalOperator(grid, spec, edge_mode, rows.astype(np.int64),
+                            cols.astype(np.int64), w_dense[rows, cols])
 
 
 def assemble(grid, spec, edge_mode=EXCLUDE_STRIP_STRIP):
@@ -244,14 +213,32 @@ def assemble(grid, spec, edge_mode=EXCLUDE_STRIP_STRIP):
 
 def laplacian_dense(op):
     """Dense matrix of the active-edge Laplacian, diag(row sums) - A with
-    A[x][y] = mu[x] W[x][y]. Symmetric PSD; cached on the operator."""
-    if "laplacian_dense" not in op._cache:
-        n = op.n
-        lap = np.zeros((n, n))
-        lap[op.act_rows, op.act_cols] = -op.act_coef
-        lap[np.diag_indices(n)] -= lap.sum(axis=1)
-        op._cache["laplacian_dense"] = lap
-    return op._cache["laplacian_dense"]
+    A[x][y] = mu[x] W[x][y]. Symmetric PSD."""
+    return _accel.laplacian_fill(op.act_rows, op.act_cols, op.act_coef,
+                                 np.zeros((op.n, op.n)))
+
+
+def edge_block(op, row_class, col_class=None):
+    """Active edges from the nodes of row_class to those of col_class
+    (to every node when col_class is None), as (rows, cols, w) in
+    lexicographic order. rows count within row_class, cols within
+    col_class (globally when None), and w holds W[x][y]. Derived from the
+    edge list on first use and cached on the operator.
+    """
+    key = ("edge_block", row_class, col_class)
+    if key not in op._cache:
+        klass = op.grid.klass
+        keep = klass[op.act_rows] == row_class
+        if col_class is not None:
+            keep &= klass[op.act_cols] == col_class
+        local = np.empty(op.n, dtype=np.int64)
+        local[op.strip_idx] = np.arange(op.n_strip)
+        local[op.interior_idx] = np.arange(op.n_interior)
+        cols = op.act_cols[keep]
+        op._cache[key] = (local[op.act_rows[keep]],
+                          cols if col_class is None else local[cols],
+                          op.act_w[keep])
+    return op._cache[key]
 
 
 def apply_graph_laplacian(op, u):

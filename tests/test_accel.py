@@ -1,20 +1,15 @@
-"""Backend twins: every jit kernel has a pure-numpy double.
+"""Edge kernels on hand-checkable edge lists and on operator edge lists.
 
-The two paths may differ in the last couple of ulps (fused multiply-adds,
-pairwise summation), so agreement is checked relatively. Within one backend
-results must be bitwise reproducible.
+Results must be bitwise reproducible, and the one dense Laplacian fill
+must give the Newton Hessian and the majoriser matrix bit for bit as
+their former separate scatter-adds did.
 """
-
-import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import stripflow as sf
 from stripflow import _accel as A
+from stripflow.elliptic import REG_EPS
 
 CASES = [(2.0, 0.0), (1.5, 0.0), (1.5, 1e-10), (3.0, 0.0), (4.0, 1e-8)]
 
@@ -26,45 +21,6 @@ def edge_set(seed, n=300, ne=5000):
     data = rng.random(ne)
     vals = rng.standard_normal(n)
     return rows, cols, data, vals
-
-
-needs_numba = pytest.mark.skipif(not A.HAVE_NUMBA, reason="numba not installed")
-
-
-@needs_numba
-@pytest.mark.parametrize("p,eps", CASES)
-def test_twins_agree(p, eps):
-    rows, cols, data, vals = edge_set(0)
-    n = vals.shape[0]
-
-    a = A._phi_row_sums_jit(rows, cols, data, vals, vals, p, eps, n)
-    b = A._phi_row_sums_np(rows, cols, data, vals, vals, p, eps, n)
-    scale = np.max(np.abs(a)) + 1.0
-    assert np.max(np.abs(a - b)) <= 1e-12 * scale
-
-    s1 = A._edge_power_sum_jit(rows, cols, data, vals, p)
-    s2 = A._edge_power_sum_np(rows, cols, data, vals, p)
-    assert abs(s1 - s2) <= 1e-12 * abs(s1)
-
-    h1 = np.zeros((n, n))
-    h2 = np.zeros((n, n))
-    A._hessian_accumulate_jit(rows, cols, data, vals, p, eps, h1)
-    A._hessian_accumulate_np(rows, cols, data, vals, p, eps, h2)
-    assert np.max(np.abs(h1 - h2)) <= 1e-12 * (np.max(np.abs(h1)) + 1.0)
-
-
-@needs_numba
-def test_twins_agree_with_split_value_arrays(ne=200):
-    # rows and cols may index different arrays of different lengths
-    rng = np.random.default_rng(5)
-    rows = np.sort(rng.integers(0, 4, ne)).astype(np.int64)
-    cols = rng.integers(0, 6, ne).astype(np.int64)
-    data = rng.random(ne)
-    left = rng.standard_normal(4)
-    right = rng.standard_normal(6)
-    a = A._phi_row_sums_jit(rows, cols, data, left, right, 3.0, 0.0, 4)
-    b = A._phi_row_sums_np(rows, cols, data, left, right, 3.0, 0.0, 4)
-    assert np.max(np.abs(a - b)) <= 1e-13 * (np.max(np.abs(a)) + 1.0)
 
 
 def test_phi_row_sums_by_hand():
@@ -131,56 +87,26 @@ def test_within_backend_bitwise_repeatable():
     assert p1 == p2
 
 
-def test_backend_name_matches_selection():
-    assert A.backend() in ("numba", "numpy")
-    if A.USE_NUMBA:
-        assert A.backend() == "numba"
-        assert A.phi_row_sums is A._phi_row_sums_jit
-    else:
-        assert A.backend() == "numpy"
-        assert A.phi_row_sums is A._phi_row_sums_np
+def add_at_laplacian(rows, cols, w, n):
+    # reference: the Laplacian of the weights w scattered into zeros
+    out = np.zeros((n, n))
+    flat = out.reshape(-1)
+    np.add.at(flat, rows * n + rows, w)
+    np.add.at(flat, rows * n + cols, -w)
+    return out
 
 
-def _run_fallback(code):
-    env = dict(os.environ, STRIPFLOW_NO_NUMBA="1")
-    return subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
-
-
-def test_env_flag_forces_numpy_backend():
-    res = _run_fallback(
-        "from stripflow import _accel\n"
-        "assert _accel.backend() == 'numpy'\n"
-        "assert _accel.phi_row_sums is _accel._phi_row_sums_np\n"
-        "assert _accel.edge_power_sum is _accel._edge_power_sum_np\n"
-        "assert _accel.hessian_accumulate is _accel._hessian_accumulate_np\n"
-        "print('ok')\n")
-    assert res.stdout.strip() == "ok"
-
-
-@needs_numba
-def test_fallback_evolve_matches_jit_backend():
-    # a full nonlinear run through the numpy path lands on the same
-    # trajectory up to accumulated last-ulp drift
-    op = sf.assemble(sf.build_grid(sf.DomainBox(1, (0.0,), (1.0,)),
-                                   1.0 / 16.0, 0.25),
-                     sf.tent_kernel(0.5, 1), "exclude-strip-strip")
-    spec = sf.ProblemSpec("plaplace", p=3.0)
-    rng = np.random.default_rng(2)
-    u0 = sf.StripField(rng.standard_normal(op.n_strip), op.grid)
-    traj = sf.evolve(op, spec, u0, 0.2, 0.01)
-    here = traj.final.values
-
-    code = (
-        "import json, sys\n"
-        "import numpy as np\n"
-        "import stripflow as sf\n"
-        "op = sf.assemble(sf.build_grid(sf.DomainBox(1, (0.0,), (1.0,)),"
-        " 1.0 / 16.0, 0.25), sf.tent_kernel(0.5, 1), 'exclude-strip-strip')\n"
-        "spec = sf.ProblemSpec('plaplace', p=3.0)\n"
-        "rng = np.random.default_rng(2)\n"
-        "u0 = sf.StripField(rng.standard_normal(op.n_strip), op.grid)\n"
-        "traj = sf.evolve(op, spec, u0, 0.2, 0.01)\n"
-        "json.dump(list(traj.final.values), sys.stdout)\n")
-    there = np.array(json.loads(_run_fallback(code).stdout))
-    assert np.max(np.abs(here - there)) <= 1e-10 * (np.max(np.abs(here)) + 1.0)
+@pytest.mark.parametrize("p,eps", [(1.5, REG_EPS), (3.0, 0.0), (4.0, 0.0)])
+def test_hessian_and_majoriser_match_scatter_add(op16, op2d, p, eps):
+    rng = np.random.default_rng(4)
+    for op in (op16, op2d):
+        rows, cols, coef = op.act_rows, op.act_cols, op.act_coef
+        vals = rng.standard_normal(op.n)
+        d = vals[rows] - vals[cols]
+        hess = np.zeros((op.n, op.n))
+        A.hessian_accumulate(rows, cols, coef, vals, p, eps, hess)
+        want = add_at_laplacian(rows, cols, coef * A._psi(d, p, eps), op.n)
+        assert np.array_equal(hess, want)
+        w = coef * (d * d + eps * eps) ** ((p - 2.0) / 2.0)
+        maj = A.laplacian_fill(rows, cols, w, np.zeros((op.n, op.n)))
+        assert np.array_equal(maj, add_at_laplacian(rows, cols, w, op.n))

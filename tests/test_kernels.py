@@ -4,7 +4,7 @@ from scipy.integrate import quad
 
 import stripflow as sf
 from stripflow.errors import (EmptySupport, InvalidArgument, SingularAtOrigin)
-from stripflow.kernels import laplacian_dense
+from stripflow.kernels import edge_block, laplacian_dense
 
 from conftest import BOX1, BOX2
 
@@ -80,15 +80,14 @@ def test_kernel_spec_validation():
 
 
 def test_toy3_blocks(toy3_op, toy3_full_op, toy3_asym_op):
-    op = toy3_op
-    np.testing.assert_array_equal(op.W_II.toarray(), [[0.0]])
-    np.testing.assert_array_equal(op.W_IS.toarray(), [[1.0, 1.0]])
-    np.testing.assert_array_equal(op.W_SI.toarray(), [[1.0], [1.0]])
-    np.testing.assert_array_equal(op.W_SS.toarray(), [[0.0, 1.0], [1.0, 0.0]])
-    np.testing.assert_array_equal(op.deg_interior, [1.0, 1.0])
-    np.testing.assert_array_equal(op.deg_active, [2.0, 1.0, 1.0])
+    # node 0 is interior, nodes 1 and 2 strip
+    np.testing.assert_array_equal(dense_active(toy3_op),
+                                  [[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(dense_active(toy3_full_op),
+                                  [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    np.testing.assert_array_equal(toy3_op.deg_active, [2.0, 1.0, 1.0])
     np.testing.assert_array_equal(toy3_full_op.deg_active, [2.0, 2.0, 2.0])
-    np.testing.assert_array_equal(toy3_asym_op.W_IS.toarray(), [[2.0, 1.0]])
+    np.testing.assert_array_equal(dense_active(toy3_asym_op)[0], [0.0, 2.0, 1.0])
 
 
 def test_toy3_active_pairs(toy3_op, toy3_full_op):
@@ -100,9 +99,15 @@ def test_toy3_active_pairs(toy3_op, toy3_full_op):
 
 def test_toy3_dynamic_edges(toy3_op):
     # strip-local rows, global columns
-    np.testing.assert_array_equal(toy3_op.dyn_rows, [0, 1])
-    np.testing.assert_array_equal(toy3_op.dyn_cols, [0, 0])
-    np.testing.assert_array_equal(toy3_op.dyn_w, [1.0, 1.0])
+    rows, cols, w = edge_block(toy3_op, sf.STRIP)
+    np.testing.assert_array_equal(rows, [0, 1])
+    np.testing.assert_array_equal(cols, [0, 0])
+    np.testing.assert_array_equal(w, [1.0, 1.0])
+    # interior-local rows, strip-local columns
+    rows, cols, w = edge_block(toy3_op, sf.INTERIOR, sf.STRIP)
+    np.testing.assert_array_equal(rows, [0, 0])
+    np.testing.assert_array_equal(cols, [0, 1])
+    np.testing.assert_array_equal(w, [1.0, 1.0])
 
 
 def test_quadrature_weights_match_kernel(op16, op2d):
@@ -135,8 +140,6 @@ def test_edge_modes_differ_only_on_strip_rows(op16, op16_full):
     ss = np.ix_(op16.strip_idx, op16.strip_idx)
     assert np.count_nonzero(W[ss]) == 0
     assert np.count_nonzero(Wf[ss]) > 0
-    # the W_SS block is assembled in both modes
-    np.testing.assert_array_equal(op16.W_SS.toarray(), op16_full.W_SS.toarray())
 
 
 def test_reciprocity(op16, op16_full, op2d, sing16):

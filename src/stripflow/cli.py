@@ -348,13 +348,12 @@ def validate_cmd(config_path, seed, quiet):
                   f"one-step drift {drift:.3e}"))
 
     # spectral gap, switching expectation in the degenerate geometry
+    beta = spectral_gap_beta(op).beta
     if op.spec is not None and op.spec.compact and abs(grid.r - op.spec.R) <= 1e-12:
-        beta = spectral_gap_beta(op).beta
         lines.append(("spectral gap", "pass",
                       f"near-zero gap expected (strip width equals kernel radius); "
                       f"beta={beta:.6e}"))
     else:
-        beta = spectral_gap_beta(op).beta
         lines.append(("spectral gap", "pass" if beta > 1e-12 else "fail",
                       f"beta={beta:.6e}"))
 

@@ -3,7 +3,7 @@ grid, the kernel, the problem variant, the time stepping, and the initial
 strip data. Every validation failure is a ConfigInvalid naming the field."""
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,6 @@ class ExperimentConfig:
     r: float = 0.0
     kernel: KernelSpec = None
     fixture: str = None
-    output: dict = field(default_factory=dict)
     allow_empty_interior: bool = False
     allow_r_equal_R: bool = False
 
@@ -180,12 +179,8 @@ def parse_config(doc):
     if max_iter < 1:
         raise ConfigInvalid("tolerances.max_iter", "must be at least 1")
 
-    output = _optional(doc, "output", dict, {})
-    for key, val in output.items():
-        if key not in ("csv", "svg"):
-            raise ConfigInvalid(f"output.{key}", "unknown output kind")
-        if not isinstance(val, str):
-            raise ConfigInvalid(f"output.{key}", "expected a path string")
+    for key in _optional(doc, "output", dict, {}):
+        raise ConfigInvalid(f"output.{key}", "not read by any command; pass --out")
 
     allow_empty = _optional(doc, "allow_empty_interior", bool, False)
     allow_eq = _optional(doc, "allow_r_equal_R", bool, False)
@@ -203,7 +198,7 @@ def parse_config(doc):
         return ExperimentConfig(problem=problem, t_end=t_end, dt=dt,
                                 integrator=integrator, initial=initial, seed=seed,
                                 tol=tol, max_iter=max_iter, fixture=fixture,
-                                output=output, allow_empty_interior=allow_empty,
+                                allow_empty_interior=allow_empty,
                                 allow_r_equal_R=allow_eq)
 
     domain = _parse_domain(_need(doc, "domain", dict))
@@ -230,8 +225,7 @@ def parse_config(doc):
     return ExperimentConfig(problem=problem, t_end=t_end, dt=dt,
                             integrator=integrator, initial=initial, seed=seed,
                             tol=tol, max_iter=max_iter, domain=domain, h=h, r=r,
-                            kernel=kernel, output=output,
-                            allow_empty_interior=allow_empty,
+                            kernel=kernel, allow_empty_interior=allow_empty,
                             allow_r_equal_R=allow_eq)
 
 

@@ -153,7 +153,7 @@ def _spd_solve(mat, rhs):
 
 
 def _newton_free(op, p, v0, free, quad_mass, quad_target, energy_scale,
-                 tol, max_iter, converged):
+                 max_iter, converged):
     """Minimize F(v) = energy_scale * E_p(v) + quadratic penalty over
     v[free] with the remaining coordinates held fixed.
 
@@ -251,7 +251,6 @@ def _levenberg_newton(op, p, eps, v, free, pinned, quad_mass, quad_target,
                       energy_scale, max_iter, converged, value, grads,
                       f, grad, resid):
     lam = 0.0
-    eye = np.eye(free.shape[0])
     for it in range(max_iter):
         if converged(grad[free], resid[free]):
             return v, f, grad, resid, it
@@ -267,8 +266,11 @@ def _levenberg_newton(op, p, eps, v, free, pinned, quad_mass, quad_target,
         fnoise = 1e-12 * (1.0 + abs(f))
         found = None
         for _ in range(40):
+            # cho_factor factors a Fortran-ordered array in place; a C-ordered one it copies
+            shifted = np.array(hess, order="F")
+            shifted[np.diag_indices_from(shifted)] += lam * dscale
             try:
-                step = -sla.cho_solve(sla.cho_factor(hess + (lam * dscale) * eye), gfree)
+                step = -sla.cho_solve(sla.cho_factor(shifted, overwrite_a=True), gfree)
             except sla.LinAlgError:
                 lam = max(10.0 * lam, 1e-10)
                 continue
@@ -333,7 +335,7 @@ def extend_plaplace(op, g, p, tol=1e-10, max_iter=100, x0=None):
 
     try:
         v, iters, _ = _newton_free(op, p, v0, free, None, None, 1.0,
-                                   tol, max_iter, converged)
+                                   max_iter, converged)
     except NoConvergence as exc:
         best_v, _ = exc.best
         report = EnergyReport(

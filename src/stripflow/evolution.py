@@ -2,11 +2,14 @@
 
 The strip values evolve; interior values follow instantaneously through the
 stationary extension. Explicit Euler re-solves the extension each step.
-The implicit step minimizes dt * E_p(v) + (1/2) sum_strip mu (v - u)^2
-jointly over all nodes, which reproduces backward Euler on the strip and
-the stationary balance on the interior in one convex solve. The fixed
-point integrator rebuilds the solution on a whole time window from its
-integral form and only contracts on short windows.
+At p = 2 the strip evolves by the Schur complement S of the interior, so
+the implicit step solves the strip system (M + dt S) v = M u, with M the
+strip measures, and then extends v. For p != 2 the implicit step
+minimizes dt * E_p(v) + (1/2) sum_strip mu (v - u)^2 jointly over all
+nodes, which reproduces backward Euler on the strip and the stationary
+balance on the interior in one convex solve. The fixed point integrator
+rebuilds the solution on a whole time window from its integral form and
+only contracts on short windows.
 """
 
 import warnings
@@ -17,12 +20,13 @@ import scipy.linalg as sla
 from scipy.integrate import cumulative_trapezoid
 
 from . import _accel
-from .analysis import DIAG_COLUMNS, _lp_norm, lq_distance_to_mean, mass
+from .analysis import (DIAG_COLUMNS, _lp_norm, lq_distance_to_mean, mass,
+                       schur_complement)
 from .elliptic import (StripField, energy_values, eps_for, _extended_values,
                        _newton_free)
 from .errors import (InvalidArgument, NoContraction, SingularSystem, SolverError)
 from .geometry import STRIP
-from .kernels import EXCLUDE_STRIP_STRIP, FULL, SINGULAR, edge_block, laplacian_dense
+from .kernels import EXCLUDE_STRIP_STRIP, FULL, SINGULAR, edge_block
 
 LINEAR = "linear"
 LINEAR_FULL = "linear-full"
@@ -141,45 +145,38 @@ def step_explicit(op, spec, u, dt, ext_tol=1e-12):
     return StripField(uv + dt * out, op.grid)
 
 
-def _strip_mass_vector(op):
-    m = np.zeros(op.n)
-    m[op.strip_idx] = op.grid.mu[op.strip_idx]
-    return m
-
-
 def _implicit_linear_values(op, dt, uv):
+    """Backward Euler at p = 2 on the strip: solve (M + dt S) v = M u with
+    S the Schur complement and M the strip measures, then extend v."""
+    mu_s = op.grid.mu[op.strip_idx]
     key = ("implicit_chol", dt)
     if key not in op._cache:
-        mvec = _strip_mass_vector(op)
-        mat = dt * laplacian_dense(op)
-        mat[np.diag_indices(op.n)] += mvec
+        mat = dt * schur_complement(op)
+        mat[np.diag_indices(op.n_strip)] += mu_s
         try:
-            op._cache[key] = (sla.cho_factor(mat), mvec)
+            op._cache[key] = sla.cho_factor(mat)
         except sla.LinAlgError as exc:
             raise SingularSystem(f"implicit system is not positive definite: {exc}") from exc
-    chol, mvec = op._cache[key]
-    b = np.zeros(op.n)
-    b[op.strip_idx] = op.grid.mu[op.strip_idx] * uv
-    v = sla.cho_solve(chol, b)
+    v = sla.cho_solve(op._cache[key], mu_s * uv)
     if not np.all(np.isfinite(v)):
         raise SingularSystem("implicit solve produced non-finite values")
-    return v
+    return v, _extended_values(op, v, 2.0, None)
 
 
 def _step_implicit_values(op, spec, uv, dt, tol, max_iter, warm):
     if spec.p == 2.0:
-        v = _implicit_linear_values(op, dt, uv)
-        return v[op.strip_idx], v
+        return _implicit_linear_values(op, dt, uv)
 
+    mu_s = op.grid.mu[op.strip_idx]
     target = np.zeros(op.n)
     target[op.strip_idx] = uv
-    quad = _strip_mass_vector(op)
+    quad = np.zeros(op.n)
+    quad[op.strip_idx] = mu_s
     v0 = target.copy()
     if op.n_interior > 0:
         if warm is not None:
             v0[op.interior_idx] = warm
         else:
-            mu_s = op.grid.mu[op.strip_idx]
             v0[op.interior_idx] = uv[0] + np.dot(mu_s, uv - uv[0]) / np.sum(mu_s)
     free = np.arange(op.n)
 
@@ -188,15 +185,17 @@ def _step_implicit_values(op, spec, uv, dt, tol, max_iter, warm):
                 and abs(np.sum(grad_free)) <= tol)
 
     v, _, _ = _newton_free(op, spec.p, v0, free, quad, target, dt,
-                           tol, max_iter, converged)
+                           max_iter, converged)
     return v[op.strip_idx], v
 
 
 def step_implicit(op, spec, u, dt, tol=1e-10, max_iter=60):
-    """Backward Euler step through the joint proximal minimization.
+    """Backward Euler step on the strip values.
 
-    Solves for the minimizer of dt * E_p(v) + (1/2) sum over strip nodes
-    of mu (v - u)^2; the strip part of the minimizer is the new state.
+    At p = 2 this solves the Schur-reduced strip system (M + dt S) v = M u
+    and extends v into the interior. For p != 2 it is the joint proximal
+    minimization: the strip part of the minimizer of dt * E_p(v) + (1/2)
+    sum over strip nodes of mu (v - u)^2 is the new state.
     """
     check_compatible(op, spec)
     if dt <= 0.0:

@@ -169,10 +169,6 @@ def counterexample_csv(pairs):
     return "\n".join(lines) + "\n"
 
 
-def write_counterexample_csv(path, pairs):
-    atomic_write_text(path, counterexample_csv(pairs))
-
-
 def fit_csv(fit):
     """Two-line CSV form of a decay fit."""
     return ("model,rate,r2,t_lo,t_hi\n"

@@ -6,7 +6,10 @@ import pytest
 import stripflow as sf
 from stripflow.errors import InvalidArgument, NoContraction, SolverError
 from stripflow.evolution import (LINEAR, LINEAR_FULL, PLAPLACE, PLAPLACE_FULL,
-                                 SINGULAR_VARIANT)
+                                 SINGULAR_VARIANT, _step_implicit_values)
+from stripflow.kernels import laplacian_dense
+
+from conftest import make_op
 
 LIN = sf.ProblemSpec(LINEAR)
 P3 = sf.ProblemSpec(PLAPLACE, p=3.0)
@@ -66,6 +69,36 @@ def test_step_implicit_toy3(toy3_op):
     np.testing.assert_allclose(out.values, [0.5, -0.5], atol=1e-10)
     out = sf.step_implicit(toy3_op, LIN, sym(toy3_op), 0.5)
     np.testing.assert_allclose(out.values, [2.0 / 3.0, -2.0 / 3.0], atol=1e-10)
+
+
+@pytest.mark.parametrize("dt", [0.1, 1.0, 10.0])
+def test_linear_implicit_step_matches_full_grid_solve(
+        dt, toy3_op, toy3_full_op, op16, op16_full, op2d, sing16):
+    # oracle: backward Euler on the whole grid, (dt L + diag(strip mu)) v = strip mu u,
+    # which eliminates the interior by the stationary balance
+    empty = make_op(1.0 / 4.0, 0.5, sf.tent_kernel(0.5, 1), edge_mode=sf.FULL,
+                    allow_empty=True)
+    assert empty.n_interior == 0
+    cases = [(toy3_op, LIN), (toy3_full_op, sf.ProblemSpec(LINEAR_FULL)),
+             (op16, LIN), (op16_full, sf.ProblemSpec(LINEAR_FULL)), (op2d, LIN),
+             (sing16(2.0), sf.ProblemSpec(SINGULAR_VARIANT)),
+             (empty, sf.ProblemSpec(LINEAR_FULL))]
+    rng = np.random.default_rng(15)
+    for op, spec in cases:
+        mu_s = op.grid.mu[op.strip_idx]
+        m = np.zeros(op.n)
+        m[op.strip_idx] = mu_s
+        mat = dt * laplacian_dense(op) + np.diag(m)
+        u = rng.standard_normal(op.n_strip)
+        b = np.zeros(op.n)
+        b[op.strip_idx] = mu_s * u
+        want = np.linalg.solve(mat, b)
+        strip, full = _step_implicit_values(op, spec, u, dt, 1e-10, 60, None)
+        tol = 1e-13 * (1.0 + np.abs(u).max())
+        assert np.abs(full - want).max() <= tol
+        np.testing.assert_array_equal(strip, full[op.strip_idx])
+        drift = abs(np.dot(mu_s, strip) - np.dot(mu_s, u))
+        assert drift <= 1e-14 * np.sum(mu_s * np.abs(u))
 
 
 def test_evolve_matches_exponential(toy3_op):

@@ -8,13 +8,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .elliptic import _extended_values, energy_values, gradient_values, eps_for
+from .elliptic import (_extended_values, _interior_factor, _interior_system,
+                       energy_values, gradient_values, eps_for)
 from .errors import (ConstantField, EmptyBump, InvalidArgument, NoConvergence,
-                     NonPositiveData, NotMeanZero, SingularInterior,
-                     TooFewStripNodes, WindowTooSmall)
+                     NonPositiveData, NotMeanZero, TooFewStripNodes, WindowTooSmall)
 from .fields import StripField
 from .geometry import STRIP
-from .kernels import laplacian_dense
+from .kernels import edge_block
 
 SCHUR_EIG = "schur-eig"
 VARIATIONAL_DESCENT = "variational-descent"
@@ -78,25 +78,19 @@ def _lp_norm(mu, vals, p):
 def schur_complement(op):
     """Strip-reduced matrix of the active-edge quadratic form.
 
-    Eliminates the interior block of the Laplacian: S = L_SS minus
-    L_SI L_II^{-1} L_IS. Symmetric PSD and annihilates constants. With no
-    interior nodes the strip block is returned as is.
+    Eliminates the interior block, S = L_SS - L_SI L_II^{-1} L_IS, with the
+    Cholesky factor of L_II that the linear extension shares. Symmetric PSD,
+    annihilates constants; with no interior nodes it is the strip block.
     """
     if "schur" in op._cache:
         return op._cache["schur"]
-    lap = laplacian_dense(op)
-    s_idx, i_idx = op.strip_idx, op.interior_idx
-    l_ss = lap[np.ix_(s_idx, s_idx)]
-    if i_idx.shape[0] == 0:
-        schur = l_ss.copy()
-    else:
-        l_ii = lap[np.ix_(i_idx, i_idx)]
-        l_is = lap[np.ix_(i_idx, s_idx)]
-        try:
-            solved = sla.cho_solve(sla.cho_factor(l_ii), l_is)
-        except sla.LinAlgError as exc:
-            raise SingularInterior(f"interior block cannot be eliminated: {exc}") from exc
-        schur = l_ss - l_is.T @ solved
+    mu_s = op.grid.mu[op.strip_idx]
+    rows, cols, w = edge_block(op, STRIP, STRIP)
+    schur = np.diag(mu_s * op.deg_active[op.strip_idx])
+    schur[rows, cols] = -(mu_s[rows] * w)
+    if op.n_interior:
+        l_is = _interior_system(op)[1].toarray()
+        schur -= l_is.T @ sla.cho_solve(_interior_factor(op), l_is)
     schur = 0.5 * (schur + schur.T)
     op._cache["schur"] = schur
     return schur

@@ -74,41 +74,50 @@ def interior_residual(op, u, p):
 
 
 def _interior_system(op):
-    """The linear interior balance A u = B g: A = diag(row sums) - W_II,
-    the interior block of the Laplacian with weights W, dense up to
-    _DENSE_LIMIT interior nodes and CSR above; B = W_IS as CSR."""
+    """(L_II, L_IS): the interior rows of the symmetric Laplacian with edge
+    coefficients mu[x] W[x][y]. L_II is dense up to _DENSE_LIMIT interior
+    nodes and CSR above; L_IS is CSR."""
     if "interior_system" not in op._cache:
-        i_idx = op.interior_idx
+        mu_i = op.grid.mu[op.interior_idx]
+        diag = mu_i * op.deg_active[op.interior_idx]
+        rows, cols, w = edge_block(op, INTERIOR, INTERIOR)
         if op.n_interior <= _DENSE_LIMIT:
-            lap = _accel.laplacian_fill(op.act_rows, op.act_cols, op.act_w,
-                                        np.zeros((op.n, op.n)))
-            mat = lap[np.ix_(i_idx, i_idx)]
+            l_ii = np.diag(diag)
+            l_ii[rows, cols] = -(mu_i[rows] * w)
         else:
-            rows, cols, w = edge_block(op, INTERIOR, INTERIOR)
-            adj = sp.csr_matrix((w, (rows, cols)), shape=(op.n_interior,) * 2)
-            mat = (sp.diags(op.deg_active[i_idx]) - adj).tocsr()
+            adj = sp.csr_matrix((mu_i[rows] * w, (rows, cols)), shape=(op.n_interior,) * 2)
+            l_ii = (sp.diags(diag) - adj).tocsr()
         rows, cols, w = edge_block(op, INTERIOR, STRIP)
-        coupling = sp.csr_matrix((w, (rows, cols)), shape=(op.n_interior, op.n_strip))
-        op._cache["interior_system"] = (mat, coupling)
+        l_is = sp.csr_matrix((-(mu_i[rows] * w), (rows, cols)),
+                             shape=(op.n_interior, op.n_strip))
+        op._cache["interior_system"] = (l_ii, l_is)
     return op._cache["interior_system"]
 
 
-def _interior_solve(op, mat, rhs):
-    if op.n_interior <= _DENSE_LIMIT:
-        if "interior_lu" not in op._cache:
-            try:
-                op._cache["interior_lu"] = sla.lu_factor(mat)
-            except sla.LinAlgError as exc:
-                raise SingularSystem(f"interior system is singular: {exc}") from exc
-        sol = sla.lu_solve(op._cache["interior_lu"], rhs)
-    else:
-        precond = spla.LinearOperator(mat.shape, lambda x: x / mat.diagonal())
-        sol, info = spla.cg(mat, rhs, rtol=1e-14, atol=0.0, maxiter=20 * op.n_interior,
-                            M=precond)
-        if info != 0:
-            raise SingularSystem(f"conjugate gradient did not converge (info={info})")
-    if not np.all(np.isfinite(sol)):
-        raise SingularSystem("interior solve produced non-finite values")
+def _interior_factor(op):
+    """Cholesky factor of L_II, made once; the extension and S both solve with it."""
+    if "interior_chol" not in op._cache:
+        l_ii = _interior_system(op)[0]
+        try:
+            op._cache["interior_chol"] = sla.cho_factor(
+                l_ii.toarray() if sp.issparse(l_ii) else l_ii)
+        except sla.LinAlgError as exc:
+            raise SingularSystem(f"interior system is singular: {exc}") from exc
+    return op._cache["interior_chol"]
+
+
+def _interior_solve(op, l_ii, rhs):
+    """L_II^{-1} rhs: by the Cholesky factor for a dense L_II, by CG for a CSR one."""
+    if not sp.issparse(l_ii):
+        # the cached factor is finite; checking it would scan n_I^2 entries per solve
+        return sla.cho_solve(_interior_factor(op), rhs, check_finite=False)
+    diag = l_ii.diagonal()
+    if np.any(diag <= 0.0):
+        raise SingularSystem("interior system is singular: an interior node has no edge")
+    sol, info = spla.cg(l_ii, rhs, rtol=1e-14, atol=0.0, maxiter=20 * op.n_interior,
+                        M=sp.diags(1.0 / diag))
+    if info != 0:
+        raise SingularSystem(f"conjugate gradient did not converge (info={info})")
     return sol
 
 
@@ -116,20 +125,21 @@ def extend_linear(op, g):
     """Extend strip values by the linear stationary balance.
 
     Returns a full field equal to g on the strip whose interior values
-    satisfy diag(row sums) u - W_II u = W_IS g.
+    satisfy L_II u = -L_IS g, i.e. diag(row sums) u - W_II u = W_IS g.
     """
     if op.n_interior == 0:
         raise EmptyInterior("linear extension needs interior nodes")
     gv = g.values if isinstance(g, StripField) else np.asarray(g, dtype=float)
-    # solve anchored at g[0]: shifting out the constant mode keeps constant
-    # data exactly constant and costs nothing for general data
-    shift = gv[0]
-    mat, coupling = _interior_system(op)
-    rhs = coupling @ (gv - shift)
-    sol = _interior_solve(op, mat, rhs)
-    resid = np.max(np.abs(mat @ sol - rhs)) if op.n_interior else 0.0
-    if resid > 1e-10 * (1.0 + np.max(np.abs(gv), initial=0.0)):
-        raise SingularSystem(f"interior residual {resid:.3e} after direct solve")
+    # solve anchored at the midrange of g: shifting out the constant mode keeps
+    # constant data exactly constant, c - (c + c)/2 = 0, and costs nothing
+    shift = 0.5 * (np.max(gv) + np.min(gv))
+    l_ii, l_is = _interior_system(op)
+    rhs = -(l_is @ (gv - shift))
+    sol = _interior_solve(op, l_ii, rhs)
+    # gated in W units (row x of L_II is mu[x] times the balance); NaN fails too
+    resid = np.max(np.abs(l_ii @ sol - rhs) / op.grid.mu[op.interior_idx])
+    if not resid <= 1e-10 * (1.0 + np.max(np.abs(gv), initial=0.0)):
+        raise SingularSystem(f"interior residual {resid:.3e} after interior solve")
     out = np.empty(op.n)
     out[op.strip_idx] = gv
     out[op.interior_idx] = sol + shift

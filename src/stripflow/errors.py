@@ -53,10 +53,6 @@ class SingularSystem(SolverError):
     """The interior linear system is numerically singular."""
 
 
-class SingularInterior(SolverError):
-    """Interior block could not be eliminated in the reduction step."""
-
-
 class NoConvergence(SolverError):
     """Iteration budget exhausted. Carries the best iterate found."""
 

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import stripflow as sf
-from stripflow import elliptic
+from stripflow import elliptic, kernels
 from stripflow.elliptic import extend_plaplace
-from stripflow.errors import (EmptyInterior, NoConvergence, NonConvexExponent)
+from stripflow.errors import (EmptyInterior, NoConvergence, NonConvexExponent,
+                              SingularSystem)
+from stripflow.geometry import INTERIOR, STRIP, Grid
+from stripflow.kernels import _operator_from_dense, laplacian_dense
 
 from conftest import BOX1, make_op
 
@@ -149,7 +153,7 @@ def test_plaplace_matches_linear_at_p2(op16, op2d):
         assert np.abs(lin.values - newt.values).max() <= 1e-8
 
 
-def test_conjugate_gradient_path_matches_lu(monkeypatch):
+def test_conjugate_gradient_path_matches_direct(monkeypatch):
     # above _DENSE_LIMIT interior nodes the interior system is solved by
     # CG; a limit of 0 sends this 144-node interior down that path
     def build():
@@ -157,12 +161,91 @@ def test_conjugate_gradient_path_matches_lu(monkeypatch):
     direct = build()
     g = sf.StripField(np.random.default_rng(8).standard_normal(direct.n_strip), direct.grid)
     lu = sf.extend_linear(direct, g)
+    s_direct = sf.schur_complement(direct)
     monkeypatch.setattr(elliptic, "_DENSE_LIMIT", 0)
     sparse = build()
     cg = sf.extend_linear(sparse, g)
     assert sparse.n_interior == 144
     assert np.abs(cg.values - lu.values).max() <= 1e-13
     assert sf.interior_residual(sparse, cg, 2.0) <= 1e-12
+    # the Schur complement factors L_II densely at any size
+    s_sparse = sf.schur_complement(sparse)
+    assert np.abs(s_sparse - s_direct).max() <= 1e-13 * np.abs(s_direct).max()
+
+
+def _line_grid(klass, mu):
+    """Cell-centred nodes on [0, 1] with the given classes and measures."""
+    n = len(klass)
+    x = (np.arange(n) + 0.5) / n
+    return Grid(domain=BOX1, h=1.0 / n, r=2.0 / n, nodes=x[:, None],
+                klass=np.array(klass, dtype=np.uint8), mu=np.asarray(mu, dtype=float),
+                bdist=np.minimum(x, 1.0 - x), counts=(n,))
+
+
+def _schur_oracle(op):
+    lap = laplacian_dense(op)
+    s, i = op.strip_idx, op.interior_idx
+    return lap[np.ix_(s, s)] - lap[np.ix_(s, i)] @ np.linalg.solve(lap[np.ix_(i, i)],
+                                                                   lap[np.ix_(i, s)])
+
+
+@pytest.mark.parametrize("limit", [elliptic._DENSE_LIMIT, 0])
+@pytest.mark.parametrize("edge_mode", [sf.EXCLUDE_STRIP_STRIP, sf.FULL])
+def test_interior_solves_with_nonuniform_measures(edge_mode, limit, monkeypatch):
+    # with unequal measures W[x][y] = J mu[y] is not symmetric, but the
+    # interior block of mu[x] W[x][y] is, so both solve paths must work
+    monkeypatch.setattr(elliptic, "_DENSE_LIMIT", limit)
+    grid = _line_grid([STRIP] * 2 + [INTERIOR] * 4 + [STRIP] * 2,
+                      np.array([1.0, 2.0, 0.5, 3.0, 1.5, 1.0, 2.5, 0.75]) / 8.0)
+    kernel = sf.tent_kernel(0.5, 1)
+    dist = np.abs(grid.nodes - grid.nodes.T)
+    op = _operator_from_dense(grid, kernel, kernel.cnorm * np.maximum(kernel.R - dist, 0.0),
+                              edge_mode)
+    g = sf.StripField(np.array([1.0, -0.5, 2.0, 0.25]), grid)
+    assert sf.interior_residual(op, sf.extend_linear(op, g), 2.0) <= 1e-12
+    s = sf.schur_complement(op)
+    assert np.abs(s - _schur_oracle(op)).max() <= 1e-14 * np.abs(s).max()
+
+
+@pytest.mark.parametrize("limit", [elliptic._DENSE_LIMIT, 0])
+def test_singular_interior_is_a_solver_error(limit, monkeypatch):
+    # interior node 2 has no active edge, so L_II has a zero row
+    monkeypatch.setattr(elliptic, "_DENSE_LIMIT", limit)
+    grid = _line_grid([STRIP, INTERIOR, INTERIOR, STRIP], np.ones(4))
+    jmat = np.zeros((4, 4))
+    jmat[[0, 1, 1, 3], [1, 0, 3, 1]] = 1.0
+    op = _operator_from_dense(grid, sf.tent_kernel(4.0, 1), jmat, sf.FULL)
+    for solve in (lambda: sf.extend_linear(op, np.array([0.0, 1.0])),
+                  lambda: sf.schur_complement(op), lambda: sf.spectral_gap_beta(op)):
+        with pytest.raises(SingularSystem) as info:
+            solve()
+        assert info.value.exit_code == 3
+
+
+def test_one_interior_factorisation_per_operator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the linear path builds no n x n Laplacian and no LU")
+    monkeypatch.setattr(kernels, "laplacian_dense", refuse)
+    monkeypatch.setattr(sla, "lu_factor", refuse)
+    shapes = []
+    real = sla.cho_factor
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+    monkeypatch.setattr(sla, "cho_factor", counting)
+    # op2d built afresh, so nothing is cached on it yet
+    op = make_op(1.0 / 8.0, 0.125, sf.tent_kernel(0.25, 2), dim=2)
+    g = sf.StripField(np.random.default_rng(4).standard_normal(op.n_strip), op.grid)
+    sf.extend_linear(op, g)
+    sf.extend_linear(op, g)
+    sf.schur_complement(op)
+    sf.spectral_gap_beta(op)
+    dt = 0.5 * sf.stability_bound(op)
+    for integrator in (sf.EXPLICIT, sf.IMPLICIT):
+        sf.evolve(op, sf.ProblemSpec("linear"), g, 2.0 * dt, dt, integrator)
+    assert op.n_strip != op.n_interior
+    assert shapes.count((op.n_interior, op.n_interior)) == 1
 
 
 def test_warm_start_is_cheap(op16):

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .elliptic import (_extended_values, _interior_factor, _interior_system,
-                       energy_values, gradient_values, eps_for)
+from .elliptic import (_extended_values, _interior, energy_values, gradient_values,
+                       eps_for)
 from .errors import (ConstantField, EmptyBump, InvalidArgument, NoConvergence,
                      NonPositiveData, NotMeanZero, TooFewStripNodes, WindowTooSmall)
 from .fields import StripField
@@ -89,8 +89,9 @@ def schur_complement(op):
     schur = np.diag(mu_s * op.deg_active[op.strip_idx])
     schur[rows, cols] = -(mu_s[rows] * w)
     if op.n_interior:
-        l_is = _interior_system(op)[1].toarray()
-        schur -= l_is.T @ sla.cho_solve(_interior_factor(op), l_is)
+        _, factor, l_is = _interior(op)
+        l_is = l_is.toarray()
+        schur -= l_is.T @ sla.cho_solve(factor, l_is)
     schur = 0.5 * (schur + schur.T)
     op._cache["schur"] = schur
     return schur

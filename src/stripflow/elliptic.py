@@ -2,14 +2,15 @@
 
 Interior nodes satisfy the stationary nonlocal balance against every other
 node; strip values stay pinned. For exponent 2 that balance is a linear
-system. For general p > 1 it is the Euler-Lagrange condition of a strictly
-convex edge energy, minimized here by damped Newton with backtracking.
+system in the interior block L_II, solved with one Cholesky factor of L_II
+made per operator. For general p > 1 it is the Euler-Lagrange condition of
+a strictly convex edge energy, minimized here by damped Newton with
+backtracking.
 """
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import _accel
 from .errors import EmptyInterior, NoConvergence, NonConvexExponent, SingularSystem
@@ -26,8 +27,6 @@ __all__ = [
 # Regularization width for the gradient and Hessian when 1 < p < 2; the
 # reported energy itself is never regularized.
 REG_EPS = 1e-10
-
-_DENSE_LIMIT = 3000
 
 
 def eps_for(p):
@@ -73,52 +72,24 @@ def interior_residual(op, u, p):
     return float(np.max(np.abs(resid[op.interior_idx])))
 
 
-def _interior_system(op):
-    """(L_II, L_IS): the interior rows of the symmetric Laplacian with edge
-    coefficients mu[x] W[x][y]. L_II is dense up to _DENSE_LIMIT interior
-    nodes and CSR above; L_IS is CSR."""
-    if "interior_system" not in op._cache:
+def _interior(op):
+    """(L_II, its Cholesky factor, L_IS), made once per operator: the interior
+    rows of the symmetric Laplacian with edge coefficients mu[x] W[x][y].
+    L_II is dense, L_IS is CSR; the extension and S both solve with the factor."""
+    if "interior" not in op._cache:
         mu_i = op.grid.mu[op.interior_idx]
-        diag = mu_i * op.deg_active[op.interior_idx]
+        l_ii = np.diag(mu_i * op.deg_active[op.interior_idx])
         rows, cols, w = edge_block(op, INTERIOR, INTERIOR)
-        if op.n_interior <= _DENSE_LIMIT:
-            l_ii = np.diag(diag)
-            l_ii[rows, cols] = -(mu_i[rows] * w)
-        else:
-            adj = sp.csr_matrix((mu_i[rows] * w, (rows, cols)), shape=(op.n_interior,) * 2)
-            l_ii = (sp.diags(diag) - adj).tocsr()
+        l_ii[rows, cols] = -(mu_i[rows] * w)
+        try:
+            factor = sla.cho_factor(l_ii)
+        except sla.LinAlgError as exc:
+            raise SingularSystem(f"interior system is singular: {exc}") from exc
         rows, cols, w = edge_block(op, INTERIOR, STRIP)
         l_is = sp.csr_matrix((-(mu_i[rows] * w), (rows, cols)),
                              shape=(op.n_interior, op.n_strip))
-        op._cache["interior_system"] = (l_ii, l_is)
-    return op._cache["interior_system"]
-
-
-def _interior_factor(op):
-    """Cholesky factor of L_II, made once; the extension and S both solve with it."""
-    if "interior_chol" not in op._cache:
-        l_ii = _interior_system(op)[0]
-        try:
-            op._cache["interior_chol"] = sla.cho_factor(
-                l_ii.toarray() if sp.issparse(l_ii) else l_ii)
-        except sla.LinAlgError as exc:
-            raise SingularSystem(f"interior system is singular: {exc}") from exc
-    return op._cache["interior_chol"]
-
-
-def _interior_solve(op, l_ii, rhs):
-    """L_II^{-1} rhs: by the Cholesky factor for a dense L_II, by CG for a CSR one."""
-    if not sp.issparse(l_ii):
-        # the cached factor is finite; checking it would scan n_I^2 entries per solve
-        return sla.cho_solve(_interior_factor(op), rhs, check_finite=False)
-    diag = l_ii.diagonal()
-    if np.any(diag <= 0.0):
-        raise SingularSystem("interior system is singular: an interior node has no edge")
-    sol, info = spla.cg(l_ii, rhs, rtol=1e-14, atol=0.0, maxiter=20 * op.n_interior,
-                        M=sp.diags(1.0 / diag))
-    if info != 0:
-        raise SingularSystem(f"conjugate gradient did not converge (info={info})")
-    return sol
+        op._cache["interior"] = (l_ii, factor, l_is)
+    return op._cache["interior"]
 
 
 def extend_linear(op, g):
@@ -133,9 +104,10 @@ def extend_linear(op, g):
     # solve anchored at the midrange of g: shifting out the constant mode keeps
     # constant data exactly constant, c - (c + c)/2 = 0, and costs nothing
     shift = 0.5 * (np.max(gv) + np.min(gv))
-    l_ii, l_is = _interior_system(op)
+    l_ii, factor, l_is = _interior(op)
     rhs = -(l_is @ (gv - shift))
-    sol = _interior_solve(op, l_ii, rhs)
+    # the cached factor is finite; checking it would scan n_I^2 entries per solve
+    sol = sla.cho_solve(factor, rhs, check_finite=False)
     # gated in W units (row x of L_II is mu[x] times the balance); NaN fails too
     resid = np.max(np.abs(l_ii @ sol - rhs) / op.grid.mu[op.interior_idx])
     if not resid <= 1e-10 * (1.0 + np.max(np.abs(gv), initial=0.0)):
@@ -144,22 +116,6 @@ def extend_linear(op, g):
     out[op.strip_idx] = gv
     out[op.interior_idx] = sol + shift
     return FullField(out, op.grid)
-
-
-def _spd_solve(mat, rhs):
-    """Cholesky solve with escalating diagonal shifts as a last resort."""
-    try:
-        return sla.cho_solve(sla.cho_factor(mat), rhs)
-    except sla.LinAlgError:
-        pass
-    shift = 1e-12 * (1.0 + np.trace(mat) / mat.shape[0])
-    for _ in range(10):
-        try:
-            shifted = mat + shift * np.eye(mat.shape[0])
-            return sla.cho_solve(sla.cho_factor(shifted), rhs)
-        except sla.LinAlgError:
-            shift *= 100.0
-    raise SingularSystem("stationarity system is numerically indefinite")
 
 
 def _newton_free(op, p, v0, free, quad_mass, quad_target, energy_scale,
@@ -237,7 +193,10 @@ def _reweighted_sweeps(op, p, eps, v, free, pinned, quad_mass, quad_target,
         if pinned.size:
             rhs -= H[np.ix_(free, pinned)] @ v[pinned]
         vnew = v.copy()
-        vnew[free] = _spd_solve(mat, rhs)
+        try:
+            vnew[free] = sla.cho_solve(sla.cho_factor(mat), rhs)
+        except sla.LinAlgError as exc:
+            raise SingularSystem(f"majorizer system is singular: {exc}") from exc
         fnew = value(vnew)
         if fnew > f + 1e-12 * (1.0 + abs(f)):
             break

@@ -1,7 +1,8 @@
 """Time stepping for the strip dynamics.
 
 The strip values evolve; interior values follow instantaneously through the
-stationary extension. Explicit Euler re-solves the extension each step.
+stationary extension. Explicit Euler takes the strip flux of the extended
+state and re-solves the extension after each step.
 At p = 2 the strip evolves by the Schur complement S of the interior, so
 the implicit step solves the strip system (M + dt S) v = M u, with M the
 strip measures, and then extends v. For p != 2 the implicit step
@@ -106,11 +107,14 @@ def check_compatible(op, spec):
         raise InvalidArgument("linear variants need a smooth kernel")
 
 
-def _rhs_values(op, spec, uv, ext_tol, warm):
-    full = _extended_values(op, uv, spec.p, ext_tol, warm)
+def _strip_flux(op, spec, uv, full):
+    """Per strip node, the weighted sum of phi_p(full[y] - uv[x])."""
     rows, cols, w = edge_block(op, STRIP)
-    out = _accel.phi_row_sums(rows, cols, w, uv, full, spec.p, eps_for(spec.p), op.n_strip)
-    return out, full
+    return _accel.phi_row_sums(rows, cols, w, uv, full, spec.p, eps_for(spec.p), op.n_strip)
+
+
+def _rhs_values(op, spec, uv, ext_tol):
+    return _strip_flux(op, spec, uv, _extended_values(op, uv, spec.p, ext_tol))
 
 
 def rhs(op, spec, u, ext_tol=1e-12):
@@ -121,8 +125,7 @@ def rhs(op, spec, u, ext_tol=1e-12):
     """
     check_compatible(op, spec)
     uv = u.values if isinstance(u, StripField) else np.asarray(u, dtype=float)
-    out, _ = _rhs_values(op, spec, uv, ext_tol, None)
-    return StripField(out, op.grid)
+    return StripField(_rhs_values(op, spec, uv, ext_tol), op.grid)
 
 
 def stability_bound(op):
@@ -141,23 +144,24 @@ def step_explicit(op, spec, u, dt, ext_tol=1e-12):
     if dt > bound:
         warnings.warn(f"dt={dt} exceeds the stability advisory {bound:.6g}")
     uv = u.values if isinstance(u, StripField) else np.asarray(u, dtype=float)
-    out, _ = _rhs_values(op, spec, uv, ext_tol, None)
-    return StripField(uv + dt * out, op.grid)
+    return StripField(uv + dt * _rhs_values(op, spec, uv, ext_tol), op.grid)
 
 
 def _implicit_linear_values(op, dt, uv):
     """Backward Euler at p = 2 on the strip: solve (M + dt S) v = M u with
     S the Schur complement and M the strip measures, then extend v."""
     mu_s = op.grid.mu[op.strip_idx]
-    key = ("implicit_chol", dt)
-    if key not in op._cache:
+    # one factor per operator, for the last dt: an n_S x n_S factor per dt ever used adds up
+    if op._cache.get("implicit_chol", (None,))[0] != dt:
+        op._cache.pop("implicit_chol", None)
         mat = dt * schur_complement(op)
         mat[np.diag_indices(op.n_strip)] += mu_s
         try:
-            op._cache[key] = sla.cho_factor(mat)
+            op._cache["implicit_chol"] = (dt, sla.cho_factor(mat))
         except sla.LinAlgError as exc:
             raise SingularSystem(f"implicit system is not positive definite: {exc}") from exc
-    v = sla.cho_solve(op._cache[key], mu_s * uv)
+    # the cached factor is finite; checking it would scan n_S^2 entries per solve
+    v = sla.cho_solve(op._cache["implicit_chol"][1], mu_s * uv, check_finite=False)
     if not np.all(np.isfinite(v)):
         raise SingularSystem("implicit solve produced non-finite values")
     return v, _extended_values(op, v, 2.0, None)
@@ -222,10 +226,12 @@ def evolve(op, spec, u0, t_end, dt, integrator=EXPLICIT, tol=1e-10,
            max_iter=60, ext_tol=1e-12):
     """March the strip dynamics from u0 to t_end in steps of dt.
 
-    dt must divide t_end within 1e-9. Diagnostics (mass, distances to the
-    weighted mean, edge energy of the extended state) are recorded at every
-    time. On a solver failure mid-run the raised error carries the partial
-    trajectory in its ``partial`` attribute.
+    dt must divide t_end within 1e-9. u0 is extended once; each step of
+    either integrator then starts its interior solve from the previous
+    extended state. Diagnostics (mass, distances to the weighted mean, edge
+    energy of the extended state) are recorded at every time. On a solver
+    failure mid-run the raised error carries the partial trajectory in its
+    ``partial`` attribute.
     """
     check_compatible(op, spec)
     if t_end <= 0.0 or dt <= 0.0:
@@ -245,33 +251,22 @@ def evolve(op, spec, u0, t_end, dt, integrator=EXPLICIT, tol=1e-10,
     times = np.arange(nsteps + 1) * dt
     states = np.empty((nsteps + 1, op.n_strip))
     diag = np.empty((nsteps + 1, len(DIAG_COLUMNS)))
-    states[0] = uv
 
-    warm = None
     complete = 0
     try:
-        if integrator == EXPLICIT:
-            for k in range(nsteps):
-                out, full = _rhs_values(op, spec, uv, ext_tol, warm)
-                diag[k] = _diag_row(op, spec, uv, full)
-                complete = k + 1
-                if op.n_interior > 0:
-                    warm = full[op.interior_idx]
-                uv = uv + dt * out
-                states[k + 1] = uv
-            full = _extended_values(op, uv, spec.p, ext_tol, warm)
-            diag[nsteps] = _diag_row(op, spec, uv, full)
-        else:
-            full = _extended_values(op, uv, spec.p, ext_tol)
-            diag[0] = _diag_row(op, spec, uv, full)
-            complete = 1
-            for k in range(nsteps):
+        full = _extended_values(op, uv, spec.p, ext_tol)
+        for k in range(nsteps + 1):
+            states[k] = uv
+            diag[k] = _diag_row(op, spec, uv, full)
+            complete = k + 1
+            if k == nsteps:
+                break
+            warm = full[op.interior_idx] if op.n_interior > 0 else None
+            if integrator == EXPLICIT:
+                uv = uv + dt * _strip_flux(op, spec, uv, full)
+                full = _extended_values(op, uv, spec.p, ext_tol, warm)
+            else:
                 uv, full = _step_implicit_values(op, spec, uv, dt, tol, max_iter, warm)
-                if op.n_interior > 0:
-                    warm = full[op.interior_idx]
-                states[k + 1] = uv
-                diag[k + 1] = _diag_row(op, spec, uv, full)
-                complete = k + 2
     except SolverError as exc:
         exc.partial = Trajectory(times[:complete], states[:complete].copy(),
                                  diag[:complete].copy(), op.grid)
@@ -303,7 +298,7 @@ def picard_solve(op, spec, u0, window, nt=11, tol=1e-10, max_iter=50):
     for _ in range(max_iter):
         deriv = np.empty_like(u_iter)
         for k in range(nt):
-            deriv[k], _ = _rhs_values(op, spec, u_iter[k], 1e-12, None)
+            deriv[k] = _rhs_values(op, spec, u_iter[k], 1e-12)
         integral = cumulative_trapezoid(deriv, x=times, axis=0, initial=0.0)
         u_next = uv0[None, :] + integral
         delta = max(_lp_norm(mu_s, u_next[k] - u_iter[k], spec.p)

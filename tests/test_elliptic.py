@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as sla
 
 import stripflow as sf
-from stripflow import elliptic, kernels
+from stripflow import kernels
 from stripflow.elliptic import extend_plaplace
 from stripflow.errors import (EmptyInterior, NoConvergence, NonConvexExponent,
                               SingularSystem)
@@ -64,14 +64,15 @@ def test_toy3_energy_and_gradient(toy3_op):
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-def test_extension_postcondition(op16, p):
+def test_extension_postcondition(op16, op2d, p):
     rng = np.random.default_rng(21)
-    for _ in range(3):
-        g = sf.StripField(rng.standard_normal(op16.n_strip), op16.grid)
-        out = sf.extend(op16, g, p)
-        bound = 1e-10 * (1.0 + np.abs(g.values).max())
-        assert sf.interior_residual(op16, out, p) <= bound
-        np.testing.assert_array_equal(out.values[op16.strip_idx], g.values)
+    for op in (op16, op2d):
+        for _ in range(3):
+            g = sf.StripField(rng.standard_normal(op.n_strip), op.grid)
+            out = sf.extend(op, g, p)
+            bound = 1e-10 * (1.0 + np.abs(g.values).max())
+            assert sf.interior_residual(op, out, p) <= bound
+            np.testing.assert_array_equal(out.values[op.strip_idx], g.values)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
@@ -153,26 +154,6 @@ def test_plaplace_matches_linear_at_p2(op16, op2d):
         assert np.abs(lin.values - newt.values).max() <= 1e-8
 
 
-def test_conjugate_gradient_path_matches_direct(monkeypatch):
-    # above _DENSE_LIMIT interior nodes the interior system is solved by
-    # CG; a limit of 0 sends this 144-node interior down that path
-    def build():
-        return make_op(1.0 / 16.0, 0.125, sf.tent_kernel(0.25, 2), dim=2)
-    direct = build()
-    g = sf.StripField(np.random.default_rng(8).standard_normal(direct.n_strip), direct.grid)
-    lu = sf.extend_linear(direct, g)
-    s_direct = sf.schur_complement(direct)
-    monkeypatch.setattr(elliptic, "_DENSE_LIMIT", 0)
-    sparse = build()
-    cg = sf.extend_linear(sparse, g)
-    assert sparse.n_interior == 144
-    assert np.abs(cg.values - lu.values).max() <= 1e-13
-    assert sf.interior_residual(sparse, cg, 2.0) <= 1e-12
-    # the Schur complement factors L_II densely at any size
-    s_sparse = sf.schur_complement(sparse)
-    assert np.abs(s_sparse - s_direct).max() <= 1e-13 * np.abs(s_direct).max()
-
-
 def _line_grid(klass, mu):
     """Cell-centred nodes on [0, 1] with the given classes and measures."""
     n = len(klass)
@@ -189,12 +170,10 @@ def _schur_oracle(op):
                                                                    lap[np.ix_(i, s)])
 
 
-@pytest.mark.parametrize("limit", [elliptic._DENSE_LIMIT, 0])
 @pytest.mark.parametrize("edge_mode", [sf.EXCLUDE_STRIP_STRIP, sf.FULL])
-def test_interior_solves_with_nonuniform_measures(edge_mode, limit, monkeypatch):
+def test_interior_solves_with_nonuniform_measures(edge_mode):
     # with unequal measures W[x][y] = J mu[y] is not symmetric, but the
-    # interior block of mu[x] W[x][y] is, so both solve paths must work
-    monkeypatch.setattr(elliptic, "_DENSE_LIMIT", limit)
+    # interior block of mu[x] W[x][y] is, so its Cholesky factor exists
     grid = _line_grid([STRIP] * 2 + [INTERIOR] * 4 + [STRIP] * 2,
                       np.array([1.0, 2.0, 0.5, 3.0, 1.5, 1.0, 2.5, 0.75]) / 8.0)
     kernel = sf.tent_kernel(0.5, 1)
@@ -207,10 +186,8 @@ def test_interior_solves_with_nonuniform_measures(edge_mode, limit, monkeypatch)
     assert np.abs(s - _schur_oracle(op)).max() <= 1e-14 * np.abs(s).max()
 
 
-@pytest.mark.parametrize("limit", [elliptic._DENSE_LIMIT, 0])
-def test_singular_interior_is_a_solver_error(limit, monkeypatch):
+def test_singular_interior_is_a_solver_error():
     # interior node 2 has no active edge, so L_II has a zero row
-    monkeypatch.setattr(elliptic, "_DENSE_LIMIT", limit)
     grid = _line_grid([STRIP, INTERIOR, INTERIOR, STRIP], np.ones(4))
     jmat = np.zeros((4, 4))
     jmat[[0, 1, 1, 3], [1, 0, 3, 1]] = 1.0
@@ -246,6 +223,25 @@ def test_one_interior_factorisation_per_operator(monkeypatch):
         sf.evolve(op, sf.ProblemSpec("linear"), g, 2.0 * dt, dt, integrator)
     assert op.n_strip != op.n_interior
     assert shapes.count((op.n_interior, op.n_interior)) == 1
+
+
+def test_majoriser_factor_failure_is_a_solver_error(op16, monkeypatch):
+    # p < 2 sweeps solve each majorizer by Cholesky; a failed factor must
+    # surface, not be retried on a silently shifted matrix
+    calls = []
+    real = sla.cho_factor
+
+    def first_fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise sla.LinAlgError("injected")
+        return real(*args, **kwargs)
+    monkeypatch.setattr(sla, "cho_factor", first_fails)
+    g = sf.StripField(np.random.default_rng(9).standard_normal(op16.n_strip), op16.grid)
+    with pytest.raises(SingularSystem) as info:
+        extend_plaplace(op16, g, 1.5)
+    assert info.value.exit_code == 3
+    assert len(calls) == 1
 
 
 def test_warm_start_is_cheap(op16):

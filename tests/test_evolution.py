@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import stripflow as sf
-from stripflow.errors import InvalidArgument, NoContraction, SolverError
+from stripflow import evolution
+from stripflow.errors import InvalidArgument, NoContraction, SingularSystem, SolverError
 from stripflow.evolution import (LINEAR, LINEAR_FULL, PLAPLACE, PLAPLACE_FULL,
                                  SINGULAR_VARIANT, _step_implicit_values)
 from stripflow.kernels import laplacian_dense
@@ -303,3 +304,42 @@ def test_solver_failure_carries_partial_trajectory(op16):
     assert partial.times.size >= 1
     assert partial.times[0] == 0.0
     np.testing.assert_array_equal(partial.states[0], u0.values)
+
+
+def test_explicit_failure_keeps_the_states_before_it(op16, monkeypatch):
+    u0 = sf.StripField(np.random.default_rng(15).standard_normal(op16.n_strip), op16.grid)
+    dt = 0.5 * sf.stability_bound(op16)
+    whole = sf.evolve(op16, P3, u0, 4.0 * dt, dt)
+    real = evolution._extended_values
+    calls = []
+
+    def third_fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise SingularSystem("injected")
+        return real(*args, **kwargs)
+    monkeypatch.setattr(evolution, "_extended_values", third_fails)
+    with pytest.raises(SingularSystem) as info:
+        sf.evolve(op16, P3, u0, 4.0 * dt, dt)
+    partial = info.value.partial
+    np.testing.assert_array_equal(partial.times, whole.times[:2])
+    np.testing.assert_array_equal(partial.states, whole.states[:2])
+    np.testing.assert_array_equal(partial.diag, whole.diag[:2])
+
+
+def _square_arrays(obj, n):
+    if isinstance(obj, np.ndarray):
+        return int(obj.shape == (n, n))
+    if isinstance(obj, (tuple, list)):
+        return sum(_square_arrays(item, n) for item in obj)
+    return 0
+
+
+def test_implicit_cache_keeps_one_strip_factor():
+    op = make_op(1.0 / 8.0, 0.125, sf.tent_kernel(0.25, 2), dim=2)
+    u = sf.StripField(np.random.default_rng(16).standard_normal(op.n_strip), op.grid)
+    for dt in (0.1, 1.0, 10.0):
+        sf.step_implicit(op, LIN, u, dt)
+    assert op.n_strip != op.n_interior
+    # S itself plus the factor of M + dt S for the last dt only
+    assert _square_arrays(list(op._cache.values()), op.n_strip) == 2

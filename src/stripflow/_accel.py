@@ -43,20 +43,30 @@ def _psi(d, p, eps):
 
 def phi_row_sums(rows, cols, data, left, right, p, eps, nrows):
     """Per-row sums of data * phi_p(right[col] - left[row])."""
-    contrib = data * _phi(right[cols] - left[rows], p, eps)
+    # gather once, then in place: each edge-sized temporary is a fresh allocation
+    d = right[cols]
+    d -= left[rows]
+    contrib = _phi(d, p, eps)
+    contrib *= data
     return np.bincount(rows, weights=contrib, minlength=nrows)
 
 
 def edge_power_sum(rows, cols, data, vals, p):
     """Sum over edges of data * |vals[col] - vals[row]|**p."""
-    d = vals[cols] - vals[rows]
+    d = vals[cols]
+    d -= vals[rows]
     if p == 2.0:
-        return float(np.dot(data, d * d))
-    if p == 3.0:
-        return float(np.dot(data, d * d * np.abs(d)))
-    if p == 4.0:
-        return float(np.dot(data, (d * d) * (d * d)))
-    return float(np.dot(data, np.abs(d) ** p))
+        d *= d
+    elif p == 3.0:
+        mag = np.abs(d)
+        d *= d
+        d *= mag
+    elif p == 4.0:
+        d *= d
+        d *= d
+    else:
+        np.power(np.abs(d, out=d), p, out=d)
+    return float(np.dot(data, d))
 
 
 def laplacian_fill(rows, cols, w, out):

@@ -78,9 +78,11 @@ def _lp_norm(mu, vals, p):
 def schur_complement(op):
     """Strip-reduced matrix of the active-edge quadratic form.
 
-    Eliminates the interior block, S = L_SS - L_SI L_II^{-1} L_IS, with the
-    Cholesky factor of L_II that the linear extension shares. Symmetric PSD,
-    annihilates constants; with no interior nodes it is the strip block.
+    Eliminates the interior block, S = L_SS - L_SI L_II^{-1} L_IS. With
+    L_II = U^T U from the Cholesky factor that the linear extension shares,
+    one triangular solve gives X = U^{-T} L_IS and S = L_SS - X^T X, whose
+    product is one symmetric rank-k update. Symmetric PSD, annihilates
+    constants; with no interior nodes it is the strip block.
     """
     if "schur" in op._cache:
         return op._cache["schur"]
@@ -89,20 +91,14 @@ def schur_complement(op):
     schur = np.diag(mu_s * op.deg_active[op.strip_idx])
     schur[rows, cols] = -(mu_s[rows] * w)
     if op.n_interior:
-        _, factor, l_is = _interior(op)
-        l_is = l_is.toarray()
-        schur -= l_is.T @ sla.cho_solve(factor, l_is)
+        _, (chol, lower), l_is = _interior(op)
+        x = sla.solve_triangular(chol, l_is.toarray(), trans="T", lower=lower,
+                                 check_finite=False)
+        schur -= x.T @ x
+    # L_SS itself is not bitwise symmetric when mu is nonuniform
     schur = 0.5 * (schur + schur.T)
     op._cache["schur"] = schur
     return schur
-
-
-def _mean_zero_basis(w):
-    """Orthonormal basis of the complement of w, via one reflection."""
-    v = w.copy()
-    v[0] += np.sign(w[0]) if w[0] != 0 else 1.0
-    house = np.eye(w.shape[0]) - 2.0 * np.outer(v, v) / np.dot(v, v)
-    return house[:, 1:]
 
 
 def _signed(vals):
@@ -112,21 +108,30 @@ def _signed(vals):
     return vals
 
 
-def _reduced_modes(op):
+def _reduced_modes(op, subset=None):
     """Eigenpairs of the reduced form against the strip measures, on the
-    mean-zero subspace. Returns ascending eigenvalues and the matching
-    modes as columns, each with unit weighted 2-norm and zero weighted
-    mean by construction."""
+    mean-zero subspace: ascending eigenvalues and modes as columns, each
+    with unit weighted 2-norm and zero weighted mean. `subset` is eigh's
+    subset_by_index; None gives all n_S - 1. The reflection H = I - tau v v^T
+    taking sqrt(mu) to a multiple of e_0 is applied one side at a time, in
+    O(n_S^2); a mode y of the trailing block of H A H maps back to H [0; y].
+    """
     if op.n_strip < 2:
         raise TooFewStripNodes("gap needs at least two strip nodes")
     if op.n_strip > _EIG_NODE_CAP:
         raise InvalidArgument(f"dense eigensolve capped at {_EIG_NODE_CAP} strip nodes")
-    schur = schur_complement(op)
     root = np.sqrt(op.grid.mu[op.strip_idx])
-    scaled = schur / np.outer(root, root)
-    basis = _mean_zero_basis(root / np.linalg.norm(root))
-    evals, evecs = sla.eigh(basis.T @ scaled @ basis)
-    return evals, (basis @ evecs) / root[:, None]
+    red = schur_complement(op) / np.outer(root, root)
+    v = root / np.linalg.norm(root)
+    v[0] += 1.0  # v[0] > 0, so the shift cannot cancel
+    tv = (2.0 / np.dot(v, v)) * v
+    red -= np.outer(tv, v @ red)
+    red -= np.outer(red @ v, tv)
+    evals, evecs = sla.eigh(red[1:, 1:], subset_by_index=subset)
+    modes = np.zeros((op.n_strip, evecs.shape[1]))
+    modes[1:] = evecs
+    modes -= np.outer(tv, v @ modes)
+    return evals, modes / root[:, None]
 
 
 def spectral_gap_beta(op, p=2.0):
@@ -134,11 +139,12 @@ def spectral_gap_beta(op, p=2.0):
 
     Solves the generalized symmetric problem S v = beta M v with M the
     diagonal of strip measures, after deflating the constant vector in the
-    M-inner product. Exponent 2 only; see estimate_beta_p for other p.
+    M-inner product, and computes only the smallest eigenpair. Exponent 2
+    only; see estimate_beta_p for other p.
     """
     if p != 2.0:
         raise InvalidArgument("eigenvalue path is exponent-2 only; use estimate_beta_p")
-    evals, modes = _reduced_modes(op)
+    evals, modes = _reduced_modes(op, subset=[0, 0])
     beta = max(float(evals[0]), 0.0)
     mode_vals = _signed(modes[:, 0])
     return GapResult(beta=beta, mode=StripField(mode_vals, op.grid), method=SCHUR_EIG)

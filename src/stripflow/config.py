@@ -282,8 +282,8 @@ def initial_field(cfg, grid, op=None, seed=None):
     k = cfg.initial["k"]
     if op is None:
         raise ConfigInvalid("initial.preset", "eigenmode preset needs the operator")
+    n_modes = op.n_strip - 1
+    if k >= n_modes:
+        raise ConfigInvalid("initial.k", f"mode {k} out of range; {n_modes} mean-zero modes")
     _, modes = _reduced_modes(op)
-    if k >= modes.shape[1]:
-        raise ConfigInvalid("initial.k",
-                            f"mode {k} out of range; {modes.shape[1]} mean-zero modes")
     return StripField(modes[:, k].copy(), grid)

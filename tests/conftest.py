@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import stripflow as sf
+from stripflow.geometry import Grid
+from stripflow.kernels import laplacian_dense
 
 BOX1 = sf.DomainBox(1, (0.0,), (1.0,))
 BOX2 = sf.DomainBox(2, (0.0, 0.0), (1.0, 1.0))
@@ -12,6 +14,23 @@ def make_op(h, r, kernel, edge_mode=sf.EXCLUDE_STRIP_STRIP, dim=1,
     box = BOX1 if dim == 1 else BOX2
     grid = sf.build_grid(box, h, r, allow_empty_interior=allow_empty)
     return sf.assemble(grid, kernel, edge_mode)
+
+
+def line_grid(klass, mu):
+    """Cell-centred nodes on [0, 1] with the given classes and measures."""
+    n = len(klass)
+    x = (np.arange(n) + 0.5) / n
+    return Grid(domain=BOX1, h=1.0 / n, r=2.0 / n, nodes=x[:, None],
+                klass=np.array(klass, dtype=np.uint8), mu=np.asarray(mu, dtype=float),
+                bdist=np.minimum(x, 1.0 - x), counts=(n,))
+
+
+def schur_oracle(op):
+    # the Schur complement by dense elimination of the assembled Laplacian
+    lap = laplacian_dense(op)
+    s, i = op.strip_idx, op.interior_idx
+    return lap[np.ix_(s, s)] - lap[np.ix_(s, i)] @ np.linalg.solve(lap[np.ix_(i, i)],
+                                                                   lap[np.ix_(i, s)])
 
 
 @pytest.fixture(scope="session")

@@ -87,6 +87,30 @@ def test_within_backend_bitwise_repeatable():
     assert p1 == p2
 
 
+@pytest.mark.parametrize("p,eps", CASES)
+def test_in_place_kernels_match_the_plain_formulas(op2d, p, eps):
+    rng = np.random.default_rng(5)
+    rows, cols, data, vals = edge_set(2)
+    sets = [(rows, cols, data, vals),
+            (op2d.act_rows, op2d.act_cols, op2d.act_coef, rng.standard_normal(op2d.n))]
+    for rows, cols, data, vals in sets:
+        n = vals.shape[0]
+        left = vals + rng.standard_normal(n)
+        want = np.bincount(rows, weights=data * A._phi(vals[cols] - left[rows], p, eps),
+                           minlength=n)
+        assert np.array_equal(A.phi_row_sums(rows, cols, data, left, vals, p, eps, n), want)
+        d = vals[cols] - vals[rows]
+        if p == 2.0:
+            terms = d * d
+        elif p == 3.0:
+            terms = d * d * np.abs(d)
+        elif p == 4.0:
+            terms = (d * d) * (d * d)
+        else:
+            terms = np.abs(d) ** p
+        assert A.edge_power_sum(rows, cols, data, vals, p) == float(np.dot(data, terms))
+
+
 def add_at_laplacian(rows, cols, w, n):
     # reference: the Laplacian of the weights w scattered into zeros
     out = np.zeros((n, n))

@@ -3,6 +3,7 @@ import pathlib
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import stripflow as sf
 from stripflow.analysis import (DIAG_COLUMNS, EXPONENTIAL, POLYNOMIAL,
@@ -12,9 +13,10 @@ from stripflow.errors import (ConstantField, EmptyBump, InvalidArgument,
                               WindowTooSmall)
 from stripflow.evolution import Trajectory
 from stripflow.fixtures import toy3_grid
-from stripflow.kernels import laplacian_dense
+from stripflow.geometry import INTERIOR, STRIP
+from stripflow.kernels import _operator_from_dense, laplacian_dense
 
-from conftest import make_op
+from conftest import line_grid, make_op, schur_oracle
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "counterexample_golden.json"
 
@@ -104,6 +106,76 @@ def test_gap_result_invariants(op16, op2d):
         assert abs(np.sum(mu_s * mv**2) - 1.0) <= 1e-12
         assert sf.rayleigh_quotient(op, res.mode, 2.0) == pytest.approx(
             res.beta, abs=1e-8)
+
+
+EPS = np.finfo(float).eps
+
+# the benchmark's reference gap of the 2D unit box at h = 1/64
+BETA_REF_H64 = 0.011187723639422317
+
+
+def gap_tol(op):
+    # n eps times a Gershgorin bound 2 max(row sum) on the measure-scaled form
+    return op.n_strip * EPS * 2.0 * float(np.max(op.deg_active[op.strip_idx]))
+
+
+def explicit_basis_spectrum(op):
+    """Every mean-zero eigenvalue, from the Schur complement by dense
+    elimination projected onto an explicit orthonormal basis of the
+    complement of sqrt(mu), through one Householder matrix."""
+    s = schur_oracle(op)
+    root = np.sqrt(op.grid.mu[op.strip_idx])
+    v = root / np.linalg.norm(root)
+    v[0] += 1.0
+    basis = (np.eye(op.n_strip) - 2.0 * np.outer(v, v) / np.dot(v, v))[:, 1:]
+    form = basis.T @ (0.5 * (s + s.T) / np.outer(root, root)) @ basis
+    return np.linalg.eigh(form)[0]
+
+
+def nonuniform_line(edge_mode):
+    grid = line_grid([STRIP] * 2 + [INTERIOR] * 4 + [STRIP] * 2,
+                     np.array([1.0, 2.0, 0.5, 3.0, 1.5, 1.0, 2.5, 0.75]) / 8.0)
+    kernel = sf.tent_kernel(0.5, 1)
+    dist = np.abs(grid.nodes - grid.nodes.T)
+    return _operator_from_dense(grid, kernel, kernel.cnorm * np.maximum(kernel.R - dist, 0.0),
+                                edge_mode)
+
+
+def test_gap_matches_the_explicit_basis_oracle(op16, op16_full, op2d, sing16):
+    ops = [op16, op16_full, op2d, sing16(2.0), nonuniform_line(sf.EXCLUDE_STRIP_STRIP),
+           nonuniform_line(sf.FULL), make_op(1.0 / 16.0, 0.125, sf.tent_kernel(0.25, 2),
+                                             dim=2)]
+    for op in ops:
+        tol = gap_tol(op)
+        res = sf.spectral_gap_beta(op)
+        assert abs(res.beta - explicit_basis_spectrum(op)[0]) <= tol
+        # the 2D gap is a double eigenvalue, so the mode is checked as a
+        # member of the eigenspace rather than against a fixed vector
+        mu_s = op.grid.mu[op.strip_idx]
+        m = res.mode.values
+        resid = sf.schur_complement(op) @ m - res.beta * mu_s * m
+        assert np.max(np.abs(resid)) <= tol * np.max(mu_s) * np.max(np.abs(m))
+        assert abs(np.dot(mu_s, m)) <= op.n_strip * EPS
+        assert abs(np.dot(mu_s, m * m) - 1.0) <= op.n_strip * EPS
+
+
+def test_gap_is_one_smallest_eigenpair_solve(op2d, monkeypatch):
+    calls = []
+    eigh = sla.eigh
+
+    def spy(a, *args, **kwargs):
+        calls.append((a.shape, kwargs.get("subset_by_index")))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(sla, "eigh", spy)
+    sf.spectral_gap_beta(op2d)
+    n = op2d.n_strip - 1
+    assert calls == [((n, n), [0, 0])]
+
+
+def test_gap_on_the_benchmark_square():
+    op = make_op(1.0 / 64.0, 0.125, sf.tent_kernel(0.25, 2), dim=2)
+    assert abs(sf.spectral_gap_beta(op).beta - BETA_REF_H64) <= gap_tol(op)
 
 
 def test_gap_two_strip_nodes_no_interior():

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import stripflow as sf
 from stripflow.analysis import _reduced_modes
@@ -219,6 +220,19 @@ def test_eigenmode_preset(op16):
     with pytest.raises(ConfigInvalid) as err:
         initial_field(high, op16.grid, op=op16)
     assert err.value.field == "initial.k"
+
+
+def test_eigenmode_range_is_checked_before_the_eigensolve(op16, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an out-of-range mode index needs no eigensolve")
+
+    monkeypatch.setattr(sla, "eigh", refuse)
+    # op16 has 8 strip nodes, so mode indices run from 0 to 6
+    cfg = parse_config(cfg_doc(initial={"preset": "eigenmode", "k": 7}))
+    with pytest.raises(ConfigInvalid) as err:
+        initial_field(cfg, op16.grid, op=op16)
+    assert err.value.field == "initial.k"
+    assert "mode 7 out of range; 7 mean-zero modes" in str(err.value)
 
 
 def test_build_geometry_only(op16):

@@ -7,10 +7,10 @@ from stripflow import kernels
 from stripflow.elliptic import extend_plaplace
 from stripflow.errors import (EmptyInterior, NoConvergence, NonConvexExponent,
                               SingularSystem)
-from stripflow.geometry import INTERIOR, STRIP, Grid
-from stripflow.kernels import _operator_from_dense, laplacian_dense
+from stripflow.geometry import INTERIOR, STRIP
+from stripflow.kernels import _operator_from_dense
 
-from conftest import BOX1, make_op
+from conftest import BOX1, line_grid, make_op, schur_oracle
 
 # root of 2(1-u)^3 = u^3, pinned by an independent bracketing solve
 P4_ASYM_ROOT = 0.55750666597555787
@@ -154,27 +154,11 @@ def test_plaplace_matches_linear_at_p2(op16, op2d):
         assert np.abs(lin.values - newt.values).max() <= 1e-8
 
 
-def _line_grid(klass, mu):
-    """Cell-centred nodes on [0, 1] with the given classes and measures."""
-    n = len(klass)
-    x = (np.arange(n) + 0.5) / n
-    return Grid(domain=BOX1, h=1.0 / n, r=2.0 / n, nodes=x[:, None],
-                klass=np.array(klass, dtype=np.uint8), mu=np.asarray(mu, dtype=float),
-                bdist=np.minimum(x, 1.0 - x), counts=(n,))
-
-
-def _schur_oracle(op):
-    lap = laplacian_dense(op)
-    s, i = op.strip_idx, op.interior_idx
-    return lap[np.ix_(s, s)] - lap[np.ix_(s, i)] @ np.linalg.solve(lap[np.ix_(i, i)],
-                                                                   lap[np.ix_(i, s)])
-
-
 @pytest.mark.parametrize("edge_mode", [sf.EXCLUDE_STRIP_STRIP, sf.FULL])
 def test_interior_solves_with_nonuniform_measures(edge_mode):
     # with unequal measures W[x][y] = J mu[y] is not symmetric, but the
     # interior block of mu[x] W[x][y] is, so its Cholesky factor exists
-    grid = _line_grid([STRIP] * 2 + [INTERIOR] * 4 + [STRIP] * 2,
+    grid = line_grid([STRIP] * 2 + [INTERIOR] * 4 + [STRIP] * 2,
                       np.array([1.0, 2.0, 0.5, 3.0, 1.5, 1.0, 2.5, 0.75]) / 8.0)
     kernel = sf.tent_kernel(0.5, 1)
     dist = np.abs(grid.nodes - grid.nodes.T)
@@ -183,12 +167,12 @@ def test_interior_solves_with_nonuniform_measures(edge_mode):
     g = sf.StripField(np.array([1.0, -0.5, 2.0, 0.25]), grid)
     assert sf.interior_residual(op, sf.extend_linear(op, g), 2.0) <= 1e-12
     s = sf.schur_complement(op)
-    assert np.abs(s - _schur_oracle(op)).max() <= 1e-14 * np.abs(s).max()
+    assert np.abs(s - schur_oracle(op)).max() <= 1e-14 * np.abs(s).max()
 
 
 def test_singular_interior_is_a_solver_error():
     # interior node 2 has no active edge, so L_II has a zero row
-    grid = _line_grid([STRIP, INTERIOR, INTERIOR, STRIP], np.ones(4))
+    grid = line_grid([STRIP, INTERIOR, INTERIOR, STRIP], np.ones(4))
     jmat = np.zeros((4, 4))
     jmat[[0, 1, 1, 3], [1, 0, 3, 1]] = 1.0
     op = _operator_from_dense(grid, sf.tent_kernel(4.0, 1), jmat, sf.FULL)

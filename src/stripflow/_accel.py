@@ -2,7 +2,9 @@
 
 Edges are stored flat as (rows, cols, data) in lexicographic order; every
 summation below runs in that fixed order, so results are reproducible
-bit-for-bit.
+bit-for-bit. laplacian_block is the one builder of a dense Laplacian
+block: L_II, L_SS, the Newton Hessian, the majoriser matrix and the test
+oracle laplacian_dense all come from it.
 """
 
 import numpy as np
@@ -69,22 +71,37 @@ def edge_power_sum(rows, cols, data, vals, p):
     return float(np.dot(data, d))
 
 
-def laplacian_fill(rows, cols, w, out):
-    """Add the Laplacian of the weighted edges to the square C-ordered
-    matrix out: the row sums of w on the diagonal and -w at each
-    (row, col). Returns out. Every weighted Laplacian of the package is
-    built here."""
-    n = out.shape[0]
-    flat = out.reshape(-1)
-    np.add.at(flat, rows * (n + 1), w)
-    np.add.at(flat, rows * n + cols, -w)
+def laplacian_block(rows, cols, w, free, pair=None, scale=1.0, shift=None):
+    """scale * L[free, free] + diag(shift) for the Laplacian L of the edges
+    (rows, cols, w), lexicographic over all nodes: the full row sums of w
+    on the diagonal, -w at each (row, col) off it. free lists the free
+    nodes in ascending order; pair = (rows, cols, w) holds the edges
+    between them, numbered among them, and None means every node is free.
+    The array is Fortran-ordered, so cho_factor(..., overwrite_a=True)
+    factors it in place. Every dense Laplacian block is built here."""
+    sums = np.bincount(rows, weights=w, minlength=free[-1] + 1)
+    if pair is None:
+        pair = (rows, cols, w)
+    else:
+        sums = sums[free]
+    out = np.zeros((free.shape[0],) * 2, order="F")
+    # an edge pair is unique and off the diagonal, so plain stores suffice
+    out[pair[0], pair[1]] = pair[2] * -scale
+    sums *= scale
+    np.fill_diagonal(out, sums if shift is None else sums + shift)
     return out
 
 
-def hessian_accumulate(rows, cols, data, vals, p, eps, out):
-    """Add the Hessian of the edge energy at vals to out: the Laplacian of
-    the edge weights data * phi_p'(vals[row] - vals[col])."""
-    laplacian_fill(rows, cols, data * _psi(vals[rows] - vals[cols], p, eps), out)
+def hessian_accumulate(rows, cols, data, vals, p, eps, free, pair=None,
+                       scale=1.0, shift=None):
+    """laplacian_block of the edge weights data * phi_p'(vals[row] - vals[col]),
+    the Hessian of scale times the edge energy at vals, plus diag(shift).
+    pair = (rows, cols, data) is laplacian_block's, with data for w."""
+    if pair is not None:
+        vf = vals[free]
+        pair = (pair[0], pair[1], pair[2] * _psi(vf[pair[0]] - vf[pair[1]], p, eps))
+    return laplacian_block(rows, cols, data * _psi(vals[rows] - vals[cols], p, eps),
+                           free, pair, scale, shift)
 
 
 def backend():

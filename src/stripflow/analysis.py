@@ -8,13 +8,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .elliptic import (_extended_values, _interior, energy_values, gradient_values,
-                       eps_for)
+from . import _accel
+from .elliptic import (_coef_block, _extended_values, _interior, energy_values,
+                       gradient_values, eps_for)
 from .errors import (ConstantField, EmptyBump, InvalidArgument, NoConvergence,
                      NonPositiveData, NotMeanZero, TooFewStripNodes, WindowTooSmall)
 from .fields import StripField
 from .geometry import STRIP
-from .kernels import edge_block
 
 SCHUR_EIG = "schur-eig"
 VARIATIONAL_DESCENT = "variational-descent"
@@ -78,7 +78,8 @@ def _lp_norm(mu, vals, p):
 def schur_complement(op):
     """Strip-reduced matrix of the active-edge quadratic form.
 
-    Eliminates the interior block, S = L_SS - L_SI L_II^{-1} L_IS. With
+    Eliminates the interior block, S = L_SS - L_SI L_II^{-1} L_IS. L_SS
+    comes from _accel.laplacian_block, the builder of L_II too. With
     L_II = U^T U from the Cholesky factor that the linear extension shares,
     one triangular solve gives X = U^{-T} L_IS and S = L_SS - X^T X, whose
     product is one symmetric rank-k update. Symmetric PSD, annihilates
@@ -86,10 +87,8 @@ def schur_complement(op):
     """
     if "schur" in op._cache:
         return op._cache["schur"]
-    mu_s = op.grid.mu[op.strip_idx]
-    rows, cols, w = edge_block(op, STRIP, STRIP)
-    schur = np.diag(mu_s * op.deg_active[op.strip_idx])
-    schur[rows, cols] = -(mu_s[rows] * w)
+    schur = _accel.laplacian_block(op.act_rows, op.act_cols, op.act_coef, op.strip_idx,
+                                   _coef_block(op, STRIP, STRIP))
     if op.n_interior:
         _, (chol, lower), l_is = _interior(op)
         x = sla.solve_triangular(chol, l_is.toarray(), trans="T", lower=lower,

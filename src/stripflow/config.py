@@ -56,6 +56,14 @@ def load_config(path):
     return parse_config(doc)
 
 
+def _fields(doc, known, where=""):
+    """doc, once every field it holds is one of known."""
+    for key in doc:
+        if key not in known:
+            raise ConfigInvalid(f"{where}.{key}" if where else str(key), "unknown field")
+    return doc
+
+
 def _need(doc, key, kind, where=""):
     label = f"{where}.{key}" if where else key
     if key not in doc:
@@ -81,6 +89,7 @@ def _optional(doc, key, kind, default, where=""):
 
 
 def _parse_domain(section):
+    _fields(section, ("dim", "lo", "hi"), "domain")
     dim = _need(section, "dim", int, "domain")
     if dim not in (1, 2):
         raise ConfigInvalid("domain.dim", f"must be 1 or 2, got {dim}")
@@ -103,6 +112,7 @@ def _parse_domain(section):
 
 
 def _parse_kernel(section, dim, problem_p):
+    _fields(section, ("family", "R", "s", "cnorm"), "kernel")
     family = _need(section, "family", str, "kernel")
     if family not in (TENT, BUMP, SINGULAR):
         raise ConfigInvalid("kernel.family", f"unknown family {family!r}")
@@ -127,6 +137,7 @@ def _parse_kernel(section, dim, problem_p):
 
 
 def _parse_initial(section):
+    _fields(section, ("preset", "c", "k"), "initial")
     preset = _need(section, "preset", str, "initial")
     if preset not in PRESETS:
         raise ConfigInvalid("initial.preset", f"unknown preset {preset!r}")
@@ -145,8 +156,11 @@ def parse_config(doc):
     """Validate a config document and cross-check its parts."""
     if not isinstance(doc, dict):
         raise ConfigInvalid("<document>", "top level must be a JSON object")
+    _fields(doc, ("problem", "time", "initial", "seed", "tolerances", "output",
+                  "allow_empty_interior", "allow_r_equal_R", "fixture", "domain", "h",
+                  "r", "kernel"))
 
-    prob_sec = _need(doc, "problem", dict)
+    prob_sec = _fields(_need(doc, "problem", dict), ("variant", "p", "q"), "problem")
     variant = _need(prob_sec, "variant", str, "problem")
     if variant not in VARIANTS:
         raise ConfigInvalid("problem.variant", f"unknown variant {variant!r}")
@@ -157,7 +171,7 @@ def parse_config(doc):
     except StripflowError as exc:
         raise ConfigInvalid("problem", str(exc)) from exc
 
-    time_sec = _need(doc, "time", dict)
+    time_sec = _fields(_need(doc, "time", dict), ("t_end", "dt", "integrator"), "time")
     t_end = _need(time_sec, "t_end", float, "time")
     dt = _need(time_sec, "dt", float, "time")
     if t_end <= 0.0:
@@ -171,7 +185,8 @@ def parse_config(doc):
     initial = _parse_initial(_need(doc, "initial", dict))
     seed = _optional(doc, "seed", int, 0)
 
-    tol_sec = _optional(doc, "tolerances", dict, {})
+    tol_sec = _fields(_optional(doc, "tolerances", dict, {}), ("tol", "max_iter"),
+                      "tolerances")
     tol = _optional(tol_sec, "tol", float, 1e-10, "tolerances")
     max_iter = _optional(tol_sec, "max_iter", int, 60, "tolerances")
     if tol <= 0.0:
@@ -240,12 +255,10 @@ def build_geometry(cfg):
 def build_problem(cfg):
     """Materialize (grid, operator) from a validated config."""
     if cfg.fixture == "toy3":
-        grid = fixtures.toy3_grid()
         op = fixtures.toy3(edge_mode=cfg.problem.edge_mode)
-        return grid, op
-    grid = build_geometry(cfg)
-    op = assemble(grid, cfg.kernel, cfg.problem.edge_mode)
-    return grid, op
+    else:
+        op = assemble(build_geometry(cfg), cfg.kernel, cfg.problem.edge_mode)
+    return op.grid, op
 
 
 def initial_field(cfg, grid, op=None, seed=None):

@@ -5,7 +5,8 @@ node; strip values stay pinned. For exponent 2 that balance is a linear
 system in the interior block L_II, solved with one Cholesky factor of L_II
 made per operator. For general p > 1 it is the Euler-Lagrange condition of
 a strictly convex edge energy, minimized here by damped Newton with
-backtracking.
+backtracking. L_II, the Newton Hessian and the majoriser matrix are each
+written by _accel.laplacian_block on the free nodes only.
 """
 
 import numpy as np
@@ -72,21 +73,29 @@ def interior_residual(op, u, p):
     return float(np.max(np.abs(resid[op.interior_idx])))
 
 
+def _coef_block(op, row_class, col_class):
+    """edge_block(op, row_class, col_class) with mu[x] W[x][y] for W[x][y]."""
+    rows, cols, w = edge_block(op, row_class, col_class)
+    mu = op.grid.mu[op.interior_idx if row_class == INTERIOR else op.strip_idx]
+    return rows, cols, mu[rows] * w
+
+
 def _interior(op):
     """(L_II, its Cholesky factor, L_IS), made once per operator: the interior
     rows of the symmetric Laplacian with edge coefficients mu[x] W[x][y].
     L_II is dense, L_IS is CSR; the extension and S both solve with the factor."""
     if "interior" not in op._cache:
-        mu_i = op.grid.mu[op.interior_idx]
-        l_ii = np.diag(mu_i * op.deg_active[op.interior_idx])
-        rows, cols, w = edge_block(op, INTERIOR, INTERIOR)
-        l_ii[rows, cols] = -(mu_i[rows] * w)
+        l_ii = _accel.laplacian_block(op.act_rows, op.act_cols, op.act_coef,
+                                      op.interior_idx,
+                                      _coef_block(op, INTERIOR, INTERIOR))
         try:
             factor = sla.cho_factor(l_ii)
         except sla.LinAlgError as exc:
             raise SingularSystem(f"interior system is singular: {exc}") from exc
-        rows, cols, w = edge_block(op, INTERIOR, STRIP)
-        l_is = sp.csr_matrix((-(mu_i[rows] * w), (rows, cols)),
+        rows, cols, coef = _coef_block(op, INTERIOR, STRIP)
+        # negated in place: one more edge-sized temporary raised the benchmark's
+        # peak RSS at 2D h = 1/64 from 600 to 643 MB (heap left fragmented)
+        l_is = sp.csr_matrix((np.negative(coef, out=coef), (rows, cols)),
                              shape=(op.n_interior, op.n_strip))
         op._cache["interior"] = (l_ii, factor, l_is)
     return op._cache["interior"]
@@ -118,10 +127,18 @@ def extend_linear(op, g):
     return FullField(out, op.grid)
 
 
+def _interior_start(op, gv):
+    """Start of the p != 2 interior solves: the mu-weighted mean of gv,
+    anchored at gv[0] so constant data starts (and stays) exact."""
+    mu_s = op.grid.mu[op.strip_idx]
+    return gv[0] + np.dot(mu_s, gv - gv[0]) / np.sum(mu_s)
+
+
 def _newton_free(op, p, v0, free, quad_mass, quad_target, energy_scale,
                  max_iter, converged):
     """Minimize F(v) = energy_scale * E_p(v) + quadratic penalty over
-    v[free] with the remaining coordinates held fixed.
+    v[free] with the remaining coordinates held fixed. free is every node
+    or the interior; the strip is pinned in the latter case.
 
     For p >= 2 this runs Newton with adaptive Levenberg damping (the plain
     Hessian degenerates wherever neighboring values coincide). For p < 2
@@ -133,7 +150,10 @@ def _newton_free(op, p, v0, free, quad_mass, quad_target, energy_scale,
     eps = eps_for(p)
     v = v0.copy()
     mu = op.grid.mu
-    pinned = np.setdiff1d(np.arange(op.n), free)
+    qf = None if quad_mass is None else quad_mass[free]
+    # (edges between free nodes, edges from free to pinned nodes)
+    edges = (None, None) if free.shape[0] == op.n else (
+        _coef_block(op, INTERIOR, INTERIOR), _coef_block(op, INTERIOR, STRIP))
 
     def value(x):
         f = energy_scale * energy_values(op, x, p)
@@ -156,7 +176,7 @@ def _newton_free(op, p, v0, free, quad_mass, quad_target, energy_scale,
         driver = _reweighted_sweeps
     else:
         driver = _levenberg_newton
-    v, f, grad, resid, it = driver(op, p, eps, v, free, pinned, quad_mass,
+    v, f, grad, resid, it = driver(op, p, eps, v, free, edges, qf,
                                    quad_target, energy_scale, max_iter,
                                    converged, value, grads, f, grad, resid)
     if converged(grad[free], resid[free]):
@@ -166,7 +186,7 @@ def _newton_free(op, p, v0, free, quad_mass, quad_target, energy_scale,
     raise NoConvergence(f"no convergence in {max_iter} iterations", best=(best_v, best_f))
 
 
-def _reweighted_sweeps(op, p, eps, v, free, pinned, quad_mass, quad_target,
+def _reweighted_sweeps(op, p, eps, v, free, edges, qf, quad_target,
                        energy_scale, max_iter, converged, value, grads,
                        f, grad, resid):
     """Majorize the regularized p-energy by a weighted quadratic at the
@@ -176,25 +196,30 @@ def _reweighted_sweeps(op, p, eps, v, free, pinned, quad_mass, quad_target,
     gets slow as p drops toward 1, so every sweep tries the Aitken jump to
     the limit of the measured geometric tail, kept only when it descends.
     """
+    def weights(coef, d):
+        return coef * (d * d + eps * eps) ** ((p - 2.0) / 2.0)
+
+    pair, pin = edges
     prev_delta = None
     for it in range(max_iter):
         if converged(grad[free], resid[free]):
             return v, f, grad, resid, it
-        d = v[op.act_cols] - v[op.act_rows]
-        w = op.act_coef * (d * d + eps * eps) ** ((p - 2.0) / 2.0)
-        H = _accel.laplacian_fill(op.act_rows, op.act_cols, w, np.zeros((op.n, op.n)))
-        H *= energy_scale
-        mat = H[np.ix_(free, free)]
-        rhs = np.zeros(free.shape[0])
-        if quad_mass is not None:
-            qf = quad_mass[free]
-            mat = mat + np.diag(qf)
-            rhs += qf * quad_target[free]
-        if pinned.size:
-            rhs -= H[np.ix_(free, pinned)] @ v[pinned]
+        w = weights(op.act_coef, v[op.act_cols] - v[op.act_rows])
+        rhs = np.zeros(free.shape[0]) if qf is None else qf * quad_target[free]
+        free_pair = None
+        if pair is not None:
+            vf, vs = v[free], v[op.strip_idx]
+            rows, cols, coef = pair
+            free_pair = (rows, cols, weights(coef, vf[cols] - vf[rows]))
+            # the pinned strip's share of the majoriser's balance
+            rows, cols, coef = pin
+            rhs += np.bincount(rows, weights=energy_scale * weights(coef, vs[cols] - vf[rows])
+                               * vs[cols], minlength=free.shape[0])
+        mat = _accel.laplacian_block(op.act_rows, op.act_cols, w, free, free_pair,
+                                     energy_scale, qf)
         vnew = v.copy()
         try:
-            vnew[free] = sla.cho_solve(sla.cho_factor(mat), rhs)
+            vnew[free] = sla.cho_solve(sla.cho_factor(mat, overwrite_a=True), rhs)
         except sla.LinAlgError as exc:
             raise SingularSystem(f"majorizer system is singular: {exc}") from exc
         fnew = value(vnew)
@@ -216,27 +241,23 @@ def _reweighted_sweeps(op, p, eps, v, free, pinned, quad_mass, quad_target,
     return v, f, grad, resid, max_iter
 
 
-def _levenberg_newton(op, p, eps, v, free, pinned, quad_mass, quad_target,
+def _levenberg_newton(op, p, eps, v, free, edges, qf, quad_target,
                       energy_scale, max_iter, converged, value, grads,
                       f, grad, resid):
     lam = 0.0
     for it in range(max_iter):
         if converged(grad[free], resid[free]):
             return v, f, grad, resid, it
-        hess = np.zeros((op.n, op.n))
-        _accel.hessian_accumulate(op.act_rows, op.act_cols, op.act_coef, v, p, eps, hess)
-        hess *= energy_scale
-        if quad_mass is not None:
-            hess[np.diag_indices_from(hess)] += quad_mass
-        hess = hess[np.ix_(free, free)]  # frees the full matrix before factoring
+        hess = _accel.hessian_accumulate(op.act_rows, op.act_cols, op.act_coef, v, p,
+                                         eps, free, edges[0], energy_scale, qf)
         gfree = grad[free]
         dscale = max(np.trace(hess) / hess.shape[0], 1e-30)
         resid_sup = np.max(np.abs(resid[free]), initial=0.0)
         fnoise = 1e-12 * (1.0 + abs(f))
         found = None
         for _ in range(40):
-            # cho_factor factors a Fortran-ordered array in place; a C-ordered one it copies
-            shifted = np.array(hess, order="F")
+            # the factor overwrites its input, and hess serves every attempt
+            shifted = hess.copy(order="F")
             shifted[np.diag_indices_from(shifted)] += lam * dscale
             try:
                 step = -sla.cho_solve(sla.cho_factor(shifted, overwrite_a=True), gfree)
@@ -289,12 +310,7 @@ def extend_plaplace(op, g, p, tol=1e-10, max_iter=100, x0=None):
 
     v0 = np.empty(op.n)
     v0[op.strip_idx] = gv
-    if x0 is not None:
-        v0[op.interior_idx] = x0
-    else:
-        # weighted mean, anchored so constant data starts (and stays) exact
-        mu_s = op.grid.mu[op.strip_idx]
-        v0[op.interior_idx] = gv[0] + np.dot(mu_s, gv - gv[0]) / np.sum(mu_s)
+    v0[op.interior_idx] = _interior_start(op, gv) if x0 is None else x0
 
     scale = tol * (1.0 + np.max(np.abs(gv), initial=0.0))
     free = op.interior_idx

@@ -24,7 +24,7 @@ from . import _accel
 from .analysis import (DIAG_COLUMNS, _lp_norm, lq_distance_to_mean, mass,
                        schur_complement)
 from .elliptic import (StripField, energy_values, eps_for, _extended_values,
-                       _newton_free)
+                       _interior_start, _newton_free)
 from .errors import (InvalidArgument, NoContraction, SingularSystem, SolverError)
 from .geometry import STRIP
 from .kernels import EXCLUDE_STRIP_STRIP, FULL, SINGULAR, edge_block
@@ -178,10 +178,7 @@ def _step_implicit_values(op, spec, uv, dt, tol, max_iter, warm):
     quad[op.strip_idx] = mu_s
     v0 = target.copy()
     if op.n_interior > 0:
-        if warm is not None:
-            v0[op.interior_idx] = warm
-        else:
-            v0[op.interior_idx] = uv[0] + np.dot(mu_s, uv - uv[0]) / np.sum(mu_s)
+        v0[op.interior_idx] = _interior_start(op, uv) if warm is None else warm
     free = np.arange(op.n)
 
     def converged(grad_free, resid_free):

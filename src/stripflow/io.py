@@ -87,11 +87,12 @@ def read_strip_csv(path, grid):
     """Read strip values (index,value) and order them against the grid.
 
     The index set must exactly match the grid's strip nodes; any order
-    is accepted.
+    is accepted. Every value must be finite.
     """
     s_idx = strip_indices(grid)
     pos_of = {int(i): k for k, i in enumerate(s_idx)}
-    vals = np.full(s_idx.shape[0], np.nan)
+    vals = np.zeros(s_idx.shape[0])
+    seen = np.zeros(s_idx.shape[0], dtype=bool)
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "index,value":
@@ -107,12 +108,15 @@ def read_strip_csv(path, grid):
                 idx, val = int(parts[0]), float(parts[1])
             except ValueError as exc:
                 raise InvalidArgument(f"line {ln}: {exc}") from exc
+            if not np.isfinite(val):
+                raise InvalidArgument(f"line {ln}: value {parts[1]!r} is not finite")
             if idx not in pos_of:
                 raise InvalidArgument(f"line {ln}: node {idx} is not a strip node")
-            if not np.isnan(vals[pos_of[idx]]):
+            if seen[pos_of[idx]]:
                 raise InvalidArgument(f"line {ln}: node {idx} appears twice")
+            seen[pos_of[idx]] = True
             vals[pos_of[idx]] = val
-    missing = np.flatnonzero(np.isnan(vals))
+    missing = np.flatnonzero(~seen)
     if missing.shape[0]:
         raise InvalidArgument(f"missing values for {missing.shape[0]} strip nodes "
                               f"(first: node {int(s_idx[missing[0]])})")

@@ -214,8 +214,8 @@ def assemble(grid, spec, edge_mode=EXCLUDE_STRIP_STRIP):
 def laplacian_dense(op):
     """Dense matrix of the active-edge Laplacian, diag(row sums) - A with
     A[x][y] = mu[x] W[x][y]. Symmetric PSD."""
-    return _accel.laplacian_fill(op.act_rows, op.act_cols, op.act_coef,
-                                 np.zeros((op.n, op.n)))
+    return _accel.laplacian_block(op.act_rows, op.act_cols, op.act_coef,
+                                  np.arange(op.n))
 
 
 def edge_block(op, row_class, col_class=None):

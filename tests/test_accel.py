@@ -1,15 +1,18 @@
 """Edge kernels on hand-checkable edge lists and on operator edge lists.
 
-Results must be bitwise reproducible, and the one dense Laplacian fill
-must give the Newton Hessian and the majoriser matrix bit for bit as
-their former separate scatter-adds did.
+Results must be bitwise reproducible, and the one dense Laplacian block
+builder must give the Newton Hessian and the majoriser matrix on every
+free set bit for bit as a scatter-add into the full matrix, cut down to
+the free nodes, does.
 """
 
 import numpy as np
 import pytest
 
 from stripflow import _accel as A
-from stripflow.elliptic import REG_EPS
+from stripflow.elliptic import REG_EPS, _coef_block
+from stripflow.geometry import INTERIOR, STRIP
+from stripflow.kernels import laplacian_dense
 
 CASES = [(2.0, 0.0), (1.5, 0.0), (1.5, 1e-10), (3.0, 0.0), (4.0, 1e-8)]
 
@@ -48,10 +51,14 @@ def test_hessian_accumulate_by_hand():
     cols = np.array([1, 0], dtype=np.int64)
     data = np.array([2.0, 5.0])
     vals = np.array([1.0, 4.0])
-    out = np.zeros((2, 2))
-    A.hessian_accumulate(rows, cols, data, vals, 3.0, 0.0, out)
+    out = A.hessian_accumulate(rows, cols, data, vals, 3.0, 0.0, np.arange(2))
     # psi(d) = 2 |d| at p = 3, both edges see |d| = 3
     assert np.array_equal(out, np.array([[12.0, -12.0], [-30.0, 30.0]]))
+    # node 1 pinned: its row and column go, node 0 keeps its full row sum
+    out = A.hessian_accumulate(rows, cols, data, vals, 3.0, 0.0, np.array([0]),
+                               pair=(rows[:0], cols[:0], data[:0]), scale=0.5,
+                               shift=np.array([1.0]))
+    assert np.array_equal(out, np.array([[7.0]]))
 
 
 @pytest.mark.parametrize("p,eps", CASES)
@@ -63,8 +70,7 @@ def test_zero_differences_are_finite(p, eps):
     out = A.phi_row_sums(rows, cols, data, vals, vals, p, eps, 2)
     assert np.isfinite(out).all() and out[0] == 0.0
     assert A.edge_power_sum(rows, cols, data, vals, p) == 0.0
-    hess = np.zeros((2, 2))
-    A.hessian_accumulate(rows, cols, data, vals, p, eps, hess)
+    hess = A.hessian_accumulate(rows, cols, data, vals, p, eps, np.arange(2))
     assert np.isfinite(hess).all()
 
 
@@ -120,17 +126,45 @@ def add_at_laplacian(rows, cols, w, n):
     return out
 
 
+def free_sets(op):
+    # (free nodes, edges between them numbered among them or None for all)
+    return [(np.arange(op.n), None),
+            (op.interior_idx, _coef_block(op, INTERIOR, INTERIOR)),
+            (op.strip_idx, _coef_block(op, STRIP, STRIP))]
+
+
 @pytest.mark.parametrize("p,eps", [(1.5, REG_EPS), (3.0, 0.0), (4.0, 0.0)])
-def test_hessian_and_majoriser_match_scatter_add(op16, op2d, p, eps):
+def test_hessian_and_majoriser_match_scatter_add(op16, op16_full, op2d, p, eps):
     rng = np.random.default_rng(4)
-    for op in (op16, op2d):
+    for op in (op16, op16_full, op2d):
         rows, cols, coef = op.act_rows, op.act_cols, op.act_coef
         vals = rng.standard_normal(op.n)
         d = vals[rows] - vals[cols]
-        hess = np.zeros((op.n, op.n))
-        A.hessian_accumulate(rows, cols, coef, vals, p, eps, hess)
-        want = add_at_laplacian(rows, cols, coef * A._psi(d, p, eps), op.n)
-        assert np.array_equal(hess, want)
+        hess_full = add_at_laplacian(rows, cols, coef * A._psi(d, p, eps), op.n)
         w = coef * (d * d + eps * eps) ** ((p - 2.0) / 2.0)
-        maj = A.laplacian_fill(rows, cols, w, np.zeros((op.n, op.n)))
-        assert np.array_equal(maj, add_at_laplacian(rows, cols, w, op.n))
+        maj_full = add_at_laplacian(rows, cols, w, op.n)
+        for free, pair in free_sets(op):
+            cut = np.ix_(free, free)
+            hess = A.hessian_accumulate(rows, cols, coef, vals, p, eps, free, pair)
+            assert hess.flags.f_contiguous
+            assert np.array_equal(hess, hess_full[cut])
+            maj_pair = None
+            if pair is not None:
+                prow, pcol, pcoef = pair
+                pd = vals[free][prow] - vals[free][pcol]
+                maj_pair = (prow, pcol, pcoef * (pd * pd + eps * eps) ** ((p - 2.0) / 2.0))
+            shift = rng.random(free.shape[0])
+            maj = A.laplacian_block(rows, cols, w, free, maj_pair, 0.25, shift)
+            want = maj_full[cut] * 0.25
+            want[np.diag_indices_from(want)] += shift
+            assert np.array_equal(maj, want)
+
+
+def test_laplacian_oracle_matches_scatter_add(op16, op16_full, op2d):
+    for op in (op16, op16_full, op2d):
+        rows, cols, coef = op.act_rows, op.act_cols, op.act_coef
+        full = add_at_laplacian(rows, cols, coef, op.n)
+        assert np.array_equal(laplacian_dense(op), full)
+        for free, pair in free_sets(op):
+            block = A.laplacian_block(rows, cols, coef, free, pair)
+            assert np.array_equal(block, full[np.ix_(free, free)])

@@ -41,6 +41,7 @@ def test_minimal_document_parses():
     assert cfg.tol == 1e-10 and cfg.max_iter == 60
     assert cfg.seed == 7
     grid, op = build_problem(cfg)
+    assert grid is op.grid
     assert op.n_strip == 8 and op.n_interior == 8
 
 
@@ -51,6 +52,7 @@ def test_fixture_document_parses():
     cfg = parse_config(doc)
     assert cfg.fixture == "toy3"
     grid, op = build_problem(cfg)
+    assert grid is op.grid
     assert op.n_strip == 2 and op.n_interior == 1
     u0 = initial_field(cfg, grid)
     assert (u0.values == 2.0).all()
@@ -82,6 +84,9 @@ def test_fixture_document_parses():
     (dict(kernel={"family": "singular"}), "kernel.s"),
     (dict(kernel={"family": "tent", "R": 0.5, "cnorm": -1.0}), "kernel.cnorm"),
     (dict(seed="abc"), "seed"),
+    (dict(tolerance={"tol": 1e-8}), "tolerance"),
+    (dict(time={"t_end": 1.0, "dt": 0.1, "integrater": "implicit"}), "time.integrater"),
+    (dict(problem={"variant": "linear", "pp": 3.0}), "problem.pp"),
 ])
 def test_rejections_name_the_field(mangle, field):
     with pytest.raises(ConfigInvalid) as err:

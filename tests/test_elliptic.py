@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -235,6 +237,22 @@ def test_warm_start_is_cheap(op16):
     again, report = extend_plaplace(op16, g, 3.0, x0=field.values[op16.interior_idx])
     assert report.iterations <= 3
     assert np.abs(again.values - field.values).max() <= 1e-8
+
+
+def test_plaplace_extension_allocates_no_full_matrix():
+    # the Newton Hessian is written on the 256 interior nodes only; one full
+    # n x n matrix alone takes 8 n^2 bytes
+    op = make_op(1.0 / 32.0, 0.25, sf.tent_kernel(0.25, 2), dim=2)
+    assert (op.n, op.n_interior) == (1024, 256)
+    g = sf.StripField(np.random.default_rng(6).standard_normal(op.n_strip), op.grid)
+    tracemalloc.start()
+    try:
+        _, report = extend_plaplace(op, g, 3.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.converged
+    assert peak < 8 * op.n ** 2
 
 
 def test_no_convergence_carries_best(op16):

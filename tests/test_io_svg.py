@@ -70,10 +70,10 @@ def test_strip_csv_rejections(op16, tmp_path):
     s_idx = np.flatnonzero(op16.grid.klass == 1)
     good_rows = [f"{i},1.0" for i in s_idx]
 
-    def attempt(header, rows):
+    def attempt(header, rows, match=None):
         path = tmp_path / "bad.csv"
         path.write_text("\n".join([header] + rows) + "\n")
-        with pytest.raises(InvalidArgument):
+        with pytest.raises(InvalidArgument, match=match):
             read_strip_csv(path, op16.grid)
 
     attempt("node,value", good_rows)
@@ -82,6 +82,9 @@ def test_strip_csv_rejections(op16, tmp_path):
     attempt("index,value", good_rows[:-1] + ["0,1.0"])
     attempt("index,value", good_rows[:-1] + ["1,2,3"])
     attempt("index,value", good_rows[:-1] + [f"{s_idx[-1]},spam"])
+    n = len(good_rows)
+    attempt("index,value", good_rows[:-1] + [f"{s_idx[-1]},nan"], f"line {n + 1}: .* not finite")
+    attempt("index,value", [f"{s_idx[0]},nan"] + good_rows, "line 2: .* not finite")
 
 
 def test_trajectory_csv_round_trip(toy3_op, tmp_path):

@@ -198,8 +198,7 @@ def estimate_beta_p(op, p, restarts=8, tol=1e-9, max_iter=2000, seed=0):
         denominator = float(np.sum(mu_s * np.abs(gv) ** p))
         quot = numerator / denominator
         grad_num = p * gradient_values(op, full, p, eps)[op.strip_idx]
-        phi = np.abs(gv) ** (p - 2.0) * gv if p != 2.0 else gv
-        grad_den = p * mu_s * phi
+        grad_den = p * mu_s * _accel._phi(gv, p, 0.0)
         return quot, (grad_num - quot * grad_den) / denominator
 
     best = None
@@ -307,8 +306,9 @@ def fit_decay(traj, column, model, window):
         raise WindowTooSmall(f"only {np.count_nonzero(keep)} samples in [{t_lo}, {t_hi}]")
     t = times[keep]
     y = values[keep]
-    if np.any(y <= 0.0):
-        raise NonPositiveData("decay fit needs strictly positive samples")
+    # NaN compares false both ways, so test for the good samples
+    if not np.all(np.isfinite(y) & (y > 0.0)):
+        raise NonPositiveData("decay fit needs strictly positive, finite samples")
     if model == POLYNOMIAL:
         if np.any(t <= 0.0):
             raise NonPositiveData("polynomial fit needs strictly positive times")
@@ -339,20 +339,10 @@ def monotonicity_spot_check(p, q, samples, seed=0):
     rng = np.random.default_rng([seed, 29])
     ab = rng.standard_normal((int(samples), 2)) * 2.0
 
-    def odd_power(x, expo):
-        out = np.zeros_like(x)
-        nz = x != 0.0
-        out[nz] = np.abs(x[nz]) ** (expo - 2.0) * x[nz]
-        return out
-
     a, b = ab[:, 0], ab[:, 1]
-    diff = a - b
-    pair = diff * (odd_power(a, q) - odd_power(b, q))
-    if np.min(pair, initial=0.0) < -1e-12:
-        return False
-    scale = np.zeros_like(diff)
-    nz = diff != 0.0
-    scale[nz] = np.abs(diff[nz]) ** (p - 2.0)
-    if np.min(scale * pair, initial=0.0) < -1e-12:
-        return False
+    odd = _accel._phi(a, q, 0.0) - _accel._phi(b, q, 0.0)
+    # |a - b|^(p-2) (a - b) is the odd p-power map of the difference
+    for pair in ((a - b) * odd, _accel._phi(a - b, p, 0.0) * odd):
+        if np.min(pair, initial=0.0) < -1e-12:
+            return False
     return True

@@ -3,6 +3,7 @@ grid, the kernel, the problem variant, the time stepping, and the initial
 strip data. Every validation failure is a ConfigInvalid naming the field."""
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,15 +65,28 @@ def _fields(doc, known, where=""):
     return doc
 
 
+def _finite(val):
+    """float(val) for a finite JSON number, else None. json accepts the NaN
+    and Infinity literals, and an integer literal may overflow a float."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return None
+    try:
+        val = float(val)
+    except OverflowError:
+        return None
+    return val if math.isfinite(val) else None
+
+
 def _need(doc, key, kind, where=""):
     label = f"{where}.{key}" if where else key
     if key not in doc:
         raise ConfigInvalid(label, "missing required field")
     val = doc[key]
     if kind is float:
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ConfigInvalid(label, f"expected a number, got {val!r}")
-        return float(val)
+        num = _finite(val)
+        if num is None:
+            raise ConfigInvalid(label, f"expected a finite number, got {val!r}")
+        return num
     if kind is int:
         if isinstance(val, bool) or not isinstance(val, int):
             raise ConfigInvalid(label, f"expected an integer, got {val!r}")
@@ -96,13 +110,11 @@ def _parse_domain(section):
 
     def side(key):
         val = section.get(key)
-        if isinstance(val, (int, float)) and not isinstance(val, bool):
-            return (float(val),) * dim
-        if isinstance(val, list) and len(val) == dim and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in val):
-            return tuple(float(v) for v in val)
-        raise ConfigInvalid(f"domain.{key}",
-                            f"expected a number or a list of {dim} numbers, got {val!r}")
+        nums = [_finite(v) for v in (val if isinstance(val, list) else [val] * dim)]
+        if len(nums) == dim and None not in nums:
+            return tuple(nums)
+        raise ConfigInvalid(f"domain.{key}", "expected a finite number or a list of "
+                            f"{dim} finite numbers, got {val!r}")
 
     lo, hi = side("lo"), side("hi")
     try:
@@ -164,10 +176,10 @@ def parse_config(doc):
     variant = _need(prob_sec, "variant", str, "problem")
     if variant not in VARIANTS:
         raise ConfigInvalid("problem.variant", f"unknown variant {variant!r}")
+    p = _optional(prob_sec, "p", float, 2.0, "problem")
+    q = _optional(prob_sec, "q", float, 2.0, "problem")
     try:
-        problem = ProblemSpec(variant=variant,
-                              p=_optional(prob_sec, "p", float, 2.0, "problem"),
-                              q=_optional(prob_sec, "q", float, 2.0, "problem"))
+        problem = ProblemSpec(variant=variant, p=p, q=q)
     except StripflowError as exc:
         raise ConfigInvalid("problem", str(exc)) from exc
 

@@ -4,9 +4,12 @@ Interior nodes satisfy the stationary nonlocal balance against every other
 node; strip values stay pinned. For exponent 2 that balance is a linear
 system in the interior block L_II, solved with one Cholesky factor of L_II
 made per operator. For general p > 1 it is the Euler-Lagrange condition of
-a strictly convex edge energy, minimized here by damped Newton with
-backtracking. L_II, the Newton Hessian and the majoriser matrix are each
-written by _accel.laplacian_block on the free nodes only.
+a strictly convex edge energy, minimized by one descent loop that steps
+against the energy gradient with a curvature matrix chosen by p: the
+Levenberg-damped Newton Hessian for p >= 2, the tangent quadratic
+majoriser (reweighted least squares) for p < 2. L_II, the Newton Hessian
+and the majoriser matrix are each written by _accel.laplacian_block on the
+free nodes only.
 """
 
 import numpy as np
@@ -140,20 +143,25 @@ def _newton_free(op, p, v0, free, quad_mass, quad_target, energy_scale,
     v[free] with the remaining coordinates held fixed. free is every node
     or the interior; the strip is pinned in the latter case.
 
-    For p >= 2 this runs Newton with adaptive Levenberg damping (the plain
-    Hessian degenerates wherever neighboring values coincide). For p < 2
-    Newton overshoots the creases of the nearly nonsmooth landscape, so the
-    sweeps reweight the quadratic majorizer instead, which descends
-    monotonically. `converged(grad_free, resid_free)` decides termination.
-    Raises NoConvergence carrying the best iterate when the budget runs out.
+    One descent loop serves every p: each pass steps v[free] -= M^-1 grad[free]
+    and only the curvature matrix M depends on p. For p >= 2, M is the
+    Hessian with adaptive Levenberg damping (the plain Hessian degenerates
+    wherever neighboring values coincide). For p < 2 Newton overshoots the
+    creases of the nearly nonsmooth landscape, so M is the quadratic majorizer
+    tangent to F at v, with reweighted edge coefficients (d^2 + eps^2)^((p-2)/2);
+    the step lands on its minimizer and descends monotonically. Those plain
+    sweeps contract the error by roughly (2 - p) per pass, so every sweep
+    also tries the Aitken jump to the limit of the measured geometric tail,
+    kept only when it descends. `converged(grad_free, resid_free)` decides
+    termination. Raises NoConvergence carrying the best iterate when the
+    budget runs out, and SingularSystem at once when a majorizer factor fails.
     """
     eps = eps_for(p)
     v = v0.copy()
     mu = op.grid.mu
     qf = None if quad_mass is None else quad_mass[free]
-    # (edges between free nodes, edges from free to pinned nodes)
-    edges = (None, None) if free.shape[0] == op.n else (
-        _coef_block(op, INTERIOR, INTERIOR), _coef_block(op, INTERIOR, STRIP))
+    # the edges between free nodes, numbered among them; None when all are free
+    pair = None if free.shape[0] == op.n else _coef_block(op, INTERIOR, INTERIOR)
 
     def value(x):
         f = energy_scale * energy_values(op, x, p)
@@ -168,127 +176,85 @@ def _newton_free(op, p, v0, free, quad_mass, quad_target, energy_scale,
             grad = grad + quad_mass * (x - quad_target)
         return grad, resid
 
+    def majorizer(x):
+        def weights(rows, cols, coef, y):
+            d = y[cols] - y[rows]
+            return coef * (d * d + eps * eps) ** ((p - 2.0) / 2.0)
+        free_pair = None if pair is None else (*pair[:2], weights(*pair, x[free]))
+        return _accel.laplacian_block(op.act_rows, op.act_cols,
+                                      weights(op.act_rows, op.act_cols, op.act_coef, x),
+                                      free, free_pair, energy_scale, qf)
+
+    def moved(step):
+        x = v.copy()
+        x[free] = v[free] + step
+        return x, value(x)
+
     f = value(v)
     grad, resid = grads(v)
     best_v, best_f = v.copy(), f
-
-    if p < 2.0:
-        driver = _reweighted_sweeps
-    else:
-        driver = _levenberg_newton
-    v, f, grad, resid, it = driver(op, p, eps, v, free, edges, qf,
-                                   quad_target, energy_scale, max_iter,
-                                   converged, value, grads, f, grad, resid)
-    if converged(grad[free], resid[free]):
-        return v, it, f
-    if f < best_f:
-        best_v, best_f = v, f
-    raise NoConvergence(f"no convergence in {max_iter} iterations", best=(best_v, best_f))
-
-
-def _reweighted_sweeps(op, p, eps, v, free, edges, qf, quad_target,
-                       energy_scale, max_iter, converged, value, grads,
-                       f, grad, resid):
-    """Majorize the regularized p-energy by a weighted quadratic at the
-    current iterate and solve that exactly; repeat. Monotone for p < 2.
-
-    The plain sweeps contract the error by roughly (2 - p) per pass, which
-    gets slow as p drops toward 1, so every sweep tries the Aitken jump to
-    the limit of the measured geometric tail, kept only when it descends.
-    """
-    def weights(coef, d):
-        return coef * (d * d + eps * eps) ** ((p - 2.0) / 2.0)
-
-    pair, pin = edges
-    prev_delta = None
-    for it in range(max_iter):
-        if converged(grad[free], resid[free]):
-            return v, f, grad, resid, it
-        w = weights(op.act_coef, v[op.act_cols] - v[op.act_rows])
-        rhs = np.zeros(free.shape[0]) if qf is None else qf * quad_target[free]
-        free_pair = None
-        if pair is not None:
-            vf, vs = v[free], v[op.strip_idx]
-            rows, cols, coef = pair
-            free_pair = (rows, cols, weights(coef, vf[cols] - vf[rows]))
-            # the pinned strip's share of the majoriser's balance
-            rows, cols, coef = pin
-            rhs += np.bincount(rows, weights=energy_scale * weights(coef, vs[cols] - vf[rows])
-                               * vs[cols], minlength=free.shape[0])
-        mat = _accel.laplacian_block(op.act_rows, op.act_cols, w, free, free_pair,
-                                     energy_scale, qf)
-        vnew = v.copy()
-        try:
-            vnew[free] = sla.cho_solve(sla.cho_factor(mat, overwrite_a=True), rhs)
-        except sla.LinAlgError as exc:
-            raise SingularSystem(f"majorizer system is singular: {exc}") from exc
-        fnew = value(vnew)
-        if fnew > f + 1e-12 * (1.0 + abs(f)):
-            break
-        delta = vnew[free] - v[free]
-        if prev_delta is not None:
-            den = float(np.linalg.norm(prev_delta))
-            rho = float(np.linalg.norm(delta)) / den if den > 0.0 else 1.0
-            if 0.05 < rho < 0.995:
-                cand = vnew.copy()
-                cand[free] = cand[free] + delta * (rho / (1.0 - rho))
-                fcand = value(cand)
-                if fcand <= fnew:
-                    vnew, fnew, delta = cand, fcand, None
-        prev_delta = delta
-        v, f = vnew, fnew
-        grad, resid = grads(v)
-    return v, f, grad, resid, max_iter
-
-
-def _levenberg_newton(op, p, eps, v, free, edges, qf, quad_target,
-                      energy_scale, max_iter, converged, value, grads,
-                      f, grad, resid):
     lam = 0.0
+    prev_step = None
     for it in range(max_iter):
         if converged(grad[free], resid[free]):
-            return v, f, grad, resid, it
-        hess = _accel.hessian_accumulate(op.act_rows, op.act_cols, op.act_coef, v, p,
-                                         eps, free, edges[0], energy_scale, qf)
+            return v, it, f
         gfree = grad[free]
-        dscale = max(np.trace(hess) / hess.shape[0], 1e-30)
-        resid_sup = np.max(np.abs(resid[free]), initial=0.0)
         fnoise = 1e-12 * (1.0 + abs(f))
         found = None
-        for _ in range(40):
-            # the factor overwrites its input, and hess serves every attempt
-            shifted = hess.copy(order="F")
-            shifted[np.diag_indices_from(shifted)] += lam * dscale
+        if p < 2.0:
             try:
-                step = -sla.cho_solve(sla.cho_factor(shifted, overwrite_a=True), gfree)
-            except sla.LinAlgError:
-                lam = max(10.0 * lam, 1e-10)
-                continue
-            cand = v.copy()
-            cand[free] = v[free] + step
-            fcand = value(cand)
-            if fcand <= f + 1e-4 * np.dot(gfree, step):
+                factor = sla.cho_factor(majorizer(v), overwrite_a=True)
+            except sla.LinAlgError as exc:
+                raise SingularSystem(f"majorizer system is singular: {exc}") from exc
+            step = -sla.cho_solve(factor, gfree)
+            cand, fcand = moved(step)
+            if fcand <= f + fnoise:
                 found = (cand, fcand, None, None)
-                break
-            if abs(fcand - f) <= fnoise:
-                # energy differences are below roundoff here; judge the
-                # step by the stationarity residual instead
-                gcand, rcand = grads(cand)
-                if np.max(np.abs(rcand[free]), initial=0.0) <= 0.9 * resid_sup:
-                    found = (cand, fcand, gcand, rcand)
+                den = 0.0 if prev_step is None else float(np.linalg.norm(prev_step))
+                rho = float(np.linalg.norm(step)) / den if den > 0.0 else 1.0
+                if 0.05 < rho < 0.995:
+                    jump, fjump = moved(step / (1.0 - rho))
+                    if fjump <= fcand:
+                        found, step = (jump, fjump, None, None), None
+                prev_step = step
+        else:
+            hess = _accel.hessian_accumulate(op.act_rows, op.act_cols, op.act_coef, v, p,
+                                             eps, free, pair, energy_scale, qf)
+            dscale = max(np.trace(hess) / hess.shape[0], 1e-30)
+            resid_sup = np.max(np.abs(resid[free]), initial=0.0)
+            for _ in range(40):
+                # the factor overwrites its input, and hess serves every attempt
+                shifted = hess.copy(order="F")
+                shifted[np.diag_indices_from(shifted)] += lam * dscale
+                try:
+                    step = -sla.cho_solve(sla.cho_factor(shifted, overwrite_a=True), gfree)
+                except sla.LinAlgError:
+                    lam = max(10.0 * lam, 1e-10)
+                    continue
+                cand, fcand = moved(step)
+                if fcand <= f + 1e-4 * np.dot(gfree, step):
+                    found = (cand, fcand, None, None)
                     break
-            lam = max(10.0 * lam, 1e-8)
+                if abs(fcand - f) <= fnoise:
+                    # energy differences are below roundoff here; judge the
+                    # step by the stationarity residual instead
+                    gcand, rcand = grads(cand)
+                    if np.max(np.abs(rcand[free]), initial=0.0) <= 0.9 * resid_sup:
+                        found = (cand, fcand, gcand, rcand)
+                        break
+                lam = max(10.0 * lam, 1e-8)
+            lam *= 0.33
+            if lam < 1e-14:
+                lam = 0.0
         if found is None:
             break
         v, f, gnew, rnew = found
-        lam *= 0.33
-        if lam < 1e-14:
-            lam = 0.0
-        if gnew is None:
-            grad, resid = grads(v)
-        else:
-            grad, resid = gnew, rnew
-    return v, f, grad, resid, max_iter
+        grad, resid = grads(v) if gnew is None else (gnew, rnew)
+    if converged(grad[free], resid[free]):
+        return v, max_iter, f
+    if f < best_f:
+        best_v, best_f = v, f
+    raise NoConvergence(f"no convergence in {max_iter} iterations", best=(best_v, best_f))
 
 
 def extend_plaplace(op, g, p, tol=1e-10, max_iter=100, x0=None):
@@ -318,26 +284,22 @@ def extend_plaplace(op, g, p, tol=1e-10, max_iter=100, x0=None):
     def converged(grad_free, resid_free):
         return np.max(np.abs(resid_free), initial=0.0) <= scale
 
+    def report(v, iterations, done):
+        return EnergyReport(
+            energy=float(energy_values(op, v, p)),
+            grad_norm=float(np.max(np.abs(residual_values(op, v, p, eps_for(p))[free]))),
+            iterations=iterations,
+            converged=done,
+        )
+
     try:
         v, iters, _ = _newton_free(op, p, v0, free, None, None, 1.0,
                                    max_iter, converged)
     except NoConvergence as exc:
         best_v, _ = exc.best
-        report = EnergyReport(
-            energy=float(energy_values(op, best_v, p)),
-            grad_norm=float(np.max(np.abs(residual_values(op, best_v, p, eps_for(p))[free]))),
-            iterations=max_iter,
-            converged=False,
-        )
-        raise NoConvergence(str(exc), best=(FullField(best_v, op.grid), report)) from None
-
-    report = EnergyReport(
-        energy=float(energy_values(op, v, p)),
-        grad_norm=float(np.max(np.abs(residual_values(op, v, p, eps_for(p))[free]))),
-        iterations=iters,
-        converged=True,
-    )
-    return FullField(v, op.grid), report
+        raise NoConvergence(str(exc), best=(FullField(best_v, op.grid),
+                                            report(best_v, max_iter, False))) from None
+    return FullField(v, op.grid), report(v, iters, True)
 
 
 def extend(op, g, p, tol=1e-10, max_iter=100, x0=None):

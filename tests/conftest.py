@@ -33,6 +33,15 @@ def schur_oracle(op):
                                                                    lap[np.ix_(i, s)])
 
 
+def add_at_laplacian(rows, cols, w, n):
+    # reference: the Laplacian of the weights w scattered into zeros
+    out = np.zeros((n, n))
+    flat = out.reshape(-1)
+    np.add.at(flat, rows * n + rows, w)
+    np.add.at(flat, rows * n + cols, -w)
+    return out
+
+
 @pytest.fixture(scope="session")
 def toy3_op():
     return sf.toy3()

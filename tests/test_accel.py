@@ -14,6 +14,8 @@ from stripflow.elliptic import REG_EPS, _coef_block
 from stripflow.geometry import INTERIOR, STRIP
 from stripflow.kernels import laplacian_dense
 
+from conftest import add_at_laplacian
+
 CASES = [(2.0, 0.0), (1.5, 0.0), (1.5, 1e-10), (3.0, 0.0), (4.0, 1e-8)]
 
 
@@ -115,15 +117,6 @@ def test_in_place_kernels_match_the_plain_formulas(op2d, p, eps):
         else:
             terms = np.abs(d) ** p
         assert A.edge_power_sum(rows, cols, data, vals, p) == float(np.dot(data, terms))
-
-
-def add_at_laplacian(rows, cols, w, n):
-    # reference: the Laplacian of the weights w scattered into zeros
-    out = np.zeros((n, n))
-    flat = out.reshape(-1)
-    np.add.at(flat, rows * n + rows, w)
-    np.add.at(flat, rows * n + cols, -w)
-    return out
 
 
 def free_sets(op):

@@ -363,11 +363,13 @@ def test_fit_rejects_bad_input(toy3_op):
         sf.fit_decay(good, "d2", "cubic", (0.0, 5.0))
     with pytest.raises(InvalidArgument):
         sf.fit_decay(good, "bogus", EXPONENTIAL, (0.0, 5.0))
-    vals = np.exp(-t)
-    vals[4] = 0.0
-    with pytest.raises(NonPositiveData):
-        sf.fit_decay(_synthetic(t, "d2", vals, toy3_grid()), "d2",
-                     EXPONENTIAL, (0.0, 5.0))
+    for bad in (0.0, np.nan, np.inf):
+        vals = np.exp(-t)
+        vals[4] = bad
+        with pytest.raises(NonPositiveData) as info:
+            sf.fit_decay(_synthetic(t, "d2", vals, toy3_grid()), "d2",
+                         EXPONENTIAL, (0.0, 5.0))
+        assert "finite" in str(info.value)
     with pytest.raises(NonPositiveData):
         sf.fit_decay(good, "d2", POLYNOMIAL, (0.0, 5.0))
 

@@ -271,3 +271,12 @@ def test_exit_codes_for_bad_input(runner, tmp_path):
     res = runner.invoke(main, ["evolve", "--config", bad,
                                "--out", str(tmp_path / "x.csv")])
     assert res.exit_code == 2
+
+
+def test_evolve_rejects_a_nan_config_number(runner, tmp_path):
+    # json.dumps writes NaN, a literal json.loads reads back as a float
+    cfg = write_cfg(tmp_path, dict(GRID16, time={"t_end": float("nan"), "dt": 0.01}))
+    res = runner.invoke(main, ["evolve", "--config", cfg, "--out", str(tmp_path / "x.csv")])
+    assert res.exit_code == 2
+    assert "error [ConfigInvalid]" in res.stderr
+    assert "time.t_end" in res.stderr

@@ -87,6 +87,11 @@ def test_fixture_document_parses():
     (dict(tolerance={"tol": 1e-8}), "tolerance"),
     (dict(time={"t_end": 1.0, "dt": 0.1, "integrater": "implicit"}), "time.integrater"),
     (dict(problem={"variant": "linear", "pp": 3.0}), "problem.pp"),
+    # json reads the NaN and Infinity literals as floats
+    (dict(time={"t_end": float("nan"), "dt": 0.1}), "time.t_end"),
+    (dict(domain={"dim": 1, "lo": 0.0, "hi": float("inf")}), "domain.hi"),
+    (dict(problem={"variant": "plaplace", "p": float("nan")}), "problem.p"),
+    (dict(tolerances={"tol": float("nan")}), "tolerances.tol"),
 ])
 def test_rejections_name_the_field(mangle, field):
     with pytest.raises(ConfigInvalid) as err:

@@ -5,14 +5,14 @@ import pytest
 import scipy.linalg as sla
 
 import stripflow as sf
-from stripflow import kernels
-from stripflow.elliptic import extend_plaplace
+from stripflow import _accel, kernels
+from stripflow.elliptic import REG_EPS, _newton_free, extend_plaplace
 from stripflow.errors import (EmptyInterior, NoConvergence, NonConvexExponent,
                               SingularSystem)
 from stripflow.geometry import INTERIOR, STRIP
 from stripflow.kernels import _operator_from_dense
 
-from conftest import BOX1, line_grid, make_op, schur_oracle
+from conftest import BOX1, add_at_laplacian, line_grid, make_op, schur_oracle
 
 # root of 2(1-u)^3 = u^3, pinned by an independent bracketing solve
 P4_ASYM_ROOT = 0.55750666597555787
@@ -228,6 +228,63 @@ def test_majoriser_factor_failure_is_a_solver_error(op16, monkeypatch):
         extend_plaplace(op16, g, 1.5)
     assert info.value.exit_code == 3
     assert len(calls) == 1
+
+
+def test_majoriser_is_tangent_to_the_energy(op16, op16_full, op2d, sing16, monkeypatch):
+    # the p < 2 step v[free] - A^-1 grad[free] is the majoriser's minimiser
+    # A^-1 b only if A v[free] - b = grad[free]; b, the majoriser's right-hand
+    # side (the proximal target plus the pinned nodes' pull), is built here from
+    # the scatter-add Laplacian of the reweighted edges
+    p, dt = 1.5, 0.3
+    captured = []
+    real = _accel.laplacian_block
+
+    def capture(*args, **kwargs):
+        captured.append(real(*args, **kwargs).copy())
+        return captured[-1].copy(order="F")
+    monkeypatch.setattr(_accel, "laplacian_block", capture)
+    rng = np.random.default_rng(12)
+    worst = 0.0
+    for op in (op16, op16_full, op2d, sing16(p)):
+        rows, cols, coef = op.act_rows, op.act_cols, op.act_coef
+        mu = op.grid.mu
+        target = np.zeros(op.n)
+        target[op.strip_idx] = rng.standard_normal(op.n_strip)
+        prox = np.zeros(op.n)
+        prox[op.strip_idx] = mu[op.strip_idx]
+        # (free, quadratic mass, energy scale): the extension and the implicit step
+        for free, quad, scale in ((op.interior_idx, None, 1.0), (np.arange(op.n), prox, dt)):
+            v = rng.standard_normal(op.n)
+            captured.clear()
+            with pytest.raises(NoConvergence):
+                _newton_free(op, p, v, free, quad, target, scale, 1, lambda g, r: False)
+            mat = captured[0]
+            d = v[cols] - v[rows]
+            lap = add_at_laplacian(rows, cols, coef * (d * d + REG_EPS ** 2) ** ((p - 2.0) / 2.0),
+                                   op.n)
+            pinned = np.setdiff1d(np.arange(op.n), free)
+            rhs = -scale * lap[np.ix_(free, pinned)] @ v[pinned]
+            grad = scale * sf.energy_gradient(op, v, p).values[free]
+            if quad is not None:
+                rhs += quad[free] * target[free]
+                grad += quad[free] * (v[free] - target[free])
+            err = np.abs(mat @ v[free] - rhs - grad).max()
+            size = (np.abs(mat) @ np.abs(v[free]) + np.abs(rhs)).max()
+            worst = max(worst, err / size)
+    # both sides sum the same terms in other orders: relative to the row sums of
+    # |A| |v| + |b| the worst case seen is 1.7e-16, the bound leaves 60 times that
+    assert worst <= 1e-14, worst
+
+
+def test_singular_p15_extension_meets_its_gate():
+    # singular s = 1/2, p = 1.5 at h = 1/32 (ROADMAP item 4): the gate sits about
+    # 200 times above the residual's roundoff floor, so the sweeps must reach it
+    # within the 100-sweep budget
+    op = make_op(1.0 / 32.0, 0.125, sf.singular_kernel(0.5, 1.5, 2), dim=2)
+    g = np.random.default_rng([10, 0]).standard_normal(op.n_strip)
+    _, report = extend_plaplace(op, g, 1.5, tol=1e-12)
+    assert report.converged
+    assert report.grad_norm <= 1e-12 * (1.0 + np.abs(g).max())
 
 
 def test_warm_start_is_cheap(op16):

@@ -4,7 +4,7 @@ Edges are stored flat as (rows, cols, data) in lexicographic order; every
 summation below runs in that fixed order, so results are reproducible
 bit-for-bit. laplacian_block is the one builder of a dense Laplacian
 block: L_II, L_SS, the Newton Hessian, the majoriser matrix and the test
-oracle laplacian_dense all come from it.
+oracle laplacian_dense all come from it, each given only its free nodes.
 """
 
 import numpy as np
@@ -71,37 +71,35 @@ def edge_power_sum(rows, cols, data, vals, p):
     return float(np.dot(data, d))
 
 
-def laplacian_block(rows, cols, w, free, pair=None, scale=1.0, shift=None):
+def laplacian_block(rows, cols, w, free, scale=1.0, shift=None):
     """scale * L[free, free] + diag(shift) for the Laplacian L of the edges
     (rows, cols, w), lexicographic over all nodes: the full row sums of w
-    on the diagonal, -w at each (row, col) off it. free lists the free
-    nodes in ascending order; pair = (rows, cols, w) holds the edges
-    between them, numbered among them, and None means every node is free.
-    The array is Fortran-ordered, so cho_factor(..., overwrite_a=True)
-    factors it in place. Every dense Laplacian block is built here."""
+    on the diagonal, -w at each edge whose two ends are free. free lists
+    the free nodes in ascending order; when it holds every node nothing is
+    masked. The edge set must be symmetric (reciprocity), so no column
+    index exceeds the largest row index. The array is Fortran-ordered, so
+    cho_factor(..., overwrite_a=True) factors it in place. Every dense
+    Laplacian block is built here."""
     sums = np.bincount(rows, weights=w, minlength=free[-1] + 1)
-    if pair is None:
-        pair = (rows, cols, w)
-    else:
-        sums = sums[free]
+    if free.shape[0] < sums.shape[0]:
+        is_free = np.zeros(sums.shape[0], dtype=bool)
+        is_free[free] = True
+        keep = is_free[rows] & is_free[cols]
+        local = np.cumsum(is_free) - 1  # a free node's index among the free nodes
+        rows, cols, w, sums = local[rows[keep]], local[cols[keep]], w[keep], sums[free]
     out = np.zeros((free.shape[0],) * 2, order="F")
     # an edge pair is unique and off the diagonal, so plain stores suffice
-    out[pair[0], pair[1]] = pair[2] * -scale
+    out[rows, cols] = w * -scale
     sums *= scale
     np.fill_diagonal(out, sums if shift is None else sums + shift)
     return out
 
 
-def hessian_accumulate(rows, cols, data, vals, p, eps, free, pair=None,
-                       scale=1.0, shift=None):
+def hessian_accumulate(rows, cols, data, vals, p, eps, free, scale=1.0, shift=None):
     """laplacian_block of the edge weights data * phi_p'(vals[row] - vals[col]),
-    the Hessian of scale times the edge energy at vals, plus diag(shift).
-    pair = (rows, cols, data) is laplacian_block's, with data for w."""
-    if pair is not None:
-        vf = vals[free]
-        pair = (pair[0], pair[1], pair[2] * _psi(vf[pair[0]] - vf[pair[1]], p, eps))
+    the Hessian of scale times the edge energy at vals, plus diag(shift)."""
     return laplacian_block(rows, cols, data * _psi(vals[rows] - vals[cols], p, eps),
-                           free, pair, scale, shift)
+                           free, scale, shift)
 
 
 def backend():

@@ -9,8 +9,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import _accel
-from .elliptic import (_coef_block, _extended_values, _interior, energy_values,
-                       gradient_values, eps_for)
+from .elliptic import (_extended_values, _interior, energy_values, gradient_values,
+                       eps_for)
 from .errors import (ConstantField, EmptyBump, InvalidArgument, NoConvergence,
                      NonPositiveData, NotMeanZero, TooFewStripNodes, WindowTooSmall)
 from .fields import StripField
@@ -87,8 +87,7 @@ def schur_complement(op):
     """
     if "schur" in op._cache:
         return op._cache["schur"]
-    schur = _accel.laplacian_block(op.act_rows, op.act_cols, op.act_coef, op.strip_idx,
-                                   _coef_block(op, STRIP, STRIP))
+    schur = _accel.laplacian_block(op.act_rows, op.act_cols, op.act_coef, op.strip_idx)
     if op.n_interior:
         _, (chol, lower), l_is = _interior(op)
         x = sla.solve_triangular(chol, l_is.toarray(), trans="T", lower=lower,
@@ -164,7 +163,7 @@ def rayleigh_quotient(op, g, p):
     mean = np.dot(mu_s, gv) / np.sum(mu_s)
     if abs(mean) > 1e-9 * sup:
         raise NotMeanZero(f"weighted mean {mean:.3e} exceeds 1e-9 * max |g|")
-    full = _extended_values(op, gv, p, 1e-12)
+    full = _extended_values(op, gv, p)
     numerator = p * energy_values(op, full, p)
     denominator = float(np.sum(mu_s * np.abs(gv) ** p))
     return numerator / denominator
@@ -193,7 +192,7 @@ def estimate_beta_p(op, p, restarts=8, tol=1e-9, max_iter=2000, seed=0):
     eps = eps_for(p)
 
     def quotient_and_grad(gv):
-        full = _extended_values(op, gv, p, 1e-12)
+        full = _extended_values(op, gv, p)
         numerator = p * energy_values(op, full, p)
         denominator = float(np.sum(mu_s * np.abs(gv) ** p))
         quot = numerator / denominator

@@ -8,8 +8,8 @@ a strictly convex edge energy, minimized by one descent loop that steps
 against the energy gradient with a curvature matrix chosen by p: the
 Levenberg-damped Newton Hessian for p >= 2, the tangent quadratic
 majoriser (reweighted least squares) for p < 2. L_II, the Newton Hessian
-and the majoriser matrix are each written by _accel.laplacian_block on the
-free nodes only.
+and the majoriser matrix are each written by _accel.laplacian_block from
+the whole edge list, given only the free nodes.
 """
 
 import numpy as np
@@ -31,6 +31,9 @@ __all__ = [
 # Regularization width for the gradient and Hessian when 1 < p < 2; the
 # reported energy itself is never regularized.
 REG_EPS = 1e-10
+
+# Tolerance of every extension made inside a time step or a diagnostic.
+EXT_TOL = 1e-12
 
 
 def eps_for(p):
@@ -68,19 +71,14 @@ def energy_gradient(op, u, p):
 
 
 def interior_residual(op, u, p):
-    """Sup-norm over interior nodes of the stationary balance."""
+    """Sup-norm over interior nodes of the stationary balance: the residual
+    extend_plaplace is gated on and reports as grad_norm. For 1 < p < 2 it
+    is the balance regularized with REG_EPS, as in energy_gradient."""
     if op.n_interior == 0:
         return 0.0
     vals = u.values if isinstance(u, FullField) else np.asarray(u, dtype=float)
-    resid = residual_values(op, vals, p, 0.0)
+    resid = residual_values(op, vals, p, eps_for(p))
     return float(np.max(np.abs(resid[op.interior_idx])))
-
-
-def _coef_block(op, row_class, col_class):
-    """edge_block(op, row_class, col_class) with mu[x] W[x][y] for W[x][y]."""
-    rows, cols, w = edge_block(op, row_class, col_class)
-    mu = op.grid.mu[op.interior_idx if row_class == INTERIOR else op.strip_idx]
-    return rows, cols, mu[rows] * w
 
 
 def _interior(op):
@@ -89,13 +87,13 @@ def _interior(op):
     L_II is dense, L_IS is CSR; the extension and S both solve with the factor."""
     if "interior" not in op._cache:
         l_ii = _accel.laplacian_block(op.act_rows, op.act_cols, op.act_coef,
-                                      op.interior_idx,
-                                      _coef_block(op, INTERIOR, INTERIOR))
+                                      op.interior_idx)
         try:
             factor = sla.cho_factor(l_ii)
         except sla.LinAlgError as exc:
             raise SingularSystem(f"interior system is singular: {exc}") from exc
-        rows, cols, coef = _coef_block(op, INTERIOR, STRIP)
+        rows, cols, w = edge_block(op, INTERIOR, STRIP)
+        coef = op.grid.mu[op.interior_idx][rows] * w
         # negated in place: one more edge-sized temporary raised the benchmark's
         # peak RSS at 2D h = 1/64 from 600 to 643 MB (heap left fragmented)
         l_is = sp.csr_matrix((np.negative(coef, out=coef), (rows, cols)),
@@ -160,8 +158,6 @@ def _newton_free(op, p, v0, free, quad_mass, quad_target, energy_scale,
     v = v0.copy()
     mu = op.grid.mu
     qf = None if quad_mass is None else quad_mass[free]
-    # the edges between free nodes, numbered among them; None when all are free
-    pair = None if free.shape[0] == op.n else _coef_block(op, INTERIOR, INTERIOR)
 
     def value(x):
         f = energy_scale * energy_values(op, x, p)
@@ -177,13 +173,10 @@ def _newton_free(op, p, v0, free, quad_mass, quad_target, energy_scale,
         return grad, resid
 
     def majorizer(x):
-        def weights(rows, cols, coef, y):
-            d = y[cols] - y[rows]
-            return coef * (d * d + eps * eps) ** ((p - 2.0) / 2.0)
-        free_pair = None if pair is None else (*pair[:2], weights(*pair, x[free]))
+        d = x[op.act_cols] - x[op.act_rows]
         return _accel.laplacian_block(op.act_rows, op.act_cols,
-                                      weights(op.act_rows, op.act_cols, op.act_coef, x),
-                                      free, free_pair, energy_scale, qf)
+                                      op.act_coef * (d * d + eps * eps) ** ((p - 2.0) / 2.0),
+                                      free, energy_scale, qf)
 
     def moved(step):
         x = v.copy()
@@ -219,7 +212,7 @@ def _newton_free(op, p, v0, free, quad_mass, quad_target, energy_scale,
                 prev_step = step
         else:
             hess = _accel.hessian_accumulate(op.act_rows, op.act_cols, op.act_coef, v, p,
-                                             eps, free, pair, energy_scale, qf)
+                                             eps, free, energy_scale, qf)
             dscale = max(np.trace(hess) / hess.shape[0], 1e-30)
             resid_sup = np.max(np.abs(resid[free]), initial=0.0)
             for _ in range(40):
@@ -279,7 +272,6 @@ def extend_plaplace(op, g, p, tol=1e-10, max_iter=100, x0=None):
     v0[op.interior_idx] = _interior_start(op, gv) if x0 is None else x0
 
     scale = tol * (1.0 + np.max(np.abs(gv), initial=0.0))
-    free = op.interior_idx
 
     def converged(grad_free, resid_free):
         return np.max(np.abs(resid_free), initial=0.0) <= scale
@@ -287,13 +279,13 @@ def extend_plaplace(op, g, p, tol=1e-10, max_iter=100, x0=None):
     def report(v, iterations, done):
         return EnergyReport(
             energy=float(energy_values(op, v, p)),
-            grad_norm=float(np.max(np.abs(residual_values(op, v, p, eps_for(p))[free]))),
+            grad_norm=interior_residual(op, v, p),
             iterations=iterations,
             converged=done,
         )
 
     try:
-        v, iters, _ = _newton_free(op, p, v0, free, None, None, 1.0,
+        v, iters, _ = _newton_free(op, p, v0, op.interior_idx, None, None, 1.0,
                                    max_iter, converged)
     except NoConvergence as exc:
         best_v, _ = exc.best
@@ -308,12 +300,12 @@ def extend(op, g, p, tol=1e-10, max_iter=100, x0=None):
     return extend_with_report(op, g, p, tol=tol, max_iter=max_iter, x0=x0)[0]
 
 
-def _extended_values(op, gv, p, tol, x0=None):
-    """Nodal values of the extension of strip values gv, or gv itself on a
-    grid with no interior."""
+def _extended_values(op, gv, p, x0=None):
+    """Nodal values of the extension of strip values gv at tolerance EXT_TOL,
+    or gv itself on a grid with no interior."""
     if op.n_interior == 0:
         return gv
-    return extend(op, gv, p, tol=tol, x0=x0).values
+    return extend(op, gv, p, tol=EXT_TOL, x0=x0).values
 
 
 def extend_with_report(op, g, p, tol=1e-10, max_iter=100, x0=None):

@@ -113,11 +113,11 @@ def _strip_flux(op, spec, uv, full):
     return _accel.phi_row_sums(rows, cols, w, uv, full, spec.p, eps_for(spec.p), op.n_strip)
 
 
-def _rhs_values(op, spec, uv, ext_tol):
-    return _strip_flux(op, spec, uv, _extended_values(op, uv, spec.p, ext_tol))
+def _rhs_values(op, spec, uv):
+    return _strip_flux(op, spec, uv, _extended_values(op, uv, spec.p))
 
 
-def rhs(op, spec, u, ext_tol=1e-12):
+def rhs(op, spec, u):
     """Time derivative of the strip values.
 
     For strip node x this is the weighted sum of phi_p(u_hat[y] - u[x])
@@ -125,7 +125,7 @@ def rhs(op, spec, u, ext_tol=1e-12):
     """
     check_compatible(op, spec)
     uv = u.values if isinstance(u, StripField) else np.asarray(u, dtype=float)
-    return StripField(_rhs_values(op, spec, uv, ext_tol), op.grid)
+    return StripField(_rhs_values(op, spec, uv), op.grid)
 
 
 def stability_bound(op):
@@ -135,7 +135,7 @@ def stability_bound(op):
     return np.inf if top == 0.0 else 1.0 / top
 
 
-def step_explicit(op, spec, u, dt, ext_tol=1e-12):
+def step_explicit(op, spec, u, dt):
     """Forward Euler step u + dt * rhs(u)."""
     check_compatible(op, spec)
     if dt <= 0.0:
@@ -144,7 +144,7 @@ def step_explicit(op, spec, u, dt, ext_tol=1e-12):
     if dt > bound:
         warnings.warn(f"dt={dt} exceeds the stability advisory {bound:.6g}")
     uv = u.values if isinstance(u, StripField) else np.asarray(u, dtype=float)
-    return StripField(uv + dt * _rhs_values(op, spec, uv, ext_tol), op.grid)
+    return StripField(uv + dt * _rhs_values(op, spec, uv), op.grid)
 
 
 def _implicit_linear_values(op, dt, uv):
@@ -164,7 +164,7 @@ def _implicit_linear_values(op, dt, uv):
     v = sla.cho_solve(op._cache["implicit_chol"][1], mu_s * uv, check_finite=False)
     if not np.all(np.isfinite(v)):
         raise SingularSystem("implicit solve produced non-finite values")
-    return v, _extended_values(op, v, 2.0, None)
+    return v, _extended_values(op, v, 2.0)
 
 
 def _step_implicit_values(op, spec, uv, dt, tol, max_iter, warm):
@@ -219,8 +219,7 @@ def _diag_row(op, spec, uv, full):
     ])
 
 
-def evolve(op, spec, u0, t_end, dt, integrator=EXPLICIT, tol=1e-10,
-           max_iter=60, ext_tol=1e-12):
+def evolve(op, spec, u0, t_end, dt, integrator=EXPLICIT, tol=1e-10, max_iter=60):
     """March the strip dynamics from u0 to t_end in steps of dt.
 
     dt must divide t_end within 1e-9. u0 is extended once; each step of
@@ -251,7 +250,7 @@ def evolve(op, spec, u0, t_end, dt, integrator=EXPLICIT, tol=1e-10,
 
     complete = 0
     try:
-        full = _extended_values(op, uv, spec.p, ext_tol)
+        full = _extended_values(op, uv, spec.p)
         for k in range(nsteps + 1):
             states[k] = uv
             diag[k] = _diag_row(op, spec, uv, full)
@@ -261,7 +260,7 @@ def evolve(op, spec, u0, t_end, dt, integrator=EXPLICIT, tol=1e-10,
             warm = full[op.interior_idx] if op.n_interior > 0 else None
             if integrator == EXPLICIT:
                 uv = uv + dt * _strip_flux(op, spec, uv, full)
-                full = _extended_values(op, uv, spec.p, ext_tol, warm)
+                full = _extended_values(op, uv, spec.p, warm)
             else:
                 uv, full = _step_implicit_values(op, spec, uv, dt, tol, max_iter, warm)
     except SolverError as exc:
@@ -295,7 +294,7 @@ def picard_solve(op, spec, u0, window, nt=11, tol=1e-10, max_iter=50):
     for _ in range(max_iter):
         deriv = np.empty_like(u_iter)
         for k in range(nt):
-            deriv[k] = _rhs_values(op, spec, u_iter[k], 1e-12)
+            deriv[k] = _rhs_values(op, spec, u_iter[k])
         integral = cumulative_trapezoid(deriv, x=times, axis=0, initial=0.0)
         u_next = uv0[None, :] + integral
         delta = max(_lp_norm(mu_s, u_next[k] - u_iter[k], spec.p)
@@ -304,7 +303,7 @@ def picard_solve(op, spec, u0, window, nt=11, tol=1e-10, max_iter=50):
         if delta <= tol:
             diag = np.empty((nt, len(DIAG_COLUMNS)))
             for k in range(nt):
-                full = _extended_values(op, u_iter[k], spec.p, 1e-12)
+                full = _extended_values(op, u_iter[k], spec.p)
                 diag[k] = _diag_row(op, spec, u_iter[k], full)
             return Trajectory(times, u_iter, diag, op.grid)
         if not np.all(np.isfinite(u_iter)) or delta > 1e100:

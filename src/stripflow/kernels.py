@@ -123,8 +123,8 @@ class NonlocalOperator:
     The active edge set contains every ordered node pair with a nonzero
     weight, minus the strip-strip pairs when edge_mode excludes them.
     Interior rows are identical in both modes. The lexicographic edge list
-    is the only stored form of the edges; edge_block derives the blocks
-    the solvers need from it.
+    is the only stored form of the edges: _accel.laplacian_block builds the
+    dense blocks from it, and edge_block derives the sparse ones.
 
     Attributes
     ----------
@@ -222,8 +222,8 @@ def edge_block(op, row_class, col_class=None):
     """Active edges from the nodes of row_class to those of col_class
     (to every node when col_class is None), as (rows, cols, w) in
     lexicographic order. rows count within row_class, cols within
-    col_class (globally when None), and w holds W[x][y]. Derived from the
-    edge list on first use and cached on the operator.
+    col_class (globally when None), and w holds W[x][y]. Cached on first
+    use; the solvers take the strip rows and the interior-to-strip block.
     """
     key = ("edge_block", row_class, col_class)
     if key not in op._cache:

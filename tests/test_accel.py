@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from stripflow import _accel as A
-from stripflow.elliptic import REG_EPS, _coef_block
-from stripflow.geometry import INTERIOR, STRIP
+from stripflow.elliptic import REG_EPS
+from stripflow.geometry import INTERIOR
 from stripflow.kernels import laplacian_dense
 
 from conftest import add_at_laplacian
@@ -58,8 +58,7 @@ def test_hessian_accumulate_by_hand():
     assert np.array_equal(out, np.array([[12.0, -12.0], [-30.0, 30.0]]))
     # node 1 pinned: its row and column go, node 0 keeps its full row sum
     out = A.hessian_accumulate(rows, cols, data, vals, 3.0, 0.0, np.array([0]),
-                               pair=(rows[:0], cols[:0], data[:0]), scale=0.5,
-                               shift=np.array([1.0]))
+                               scale=0.5, shift=np.array([1.0]))
     assert np.array_equal(out, np.array([[7.0]]))
 
 
@@ -120,10 +119,10 @@ def test_in_place_kernels_match_the_plain_formulas(op2d, p, eps):
 
 
 def free_sets(op):
-    # (free nodes, edges between them numbered among them or None for all)
-    return [(np.arange(op.n), None),
-            (op.interior_idx, _coef_block(op, INTERIOR, INTERIOR)),
-            (op.strip_idx, _coef_block(op, STRIP, STRIP))]
+    # every node, the interior, the strip, and a seeded subset mixing both
+    mixed = np.sort(np.random.default_rng(8).choice(op.n, op.n // 3, replace=False))
+    assert 0 < np.count_nonzero(op.grid.klass[mixed] == INTERIOR) < mixed.shape[0]
+    return [np.arange(op.n), op.interior_idx, op.strip_idx, mixed]
 
 
 @pytest.mark.parametrize("p,eps", [(1.5, REG_EPS), (3.0, 0.0), (4.0, 0.0)])
@@ -136,18 +135,13 @@ def test_hessian_and_majoriser_match_scatter_add(op16, op16_full, op2d, p, eps):
         hess_full = add_at_laplacian(rows, cols, coef * A._psi(d, p, eps), op.n)
         w = coef * (d * d + eps * eps) ** ((p - 2.0) / 2.0)
         maj_full = add_at_laplacian(rows, cols, w, op.n)
-        for free, pair in free_sets(op):
+        for free in free_sets(op):
             cut = np.ix_(free, free)
-            hess = A.hessian_accumulate(rows, cols, coef, vals, p, eps, free, pair)
+            hess = A.hessian_accumulate(rows, cols, coef, vals, p, eps, free)
             assert hess.flags.f_contiguous
             assert np.array_equal(hess, hess_full[cut])
-            maj_pair = None
-            if pair is not None:
-                prow, pcol, pcoef = pair
-                pd = vals[free][prow] - vals[free][pcol]
-                maj_pair = (prow, pcol, pcoef * (pd * pd + eps * eps) ** ((p - 2.0) / 2.0))
             shift = rng.random(free.shape[0])
-            maj = A.laplacian_block(rows, cols, w, free, maj_pair, 0.25, shift)
+            maj = A.laplacian_block(rows, cols, w, free, 0.25, shift)
             want = maj_full[cut] * 0.25
             want[np.diag_indices_from(want)] += shift
             assert np.array_equal(maj, want)
@@ -158,6 +152,6 @@ def test_laplacian_oracle_matches_scatter_add(op16, op16_full, op2d):
         rows, cols, coef = op.act_rows, op.act_cols, op.act_coef
         full = add_at_laplacian(rows, cols, coef, op.n)
         assert np.array_equal(laplacian_dense(op), full)
-        for free, pair in free_sets(op):
-            block = A.laplacian_block(rows, cols, coef, free, pair)
+        for free in free_sets(op):
+            block = A.laplacian_block(rows, cols, coef, free)
             assert np.array_equal(block, full[np.ix_(free, free)])

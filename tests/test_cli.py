@@ -254,6 +254,20 @@ def test_validate_degenerate_width_switches_expectation(runner, tmp_path):
     assert "near-zero gap expected" in res.stdout
 
 
+def test_validate_reports_a_failing_solver_as_a_failed_check(runner, tmp_path):
+    # explicit p = 4 steps at 0.45 of the p-blind stability bound blow up and
+    # the next extension stops converging; the other checks must still run
+    doc = dict(GRID16, problem={"variant": "plaplace-full", "p": 4.0},
+               time={"t_end": 1.0, "dt": 0.5, "integrator": "implicit"})
+    res = runner.invoke(main, ["validate", "--config", write_cfg(tmp_path, doc)])
+    assert res.exit_code == 0
+    assert ("check integrator agreement: fail (NoConvergence: no convergence in "
+            "100 iterations)") in res.stdout
+    assert "check mass conservation: pass" in res.stdout
+    assert "check spectral gap: pass" in res.stdout
+    assert "6 checks, 1 failed" in res.stdout
+
+
 def test_exit_codes_for_bad_input(runner, tmp_path):
     missing = runner.invoke(main, ["grid", "--config",
                                    str(tmp_path / "absent.json"),

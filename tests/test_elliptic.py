@@ -282,9 +282,11 @@ def test_singular_p15_extension_meets_its_gate():
     # within the 100-sweep budget
     op = make_op(1.0 / 32.0, 0.125, sf.singular_kernel(0.5, 1.5, 2), dim=2)
     g = np.random.default_rng([10, 0]).standard_normal(op.n_strip)
-    _, report = extend_plaplace(op, g, 1.5, tol=1e-12)
+    field, report = extend_plaplace(op, g, 1.5, tol=1e-12)
     assert report.converged
     assert report.grad_norm <= 1e-12 * (1.0 + np.abs(g).max())
+    # the public residual is the one the solve is gated on
+    assert sf.interior_residual(op, field, 1.5) == report.grad_norm
 
 
 def test_warm_start_is_cheap(op16):
@@ -298,18 +300,35 @@ def test_warm_start_is_cheap(op16):
 
 def test_plaplace_extension_allocates_no_full_matrix():
     # the Newton Hessian is written on the 256 interior nodes only; one full
-    # n x n matrix alone takes 8 n^2 bytes
+    # n x n matrix alone takes 8 n^2 bytes. Nothing edge-sized is cached on
+    # the operator either: a copy of the interior edges would stay behind
     op = make_op(1.0 / 32.0, 0.25, sf.tent_kernel(0.25, 2), dim=2)
     assert (op.n, op.n_interior) == (1024, 256)
     g = sf.StripField(np.random.default_rng(6).standard_normal(op.n_strip), op.grid)
     tracemalloc.start()
     try:
+        before, _ = tracemalloc.get_traced_memory()
         _, report = extend_plaplace(op, g, 3.0)
-        _, peak = tracemalloc.get_traced_memory()
+        after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert report.converged
     assert peak < 8 * op.n ** 2
+    assert after - before < 8 * op.nnz
+
+
+def test_solves_cache_no_same_class_edge_copy():
+    # the dense builders mask the whole edge list themselves, so no solve asks
+    # for the interior-interior or strip-strip edges as a separate block
+    op = make_op(1.0 / 16.0, 0.25, sf.tent_kernel(0.5, 1))
+    g = sf.StripField(np.random.default_rng(9).standard_normal(op.n_strip), op.grid)
+    sf.extend_linear(op, g)
+    sf.spectral_gap_beta(op)
+    extend_plaplace(op, g, 1.5)
+    for p in (2.0, 3.0):
+        sf.evolve(op, sf.ProblemSpec("plaplace", p), g, 0.02, 0.01, sf.IMPLICIT)
+    assert ("edge_block", INTERIOR, INTERIOR) not in op._cache
+    assert ("edge_block", STRIP, STRIP) not in op._cache
 
 
 def test_no_convergence_carries_best(op16):

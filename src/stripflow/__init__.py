@@ -20,9 +20,8 @@ from .fields import EnergyReport, FullField, StripField
 from .fixtures import toy3, toy3_grid
 from .geometry import INTERIOR, STRIP, DomainBox, Grid, build_grid
 from .kernels import (BUMP, EXCLUDE_STRIP_STRIP, FULL, SINGULAR, TENT,
-                      KernelSpec, NonlocalOperator, apply_graph_laplacian,
-                      assemble, bump_kernel, eval_kernel, normalization,
-                      singular_kernel, tent_kernel)
+                      KernelSpec, NonlocalOperator, assemble, bump_kernel,
+                      eval_kernel, normalization, singular_kernel, tent_kernel)
 from .svg import emit_svg
 
 __version__ = "0.1.0"
@@ -45,7 +44,7 @@ __all__ = [
     "toy3", "toy3_grid",
     "INTERIOR", "STRIP", "DomainBox", "Grid", "build_grid",
     "BUMP", "EXCLUDE_STRIP_STRIP", "FULL", "SINGULAR", "TENT", "KernelSpec",
-    "NonlocalOperator", "apply_graph_laplacian", "assemble", "bump_kernel",
+    "NonlocalOperator", "assemble", "bump_kernel",
     "eval_kernel", "normalization", "singular_kernel", "tent_kernel",
     "emit_svg",
 ]

@@ -1,8 +1,10 @@
 """Hot loops over the active edge list, in numpy.
 
-Edges are stored flat as (rows, cols, data) in lexicographic order; every
-summation below runs in that fixed order, so results are reproducible
-bit-for-bit. laplacian_block is the one builder of a dense Laplacian
+Edges are stored flat as (rows, cols, data) in lexicographic order, with
+data the symmetric coefficients mu[x] W[x][y] or a reweighting of them;
+every summation below runs in that fixed order, so results are
+reproducible bit-for-bit. A caller wanting W units divides a row sum by
+mu[x]. laplacian_block is the one builder of a dense Laplacian
 block: L_II, L_SS, the Newton Hessian, the majoriser matrix and the test
 oracle laplacian_dense all come from it, each given only its free nodes.
 """
@@ -43,11 +45,13 @@ def _psi(d, p, eps):
     return out
 
 
-def phi_row_sums(rows, cols, data, left, right, p, eps, nrows):
-    """Per-row sums of data * phi_p(right[col] - left[row])."""
+def phi_row_sums(rows, cols, data, vals, p, eps, nrows):
+    """Per-row sums of data * phi_p(vals[col] - vals[row]). With data the
+    coefficients mu[x] W[x][y] this is mu times the nonlocal balance, minus
+    the gradient of the edge energy at p."""
     # gather once, then in place: each edge-sized temporary is a fresh allocation
-    d = right[cols]
-    d -= left[rows]
+    d = vals[cols]
+    d -= vals[rows]
     contrib = _phi(d, p, eps)
     contrib *= data
     return np.bincount(rows, weights=contrib, minlength=nrows)

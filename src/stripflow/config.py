@@ -10,9 +10,9 @@ import numpy as np
 
 from . import fixtures
 from .analysis import _reduced_modes
-from .errors import ConfigInvalid, StripflowError
+from .errors import ConfigInvalid, InvalidArgument, StripflowError
 from .evolution import (EXPLICIT, IMPLICIT, SINGULAR_VARIANT, VARIANTS,
-                        ProblemSpec)
+                        ProblemSpec, check_kernel)
 from .fields import StripField
 from .geometry import DomainBox, build_grid, strip_indices
 from .kernels import (BUMP, SINGULAR, TENT, KernelSpec, assemble,
@@ -237,11 +237,10 @@ def parse_config(doc):
         raise ConfigInvalid("r", "must be positive")
     kernel = _parse_kernel(_need(doc, "kernel", dict), domain.dim, problem.p)
 
-    if (kernel.family == SINGULAR) != (variant == SINGULAR_VARIANT):
-        raise ConfigInvalid("kernel/variant",
-                            f"kernel family {kernel.family!r} does not match "
-                            f"variant {variant!r}: the singular kernel and the "
-                            f"singular variant require each other")
+    try:
+        check_kernel(kernel, problem)
+    except InvalidArgument as exc:
+        raise ConfigInvalid("kernel/variant", str(exc)) from exc
     if kernel.compact:
         if r > kernel.R + 1e-12:
             raise ConfigInvalid("r", f"strip width {r} exceeds kernel radius {kernel.R}")
@@ -273,7 +272,7 @@ def build_problem(cfg):
     return op.grid, op
 
 
-def initial_field(cfg, grid, op=None, seed=None):
+def initial_field(cfg, grid, op=None):
     """Construct the configured initial strip data.
 
     Presets: constant(c); bump, a smooth hump at the anchor strip node;
@@ -288,7 +287,7 @@ def initial_field(cfg, grid, op=None, seed=None):
     if preset == "constant":
         return StripField(np.full(ns, cfg.initial["c"]), grid)
     if preset == "random":
-        rng = np.random.default_rng([cfg.seed if seed is None else seed, 0])
+        rng = np.random.default_rng([cfg.seed, 0])
         return StripField(rng.standard_normal(ns), grid)
 
     pos = grid.nodes[s_idx]

@@ -9,7 +9,8 @@ against the energy gradient with a curvature matrix chosen by p: the
 Levenberg-damped Newton Hessian for p >= 2, the tangent quadratic
 majoriser (reweighted least squares) for p < 2. L_II, the Newton Hessian
 and the majoriser matrix are each written by _accel.laplacian_block from
-the whole edge list, given only the free nodes.
+the whole edge list, given only the free nodes; L_IS is masked from it
+too. Balances are in W units, coefficient row sums over mu[x].
 """
 
 import numpy as np
@@ -20,7 +21,6 @@ from . import _accel
 from .errors import EmptyInterior, NoConvergence, NonConvexExponent, SingularSystem
 from .fields import EnergyReport, FullField, StripField
 from .geometry import INTERIOR, STRIP
-from .kernels import edge_block
 
 __all__ = [
     "StripField", "FullField", "EnergyReport", "REG_EPS",
@@ -46,7 +46,8 @@ def energy_values(op, vals, p):
 
 def residual_values(op, vals, p, eps):
     """Per-node weighted sums r[x] = sum_y W[x][y] phi_p(u[y] - u[x])."""
-    return _accel.phi_row_sums(op.act_rows, op.act_cols, op.act_w, vals, vals, p, eps, op.n)
+    sums = _accel.phi_row_sums(op.act_rows, op.act_cols, op.act_coef, vals, p, eps, op.n)
+    return np.divide(sums, op.grid.mu, out=sums)
 
 
 def gradient_values(op, vals, p, eps):
@@ -92,11 +93,14 @@ def _interior(op):
             factor = sla.cho_factor(l_ii)
         except sla.LinAlgError as exc:
             raise SingularSystem(f"interior system is singular: {exc}") from exc
-        rows, cols, w = edge_block(op, INTERIOR, STRIP)
-        coef = op.grid.mu[op.interior_idx][rows] * w
+        klass = op.grid.klass
+        keep = (klass[op.act_rows] == INTERIOR) & (klass[op.act_cols] == STRIP)
+        coef = op.act_coef[keep]
         # negated in place: one more edge-sized temporary raised the benchmark's
         # peak RSS at 2D h = 1/64 from 600 to 643 MB (heap left fragmented)
-        l_is = sp.csr_matrix((np.negative(coef, out=coef), (rows, cols)),
+        l_is = sp.csr_matrix((np.negative(coef, out=coef),
+                              (np.searchsorted(op.interior_idx, op.act_rows[keep]),
+                               np.searchsorted(op.strip_idx, op.act_cols[keep]))),
                              shape=(op.n_interior, op.n_strip))
         op._cache["interior"] = (l_ii, factor, l_is)
     return op._cache["interior"]
@@ -151,8 +155,9 @@ def _newton_free(op, p, v0, free, quad_mass, quad_target, energy_scale,
     sweeps contract the error by roughly (2 - p) per pass, so every sweep
     also tries the Aitken jump to the limit of the measured geometric tail,
     kept only when it descends. `converged(grad_free, resid_free)` decides
-    termination. Raises NoConvergence carrying the best iterate when the
-    budget runs out, and SingularSystem at once when a majorizer factor fails.
+    termination. Returns the minimizer and the iterations taken. Raises
+    NoConvergence carrying the best iterate when the budget runs out, and
+    SingularSystem at once when a majorizer factor fails.
     """
     eps = eps_for(p)
     v = v0.copy()
@@ -190,7 +195,7 @@ def _newton_free(op, p, v0, free, quad_mass, quad_target, energy_scale,
     prev_step = None
     for it in range(max_iter):
         if converged(grad[free], resid[free]):
-            return v, it, f
+            return v, it
         gfree = grad[free]
         fnoise = 1e-12 * (1.0 + abs(f))
         found = None
@@ -244,7 +249,7 @@ def _newton_free(op, p, v0, free, quad_mass, quad_target, energy_scale,
         v, f, gnew, rnew = found
         grad, resid = grads(v) if gnew is None else (gnew, rnew)
     if converged(grad[free], resid[free]):
-        return v, max_iter, f
+        return v, max_iter
     if f < best_f:
         best_v, best_f = v, f
     raise NoConvergence(f"no convergence in {max_iter} iterations", best=(best_v, best_f))
@@ -285,7 +290,7 @@ def extend_plaplace(op, g, p, tol=1e-10, max_iter=100, x0=None):
         )
 
     try:
-        v, iters, _ = _newton_free(op, p, v0, op.interior_idx, None, None, 1.0,
+        v, iters = _newton_free(op, p, v0, op.interior_idx, None, None, 1.0,
                                    max_iter, converged)
     except NoConvergence as exc:
         best_v, _ = exc.best

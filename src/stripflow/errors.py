@@ -64,10 +64,6 @@ class NoConvergence(SolverError):
 class NoContraction(SolverError):
     """Fixed-point iteration failed to contract; shrink the time window."""
 
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
 
 # analysis
 

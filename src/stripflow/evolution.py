@@ -26,8 +26,7 @@ from .analysis import (DIAG_COLUMNS, _lp_norm, lq_distance_to_mean, mass,
 from .elliptic import (StripField, energy_values, eps_for, _extended_values,
                        _interior_start, _newton_free)
 from .errors import (InvalidArgument, NoContraction, SingularSystem, SolverError)
-from .geometry import STRIP
-from .kernels import EXCLUDE_STRIP_STRIP, FULL, SINGULAR, edge_block
+from .kernels import EXCLUDE_STRIP_STRIP, FULL, SINGULAR, strip_edges
 
 LINEAR = "linear"
 LINEAR_FULL = "linear-full"
@@ -94,27 +93,37 @@ class Trajectory:
         return self.field(self.states.shape[0] - 1)
 
 
+def check_kernel(kernel, spec):
+    """The one kernel/variant rule: the singular kernel and the singular
+    variant require each other, and a singular kernel is built for spec.p."""
+    if (kernel.family == SINGULAR) != (spec.variant == SINGULAR_VARIANT):
+        raise InvalidArgument(
+            f"kernel family {kernel.family!r} does not match variant "
+            f"{spec.variant!r}: the singular kernel and the singular variant "
+            f"require each other")
+    if kernel.family == SINGULAR and kernel.p != spec.p:
+        raise InvalidArgument(f"singular kernel built for p = {kernel.p:g}, not {spec.p:g}")
+
+
 def check_compatible(op, spec):
-    """Operator and problem must agree on edge mode and kernel family."""
+    """Operator and problem must agree on edge mode and kernel (check_kernel)."""
     if op.edge_mode != spec.edge_mode:
         raise InvalidArgument(
             f"variant {spec.variant!r} needs edge mode {spec.edge_mode!r}, "
             f"operator was assembled with {op.edge_mode!r}")
-    family = op.spec.family
-    if spec.variant == SINGULAR_VARIANT and family != SINGULAR:
-        raise InvalidArgument("singular variant needs a singular kernel")
-    if spec.is_linear and family == SINGULAR:
-        raise InvalidArgument("linear variants need a smooth kernel")
+    check_kernel(op.spec, spec)
 
 
-def _strip_flux(op, spec, uv, full):
-    """Per strip node, the weighted sum of phi_p(full[y] - uv[x])."""
-    rows, cols, w = edge_block(op, STRIP)
-    return _accel.phi_row_sums(rows, cols, w, uv, full, spec.p, eps_for(spec.p), op.n_strip)
+def _strip_flux(op, spec, full):
+    """Per strip node x, sum_y W[x][y] phi_p(full[y] - full[x]) over its
+    active edges: the strip rows' coefficient sums divided by mu[x]."""
+    rows, cols, coef = strip_edges(op)
+    sums = _accel.phi_row_sums(rows, cols, coef, full, spec.p, eps_for(spec.p), op.n)
+    return sums[op.strip_idx] / op.grid.mu[op.strip_idx]
 
 
 def _rhs_values(op, spec, uv):
-    return _strip_flux(op, spec, uv, _extended_values(op, uv, spec.p))
+    return _strip_flux(op, spec, _extended_values(op, uv, spec.p))
 
 
 def rhs(op, spec, u):
@@ -185,7 +194,7 @@ def _step_implicit_values(op, spec, uv, dt, tol, max_iter, warm):
         return (np.max(np.abs(grad_free), initial=0.0) <= tol
                 and abs(np.sum(grad_free)) <= tol)
 
-    v, _, _ = _newton_free(op, spec.p, v0, free, quad, target, dt,
+    v, _ = _newton_free(op, spec.p, v0, free, quad, target, dt,
                            max_iter, converged)
     return v[op.strip_idx], v
 
@@ -259,7 +268,7 @@ def evolve(op, spec, u0, t_end, dt, integrator=EXPLICIT, tol=1e-10, max_iter=60)
                 break
             warm = full[op.interior_idx] if op.n_interior > 0 else None
             if integrator == EXPLICIT:
-                uv = uv + dt * _strip_flux(op, spec, uv, full)
+                uv = uv + dt * _strip_flux(op, spec, full)
                 full = _extended_values(op, uv, spec.p, warm)
             else:
                 uv, full = _step_implicit_values(op, spec, uv, dt, tol, max_iter, warm)

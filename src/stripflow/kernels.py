@@ -1,9 +1,11 @@
-"""Radial interaction kernels and their assembled quadrature matrices.
+"""Radial interaction kernels and the operator assembled from them.
 
-The assembled weights follow the midpoint rule W[x][y] = J(x - y) * mu[y]
-with a zero diagonal. On a uniform grid this gives exact reciprocity
-W[x][y] mu[x] = W[y][x] mu[y], which is what makes the discrete mass
-balance of the evolution problems exact.
+The quadrature weights follow the midpoint rule W[x][y] = J(x - y) * mu[y]
+with a zero diagonal. The operator stores one number per active ordered
+pair, the coefficient mu[x] W[x][y] = mu[x] J(x - y) mu[y], and W is that
+coefficient divided by mu[x]. On a uniform grid the coefficient is exactly
+symmetric, which is reciprocity W[x][y] mu[x] = W[y][x] mu[y] and what makes
+the discrete mass balance of the evolution problems exact.
 """
 
 import math
@@ -14,8 +16,7 @@ from scipy.spatial.distance import cdist
 
 from . import _accel
 from .errors import EmptySupport, InvalidArgument, SingularAtOrigin
-from .fields import FullField
-from .geometry import interior_indices, strip_indices
+from .geometry import STRIP, interior_indices, strip_indices
 
 TENT = "tent"
 BUMP = "bump"
@@ -123,30 +124,28 @@ class NonlocalOperator:
     The active edge set contains every ordered node pair with a nonzero
     weight, minus the strip-strip pairs when edge_mode excludes them.
     Interior rows are identical in both modes. The lexicographic edge list
-    is the only stored form of the edges: _accel.laplacian_block builds the
-    dense blocks from it, and edge_block derives the sparse ones.
+    with one symmetric coefficient per edge is the only stored form of the
+    edges: _accel.laplacian_block builds the dense blocks from it, and
+    strip_edges caches its strip rows. W[x][y] is act_coef / mu[x].
 
     Attributes
     ----------
     act_rows, act_cols : (nnz,) int64 arrays
         The active ordered pairs (x, y), lexicographic.
-    act_w : (nnz,) array
-        W[x][y] on each active pair.
     act_coef : (nnz,) array
-        mu[x] W[x][y], the symmetric edge coefficients.
+        mu[x] W[x][y] = mu[x] J(x - y) mu[y], the symmetric edge coefficients.
     deg_active : (n,) array
         Per-node row sums of W over the active edge set.
     """
 
-    def __init__(self, grid, spec, edge_mode, act_rows, act_cols, act_w):
+    def __init__(self, grid, spec, edge_mode, act_rows, act_cols, act_coef):
         self.grid = grid
         self.spec = spec
         self.edge_mode = edge_mode
         self.act_rows = act_rows
         self.act_cols = act_cols
-        self.act_w = act_w
-        self.act_coef = grid.mu[act_rows] * act_w
-        self.deg_active = np.bincount(act_rows, weights=act_w, minlength=grid.n)
+        self.act_coef = act_coef
+        self.deg_active = np.bincount(act_rows, weights=act_coef, minlength=grid.n) / grid.mu
         self.strip_idx = strip_indices(grid)
         self.interior_idx = interior_indices(grid)
         self._cache = {}
@@ -176,17 +175,19 @@ def _operator_from_dense(grid, spec, jmat, edge_mode):
     """
     if edge_mode not in _EDGE_MODES:
         raise InvalidArgument(f"unknown edge mode {edge_mode!r}")
-    w_dense = jmat * grid.mu[None, :]
-    np.fill_diagonal(w_dense, 0.0)
-    active = w_dense > 0.0
+    active = jmat > 0.0
+    np.fill_diagonal(active, False)
     if edge_mode == EXCLUDE_STRIP_STRIP:
         s_idx = strip_indices(grid)
         active[np.ix_(s_idx, s_idx)] = False
-    rows, cols = np.nonzero(active)
+    # np.nonzero on a 2-D mask returns strided views, and every edge gather
+    # after assembly reads them; divmod of the flat indices gives contiguous ones
+    rows, cols = np.divmod(np.flatnonzero(active), grid.n)
     if rows.shape[0] == 0:
         raise EmptySupport("no active node pair has a nonzero weight")
-    return NonlocalOperator(grid, spec, edge_mode, rows.astype(np.int64),
-                            cols.astype(np.int64), w_dense[rows, cols])
+    coef = jmat[rows, cols] * grid.mu[cols]
+    coef *= grid.mu[rows]
+    return NonlocalOperator(grid, spec, edge_mode, rows, cols, coef)
 
 
 def assemble(grid, spec, edge_mode=EXCLUDE_STRIP_STRIP):
@@ -218,36 +219,12 @@ def laplacian_dense(op):
                                   np.arange(op.n))
 
 
-def edge_block(op, row_class, col_class=None):
-    """Active edges from the nodes of row_class to those of col_class
-    (to every node when col_class is None), as (rows, cols, w) in
-    lexicographic order. rows count within row_class, cols within
-    col_class (globally when None), and w holds W[x][y]. Cached on first
-    use; the solvers take the strip rows and the interior-to-strip block.
-    """
-    key = ("edge_block", row_class, col_class)
-    if key not in op._cache:
-        klass = op.grid.klass
-        keep = klass[op.act_rows] == row_class
-        if col_class is not None:
-            keep &= klass[op.act_cols] == col_class
-        local = np.empty(op.n, dtype=np.int64)
-        local[op.strip_idx] = np.arange(op.n_strip)
-        local[op.interior_idx] = np.arange(op.n_interior)
-        cols = op.act_cols[keep]
-        op._cache[key] = (local[op.act_rows[keep]],
-                          cols if col_class is None else local[cols],
-                          op.act_w[keep])
-    return op._cache[key]
-
-
-def apply_graph_laplacian(op, u):
-    """Weighted graph Laplacian over the active edge set.
-
-    (Lu)[x] = mu[x] * sum over active (x, y) of W[x][y] (u[x] - u[y]).
-    Annihilates constants; symmetric positive semidefinite as a form.
-    """
-    vals = u.values if isinstance(u, FullField) else np.asarray(u, dtype=float)
-    out = -_accel.phi_row_sums(op.act_rows, op.act_cols, op.act_coef,
-                               vals, vals, 2.0, 0.0, op.n)
-    return FullField(out, op.grid)
+def strip_edges(op):
+    """The active edges out of strip nodes, as (rows, cols, coef) in
+    lexicographic order with global node indices and the coefficients
+    mu[x] W[x][y]. Cached on first use; the strip flux reads them at every
+    explicit step and every right-hand side."""
+    if "strip_edges" not in op._cache:
+        keep = op.grid.klass[op.act_rows] == STRIP
+        op._cache["strip_edges"] = (op.act_rows[keep], op.act_cols[keep], op.act_coef[keep])
+    return op._cache["strip_edges"]

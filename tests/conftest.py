@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 import stripflow as sf
 from stripflow.geometry import Grid
@@ -7,6 +8,15 @@ from stripflow.kernels import laplacian_dense
 
 BOX1 = sf.DomainBox(1, (0.0,), (1.0,))
 BOX2 = sf.DomainBox(2, (0.0, 0.0), (1.0, 1.0))
+
+
+def pytest_configure(config):
+    # hypothesis writes a cache of the constants in the source files under its
+    # home directory while pytest collects, example database or not; keep that
+    # cache in pytest's own cache directory instead of a .hypothesis/ in the tree
+    cache = getattr(config, "cache", None)
+    if cache is not None:
+        set_hypothesis_home_dir(cache.mkdir("hypothesis"))
 
 
 def make_op(h, r, kernel, edge_mode=sf.EXCLUDE_STRIP_STRIP, dim=1,

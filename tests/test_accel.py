@@ -21,8 +21,8 @@ CASES = [(2.0, 0.0), (1.5, 0.0), (1.5, 1e-10), (3.0, 0.0), (4.0, 1e-8)]
 
 def edge_set(seed, n=300, ne=5000):
     rng = np.random.default_rng(seed)
-    rows = np.sort(rng.integers(0, n, ne)).astype(np.int64)
-    cols = rng.integers(0, n, ne).astype(np.int64)
+    rows = np.sort(rng.integers(0, n, ne, dtype=np.int64))
+    cols = rng.integers(0, n, ne, dtype=np.int64)
     data = rng.random(ne)
     vals = rng.standard_normal(n)
     return rows, cols, data, vals
@@ -33,7 +33,7 @@ def test_phi_row_sums_by_hand():
     cols = np.array([1, 0], dtype=np.int64)
     data = np.array([2.0, 5.0])
     vals = np.array([1.0, 3.0])
-    out = A.phi_row_sums(rows, cols, data, vals, vals, 3.0, 0.0, 2)
+    out = A.phi_row_sums(rows, cols, data, vals, 3.0, 0.0, 2)
     # phi(d) = |d| d at p = 3
     assert out[0] == 2.0 * 4.0
     assert out[1] == 5.0 * -4.0
@@ -68,7 +68,7 @@ def test_zero_differences_are_finite(p, eps):
     cols = np.array([1], dtype=np.int64)
     data = np.array([3.0])
     vals = np.zeros(2)
-    out = A.phi_row_sums(rows, cols, data, vals, vals, p, eps, 2)
+    out = A.phi_row_sums(rows, cols, data, vals, p, eps, 2)
     assert np.isfinite(out).all() and out[0] == 0.0
     assert A.edge_power_sum(rows, cols, data, vals, p) == 0.0
     hess = A.hessian_accumulate(rows, cols, data, vals, p, eps, np.arange(2))
@@ -79,7 +79,7 @@ def test_empty_edge_list():
     empty_i = np.zeros(0, dtype=np.int64)
     empty_f = np.zeros(0)
     vals = np.ones(3)
-    out = A.phi_row_sums(empty_i, empty_i, empty_f, vals, vals, 3.0, 0.0, 3)
+    out = A.phi_row_sums(empty_i, empty_i, empty_f, vals, 3.0, 0.0, 3)
     assert np.array_equal(out, np.zeros(3))
     assert A.edge_power_sum(empty_i, empty_i, empty_f, vals, 3.0) == 0.0
 
@@ -87,7 +87,7 @@ def test_empty_edge_list():
 def test_within_backend_bitwise_repeatable():
     rows, cols, data, vals = edge_set(1)
     n = vals.shape[0]
-    args = (rows, cols, data, vals, vals, 1.5, 1e-10, n)
+    args = (rows, cols, data, vals, 1.5, 1e-10, n)
     assert np.array_equal(A.phi_row_sums(*args), A.phi_row_sums(*args))
     p1 = A.edge_power_sum(rows, cols, data, vals, 3.0)
     p2 = A.edge_power_sum(rows, cols, data, vals, 3.0)
@@ -102,10 +102,9 @@ def test_in_place_kernels_match_the_plain_formulas(op2d, p, eps):
             (op2d.act_rows, op2d.act_cols, op2d.act_coef, rng.standard_normal(op2d.n))]
     for rows, cols, data, vals in sets:
         n = vals.shape[0]
-        left = vals + rng.standard_normal(n)
-        want = np.bincount(rows, weights=data * A._phi(vals[cols] - left[rows], p, eps),
+        want = np.bincount(rows, weights=data * A._phi(vals[cols] - vals[rows], p, eps),
                            minlength=n)
-        assert np.array_equal(A.phi_row_sums(rows, cols, data, left, vals, p, eps, n), want)
+        assert np.array_equal(A.phi_row_sums(rows, cols, data, vals, p, eps, n), want)
         d = vals[cols] - vals[rows]
         if p == 2.0:
             terms = d * d

@@ -254,6 +254,48 @@ def test_validate_degenerate_width_switches_expectation(runner, tmp_path):
     assert "near-zero gap expected" in res.stdout
 
 
+ISOLATED_CORNERS = {
+    "domain": {"dim": 2, "lo": 0.0, "hi": 1.0},
+    "h": 1.0 / 32.0,
+    "r": 0.171875,
+    "kernel": {"family": "tent", "R": 0.25},
+    "problem": {"variant": "linear"},
+    "time": {"t_end": 0.5, "dt": 0.25, "integrator": "implicit"},
+    "initial": {"preset": "random"},
+    "seed": 1,
+}
+
+
+def test_validate_expects_no_gap_with_isolated_strip_nodes(runner, tmp_path):
+    # the four corner nodes lie farther than R from every interior node, so
+    # each one's indicator is a mean-zero null direction of S
+    res = runner.invoke(main, ["validate", "--config", write_cfg(tmp_path, ISOLATED_CORNERS)])
+    assert res.exit_code == 0
+    assert ("check spectral gap: pass (near-zero gap expected (4 isolated strip nodes); "
+            "beta=5.799992e-18)") in res.stdout
+    assert "6 checks, 0 failed" in res.stdout
+
+
+def test_validate_expects_a_gap_without_isolated_strip_nodes(runner, tmp_path):
+    doc = dict(ISOLATED_CORNERS, r=0.15625)
+    res = runner.invoke(main, ["validate", "--config", write_cfg(tmp_path, doc)])
+    assert res.exit_code == 0
+    assert "check spectral gap: pass (beta=2.435469e-03)" in res.stdout
+    assert "6 checks, 0 failed" in res.stdout
+
+
+def test_validate_singular_kernel_away_from_p2(runner, tmp_path):
+    # the quadratic reduction check takes the p = 2 flux of an operator whose
+    # singular kernel was built for p = 1.5, which rhs itself refuses
+    doc = dict(GRID16, kernel={"family": "singular", "s": 0.5},
+               problem={"variant": "singular", "p": 1.5},
+               time={"t_end": 0.1, "dt": 0.01, "integrator": "implicit"})
+    res = runner.invoke(main, ["validate", "--config", write_cfg(tmp_path, doc)])
+    assert res.exit_code == 0
+    assert "check quadratic reduction: pass" in res.stdout
+    assert "6 checks, 0 failed" in res.stdout
+
+
 def test_validate_reports_a_failing_solver_as_a_failed_check(runner, tmp_path):
     # explicit p = 4 steps at 0.45 of the p-blind stability bound blow up and
     # the next extension stops converging; the other checks must still run

@@ -281,6 +281,12 @@ def test_compatibility_checks(op16, op16_full, sing16):
     sg = sing16(2.0)
     with pytest.raises(InvalidArgument):
         sf.rhs(sg, LIN, sf.StripField(np.zeros(sg.n_strip), sg.grid))
+    # the singular kernel needs the singular variant, at the kernel's p
+    with pytest.raises(InvalidArgument):
+        sf.rhs(sg, sf.ProblemSpec(PLAPLACE), sf.StripField(np.zeros(sg.n_strip), sg.grid))
+    with pytest.raises(InvalidArgument):
+        sf.rhs(sg, sf.ProblemSpec(SINGULAR_VARIANT, p=3.0),
+               sf.StripField(np.zeros(sg.n_strip), sg.grid))
 
 
 def test_problem_spec_validation():

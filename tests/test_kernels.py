@@ -1,17 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import stripflow as sf
 from stripflow.errors import (EmptySupport, InvalidArgument, SingularAtOrigin)
-from stripflow.kernels import edge_block, laplacian_dense
+from stripflow.elliptic import _interior
+from stripflow.kernels import laplacian_dense, strip_edges
 
 from conftest import BOX1, BOX2
 
 
 def dense_active(op):
+    # W[x][y] = act_coef / mu[x] on the active pairs
     W = np.zeros((op.n, op.n))
-    W[op.act_rows, op.act_cols] = op.act_w
+    W[op.act_rows, op.act_cols] = op.act_coef / op.grid.mu[op.act_rows]
     return W
 
 
@@ -98,16 +102,14 @@ def test_toy3_active_pairs(toy3_op, toy3_full_op):
 
 
 def test_toy3_dynamic_edges(toy3_op):
-    # strip-local rows, global columns
-    rows, cols, w = edge_block(toy3_op, sf.STRIP)
-    np.testing.assert_array_equal(rows, [0, 1])
+    # the strip rows, global rows and columns
+    rows, cols, coef = strip_edges(toy3_op)
+    np.testing.assert_array_equal(rows, [1, 2])
     np.testing.assert_array_equal(cols, [0, 0])
-    np.testing.assert_array_equal(w, [1.0, 1.0])
-    # interior-local rows, strip-local columns
-    rows, cols, w = edge_block(toy3_op, sf.INTERIOR, sf.STRIP)
-    np.testing.assert_array_equal(rows, [0, 0])
-    np.testing.assert_array_equal(cols, [0, 1])
-    np.testing.assert_array_equal(w, [1.0, 1.0])
+    np.testing.assert_array_equal(coef, [1.0, 1.0])
+    # L_IS: interior-local rows, strip-local columns
+    l_is = _interior(toy3_op)[2]
+    np.testing.assert_array_equal(l_is.toarray(), [[-1.0, -1.0]])
 
 
 def test_quadrature_weights_match_kernel(op16, op2d):
@@ -115,9 +117,32 @@ def test_quadrature_weights_match_kernel(op16, op2d):
         take = np.arange(0, op.nnz, max(1, op.nnz // 40))
         z = op.grid.nodes[op.act_rows[take]] - op.grid.nodes[op.act_cols[take]]
         w = sf.eval_kernel(op.spec, z) * op.grid.mu[op.act_cols[take]]
-        np.testing.assert_allclose(op.act_w[take], w, rtol=1e-15)
-        np.testing.assert_allclose(
-            op.act_coef, op.grid.mu[op.act_rows] * op.act_w, rtol=0, atol=0)
+        np.testing.assert_allclose(dense_active(op)[op.act_rows[take], op.act_cols[take]],
+                                   w, rtol=1e-15)
+        np.testing.assert_allclose(op.act_coef[take], op.grid.mu[op.act_rows[take]] * w,
+                                   rtol=1e-15)
+
+
+def test_edge_arrays_are_contiguous(toy3_op, op16, op2d, sing16):
+    # every edge pass gathers through act_rows and act_cols; strided index
+    # views (np.nonzero on a 2-D mask returns them) slow every one of them
+    for op in (toy3_op, op16, op2d, sing16(2.0)):
+        for idx in (op.act_rows, op.act_cols):
+            assert idx.dtype == np.int64 and idx.flags.c_contiguous
+        assert op.act_coef.flags.c_contiguous
+
+
+def test_assembly_keeps_no_dense_weight_matrix():
+    # the distances and the kernel values are the n x n arrays assembly needs;
+    # a dense W beside them, or index copies of it, would add to the peak
+    grid = sf.build_grid(BOX2, 1.0 / 32.0, 0.125)
+    tracemalloc.start()
+    try:
+        sf.assemble(grid, sf.tent_kernel(0.25, 2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 8 * grid.n ** 2
 
 
 def test_no_self_edges(op16, op16_full, op2d):
@@ -153,7 +178,7 @@ def test_quadratic_form_consistency(op16, op16_full, op2d):
     rng = np.random.default_rng(11)
     for op in (op16, op16_full, op2d):
         u = rng.standard_normal(op.n)
-        lu = sf.apply_graph_laplacian(op, sf.FullField(u, op.grid))
+        lu = sf.energy_gradient(op, sf.FullField(u, op.grid), 2.0)
         quad_form = float(u @ lu.values)
         diffs = u[op.act_cols] - u[op.act_rows]
         pair_sum = 0.5 * float(np.sum(op.act_coef * diffs * diffs))
@@ -177,13 +202,13 @@ def test_discrete_normalization(dim, h, kernel):
 def test_constants_annihilated(toy3_op, op16, op16_full, op2d):
     for op in (toy3_op, op16, op16_full, op2d):
         ones = sf.FullField(np.ones(op.n), op.grid)
-        assert np.abs(sf.apply_graph_laplacian(op, ones).values).max() == 0.0
+        assert np.abs(sf.energy_gradient(op, ones, 2.0).values).max() == 0.0
 
 
-def test_apply_graph_laplacian_toy_values(toy3_op):
-    out = sf.apply_graph_laplacian(toy3_op, sf.FullField(np.array([0.0, 1.0, -1.0]), toy3_op.grid))
+def test_graph_laplacian_toy_values(toy3_op):
+    out = sf.energy_gradient(toy3_op, sf.FullField(np.array([0.0, 1.0, -1.0]), toy3_op.grid), 2.0)
     np.testing.assert_allclose(out.values, [0.0, 1.0, -1.0], atol=1e-15)
-    out = sf.apply_graph_laplacian(toy3_op, sf.FullField(np.array([0.0, 1.0, 1.0]), toy3_op.grid))
+    out = sf.energy_gradient(toy3_op, sf.FullField(np.array([0.0, 1.0, 1.0]), toy3_op.grid), 2.0)
     np.testing.assert_allclose(out.values, [-2.0, 1.0, 1.0], atol=1e-15)
 
 

@@ -5,8 +5,7 @@ the decay diagnostics that go with them."""
 from ._accel import backend
 from .analysis import (DIAG_COLUMNS, EXPONENTIAL, POLYNOMIAL, DecayFit,
                        GapResult, counterexample_sequence, estimate_beta_p,
-                       fit_decay, lq_distance_to_mean, mass,
-                       monotonicity_spot_check, rayleigh_quotient,
+                       fit_decay, lq_distance_to_mean, mass, rayleigh_quotient,
                        schur_complement, spectral_gap_beta)
 from .config import ExperimentConfig, build_problem, initial_field, load_config, parse_config
 from .elliptic import (energy, energy_gradient, extend, extend_linear,
@@ -30,8 +29,7 @@ __all__ = [
     "backend",
     "DIAG_COLUMNS", "EXPONENTIAL", "POLYNOMIAL", "DecayFit", "GapResult",
     "counterexample_sequence", "estimate_beta_p", "fit_decay",
-    "lq_distance_to_mean", "mass", "monotonicity_spot_check",
-    "rayleigh_quotient", "schur_complement", "spectral_gap_beta",
+    "lq_distance_to_mean", "mass", "rayleigh_quotient", "schur_complement", "spectral_gap_beta",
     "ExperimentConfig", "build_problem", "initial_field", "load_config",
     "parse_config",
     "energy", "energy_gradient", "extend", "extend_linear", "extend_plaplace",

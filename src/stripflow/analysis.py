@@ -9,15 +9,14 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import _accel
-from .elliptic import (_extended_values, _interior, energy_values, gradient_values,
-                       eps_for)
+from .elliptic import _extended_values, _interior, _newton_free, energy_values
 from .errors import (ConstantField, EmptyBump, InvalidArgument, NoConvergence,
                      NonPositiveData, NotMeanZero, TooFewStripNodes, WindowTooSmall)
 from .fields import StripField
 from .geometry import STRIP
 
 SCHUR_EIG = "schur-eig"
-VARIATIONAL_DESCENT = "variational-descent"
+INVERSE_POWER = "inverse-power"
 
 EXPONENTIAL = "exponential"
 POLYNOMIAL = "polynomial"
@@ -174,13 +173,20 @@ def _project_mean_zero(gv, mu_s):
 
 
 def estimate_beta_p(op, p, restarts=8, tol=1e-9, max_iter=2000, seed=0):
-    """Upper bound on the mean-zero quotient infimum by projected descent.
+    """Upper bound on the mean-zero quotient infimum by inverse power iteration.
 
-    Runs `restarts` seeded gradient descents of the quotient over the set
-    of mean-zero strip fields with unit weighted p-norm and keeps the best
-    endpoint (ties broken by restart index). The quotient gradient uses
-    the stationarity of the extension, so the interior solve is never
-    differentiated through.
+    Runs `restarts` seeded nonlinear inverse power iterations (Hein and
+    Buehler, NeurIPS 2010) over mean-zero strip fields f with unit weighted
+    p-norm and keeps the best endpoint (ties broken by restart index). One
+    step minimizes E_p(w) - <s, w_S> with elliptic._newton_free over every
+    node but the first strip node, held at 0, where s = mu phi_p(f) shifted
+    by a multiple of mu to sum to 0. The strip part of the minimizer, made
+    mean-zero and of unit p-norm, is the next f; its interior already is the
+    extension of f, so the quotient is p E_p of it. A restart ends when the
+    quotient drops by at most tol relative, and raises NoConvergence after
+    max_iter steps. An isolated strip node (no active edge) leaves the step
+    unbounded; then beta is 0.0 and the mode is that node's indicator, made
+    mean-zero.
     """
     if restarts <= 0:
         raise InvalidArgument("need at least one restart")
@@ -189,17 +195,15 @@ def estimate_beta_p(op, p, restarts=8, tol=1e-9, max_iter=2000, seed=0):
     if op.n_strip < 2:
         raise TooFewStripNodes("gap needs at least two strip nodes")
     mu_s = op.grid.mu[op.strip_idx]
-    eps = eps_for(p)
+    isolated = np.flatnonzero(op.deg_active[op.strip_idx] == 0.0)
+    if isolated.shape[0]:
+        gv = _project_mean_zero(np.arange(op.n_strip) == isolated[0], mu_s)
+        mode_vals = _signed(gv / _lp_norm(mu_s, gv, p))
+        return GapResult(beta=0.0, mode=StripField(mode_vals, op.grid), method=INVERSE_POWER)
 
-    def quotient_and_grad(gv):
-        full = _extended_values(op, gv, p)
-        numerator = p * energy_values(op, full, p)
-        denominator = float(np.sum(mu_s * np.abs(gv) ** p))
-        quot = numerator / denominator
-        grad_num = p * gradient_values(op, full, p, eps)[op.strip_idx]
-        grad_den = p * mu_s * _accel._phi(gv, p, 0.0)
-        return quot, (grad_num - quot * grad_den) / denominator
-
+    pin = op.strip_idx[0]
+    free = np.delete(np.arange(op.n), pin)
+    lin = np.zeros(op.n)
     best = None
     for j in range(restarts):
         rng = np.random.default_rng([seed, 17, j])
@@ -208,41 +212,33 @@ def estimate_beta_p(op, p, restarts=8, tol=1e-9, max_iter=2000, seed=0):
         while np.sum(mu_s * np.abs(gv) ** p) < 1e-24:
             gv = _project_mean_zero(rng.standard_normal(op.n_strip), mu_s)
         gv = gv / _lp_norm(mu_s, gv, p)
+        v = _extended_values(op, gv, p)
+        quot = p * energy_values(op, v, p)
 
-        quot, grad = quotient_and_grad(gv)
-        eta = 1.0
-        stall = 0
-        it = 0
-        while it < max_iter and stall < 5:
-            it += 1
-            direction = _project_mean_zero(grad, mu_s)
-            accepted = False
-            while eta > 1e-18:
-                trial = _project_mean_zero(gv - eta * direction, mu_s)
-                tnorm = np.sum(mu_s * np.abs(trial) ** p)
-                if tnorm > 1e-24:
-                    trial = trial / _lp_norm(mu_s, trial, p)
-                    tq, tg = quotient_and_grad(trial)
-                    if tq < quot:
-                        accepted = True
-                        break
-                eta *= 0.5
-            if not accepted:
-                stall = 5
+        for _ in range(max_iter):
+            s = mu_s * _accel._phi(gv, p, 0.0)
+            s -= mu_s * (np.sum(s) / np.sum(mu_s))
+            lin[op.strip_idx] = s
+            gate = tol * (1.0 + np.max(np.abs(s / mu_s)))
+            # <s, gv> = 1, so this scale minimizes the objective on the ray of v
+            v0 = (v - v[pin]) * quot ** (-1.0 / (p - 1.0))
+            v, _ = _newton_free(op, p, v0, free, None, None, 1.0, 100,
+                                lambda g, r: np.max(np.abs(r)) <= gate, lin)
+            v -= np.dot(mu_s, v[op.strip_idx]) / np.sum(mu_s)
+            v /= _lp_norm(mu_s, v[op.strip_idx], p)
+            gv = v[op.strip_idx]
+            prev, quot = quot, p * energy_values(op, v, p)
+            if prev - quot <= tol * prev:
                 break
-            drop = (quot - tq) / max(quot, 1e-300)
-            gv, quot, grad = trial, tq, tg
-            eta *= 1.5
-            stall = stall + 1 if drop <= tol else 0
-        if stall < 5:
-            raise NoConvergence(f"descent still progressing after {max_iter} iterations "
-                                f"(restart {j})")
+        else:
+            raise NoConvergence(f"inverse power iteration still progressing after "
+                                f"{max_iter} steps (restart {j})")
         if best is None or quot < best[0]:
             best = (quot, gv)
 
     mode_vals = _signed(best[1])
     return GapResult(beta=best[0], mode=StripField(mode_vals, op.grid),
-                     method=VARIATIONAL_DESCENT)
+                     method=INVERSE_POWER)
 
 
 def counterexample_sequence(grid, op, n_list):
@@ -325,23 +321,3 @@ def fit_decay(traj, column, model, window):
         r2 = min(max(1.0 - ss_res / ss_tot, 0.0), 1.0)
     return DecayFit(model=model, rate=float(slope), window=(t_lo, t_hi), r2=r2)
 
-
-def monotonicity_spot_check(p, q, samples, seed=0):
-    """Sign check of the pairing between differences and odd powers.
-
-    Draws random pairs (a, b) and verifies that (a - b) paired with the
-    odd q-power difference is nonnegative, with and without the extra
-    |a - b|^(p-2) factor, to within -1e-12.
-    """
-    if p < 1.0 or q < 1.0:
-        raise InvalidArgument("exponents must be >= 1")
-    rng = np.random.default_rng([seed, 29])
-    ab = rng.standard_normal((int(samples), 2)) * 2.0
-
-    a, b = ab[:, 0], ab[:, 1]
-    odd = _accel._phi(a, q, 0.0) - _accel._phi(b, q, 0.0)
-    # |a - b|^(p-2) (a - b) is the odd p-power map of the difference
-    for pair in ((a - b) * odd, _accel._phi(a - b, p, 0.0) * odd):
-        if np.min(pair, initial=0.0) < -1e-12:
-            return False
-    return True

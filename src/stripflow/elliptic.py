@@ -7,7 +7,8 @@ made per operator. For general p > 1 it is the Euler-Lagrange condition of
 a strictly convex edge energy, minimized by one descent loop that steps
 against the energy gradient with a curvature matrix chosen by p: the
 Levenberg-damped Newton Hessian for p >= 2, the tangent quadratic
-majoriser (reweighted least squares) for p < 2. L_II, the Newton Hessian
+majoriser (reweighted least squares) for p < 2. The implicit p != 2 step
+and estimate_beta_p run the same loop. L_II, the Newton Hessian
 and the majoriser matrix are each written by _accel.laplacian_block from
 the whole edge list, given only the free nodes; L_IS is masked from it
 too. Balances are in W units, coefficient row sums over mu[x].
@@ -50,10 +51,6 @@ def residual_values(op, vals, p, eps):
     return np.divide(sums, op.grid.mu, out=sums)
 
 
-def gradient_values(op, vals, p, eps):
-    return -op.grid.mu * residual_values(op, vals, p, eps)
-
-
 def energy(op, u, p):
     """Edge energy (1/2p) sum over active ordered pairs of
     mu[x] W[x][y] |u[y] - u[x]|**p."""
@@ -68,7 +65,7 @@ def energy_gradient(op, u, p):
     REG_EPS; for p >= 2 the exact derivative is used.
     """
     vals = u.values if isinstance(u, FullField) else np.asarray(u, dtype=float)
-    return FullField(gradient_values(op, vals, p, eps_for(p)), op.grid)
+    return FullField(-op.grid.mu * residual_values(op, vals, p, eps_for(p)), op.grid)
 
 
 def interior_residual(op, u, p):
@@ -140,10 +137,15 @@ def _interior_start(op, gv):
 
 
 def _newton_free(op, p, v0, free, quad_mass, quad_target, energy_scale,
-                 max_iter, converged):
-    """Minimize F(v) = energy_scale * E_p(v) + quadratic penalty over
-    v[free] with the remaining coordinates held fixed. free is every node
-    or the interior; the strip is pinned in the latter case.
+                 max_iter, converged, lin=None):
+    """Minimize F(v) = energy_scale * (E_p(v) - <lin, v>) + quadratic penalty
+    over v[free] with the remaining coordinates held fixed. free is every
+    node, every node but one, or the interior; the strip is pinned in the
+    last case. lin is an optional linear forcing, one value per node in the
+    units of the gradient; None leaves it out. The residual passed to
+    `converged`, and used to judge steps whose energy change is below
+    roundoff, is -grad / (energy_scale mu): the W-unit balance of the energy,
+    plus lin / mu, minus the penalty's pull.
 
     One descent loop serves every p: each pass steps v[free] -= M^-1 grad[free]
     and only the curvature matrix M depends on p. For p >= 2, M is the
@@ -156,8 +158,9 @@ def _newton_free(op, p, v0, free, quad_mass, quad_target, energy_scale,
     also tries the Aitken jump to the limit of the measured geometric tail,
     kept only when it descends. `converged(grad_free, resid_free)` decides
     termination. Returns the minimizer and the iterations taken. Raises
-    NoConvergence carrying the best iterate when the budget runs out, and
-    SingularSystem at once when a majorizer factor fails.
+    NoConvergence carrying the last iterate and its F when the budget runs
+    out (every accepted step lowers F, up to roundoff), and SingularSystem
+    at once when a majorizer factor fails.
     """
     eps = eps_for(p)
     v = v0.copy()
@@ -166,15 +169,21 @@ def _newton_free(op, p, v0, free, quad_mass, quad_target, energy_scale,
 
     def value(x):
         f = energy_scale * energy_values(op, x, p)
+        if lin is not None:
+            f -= energy_scale * float(np.dot(lin, x))
         if quad_mass is not None:
             f += 0.5 * float(np.dot(quad_mass, (x - quad_target) ** 2))
         return f
 
     def grads(x):
         resid = residual_values(op, x, p, eps)
+        if lin is not None:
+            resid += lin / mu
         grad = -energy_scale * mu * resid
         if quad_mass is not None:
-            grad = grad + quad_mass * (x - quad_target)
+            pull = quad_mass * (x - quad_target)
+            grad = grad + pull
+            resid -= pull / (energy_scale * mu)
         return grad, resid
 
     def majorizer(x):
@@ -190,7 +199,6 @@ def _newton_free(op, p, v0, free, quad_mass, quad_target, energy_scale,
 
     f = value(v)
     grad, resid = grads(v)
-    best_v, best_f = v.copy(), f
     lam = 0.0
     prev_step = None
     for it in range(max_iter):
@@ -250,9 +258,7 @@ def _newton_free(op, p, v0, free, quad_mass, quad_target, energy_scale,
         grad, resid = grads(v) if gnew is None else (gnew, rnew)
     if converged(grad[free], resid[free]):
         return v, max_iter
-    if f < best_f:
-        best_v, best_f = v, f
-    raise NoConvergence(f"no convergence in {max_iter} iterations", best=(best_v, best_f))
+    raise NoConvergence(f"no convergence in {max_iter} iterations", best=(v, f))
 
 
 def extend_plaplace(op, g, p, tol=1e-10, max_iter=100, x0=None):
@@ -293,9 +299,9 @@ def extend_plaplace(op, g, p, tol=1e-10, max_iter=100, x0=None):
         v, iters = _newton_free(op, p, v0, op.interior_idx, None, None, 1.0,
                                    max_iter, converged)
     except NoConvergence as exc:
-        best_v, _ = exc.best
-        raise NoConvergence(str(exc), best=(FullField(best_v, op.grid),
-                                            report(best_v, max_iter, False))) from None
+        last, _ = exc.best
+        raise NoConvergence(str(exc), best=(FullField(last, op.grid),
+                                            report(last, max_iter, False))) from None
     return FullField(v, op.grid), report(v, iters, True)
 
 

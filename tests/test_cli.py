@@ -254,6 +254,15 @@ def test_validate_degenerate_width_switches_expectation(runner, tmp_path):
     assert "near-zero gap expected" in res.stdout
 
 
+def test_validate_expects_a_gap_at_r_equals_R_without_isolated_strip_nodes(runner, tmp_path):
+    # strip-strip edges keep every strip node coupled, so S has only the
+    # constants in its kernel although the strip is as wide as the kernel
+    doc = dict(_r_equals_R_doc(), problem={"variant": "linear-full"})
+    res = runner.invoke(main, ["validate", "--config", write_cfg(tmp_path, doc)])
+    assert res.exit_code == 0
+    assert "check spectral gap: pass (beta=5.893557e-02)" in res.stdout
+
+
 ISOLATED_CORNERS = {
     "domain": {"dim": 2, "lo": 0.0, "hi": 1.0},
     "h": 1.0 / 32.0,

@@ -1,7 +1,8 @@
 """Structural invariants of the discrete problems on randomly drawn small
 problems: reciprocity of the stored coefficients, the edge energy's
 gradient on constants and in total, the extension's constants and maximum
-principle, and mass conservation and L1(mu) nonexpansiveness of the steps.
+principle, and mass conservation, L1(mu) nonexpansiveness and order
+preservation of the steps.
 
 Draws are derandomized and no example database is written, so every run
 checks the same problems.
@@ -109,3 +110,7 @@ def test_steps_conserve_mass_and_implicit_contracts(prob, dt):
     im2 = sf.step_implicit(op, spec, g2, dt, tol=STEP_TOL).values
     before = np.dot(mu_s, np.abs(g - g2))
     assert np.dot(mu_s, np.abs(im - im2)) <= before + 1e-13 * scale + 2.0 * miss
+    # order preservation: each step misses by at most miss in mass, so by
+    # miss over the smallest strip measure in value
+    top = sf.step_implicit(op, spec, np.maximum(g, g2), dt, tol=STEP_TOL).values
+    assert np.all(top >= np.maximum(im, im2) - 2.0 * miss / np.min(mu_s))

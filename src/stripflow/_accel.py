@@ -3,10 +3,12 @@
 Edges are stored flat as (rows, cols, data) in lexicographic order, with
 data the symmetric coefficients mu[x] W[x][y] or a reweighting of them;
 every summation below runs in that fixed order, so results are
-reproducible bit-for-bit. A caller wanting W units divides a row sum by
-mu[x]. laplacian_block is the one builder of a dense Laplacian
-block: L_II, L_SS, the Newton Hessian, the majoriser matrix and the test
-oracle laplacian_dense all come from it, each given only its free nodes.
+reproducible bit-for-bit. phi_row_sums is the one edge pass over node
+values: every balance, flux, gradient and energy is read off its row sums
+(divided by mu[x] for W units). laplacian_block is the one builder of a
+dense Laplacian block: L_II, L_SS, the Newton Hessian, the majoriser
+matrix and the test oracle laplacian_dense all come from it, each given
+only its free nodes.
 """
 
 import numpy as np
@@ -55,24 +57,6 @@ def phi_row_sums(rows, cols, data, vals, p, eps, nrows):
     contrib = _phi(d, p, eps)
     contrib *= data
     return np.bincount(rows, weights=contrib, minlength=nrows)
-
-
-def edge_power_sum(rows, cols, data, vals, p):
-    """Sum over edges of data * |vals[col] - vals[row]|**p."""
-    d = vals[cols]
-    d -= vals[rows]
-    if p == 2.0:
-        d *= d
-    elif p == 3.0:
-        mag = np.abs(d)
-        d *= d
-        d *= mag
-    elif p == 4.0:
-        d *= d
-        d *= d
-    else:
-        np.power(np.abs(d, out=d), p, out=d)
-    return float(np.dot(data, d))
 
 
 def laplacian_block(rows, cols, w, free, scale=1.0, shift=None):

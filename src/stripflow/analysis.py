@@ -9,7 +9,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import _accel
-from .elliptic import _extended_values, _interior, _newton_free, energy_values
+from .elliptic import (_extended_values, _interior, _newton_free, _pairing, _strip_flux,
+                       energy_values)
 from .errors import (ConstantField, EmptyBump, InvalidArgument, NoConvergence,
                      NonPositiveData, NotMeanZero, TooFewStripNodes, WindowTooSmall)
 from .fields import StripField
@@ -151,8 +152,8 @@ def rayleigh_quotient(op, g, p):
     """Quotient of the extended edge energy against the strip p-norm.
 
     The numerator is half the weighted sum of |u_hat[y] - u_hat[x]|^p over
-    active ordered pairs, with u_hat the stationary extension of g. The
-    caller must supply mean-zero data; no mean is subtracted here.
+    active ordered pairs, with u_hat the stationary extension of g, read off
+    its strip flux. The caller must supply mean-zero data.
     """
     gv = g.values if isinstance(g, StripField) else np.asarray(g, dtype=float)
     sup = float(np.max(np.abs(gv), initial=0.0))
@@ -163,7 +164,7 @@ def rayleigh_quotient(op, g, p):
     if abs(mean) > 1e-9 * sup:
         raise NotMeanZero(f"weighted mean {mean:.3e} exceeds 1e-9 * max |g|")
     full = _extended_values(op, gv, p)
-    numerator = p * energy_values(op, full, p)
+    numerator = p * _pairing(mu_s, gv, _strip_flux(op, full, p), p)
     denominator = float(np.sum(mu_s * np.abs(gv) ** p))
     return numerator / denominator
 

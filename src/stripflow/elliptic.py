@@ -11,7 +11,11 @@ majoriser (reweighted least squares) for p < 2. The implicit p != 2 step
 and estimate_beta_p run the same loop. L_II, the Newton Hessian
 and the majoriser matrix are each written by _accel.laplacian_block from
 the whole edge list, given only the free nodes; L_IS is masked from it
-too. Balances are in W units, coefficient row sums over mu[x].
+too. Balances are in W units, coefficient row sums over mu[x]. Energies
+come from the same row sums by Euler's identity: E_p is p-homogeneous, the
+coefficients symmetric and phi_p odd, so for the balance r of any v and any
+constant c, E_p(v) = (1/p) <mu (c - v), r>. An extended state's interior
+rows vanish, so its energy pairs the strip flux alone.
 """
 
 import numpy as np
@@ -22,6 +26,7 @@ from . import _accel
 from .errors import EmptyInterior, NoConvergence, NonConvexExponent, SingularSystem
 from .fields import EnergyReport, FullField, StripField
 from .geometry import INTERIOR, STRIP
+from .kernels import strip_edges
 
 __all__ = [
     "StripField", "FullField", "EnergyReport", "REG_EPS",
@@ -41,8 +46,15 @@ def eps_for(p):
     return REG_EPS if p < 2.0 else 0.0
 
 
+def _pairing(mu, vals, resid, p):
+    """(1/p) sum mu (c - vals) resid: the energy of vals when resid is its
+    unregularized balance. c, the midrange of vals, only stops cancellation."""
+    c = 0.5 * (np.max(vals) + np.min(vals))
+    return float(np.dot(mu * (c - vals), resid)) / p
+
+
 def energy_values(op, vals, p):
-    return 0.5 / p * _accel.edge_power_sum(op.act_rows, op.act_cols, op.act_coef, vals, p)
+    return _pairing(op.grid.mu, vals, residual_values(op, vals, p, 0.0), p)
 
 
 def residual_values(op, vals, p, eps):
@@ -51,9 +63,18 @@ def residual_values(op, vals, p, eps):
     return np.divide(sums, op.grid.mu, out=sums)
 
 
+def _strip_flux(op, vals, p):
+    """Per strip node x, sum_y W[x][y] phi_p(vals[y] - vals[x]) over its
+    active edges: the strip rows' coefficient sums divided by mu[x],
+    regularized with REG_EPS for p < 2."""
+    rows, cols, coef = strip_edges(op)
+    sums = _accel.phi_row_sums(rows, cols, coef, vals, p, eps_for(p), op.n)
+    return sums[op.strip_idx] / op.grid.mu[op.strip_idx]
+
+
 def energy(op, u, p):
     """Edge energy (1/2p) sum over active ordered pairs of
-    mu[x] W[x][y] |u[y] - u[x]|**p."""
+    mu[x] W[x][y] |u[y] - u[x]|**p, read off the balance of u (Euler's identity)."""
     vals = u.values if isinstance(u, FullField) else np.asarray(u, dtype=float)
     return float(energy_values(op, vals, p))
 
@@ -156,8 +177,11 @@ def _newton_free(op, p, v0, free, quad_mass, quad_target, energy_scale,
     the step lands on its minimizer and descends monotonically. Those plain
     sweeps contract the error by roughly (2 - p) per pass, so every sweep
     also tries the Aitken jump to the limit of the measured geometric tail,
-    kept only when it descends. `converged(grad_free, resid_free)` decides
-    termination. Returns the minimizer and the iterations taken. Raises
+    kept only when it descends. Each point evaluated gets F, gradient and
+    residual from one evaluation: one phi_row_sums pass at p >= 2, where F
+    pairs the residual, and two at p < 2, whose gradient alone is regularized.
+    `converged(grad_free, resid_free)` decides termination. Returns the
+    minimizer and the iterations taken. Raises
     NoConvergence carrying the last iterate and its F when the budget runs
     out (every accepted step lowers F, up to roundoff), and SingularSystem
     at once when a majorizer factor fails.
@@ -167,24 +191,21 @@ def _newton_free(op, p, v0, free, quad_mass, quad_target, energy_scale,
     mu = op.grid.mu
     qf = None if quad_mass is None else quad_mass[free]
 
-    def value(x):
-        f = energy_scale * energy_values(op, x, p)
+    def evaluate(x):
+        resid = residual_values(op, x, p, 0.0)
+        f = energy_scale * _pairing(mu, x, resid, p)
+        if eps > 0.0:
+            resid = residual_values(op, x, p, eps)
         if lin is not None:
             f -= energy_scale * float(np.dot(lin, x))
-        if quad_mass is not None:
-            f += 0.5 * float(np.dot(quad_mass, (x - quad_target) ** 2))
-        return f
-
-    def grads(x):
-        resid = residual_values(op, x, p, eps)
-        if lin is not None:
             resid += lin / mu
         grad = -energy_scale * mu * resid
         if quad_mass is not None:
+            f += 0.5 * float(np.dot(quad_mass, (x - quad_target) ** 2))
             pull = quad_mass * (x - quad_target)
             grad = grad + pull
             resid -= pull / (energy_scale * mu)
-        return grad, resid
+        return f, grad, resid
 
     def majorizer(x):
         d = x[op.act_cols] - x[op.act_rows]
@@ -195,10 +216,9 @@ def _newton_free(op, p, v0, free, quad_mass, quad_target, energy_scale,
     def moved(step):
         x = v.copy()
         x[free] = v[free] + step
-        return x, value(x)
+        return (x,) + evaluate(x)
 
-    f = value(v)
-    grad, resid = grads(v)
+    f, grad, resid = evaluate(v)
     lam = 0.0
     prev_step = None
     for it in range(max_iter):
@@ -213,15 +233,15 @@ def _newton_free(op, p, v0, free, quad_mass, quad_target, energy_scale,
             except sla.LinAlgError as exc:
                 raise SingularSystem(f"majorizer system is singular: {exc}") from exc
             step = -sla.cho_solve(factor, gfree)
-            cand, fcand = moved(step)
-            if fcand <= f + fnoise:
-                found = (cand, fcand, None, None)
+            cand = moved(step)
+            if cand[1] <= f + fnoise:
+                found = cand
                 den = 0.0 if prev_step is None else float(np.linalg.norm(prev_step))
                 rho = float(np.linalg.norm(step)) / den if den > 0.0 else 1.0
                 if 0.05 < rho < 0.995:
-                    jump, fjump = moved(step / (1.0 - rho))
-                    if fjump <= fcand:
-                        found, step = (jump, fjump, None, None), None
+                    jump = moved(step / (1.0 - rho))
+                    if jump[1] <= cand[1]:
+                        found, step = jump, None
                 prev_step = step
         else:
             hess = _accel.hessian_accumulate(op.act_rows, op.act_cols, op.act_coef, v, p,
@@ -237,25 +257,23 @@ def _newton_free(op, p, v0, free, quad_mass, quad_target, energy_scale,
                 except sla.LinAlgError:
                     lam = max(10.0 * lam, 1e-10)
                     continue
-                cand, fcand = moved(step)
-                if fcand <= f + 1e-4 * np.dot(gfree, step):
-                    found = (cand, fcand, None, None)
+                cand = moved(step)
+                if cand[1] <= f + 1e-4 * np.dot(gfree, step):
+                    found = cand
                     break
-                if abs(fcand - f) <= fnoise:
-                    # energy differences are below roundoff here; judge the
-                    # step by the stationarity residual instead
-                    gcand, rcand = grads(cand)
-                    if np.max(np.abs(rcand[free]), initial=0.0) <= 0.9 * resid_sup:
-                        found = (cand, fcand, gcand, rcand)
-                        break
+                # energy differences below roundoff: judge the step by the
+                # stationarity residual instead
+                if (abs(cand[1] - f) <= fnoise
+                        and np.max(np.abs(cand[3][free]), initial=0.0) <= 0.9 * resid_sup):
+                    found = cand
+                    break
                 lam = max(10.0 * lam, 1e-8)
             lam *= 0.33
             if lam < 1e-14:
                 lam = 0.0
         if found is None:
             break
-        v, f, gnew, rnew = found
-        grad, resid = grads(v) if gnew is None else (gnew, rnew)
+        v, f, grad, resid = found
     if converged(grad[free], resid[free]):
         return v, max_iter
     raise NoConvergence(f"no convergence in {max_iter} iterations", best=(v, f))

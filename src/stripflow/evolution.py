@@ -20,13 +20,12 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.integrate import cumulative_trapezoid
 
-from . import _accel
 from .analysis import (DIAG_COLUMNS, _lp_norm, lq_distance_to_mean, mass,
                        schur_complement)
-from .elliptic import (StripField, energy_values, eps_for, _extended_values,
-                       _interior_start, _newton_free)
+from .elliptic import (StripField, _extended_values, _interior_start, _newton_free,
+                       _pairing, _strip_flux)
 from .errors import (InvalidArgument, NoContraction, SingularSystem, SolverError)
-from .kernels import EXCLUDE_STRIP_STRIP, FULL, SINGULAR, strip_edges
+from .kernels import EXCLUDE_STRIP_STRIP, FULL, SINGULAR
 
 LINEAR = "linear"
 LINEAR_FULL = "linear-full"
@@ -114,16 +113,8 @@ def check_compatible(op, spec):
     check_kernel(op.spec, spec)
 
 
-def _strip_flux(op, spec, full):
-    """Per strip node x, sum_y W[x][y] phi_p(full[y] - full[x]) over its
-    active edges: the strip rows' coefficient sums divided by mu[x]."""
-    rows, cols, coef = strip_edges(op)
-    sums = _accel.phi_row_sums(rows, cols, coef, full, spec.p, eps_for(spec.p), op.n)
-    return sums[op.strip_idx] / op.grid.mu[op.strip_idx]
-
-
 def _rhs_values(op, spec, uv):
-    return _strip_flux(op, spec, _extended_values(op, uv, spec.p))
+    return _strip_flux(op, _extended_values(op, uv, spec.p), spec.p)
 
 
 def rhs(op, spec, u):
@@ -215,7 +206,7 @@ def step_implicit(op, spec, u, dt, tol=1e-10, max_iter=60):
     return StripField(out, op.grid)
 
 
-def _diag_row(op, spec, uv, full):
+def _diag_row(op, spec, uv, flux):
     u = StripField(uv, op.grid)
     return np.array([
         mass(op.grid, u),
@@ -224,7 +215,7 @@ def _diag_row(op, spec, uv, full):
         lq_distance_to_mean(op.grid, u, spec.p),
         lq_distance_to_mean(op.grid, u, spec.q),
         lq_distance_to_mean(op.grid, u, np.inf),
-        energy_values(op, full, spec.p),
+        _pairing(op.grid.mu[op.strip_idx], uv, flux, spec.p),
     ])
 
 
@@ -234,7 +225,8 @@ def evolve(op, spec, u0, t_end, dt, integrator=EXPLICIT, tol=1e-10, max_iter=60)
     dt must divide t_end within 1e-9. u0 is extended once; each step of
     either integrator then starts its interior solve from the previous
     extended state. Diagnostics (mass, distances to the weighted mean, edge
-    energy of the extended state) are recorded at every time. On a solver
+    energy of the extended state) are recorded at every time; the energy is
+    read off the strip flux that also drives the explicit step. On a solver
     failure mid-run the raised error carries the partial trajectory in its
     ``partial`` attribute.
     """
@@ -261,14 +253,15 @@ def evolve(op, spec, u0, t_end, dt, integrator=EXPLICIT, tol=1e-10, max_iter=60)
     try:
         full = _extended_values(op, uv, spec.p)
         for k in range(nsteps + 1):
+            flux = _strip_flux(op, full, spec.p)
             states[k] = uv
-            diag[k] = _diag_row(op, spec, uv, full)
+            diag[k] = _diag_row(op, spec, uv, flux)
             complete = k + 1
             if k == nsteps:
                 break
             warm = full[op.interior_idx] if op.n_interior > 0 else None
             if integrator == EXPLICIT:
-                uv = uv + dt * _strip_flux(op, spec, full)
+                uv = uv + dt * flux
                 full = _extended_values(op, uv, spec.p, warm)
             else:
                 uv, full = _step_implicit_values(op, spec, uv, dt, tol, max_iter, warm)
@@ -312,8 +305,7 @@ def picard_solve(op, spec, u0, window, nt=11, tol=1e-10, max_iter=50):
         if delta <= tol:
             diag = np.empty((nt, len(DIAG_COLUMNS)))
             for k in range(nt):
-                full = _extended_values(op, u_iter[k], spec.p)
-                diag[k] = _diag_row(op, spec, u_iter[k], full)
+                diag[k] = _diag_row(op, spec, u_iter[k], _rhs_values(op, spec, u_iter[k]))
             return Trajectory(times, u_iter, diag, op.grid)
         if not np.all(np.isfinite(u_iter)) or delta > 1e100:
             break

@@ -40,10 +40,6 @@ class FullField:
             raise InvalidArgument("field values must be finite")
         object.__setattr__(self, "values", v)
 
-    def on_strip(self):
-        """Restriction to the strip nodes."""
-        return StripField(self.values[self.grid.klass == STRIP], self.grid)
-
 
 @dataclass(frozen=True)
 class EnergyReport:

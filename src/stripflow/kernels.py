@@ -92,12 +92,20 @@ def singular_kernel(s, p, dim, cnorm=1.0):
 
 
 def _values_from_distance(spec, d):
-    """Kernel values at the given |z| array. Caller keeps d > 0 for Singular."""
+    """Kernel values at the given |z| array, written over d and returned, so
+    assembly needs no second n x n array. Caller keeps d > 0 for Singular."""
     if spec.family == TENT:
-        return spec.cnorm * np.maximum(spec.R - d, 0.0)
-    if spec.family == BUMP:
-        return spec.cnorm * np.maximum(spec.R**2 - d * d, 0.0) ** 2
-    return spec.cnorm * d ** (-(spec.dim + spec.p * spec.s))
+        np.subtract(spec.R, d, out=d)
+        np.maximum(d, 0.0, out=d)
+    elif spec.family == BUMP:
+        np.multiply(d, d, out=d)
+        np.subtract(spec.R**2, d, out=d)
+        np.maximum(d, 0.0, out=d)
+        np.multiply(d, d, out=d)
+    else:
+        np.power(d, -(spec.dim + spec.p * spec.s), out=d)
+    d *= spec.cnorm
+    return d
 
 
 def eval_kernel(spec, z):

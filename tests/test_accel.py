@@ -39,15 +39,6 @@ def test_phi_row_sums_by_hand():
     assert out[1] == 5.0 * -4.0
 
 
-def test_edge_power_sum_by_hand():
-    rows = np.array([0, 0], dtype=np.int64)
-    cols = np.array([1, 2], dtype=np.int64)
-    data = np.array([1.0, 0.5])
-    vals = np.array([0.0, 2.0, -1.0])
-    assert A.edge_power_sum(rows, cols, data, vals, 2.0) == 4.0 + 0.5
-    assert A.edge_power_sum(rows, cols, data, vals, 3.0) == 8.0 + 0.5
-
-
 def test_hessian_accumulate_by_hand():
     rows = np.array([0, 1], dtype=np.int64)
     cols = np.array([1, 0], dtype=np.int64)
@@ -70,7 +61,6 @@ def test_zero_differences_are_finite(p, eps):
     vals = np.zeros(2)
     out = A.phi_row_sums(rows, cols, data, vals, p, eps, 2)
     assert np.isfinite(out).all() and out[0] == 0.0
-    assert A.edge_power_sum(rows, cols, data, vals, p) == 0.0
     hess = A.hessian_accumulate(rows, cols, data, vals, p, eps, np.arange(2))
     assert np.isfinite(hess).all()
 
@@ -81,7 +71,6 @@ def test_empty_edge_list():
     vals = np.ones(3)
     out = A.phi_row_sums(empty_i, empty_i, empty_f, vals, 3.0, 0.0, 3)
     assert np.array_equal(out, np.zeros(3))
-    assert A.edge_power_sum(empty_i, empty_i, empty_f, vals, 3.0) == 0.0
 
 
 def test_within_backend_bitwise_repeatable():
@@ -89,9 +78,6 @@ def test_within_backend_bitwise_repeatable():
     n = vals.shape[0]
     args = (rows, cols, data, vals, 1.5, 1e-10, n)
     assert np.array_equal(A.phi_row_sums(*args), A.phi_row_sums(*args))
-    p1 = A.edge_power_sum(rows, cols, data, vals, 3.0)
-    p2 = A.edge_power_sum(rows, cols, data, vals, 3.0)
-    assert p1 == p2
 
 
 @pytest.mark.parametrize("p,eps", CASES)
@@ -105,16 +91,6 @@ def test_in_place_kernels_match_the_plain_formulas(op2d, p, eps):
         want = np.bincount(rows, weights=data * A._phi(vals[cols] - vals[rows], p, eps),
                            minlength=n)
         assert np.array_equal(A.phi_row_sums(rows, cols, data, vals, p, eps, n), want)
-        d = vals[cols] - vals[rows]
-        if p == 2.0:
-            terms = d * d
-        elif p == 3.0:
-            terms = d * d * np.abs(d)
-        elif p == 4.0:
-            terms = (d * d) * (d * d)
-        else:
-            terms = np.abs(d) ** p
-        assert A.edge_power_sum(rows, cols, data, vals, p) == float(np.dot(data, terms))
 
 
 def free_sets(op):

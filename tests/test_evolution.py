@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import stripflow as sf
-from stripflow import evolution
+from stripflow import _accel, evolution
+from stripflow.elliptic import EXT_TOL
 from stripflow.errors import InvalidArgument, NoContraction, SingularSystem, SolverError
 from stripflow.evolution import (LINEAR, LINEAR_FULL, PLAPLACE, PLAPLACE_FULL,
                                  SINGULAR_VARIANT, _step_implicit_values)
-from stripflow.kernels import laplacian_dense
+from stripflow.kernels import laplacian_dense, strip_edges
 
 from conftest import make_op
 
@@ -121,6 +122,55 @@ def test_evolve_trajectory_layout(toy3_op):
     assert traj.diag[k, 0] == pytest.approx(sf.mass(toy3_op.grid, u), abs=1e-15)
     assert traj.diag[k, 2] == pytest.approx(
         sf.lq_distance_to_mean(toy3_op.grid, u, 2.0), abs=1e-15)
+
+
+def test_energy_column_is_the_energy_of_the_extended_state(toy3_op, op16, op2d, sing16):
+    # the column pairs the strip flux alone, (1/p) sum_S mu (c - u) flux: it
+    # drops the interior rows of Euler's identity, which vanish up to the
+    # gate the state was solved to. An extension's W-unit balance is within
+    # its gate of 0 on the interior; an implicit p != 2 state's gradient,
+    # dt times the coefficient row sums there, is within tol = 1e-10
+    rng = np.random.default_rng(17)
+    cases = [(toy3_op, LIN), (op16, LIN), (op2d, LIN),
+             (sing16(2.0), sf.ProblemSpec(SINGULAR_VARIANT)),
+             (toy3_op, sf.ProblemSpec(PLAPLACE, p=4.0)), (op16, P3),
+             (op2d, sf.ProblemSpec(PLAPLACE, p=4.0)),
+             (sing16(3.0), sf.ProblemSpec(SINGULAR_VARIANT, p=3.0))]
+    for op, spec in cases:
+        p = spec.p
+        mu_i = op.grid.mu[op.interior_idx]
+        u0 = sf.StripField(rng.standard_normal(op.n_strip), op.grid)
+        for integrator, dt in ((sf.EXPLICIT, 0.4 * sf.stability_bound(op)),
+                               (sf.IMPLICIT, 0.1)):
+            traj = sf.evolve(op, spec, u0, 5.0 * dt, dt, integrator)
+            for uv, col in zip(traj.states, traj.diag[:, 6]):
+                want = sf.energy(op, sf.extend(op, uv, p, tol=EXT_TOL), p)
+                osc = np.ptp(uv)
+                if p == 2.0 or integrator == sf.EXPLICIT:
+                    gate = (1e-10 if p == 2.0 else EXT_TOL) * (1.0 + np.max(np.abs(uv)))
+                    slack = osc * np.sum(mu_i) * gate / p
+                else:
+                    slack = osc * op.n_interior * 1e-10 / (p * dt)
+                assert abs(col - want) <= slack + 1e-12 * want
+
+
+@pytest.mark.parametrize("integrator", [sf.EXPLICIT, sf.IMPLICIT])
+def test_evolve_makes_one_strip_pass_per_state(op2d, integrator, monkeypatch):
+    # one strip flux per state gives its energy and the explicit step; no
+    # pass over the whole edge list is made for the diagnostics
+    real = _accel.phi_row_sums
+    passes = []
+
+    def recording(rows, *args):
+        passes.append(rows)
+        return real(rows, *args)
+    monkeypatch.setattr(_accel, "phi_row_sums", recording)
+    u0 = sf.StripField(np.random.default_rng(18).standard_normal(op2d.n_strip), op2d.grid)
+    dt = 0.4 * sf.stability_bound(op2d)
+    sf.evolve(op2d, LIN, u0, 5.0 * dt, dt, integrator)
+    assert len(passes) == 6
+    strip_rows = strip_edges(op2d)[0]
+    assert all(np.array_equal(rows, strip_rows) for rows in passes)
 
 
 def test_evolve_mass_column(toy3_op):

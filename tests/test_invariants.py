@@ -1,6 +1,7 @@
 """Structural invariants of the discrete problems on randomly drawn small
 problems: reciprocity of the stored coefficients, the edge energy's
-gradient on constants and in total, the extension's constants and maximum
+gradient on constants and in total, the energy as the pairing of the
+balance (Euler's identity), the extension's constants and maximum
 principle, and mass conservation, L1(mu) nonexpansiveness and order
 preservation of the steps.
 
@@ -8,6 +9,7 @@ Draws are derandomized and no example database is written, so every run
 checks the same problems.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +80,20 @@ def test_coefficients_and_gradient(prob):
     assert not np.any(sf.energy_gradient(op, np.full(op.n, c), p).values)
     grad = sf.energy_gradient(op, prob.rng.uniform(-1.0, 1.0, op.n), p).values
     assert abs(np.sum(grad)) <= 1e-13 * np.sum(np.abs(grad))
+
+
+@CHECKS
+@given(problems(), st.sampled_from([0.0, 100.0]))
+def test_energy_matches_the_direct_edge_sum(prob, offset):
+    op = prob.op
+    v = prob.rng.uniform(-1.0, 1.0, op.n) + offset
+    d = v[op.act_cols] - v[op.act_rows]
+    const = np.full(op.n, prob.rng.uniform(-5.0, 5.0))
+    for p in (1.5, 2.0, 3.0, 4.0):
+        direct = np.sum(op.act_coef * np.abs(d) ** p) / (2.0 * p)
+        assert abs(sf.energy(op, v, p) - direct) <= 1e-14 * direct
+        zero = sf.energy(op, const, p)
+        assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
 
 
 @CHECKS

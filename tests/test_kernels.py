@@ -133,8 +133,9 @@ def test_edge_arrays_are_contiguous(toy3_op, op16, op2d, sing16):
 
 
 def test_assembly_keeps_no_dense_weight_matrix():
-    # the distances and the kernel values are the n x n arrays assembly needs;
-    # a dense W beside them, or index copies of it, would add to the peak
+    # the distances, overwritten by the kernel values, are the one n x n float
+    # array assembly needs; a second one, a dense W, or index copies would add
+    # to the peak
     grid = sf.build_grid(BOX2, 1.0 / 32.0, 0.125)
     tracemalloc.start()
     try:
@@ -142,7 +143,7 @@ def test_assembly_keeps_no_dense_weight_matrix():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * 8 * grid.n ** 2
+    assert peak < 2.0 * 8 * grid.n ** 2
 
 
 def test_no_self_edges(op16, op16_full, op2d):

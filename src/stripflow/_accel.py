@@ -6,12 +6,14 @@ every summation below runs in that fixed order, so results are
 reproducible bit-for-bit. phi_row_sums is the one edge pass over node
 values: every balance, flux, gradient and energy is read off its row sums
 (divided by mu[x] for W units). laplacian_block is the one builder of a
-dense Laplacian block: L_II, L_SS, the Newton Hessian, the majoriser
-matrix and the test oracle laplacian_dense all come from it, each given
-only its free nodes.
+dense Laplacian block: L_II, L_SS, the majoriser matrix and the test
+oracle laplacian_dense all come from it, each given only its free nodes.
+The Newton Hessian is never dense: hessian_accumulate returns its diagonal
+and a sparse matvec, and pcg solves with them.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def _phi(d, p, eps):
@@ -84,10 +86,58 @@ def laplacian_block(rows, cols, w, free, scale=1.0, shift=None):
 
 
 def hessian_accumulate(rows, cols, data, vals, p, eps, free, scale=1.0, shift=None):
-    """laplacian_block of the edge weights data * phi_p'(vals[row] - vals[col]),
-    the Hessian of scale times the edge energy at vals, plus diag(shift)."""
-    return laplacian_block(rows, cols, data * _psi(vals[rows] - vals[cols], p, eps),
-                           free, scale, shift)
+    """(diag, matvec) on the free nodes of what laplacian_block would write
+    for the edge weights data * phi_p'(vals[row] - vals[col]): the Hessian of
+    scale times the edge energy at vals, plus diag(shift). The weights fill a
+    CSR matrix as they are, since the edges are lexicographic; pinned nodes
+    enter its products as zeros."""
+    n = vals.shape[0]
+    w = _psi(vals[rows] - vals[cols], p, eps)
+    w *= data
+    adj = sp.csr_matrix((w, cols, np.searchsorted(rows, np.arange(n + 1))), shape=(n, n))
+    # each row summed in edge order, as laplacian_block's bincount does
+    diag = (adj @ np.ones(n))[free]
+    diag *= scale
+    if shift is not None:
+        diag += shift
+    full = np.zeros(n)
+
+    def matvec(x):
+        full[free] = x
+        out = adj @ full
+        return diag * x - scale * out[free]
+
+    return diag, matvec
+
+
+def pcg(matvec, diag, b, rtol):
+    """Jacobi-preconditioned CG for A x = b from x = 0, A symmetric with
+    diagonal diag and product matvec, until ||r|| <= rtol ||b|| or len(b)
+    iterations. Returns (x, iterations). Raises LinAlgError where A is not
+    positive definite: a diagonal entry or a curvature d^T A d <= 0."""
+    if not np.all(diag > 0.0):
+        raise np.linalg.LinAlgError("matrix has a non-positive diagonal entry")
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = r / diag
+    d = z.copy()
+    rz = np.dot(r, z)
+    stop = rtol * np.linalg.norm(b)
+    for it in range(b.shape[0]):
+        if np.linalg.norm(r) <= stop:
+            return x, it
+        ad = matvec(d)
+        curv = np.dot(d, ad)
+        if not curv > 0.0:
+            raise np.linalg.LinAlgError("matrix is not positive definite")
+        alpha = rz / curv
+        x += alpha * d
+        r -= alpha * ad
+        np.divide(r, diag, out=z)
+        rz, rz_old = np.dot(r, z), rz
+        d *= rz / rz_old
+        d += z
+    return x, b.shape[0]
 
 
 def backend():

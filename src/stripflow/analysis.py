@@ -223,8 +223,8 @@ def estimate_beta_p(op, p, restarts=8, tol=1e-9, max_iter=2000, seed=0):
             gate = tol * (1.0 + np.max(np.abs(s / mu_s)))
             # <s, gv> = 1, so this scale minimizes the objective on the ray of v
             v0 = (v - v[pin]) * quot ** (-1.0 / (p - 1.0))
-            v, _ = _newton_free(op, p, v0, free, None, None, 1.0, 100,
-                                lambda g, r: np.max(np.abs(r)) <= gate, lin)
+            v = _newton_free(op, p, v0, free, None, None, 1.0, 100,
+                             lambda g, r: np.max(np.abs(r)) <= gate, lin).v
             v -= np.dot(mu_s, v[op.strip_idx]) / np.sum(mu_s)
             v /= _lp_norm(mu_s, v[op.strip_idx], p)
             gv = v[op.strip_idx]

@@ -6,17 +6,20 @@ system in the interior block L_II, solved with one Cholesky factor of L_II
 made per operator. For general p > 1 it is the Euler-Lagrange condition of
 a strictly convex edge energy, minimized by one descent loop that steps
 against the energy gradient with a curvature matrix chosen by p: the
-Levenberg-damped Newton Hessian for p >= 2, the tangent quadratic
-majoriser (reweighted least squares) for p < 2. The implicit p != 2 step
-and estimate_beta_p run the same loop. L_II, the Newton Hessian
-and the majoriser matrix are each written by _accel.laplacian_block from
-the whole edge list, given only the free nodes; L_IS is masked from it
-too. Balances are in W units, coefficient row sums over mu[x]. Energies
+Levenberg-damped Newton Hessian for p >= 2, solved inexactly by Jacobi-PCG
+on its sparse matvec (_accel.hessian_accumulate, _accel.pcg), and the
+tangent quadratic majoriser (reweighted least squares) for p < 2, factored
+densely. The implicit p != 2 step and estimate_beta_p run the same loop.
+L_II and the majoriser matrix are each written by _accel.laplacian_block
+from the whole edge list, given only the free nodes; L_IS is masked from
+it too. Balances are in W units, coefficient row sums over mu[x]. Energies
 come from the same row sums by Euler's identity: E_p is p-homogeneous, the
 coefficients symmetric and phi_p odd, so for the balance r of any v and any
 constant c, E_p(v) = (1/p) <mu (c - v), r>. An extended state's interior
 rows vanish, so its energy pairs the strip flux alone.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -157,6 +160,15 @@ def _interior_start(op, gv):
     return gv[0] + np.dot(mu_s, gv - gv[0]) / np.sum(mu_s)
 
 
+class NewtonResult(NamedTuple):
+    """_newton_free's last point, its F and residual, and the iterations."""
+    v: np.ndarray
+    f: float
+    resid: np.ndarray
+    iterations: int
+    cg_iterations: int
+
+
 def _newton_free(op, p, v0, free, quad_mass, quad_target, energy_scale,
                  max_iter, converged, lin=None):
     """Minimize F(v) = energy_scale * (E_p(v) - <lin, v>) + quadratic penalty
@@ -171,7 +183,10 @@ def _newton_free(op, p, v0, free, quad_mass, quad_target, energy_scale,
     One descent loop serves every p: each pass steps v[free] -= M^-1 grad[free]
     and only the curvature matrix M depends on p. For p >= 2, M is the
     Hessian with adaptive Levenberg damping (the plain Hessian degenerates
-    wherever neighboring values coincide). For p < 2 Newton overshoots the
+    wherever neighboring values coincide), never formed: Jacobi-PCG solves
+    with its matvec until ||r|| <= eta ||grad[free]||, eta = min(0.1,
+    sqrt(||grad[free]||)), and a damping too small shows as a non-positive
+    diagonal or curvature, which raises lambda. For p < 2 Newton overshoots the
     creases of the nearly nonsmooth landscape, so M is the quadratic majorizer
     tangent to F at v, with reweighted edge coefficients (d^2 + eps^2)^((p-2)/2);
     the step lands on its minimizer and descends monotonically. Those plain
@@ -181,10 +196,10 @@ def _newton_free(op, p, v0, free, quad_mass, quad_target, energy_scale,
     residual from one evaluation: one phi_row_sums pass at p >= 2, where F
     pairs the residual, and two at p < 2, whose gradient alone is regularized.
     `converged(grad_free, resid_free)` decides termination. Returns the
-    minimizer and the iterations taken. Raises
-    NoConvergence carrying the last iterate and its F when the budget runs
-    out (every accepted step lowers F, up to roundoff), and SingularSystem
-    at once when a majorizer factor fails.
+    NewtonResult of the minimizer. Raises NoConvergence carrying the
+    NewtonResult of the last iterate when the budget runs out (every
+    accepted step lowers F, up to roundoff), and SingularSystem at once
+    when a majorizer factor fails.
     """
     eps = eps_for(p)
     v = v0.copy()
@@ -221,9 +236,10 @@ def _newton_free(op, p, v0, free, quad_mass, quad_target, energy_scale,
     f, grad, resid = evaluate(v)
     lam = 0.0
     prev_step = None
+    cg_iters = 0
     for it in range(max_iter):
         if converged(grad[free], resid[free]):
-            return v, it
+            return NewtonResult(v, f, resid, it, cg_iters)
         gfree = grad[free]
         fnoise = 1e-12 * (1.0 + abs(f))
         found = None
@@ -244,19 +260,23 @@ def _newton_free(op, p, v0, free, quad_mass, quad_target, energy_scale,
                         found, step = jump, None
                 prev_step = step
         else:
-            hess = _accel.hessian_accumulate(op.act_rows, op.act_cols, op.act_coef, v, p,
-                                             eps, free, energy_scale, qf)
-            dscale = max(np.trace(hess) / hess.shape[0], 1e-30)
+            diag, hess = _accel.hessian_accumulate(op.act_rows, op.act_cols, op.act_coef, v,
+                                                   p, eps, free, energy_scale, qf)
+            dscale = max(np.mean(diag), 1e-30)
             resid_sup = np.max(np.abs(resid[free]), initial=0.0)
+            # inexact Newton: the forcing term shrinks with the gradient
+            # (Eisenstat and Walker, SIAM J. Sci. Comput. 17(1), 1996)
+            forcing = min(0.1, np.sqrt(np.linalg.norm(gfree)))
             for _ in range(40):
-                # the factor overwrites its input, and hess serves every attempt
-                shifted = hess.copy(order="F")
-                shifted[np.diag_indices_from(shifted)] += lam * dscale
+                shift = lam * dscale
                 try:
-                    step = -sla.cho_solve(sla.cho_factor(shifted, overwrite_a=True), gfree)
+                    sol, its = _accel.pcg(lambda x: hess(x) + shift * x, diag + shift,
+                                          gfree, forcing)
                 except sla.LinAlgError:
                     lam = max(10.0 * lam, 1e-10)
                     continue
+                cg_iters += its
+                step = -sol
                 cand = moved(step)
                 if cand[1] <= f + 1e-4 * np.dot(gfree, step):
                     found = cand
@@ -274,9 +294,10 @@ def _newton_free(op, p, v0, free, quad_mass, quad_target, energy_scale,
         if found is None:
             break
         v, f, grad, resid = found
+    last = NewtonResult(v, f, resid, max_iter, cg_iters)
     if converged(grad[free], resid[free]):
-        return v, max_iter
-    raise NoConvergence(f"no convergence in {max_iter} iterations", best=(v, f))
+        return last
+    raise NoConvergence(f"no convergence in {max_iter} iterations", best=last)
 
 
 def extend_plaplace(op, g, p, tol=1e-10, max_iter=100, x0=None):
@@ -305,22 +326,22 @@ def extend_plaplace(op, g, p, tol=1e-10, max_iter=100, x0=None):
     def converged(grad_free, resid_free):
         return np.max(np.abs(resid_free), initial=0.0) <= scale
 
-    def report(v, iterations, done):
-        return EnergyReport(
-            energy=float(energy_values(op, v, p)),
-            grad_norm=interior_residual(op, v, p),
-            iterations=iterations,
+    def report(res, done):
+        # with free = interior, no lin and no penalty, F and the residual of
+        # the last evaluation are energy_values and the interior_residual balance
+        return FullField(res.v, op.grid), EnergyReport(
+            energy=res.f,
+            grad_norm=float(np.max(np.abs(res.resid[op.interior_idx]))),
+            iterations=res.iterations,
             converged=done,
+            cg_iterations=res.cg_iterations,
         )
 
     try:
-        v, iters = _newton_free(op, p, v0, op.interior_idx, None, None, 1.0,
-                                   max_iter, converged)
+        res = _newton_free(op, p, v0, op.interior_idx, None, None, 1.0, max_iter, converged)
     except NoConvergence as exc:
-        last, _ = exc.best
-        raise NoConvergence(str(exc), best=(FullField(last, op.grid),
-                                            report(last, max_iter, False))) from None
-    return FullField(v, op.grid), report(v, iters, True)
+        raise NoConvergence(str(exc), best=report(exc.best, False)) from None
+    return report(res, True)
 
 
 def extend(op, g, p, tol=1e-10, max_iter=100, x0=None):

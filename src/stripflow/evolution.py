@@ -185,8 +185,7 @@ def _step_implicit_values(op, spec, uv, dt, tol, max_iter, warm):
         return (np.max(np.abs(grad_free), initial=0.0) <= tol
                 and abs(np.sum(grad_free)) <= tol)
 
-    v, _ = _newton_free(op, spec.p, v0, free, quad, target, dt,
-                           max_iter, converged)
+    v = _newton_free(op, spec.p, v0, free, quad, target, dt, max_iter, converged).v
     return v[op.strip_idx], v
 
 

@@ -43,9 +43,11 @@ class FullField:
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Outcome of a variational solve."""
+    """Outcome of a variational solve. cg_iterations sums the PCG iterations
+    of the Newton steps; the linear and majoriser paths make none."""
 
     energy: float
     grad_norm: float
     iterations: int
     converged: bool
+    cg_iterations: int = 0

@@ -296,8 +296,8 @@ def test_warm_start_is_cheap(op16):
 
 
 def test_plaplace_extension_allocates_no_full_matrix():
-    # the Newton Hessian is written on the 256 interior nodes only; one full
-    # n x n matrix alone takes 8 n^2 bytes. Nothing edge-sized is cached on
+    # the Newton Hessian is a sparse operator on the 256 interior nodes; one
+    # full n x n matrix alone takes 8 n^2 bytes. Nothing edge-sized is cached on
     # the operator either: a copy of the interior edges would stay behind
     op = make_op(1.0 / 32.0, 0.25, sf.tent_kernel(0.25, 2), dim=2)
     assert (op.n, op.n_interior) == (1024, 256)
@@ -339,6 +339,26 @@ def test_no_convergence_carries_best(op16):
     assert report.iterations == 1
     np.testing.assert_array_equal(field.values[op16.strip_idx], g.values)
     assert np.isfinite(field.values).all()
+
+
+@pytest.mark.parametrize("p", [1.5, 2.5, 3.0, 4.0])
+def test_extension_report_is_the_last_evaluation(op16, op2d, p):
+    # the report reuses the F and the residual of the loop's last point; with
+    # the strip pinned they are the energy and the gated interior balance
+    rng = np.random.default_rng(23)
+    for op in (op16, op2d):
+        g = sf.StripField(rng.standard_normal(op.n_strip), op.grid)
+        field, report = extend_plaplace(op, g, p)
+        assert report.converged
+        assert report.energy == sf.energy(op, field, p)
+        assert report.grad_norm == sf.interior_residual(op, field, p)
+        # PCG runs on the Newton path only, not on the majoriser's
+        assert (report.cg_iterations > 0) == (p > 2.0)
+        with pytest.raises(NoConvergence) as info:
+            extend_plaplace(op, g, p, tol=1e-15, max_iter=1)
+        field, report = info.value.best
+        assert report.energy == sf.energy(op, field, p)
+        assert report.grad_norm == sf.interior_residual(op, field, p)
 
 
 def test_bad_exponent(op16):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import stripflow as sf
 from stripflow import _accel, evolution
@@ -399,3 +400,42 @@ def test_implicit_cache_keeps_one_strip_factor():
     assert op.n_strip != op.n_interior
     # S itself plus the factor of M + dt S for the last dt only
     assert _square_arrays(list(op._cache.values()), op.n_strip) == 2
+
+
+def test_implicit_p3_step_from_a_constant_interior(op2d, monkeypatch):
+    # the constant interior start leaves every deep interior node, all of whose
+    # neighbours are interior, with an all-zero Hessian row at p = 3: PCG
+    # signals it, the Levenberg shift takes over and the step still converges
+    signals = []
+    real = _accel.pcg
+
+    def recording(*args, **kwargs):
+        try:
+            return real(*args, **kwargs)
+        except np.linalg.LinAlgError:
+            signals.append(None)
+            raise
+    monkeypatch.setattr(_accel, "pcg", recording)
+    uv = np.random.default_rng(31).standard_normal(op2d.n_strip)
+    dt, tol = 0.5, 1e-10
+    out, full = _step_implicit_values(op2d, P3, uv, dt, tol, 60, None)
+    assert signals
+    mu_s = op2d.grid.mu[op2d.strip_idx]
+    grad = dt * sf.energy_gradient(op2d, full, 3.0).values
+    grad[op2d.strip_idx] += mu_s * (out - uv)
+    # the step's own gate, recomputed in another order of operations
+    assert np.max(np.abs(grad)) <= 1.01 * tol
+    np.testing.assert_array_equal(out, full[op2d.strip_idx])
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+def test_implicit_evolve_makes_no_dense_factorisation(op16, op2d, p, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("p >= 2 Newton steps solve with PCG, not Cholesky")
+    monkeypatch.setattr(sla, "cho_factor", refuse)
+    monkeypatch.setattr(sla, "cho_solve", refuse)
+    rng = np.random.default_rng(32)
+    for op in (op16, op2d):
+        g = sf.StripField(rng.standard_normal(op.n_strip), op.grid)
+        traj = sf.evolve(op, sf.ProblemSpec(PLAPLACE, p=p), g, 1.0, 0.25, sf.IMPLICIT)
+        assert np.isfinite(traj.states).all()

@@ -46,13 +46,13 @@ class Problem:
 @st.composite
 def problems(draw):
     """A grid, a kernel, an edge mode and a variant: dim 1 or 2, h = 1/m,
-    k strip layers (r = k h), R >= r, p in {2, 3}."""
+    k strip layers (r = k h), R >= r, p in {2, 2.5, 3, 4}."""
     dim = draw(st.sampled_from([1, 2]))
     m = draw(st.integers(8, 40) if dim == 1 else st.integers(6, 14))
     h = 1.0 / m
     k = draw(st.integers(1, (m - 1) // 2))
     r = k * h
-    p = draw(st.sampled_from([2.0, 3.0]))
+    p = draw(st.sampled_from([2.0, 2.5, 3.0, 4.0]))
     family = draw(st.sampled_from([sf.TENT, sf.BUMP, sf.SINGULAR]))
     full = draw(st.booleans()) and family != sf.SINGULAR
     if family == sf.SINGULAR:

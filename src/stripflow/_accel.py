@@ -5,11 +5,12 @@ data the symmetric coefficients mu[x] W[x][y] or a reweighting of them;
 every summation below runs in that fixed order, so results are
 reproducible bit-for-bit. phi_row_sums is the one edge pass over node
 values: every balance, flux, gradient and energy is read off its row sums
-(divided by mu[x] for W units). laplacian_block is the one builder of a
-dense Laplacian block: L_II, L_SS, the majoriser matrix and the test
-oracle laplacian_dense all come from it, each given only its free nodes.
-The Newton Hessian is never dense: hessian_accumulate returns its diagonal
-and a sparse matvec, and pcg solves with them.
+(divided by mu[x] for W units). adjacency is the CSR form of an edge list,
+built without a sort, and every Laplacian block is cut from it by scipy row
+and column indexing: laplacian_block writes L_SS, the majoriser matrix and
+the test oracle laplacian_dense densely. The Newton Hessian is never dense:
+hessian_accumulate returns its diagonal and a sparse matvec, and pcg solves
+with them.
 """
 
 import numpy as np
@@ -61,25 +62,26 @@ def phi_row_sums(rows, cols, data, vals, p, eps, nrows):
     return np.bincount(rows, weights=contrib, minlength=nrows)
 
 
+def adjacency(rows, cols, w, n):
+    """The n x n CSR matrix with w at the lexicographic edges (rows, cols),
+    which are its arrays as they stand: no sort and no copy of w."""
+    return sp.csr_matrix((w, cols, np.searchsorted(rows, np.arange(n + 1))), shape=(n, n))
+
+
 def laplacian_block(rows, cols, w, free, scale=1.0, shift=None):
     """scale * L[free, free] + diag(shift) for the Laplacian L of the edges
     (rows, cols, w), lexicographic over all nodes: the full row sums of w
     on the diagonal, -w at each edge whose two ends are free. free lists
-    the free nodes in ascending order; when it holds every node nothing is
-    masked. The edge set must be symmetric (reciprocity), so no column
-    index exceeds the largest row index. The array is Fortran-ordered, so
-    cho_factor(..., overwrite_a=True) factors it in place. Every dense
-    Laplacian block is built here."""
-    sums = np.bincount(rows, weights=w, minlength=free[-1] + 1)
-    if free.shape[0] < sums.shape[0]:
-        is_free = np.zeros(sums.shape[0], dtype=bool)
-        is_free[free] = True
-        keep = is_free[rows] & is_free[cols]
-        local = np.cumsum(is_free) - 1  # a free node's index among the free nodes
-        rows, cols, w, sums = local[rows[keep]], local[cols[keep]], w[keep], sums[free]
-    out = np.zeros((free.shape[0],) * 2, order="F")
-    # an edge pair is unique and off the diagonal, so plain stores suffice
-    out[rows, cols] = w * -scale
+    the free nodes in ascending order. The edge set must be symmetric
+    (reciprocity), so no column index exceeds the largest row index. The
+    array is Fortran-ordered, so cho_factor(..., overwrite_a=True) factors
+    it in place."""
+    adj = adjacency(rows, cols, w, max(rows[-1], free[-1]) + 1)
+    block = adj[free][:, free]
+    # the cut is a copy; scaling its stored entries keeps the zeros +0.0
+    block.data *= -scale
+    out = block.toarray(order="F")
+    sums = (adj @ np.ones(adj.shape[0]))[free]
     sums *= scale
     np.fill_diagonal(out, sums if shift is None else sums + shift)
     return out
@@ -88,14 +90,14 @@ def laplacian_block(rows, cols, w, free, scale=1.0, shift=None):
 def hessian_accumulate(rows, cols, data, vals, p, eps, free, scale=1.0, shift=None):
     """(diag, matvec) on the free nodes of what laplacian_block would write
     for the edge weights data * phi_p'(vals[row] - vals[col]): the Hessian of
-    scale times the edge energy at vals, plus diag(shift). The weights fill a
-    CSR matrix as they are, since the edges are lexicographic; pinned nodes
-    enter its products as zeros."""
+    scale times the edge energy at vals, plus diag(shift). Cutting it to the
+    free nodes would cost more than building it, once per Newton iteration,
+    so pinned nodes enter its products as zeros."""
     n = vals.shape[0]
     w = _psi(vals[rows] - vals[cols], p, eps)
     w *= data
-    adj = sp.csr_matrix((w, cols, np.searchsorted(rows, np.arange(n + 1))), shape=(n, n))
-    # each row summed in edge order, as laplacian_block's bincount does
+    adj = adjacency(rows, cols, w, n)
+    # each row summed in edge order, as every Laplacian diagonal is
     diag = (adj @ np.ones(n))[free]
     diag *= scale
     if shift is not None:

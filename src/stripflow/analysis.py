@@ -78,12 +78,11 @@ def _lp_norm(mu, vals, p):
 def schur_complement(op):
     """Strip-reduced matrix of the active-edge quadratic form.
 
-    Eliminates the interior block, S = L_SS - L_SI L_II^{-1} L_IS. L_SS
-    comes from _accel.laplacian_block, the builder of L_II too. With
-    L_II = U^T U from the Cholesky factor that the linear extension shares,
-    one triangular solve gives X = U^{-T} L_IS and S = L_SS - X^T X, whose
-    product is one symmetric rank-k update. Symmetric PSD, annihilates
-    constants; with no interior nodes it is the strip block.
+    Eliminates the interior block, S = L_SS - L_SI L_II^{-1} L_IS. With
+    L_II = U^T U from the Cholesky factor that the linear extension shares
+    (elliptic._interior), one triangular solve gives X = U^{-T} L_IS and
+    S = L_SS - X^T X, one symmetric rank-k update. Symmetric PSD,
+    annihilates constants; with no interior nodes it is the strip block.
     """
     if "schur" in op._cache:
         return op._cache["schur"]
@@ -169,6 +168,11 @@ def rayleigh_quotient(op, g, p):
     return numerator / denominator
 
 
+def isolated_strip_nodes(op):
+    """Strip positions of the strip nodes with no active edge (beta is 0)."""
+    return np.flatnonzero(op.deg_active[op.strip_idx] == 0.0)
+
+
 def _project_mean_zero(gv, mu_s):
     return gv - np.dot(mu_s, gv) / np.sum(mu_s)
 
@@ -196,7 +200,7 @@ def estimate_beta_p(op, p, restarts=8, tol=1e-9, max_iter=2000, seed=0):
     if op.n_strip < 2:
         raise TooFewStripNodes("gap needs at least two strip nodes")
     mu_s = op.grid.mu[op.strip_idx]
-    isolated = np.flatnonzero(op.deg_active[op.strip_idx] == 0.0)
+    isolated = isolated_strip_nodes(op)
     if isolated.shape[0]:
         gv = _project_mean_zero(np.arange(op.n_strip) == isolated[0], mu_s)
         mode_vals = _signed(gv / _lp_norm(mu_s, gv, p))

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import io as iox
 from .analysis import (DIAG_COLUMNS, EXPONENTIAL, POLYNOMIAL,
-                       counterexample_sequence, fit_decay, schur_complement,
-                       spectral_gap_beta, estimate_beta_p)
+                       counterexample_sequence, fit_decay, isolated_strip_nodes,
+                       schur_complement, spectral_gap_beta, estimate_beta_p)
 from .config import PICARD, build_geometry, build_problem, initial_field, load_config
 from .elliptic import energy, extend_with_report, interior_residual
 from .errors import SolverError, StripflowError
@@ -187,8 +187,8 @@ def beta_cmd(config_path, seed, quiet, out, restarts):
     if out is not None:
         iox.write_strip_csv(out, res.mode)
     if not quiet:
-        click.echo(f"beta: method={res.method} p={p:g} strip_nodes={op.n_strip}",
-                   err=True)
+        click.echo(f"beta: method={res.method} p={p:g} strip_nodes={op.n_strip} "
+                   f"isolated={isolated_strip_nodes(op).shape[0]}", err=True)
 
 
 @main.command("counterexample")
@@ -364,7 +364,7 @@ def validate_cmd(config_path, seed, quiet):
     # spectral gap; S annihilates the indicator of an isolated strip node
     with check("spectral gap") as report:
         beta = spectral_gap_beta(op).beta
-        isolated = int(np.count_nonzero(op.deg_active[op.strip_idx] == 0.0))
+        isolated = isolated_strip_nodes(op).shape[0]
         if isolated:
             report(beta <= 1e-12, f"near-zero gap expected ({isolated} isolated strip "
                                   f"nodes); beta={beta:.6e}")

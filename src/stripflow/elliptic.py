@@ -10,13 +10,13 @@ Levenberg-damped Newton Hessian for p >= 2, solved inexactly by Jacobi-PCG
 on its sparse matvec (_accel.hessian_accumulate, _accel.pcg), and the
 tangent quadratic majoriser (reweighted least squares) for p < 2, factored
 densely. The implicit p != 2 step and estimate_beta_p run the same loop.
-L_II and the majoriser matrix are each written by _accel.laplacian_block
-from the whole edge list, given only the free nodes; L_IS is masked from
-it too. Balances are in W units, coefficient row sums over mu[x]. Energies
-come from the same row sums by Euler's identity: E_p is p-homogeneous, the
-coefficients symmetric and phi_p odd, so for the balance r of any v and any
-constant c, E_p(v) = (1/p) <mu (c - v), r>. An extended state's interior
-rows vanish, so its energy pairs the strip flux alone.
+L_II and L_IS are cut from the edges' CSR adjacency (_accel.adjacency) by
+scipy indexing, the majoriser by _accel.laplacian_block. Balances are in W
+units, coefficient row sums over mu[x]. Energies come from the same row
+sums by Euler's identity: E_p is p-homogeneous, the coefficients symmetric
+and phi_p odd, so for the balance r of any v and any constant c,
+E_p(v) = (1/p) <mu (c - v), r>. An extended state's interior rows vanish,
+so its energy pairs the strip flux alone.
 """
 
 from typing import NamedTuple
@@ -28,7 +28,6 @@ import scipy.sparse as sp
 from . import _accel
 from .errors import EmptyInterior, NoConvergence, NonConvexExponent, SingularSystem
 from .fields import EnergyReport, FullField, StripField
-from .geometry import INTERIOR, STRIP
 from .kernels import strip_edges
 
 __all__ = [
@@ -105,24 +104,18 @@ def interior_residual(op, u, p):
 
 def _interior(op):
     """(L_II, its Cholesky factor, L_IS), made once per operator: the interior
-    rows of the symmetric Laplacian with edge coefficients mu[x] W[x][y].
-    L_II is dense, L_IS is CSR; the extension and S both solve with the factor."""
+    rows of the Laplacian of the coefficients mu[x] W[x][y], cut from their
+    CSR adjacency. L_II is written dense only to be factored in place."""
     if "interior" not in op._cache:
-        l_ii = _accel.laplacian_block(op.act_rows, op.act_cols, op.act_coef,
-                                      op.interior_idx)
+        rows = _accel.adjacency(op.act_rows, op.act_cols, op.act_coef, op.n)[op.interior_idx]
+        l_is = rows[:, op.strip_idx]
+        l_is.data *= -1.0
+        l_ii = sp.diags(rows @ np.ones(op.n)) - rows[:, op.interior_idx]
+        del rows  # so that the dense L_II, the peak, has only the two blocks beside it
         try:
-            factor = sla.cho_factor(l_ii)
+            factor = sla.cho_factor(l_ii.toarray(order="F"), overwrite_a=True)
         except sla.LinAlgError as exc:
             raise SingularSystem(f"interior system is singular: {exc}") from exc
-        klass = op.grid.klass
-        keep = (klass[op.act_rows] == INTERIOR) & (klass[op.act_cols] == STRIP)
-        coef = op.act_coef[keep]
-        # negated in place: one more edge-sized temporary raised the benchmark's
-        # peak RSS at 2D h = 1/64 from 600 to 643 MB (heap left fragmented)
-        l_is = sp.csr_matrix((np.negative(coef, out=coef),
-                              (np.searchsorted(op.interior_idx, op.act_rows[keep]),
-                               np.searchsorted(op.strip_idx, op.act_cols[keep]))),
-                             shape=(op.n_interior, op.n_strip))
         op._cache["interior"] = (l_ii, factor, l_is)
     return op._cache["interior"]
 

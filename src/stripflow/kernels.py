@@ -133,7 +133,7 @@ class NonlocalOperator:
     weight, minus the strip-strip pairs when edge_mode excludes them.
     Interior rows are identical in both modes. The lexicographic edge list
     with one symmetric coefficient per edge is the only stored form of the
-    edges: _accel.laplacian_block builds the dense blocks from it, and
+    edges: every Laplacian block is cut from its CSR adjacency, and
     strip_edges caches its strip rows. W[x][y] is act_coef / mu[x].
 
     Attributes

@@ -288,6 +288,15 @@ def test_validate_expects_no_gap_with_isolated_strip_nodes(runner, tmp_path):
     assert "6 checks, 0 failed" in res.stdout
 
 
+def test_beta_reports_isolated_strip_nodes(runner, tmp_path):
+    res = runner.invoke(main, ["beta", "--config", write_cfg(tmp_path, ISOLATED_CORNERS)])
+    assert res.exit_code == 0
+    assert "beta: method=schur-eig p=2 strip_nodes=624 isolated=4" in res.stderr
+    doc = dict(ISOLATED_CORNERS, r=0.15625)
+    res = runner.invoke(main, ["beta", "--config", write_cfg(tmp_path, doc)])
+    assert res.stderr.rstrip().endswith(" isolated=0")
+
+
 def test_validate_expects_a_gap_without_isolated_strip_nodes(runner, tmp_path):
     doc = dict(ISOLATED_CORNERS, r=0.15625)
     res = runner.invoke(main, ["validate", "--config", write_cfg(tmp_path, doc)])

@@ -6,7 +6,7 @@ import scipy.linalg as sla
 
 import stripflow as sf
 from stripflow import _accel, kernels
-from stripflow.elliptic import REG_EPS, _newton_free, extend_plaplace
+from stripflow.elliptic import REG_EPS, _interior, _newton_free, extend_plaplace
 from stripflow.errors import (EmptyInterior, NoConvergence, NonConvexExponent,
                               SingularSystem)
 from stripflow.geometry import INTERIOR, STRIP
@@ -208,6 +208,29 @@ def test_one_interior_factorisation_per_operator(monkeypatch):
     assert shapes.count((op.n_interior, op.n_interior)) == 1
 
 
+def test_interior_cache_keeps_l_ii_only_as_its_factor():
+    # L_II is cached sparse for the extension's residual gate and written
+    # dense only to be factored in place, so after every p = 2 path the one
+    # dense n_I x n_I array on the operator is the Cholesky factor
+    op = make_op(1.0 / 8.0, 0.125, sf.tent_kernel(0.25, 2), dim=2)
+    assert op.n_strip != op.n_interior
+    g = sf.StripField(np.random.default_rng(4).standard_normal(op.n_strip), op.grid)
+    sf.extend_linear(op, g)
+    sf.schur_complement(op)
+    sf.spectral_gap_beta(op)
+    sf.evolve(op, sf.ProblemSpec("linear"), g, 1.0, 0.5, sf.IMPLICIT)
+
+    def arrays(item):
+        if isinstance(item, tuple):
+            for part in item:
+                yield from arrays(part)
+        elif isinstance(item, np.ndarray):
+            yield item
+    square = [a for item in op._cache.values() for a in arrays(item)
+              if a.shape == (op.n_interior, op.n_interior)]
+    assert len(square) == 1 and square[0] is _interior(op)[1][0]
+
+
 def test_majoriser_factor_failure_is_a_solver_error(op16, monkeypatch):
     # p < 2 sweeps solve each majorizer by Cholesky; a failed factor must
     # surface, not be retried on a silently shifted matrix
@@ -315,9 +338,9 @@ def test_plaplace_extension_allocates_no_full_matrix():
 
 
 def test_solves_cache_no_same_class_edge_copy():
-    # the dense builders mask the whole edge list themselves, and L_IS is
-    # masked from it too, so the strip rows the flux reads are the one edge
-    # subset cached; the rest are the interior factor, S and the strip factor
+    # every Laplacian block is cut from a CSR adjacency built on demand, so
+    # the strip rows the flux reads are the one edge subset cached; the rest
+    # are the interior blocks and factor, S and the strip factor
     op = make_op(1.0 / 16.0, 0.25, sf.tent_kernel(0.5, 1))
     g = sf.StripField(np.random.default_rng(9).standard_normal(op.n_strip), op.grid)
     sf.extend_linear(op, g)

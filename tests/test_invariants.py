@@ -2,8 +2,9 @@
 problems: reciprocity of the stored coefficients, the edge energy's
 gradient on constants and in total, the energy as the pairing of the
 balance (Euler's identity), the extension's constants and maximum
-principle, and mass conservation, L1(mu) nonexpansiveness and order
-preservation of the steps.
+principle, mass conservation, L1(mu) nonexpansiveness and order
+preservation of the steps, and at p = 2 the decay the spectral gap promises
+through the eliminated interior (the Schur complement S).
 
 Draws are derandomized and no example database is written, so every run
 checks the same problems.
@@ -13,13 +14,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import stripflow as sf
+from stripflow.analysis import _reduced_modes
 from stripflow.elliptic import EXT_TOL
+from stripflow.geometry import INTERIOR, STRIP
+from stripflow.kernels import _operator_from_dense
 
-from conftest import BOX1, BOX2
+from conftest import BOX1, BOX2, line_grid
 
 CHECKS = settings(derandomize=True, database=None, deadline=None, max_examples=60,
                   suppress_health_check=[HealthCheck.too_slow])
@@ -44,15 +49,15 @@ class Problem:
 
 
 @st.composite
-def problems(draw):
+def problems(draw, exponents=(2.0, 2.5, 3.0, 4.0)):
     """A grid, a kernel, an edge mode and a variant: dim 1 or 2, h = 1/m,
-    k strip layers (r = k h), R >= r, p in {2, 2.5, 3, 4}."""
+    k strip layers (r = k h), R >= r, p drawn from exponents."""
     dim = draw(st.sampled_from([1, 2]))
     m = draw(st.integers(8, 40) if dim == 1 else st.integers(6, 14))
     h = 1.0 / m
     k = draw(st.integers(1, (m - 1) // 2))
     r = k * h
-    p = draw(st.sampled_from([2.0, 2.5, 3.0, 4.0]))
+    p = draw(st.sampled_from(exponents))
     family = draw(st.sampled_from([sf.TENT, sf.BUMP, sf.SINGULAR]))
     full = draw(st.booleans()) and family != sf.SINGULAR
     if family == sf.SINGULAR:
@@ -130,3 +135,70 @@ def test_steps_conserve_mass_and_implicit_contracts(prob, dt):
     # miss over the smallest strip measure in value
     top = sf.step_implicit(op, spec, np.maximum(g, g2), dt, tol=STEP_TOL).values
     assert np.all(top >= np.maximum(im, im2) - 2.0 * miss / np.min(mu_s))
+
+
+EPS = np.finfo(float).eps
+
+
+def check_p2_decay(op, spec, g, dt):
+    """The p = 2 decay bounds, each up to a slack derived from roundoff.
+
+    The dense eigensolve's backward error, n_S eps times the Gershgorin bound
+    2 max(row sum) on the measure-scaled form (the benchmark's eig_tol),
+    bounds the error of beta, of every lambda_k and the residual of the unit
+    gap mode; a step of length dt turns it into dt eig_tol. The strip solve
+    with M + dt S, measure-scaled, has condition number at most 1 + 2 dt
+    max(row sum), which times n_S eps bounds its relative error; one more
+    n_S eps covers the weighted sums that give the mean and the norms. The
+    flux and the elimination each sum at most n terms of size max(1,
+    max(row sum)) (1 + max |g|)."""
+    mu_s = op.grid.mu[op.strip_idx]
+    deg = float(np.max(op.deg_active[op.strip_idx]))
+    eig_tol = op.n_strip * EPS * 2.0 * deg
+    solve_tol = op.n_strip * EPS * (2.0 + 2.0 * dt * deg)
+    sum_tol = op.n * EPS * 2.0 * max(1.0, deg) * (1.0 + np.max(np.abs(g)))
+
+    def norm(x):
+        return math.sqrt(np.dot(mu_s, x * x))
+
+    mean = np.dot(mu_s, g) / np.sum(mu_s)
+    d0, size = norm(g - mean), norm(g)
+    gap = sf.spectral_gap_beta(op)
+    beta, mode = gap.beta, gap.mode.values
+
+    # one implicit step contracts the distance to the mean by 1/(1 + dt beta)
+    im = sf.step_implicit(op, spec, g, dt).values
+    assert norm(im - mean) <= d0 / (1.0 + dt * beta) + dt * eig_tol * d0 + solve_tol * size
+    # ... with equality on the gap mode
+    im = sf.step_implicit(op, spec, mode, dt).values
+    assert norm(im - mode / (1.0 + dt * beta)) <= dt * eig_tol + solve_tol
+    # one explicit step contracts it by max_k |1 - dt lambda_k|
+    dt_ex = 0.4 * sf.stability_bound(op)
+    lam = _reduced_modes(op)[0]
+    ex = sf.step_explicit(op, spec, g, dt_ex).values
+    factor = np.max(np.abs(1.0 - dt_ex * lam))
+    flux_err = dt_ex * sum_tol * math.sqrt(np.sum(mu_s))
+    assert norm(ex - mean) <= (factor + dt_ex * eig_tol) * d0 + flux_err
+    # the strip flux of the extension is the eliminated form
+    want = -(sf.schur_complement(op) @ g) / mu_s
+    assert np.max(np.abs(sf.rhs(op, spec, g).values - want)) <= sum_tol
+
+
+@CHECKS
+@given(problems(exponents=(2.0,)), st.sampled_from([0.01, 0.1, 1.0]))
+def test_p2_steps_decay_at_the_gap(prob, dt):
+    check_p2_decay(prob.op, prob.spec, prob.strip_data(), dt)
+
+
+@pytest.mark.parametrize("variant", ["linear", "linear-full"])
+def test_p2_steps_decay_at_the_gap_with_nonuniform_measures(variant):
+    # every drawn grid has uniform mu; here mu varies by a factor of 6
+    spec = sf.ProblemSpec(variant)
+    grid = line_grid([STRIP] * 3 + [INTERIOR] * 4 + [STRIP] * 3,
+                     np.array([1.0, 2.0, 0.5, 3.0, 1.5, 1.0, 2.5, 0.75, 1.25, 0.5]) / 10.0)
+    kernel = sf.tent_kernel(0.45, 1)
+    jmat = kernel.cnorm * np.maximum(kernel.R - np.abs(grid.nodes - grid.nodes.T), 0.0)
+    op = _operator_from_dense(grid, kernel, jmat, spec.edge_mode)
+    rng = np.random.default_rng(21)
+    for dt in (0.01, 0.1, 1.0):
+        check_p2_decay(op, spec, rng.uniform(-3.0, 3.0, op.n_strip), dt)

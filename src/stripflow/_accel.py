@@ -10,7 +10,10 @@ built without a sort, and every Laplacian block is cut from it by scipy row
 and column indexing: laplacian_block writes L_SS, the majoriser matrix and
 the test oracle laplacian_dense densely. The Newton Hessian is never dense:
 hessian_accumulate returns its diagonal and a sparse matvec, and pcg solves
-with them.
+with them. Both builders give the Laplacian of edge weights alone and add no
+diagonal term: elliptic._newton_free, which minimizes
+F(v) = E_p(v) - <lin, v> + (1/2) sum w (v - t)^2, adds its proximal weights
+w and its Levenberg shift itself.
 """
 
 import numpy as np
@@ -68,29 +71,27 @@ def adjacency(rows, cols, w, n):
     return sp.csr_matrix((w, cols, np.searchsorted(rows, np.arange(n + 1))), shape=(n, n))
 
 
-def laplacian_block(rows, cols, w, free, scale=1.0, shift=None):
-    """scale * L[free, free] + diag(shift) for the Laplacian L of the edges
-    (rows, cols, w), lexicographic over all nodes: the full row sums of w
-    on the diagonal, -w at each edge whose two ends are free. free lists
-    the free nodes in ascending order. The edge set must be symmetric
-    (reciprocity), so no column index exceeds the largest row index. The
-    array is Fortran-ordered, so cho_factor(..., overwrite_a=True) factors
-    it in place."""
+def laplacian_block(rows, cols, w, free):
+    """L[free, free] for the Laplacian L of the edges (rows, cols, w),
+    lexicographic over all nodes: the full row sums of w on the diagonal,
+    -w at each edge whose two ends are free, and no other diagonal term.
+    free lists the free nodes in ascending order. The edge set must be
+    symmetric (reciprocity), so no column index exceeds the largest row
+    index. The array is Fortran-ordered, so cho_factor(..., overwrite_a=True)
+    factors it in place."""
     adj = adjacency(rows, cols, w, max(rows[-1], free[-1]) + 1)
     block = adj[free][:, free]
-    # the cut is a copy; scaling its stored entries keeps the zeros +0.0
-    block.data *= -scale
+    # the cut is a copy; negating its stored entries keeps the zeros +0.0
+    block.data *= -1.0
     out = block.toarray(order="F")
-    sums = (adj @ np.ones(adj.shape[0]))[free]
-    sums *= scale
-    np.fill_diagonal(out, sums if shift is None else sums + shift)
+    np.fill_diagonal(out, (adj @ np.ones(adj.shape[0]))[free])
     return out
 
 
-def hessian_accumulate(rows, cols, data, vals, p, eps, free, scale=1.0, shift=None):
+def hessian_accumulate(rows, cols, data, vals, p, eps, free):
     """(diag, matvec) on the free nodes of what laplacian_block would write
     for the edge weights data * phi_p'(vals[row] - vals[col]): the Hessian of
-    scale times the edge energy at vals, plus diag(shift). Cutting it to the
+    the edge energy at vals, with no other diagonal term. Cutting it to the
     free nodes would cost more than building it, once per Newton iteration,
     so pinned nodes enter its products as zeros."""
     n = vals.shape[0]
@@ -99,15 +100,12 @@ def hessian_accumulate(rows, cols, data, vals, p, eps, free, scale=1.0, shift=No
     adj = adjacency(rows, cols, w, n)
     # each row summed in edge order, as every Laplacian diagonal is
     diag = (adj @ np.ones(n))[free]
-    diag *= scale
-    if shift is not None:
-        diag += shift
     full = np.zeros(n)
 
     def matvec(x):
         full[free] = x
         out = adj @ full
-        return diag * x - scale * out[free]
+        return diag * x - out[free]
 
     return diag, matvec
 

@@ -80,20 +80,23 @@ def schur_complement(op):
 
     Eliminates the interior block, S = L_SS - L_SI L_II^{-1} L_IS. With
     L_II = U^T U from the Cholesky factor that the linear extension shares
-    (elliptic._interior), one triangular solve gives X = U^{-T} L_IS and
-    S = L_SS - X^T X, one symmetric rank-k update. Symmetric PSD,
+    (elliptic._interior), one triangular solve gives X = U^{-T} L_IS in
+    the dense copy of L_IS and S = -X^T X + L_SS, one symmetric rank-k
+    update. The coefficients are exactly symmetric, so S is too. PSD,
     annihilates constants; with no interior nodes it is the strip block.
     """
     if "schur" in op._cache:
         return op._cache["schur"]
-    schur = _accel.laplacian_block(op.act_rows, op.act_cols, op.act_coef, op.strip_idx)
     if op.n_interior:
         _, (chol, lower), l_is = _interior(op)
-        x = sla.solve_triangular(chol, l_is.toarray(), trans="T", lower=lower,
-                                 check_finite=False)
-        schur -= x.T @ x
-    # L_SS itself is not bitwise symmetric when mu is nonuniform
-    schur = 0.5 * (schur + schur.T)
+        x = sla.solve_triangular(chol, l_is.toarray(order="F"), trans="T", lower=lower,
+                                 overwrite_b=True, check_finite=False)
+        schur = x.T @ x
+        del x  # so that the peak is X^T X and L_SS, without X beside them
+        np.negative(schur, out=schur)
+    else:
+        schur = np.zeros((op.n_strip, op.n_strip))
+    schur += _accel.laplacian_block(op.act_rows, op.act_cols, op.act_coef, op.strip_idx)
     op._cache["schur"] = schur
     return schur
 
@@ -227,8 +230,8 @@ def estimate_beta_p(op, p, restarts=8, tol=1e-9, max_iter=2000, seed=0):
             gate = tol * (1.0 + np.max(np.abs(s / mu_s)))
             # <s, gv> = 1, so this scale minimizes the objective on the ray of v
             v0 = (v - v[pin]) * quot ** (-1.0 / (p - 1.0))
-            v = _newton_free(op, p, v0, free, None, None, 1.0, 100,
-                             lambda g, r: np.max(np.abs(r)) <= gate, lin).v
+            v = _newton_free(op, p, v0, free, 100, lambda r: np.max(np.abs(r)) <= gate,
+                             lin=lin)[0].values
             v -= np.dot(mu_s, v[op.strip_idx]) / np.sum(mu_s)
             v /= _lp_norm(mu_s, v[op.strip_idx], p)
             gv = v[op.strip_idx]

@@ -4,22 +4,21 @@ Interior nodes satisfy the stationary nonlocal balance against every other
 node; strip values stay pinned. For exponent 2 that balance is a linear
 system in the interior block L_II, solved with one Cholesky factor of L_II
 made per operator. For general p > 1 it is the Euler-Lagrange condition of
-a strictly convex edge energy, minimized by one descent loop that steps
-against the energy gradient with a curvature matrix chosen by p: the
-Levenberg-damped Newton Hessian for p >= 2, solved inexactly by Jacobi-PCG
-on its sparse matvec (_accel.hessian_accumulate, _accel.pcg), and the
-tangent quadratic majoriser (reweighted least squares) for p < 2, factored
-densely. The implicit p != 2 step and estimate_beta_p run the same loop.
-L_II and L_IS are cut from the edges' CSR adjacency (_accel.adjacency) by
-scipy indexing, the majoriser by _accel.laplacian_block. Balances are in W
-units, coefficient row sums over mu[x]. Energies come from the same row
-sums by Euler's identity: E_p is p-homogeneous, the coefficients symmetric
-and phi_p odd, so for the balance r of any v and any constant c,
-E_p(v) = (1/p) <mu (c - v), r>. An extended state's interior rows vanish,
-so its energy pairs the strip flux alone.
+a strictly convex edge energy E_p. _newton_free is the one descent solve
+for p != 2: it minimizes F(v) = E_p(v) - <lin, v> + (1/2) sum w (v - t)^2
+over the free nodes, is gated on one residual r, the W-unit balance of F
+(whose gradient is -mu r), and returns one (FullField, EnergyReport) pair,
+which NoConvergence carries too. The extension pins the strip and drops
+lin and (w, t); the implicit p != 2 step frees every node with w = mu / dt
+and t = u on the strip; estimate_beta_p pins one node and adds lin. L_II
+and L_IS are cut from the edges' CSR adjacency (_accel.adjacency) by scipy
+indexing, the majoriser by _accel.laplacian_block, which adds no diagonal
+term. Balances are in W units, coefficient row sums over mu[x]. Energies
+come from the same row sums by Euler's identity: E_p is p-homogeneous, the
+coefficients symmetric and phi_p odd, so for the balance r of any v and any
+constant c, E_p(v) = (1/p) <mu (c - v), r>. An extended state's interior
+rows vanish, so its energy pairs the strip flux alone.
 """
-
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -153,25 +152,15 @@ def _interior_start(op, gv):
     return gv[0] + np.dot(mu_s, gv - gv[0]) / np.sum(mu_s)
 
 
-class NewtonResult(NamedTuple):
-    """_newton_free's last point, its F and residual, and the iterations."""
-    v: np.ndarray
-    f: float
-    resid: np.ndarray
-    iterations: int
-    cg_iterations: int
-
-
-def _newton_free(op, p, v0, free, quad_mass, quad_target, energy_scale,
-                 max_iter, converged, lin=None):
-    """Minimize F(v) = energy_scale * (E_p(v) - <lin, v>) + quadratic penalty
-    over v[free] with the remaining coordinates held fixed. free is every
-    node, every node but one, or the interior; the strip is pinned in the
-    last case. lin is an optional linear forcing, one value per node in the
-    units of the gradient; None leaves it out. The residual passed to
-    `converged`, and used to judge steps whose energy change is below
-    roundoff, is -grad / (energy_scale mu): the W-unit balance of the energy,
-    plus lin / mu, minus the penalty's pull.
+def _newton_free(op, p, v0, free, max_iter, converged, *, lin=None, prox=None):
+    """Minimize F(v) = E_p(v) - <lin, v> + (1/2) sum w (v - t)^2 over v[free],
+    with prox = (w, t) and the other coordinates of v0 held fixed. free is
+    every node, every node but one, or the interior; the strip is pinned in
+    the last case. lin (one value per node, in the units of the gradient)
+    and prox are optional; None leaves the term out. The one residual is r,
+    the W-unit balance of F: the balance of E_p plus (lin - w (v - t)) / mu,
+    so the gradient of F is -mu r. `converged(r[free])` decides termination,
+    and r also judges the steps whose change of F is below roundoff.
 
     One descent loop serves every p: each pass steps v[free] -= M^-1 grad[free]
     and only the curvature matrix M depends on p. For p >= 2, M is the
@@ -185,55 +174,63 @@ def _newton_free(op, p, v0, free, quad_mass, quad_target, energy_scale,
     the step lands on its minimizer and descends monotonically. Those plain
     sweeps contract the error by roughly (2 - p) per pass, so every sweep
     also tries the Aitken jump to the limit of the measured geometric tail,
-    kept only when it descends. Each point evaluated gets F, gradient and
-    residual from one evaluation: one phi_row_sums pass at p >= 2, where F
-    pairs the residual, and two at p < 2, whose gradient alone is regularized.
-    `converged(grad_free, resid_free)` decides termination. Returns the
-    NewtonResult of the minimizer. Raises NoConvergence carrying the
-    NewtonResult of the last iterate when the budget runs out (every
-    accepted step lowers F, up to roundoff), and SingularSystem at once
-    when a majorizer factor fails.
+    kept only when it descends. The edge builders give the Laplacian of the
+    edge weights alone; the loop adds w to its diagonal, beside the Levenberg
+    shift. Each point evaluated gets F and r from one evaluation: one
+    phi_row_sums pass at p >= 2, where F pairs the balance, and two at p < 2,
+    whose residual alone is regularized.
+
+    Returns (FullField, EnergyReport) at the minimizer: energy is F and
+    grad_norm is max |r[free]|. Raises NoConvergence carrying the same pair
+    for the last iterate, with converged False, when the budget runs out
+    (every accepted step lowers F, up to roundoff), and SingularSystem at
+    once when a majorizer factor fails.
     """
     eps = eps_for(p)
     v = v0.copy()
     mu = op.grid.mu
-    qf = None if quad_mass is None else quad_mass[free]
+    muf = mu[free]
+    wf = 0.0 if prox is None else prox[0][free]
 
     def evaluate(x):
         resid = residual_values(op, x, p, 0.0)
-        f = energy_scale * _pairing(mu, x, resid, p)
+        f = _pairing(mu, x, resid, p)
         if eps > 0.0:
             resid = residual_values(op, x, p, eps)
         if lin is not None:
-            f -= energy_scale * float(np.dot(lin, x))
+            f -= float(np.dot(lin, x))
             resid += lin / mu
-        grad = -energy_scale * mu * resid
-        if quad_mass is not None:
-            f += 0.5 * float(np.dot(quad_mass, (x - quad_target) ** 2))
-            pull = quad_mass * (x - quad_target)
-            grad = grad + pull
-            resid -= pull / (energy_scale * mu)
-        return f, grad, resid
+        if prox is not None:
+            d = x - prox[1]
+            f += 0.5 * float(np.dot(prox[0], d * d))
+            resid -= prox[0] * d / mu
+        return f, resid
 
     def majorizer(x):
         d = x[op.act_cols] - x[op.act_rows]
-        return _accel.laplacian_block(op.act_rows, op.act_cols,
-                                      op.act_coef * (d * d + eps * eps) ** ((p - 2.0) / 2.0),
-                                      free, energy_scale, qf)
+        w = op.act_coef * (d * d + eps * eps) ** ((p - 2.0) / 2.0)
+        mat = _accel.laplacian_block(op.act_rows, op.act_cols, w, free)
+        mat[np.diag_indices_from(mat)] += wf
+        return mat
 
     def moved(step):
         x = v.copy()
         x[free] = v[free] + step
         return (x,) + evaluate(x)
 
-    f, grad, resid = evaluate(v)
+    def result(iterations, done):
+        return FullField(v, op.grid), EnergyReport(
+            energy=f, grad_norm=float(np.max(np.abs(resid[free]), initial=0.0)),
+            iterations=iterations, converged=done, cg_iterations=cg_iters)
+
+    f, resid = evaluate(v)
     lam = 0.0
     prev_step = None
     cg_iters = 0
     for it in range(max_iter):
-        if converged(grad[free], resid[free]):
-            return NewtonResult(v, f, resid, it, cg_iters)
-        gfree = grad[free]
+        if converged(resid[free]):
+            return result(it, True)
+        gfree = -muf * resid[free]
         fnoise = 1e-12 * (1.0 + abs(f))
         found = None
         if p < 2.0:
@@ -254,14 +251,14 @@ def _newton_free(op, p, v0, free, quad_mass, quad_target, energy_scale,
                 prev_step = step
         else:
             diag, hess = _accel.hessian_accumulate(op.act_rows, op.act_cols, op.act_coef, v,
-                                                   p, eps, free, energy_scale, qf)
-            dscale = max(np.mean(diag), 1e-30)
+                                                   p, eps, free)
+            dscale = max(np.mean(diag + wf), 1e-30)
             resid_sup = np.max(np.abs(resid[free]), initial=0.0)
             # inexact Newton: the forcing term shrinks with the gradient
             # (Eisenstat and Walker, SIAM J. Sci. Comput. 17(1), 1996)
             forcing = min(0.1, np.sqrt(np.linalg.norm(gfree)))
             for _ in range(40):
-                shift = lam * dscale
+                shift = wf + lam * dscale
                 try:
                     sol, its = _accel.pcg(lambda x: hess(x) + shift * x, diag + shift,
                                           gfree, forcing)
@@ -274,10 +271,10 @@ def _newton_free(op, p, v0, free, quad_mass, quad_target, energy_scale,
                 if cand[1] <= f + 1e-4 * np.dot(gfree, step):
                     found = cand
                     break
-                # energy differences below roundoff: judge the step by the
-                # stationarity residual instead
+                # changes of F below roundoff: judge the step by the
+                # residual instead
                 if (abs(cand[1] - f) <= fnoise
-                        and np.max(np.abs(cand[3][free]), initial=0.0) <= 0.9 * resid_sup):
+                        and np.max(np.abs(cand[2][free]), initial=0.0) <= 0.9 * resid_sup):
                     found = cand
                     break
                 lam = max(10.0 * lam, 1e-8)
@@ -286,23 +283,27 @@ def _newton_free(op, p, v0, free, quad_mass, quad_target, energy_scale,
                 lam = 0.0
         if found is None:
             break
-        v, f, grad, resid = found
-    last = NewtonResult(v, f, resid, max_iter, cg_iters)
-    if converged(grad[free], resid[free]):
-        return last
-    raise NoConvergence(f"no convergence in {max_iter} iterations", best=last)
+        v, f, resid = found
+    if converged(resid[free]):
+        return result(max_iter, True)
+    raise NoConvergence(f"no convergence in {max_iter} iterations",
+                        best=result(max_iter, False))
 
 
 def extend_plaplace(op, g, p, tol=1e-10, max_iter=100, x0=None):
     """Extend strip values by minimizing the p-edge energy.
 
-    Interior values minimize the edge energy with the strip pinned to g.
-    Convergence is declared on the sup-norm of the weighted stationary
-    balance over interior nodes, scaled by (1 + max |g|).
+    Interior values minimize the edge energy with the strip pinned to g
+    (_newton_free with free = the interior, no lin and no prox). Convergence
+    is declared on the sup-norm of the weighted stationary balance over
+    interior nodes, scaled by (1 + max |g|).
 
     Returns
     -------
     (FullField, EnergyReport)
+        The report's energy is the edge energy and its grad_norm the
+        interior_residual of the field. NoConvergence carries the same pair
+        for the last iterate.
     """
     if p <= 1.0:
         raise NonConvexExponent(f"exponent must exceed 1, got {p}")
@@ -315,26 +316,8 @@ def extend_plaplace(op, g, p, tol=1e-10, max_iter=100, x0=None):
     v0[op.interior_idx] = _interior_start(op, gv) if x0 is None else x0
 
     scale = tol * (1.0 + np.max(np.abs(gv), initial=0.0))
-
-    def converged(grad_free, resid_free):
-        return np.max(np.abs(resid_free), initial=0.0) <= scale
-
-    def report(res, done):
-        # with free = interior, no lin and no penalty, F and the residual of
-        # the last evaluation are energy_values and the interior_residual balance
-        return FullField(res.v, op.grid), EnergyReport(
-            energy=res.f,
-            grad_norm=float(np.max(np.abs(res.resid[op.interior_idx]))),
-            iterations=res.iterations,
-            converged=done,
-            cg_iterations=res.cg_iterations,
-        )
-
-    try:
-        res = _newton_free(op, p, v0, op.interior_idx, None, None, 1.0, max_iter, converged)
-    except NoConvergence as exc:
-        raise NoConvergence(str(exc), best=report(exc.best, False)) from None
-    return report(res, True)
+    return _newton_free(op, p, v0, op.interior_idx, max_iter,
+                        lambda r: np.max(np.abs(r), initial=0.0) <= scale)
 
 
 def extend(op, g, p, tol=1e-10, max_iter=100, x0=None):

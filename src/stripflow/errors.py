@@ -54,7 +54,8 @@ class SingularSystem(SolverError):
 
 
 class NoConvergence(SolverError):
-    """Iteration budget exhausted. Carries the best iterate found."""
+    """Iteration budget exhausted. ``best``, when set, is the last iterate
+    with its report: a (FullField, EnergyReport) pair from a descent solve."""
 
     def __init__(self, message, best=None):
         super().__init__(message)

@@ -8,9 +8,10 @@ the implicit step solves the strip system (M + dt S) v = M u, with M the
 strip measures, and then extends v. For p != 2 the implicit step
 minimizes dt * E_p(v) + (1/2) sum_strip mu (v - u)^2 jointly over all
 nodes, which reproduces backward Euler on the strip and the stationary
-balance on the interior in one convex solve. The fixed point integrator
-rebuilds the solution on a whole time window from its integral form and
-only contracts on short windows.
+balance on the interior in one convex solve: elliptic._newton_free on that
+objective over dt, with proximal weights mu / dt on the strip. The fixed
+point integrator rebuilds the solution on a whole time window from its
+integral form and only contracts on short windows.
 """
 
 import warnings
@@ -154,10 +155,11 @@ def _implicit_linear_values(op, dt, uv):
     # one factor per operator, for the last dt: an n_S x n_S factor per dt ever used adds up
     if op._cache.get("implicit_chol", (None,))[0] != dt:
         op._cache.pop("implicit_chol", None)
-        mat = dt * schur_complement(op)
+        # S is exactly symmetric, and S.T is the Fortran order cho_factor overwrites
+        mat = dt * schur_complement(op).T
         mat[np.diag_indices(op.n_strip)] += mu_s
         try:
-            op._cache["implicit_chol"] = (dt, sla.cho_factor(mat))
+            op._cache["implicit_chol"] = (dt, sla.cho_factor(mat, overwrite_a=True))
         except sla.LinAlgError as exc:
             raise SingularSystem(f"implicit system is not positive definite: {exc}") from exc
     # the cached factor is finite; checking it would scan n_S^2 entries per solve
@@ -171,22 +173,24 @@ def _step_implicit_values(op, spec, uv, dt, tol, max_iter, warm):
     if spec.p == 2.0:
         return _implicit_linear_values(op, dt, uv)
 
-    mu_s = op.grid.mu[op.strip_idx]
+    # F = E_p + (1/2) sum (mu_S / dt) (v - u)^2 is the step's objective over dt
     target = np.zeros(op.n)
     target[op.strip_idx] = uv
-    quad = np.zeros(op.n)
-    quad[op.strip_idx] = mu_s
+    weight = np.zeros(op.n)
+    weight[op.strip_idx] = op.grid.mu[op.strip_idx] / dt
     v0 = target.copy()
     if op.n_interior > 0:
         v0[op.interior_idx] = _interior_start(op, uv) if warm is None else warm
-    free = np.arange(op.n)
 
-    def converged(grad_free, resid_free):
-        return (np.max(np.abs(grad_free), initial=0.0) <= tol
-                and abs(np.sum(grad_free)) <= tol)
+    def converged(resid):
+        # gated on the gradient of the dt-scaled objective, -dt mu r
+        grad = dt * op.grid.mu * resid
+        return (np.max(np.abs(grad), initial=0.0) <= tol
+                and abs(np.sum(grad)) <= tol)
 
-    v = _newton_free(op, spec.p, v0, free, quad, target, dt, max_iter, converged).v
-    return v[op.strip_idx], v
+    field, _ = _newton_free(op, spec.p, v0, np.arange(op.n), max_iter, converged,
+                            prox=(weight, target))
+    return field.values[op.strip_idx], field.values
 
 
 def step_implicit(op, spec, u, dt, tol=1e-10, max_iter=60):

@@ -43,8 +43,10 @@ class FullField:
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Outcome of a variational solve. cg_iterations sums the PCG iterations
-    of the Newton steps; the linear and majoriser paths make none."""
+    """Outcome of a variational solve. energy is the value of the solve's
+    objective, which is the edge energy for an extension; grad_norm is the
+    sup-norm of its W-unit residual over the free nodes. cg_iterations sums
+    the PCG iterations of the Newton steps; the majoriser path makes none."""
 
     energy: float
     grad_norm: float

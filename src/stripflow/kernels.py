@@ -3,8 +3,8 @@
 The quadrature weights follow the midpoint rule W[x][y] = J(x - y) * mu[y]
 with a zero diagonal. The operator stores one number per active ordered
 pair, the coefficient mu[x] W[x][y] = mu[x] J(x - y) mu[y], and W is that
-coefficient divided by mu[x]. On a uniform grid the coefficient is exactly
-symmetric, which is reciprocity W[x][y] mu[x] = W[y][x] mu[y] and what makes
+coefficient divided by mu[x]. The coefficient is exactly symmetric for any
+measures, which is reciprocity W[x][y] mu[x] = W[y][x] mu[y] and what makes
 the discrete mass balance of the evolution problems exact.
 """
 
@@ -193,8 +193,9 @@ def _operator_from_dense(grid, spec, jmat, edge_mode):
     rows, cols = np.divmod(np.flatnonzero(active), grid.n)
     if rows.shape[0] == 0:
         raise EmptySupport("no active node pair has a nonzero weight")
-    coef = jmat[rows, cols] * grid.mu[cols]
-    coef *= grid.mu[rows]
+    # mu[x] mu[y] is one product from either end: the coefficient is exactly symmetric
+    coef = grid.mu[rows] * grid.mu[cols]
+    coef *= jmat[rows, cols]
     return NonlocalOperator(grid, spec, edge_mode, rows, cols, coef)
 
 

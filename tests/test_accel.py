@@ -51,11 +51,12 @@ def test_hessian_accumulate_by_hand():
     assert np.array_equal(diag, [12.0, 30.0])
     assert np.array_equal(matvec(np.array([1.0, 0.0])), [12.0, -30.0])
     assert np.array_equal(matvec(np.array([0.0, 1.0])), [-12.0, 30.0])
-    # node 1 pinned: it enters as zero, node 0 keeps its full row sum
-    diag, matvec = A.hessian_accumulate(rows, cols, data, vals, 3.0, 0.0, np.array([0]),
-                                        scale=0.5, shift=np.array([1.0]))
+    # node 1 pinned: it enters as zero, node 0 keeps its full row sum; a scale
+    # and a diagonal the caller adds, as the solver adds its proximal weights
+    diag, matvec = A.hessian_accumulate(rows, cols, data, vals, 3.0, 0.0, np.array([0]))
+    diag = 0.5 * diag + 1.0
     assert np.array_equal(diag, [7.0])
-    assert np.array_equal(matvec(np.array([2.0])), [14.0])
+    assert np.array_equal(0.5 * matvec(np.array([2.0])) + 1.0 * 2.0, [14.0])
 
 
 @pytest.mark.parametrize("p,eps", CASES)
@@ -122,20 +123,20 @@ def test_hessian_and_majoriser_match_scatter_add(op16, op16_full, op2d, p, eps):
             assert hess.flags.f_contiguous
             assert np.array_equal(hess, hess_full[cut])
             shift = rng.random(free.shape[0])
-            # the operator against its dense oracle, plain and scaled and shifted;
-            # the products sum the same terms in other orders
-            for scale, qf in ((1.0, None), (0.3, shift)):
-                oracle = A.laplacian_block(rows, cols, hess_w, free, scale, qf)
-                diag, matvec = A.hessian_accumulate(rows, cols, coef, vals, p, eps, free,
-                                                    scale, qf)
-                assert np.array_equal(diag, np.diag(oracle))
+            # the operator against its dense oracle, plain and with a diagonal
+            # the caller adds (the old scale folded into it, as the solver folds
+            # 1/dt into its proximal weights); the products sum the same terms
+            # in other orders
+            for qf in (0.0, shift / 0.3):
+                oracle = A.laplacian_block(rows, cols, hess_w, free)
+                oracle[np.diag_indices_from(oracle)] += qf
+                diag, matvec = A.hessian_accumulate(rows, cols, coef, vals, p, eps, free)
+                assert np.array_equal(diag + qf, np.diag(oracle))
                 x = rng.standard_normal(free.shape[0])
-                err = np.abs(matvec(x) - oracle @ x)
+                err = np.abs(matvec(x) + qf * x - oracle @ x)
                 assert np.all(err <= 4.0 * np.finfo(float).eps * (np.abs(oracle) @ np.abs(x)))
-            maj = A.laplacian_block(rows, cols, w, free, 0.25, shift)
-            want = maj_full[cut] * 0.25
-            want[np.diag_indices_from(want)] += shift
-            assert np.array_equal(maj, want)
+            maj = A.laplacian_block(rows, cols, w, free)
+            assert np.array_equal(maj, maj_full[cut])
 
 
 def test_laplacian_oracle_matches_scatter_add(op16, op16_full, op2d):
@@ -157,13 +158,13 @@ def test_pcg_matches_cholesky_of_the_dense_hessian(op16, op2d, p):
         w = coef * A._psi(vals[rows] - vals[cols], p, 0.0)
         # the extension's free set (strip pinned) and the implicit step's
         # (every node, the strip measures on the diagonal)
-        for free, shift in ((op.interior_idx, None), (np.arange(op.n), op.grid.mu)):
-            diag, matvec = A.hessian_accumulate(rows, cols, coef, vals, p, 0.0, free,
-                                                1.0, shift)
+        for free, shift in ((op.interior_idx, 0.0), (np.arange(op.n), op.grid.mu)):
+            diag, matvec = A.hessian_accumulate(rows, cols, coef, vals, p, 0.0, free)
             b = rng.standard_normal(free.shape[0])
-            want = sla.cho_solve(sla.cho_factor(A.laplacian_block(rows, cols, w, free,
-                                                                  1.0, shift)), b)
-            x, iters = A.pcg(matvec, diag, b, 1e-14)
+            dense = A.laplacian_block(rows, cols, w, free)
+            dense[np.diag_indices_from(dense)] += shift
+            want = sla.cho_solve(sla.cho_factor(dense), b)
+            x, iters = A.pcg(lambda x: matvec(x) + shift * x, diag + shift, b, 1e-14)
             assert 0 < iters <= free.shape[0]
             assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
 

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import stripflow as sf
 from stripflow import _accel
 from stripflow.analysis import (DIAG_COLUMNS, EXPONENTIAL, POLYNOMIAL,
                                 INVERSE_POWER, SCHUR_EIG)
+from stripflow.elliptic import _interior
 from stripflow.errors import (ConstantField, EmptyBump, InvalidArgument,
                               NonPositiveData, NotMeanZero, TooFewStripNodes,
                               WindowTooSmall)
@@ -88,6 +90,24 @@ def test_schur_without_interior_is_the_strip_block():
     s = sf.schur_complement(op)
     lap = laplacian_dense(op)
     assert np.allclose(s, lap[np.ix_(op.strip_idx, op.strip_idx)], atol=1e-15)
+
+
+def test_schur_complement_keeps_no_extra_copy():
+    # X = U^-T L_IS is solved in place in the dense copy of L_IS, and L_SS is
+    # built only once X is gone: the peak is X beside X^T X, 1 + 576/448 = 2.29
+    # times the bytes of S here. A second copy of X, or L_SS beside both, adds
+    # more than the rest of the bound
+    op = make_op(1.0 / 32.0, 0.125, sf.tent_kernel(0.25, 2), dim=2)
+    assert (op.n_strip, op.n_interior) == (448, 576)
+    _interior(op)
+    tracemalloc.start()
+    try:
+        s = sf.schur_complement(op)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * s.nbytes
+    np.testing.assert_array_equal(s, s.T)
 
 
 def test_gap_on_toy3(toy3_op):

@@ -257,12 +257,13 @@ def test_majoriser_is_tangent_to_the_energy(op16, op16_full, op2d, sing16, monke
     # the scatter-add Laplacian of the reweighted edges
     p, dt = 1.5, 0.3
     captured = []
-    real = _accel.laplacian_block
+    real = sla.cho_factor
 
-    def capture(*args, **kwargs):
-        captured.append(real(*args, **kwargs).copy())
-        return captured[-1].copy(order="F")
-    monkeypatch.setattr(_accel, "laplacian_block", capture)
+    # the matrix the solver factors, its proximal weights added to the diagonal
+    def capture(a, *args, **kwargs):
+        captured.append(a.copy())
+        return real(a, *args, **kwargs)
+    monkeypatch.setattr(sla, "cho_factor", capture)
     rng = np.random.default_rng(12)
     worst = 0.0
     for op in (op16, op16_full, op2d, sing16(p)):
@@ -271,23 +272,25 @@ def test_majoriser_is_tangent_to_the_energy(op16, op16_full, op2d, sing16, monke
         target = np.zeros(op.n)
         target[op.strip_idx] = rng.standard_normal(op.n_strip)
         prox = np.zeros(op.n)
-        prox[op.strip_idx] = mu[op.strip_idx]
-        # (free, quadratic mass, energy scale): the extension and the implicit step
-        for free, quad, scale in ((op.interior_idx, None, 1.0), (np.arange(op.n), prox, dt)):
+        prox[op.strip_idx] = mu[op.strip_idx] / dt
+        # (free, proximal weights): the extension and the implicit step, whose
+        # weights mu / dt on the strip hold the step's 1/dt
+        for free, w in ((op.interior_idx, None), (np.arange(op.n), prox)):
             v = rng.standard_normal(op.n)
             captured.clear()
             with pytest.raises(NoConvergence):
-                _newton_free(op, p, v, free, quad, target, scale, 1, lambda g, r: False)
+                _newton_free(op, p, v, free, 1, lambda r: False,
+                             prox=None if w is None else (w, target))
             mat = captured[0]
             d = v[cols] - v[rows]
             lap = add_at_laplacian(rows, cols, coef * (d * d + REG_EPS ** 2) ** ((p - 2.0) / 2.0),
                                    op.n)
             pinned = np.setdiff1d(np.arange(op.n), free)
-            rhs = -scale * lap[np.ix_(free, pinned)] @ v[pinned]
-            grad = scale * sf.energy_gradient(op, v, p).values[free]
-            if quad is not None:
-                rhs += quad[free] * target[free]
-                grad += quad[free] * (v[free] - target[free])
+            rhs = -lap[np.ix_(free, pinned)] @ v[pinned]
+            grad = sf.energy_gradient(op, v, p).values[free]
+            if w is not None:
+                rhs += w[free] * target[free]
+                grad += w[free] * (v[free] - target[free])
             err = np.abs(mat @ v[free] - rhs - grad).max()
             size = (np.abs(mat) @ np.abs(v[free]) + np.abs(rhs)).max()
             worst = max(worst, err / size)

@@ -7,7 +7,8 @@ import scipy.linalg as sla
 import stripflow as sf
 from stripflow import _accel, evolution
 from stripflow.elliptic import EXT_TOL
-from stripflow.errors import InvalidArgument, NoContraction, SingularSystem, SolverError
+from stripflow.errors import (InvalidArgument, NoContraction, NoConvergence, SingularSystem,
+                              SolverError)
 from stripflow.evolution import (LINEAR, LINEAR_FULL, PLAPLACE, PLAPLACE_FULL,
                                  SINGULAR_VARIANT, _step_implicit_values)
 from stripflow.kernels import laplacian_dense, strip_edges
@@ -361,6 +362,22 @@ def test_solver_failure_carries_partial_trajectory(op16):
     assert partial.times.size >= 1
     assert partial.times[0] == 0.0
     np.testing.assert_array_equal(partial.states[0], u0.values)
+
+
+def test_implicit_failure_carries_the_last_field_and_report(op16):
+    # every descent solve fails with the (FullField, EnergyReport) pair it
+    # returns on success, for its last iterate; evolve adds the partial run
+    u0 = sf.StripField(np.random.default_rng(14).standard_normal(op16.n_strip), op16.grid)
+    with pytest.raises(NoConvergence) as step:
+        sf.step_implicit(op16, P3, u0, 0.5, max_iter=1)
+    with pytest.raises(NoConvergence) as run:
+        sf.evolve(op16, P3, u0, 1.0, 0.5, integrator=sf.IMPLICIT, max_iter=1)
+    np.testing.assert_array_equal(run.value.partial.states[0], u0.values)
+    for exc in (step.value, run.value):
+        field, report = exc.best
+        assert isinstance(field, sf.FullField) and isinstance(report, sf.EnergyReport)
+        assert not report.converged
+        assert report.iterations == 1
 
 
 def test_explicit_failure_keeps_the_states_before_it(op16, monkeypatch):

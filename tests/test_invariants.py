@@ -3,8 +3,11 @@ problems: reciprocity of the stored coefficients, the edge energy's
 gradient on constants and in total, the energy as the pairing of the
 balance (Euler's identity), the extension's constants and maximum
 principle, mass conservation, L1(mu) nonexpansiveness and order
-preservation of the steps, and at p = 2 the decay the spectral gap promises
-through the eliminated interior (the Schur complement S).
+preservation of the steps, constants fixed by both steps, implicit steps
+that raise neither the energy nor the L2(mu) distance to the mean, and at
+p = 2 the decay the spectral gap promises through the eliminated interior
+(the Schur complement S). Reciprocity is also checked exactly on a line
+grid with measures that are not dyadic.
 
 Draws are derandomized and no example database is written, so every run
 checks the same problems.
@@ -21,6 +24,7 @@ from hypothesis import strategies as st
 import stripflow as sf
 from stripflow.analysis import _reduced_modes
 from stripflow.elliptic import EXT_TOL
+from stripflow.evolution import _step_implicit_values
 from stripflow.geometry import INTERIOR, STRIP
 from stripflow.kernels import _operator_from_dense
 
@@ -135,6 +139,52 @@ def test_steps_conserve_mass_and_implicit_contracts(prob, dt):
     # miss over the smallest strip measure in value
     top = sf.step_implicit(op, spec, np.maximum(g, g2), dt, tol=STEP_TOL).values
     assert np.all(top >= np.maximum(im, im2) - 2.0 * miss / np.min(mu_s))
+
+
+@CHECKS
+@given(problems(), st.sampled_from([0.01, 0.1, 1.0]))
+def test_constants_are_fixed_and_implicit_steps_descend(prob, dt):
+    op, spec = prob.op, prob.spec
+    mu_s = op.grid.mu[op.strip_idx]
+    # the p != 2 implicit step stops at a gradient of size STEP_TOL, so it
+    # misses the exact step by at most STEP_TOL / min mu at each node (the
+    # p = 2 strip solve misses by roundoff, far less)
+    miss = STEP_TOL / np.min(mu_s)
+    c = np.full(op.n_strip, prob.rng.uniform(-5.0, 5.0))
+    assert np.array_equal(sf.step_explicit(op, spec, c, 0.4 * sf.stability_bound(op)).values, c)
+    assert np.max(np.abs(sf.step_implicit(op, spec, c, dt, tol=STEP_TOL).values - c)) <= miss
+    # the exact step from u is the proximal map of the strip energy
+    # E(u) = min E_p over interior completions: it lowers E + |v - u|^2 / (2 dt)
+    # below E(u), which the step's own field f (whose strip part is u) bounds
+    # above, and it keeps the weighted mean m, so moves no closer to m than u
+    # is. A miss of size miss per node moves the L2(mu) distance by at most
+    # miss sqrt(sum mu) and, E_p being convex, E_p of the field by at most
+    # miss times the l1 norm of its gradient there. Two chained steps compare
+    # fields made by the step alone
+    u0 = prob.strip_data()
+    u1, f1 = _step_implicit_values(op, spec, u0, dt, STEP_TOL, 60, None)
+    u2, f2 = _step_implicit_values(op, spec, u1, dt, STEP_TOL, 60, f1[op.interior_idx])
+    d0, d1, d2 = (sf.lq_distance_to_mean(op.grid, u, 2.0) for u in (u0, u1, u2))
+    dist_slack = miss * math.sqrt(np.sum(mu_s))
+    assert d1 <= d0 + dist_slack and d2 <= d1 + dist_slack
+    energy_slack = miss * np.sum(np.abs(sf.energy_gradient(op, f2, prob.p).values))
+    assert sf.energy(op, f2, prob.p) <= sf.energy(op, f1, prob.p) + energy_slack
+
+
+@pytest.mark.parametrize("mode", [sf.EXCLUDE_STRIP_STRIP, sf.FULL])
+def test_reciprocity_is_exact_for_any_measures(mode):
+    # (J mu[y]) mu[x] and (J mu[x]) mu[y] can differ in the last bit when the
+    # measures are not dyadic; J (mu[x] mu[y]) is one product from either end
+    grid = line_grid([STRIP] * 2 + [INTERIOR] * 4 + [STRIP] * 2,
+                     [0.1, 0.3, 0.7, 0.11, 0.13, 0.17, 0.19, 0.23])
+    kernel = sf.tent_kernel(1.0, 1)
+    jmat = kernel.cnorm * np.maximum(kernel.R - np.abs(grid.nodes - grid.nodes.T), 0.0)
+    op = _operator_from_dense(grid, kernel, jmat, mode)
+    coef = np.zeros((op.n, op.n))
+    coef[op.act_rows, op.act_cols] = op.act_coef
+    assert np.array_equal(coef, coef.T)
+    s = sf.schur_complement(op)
+    assert np.array_equal(s, s.T)
 
 
 EPS = np.finfo(float).eps

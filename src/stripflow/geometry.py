@@ -127,12 +127,7 @@ def build_grid(domain, h, r, allow_empty_interior=False):
             raise BadSpacing(f"h={h} does not tile side {side} (axis {k})")
         counts.append(m)
 
-    axes = [domain.lo[k] + (np.arange(counts[k]) + 0.5) * h for k in range(domain.dim)]
-    if domain.dim == 1:
-        nodes = axes[0][:, None]
-    else:
-        gx, gy = np.meshgrid(axes[0], axes[1], indexing="ij")
-        nodes = np.column_stack([gx.ravel(), gy.ravel()])
+    nodes = lattice_nodes(domain, h, counts)
 
     lo = domain.lo[None, :]
     hi = domain.hi[None, :]
@@ -147,6 +142,16 @@ def build_grid(domain, h, r, allow_empty_interior=False):
     mu = np.full(nodes.shape[0], float(h) ** domain.dim)
     return Grid(domain=domain, h=float(h), r=float(r), nodes=nodes, klass=klass,
                 mu=mu, bdist=bdist, counts=tuple(counts))
+
+
+def lattice_nodes(domain, h, counts):
+    """The cell centres lo + (i + 1/2) h of a counts[0] x ... lattice, the
+    first axis slowest: the nodes of build_grid, bit for bit."""
+    axes = [domain.lo[k] + (np.arange(counts[k]) + 0.5) * h for k in range(domain.dim)]
+    if domain.dim == 1:
+        return axes[0][:, None]
+    gx, gy = np.meshgrid(axes[0], axes[1], indexing="ij")
+    return np.column_stack([gx.ravel(), gy.ravel()])
 
 
 def strip_indices(grid):

@@ -1,13 +1,16 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.spatial.distance import cdist
 
 import stripflow as sf
 from stripflow.errors import (EmptySupport, InvalidArgument, SingularAtOrigin)
 from stripflow.elliptic import _interior
-from stripflow.kernels import laplacian_dense, strip_edges
+from stripflow.kernels import (_operator_from_dense, _values_from_distance, laplacian_dense,
+                               strip_edges)
 
 from conftest import BOX1, BOX2
 
@@ -17,6 +20,22 @@ def dense_active(op):
     W = np.zeros((op.n, op.n))
     W[op.act_rows, op.act_cols] = op.act_coef / op.grid.mu[op.act_rows]
     return W
+
+
+def dense_oracle(grid, spec, edge_mode):
+    # J evaluated at every node pair of the n x n distance array, then masked:
+    # the assembly before the offset stencil
+    d = cdist(grid.nodes, grid.nodes)
+    if spec.family == sf.SINGULAR:
+        np.fill_diagonal(d, np.inf)
+    jmat = _values_from_distance(spec, d)
+    np.fill_diagonal(jmat, 0.0)
+    return _operator_from_dense(grid, spec, jmat, edge_mode)
+
+
+def same_operator(op, ref):
+    return all(np.array_equal(getattr(op, name), getattr(ref, name))
+               for name in ("act_rows", "act_cols", "act_coef", "deg_active"))
 
 
 def test_eval_tent_examples():
@@ -133,17 +152,89 @@ def test_edge_arrays_are_contiguous(toy3_op, op16, op2d, sing16):
 
 
 def test_assembly_keeps_no_dense_weight_matrix():
-    # the distances, overwritten by the kernel values, are the one n x n float
-    # array assembly needs; a second one, a dense W, or index copies would add
-    # to the peak
+    # the three edge arrays and one edge-sized temporary (4/3 of their bytes)
+    # with the per-node run tables make the peak; an n x n array of any dtype
+    # (1 MB as bool, 8.4 MB as float at n = 1024) or a second temporary
+    # would break the bound
     grid = sf.build_grid(BOX2, 1.0 / 32.0, 0.125)
-    tracemalloc.start()
-    try:
-        sf.assemble(grid, sf.tent_kernel(0.25, 2))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.0 * 8 * grid.n ** 2
+    for kernel in (sf.tent_kernel(0.25, 2), sf.singular_kernel(0.5, 2.0, 2)):
+        tracemalloc.start()
+        try:
+            op = sf.assemble(grid, kernel)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        edge_bytes = op.act_rows.nbytes + op.act_cols.nbytes + op.act_coef.nbytes
+        assert peak < 1.6 * edge_bytes
+        del op
+
+
+@pytest.mark.parametrize("mode", [sf.EXCLUDE_STRIP_STRIP, sf.FULL])
+@pytest.mark.parametrize("box,h,r,kernel", [
+    (BOX1, 1.0 / 32.0, 0.125, sf.tent_kernel(0.25, 1)),
+    (BOX1, 1.0 / 32.0, 0.125, sf.tent_kernel(3.0 / 32.0, 1)),  # R a lattice distance
+    (BOX1, 1.0 / 64.0, 0.25, sf.bump_kernel(0.25, 1)),  # R = r
+    (BOX1, 1.0 / 16.0, 0.25, sf.singular_kernel(0.5, 2.0, 1)),
+    (BOX2, 1.0 / 16.0, 0.125, sf.tent_kernel(0.125, 2)),  # R = r
+    (BOX2, 1.0 / 32.0, 0.125, sf.tent_kernel(5.0 / 32.0, 2)),  # (3, 4) and (5, 0) on the rim
+    (BOX2, 1.0 / 32.0, 0.125, sf.bump_kernel(0.3, 2)),
+    (BOX2, 1.0 / 16.0, 0.125, sf.singular_kernel(0.3, 2.5, 2)),
+    (sf.DomainBox(2, (-1.0, 0.0), (1.0, 0.5)), 1.0 / 16.0, 0.125, sf.tent_kernel(0.3, 2)),
+    (sf.DomainBox(2, (-1.0, 0.0), (1.0, 0.5)), 1.0 / 16.0, 0.125,
+     sf.singular_kernel(0.5, 2.0, 2)),
+])
+def test_stencil_matches_dense_evaluation_on_dyadic_grids(box, h, r, kernel, mode):
+    # dyadic coordinates make every distance exact, so the offset table and
+    # the dense n x n evaluation agree to the bit
+    grid = sf.build_grid(box, h, r)
+    assert same_operator(sf.assemble(grid, kernel, mode), dense_oracle(grid, kernel, mode))
+
+
+@pytest.mark.parametrize("mode", [sf.EXCLUDE_STRIP_STRIP, sf.FULL])
+@pytest.mark.parametrize("box,h,kernel", [
+    (BOX2, 1.0 / 48.0, sf.tent_kernel(0.25, 2)),
+    (BOX2, 1.0 / 48.0, sf.bump_kernel(0.25, 2)),
+    (BOX2, 1.0 / 48.0, sf.singular_kernel(0.5, 2.0, 2)),
+    # (R/h)^2 rounds 2 ulp above 25 here
+    (BOX2, 1.0 / 24.0, sf.tent_kernel(5.0 / 24.0, 2)),
+    (BOX1, 1.0 / 24.0, sf.bump_kernel(5.0 / 24.0, 1)),
+])
+def test_stencil_on_a_non_dyadic_grid_drops_only_rim_pairs(box, h, kernel, mode):
+    # rounded coordinates put the pairs at lattice distance R on either side
+    # of it; the stencil adds no pair and drops only those
+    grid = sf.build_grid(box, h, 0.125)
+    op, ref = sf.assemble(grid, kernel, mode), dense_oracle(grid, kernel, mode)
+    key = op.act_rows * grid.n + op.act_cols
+    ref_key = ref.act_rows * grid.n + ref.act_cols
+    assert np.isin(key, ref_key).all()
+    kept = np.isin(ref_key, key)
+    assert kernel.family == sf.SINGULAR or not kept.all()
+    assert ref.act_coef[~kept].max(initial=0.0) <= 1e-14 * ref.act_coef.max()
+    np.testing.assert_allclose(op.act_coef, ref.act_coef[kept], rtol=1e-13, atol=0.0)
+
+
+def test_assembly_takes_a_lattice_with_any_measures_and_classes():
+    # strip nodes scattered at random: in exclude mode a strip row's run of
+    # columns then has strip nodes inside it, not only at its ends
+    grid = sf.build_grid(BOX2, 1.0 / 16.0, 0.125)
+    rng = np.random.default_rng(5)
+    grid = dataclasses.replace(grid, mu=rng.uniform(0.5, 2.0, grid.n) * grid.mu,
+                               klass=rng.integers(0, 2, grid.n).astype(np.uint8))
+    for kernel in (sf.tent_kernel(0.3, 2), sf.singular_kernel(0.5, 2.0, 2)):
+        for mode in (sf.EXCLUDE_STRIP_STRIP, sf.FULL):
+            assert same_operator(sf.assemble(grid, kernel, mode),
+                                 dense_oracle(grid, kernel, mode))
+
+
+def test_assembly_refuses_nodes_off_the_lattice():
+    grid = sf.build_grid(BOX2, 1.0 / 16.0, 0.125)
+    jitter = np.random.default_rng(6).uniform(-1e-3, 1e-3, grid.nodes.shape) * grid.h
+    for bad in (dataclasses.replace(grid, nodes=grid.nodes + jitter),
+                dataclasses.replace(grid, nodes=grid.nodes[::-1]),
+                dataclasses.replace(grid, counts=(8, 32)),
+                dataclasses.replace(grid, counts=())):
+        with pytest.raises(InvalidArgument):
+            sf.assemble(bad, sf.tent_kernel(0.25, 2))
 
 
 def test_no_self_edges(op16, op16_full, op2d):

@@ -155,7 +155,10 @@ def rayleigh_quotient(op, g, p):
 
     The numerator is half the weighted sum of |u_hat[y] - u_hat[x]|^p over
     active ordered pairs, with u_hat the stationary extension of g, read off
-    its strip flux. The caller must supply mean-zero data.
+    its strip flux. The caller must supply mean-zero data. At p = 2 this
+    route (extension, then an edge pass) stays apart from the Schur
+    complement that spectral_gap_beta and the p = 2 dynamics use, so the
+    quotient of the gap mode checks beta independently.
     """
     gv = g.values if isinstance(g, StripField) else np.asarray(g, dtype=float)
     sup = float(np.max(np.abs(gv), initial=0.0))

@@ -19,10 +19,11 @@ from .analysis import (DIAG_COLUMNS, EXPONENTIAL, POLYNOMIAL,
                        counterexample_sequence, fit_decay, isolated_strip_nodes,
                        schur_complement, spectral_gap_beta, estimate_beta_p)
 from .config import PICARD, build_geometry, build_problem, initial_field, load_config
-from .elliptic import energy, extend_with_report, interior_residual
+from .elliptic import (_extended_values, _strip_flux, energy, extend_with_report,
+                       interior_residual)
 from .errors import SolverError, StripflowError
-from .evolution import (EXPLICIT, IMPLICIT, ProblemSpec, _rhs_values, evolve,
-                        picard_solve, stability_bound, step_explicit, step_implicit)
+from .evolution import (EXPLICIT, IMPLICIT, evolve, picard_solve, stability_bound,
+                        step_explicit, step_implicit)
 from .fields import EnergyReport
 from .geometry import strip_indices
 from .svg import write_svg
@@ -307,14 +308,14 @@ def validate_cmd(config_path, seed, quiet):
         except SolverError as exc:
             lines.append((name, "fail", f"{type(exc).__name__}: {exc}"))
 
-    # p = 2 strip dynamics against the eliminated-interior form; the p = 2
-    # flux of this operator, even where its singular kernel was built for p != 2
+    # the strip flux of the p = 2 extension against the eliminated-interior
+    # form that the p = 2 dynamics step with; the p = 2 flux of this
+    # operator, even where its singular kernel was built for p != 2
     mu_s = grid.mu[op.strip_idx]
     with check("quadratic reduction") as report:
-        quad = ProblemSpec(variant=spec.variant, p=2.0, q=2.0)
         rng = np.random.default_rng([small.seed, 3])
         g = rng.standard_normal(op.n_strip)
-        direct = _rhs_values(op, quad, g)
+        direct = _strip_flux(op, _extended_values(op, g, 2.0), 2.0)
         reduced_rhs = -(schur_complement(op) @ g) / mu_s
         dmax = float(np.max(np.abs(direct - reduced_rhs), initial=0.0))
         ok = dmax <= 1e-8 * (1.0 + float(np.max(np.abs(g))))

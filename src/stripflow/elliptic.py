@@ -10,7 +10,8 @@ over the free nodes, is gated on one residual r, the W-unit balance of F
 (whose gradient is -mu r), and returns one (FullField, EnergyReport) pair,
 which NoConvergence carries too. The extension pins the strip and drops
 lin and (w, t); the implicit p != 2 step frees every node with w = mu / dt
-and t = u on the strip; estimate_beta_p pins one node and adds lin. L_II
+and t = u on the strip, and each of its iterates is shifted by the constant
+that keeps the strip mass; estimate_beta_p pins one node and adds lin. L_II
 and L_IS are cut from the edges' CSR adjacency (_accel.adjacency) by scipy
 indexing, the majoriser by _accel.laplacian_block, which adds no diagonal
 term. Balances are in W units, coefficient row sums over mu[x]. Energies
@@ -35,6 +36,9 @@ __all__ = [
     "extend_linear", "extend_plaplace",
 ]
 
+# Relative roundoff of an iterate, for the floor a stalled solve reports.
+_EPS = float(np.finfo(float).eps)
+
 # Regularization width for the gradient and Hessian when 1 < p < 2; the
 # reported energy itself is never regularized.
 REG_EPS = 1e-10
@@ -42,16 +46,25 @@ REG_EPS = 1e-10
 # Tolerance of every extension made inside a time step or a diagnostic.
 EXT_TOL = 1e-12
 
+# A descent stalls when this many accepted points in a row neither lower F
+# beyond roundoff nor set a new best residual.
+STALL_STEPS = 5
+
 
 def eps_for(p):
     return REG_EPS if p < 2.0 else 0.0
 
 
+def _midrange(vals):
+    """Anchor of the shift-invariant p = 2 solves and of the pairing: it
+    makes constant data exactly 0 after the shift, c - (c + c)/2 = 0."""
+    return 0.5 * (np.max(vals) + np.min(vals))
+
+
 def _pairing(mu, vals, resid, p):
     """(1/p) sum mu (c - vals) resid: the energy of vals when resid is its
     unregularized balance. c, the midrange of vals, only stops cancellation."""
-    c = 0.5 * (np.max(vals) + np.min(vals))
-    return float(np.dot(mu * (c - vals), resid)) / p
+    return float(np.dot(mu * (_midrange(vals) - vals), resid)) / p
 
 
 def energy_values(op, vals, p):
@@ -129,8 +142,8 @@ def extend_linear(op, g):
         raise EmptyInterior("linear extension needs interior nodes")
     gv = g.values if isinstance(g, StripField) else np.asarray(g, dtype=float)
     # solve anchored at the midrange of g: shifting out the constant mode keeps
-    # constant data exactly constant, c - (c + c)/2 = 0, and costs nothing
-    shift = 0.5 * (np.max(gv) + np.min(gv))
+    # constant data exactly constant and costs nothing
+    shift = _midrange(gv)
     l_ii, (chol, lower), l_is = _interior(op)
     rhs = -(l_is @ (gv - shift))
     # L_II = U^T U with U the upper factor: two triangular solves take half the
@@ -183,17 +196,28 @@ def _newton_free(op, p, v0, free, max_iter, converged, *, lin=None, prox=None):
     phi_row_sums pass at p >= 2, where F pairs the balance, and two at p < 2,
     whose residual alone is regularized.
 
+    With prox and every node free, each accepted point is shifted by the
+    constant c = -sum w (v - t) / sum w. E_p and its balance do not change
+    under the shift, F restricted to the constants is a quadratic in c that
+    this c minimizes, and sum w (v - t) = 0 after it: the implicit step
+    keeps its strip mass exactly. F and r are updated in closed form.
+
     Returns (FullField, EnergyReport) at the minimizer: energy is F and
     grad_norm is max |r[free]|. Raises NoConvergence carrying the same pair
     for the last iterate, with converged False, when the budget runs out
-    (every accepted step lowers F, up to roundoff), and SingularSystem at
-    once when a majorizer factor fails.
+    (every accepted step lowers F, up to roundoff) or at once when the
+    descent stalls: STALL_STEPS accepted points in a row that lower F by
+    no more than roundoff and set no new best max |r[free]|. A stalled
+    report has stalled True and its floor estimate set. SingularSystem is
+    raised at once when a majorizer factor fails.
     """
     eps = eps_for(p)
     v = v0.copy()
     mu = op.grid.mu
     muf = mu[free]
     wf = 0.0 if prox is None else prox[0][free]
+    # sum w where every node is free to take the constant shift, 0 where none is made
+    wsum = float(np.sum(prox[0])) if prox is not None and free.shape[0] == op.n else 0.0
 
     def evaluate(x):
         resid = residual_values(op, x, p, 0.0)
@@ -221,18 +245,39 @@ def _newton_free(op, p, v0, free, max_iter, converged, *, lin=None, prox=None):
         x[free] = v[free] + step
         return (x,) + evaluate(x)
 
-    def result(iterations, done):
+    def recentered(x, fx, rx):
+        # F(x + c) - F(x) = c sum w d + c^2 sum w / 2 = -c^2 sum w / 2 at the minimizing c
+        c = -float(np.dot(prox[0], x - prox[1])) / wsum
+        return x + c, fx - 0.5 * c * c * wsum, rx - prox[0] * (c / mu)
+
+    def floor():
+        # sensitivity of r to a relative perturbation eps of v: eps max |v|
+        # times the largest W-unit row sum of the edge weights phi_p'(d)
+        diag, _ = _accel.hessian_accumulate(op.act_rows, op.act_cols, op.act_coef, v,
+                                            p, eps, free)
+        return _EPS * float(np.max(np.abs(v))) * float(np.max(diag / muf, initial=0.0))
+
+    def result(iterations, done, stalled=False):
         return FullField(v, op.grid), EnergyReport(
             energy=f, grad_norm=float(np.max(np.abs(resid[free]), initial=0.0)),
-            iterations=iterations, converged=done, cg_iterations=cg_iters)
+            iterations=iterations, converged=done, cg_iterations=cg_iters,
+            stalled=stalled, floor=floor() if stalled else None)
 
     f, resid = evaluate(v)
     lam = 0.0
     prev_step = None
     cg_iters = 0
+    best_sup = np.max(np.abs(resid[free]), initial=0.0)
+    flat = 0
     for it in range(max_iter):
         if converged(resid[free]):
             return result(it, True)
+        if flat == STALL_STEPS:
+            stalled = result(it, False, stalled=True)
+            raise NoConvergence(
+                f"descent stalled after {it} iterations at residual "
+                f"{stalled[1].grad_norm:.3e}, roundoff floor {stalled[1].floor:.3e}",
+                best=stalled)
         gfree = -muf * resid[free]
         fnoise = 1e-12 * (1.0 + abs(f))
         found = None
@@ -286,7 +331,13 @@ def _newton_free(op, p, v0, free, max_iter, converged, *, lin=None, prox=None):
                 lam = 0.0
         if found is None:
             break
+        f_prev = f
         v, f, resid = found
+        if wsum > 0.0:
+            v, f, resid = recentered(v, f, resid)
+        sup = np.max(np.abs(resid[free]), initial=0.0)
+        flat = 0 if f < f_prev - fnoise or sup < best_sup else flat + 1
+        best_sup = min(best_sup, sup)
     if converged(resid[free]):
         return result(max_iter, True)
     raise NoConvergence(f"no convergence in {max_iter} iterations",

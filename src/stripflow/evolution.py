@@ -1,17 +1,19 @@
 """Time stepping for the strip dynamics.
 
 The strip values evolve; interior values follow instantaneously through the
-stationary extension. Explicit Euler takes the strip flux of the extended
-state and re-solves the extension after each step.
-At p = 2 the strip evolves by the Schur complement S of the interior, so
-the implicit step solves the strip system (M + dt S) v = M u, with M the
-strip measures, and then extends v. For p != 2 the implicit step
-minimizes dt * E_p(v) + (1/2) sum_strip mu (v - u)^2 jointly over all
-nodes, which reproduces backward Euler on the strip and the stationary
-balance on the interior in one convex solve: elliptic._newton_free on that
-objective over dt, with proximal weights mu / dt on the strip. The fixed
-point integrator rebuilds the solution on a whole time window from its
-integral form and only contracts on short windows.
+stationary extension. At p = 2 that extension is linear, so the strip
+evolves by u' = -M^-1 S u with S the Schur complement of the interior and
+M the strip measures: the flux is one product with the cached S, and no
+step of either integrator extends. Explicit Euler steps u + dt flux; the
+implicit step solves the strip system (M + dt S) v = M u. For p != 2 the
+explicit flux is that of the extended state, re-solved after each step,
+and the implicit step minimizes dt * E_p(v) + (1/2) sum_strip mu (v - u)^2
+jointly over all nodes, which reproduces backward Euler on the strip and
+the stationary balance on the interior in one convex solve:
+elliptic._newton_free on that objective over dt, with proximal weights
+mu / dt on the strip. The fixed point integrator rebuilds the solution on
+a whole time window from its integral form and only contracts on short
+windows.
 """
 
 import warnings
@@ -23,8 +25,8 @@ from scipy.integrate import cumulative_trapezoid
 
 from .analysis import (DIAG_COLUMNS, _lp_norm, lq_distance_to_mean, mass,
                        schur_complement)
-from .elliptic import (StripField, _extended_values, _interior_start, _newton_free,
-                       _pairing, _strip_flux)
+from .elliptic import (StripField, _extended_values, _interior_start, _midrange,
+                       _newton_free, _pairing, _strip_flux)
 from .errors import (InvalidArgument, NoContraction, SingularSystem, SolverError)
 from .kernels import EXCLUDE_STRIP_STRIP, FULL, SINGULAR
 
@@ -114,7 +116,15 @@ def check_compatible(op, spec):
     check_kernel(op.spec, spec)
 
 
+def _schur_flux(op, uv):
+    """The p = 2 strip flux -M^-1 S u, anchored at the midrange c of u as
+    extend_linear is: S (c - u) is exactly +0 for constant data."""
+    return (schur_complement(op) @ (_midrange(uv) - uv)) / op.grid.mu[op.strip_idx]
+
+
 def _rhs_values(op, spec, uv):
+    if spec.p == 2.0:
+        return _schur_flux(op, uv)
     return _strip_flux(op, _extended_values(op, uv, spec.p), spec.p)
 
 
@@ -123,6 +133,8 @@ def rhs(op, spec, u):
 
     For strip node x this is the weighted sum of phi_p(u_hat[y] - u[x])
     over its active neighbors y, with u_hat the stationary extension of u.
+    At p = 2 it is -(S u) / mu with S the Schur complement, which is the
+    same flux with the interior eliminated.
     """
     check_compatible(op, spec)
     uv = u.values if isinstance(u, StripField) else np.asarray(u, dtype=float)
@@ -150,7 +162,8 @@ def step_explicit(op, spec, u, dt):
 
 def _implicit_linear_values(op, dt, uv):
     """Backward Euler at p = 2 on the strip: solve (M + dt S) v = M u with
-    S the Schur complement and M the strip measures, then extend v."""
+    S the Schur complement and M the strip measures, for v - c with c the
+    midrange of u, so that constant data stays exactly constant."""
     mu_s = op.grid.mu[op.strip_idx]
     # one factor per operator, for the last dt: an n_S x n_S factor per dt ever used adds up
     if op._cache.get("implicit_chol", (None,))[0] != dt:
@@ -162,16 +175,20 @@ def _implicit_linear_values(op, dt, uv):
             op._cache["implicit_chol"] = (dt, sla.cho_factor(mat, overwrite_a=True))
         except sla.LinAlgError as exc:
             raise SingularSystem(f"implicit system is not positive definite: {exc}") from exc
+    shift = _midrange(uv)
     # the cached factor is finite; checking it would scan n_S^2 entries per solve
-    v = sla.cho_solve(op._cache["implicit_chol"][1], mu_s * uv, check_finite=False)
+    v = sla.cho_solve(op._cache["implicit_chol"][1], mu_s * (uv - shift), check_finite=False)
     if not np.all(np.isfinite(v)):
         raise SingularSystem("implicit solve produced non-finite values")
-    return v, _extended_values(op, v, 2.0)
+    v += shift
+    return v
 
 
 def _step_implicit_values(op, spec, uv, dt, tol, max_iter, warm):
+    """(strip values, full values) after one implicit step; at p = 2 the
+    strip solve makes no extension and the full values are None."""
     if spec.p == 2.0:
-        return _implicit_linear_values(op, dt, uv)
+        return _implicit_linear_values(op, dt, uv), None
 
     # F = E_p + (1/2) sum (mu_S / dt) (v - u)^2 is the step's objective over dt
     target = np.zeros(op.n)
@@ -196,10 +213,10 @@ def _step_implicit_values(op, spec, uv, dt, tol, max_iter, warm):
 def step_implicit(op, spec, u, dt, tol=1e-10, max_iter=60):
     """Backward Euler step on the strip values.
 
-    At p = 2 this solves the Schur-reduced strip system (M + dt S) v = M u
-    and extends v into the interior. For p != 2 it is the joint proximal
-    minimization: the strip part of the minimizer of dt * E_p(v) + (1/2)
-    sum over strip nodes of mu (v - u)^2 is the new state.
+    At p = 2 this solves the Schur-reduced strip system (M + dt S) v = M u.
+    For p != 2 it is the joint proximal minimization: the strip part of the
+    minimizer of dt * E_p(v) + (1/2) sum over strip nodes of mu (v - u)^2 is
+    the new state.
     """
     check_compatible(op, spec)
     if dt <= 0.0:
@@ -225,13 +242,15 @@ def _diag_row(op, spec, uv, flux):
 def evolve(op, spec, u0, t_end, dt, integrator=EXPLICIT, tol=1e-10, max_iter=60):
     """March the strip dynamics from u0 to t_end in steps of dt.
 
-    dt must divide t_end within 1e-9. u0 is extended once; each step of
-    either integrator then starts its interior solve from the previous
-    extended state. Diagnostics (mass, distances to the weighted mean, edge
-    energy of the extended state) are recorded at every time; the energy is
-    read off the strip flux that also drives the explicit step. On a solver
-    failure mid-run the raised error carries the partial trajectory in its
-    ``partial`` attribute.
+    dt must divide t_end within 1e-9. At p = 2 no state is extended: the
+    flux is the product with the cached Schur complement S, and the
+    implicit step is the strip solve alone. For p != 2, u0 is extended once,
+    and each step of either integrator then starts its interior solve from
+    the previous extended state. Diagnostics (mass, distances to the
+    weighted mean, edge energy of the extended state) are recorded at every
+    time; the energy is read off the strip flux that also drives the
+    explicit step. On a solver failure mid-run the raised error carries the
+    partial trajectory in its ``partial`` attribute.
     """
     check_compatible(op, spec)
     if t_end <= 0.0 or dt <= 0.0:
@@ -252,20 +271,23 @@ def evolve(op, spec, u0, t_end, dt, integrator=EXPLICIT, tol=1e-10, max_iter=60)
     states = np.empty((nsteps + 1, op.n_strip))
     diag = np.empty((nsteps + 1, len(DIAG_COLUMNS)))
 
+    # at p = 2 full stays None: the Schur flux and the strip solve need no extension
+    linear = spec.p == 2.0
     complete = 0
     try:
-        full = _extended_values(op, uv, spec.p)
+        full = None if linear else _extended_values(op, uv, spec.p)
         for k in range(nsteps + 1):
-            flux = _strip_flux(op, full, spec.p)
+            flux = _schur_flux(op, uv) if linear else _strip_flux(op, full, spec.p)
             states[k] = uv
             diag[k] = _diag_row(op, spec, uv, flux)
             complete = k + 1
             if k == nsteps:
                 break
-            warm = full[op.interior_idx] if op.n_interior > 0 else None
+            warm = full[op.interior_idx] if full is not None and op.n_interior > 0 else None
             if integrator == EXPLICIT:
                 uv = uv + dt * flux
-                full = _extended_values(op, uv, spec.p, warm)
+                if not linear:
+                    full = _extended_values(op, uv, spec.p, warm)
             else:
                 uv, full = _step_implicit_values(op, spec, uv, dt, tol, max_iter, warm)
     except SolverError as exc:

@@ -46,10 +46,17 @@ class EnergyReport:
     """Outcome of a variational solve. energy is the value of the solve's
     objective, which is the edge energy for an extension; grad_norm is the
     sup-norm of its W-unit residual over the free nodes. cg_iterations sums
-    the PCG iterations of the Newton steps; the majoriser path makes none."""
+    the PCG iterations of the Newton steps; the majoriser path makes none.
+    stalled marks a solve stopped because neither the objective nor the
+    residual improved any more; its floor estimates the residual that
+    roundoff in the iterate alone produces, eps max |v| max_x sum_y
+    W[x][y] phi_p'(v[y] - v[x]), and is None for a solve that did not stall.
+    A gate below the floor is met, if at all, by how the roundoff falls."""
 
     energy: float
     grad_norm: float
     iterations: int
     converged: bool
     cg_iterations: int = 0
+    stalled: bool = False
+    floor: float | None = None

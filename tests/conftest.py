@@ -3,8 +3,8 @@ import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
 import stripflow as sf
-from stripflow.geometry import Grid
-from stripflow.kernels import laplacian_dense
+from stripflow.geometry import INTERIOR, STRIP, Grid
+from stripflow.kernels import _operator_from_dense, laplacian_dense
 
 BOX1 = sf.DomainBox(1, (0.0,), (1.0,))
 BOX2 = sf.DomainBox(2, (0.0, 0.0), (1.0, 1.0))
@@ -33,6 +33,16 @@ def line_grid(klass, mu):
     return Grid(domain=BOX1, h=1.0 / n, r=2.0 / n, nodes=x[:, None],
                 klass=np.array(klass, dtype=np.uint8), mu=np.asarray(mu, dtype=float),
                 bdist=np.minimum(x, 1.0 - x), counts=(n,))
+
+
+def nonuniform_line_op(edge_mode):
+    """A 10-node line whose measures vary by a factor of 6 (every grid that
+    build_grid makes has uniform measures)."""
+    grid = line_grid([STRIP] * 3 + [INTERIOR] * 4 + [STRIP] * 3,
+                     np.array([1.0, 2.0, 0.5, 3.0, 1.5, 1.0, 2.5, 0.75, 1.25, 0.5]) / 10.0)
+    kernel = sf.tent_kernel(0.45, 1)
+    jmat = kernel.cnorm * np.maximum(kernel.R - np.abs(grid.nodes - grid.nodes.T), 0.0)
+    return _operator_from_dense(grid, kernel, jmat, edge_mode)
 
 
 def schur_oracle(op):

@@ -319,13 +319,14 @@ def test_validate_singular_kernel_away_from_p2(runner, tmp_path):
 
 def test_validate_reports_a_failing_solver_as_a_failed_check(runner, tmp_path):
     # explicit p = 4 steps at 0.45 of the p-blind stability bound blow up and
-    # the next extension stops converging; the other checks must still run
+    # the next extension stalls at a residual below its roundoff floor; the
+    # other checks must still run
     doc = dict(GRID16, problem={"variant": "plaplace-full", "p": 4.0},
                time={"t_end": 1.0, "dt": 0.5, "integrator": "implicit"})
     res = runner.invoke(main, ["validate", "--config", write_cfg(tmp_path, doc)])
     assert res.exit_code == 0
-    assert ("check integrator agreement: fail (NoConvergence: no convergence in "
-            "100 iterations)") in res.stdout
+    assert ("check integrator agreement: fail (NoConvergence: descent stalled after "
+            in res.stdout)
     assert "check mass conservation: pass" in res.stdout
     assert "check spectral gap: pass" in res.stdout
     assert "6 checks, 1 failed" in res.stdout

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as sla
 
 import stripflow as sf
-from stripflow import _accel, kernels
+from stripflow import kernels
 from stripflow.elliptic import REG_EPS, _interior, _newton_free, extend_plaplace
 from stripflow.errors import (EmptyInterior, NoConvergence, NonConvexExponent,
                               SingularSystem)
@@ -367,6 +367,26 @@ def test_no_convergence_carries_best(op16):
     assert np.isfinite(field.values).all()
 
 
+def test_a_stalled_descent_stops_at_once():
+    # a p = 4 extension whose gate, 9.83e-12, sits below the residual that
+    # roundoff leaves, 1.46e-11: F is frozen and the residual sets no new
+    # best, so the solve stops after the same work whatever its budget
+    op = make_op(1.0 / 8.0, 0.25, sf.singular_kernel(0.75, 4.0, 1))
+    g = np.array([-4.21, -8.39, -8.83, 5.72])
+    reports = []
+    for max_iter in (100, 400, 2000):
+        with pytest.raises(NoConvergence, match="stalled") as info:
+            extend_plaplace(op, g, 4.0, tol=1e-12, max_iter=max_iter)
+        field, report = info.value.best
+        assert report.stalled and not report.converged
+        assert report.iterations < 100
+        assert report.grad_norm == sf.interior_residual(op, field, 4.0)
+        # the gate lies below the floor: roundoff alone can keep the residual above it
+        assert 1e-12 * (1.0 + np.max(np.abs(g))) < report.floor
+        reports.append(report)
+    assert all(r == reports[0] for r in reports)
+
+
 @pytest.mark.parametrize("p", [1.5, 2.5, 3.0, 4.0])
 def test_extension_report_is_the_last_evaluation(op16, op2d, p):
     # the report reuses the F and the residual of the loop's last point; with
@@ -375,7 +395,7 @@ def test_extension_report_is_the_last_evaluation(op16, op2d, p):
     for op in (op16, op2d):
         g = sf.StripField(rng.standard_normal(op.n_strip), op.grid)
         field, report = extend_plaplace(op, g, p)
-        assert report.converged
+        assert report.converged and not report.stalled and report.floor is None
         assert report.energy == sf.energy(op, field, p)
         assert report.grad_norm == sf.interior_residual(op, field, p)
         # PCG runs on the Newton path only, not on the majoriser's

@@ -5,15 +5,15 @@ import pytest
 import scipy.linalg as sla
 
 import stripflow as sf
-from stripflow import _accel, evolution
-from stripflow.elliptic import EXT_TOL
+from stripflow import _accel, elliptic, evolution
+from stripflow.elliptic import EXT_TOL, _extended_values, _strip_flux
 from stripflow.errors import (InvalidArgument, NoContraction, NoConvergence, SingularSystem,
                               SolverError)
 from stripflow.evolution import (LINEAR, LINEAR_FULL, PLAPLACE, PLAPLACE_FULL,
                                  SINGULAR_VARIANT, _step_implicit_values)
 from stripflow.kernels import laplacian_dense, strip_edges
 
-from conftest import make_op
+from conftest import make_op, nonuniform_line_op
 
 LIN = sf.ProblemSpec(LINEAR)
 P3 = sf.ProblemSpec(PLAPLACE, p=3.0)
@@ -97,10 +97,12 @@ def test_linear_implicit_step_matches_full_grid_solve(
         b = np.zeros(op.n)
         b[op.strip_idx] = mu_s * u
         want = np.linalg.solve(mat, b)
-        strip, full = _step_implicit_values(op, spec, u, dt, 1e-10, 60, None)
+        # the strip solve makes no extension; the test extends its result
+        strip, none = _step_implicit_values(op, spec, u, dt, 1e-10, 60, None)
+        assert none is None
+        full = _extended_values(op, strip, 2.0)
         tol = 1e-13 * (1.0 + np.abs(u).max())
         assert np.abs(full - want).max() <= tol
-        np.testing.assert_array_equal(strip, full[op.strip_idx])
         drift = abs(np.dot(mu_s, strip) - np.dot(mu_s, u))
         assert drift <= 1e-14 * np.sum(mu_s * np.abs(u))
 
@@ -124,6 +126,51 @@ def test_evolve_trajectory_layout(toy3_op):
     assert traj.diag[k, 0] == pytest.approx(sf.mass(toy3_op.grid, u), abs=1e-15)
     assert traj.diag[k, 2] == pytest.approx(
         sf.lq_distance_to_mean(toy3_op.grid, u, 2.0), abs=1e-15)
+
+
+@pytest.mark.parametrize("integrator", [sf.EXPLICIT, sf.IMPLICIT])
+def test_p2_evolve_matches_the_extension_route(op16, op16_full, sing16, integrator):
+    # oracle: the flux of every state read off its extension, which is how the
+    # p = 2 dynamics are defined; the explicit oracle steps with it, and the
+    # implicit one solves backward Euler on the whole grid,
+    # (dt L + diag(strip mu)) v = strip mu u, which eliminates the interior
+    cases = [(op16, LIN), (op16_full, sf.ProblemSpec(LINEAR_FULL)),
+             (sing16(2.0), sf.ProblemSpec(SINGULAR_VARIANT)),
+             (nonuniform_line_op(LIN.edge_mode), LIN)]
+    rng = np.random.default_rng(41)
+    eps = np.finfo(float).eps
+    nsteps = 20
+    for op, spec in cases:
+        mu_s = op.grid.mu[op.strip_idx]
+        dt = 0.4 * sf.stability_bound(op) if integrator == sf.EXPLICIT else 0.5
+        whole = dt * laplacian_dense(op)
+        whole[op.strip_idx, op.strip_idx] += mu_s
+        b = np.zeros(op.n)
+        u0 = rng.standard_normal(op.n_strip) + 3.0
+        states, diag = [], []
+        u = u0
+        for _ in range(nsteps + 1):
+            flux = _strip_flux(op, _extended_values(op, u, 2.0), 2.0)
+            states.append(u)
+            diag.append(evolution._diag_row(op, spec, u, flux))
+            if integrator == sf.EXPLICIT:
+                u = u + dt * flux
+            else:
+                b[op.strip_idx] = mu_s * u
+                u = np.linalg.solve(whole, b)[op.strip_idx]
+        states, diag = np.array(states), np.array(diag)
+        traj = sf.evolve(op, spec, u0, nsteps * dt, dt, integrator)
+        assert np.abs(traj.states - states).max() <= 1e-13 * np.abs(states).max()
+        assert np.all(np.abs(traj.diag - diag) <= 1e-13 * np.abs(diag).max(axis=0))
+        # the mass column itself is a sum of n_S rounded terms
+        drift = np.abs(traj.diag[:, 0] - traj.diag[0, 0]).max()
+        want = np.abs(diag[:, 0] - diag[0, 0]).max()
+        assert drift <= want + op.n_strip * eps * np.dot(mu_s, np.abs(u0))
+        # constants are fixed points bit for bit, with energy +0
+        c = np.full(op.n_strip, rng.uniform(-5.0, 5.0))
+        traj = sf.evolve(op, spec, c, nsteps * dt, dt, integrator)
+        assert np.array_equal(traj.states, np.broadcast_to(c, traj.states.shape))
+        assert np.all(traj.diag[:, 6] == 0.0) and np.all(np.copysign(1.0, traj.diag[:, 6]) == 1.0)
 
 
 def test_energy_column_is_the_energy_of_the_extended_state(toy3_op, op16, op2d, sing16):
@@ -158,8 +205,9 @@ def test_energy_column_is_the_energy_of_the_extended_state(toy3_op, op16, op2d, 
 
 @pytest.mark.parametrize("integrator", [sf.EXPLICIT, sf.IMPLICIT])
 def test_evolve_makes_one_strip_pass_per_state(op2d, integrator, monkeypatch):
-    # one strip flux per state gives its energy and the explicit step; no
-    # pass over the whole edge list is made for the diagnostics
+    # at p = 2 the Schur complement gives every state's flux and energy, so
+    # the run makes no edge pass and no extension; at p = 3 one strip flux
+    # per state gives its energy and the explicit step
     real = _accel.phi_row_sums
     passes = []
 
@@ -167,12 +215,20 @@ def test_evolve_makes_one_strip_pass_per_state(op2d, integrator, monkeypatch):
         passes.append(rows)
         return real(rows, *args)
     monkeypatch.setattr(_accel, "phi_row_sums", recording)
+    real_linear = elliptic.extend_linear
+    extensions = []
+
+    def counting(*args):
+        extensions.append(None)
+        return real_linear(*args)
+    monkeypatch.setattr(elliptic, "extend_linear", counting)
     u0 = sf.StripField(np.random.default_rng(18).standard_normal(op2d.n_strip), op2d.grid)
     dt = 0.4 * sf.stability_bound(op2d)
     sf.evolve(op2d, LIN, u0, 5.0 * dt, dt, integrator)
-    assert len(passes) == 6
+    assert passes == [] and extensions == []
+    sf.evolve(op2d, P3, u0, 5.0 * dt, dt, integrator)
     strip_rows = strip_edges(op2d)[0]
-    assert all(np.array_equal(rows, strip_rows) for rows in passes)
+    assert sum(np.array_equal(rows, strip_rows) for rows in passes) == 6
 
 
 def test_evolve_mass_column(toy3_op):
@@ -207,6 +263,20 @@ def test_mass_conserved_under_explicit_step(op16, op16_full, sing16):
             out = sf.step_explicit(op, spec, sf.StripField(u, op.grid), 0.01)
             drift = abs(np.dot(mu_s, out.values) - np.dot(mu_s, u))
             assert drift <= 1e-12 * (1.0 + np.sum(mu_s * np.abs(u)))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.5, 3.0, 4.0])
+def test_implicit_evolve_keeps_mass_to_roundoff(op16, op2d, p):
+    # the p != 2 step is solved only to its gradient gate, but every iterate
+    # is shifted by the constant that restores the strip mass, so the mass
+    # drifts by roundoff alone over the run (the gate allows 1e-10 per step)
+    rng = np.random.default_rng(33)
+    for op in (op16, op2d):
+        mu_s = op.grid.mu[op.strip_idx]
+        u0 = rng.standard_normal(op.n_strip)
+        traj = sf.evolve(op, sf.ProblemSpec(PLAPLACE, p=p), u0, 5.0, 0.5, sf.IMPLICIT)
+        drift = np.abs(traj.diag[:, 0] - traj.diag[0, 0]).max()
+        assert drift <= 1e-14 * np.dot(mu_s, np.abs(u0))
 
 
 def test_implicit_mean_deviation_never_grows(op16):

@@ -1,20 +1,25 @@
 """Diagnostics on strip data: the reduced quadratic form and its smallest
 eigenvalue, Rayleigh quotients with stationary extension, the shrinking
 two-bump sequence that degenerates the gap when the strip is as wide as
-the kernel support, and decay-rate fitting."""
+the kernel support, and decay-rate fitting. The reduced form S and its
+eigenproblem are worked sector by sector under the box's coordinate
+mirrors (symmetry.sectors): one dense block per sector, each with its own
+triangular solve, rank-k update and eigh."""
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from . import _accel
-from .elliptic import (_extended_values, _interior, _newton_free, _pairing, _strip_flux,
-                       energy_values)
+from .elliptic import (_EPS, _extended_values, _interior, _newton_free, _pairing,
+                       _strip_flux, energy_values)
 from .errors import (ConstantField, EmptyBump, InvalidArgument, NoConvergence,
                      NonPositiveData, NotMeanZero, TooFewStripNodes, WindowTooSmall)
 from .fields import StripField
 from .geometry import STRIP
+from .symmetry import sectors
 
 SCHUR_EIG = "schur-eig"
 INVERSE_POWER = "inverse-power"
@@ -25,6 +30,7 @@ POLYNOMIAL = "polynomial"
 # Trajectory diagnostic columns, in file order after (step, t).
 DIAG_COLUMNS = ("mass", "d1", "d2", "dp", "dq", "dinf", "energy")
 
+# Largest sector block the dense eigensolve takes.
 _EIG_NODE_CAP = 2000
 
 
@@ -75,30 +81,52 @@ def _lp_norm(mu, vals, p):
     return float(np.sum(mu * np.abs(vals) ** p) ** (1.0 / p))
 
 
-def schur_complement(op):
+def schur_complement(op, blocks=False):
     """Strip-reduced matrix of the active-edge quadratic form.
 
-    Eliminates the interior block, S = L_SS - L_SI L_II^{-1} L_IS. With
-    L_II = U^T U from the Cholesky factor that the linear extension shares
-    (elliptic._interior), one triangular solve gives X = U^{-T} L_IS in
-    the dense copy of L_IS and S = -X^T X + L_SS, one symmetric rank-k
-    update. The coefficients are exactly symmetric, so S is too. PSD,
-    annihilates constants; with no interior nodes it is the strip block.
+    Eliminates the interior block, S = L_SS - L_SI L_II^{-1} L_IS, sector
+    by sector (symmetry.sectors): S_chi = L_SS^chi - X^T X with
+    L_II^chi = U^T U from the factor the linear extension shares
+    (elliptic._interior) and X = U^{-T} L_IS^chi, one triangular solve in
+    the dense fold of L_IS and one symmetric rank-k update. The blocks are
+    made once per operator and cached; blocks=True returns them, one per
+    sector in the order of the characters, and the default unfolds them
+    into the dense n_S x n_S S, a fresh array per call. The coefficients
+    are exactly symmetric, and so is every block and S. PSD, annihilates
+    constants; with no interior nodes it is the strip block.
     """
-    if "schur" in op._cache:
+    if "schur" not in op._cache:
+        op._cache["schur"] = _schur_blocks(op)
+    if blocks:
         return op._cache["schur"]
+    sec = sectors(op)
+    return sec.unfold_matrix(op._cache["schur"], sec.strip)
+
+
+def _schur_blocks(op):
+    """The blocks S_chi, built one sector at a time, so that one X is live."""
+    sec = sectors(op)
+    rows = _accel.adjacency(op.act_rows, op.act_cols, op.act_coef, op.n)[op.strip_idx]
+    l_ss = sp.diags(rows @ np.ones(op.n)) - rows[:, op.strip_idx]
+    del rows
+    l_ss = sec.fold_rows(l_ss, sec.strip, sec.strip)
     if op.n_interior:
-        _, (chol, lower), l_is = _interior(op)
-        x = sla.solve_triangular(chol, l_is.toarray(order="F"), trans="T", lower=lower,
-                                 overwrite_b=True, check_finite=False)
-        schur = x.T @ x
-        del x  # so that the peak is X^T X and L_SS, without X beside them
-        np.negative(schur, out=schur)
-    else:
-        schur = np.zeros((op.n_strip, op.n_strip))
-    schur += _accel.laplacian_block(op.act_rows, op.act_cols, op.act_coef, op.strip_idx)
-    op._cache["schur"] = schur
-    return schur
+        _, factors, l_is = _interior(op)
+        l_is = sec.fold_rows(l_is, sec.interior, sec.strip)
+    out = []
+    for k in range(sec.count):
+        if op.n_interior:
+            chol, lower = factors[k]
+            x = sla.solve_triangular(chol, next(l_is), trans="T", lower=lower,
+                                     overwrite_b=True, check_finite=False)
+            block = x.T @ x
+            del x  # so that the peak is X^T X and L_SS^chi, without X beside them
+            np.negative(block, out=block)
+            block += next(l_ss)
+        else:
+            block = next(l_ss)
+        out.append(block)
+    return tuple(out)
 
 
 def _signed(vals):
@@ -108,39 +136,81 @@ def _signed(vals):
     return vals
 
 
+def _eig_tol(op):
+    """Backward error of the dense symmetric eigensolve: n_S eps times a
+    Gershgorin bound 2 max(row sum) on the measure-scaled reduced form."""
+    return op.n_strip * _EPS * 2.0 * float(np.max(op.deg_active[op.strip_idx]))
+
+
 def _reduced_modes(op, subset=None):
     """Eigenpairs of the reduced form against the strip measures, on the
     mean-zero subspace: ascending eigenvalues and modes as columns, each
     with unit weighted 2-norm and zero weighted mean. `subset` is eigh's
-    subset_by_index; None gives all n_S - 1. The reflection H = I - tau v v^T
-    taking sqrt(mu) to a multiple of e_0 is applied one side at a time, in
-    O(n_S^2); a mode y of the trailing block of H A H maps back to H [0; y].
+    subset_by_index [lo, hi] over the whole spectrum; None gives all
+    n_S - 1.
+
+    Each sector block is solved on its own, with its own eigh: the measures
+    are constant on orbits, so the block of M is diag(mu) at the
+    representatives. The constants lie in the trivial sector only, and are
+    deflated there: the reflection H = I - tau v v^T taking sqrt(mu) to a
+    multiple of e_0 is applied one side at a time, in O(m^2), and a mode y
+    of the trailing block of H A H maps back to H [0; y]. The sectors'
+    eigenvalues are merged in ascending order; eigenvalues within _eig_tol
+    of their neighbours in that order count as tied and keep the order of
+    their sectors, so that the mode of a multiple eigenvalue split across
+    sectors does not hang on roundoff.
     """
     if op.n_strip < 2:
         raise TooFewStripNodes("gap needs at least two strip nodes")
-    if op.n_strip > _EIG_NODE_CAP:
-        raise InvalidArgument(f"dense eigensolve capped at {_EIG_NODE_CAP} strip nodes")
-    root = np.sqrt(op.grid.mu[op.strip_idx])
-    red = schur_complement(op) / np.outer(root, root)
-    v = root / np.linalg.norm(root)
-    v[0] += 1.0  # v[0] > 0, so the shift cannot cancel
-    tv = (2.0 / np.dot(v, v)) * v
-    red -= np.outer(tv, v @ red)
-    red -= np.outer(red @ v, tv)
-    evals, evecs = sla.eigh(red[1:, 1:], subset_by_index=subset)
-    modes = np.zeros((op.n_strip, evecs.shape[1]))
-    modes[1:] = evecs
-    modes -= np.outer(tv, v @ modes)
-    return evals, modes / root[:, None]
+    sec = sectors(op)
+    if sec.strip.size > _EIG_NODE_CAP:
+        raise InvalidArgument(f"dense eigensolve capped at {_EIG_NODE_CAP} strip nodes "
+                              f"per sector block")
+    root = np.sqrt(op.grid.mu[sec.strip.reps])
+    top = None if subset is None else subset[1]
+    evals, modes, owner = [], [], []
+    for k, block in enumerate(schur_complement(op, blocks=True)):
+        red = block / np.outer(root, root)
+        deflate = k == 0
+        if deflate:
+            v = root / np.linalg.norm(root)
+            v[0] += 1.0  # v[0] > 0, so the shift cannot cancel
+            tv = (2.0 / np.dot(v, v)) * v
+            red -= np.outer(tv, v @ red)
+            red -= np.outer(red @ v, tv)
+            red = red[1:, 1:]
+        if red.shape[0] == 0:
+            continue
+        last = red.shape[0] - 1 if top is None else min(top, red.shape[0] - 1)
+        vals, vecs = sla.eigh(red, subset_by_index=[0, last])
+        if deflate:
+            vecs = np.vstack([np.zeros(vecs.shape[1]), vecs])
+            vecs -= np.outer(tv, v @ vecs)
+        # unfolded with the orthonormal basis's |G|^(-1/2), so that each mode
+        # keeps its unit weighted norm
+        full = np.empty((op.n_strip, vals.shape[0]))
+        full[sec.strip.table] = np.multiply.outer(sec.signs[k] / np.sqrt(sec.count),
+                                                  vecs / root[:, None])
+        evals.append(vals)
+        modes.append(full)
+        owner.append(np.full(vals.shape[0], k))
+    evals, owner = np.concatenate(evals), np.concatenate(owner)
+    order = np.argsort(evals, kind="stable")
+    cluster = np.concatenate(([0], np.cumsum(np.diff(evals[order]) > _eig_tol(op))))
+    order = order[np.lexsort((owner[order], cluster))]
+    lo, hi = (0, order.shape[0] - 1) if subset is None else subset
+    order = order[lo:hi + 1]
+    return evals[order], np.concatenate(modes, axis=1)[:, order]
 
 
 def spectral_gap_beta(op, p=2.0):
     """Smallest eigenvalue of the reduced form over mean-zero strip data.
 
     Solves the generalized symmetric problem S v = beta M v with M the
-    diagonal of strip measures, after deflating the constant vector in the
-    M-inner product, and computes only the smallest eigenpair. Exponent 2
-    only; see estimate_beta_p for other p.
+    diagonal of strip measures, sector by sector, after deflating the
+    constant vector in the M-inner product of the trivial sector, and
+    computes only the smallest eigenpair of each block (_reduced_modes).
+    Exponent 2 only; see estimate_beta_p for other p.
     """
     if p != 2.0:
         raise InvalidArgument("eigenvalue path is exponent-2 only; use estimate_beta_p")

@@ -27,6 +27,7 @@ from .evolution import (EXPLICIT, IMPLICIT, evolve, picard_solve, stability_boun
 from .fields import EnergyReport
 from .geometry import strip_indices
 from .svg import write_svg
+from .symmetry import sectors
 
 
 def _fail(exc):
@@ -188,7 +189,10 @@ def beta_cmd(config_path, seed, quiet, out, restarts):
     if out is not None:
         iox.write_strip_csv(out, res.mode)
     if not quiet:
-        click.echo(f"beta: method={res.method} p={p:g} strip_nodes={op.n_strip} "
+        # at p = 2, the mirror sectors the eigensolve ran on: count x block size
+        sec = sectors(op)
+        split = f"sectors={sec.count}x{sec.strip.size} " if p == 2.0 else ""
+        click.echo(f"beta: method={res.method} p={p:g} strip_nodes={op.n_strip} {split}"
                    f"isolated={isolated_strip_nodes(op).shape[0]}", err=True)
 
 

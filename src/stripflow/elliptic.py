@@ -2,13 +2,16 @@
 
 Interior nodes satisfy the stationary nonlocal balance against every other
 node; strip values stay pinned. For exponent 2 that balance is a linear
-system in the interior block L_II, solved with one Cholesky factor of L_II
-made per operator. For general p > 1 it is the Euler-Lagrange condition of
-a strictly convex edge energy E_p. _newton_free is the one descent solve
-for p != 2: it minimizes F(v) = E_p(v) - <lin, v> + (1/2) sum w (v - t)^2
-over the free nodes, is gated on one residual r, the W-unit balance of F
-(whose gradient is -mu r), and returns one (FullField, EnergyReport) pair,
-which NoConvergence carries too. The extension pins the strip and drops
+system in the interior block L_II. The box's coordinate mirrors split it
+into one block per sector (symmetry.sectors: up to 2^d blocks of 1/2^d
+the size on an assembled box, one block otherwise), and each block's
+Cholesky factor is made once per operator. For general p > 1 it is the
+Euler-Lagrange condition of a strictly convex edge energy E_p.
+_newton_free is the one descent solve for p != 2: it minimizes
+F(v) = E_p(v) - <lin, v> + (1/2) sum w (v - t)^2 over the free nodes, is
+gated on one residual r, the W-unit balance of F (whose gradient is
+-mu r), and returns one (FullField, EnergyReport) pair, which
+NoConvergence carries too. The extension pins the strip and drops
 lin and (w, t); the implicit p != 2 step frees every node with w = mu / dt
 and t = u on the strip, and each of its iterates is shifted by the constant
 that keeps the strip mass; estimate_beta_p pins one node and adds lin. L_II
@@ -29,6 +32,7 @@ from . import _accel
 from .errors import EmptyInterior, NoConvergence, NonConvexExponent, SingularSystem
 from .fields import EnergyReport, FullField, StripField
 from .kernels import strip_edges
+from .symmetry import sectors
 
 __all__ = [
     "StripField", "FullField", "EnergyReport", "REG_EPS",
@@ -115,20 +119,26 @@ def interior_residual(op, u, p):
 
 
 def _interior(op):
-    """(L_II, its Cholesky factor, L_IS), made once per operator: the interior
+    """(L_II, its sector factors, L_IS), made once per operator: the interior
     rows of the Laplacian of the coefficients mu[x] W[x][y], cut from their
-    CSR adjacency. L_II is written dense only to be factored in place."""
+    CSR adjacency, and the Cholesky factor of each sector block L_II^chi of
+    L_II (symmetry.sectors), folded from the rows of L_II at the interior
+    representatives and written dense only to be factored in place. The
+    CSR L_II and L_IS serve the extension's right-hand side and residual
+    and the folds of the Schur complement."""
     if "interior" not in op._cache:
+        sec = sectors(op)
         rows = _accel.adjacency(op.act_rows, op.act_cols, op.act_coef, op.n)[op.interior_idx]
         l_is = rows[:, op.strip_idx]
         l_is.data *= -1.0
         l_ii = sp.diags(rows @ np.ones(op.n)) - rows[:, op.interior_idx]
-        del rows  # so that the dense L_II, the peak, has only the two blocks beside it
+        del rows  # so that the sector blocks have only L_II and L_IS beside them
         try:
-            factor = sla.cho_factor(l_ii.toarray(order="F"), overwrite_a=True)
+            factors = tuple(sla.cho_factor(block, overwrite_a=True) for block in
+                            sec.fold_rows(l_ii, sec.interior, sec.interior))
         except sla.LinAlgError as exc:
             raise SingularSystem(f"interior system is singular: {exc}") from exc
-        op._cache["interior"] = (l_ii, factor, l_is)
+        op._cache["interior"] = (l_ii, factors, l_is)
     return op._cache["interior"]
 
 
@@ -136,7 +146,9 @@ def extend_linear(op, g):
     """Extend strip values by the linear stationary balance.
 
     Returns a full field equal to g on the strip whose interior values
-    satisfy L_II u = -L_IS g, i.e. diag(row sums) u - W_II u = W_IS g.
+    satisfy L_II u = -L_IS g, i.e. diag(row sums) u - W_II u = W_IS g,
+    solved sector by sector with the factors of _interior. The residual is
+    that of the whole CSR L_II, so the gate checks the fold too.
     """
     if op.n_interior == 0:
         raise EmptyInterior("linear extension needs interior nodes")
@@ -144,13 +156,18 @@ def extend_linear(op, g):
     # solve anchored at the midrange of g: shifting out the constant mode keeps
     # constant data exactly constant and costs nothing
     shift = _midrange(gv)
-    l_ii, (chol, lower), l_is = _interior(op)
+    l_ii, factors, l_is = _interior(op)
+    sec = sectors(op)
     rhs = -(l_is @ (gv - shift))
-    # L_II = U^T U with U the upper factor: two triangular solves take half the
-    # time of cho_solve's potrs for one right-hand side. The cached factor is
-    # finite; checking it would scan n_I^2 entries per solve
-    sol = sla.solve_triangular(chol, rhs, trans="T", lower=lower, check_finite=False)
-    sol = sla.solve_triangular(chol, sol, lower=lower, overwrite_b=True, check_finite=False)
+    parts = sec.fold(rhs, sec.interior)
+    for part, (chol, lower) in zip(parts, factors):
+        # L_II^chi = U^T U with U the upper factor: two triangular solves take
+        # half the time of cho_solve's potrs for one right-hand side. The
+        # cached factor is finite; checking it would scan its entries per solve
+        sol = sla.solve_triangular(chol, part, trans="T", lower=lower, check_finite=False)
+        part[:] = sla.solve_triangular(chol, sol, lower=lower, overwrite_b=True,
+                                       check_finite=False)
+    sol = sec.unfold(parts, sec.interior)
     # gated in W units (row x of L_II is mu[x] times the balance); NaN fails too
     resid = np.max(np.abs(l_ii @ sol - rhs) / op.grid.mu[op.interior_idx])
     if not resid <= 1e-10 * (1.0 + np.max(np.abs(gv), initial=0.0)):

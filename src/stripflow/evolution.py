@@ -5,15 +5,17 @@ stationary extension. At p = 2 that extension is linear, so the strip
 evolves by u' = -M^-1 S u with S the Schur complement of the interior and
 M the strip measures: the flux is one product with the cached S, and no
 step of either integrator extends. Explicit Euler steps u + dt flux; the
-implicit step solves the strip system (M + dt S) v = M u. For p != 2 the
-explicit flux is that of the extended state, re-solved after each step,
-and the implicit step minimizes dt * E_p(v) + (1/2) sum_strip mu (v - u)^2
-jointly over all nodes, which reproduces backward Euler on the strip and
-the stationary balance on the interior in one convex solve:
-elliptic._newton_free on that objective over dt, with proximal weights
-mu / dt on the strip. The fixed point integrator rebuilds the solution on
-a whole time window from its integral form and only contracts on short
-windows.
+implicit step solves the strip system (M + dt S) v = M u. Both work on the
+blocks of S under the box's coordinate mirrors (symmetry.sectors): u is
+folded into one vector per sector, multiplied or solved block by block,
+and unfolded. For p != 2 the explicit flux is that of the extended state,
+re-solved after each step, and the implicit step minimizes
+dt * E_p(v) + (1/2) sum_strip mu (v - u)^2 jointly over all nodes, which
+reproduces backward Euler on the strip and the stationary balance on the
+interior in one convex solve: elliptic._newton_free on that objective
+over dt, with proximal weights mu / dt on the strip. The fixed point
+integrator rebuilds the solution on a whole time window from its integral
+form and only contracts on short windows.
 """
 
 import warnings
@@ -29,6 +31,7 @@ from .elliptic import (StripField, _extended_values, _interior_start, _midrange,
                        _newton_free, _pairing, _strip_flux)
 from .errors import (InvalidArgument, NoContraction, SingularSystem, SolverError)
 from .kernels import EXCLUDE_STRIP_STRIP, FULL, SINGULAR
+from .symmetry import sectors
 
 LINEAR = "linear"
 LINEAR_FULL = "linear-full"
@@ -118,8 +121,14 @@ def check_compatible(op, spec):
 
 def _schur_flux(op, uv):
     """The p = 2 strip flux -M^-1 S u, anchored at the midrange c of u as
-    extend_linear is: S (c - u) is exactly +0 for constant data."""
-    return (schur_complement(op) @ (_midrange(uv) - uv)) / op.grid.mu[op.strip_idx]
+    extend_linear is: S (c - u) is exactly +0 for constant data. The
+    product is taken sector by sector: c - u folded, one product with each
+    block S_chi, unfolded."""
+    sec = sectors(op)
+    parts = sec.fold(_midrange(uv) - uv, sec.strip)
+    for part, block in zip(parts, schur_complement(op, blocks=True)):
+        part[:] = block @ part
+    return sec.unfold(parts, sec.strip) / op.grid.mu[op.strip_idx]
 
 
 def _rhs_values(op, spec, uv):
@@ -163,21 +172,33 @@ def step_explicit(op, spec, u, dt):
 def _implicit_linear_values(op, dt, uv):
     """Backward Euler at p = 2 on the strip: solve (M + dt S) v = M u with
     S the Schur complement and M the strip measures, for v - c with c the
-    midrange of u, so that constant data stays exactly constant."""
+    midrange of u, so that constant data stays exactly constant. M is
+    constant on orbits, so the system splits into one (M + dt S_chi) per
+    sector, each factored once and solved with cho_solve."""
+    sec = sectors(op)
     mu_s = op.grid.mu[op.strip_idx]
-    # one factor per operator, for the last dt: an n_S x n_S factor per dt ever used adds up
+    # one set of factors per operator, for the last dt: a set per dt ever used adds up
     if op._cache.get("implicit_chol", (None,))[0] != dt:
         op._cache.pop("implicit_chol", None)
-        # S is exactly symmetric, and S.T is the Fortran order cho_factor overwrites
-        mat = dt * schur_complement(op).T
-        mat[np.diag_indices(op.n_strip)] += mu_s
-        try:
-            op._cache["implicit_chol"] = (dt, sla.cho_factor(mat, overwrite_a=True))
-        except sla.LinAlgError as exc:
-            raise SingularSystem(f"implicit system is not positive definite: {exc}") from exc
+        mu_r = op.grid.mu[sec.strip.reps]
+        factors = []
+        for block in schur_complement(op, blocks=True):
+            # S_chi is exactly symmetric, and its transpose is the Fortran
+            # order cho_factor overwrites
+            mat = dt * block.T
+            mat[np.diag_indices_from(mat)] += mu_r
+            try:
+                factors.append(sla.cho_factor(mat, overwrite_a=True))
+            except sla.LinAlgError as exc:
+                raise SingularSystem(
+                    f"implicit system is not positive definite: {exc}") from exc
+        op._cache["implicit_chol"] = (dt, tuple(factors))
     shift = _midrange(uv)
-    # the cached factor is finite; checking it would scan n_S^2 entries per solve
-    v = sla.cho_solve(op._cache["implicit_chol"][1], mu_s * (uv - shift), check_finite=False)
+    parts = sec.fold(mu_s * (uv - shift), sec.strip)
+    for part, factor in zip(parts, op._cache["implicit_chol"][1]):
+        # the cached factor is finite; checking it would scan its entries per solve
+        part[:] = sla.cho_solve(factor, part, check_finite=False)
+    v = sec.unfold(parts, sec.strip)
     if not np.all(np.isfinite(v)):
         raise SingularSystem("implicit solve produced non-finite values")
     v += shift

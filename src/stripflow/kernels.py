@@ -159,15 +159,19 @@ class NonlocalOperator:
         mu[x] W[x][y] = mu[x] J(x - y) mu[y], the symmetric edge coefficients.
     deg_active : (n,) array
         Per-node row sums of W over the active edge set.
+    lattice : (m0, m1) or None
+        The lattice of the nodes, a 1D grid as one line (1, m1), for an
+        operator that assemble built; None for any other.
     """
 
-    def __init__(self, grid, spec, edge_mode, act_rows, act_cols, act_coef):
+    def __init__(self, grid, spec, edge_mode, act_rows, act_cols, act_coef, lattice=None):
         self.grid = grid
         self.spec = spec
         self.edge_mode = edge_mode
         self.act_rows = act_rows
         self.act_cols = act_cols
         self.act_coef = act_coef
+        self.lattice = lattice
         self.deg_active = np.bincount(act_rows, weights=act_coef, minlength=grid.n) / grid.mu
         self.strip_idx = strip_indices(grid)
         self.interior_idx = interior_indices(grid)
@@ -358,7 +362,7 @@ def assemble(grid, spec, edge_mode=EXCLUDE_STRIP_STRIP):
     coef *= values
     del values  # before rows: at most four edge-sized arrays are live at once
     rows = np.repeat(np.arange(grid.n), counts)
-    return NonlocalOperator(grid, spec, edge_mode, rows, cols, coef)
+    return NonlocalOperator(grid, spec, edge_mode, rows, cols, coef, lattice=shape)
 
 
 def laplacian_dense(op):

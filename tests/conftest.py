@@ -53,6 +53,22 @@ def schur_oracle(op):
                                                                    lap[np.ix_(i, s)])
 
 
+def assert_mirror_invariant(op):
+    """Each mirror of an assembled operator's lattice under which mu and
+    klass are invariant, odd node counts too, maps the edge list onto
+    itself bit for bit."""
+    index = np.arange(op.n).reshape(op.lattice)
+    for axis in range(2):
+        mirror = np.flip(index, axis).ravel()
+        if not (np.array_equal(op.grid.mu[mirror], op.grid.mu)
+                and np.array_equal(op.grid.klass[mirror], op.grid.klass)):
+            continue
+        key = mirror[op.act_rows] * op.n + mirror[op.act_cols]
+        order = np.argsort(key)
+        np.testing.assert_array_equal(key[order], op.act_rows * op.n + op.act_cols)
+        np.testing.assert_array_equal(op.act_coef[order], op.act_coef)
+
+
 def add_at_laplacian(rows, cols, w, n):
     # reference: the Laplacian of the weights w scattered into zeros
     out = np.zeros((n, n))

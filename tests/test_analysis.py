@@ -18,6 +18,7 @@ from stripflow.evolution import Trajectory
 from stripflow.fixtures import toy3_grid
 from stripflow.geometry import INTERIOR, STRIP
 from stripflow.kernels import _operator_from_dense, laplacian_dense
+from stripflow.symmetry import sectors
 
 from conftest import line_grid, make_op, schur_oracle
 
@@ -48,8 +49,13 @@ def test_constant_field_has_zero_distance(op16):
 def test_schur_toy3_by_hand(toy3_op):
     s = sf.schur_complement(toy3_op)
     assert np.allclose(s, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15)
-    # second call comes from the operator cache
-    assert sf.schur_complement(toy3_op) is s
+    # the blocks come from the operator cache; toy3 has one sector, whose
+    # block is S itself, and every call unfolds the same S from it
+    blocks = sf.schur_complement(toy3_op, blocks=True)
+    assert sf.schur_complement(toy3_op, blocks=True) is blocks
+    assert len(blocks) == 1
+    np.testing.assert_array_equal(blocks[0], s)
+    np.testing.assert_array_equal(sf.schur_complement(toy3_op), s)
 
 
 def test_schur_annihilates_constants(toy3_op, op16, op2d):
@@ -93,20 +99,28 @@ def test_schur_without_interior_is_the_strip_block():
 
 
 def test_schur_complement_keeps_no_extra_copy():
-    # X = U^-T L_IS is solved in place in the dense copy of L_IS, and L_SS is
-    # built only once X is gone: the peak is X beside X^T X, 1 + 576/448 = 2.29
-    # times the bytes of S here. A second copy of X, or L_SS beside both, adds
-    # more than the rest of the bound
+    # The blocks are built one sector at a time: X_chi = U^-T L_IS^chi is
+    # solved in place in the dense fold of L_IS, and L_SS^chi is folded only
+    # once X_chi is gone, so the build writes no array of the size of the
+    # whole S (the dense L_IS alone is 576/448 = 1.29 times that). Unfolding
+    # holds the four blocks (S/4), S and two block-sized partial sums (S/8):
+    # 1.375 times the bytes of S. A second copy of the blocks adds more than
+    # the rest of the bound
     op = make_op(1.0 / 32.0, 0.125, sf.tent_kernel(0.25, 2), dim=2)
     assert (op.n_strip, op.n_interior) == (448, 576)
+    assert sectors(op).count == 4
     _interior(op)
     tracemalloc.start()
     try:
+        sf.schur_complement(op, blocks=True)
+        _, build = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
         s = sf.schur_complement(op)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * s.nbytes
+    assert build < s.nbytes
+    assert peak < 1.5 * s.nbytes
     np.testing.assert_array_equal(s, s.T)
 
 
@@ -190,8 +204,12 @@ def test_gap_is_one_smallest_eigenpair_solve(op2d, monkeypatch):
 
     monkeypatch.setattr(sla, "eigh", spy)
     sf.spectral_gap_beta(op2d)
-    n = op2d.n_strip - 1
-    assert calls == [((n, n), [0, 0])]
+    # one smallest eigenpair per sector block, the constants deflated from
+    # the trivial one
+    sec = sectors(op2d)
+    m = sec.strip.size
+    assert sec.count == 4 and sec.count * m == op2d.n_strip
+    assert calls == [((m - 1, m - 1), [0, 0])] + [((m, m), [0, 0])] * 3
 
 
 def test_gap_on_the_benchmark_square():

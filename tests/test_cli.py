@@ -153,6 +153,8 @@ def test_beta_subcommand(runner, tmp_path):
     assert res.exit_code == 0
     assert res.stdout.splitlines()[0] == "1"
     assert "method=schur-eig" in res.stderr
+    # toy3 is not a lattice: one sector, the whole strip
+    assert "sectors=1x2" in res.stderr
     op = sf.toy3()
     mode = read_strip_csv(out, op.grid)
     assert np.allclose(np.abs(mode.values), 1.0 / np.sqrt(2.0), atol=1e-12)
@@ -291,7 +293,7 @@ def test_validate_expects_no_gap_with_isolated_strip_nodes(runner, tmp_path):
 def test_beta_reports_isolated_strip_nodes(runner, tmp_path):
     res = runner.invoke(main, ["beta", "--config", write_cfg(tmp_path, ISOLATED_CORNERS)])
     assert res.exit_code == 0
-    assert "beta: method=schur-eig p=2 strip_nodes=624 isolated=4" in res.stderr
+    assert "beta: method=schur-eig p=2 strip_nodes=624 sectors=4x156 isolated=4" in res.stderr
     doc = dict(ISOLATED_CORNERS, r=0.15625)
     res = runner.invoke(main, ["beta", "--config", write_cfg(tmp_path, doc)])
     assert res.stderr.rstrip().endswith(" isolated=0")

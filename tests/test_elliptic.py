@@ -11,6 +11,7 @@ from stripflow.errors import (EmptyInterior, NoConvergence, NonConvexExponent,
                               SingularSystem)
 from stripflow.geometry import INTERIOR, STRIP
 from stripflow.kernels import _operator_from_dense
+from stripflow.symmetry import sectors
 
 from conftest import BOX1, add_at_laplacian, line_grid, make_op, schur_oracle
 
@@ -204,14 +205,20 @@ def test_one_interior_factorisation_per_operator(monkeypatch):
     dt = 0.5 * sf.stability_bound(op)
     for integrator in (sf.EXPLICIT, sf.IMPLICIT):
         sf.evolve(op, sf.ProblemSpec("linear"), g, 2.0 * dt, dt, integrator)
-    assert op.n_strip != op.n_interior
-    assert shapes.count((op.n_interior, op.n_interior)) == 1
+    # one factor per sector of L_II, the sector sizes summing to n_I
+    sec = sectors(op)
+    m = sec.interior.size
+    assert sec.count == 4 and sec.count * m == op.n_interior
+    assert sec.strip.size != m
+    assert shapes.count((m, m)) == sec.count
+    assert (op.n_interior, op.n_interior) not in shapes
 
 
 def test_interior_cache_keeps_l_ii_only_as_its_factor():
-    # L_II is cached sparse for the extension's residual gate and written
-    # dense only to be factored in place, so after every p = 2 path the one
-    # dense n_I x n_I array on the operator is the Cholesky factor
+    # L_II is cached sparse for the extension's residual gate and its sector
+    # blocks are written dense only to be factored in place, so after every
+    # p = 2 path the dense interior-block arrays on the operator are the
+    # sector factors, one per sector, and none is n_I x n_I
     op = make_op(1.0 / 8.0, 0.125, sf.tent_kernel(0.25, 2), dim=2)
     assert op.n_strip != op.n_interior
     g = sf.StripField(np.random.default_rng(4).standard_normal(op.n_strip), op.grid)
@@ -226,9 +233,15 @@ def test_interior_cache_keeps_l_ii_only_as_its_factor():
                 yield from arrays(part)
         elif isinstance(item, np.ndarray):
             yield item
-    square = [a for item in op._cache.values() for a in arrays(item)
-              if a.shape == (op.n_interior, op.n_interior)]
-    assert len(square) == 1 and square[0] is _interior(op)[1][0]
+    sec = sectors(op)
+    m = sec.interior.size
+    assert sec.count == 4 and sec.count * m == op.n_interior and sec.strip.size != m
+    cached = [a for item in op._cache.values() for a in arrays(item)]
+    square = [a for a in cached if a.shape == (m, m)]
+    factors = [chol for chol, _ in _interior(op)[1]]
+    assert len(square) == sec.count
+    assert all(any(a is chol for chol in factors) for a in square)
+    assert not any(a.shape == (op.n_interior, op.n_interior) for a in cached)
 
 
 def test_majoriser_factor_failure_is_a_solver_error(op16, monkeypatch):
@@ -343,7 +356,8 @@ def test_plaplace_extension_allocates_no_full_matrix():
 def test_solves_cache_no_same_class_edge_copy():
     # every Laplacian block is cut from a CSR adjacency built on demand, so
     # the strip rows the flux reads are the one edge subset cached; the rest
-    # are the interior blocks and factor, S and the strip factor
+    # are the mirror sectors, the interior blocks and factors, the blocks of
+    # S and the strip factors
     op = make_op(1.0 / 16.0, 0.25, sf.tent_kernel(0.5, 1))
     g = sf.StripField(np.random.default_rng(9).standard_normal(op.n_strip), op.grid)
     sf.extend_linear(op, g)
@@ -352,7 +366,7 @@ def test_solves_cache_no_same_class_edge_copy():
     for p in (2.0, 3.0):
         sf.evolve(op, sf.ProblemSpec("plaplace", p), g, 0.02, 0.01, sf.IMPLICIT)
     sf.evolve(op, sf.ProblemSpec("plaplace", 3.0), g, 0.02, 0.01, sf.EXPLICIT)
-    assert set(op._cache) == {"interior", "schur", "implicit_chol", "strip_edges"}
+    assert set(op._cache) == {"sectors", "interior", "schur", "implicit_chol", "strip_edges"}
 
 
 def test_no_convergence_carries_best(op16):

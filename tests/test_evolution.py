@@ -12,6 +12,7 @@ from stripflow.errors import (InvalidArgument, NoContraction, NoConvergence, Sin
 from stripflow.evolution import (LINEAR, LINEAR_FULL, PLAPLACE, PLAPLACE_FULL,
                                  SINGULAR_VARIANT, _step_implicit_values)
 from stripflow.kernels import laplacian_dense, strip_edges
+from stripflow.symmetry import sectors
 
 from conftest import make_op, nonuniform_line_op
 
@@ -484,9 +485,12 @@ def test_implicit_cache_keeps_one_strip_factor():
     u = sf.StripField(np.random.default_rng(16).standard_normal(op.n_strip), op.grid)
     for dt in (0.1, 1.0, 10.0):
         sf.step_implicit(op, LIN, u, dt)
-    assert op.n_strip != op.n_interior
-    # S itself plus the factor of M + dt S for the last dt only
-    assert _square_arrays(list(op._cache.values()), op.n_strip) == 2
+    sec = sectors(op)
+    m = sec.strip.size
+    assert sec.count == 4 and sec.interior.size != m
+    # the blocks of S plus the factors of M + dt S_chi for the last dt only
+    assert _square_arrays(list(op._cache.values()), m) == 2 * sec.count
+    assert _square_arrays(list(op._cache.values()), op.n_strip) == 0
 
 
 def test_implicit_p3_step_from_a_constant_interior(op2d, monkeypatch):

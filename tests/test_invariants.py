@@ -1,13 +1,14 @@
 """Structural invariants of the discrete problems on randomly drawn small
 problems: reciprocity of the stored coefficients, the edge energy's
 gradient on constants and in total, the energy as the pairing of the
-balance (Euler's identity), the extension's constants and maximum
-principle, mass conservation, L1(mu) nonexpansiveness and order
-preservation of the steps, constants fixed by both steps, implicit steps
-that raise neither the energy nor the L2(mu) distance to the mean, and at
-p = 2 the decay the spectral gap promises through the eliminated interior
-(the Schur complement S). Reciprocity is also checked exactly on a line
-grid with measures that are not dyadic.
+balance (Euler's identity), the edge list's invariance under the
+lattice's mirrors, the extension's constants and maximum principle, mass
+conservation, L1(mu) nonexpansiveness and order preservation of the
+steps, constants fixed by both steps, implicit steps that raise neither
+the energy nor the L2(mu) distance to the mean, and at p = 2 the decay the
+spectral gap promises through the eliminated interior (the Schur
+complement S). Reciprocity is also checked exactly on a line grid with
+measures that are not dyadic.
 
 Draws are derandomized and no example database is written, so every run
 checks the same problems.
@@ -28,7 +29,7 @@ from stripflow.evolution import _step_implicit_values
 from stripflow.geometry import INTERIOR, STRIP
 from stripflow.kernels import _operator_from_dense
 
-from conftest import BOX1, BOX2, line_grid, nonuniform_line_op
+from conftest import BOX1, BOX2, assert_mirror_invariant, line_grid, nonuniform_line_op
 
 CHECKS = settings(derandomize=True, database=None, deadline=None, max_examples=60,
                   suppress_health_check=[HealthCheck.too_slow])
@@ -85,6 +86,7 @@ def test_coefficients_and_gradient(prob):
     coef = np.zeros((op.n, op.n))
     coef[op.act_rows, op.act_cols] = op.act_coef
     assert np.array_equal(coef, coef.T)
+    assert_mirror_invariant(op)
     c = prob.rng.uniform(-5.0, 5.0)
     assert not np.any(sf.energy_gradient(op, np.full(op.n, c), p).values)
     grad = sf.energy_gradient(op, prob.rng.uniform(-1.0, 1.0, op.n), p).values

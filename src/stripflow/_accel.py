@@ -6,9 +6,10 @@ every summation below runs in that fixed order, so results are
 reproducible bit-for-bit. phi_row_sums is the one edge pass over node
 values: every balance, flux, gradient and energy is read off its row sums
 (divided by mu[x] for W units). adjacency is the CSR form of an edge list,
-built without a sort, and every Laplacian block is cut from it by scipy row
-and column indexing: laplacian_block writes L_SS, the majoriser matrix and
-the test oracle laplacian_dense densely. The Newton Hessian is never dense:
+built without a sort, and every sparse Laplacian block (L_II, L_IS and the
+rows of L_SS) is cut from it by scipy row and column indexing;
+laplacian_block writes only the dense ones, the majoriser matrix and the
+test oracle laplacian_dense. The Newton Hessian is never dense:
 hessian_accumulate returns its diagonal and a sparse matvec, and pcg solves
 with them. Both builders give the Laplacian of edge weights alone and add no
 diagonal term: elliptic._newton_free, which minimizes

@@ -33,6 +33,10 @@ DIAG_COLUMNS = ("mass", "d1", "d2", "dp", "dq", "dinf", "energy")
 # Largest sector block the dense eigensolve takes.
 _EIG_NODE_CAP = 2000
 
+# Relative quotient drop that ends an inverse power restart, and its step budget.
+_POWER_TOL = 1e-9
+_POWER_MAX_ITER = 2000
+
 
 @dataclass(frozen=True)
 class GapResult:
@@ -81,26 +85,22 @@ def _lp_norm(mu, vals, p):
     return float(np.sum(mu * np.abs(vals) ** p) ** (1.0 / p))
 
 
-def schur_complement(op, blocks=False):
-    """Strip-reduced matrix of the active-edge quadratic form.
-
-    Eliminates the interior block, S = L_SS - L_SI L_II^{-1} L_IS, sector
-    by sector (symmetry.sectors): S_chi = L_SS^chi - X^T X with
-    L_II^chi = U^T U from the factor the linear extension shares
-    (elliptic._interior) and X = U^{-T} L_IS^chi, one triangular solve in
-    the dense fold of L_IS and one symmetric rank-k update. The blocks are
-    made once per operator and cached; blocks=True returns them, one per
-    sector in the order of the characters, and the default unfolds them
-    into the dense n_S x n_S S, a fresh array per call. The coefficients
-    are exactly symmetric, and so is every block and S. PSD, annihilates
-    constants; with no interior nodes it is the strip block.
+def schur_complement(op):
+    """Strip-reduced form S = L_SS - L_SI L_II^{-1} L_IS of the active-edge
+    quadratic form, as one dense block per sector (symmetry.sectors), in
+    the order of the rows of sectors(op).signs and in the basis of
+    Sectors.fold: S_chi[a, b] = sum_k chi(k) S[a, k b] over the strip orbit
+    representatives. Each is S_chi = L_SS^chi - X^T X with L_II^chi = U^T U
+    from the factor the linear extension shares (elliptic._interior) and
+    X = U^{-T} L_IS^chi: one triangular solve in the dense fold of L_IS and
+    one symmetric rank-k update. The tuple is made once per operator and
+    cached; no dense n_S x n_S S is formed. Every block is exactly
+    symmetric and PSD, and the trivial one annihilates the constants. With
+    no interior nodes they are the blocks of L_SS.
     """
     if "schur" not in op._cache:
         op._cache["schur"] = _schur_blocks(op)
-    if blocks:
-        return op._cache["schur"]
-    sec = sectors(op)
-    return sec.unfold_matrix(op._cache["schur"], sec.strip)
+    return op._cache["schur"]
 
 
 def _schur_blocks(op):
@@ -169,7 +169,7 @@ def _reduced_modes(op, subset=None):
     root = np.sqrt(op.grid.mu[sec.strip.reps])
     top = None if subset is None else subset[1]
     evals, modes, owner = [], [], []
-    for k, block in enumerate(schur_complement(op, blocks=True)):
+    for k, block in enumerate(schur_complement(op)):
         red = block / np.outer(root, root)
         deflate = k == 0
         if deflate:
@@ -253,7 +253,7 @@ def _project_mean_zero(gv, mu_s):
     return gv - np.dot(mu_s, gv) / np.sum(mu_s)
 
 
-def estimate_beta_p(op, p, restarts=8, tol=1e-9, max_iter=2000, seed=0):
+def estimate_beta_p(op, p, restarts=8, seed=0):
     """Upper bound on the mean-zero quotient infimum by inverse power iteration.
 
     Runs `restarts` seeded nonlinear inverse power iterations (Hein and
@@ -264,10 +264,10 @@ def estimate_beta_p(op, p, restarts=8, tol=1e-9, max_iter=2000, seed=0):
     by a multiple of mu to sum to 0. The strip part of the minimizer, made
     mean-zero and of unit p-norm, is the next f; its interior already is the
     extension of f, so the quotient is p E_p of it. A restart ends when the
-    quotient drops by at most tol relative, and raises NoConvergence after
-    max_iter steps. An isolated strip node (no active edge) leaves the step
-    unbounded; then beta is 0.0 and the mode is that node's indicator, made
-    mean-zero.
+    quotient drops by at most _POWER_TOL relative, and raises NoConvergence
+    after _POWER_MAX_ITER steps. An isolated strip node (no active edge)
+    leaves the step unbounded; then beta is 0.0 and the mode is that node's
+    indicator, made mean-zero.
     """
     if restarts <= 0:
         raise InvalidArgument("need at least one restart")
@@ -296,11 +296,11 @@ def estimate_beta_p(op, p, restarts=8, tol=1e-9, max_iter=2000, seed=0):
         v = _extended_values(op, gv, p)
         quot = p * energy_values(op, v, p)
 
-        for _ in range(max_iter):
+        for _ in range(_POWER_MAX_ITER):
             s = mu_s * _accel._phi(gv, p, 0.0)
             s -= mu_s * (np.sum(s) / np.sum(mu_s))
             lin[op.strip_idx] = s
-            gate = tol * (1.0 + np.max(np.abs(s / mu_s)))
+            gate = _POWER_TOL * (1.0 + np.max(np.abs(s / mu_s)))
             # <s, gv> = 1, so this scale minimizes the objective on the ray of v
             v0 = (v - v[pin]) * quot ** (-1.0 / (p - 1.0))
             v = _newton_free(op, p, v0, free, 100, lambda r: np.max(np.abs(r)) <= gate,
@@ -309,11 +309,11 @@ def estimate_beta_p(op, p, restarts=8, tol=1e-9, max_iter=2000, seed=0):
             v /= _lp_norm(mu_s, v[op.strip_idx], p)
             gv = v[op.strip_idx]
             prev, quot = quot, p * energy_values(op, v, p)
-            if prev - quot <= tol * prev:
+            if prev - quot <= _POWER_TOL * prev:
                 break
         else:
             raise NoConvergence(f"inverse power iteration still progressing after "
-                                f"{max_iter} steps (restart {j})")
+                                f"{_POWER_MAX_ITER} steps (restart {j})")
         if best is None or quot < best[0]:
             best = (quot, gv)
 
@@ -322,7 +322,7 @@ def estimate_beta_p(op, p, restarts=8, tol=1e-9, max_iter=2000, seed=0):
                      method=INVERSE_POWER)
 
 
-def counterexample_sequence(grid, op, n_list):
+def counterexample_sequence(op, n_list):
     """Quotients of shrinking two-bump differences on an r = R grid.
 
     The bumps sit at strip nodes closest to the outer boundary, where the
@@ -330,6 +330,7 @@ def counterexample_sequence(grid, op, n_list):
     quotient sequence collapses toward zero. Bumps are sharp indicators,
     weighted to zero mean and unit weighted 2-norm.
     """
+    grid = op.grid
     if not op.spec.compact:
         raise InvalidArgument("the shrinking-bump sequence needs a compact kernel")
     if abs(grid.r - op.spec.R) > 1e-12:

@@ -126,7 +126,7 @@ def _schur_flux(op, uv):
     block S_chi, unfolded."""
     sec = sectors(op)
     parts = sec.fold(_midrange(uv) - uv, sec.strip)
-    for part, block in zip(parts, schur_complement(op, blocks=True)):
+    for part, block in zip(parts, schur_complement(op)):
         part[:] = block @ part
     return sec.unfold(parts, sec.strip) / op.grid.mu[op.strip_idx]
 
@@ -174,7 +174,10 @@ def _implicit_linear_values(op, dt, uv):
     S the Schur complement and M the strip measures, for v - c with c the
     midrange of u, so that constant data stays exactly constant. M is
     constant on orbits, so the system splits into one (M + dt S_chi) per
-    sector, each factored once and solved with cho_solve."""
+    sector, each factored once and solved with cho_solve. The rows of the
+    computed S sum to roundoff rather than 0, so v is then shifted by the
+    constant sum mu (u - v) / sum mu that restores the strip mass, as the
+    p != 2 step shifts its iterates; constant data gives a zero shift."""
     sec = sectors(op)
     mu_s = op.grid.mu[op.strip_idx]
     # one set of factors per operator, for the last dt: a set per dt ever used adds up
@@ -182,7 +185,7 @@ def _implicit_linear_values(op, dt, uv):
         op._cache.pop("implicit_chol", None)
         mu_r = op.grid.mu[sec.strip.reps]
         factors = []
-        for block in schur_complement(op, blocks=True):
+        for block in schur_complement(op):
             # S_chi is exactly symmetric, and its transpose is the Fortran
             # order cho_factor overwrites
             mat = dt * block.T
@@ -202,6 +205,7 @@ def _implicit_linear_values(op, dt, uv):
     if not np.all(np.isfinite(v)):
         raise SingularSystem("implicit solve produced non-finite values")
     v += shift
+    v += np.dot(mu_s, uv - v) / np.sum(mu_s)
     return v
 
 

@@ -104,20 +104,6 @@ class Sectors:
             del weights
             yield out.astype(float, copy=False).reshape(m_c, m_r).T
 
-    def unfold_matrix(self, blocks, orbits):
-        """The dense matrix over one class with the given sector blocks:
-        M[k a, l b] = (1/|G|) sum_chi chi(k) chi(l) M_chi[a, b]. Exactly
-        symmetric when every block is."""
-        out = np.empty((orbits.table.size,) * 2)
-        for k in range(self.count):
-            for l in range(self.count):
-                weights = self.signs[:, k] * self.signs[:, l] / self.count
-                part = weights[0] * blocks[0]
-                for w, block in zip(weights[1:], blocks[1:]):
-                    part += w * block
-                out[np.ix_(orbits.table[k], orbits.table[l])] = part
-        return out
-
 
 def _class_orbits(n, class_idx, is_rep, perms):
     pos = np.full(n, -1)

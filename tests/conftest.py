@@ -5,6 +5,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 import stripflow as sf
 from stripflow.geometry import INTERIOR, STRIP, Grid
 from stripflow.kernels import _operator_from_dense, laplacian_dense
+from stripflow.symmetry import sectors
 
 BOX1 = sf.DomainBox(1, (0.0,), (1.0,))
 BOX2 = sf.DomainBox(2, (0.0, 0.0), (1.0, 1.0))
@@ -51,6 +52,16 @@ def schur_oracle(op):
     s, i = op.strip_idx, op.interior_idx
     return lap[np.ix_(s, s)] - lap[np.ix_(s, i)] @ np.linalg.solve(lap[np.ix_(i, i)],
                                                                    lap[np.ix_(i, s)])
+
+
+def fold_strip(op, mat):
+    """The sector blocks B_chi[a, b] = sum_k chi(k) B[a, k b] of a dense
+    n_S x n_S matrix B that the operator's mirrors leave invariant, in the
+    order and the basis of schur_complement's blocks."""
+    sec = sectors(op)
+    table = sec.strip.table
+    parts = [mat[np.ix_(table[0], table[k])] for k in range(sec.count)]
+    return [sum(c * part for c, part in zip(chi, parts)) for chi in sec.signs]
 
 
 def assert_mirror_invariant(op):

@@ -14,9 +14,10 @@ import pytest
 
 import stripflow as sf
 from stripflow import elliptic as el
-from stripflow.analysis import (counterexample_sequence, fit_decay,
-                                schur_complement, spectral_gap_beta)
+from stripflow.analysis import counterexample_sequence, fit_decay, spectral_gap_beta
 from stripflow.evolution import Trajectory
+
+from conftest import schur_oracle
 
 GOLDEN = Path(__file__).parent / "data" / "counterexample_golden.json"
 
@@ -81,7 +82,7 @@ def test_criterion_2_exponential_rate(op64):
 def test_criterion_3_flat_profile_quotients(op64_rr):
     t0 = time.perf_counter()
     failures = []
-    rows = counterexample_sequence(op64_rr.grid, op64_rr, [4, 8, 16, 32])
+    rows = counterexample_sequence(op64_rr, [4, 8, 16, 32])
     quot = np.array([q for _, q in rows])
     case = next(c for c in json.loads(GOLDEN.read_text())["cases"]
                 if c["h"] == 0.015625)
@@ -265,7 +266,7 @@ def test_criterion_8_gradient_and_reduction(pair16, op64, op64_full):
 
     worst = 0.0
     for op, variant in ((op64, "linear"), (op64_full, "linear-full")):
-        schur = schur_complement(op)
+        schur = schur_oracle(op)
         mu_s = op.grid.mu[op.strip_idx]
         spec = sf.ProblemSpec(variant)
         for _ in range(5):

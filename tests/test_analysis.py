@@ -20,7 +20,7 @@ from stripflow.geometry import INTERIOR, STRIP
 from stripflow.kernels import _operator_from_dense, laplacian_dense
 from stripflow.symmetry import sectors
 
-from conftest import line_grid, make_op, schur_oracle
+from conftest import fold_strip, line_grid, make_op, schur_oracle
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "counterexample_golden.json"
 
@@ -47,81 +47,85 @@ def test_constant_field_has_zero_distance(op16):
 
 
 def test_schur_toy3_by_hand(toy3_op):
-    s = sf.schur_complement(toy3_op)
-    assert np.allclose(s, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15)
     # the blocks come from the operator cache; toy3 has one sector, whose
-    # block is S itself, and every call unfolds the same S from it
-    blocks = sf.schur_complement(toy3_op, blocks=True)
-    assert sf.schur_complement(toy3_op, blocks=True) is blocks
+    # block is S itself
+    blocks = sf.schur_complement(toy3_op)
+    assert sf.schur_complement(toy3_op) is blocks
     assert len(blocks) == 1
-    np.testing.assert_array_equal(blocks[0], s)
-    np.testing.assert_array_equal(sf.schur_complement(toy3_op), s)
+    assert np.allclose(blocks[0], [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15)
 
 
 def test_schur_annihilates_constants(toy3_op, op16, op2d):
+    # the constants fold into the trivial sector alone, so S 1 = 0 is the
+    # trivial block's product with the ones; S is exactly symmetric and PSD
+    # when every block is
     for op in (toy3_op, op16, op2d):
-        s = sf.schur_complement(op)
-        ones = np.ones(op.n_strip)
-        assert np.max(np.abs(s @ ones)) <= 1e-12 * max(1.0, np.max(np.abs(s)))
-        assert np.allclose(s, s.T, atol=1e-14)
-        evals = np.linalg.eigvalsh(s)
-        assert evals[0] >= -1e-10
+        blocks = sf.schur_complement(op)
+        assert len(blocks) == sectors(op).count
+        trivial = blocks[0]
+        ones = np.ones(trivial.shape[0])
+        assert np.max(np.abs(trivial @ ones)) <= 1e-12 * max(1.0, np.max(np.abs(trivial)))
+        for block in blocks:
+            np.testing.assert_array_equal(block, block.T)
+            assert np.linalg.eigvalsh(block)[0] >= -1e-10
 
 
 def test_schur_reproduces_linear_rhs(toy3_op, op16, op64):
-    # the reduced matrix generates the same strip flow as the extension path
+    # the dense elimination generates the same strip flow as the sector
+    # blocks that rhs steps with
     rng = np.random.default_rng(3)
     spec = sf.ProblemSpec("linear")
     for op in (toy3_op, op16, op64):
-        s = sf.schur_complement(op)
+        s = schur_oracle(op)
         mu_s = op.grid.mu[op.strip_idx]
         for _ in range(3):
             uv = rng.standard_normal(op.n_strip)
-            via_ext = sf.rhs(op, spec, sf.StripField(uv, op.grid))
-            via_schur = -(s @ uv) / mu_s
-            denom = np.max(np.abs(via_schur)) + 1e-30
-            assert np.max(np.abs(via_ext.values - via_schur)) <= 1e-12 * max(1.0, denom)
+            via_blocks = sf.rhs(op, spec, sf.StripField(uv, op.grid))
+            via_oracle = -(s @ uv) / mu_s
+            denom = np.max(np.abs(via_oracle)) + 1e-30
+            assert np.max(np.abs(via_blocks.values - via_oracle)) <= 1e-12 * max(1.0, denom)
 
 
 def test_schur_toy3_mode_flow(toy3_op):
-    s = sf.schur_complement(toy3_op)
-    out = -(s @ np.array([1.0, -1.0])) / toy3_op.grid.mu[toy3_op.strip_idx]
-    assert np.allclose(out, [-1.0, 1.0], atol=1e-15)
+    out = sf.rhs(toy3_op, sf.ProblemSpec("linear"), np.array([1.0, -1.0]))
+    assert np.allclose(out.values, [-1.0, 1.0], atol=1e-15)
 
 
 def test_schur_without_interior_is_the_strip_block():
     op = make_op(1.0 / 4.0, 0.5, sf.tent_kernel(0.5, 1), edge_mode=sf.FULL,
                  allow_empty=True)
     assert op.n_interior == 0
-    s = sf.schur_complement(op)
     lap = laplacian_dense(op)
-    assert np.allclose(s, lap[np.ix_(op.strip_idx, op.strip_idx)], atol=1e-15)
+    want = fold_strip(op, lap[np.ix_(op.strip_idx, op.strip_idx)])
+    for block, ref in zip(sf.schur_complement(op), want, strict=True):
+        assert np.allclose(block, ref, atol=1e-15)
 
 
 def test_schur_complement_keeps_no_extra_copy():
     # The blocks are built one sector at a time: X_chi = U^-T L_IS^chi is
     # solved in place in the dense fold of L_IS, and L_SS^chi is folded only
     # once X_chi is gone, so the build writes no array of the size of the
-    # whole S (the dense L_IS alone is 576/448 = 1.29 times that). Unfolding
-    # holds the four blocks (S/4), S and two block-sized partial sums (S/8):
-    # 1.375 times the bytes of S. A second copy of the blocks adds more than
-    # the rest of the bound
+    # whole S (the dense L_IS alone is 576/448 = 1.29 times that): it peaks
+    # at 0.53 times the bytes of S, and a second copy of the four blocks
+    # (S/16 each) would take it past 3/4. Later calls read the cache and
+    # allocate nothing
     op = make_op(1.0 / 32.0, 0.125, sf.tent_kernel(0.25, 2), dim=2)
     assert (op.n_strip, op.n_interior) == (448, 576)
     assert sectors(op).count == 4
+    whole = op.n_strip ** 2 * np.dtype(float).itemsize
     _interior(op)
     tracemalloc.start()
     try:
-        sf.schur_complement(op, blocks=True)
-        _, build = tracemalloc.get_traced_memory()
+        blocks = sf.schur_complement(op)
+        held, build = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        s = sf.schur_complement(op)
+        assert sf.schur_complement(op) is blocks
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert build < s.nbytes
-    assert peak < 1.5 * s.nbytes
-    np.testing.assert_array_equal(s, s.T)
+    assert build < 0.75 * whole
+    assert peak - held < whole / 100
+    assert sum(block.nbytes for block in blocks) == whole // 4
 
 
 def test_gap_on_toy3(toy3_op):
@@ -188,7 +192,7 @@ def test_gap_matches_the_explicit_basis_oracle(op16, op16_full, op2d, sing16):
         # member of the eigenspace rather than against a fixed vector
         mu_s = op.grid.mu[op.strip_idx]
         m = res.mode.values
-        resid = sf.schur_complement(op) @ m - res.beta * mu_s * m
+        resid = schur_oracle(op) @ m - res.beta * mu_s * m
         assert np.max(np.abs(resid)) <= tol * np.max(mu_s) * np.max(np.abs(m))
         assert abs(np.dot(mu_s, m)) <= op.n_strip * EPS
         assert abs(np.dot(mu_s, m * m) - 1.0) <= op.n_strip * EPS
@@ -238,7 +242,7 @@ def test_gap_two_strip_nodes_no_interior():
     # numerator, the denominator is 2 a^2, so the gap sits at 2; the strip
     # flow du/dt = -(Su)/mu contracts the difference at that same rate
     assert res.beta == pytest.approx(2.0, abs=1e-12)
-    s = sf.schur_complement(op)
+    (s,) = sf.schur_complement(op)
     out = -(s @ np.array([1.0, -1.0]))
     assert np.allclose(out, [-2.0, 2.0], atol=1e-14)
 
@@ -360,7 +364,7 @@ def test_counterexample_matches_recorded_values():
         kernel = sf.tent_kernel(case["R"], 1)
         grid = sf.build_grid(sf.DomainBox(1, (0.0,), (1.0,)), case["h"], case["r"])
         op = sf.assemble(grid, kernel, sf.EXCLUDE_STRIP_STRIP)
-        out = sf.counterexample_sequence(grid, op, case["n"])
+        out = sf.counterexample_sequence(op, case["n"])
         got = np.array([q for _, q in out])
         want = np.array(case["quotient"])
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(want)
@@ -370,12 +374,12 @@ def test_counterexample_matches_recorded_values():
 
 def test_counterexample_validation(op64, op64_rr):
     with pytest.raises(InvalidArgument):
-        sf.counterexample_sequence(op64.grid, op64, [4, 8])
+        sf.counterexample_sequence(op64, [4, 8])
     with pytest.raises(EmptyBump):
-        sf.counterexample_sequence(op64_rr.grid, op64_rr, [200])
+        sf.counterexample_sequence(op64_rr, [200])
     with pytest.raises(InvalidArgument):
         # radius 1 swallows both wall neighborhoods at once
-        sf.counterexample_sequence(op64_rr.grid, op64_rr, [1])
+        sf.counterexample_sequence(op64_rr, [1])
 
 
 def test_decay_bound_from_gap(op16):

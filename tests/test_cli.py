@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 import stripflow as sf
 from stripflow.analysis import fit_decay
+from stripflow import cli
 from stripflow.cli import main
 from stripflow.io import fit_csv, read_strip_csv, read_trajectory_csv
 
@@ -317,6 +318,17 @@ def test_validate_singular_kernel_away_from_p2(runner, tmp_path):
     assert res.exit_code == 0
     assert "check quadratic reduction: pass" in res.stdout
     assert "6 checks, 0 failed" in res.stdout
+
+
+def test_validate_checks_the_flux_the_integrators_step_with(runner, tmp_path, monkeypatch):
+    # the quadratic reduction check reads the production Schur flux, so a
+    # relative error of 1e-6 in it fails the check and nothing else
+    flux = cli._schur_flux
+    monkeypatch.setattr(cli, "_schur_flux", lambda op, uv: (1.0 + 1e-6) * flux(op, uv))
+    res = runner.invoke(main, ["validate", "--config", write_cfg(tmp_path, GRID16)])
+    assert res.exit_code == 0
+    assert "check quadratic reduction: fail" in res.stdout
+    assert "1 failed" in res.stdout
 
 
 def test_validate_reports_a_failing_solver_as_a_failed_check(runner, tmp_path):

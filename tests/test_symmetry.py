@@ -16,8 +16,8 @@ from stripflow.geometry import STRIP
 from stripflow.kernels import NonlocalOperator, _operator_from_dense
 from stripflow.symmetry import sectors
 
-from conftest import (BOX1, BOX2, assert_mirror_invariant, line_grid, make_op,
-                      nonuniform_line_op, schur_oracle)
+from conftest import (BOX1, BOX2, assert_mirror_invariant, fold_strip, line_grid,
+                      make_op, nonuniform_line_op, schur_oracle)
 
 EPS = np.finfo(float).eps
 BOX_WIDE = sf.DomainBox(2, (0.0, 0.0), (1.5, 1.0))
@@ -98,12 +98,15 @@ def test_orbits_cover_each_class_once(case):
 
 def test_schur_blocks_match_the_oracle_and_the_one_block_route(case):
     op, dense = case
-    s = sf.schur_complement(op)
-    scale = np.abs(s).max()
-    assert np.abs(s - schur_oracle(op)).max() <= 1e-14 * scale
-    assert np.abs(s - sf.schur_complement(dense)).max() <= 1e-14 * scale
-    np.testing.assert_array_equal(s, s.T)
-    for block in sf.schur_complement(op, blocks=True):
+    oracle = schur_oracle(op)
+    scale = np.abs(oracle).max()
+    (whole,) = sf.schur_complement(dense)
+    np.testing.assert_array_equal(whole, whole.T)
+    blocks = sf.schur_complement(op)
+    for block, want, ref in zip(blocks, fold_strip(op, oracle), fold_strip(op, whole),
+                                strict=True):
+        assert np.abs(block - want).max() <= 1e-14 * scale
+        assert np.abs(block - ref).max() <= 1e-14 * scale
         np.testing.assert_array_equal(block, block.T)
 
 
@@ -208,7 +211,7 @@ def test_a_double_gap_takes_its_mode_from_the_first_sector():
     lows = [sla.eigh(block / np.outer(np.sqrt(op.grid.mu[sec.strip.reps]),
                                       np.sqrt(op.grid.mu[sec.strip.reps])),
                      eigvals_only=True, subset_by_index=[0, 1])
-            for block in sf.schur_complement(op, blocks=True)]
+            for block in sf.schur_complement(op)]
     beta = sf.spectral_gap_beta(op)
     assert abs(lows[1][0] - lows[2][0]) <= tol
     assert abs(beta.beta - lows[1][0]) <= tol

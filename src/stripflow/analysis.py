@@ -2,9 +2,10 @@
 eigenvalue, Rayleigh quotients with stationary extension, the shrinking
 two-bump sequence that degenerates the gap when the strip is as wide as
 the kernel support, and decay-rate fitting. The reduced form S and its
-eigenproblem are worked sector by sector under the box's coordinate
-mirrors (symmetry.sectors): one dense block per sector, each with its own
-triangular solve, rank-k update and eigh."""
+eigenproblem are worked block by block under the box's symmetries
+(symmetry.sectors: its coordinate mirrors, and on a square the swap of
+its axes): one dense block each, with its own triangular solve, rank-k
+update and eigh, the block that two sectors share solved once."""
 
 from dataclasses import dataclass
 
@@ -73,11 +74,14 @@ def lq_distance_to_mean(grid, u, q):
     if q < 1.0:
         raise InvalidArgument(f"q must be >= 1, got {q}")
     uv = u.values if isinstance(u, StripField) else np.asarray(u, dtype=float)
-    mu_s = grid.mu[grid.klass == STRIP]
-    mean = np.dot(mu_s, uv) / np.sum(mu_s)
-    if np.isinf(q):
-        return float(np.max(np.abs(uv - mean), initial=0.0))
-    return _lp_norm(mu_s, uv - mean, q)
+    return _distances_to_mean(grid.mu[grid.klass == STRIP], uv, (q,))[0]
+
+
+def _distances_to_mean(mu_s, uv, qs):
+    """lq_distance_to_mean for each q in qs, from one weighted mean."""
+    dev = np.abs(uv - np.dot(mu_s, uv) / np.sum(mu_s))
+    return [float(np.max(dev, initial=0.0)) if np.isinf(q) else _lp_norm(mu_s, dev, q)
+            for q in qs]
 
 
 def _lp_norm(mu, vals, p):
@@ -87,16 +91,19 @@ def _lp_norm(mu, vals, p):
 
 def schur_complement(op):
     """Strip-reduced form S = L_SS - L_SI L_II^{-1} L_IS of the active-edge
-    quadratic form, as one dense block per sector (symmetry.sectors), in
-    the order of the rows of sectors(op).signs and in the basis of
-    Sectors.fold: S_chi[a, b] = sum_k chi(k) S[a, k b] over the strip orbit
-    representatives. Each is S_chi = L_SS^chi - X^T X with L_II^chi = U^T U
-    from the factor the linear extension shares (elliptic._interior) and
-    X = U^{-T} L_IS^chi: one triangular solve in the dense fold of L_IS and
-    one symmetric rank-k update. The tuple is made once per operator and
-    cached; no dense n_S x n_S S is formed. Every block is exactly
-    symmetric and PSD, and the trivial one annihilates the constants. With
-    no interior nodes they are the blocks of L_SS.
+    quadratic form, as one dense block per entry of sectors(op).blocks, in
+    that order and in the orthonormal basis of Sectors.fold: S_j = Q_j^T S
+    Q_j over the strip representatives that index block j. On the unit
+    square that order is the sigma-even and sigma-odd blocks of the
+    mirror-even sector, the block shared by the two mixed sectors, then
+    the sigma-even and sigma-odd blocks of the mirror-odd one; without the
+    swap of axes, one block per mirror character. Each is S_j = L_SS^j -
+    X^T X with L_II^j = U^T U from the factor the linear extension shares
+    (elliptic._interior) and X = U^{-T} L_IS^j: one triangular solve in the
+    dense fold of L_IS and one symmetric rank-k update. The tuple is made
+    once per operator and cached; no dense n_S x n_S S is formed. Every
+    block is exactly symmetric and PSD, and the trivial one annihilates the
+    constants. With no interior nodes they are the blocks of L_SS.
     """
     if "schur" not in op._cache:
         op._cache["schur"] = _schur_blocks(op)
@@ -104,7 +111,7 @@ def schur_complement(op):
 
 
 def _schur_blocks(op):
-    """The blocks S_chi, built one sector at a time, so that one X is live."""
+    """The blocks S_j, built one at a time, so that one X is live."""
     sec = sectors(op)
     rows = _accel.adjacency(op.act_rows, op.act_cols, op.act_coef, op.n)[op.strip_idx]
     l_ss = sp.diags(rows @ np.ones(op.n)) - rows[:, op.strip_idx]
@@ -114,9 +121,9 @@ def _schur_blocks(op):
         _, factors, l_is = _interior(op)
         l_is = sec.fold_rows(l_is, sec.interior, sec.strip)
     out = []
-    for k in range(sec.count):
+    for j in range(len(sec.blocks)):
         if op.n_interior:
-            chol, lower = factors[k]
+            chol, lower = factors[j]
             x = sla.solve_triangular(chol, next(l_is), trans="T", lower=lower,
                                      overwrite_b=True, check_finite=False)
             block = x.T @ x
@@ -149,31 +156,37 @@ def _reduced_modes(op, subset=None):
     subset_by_index [lo, hi] over the whole spectrum; None gives all
     n_S - 1.
 
-    Each sector block is solved on its own, with its own eigh: the measures
-    are constant on orbits, so the block of M is diag(mu) at the
-    representatives. The constants lie in the trivial sector only, and are
-    deflated there: the reflection H = I - tau v v^T taking sqrt(mu) to a
-    multiple of e_0 is applied one side at a time, in O(m^2), and a mode y
-    of the trailing block of H A H maps back to H [0; y]. The sectors'
-    eigenvalues are merged in ascending order; eigenvalues within _eig_tol
-    of their neighbours in that order count as tied and keep the order of
-    their sectors, so that the mode of a multiple eigenvalue split across
-    sectors does not hang on roundoff.
+    Each block is solved on its own, with its own eigh: the measures are
+    constant on orbits, so the block of M is diag(mu) at the
+    representatives that index its rows. The block two sectors share gives
+    each eigenpair twice, the second mode the transpose of the first. The
+    constants lie in the trivial block only, with the coefficients of
+    their fold (uniform without the swap of axes; sqrt(2) times larger on
+    a sigma pair than on the diagonal with it), and are deflated there:
+    the reflection H = I - tau v v^T taking sqrt(mu) times those
+    coefficients to a multiple of e_0 is applied one side at a time, in
+    O(m^2), and a mode y of the trailing block of H A H maps back to
+    H [0; y]. The blocks' eigenvalues are merged in ascending order;
+    eigenvalues within _eig_tol of their neighbours in that order count as
+    tied and keep the order of their blocks, so that the mode of a
+    multiple eigenvalue split across blocks does not hang on roundoff.
     """
     if op.n_strip < 2:
         raise TooFewStripNodes("gap needs at least two strip nodes")
     sec = sectors(op)
-    if sec.strip.size > _EIG_NODE_CAP:
+    reps = sec.block_reps(sec.strip)
+    if max(rows.shape[0] for rows in reps) > _EIG_NODE_CAP:
         raise InvalidArgument(f"dense eigensolve capped at {_EIG_NODE_CAP} strip nodes "
                               f"per sector block")
-    root = np.sqrt(op.grid.mu[sec.strip.reps])
     top = None if subset is None else subset[1]
     evals, modes, owner = [], [], []
-    for k, block in enumerate(schur_complement(op)):
+    for j, block in enumerate(schur_complement(op)):
+        root = np.sqrt(op.grid.mu[reps[j]])
         red = block / np.outer(root, root)
-        deflate = k == 0
+        deflate = j == 0
         if deflate:
-            v = root / np.linalg.norm(root)
+            v = root * sec.fold(np.ones(op.n_strip), sec.strip)[0]
+            v /= np.linalg.norm(v)
             v[0] += 1.0  # v[0] > 0, so the shift cannot cancel
             tv = (2.0 / np.dot(v, v)) * v
             red -= np.outer(tv, v @ red)
@@ -186,14 +199,12 @@ def _reduced_modes(op, subset=None):
         if deflate:
             vecs = np.vstack([np.zeros(vecs.shape[1]), vecs])
             vecs -= np.outer(tv, v @ vecs)
-        # unfolded with the orthonormal basis's |G|^(-1/2), so that each mode
-        # keeps its unit weighted norm
-        full = np.empty((op.n_strip, vals.shape[0]))
-        full[sec.strip.table] = np.multiply.outer(sec.signs[k] / np.sqrt(sec.count),
-                                                  vecs / root[:, None])
-        evals.append(vals)
-        modes.append(full)
-        owner.append(np.full(vals.shape[0], k))
+        # in the orthonormal basis, so that each mode keeps its unit weighted norm
+        full = sec.basis(j, vecs / root[:, None], sec.strip)
+        for copy in range(sec.blocks[j].copies):
+            evals.append(vals)
+            modes.append(full[sec.strip.transpose] if copy else full)
+            owner.append(np.full(vals.shape[0], len(owner)))
     evals, owner = np.concatenate(evals), np.concatenate(owner)
     order = np.argsort(evals, kind="stable")
     cluster = np.concatenate(([0], np.cumsum(np.diff(evals[order]) > _eig_tol(op))))
@@ -207,8 +218,8 @@ def spectral_gap_beta(op, p=2.0):
     """Smallest eigenvalue of the reduced form over mean-zero strip data.
 
     Solves the generalized symmetric problem S v = beta M v with M the
-    diagonal of strip measures, sector by sector, after deflating the
-    constant vector in the M-inner product of the trivial sector, and
+    diagonal of strip measures, block by block, after deflating the
+    constant vector in the M-inner product of the trivial block, and
     computes only the smallest eigenpair of each block (_reduced_modes).
     Exponent 2 only; see estimate_beta_p for other p.
     """

@@ -10,6 +10,7 @@ import contextlib
 import dataclasses
 import functools
 import sys
+from collections import Counter
 
 import click
 import numpy as np
@@ -19,8 +20,8 @@ from .analysis import (DIAG_COLUMNS, EXPONENTIAL, POLYNOMIAL,
                        counterexample_sequence, fit_decay, isolated_strip_nodes,
                        spectral_gap_beta, estimate_beta_p)
 from .config import PICARD, build_geometry, build_problem, initial_field, load_config
-from .elliptic import (_extended_values, _strip_flux, energy, extend_with_report,
-                       interior_residual)
+from .elliptic import (_EPS, EXT_TOL, _extended_values, _strip_flux, energy,
+                       extend_with_report, interior_residual)
 from .errors import SolverError, StripflowError
 from .evolution import (EXPLICIT, IMPLICIT, _schur_flux, evolve, picard_solve,
                         stability_bound, step_explicit, step_implicit)
@@ -189,9 +190,13 @@ def beta_cmd(config_path, seed, quiet, out, restarts):
     if out is not None:
         iox.write_strip_csv(out, res.mode)
     if not quiet:
-        # at p = 2, the mirror sectors the eigensolve ran on: count x block size
-        sec = sectors(op)
-        split = f"sectors={sec.count}x{sec.strip.size} " if p == 2.0 else ""
+        # at p = 2, the blocks the eigensolve ran on: count x size, largest first
+        split = ""
+        if p == 2.0:
+            sec = sectors(op)
+            sizes = Counter(rows.shape[0] for rows in sec.block_reps(sec.strip))
+            split = "sectors=" + ",".join(f"{count}x{size}" for size, count
+                                          in sorted(sizes.items(), reverse=True)) + " "
         click.echo(f"beta: method={res.method} p={p:g} strip_nodes={op.n_strip} {split}"
                    f"isolated={isolated_strip_nodes(op).shape[0]}", err=True)
 
@@ -355,16 +360,25 @@ def validate_cmd(config_path, seed, quiet):
             lines.append(("fixed-point agreement", "skipped",
                           "sweep path applies to the linear variants only"))
 
-    # conservation over one step of each scheme
+    # conservation over one step of each scheme, to what each solver leaves.
+    # Both implicit steps shift to the exact mass, and the p = 2 explicit
+    # flux is one product with S, whose rows sum to 0: roundoff alone, n eps
+    # (1 + 2 dt max deg) sum mu_S (1 + max |u0|) for the folds, products and
+    # sums. The p != 2 explicit flux sums to minus the interior balance of
+    # the extension, within EXT_TOL (1 + max |u0|) at each interior node
     with check("mass conservation") as report:
         mu_s = grid.mu[op.strip_idx]
         m0 = float(np.dot(mu_s, u0.values))
-        m_ex = float(np.dot(mu_s, step_explicit(op, spec, u0, dt_c).values))
-        m_im = float(np.dot(mu_s, step_implicit(op, spec, u0, dt_c, tol=small.tol,
-                                                max_iter=small.max_iter).values))
-        drift = max(abs(m_ex - m0), abs(m_im - m0))
-        report(drift <= max(1e-8, 10.0 * small.tol) * (1.0 + abs(m0)),
-               f"one-step drift {drift:.3e}")
+        d_ex = abs(float(np.dot(mu_s, step_explicit(op, spec, u0, dt_c).values)) - m0)
+        d_im = abs(float(np.dot(mu_s, step_implicit(op, spec, u0, dt_c, tol=small.tol,
+                                                    max_iter=small.max_iter).values)) - m0)
+        roundoff = (grid.n * _EPS * (1.0 + 2.0 * dt_c * float(np.max(op.deg_active)))
+                    * float(np.sum(mu_s)) * (1.0 + scale))
+        residual = 0.0 if spec.p == 2.0 else (dt_c * float(np.sum(grid.mu[op.interior_idx]))
+                                              * EXT_TOL * (1.0 + scale))
+        report(d_ex <= roundoff + residual and d_im <= roundoff,
+               f"one-step drift explicit {d_ex:.3e} of {roundoff + residual:.3e}, "
+               f"implicit {d_im:.3e} of {roundoff:.3e}")
 
     # spectral gap; S annihilates the indicator of an isolated strip node
     with check("spectral gap") as report:

@@ -2,10 +2,11 @@
 
 Interior nodes satisfy the stationary nonlocal balance against every other
 node; strip values stay pinned. For exponent 2 that balance is a linear
-system in the interior block L_II. The box's coordinate mirrors split it
-into one block per sector (symmetry.sectors: up to 2^d blocks of 1/2^d
-the size on an assembled box, one block otherwise), and each block's
-Cholesky factor is made once per operator. For general p > 1 it is the
+system in the interior block L_II. The box's symmetries split it into
+blocks (symmetry.sectors: up to 2^d mirror sectors of 1/2^d the size on
+an assembled box; on the unit square one block of a quarter shared by two
+sectors and four of about an eighth; one block otherwise), and each
+block's Cholesky factor is made once per operator. For general p > 1 it is the
 Euler-Lagrange condition of a strictly convex edge energy E_p.
 _newton_free is the one descent solve for p != 2: it minimizes
 F(v) = E_p(v) - <lin, v> + (1/2) sum w (v - t)^2 over the free nodes, is
@@ -119,10 +120,10 @@ def interior_residual(op, u, p):
 
 
 def _interior(op):
-    """(L_II, its sector factors, L_IS), made once per operator: the interior
+    """(L_II, its block factors, L_IS), made once per operator: the interior
     rows of the Laplacian of the coefficients mu[x] W[x][y], cut from their
-    CSR adjacency, and the Cholesky factor of each sector block L_II^chi of
-    L_II (symmetry.sectors), folded from the rows of L_II at the interior
+    CSR adjacency, and the Cholesky factor of each block L_II^j of L_II
+    (symmetry.sectors), folded from the rows of L_II at the interior
     representatives and written dense only to be factored in place. The
     CSR L_II and L_IS serve the extension's right-hand side and residual
     and the folds of the Schur complement."""
@@ -147,8 +148,9 @@ def extend_linear(op, g):
 
     Returns a full field equal to g on the strip whose interior values
     satisfy L_II u = -L_IS g, i.e. diag(row sums) u - W_II u = W_IS g,
-    solved sector by sector with the factors of _interior. The residual is
-    that of the whole CSR L_II, so the gate checks the fold too.
+    solved block by block with the factors of _interior, the shared block
+    with two columns. The residual is that of the whole CSR L_II, so the
+    gate checks the fold too.
     """
     if op.n_interior == 0:
         raise EmptyInterior("linear extension needs interior nodes")
@@ -161,7 +163,7 @@ def extend_linear(op, g):
     rhs = -(l_is @ (gv - shift))
     parts = sec.fold(rhs, sec.interior)
     for part, (chol, lower) in zip(parts, factors):
-        # L_II^chi = U^T U with U the upper factor: two triangular solves take
+        # L_II^j = U^T U with U the upper factor: two triangular solves take
         # half the time of cho_solve's potrs for one right-hand side. The
         # cached factor is finite; checking it would scan its entries per solve
         sol = sla.solve_triangular(chol, part, trans="T", lower=lower, check_finite=False)

@@ -6,9 +6,10 @@ evolves by u' = -M^-1 S u with S the Schur complement of the interior and
 M the strip measures: the flux is one product with the cached S, and no
 step of either integrator extends. Explicit Euler steps u + dt flux; the
 implicit step solves the strip system (M + dt S) v = M u. Both work on the
-blocks of S under the box's coordinate mirrors (symmetry.sectors): u is
-folded into one vector per sector, multiplied or solved block by block,
-and unfolded. For p != 2 the explicit flux is that of the extended state,
+blocks of S under the box's symmetries (symmetry.sectors): u is folded
+into one coefficient vector per block, two for the block that two sectors
+share on the unit square, multiplied or solved block by block, and
+unfolded. For p != 2 the explicit flux is that of the extended state,
 re-solved after each step, and the implicit step minimizes
 dt * E_p(v) + (1/2) sum_strip mu (v - u)^2 jointly over all nodes, which
 reproduces backward Euler on the strip and the stationary balance on the
@@ -25,8 +26,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.integrate import cumulative_trapezoid
 
-from .analysis import (DIAG_COLUMNS, _lp_norm, lq_distance_to_mean, mass,
-                       schur_complement)
+from .analysis import DIAG_COLUMNS, _distances_to_mean, _lp_norm, schur_complement
 from .elliptic import (StripField, _extended_values, _interior_start, _midrange,
                        _newton_free, _pairing, _strip_flux)
 from .errors import (InvalidArgument, NoContraction, SingularSystem, SolverError)
@@ -122,8 +122,8 @@ def check_compatible(op, spec):
 def _schur_flux(op, uv):
     """The p = 2 strip flux -M^-1 S u, anchored at the midrange c of u as
     extend_linear is: S (c - u) is exactly +0 for constant data. The
-    product is taken sector by sector: c - u folded, one product with each
-    block S_chi, unfolded."""
+    product is taken block by block: c - u folded, one product with each
+    block S_j, unfolded."""
     sec = sectors(op)
     parts = sec.fold(_midrange(uv) - uv, sec.strip)
     for part, block in zip(parts, schur_complement(op)):
@@ -173,8 +173,8 @@ def _implicit_linear_values(op, dt, uv):
     """Backward Euler at p = 2 on the strip: solve (M + dt S) v = M u with
     S the Schur complement and M the strip measures, for v - c with c the
     midrange of u, so that constant data stays exactly constant. M is
-    constant on orbits, so the system splits into one (M + dt S_chi) per
-    sector, each factored once and solved with cho_solve. The rows of the
+    constant on orbits, so the system splits into one (M_j + dt S_j) per
+    block, each factored once and solved with cho_solve. The rows of the
     computed S sum to roundoff rather than 0, so v is then shifted by the
     constant sum mu (u - v) / sum mu that restores the strip mass, as the
     p != 2 step shifts its iterates; constant data gives a zero shift."""
@@ -183,13 +183,12 @@ def _implicit_linear_values(op, dt, uv):
     # one set of factors per operator, for the last dt: a set per dt ever used adds up
     if op._cache.get("implicit_chol", (None,))[0] != dt:
         op._cache.pop("implicit_chol", None)
-        mu_r = op.grid.mu[sec.strip.reps]
         factors = []
-        for block in schur_complement(op):
-            # S_chi is exactly symmetric, and its transpose is the Fortran
+        for block, reps in zip(schur_complement(op), sec.block_reps(sec.strip)):
+            # S_j is exactly symmetric, and its transpose is the Fortran
             # order cho_factor overwrites
             mat = dt * block.T
-            mat[np.diag_indices_from(mat)] += mu_r
+            mat[np.diag_indices_from(mat)] += op.grid.mu[reps]
             try:
                 factors.append(sla.cho_factor(mat, overwrite_a=True))
             except sla.LinAlgError as exc:
@@ -252,16 +251,12 @@ def step_implicit(op, spec, u, dt, tol=1e-10, max_iter=60):
 
 
 def _diag_row(op, spec, uv, flux):
-    u = StripField(uv, op.grid)
-    return np.array([
-        mass(op.grid, u),
-        lq_distance_to_mean(op.grid, u, 1.0),
-        lq_distance_to_mean(op.grid, u, 2.0),
-        lq_distance_to_mean(op.grid, u, spec.p),
-        lq_distance_to_mean(op.grid, u, spec.q),
-        lq_distance_to_mean(op.grid, u, np.inf),
-        _pairing(op.grid.mu[op.strip_idx], uv, flux, spec.p),
-    ])
+    """The DIAG_COLUMNS of one state: mass, the distances of
+    lq_distance_to_mean from one weighted mean, and the energy."""
+    mu_s = op.grid.mu[op.strip_idx]
+    return np.array([float(np.dot(mu_s, uv)),
+                     *_distances_to_mean(mu_s, uv, (1.0, 2.0, spec.p, spec.q, np.inf)),
+                     _pairing(mu_s, uv, flux, spec.p)])
 
 
 def evolve(op, spec, u0, t_end, dt, integrator=EXPLICIT, tol=1e-10, max_iter=60):

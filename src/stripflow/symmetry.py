@@ -1,111 +1,267 @@
-"""The coordinate mirrors of the box that leave an operator invariant, and
-the blocks of the p = 2 dense work under them.
+"""The symmetries of the box that leave an operator invariant, and the
+blocks of the p = 2 dense work under them.
 
 An operator from assemble has the coefficients mu[x] mu[y] J(offset) with
-J radial, so a mirror of the lattice that leaves grid.mu and grid.klass
-unchanged maps its edge list onto itself. The group G of such mirrors,
-each along an axis with an even node count so that every orbit has |G|
-nodes, splits every matrix that commutes with them into one block per
-character chi of G, a sector (Bossavit, Comput. Methods Appl. Mech. Engrg.
-56, 1986). In the orthonormal basis e_a^chi = |G|^(-1/2) sum_k chi(k) e_(k a)
-over the orbit representatives a, the block of a matrix L is
-L_chi[a, b] = sum_k chi(k) L[a, k b]: read off the rows of L at the
-representatives, with no product of sparse matrices. The blocks of L_II,
-the Schur complement S and M + dt S are 1/|G| the size of the whole, and
-the vector folds between the two bases cost O(n).
+J radial, so a mirror of the lattice, or on a square lattice the swap of
+its axes, that leaves grid.mu and grid.klass unchanged maps its edge list
+onto itself. Every matrix that commutes with such a group G splits into
+one block per irreducible representation (Bossavit, Comput. Methods Appl.
+Mech. Engrg. 56, 1986).
 
-Operators that assemble did not build (fixtures pinned from a dense
-kernel matrix) have G = {e}: one sector, whose block is the matrix
-itself, through the same code.
+The coordinate mirrors kept form the abelian group K, each along an axis
+with an even node count so that every orbit has |K| nodes; each character
+chi of K is a sector. In the orthonormal basis e_a^chi = |K|^(-1/2)
+sum_k chi(k) e_(k a) over the orbit representatives a, the block of a
+matrix L is L_chi[a, b] = sum_k chi(k) L[a, k b]: read off the rows of L
+at the representatives, with no product of sparse matrices.
+
+On a square whose mu and klass are unchanged by the transpose sigma, G is
+the dihedral group of order 8, K and sigma K. sigma maps the
+representatives (a corner quarter of the lattice) onto themselves and
+swaps the two sectors odd under one mirror and even under the other, so
+those share one block: the coefficients of the second are those of the
+first for the transposed vector, and every product, factor and solve takes
+that block with two columns. The two sectors that sigma maps onto
+themselves split once more, into a sigma-even and a sigma-odd block over
+the sigma-orbits of the representatives: a pair {a, sigma a} gives
+(e_a +- e_(sigma a)) / sqrt(2), a representative on the diagonal e_a in
+the even block only. Each basis is orthonormal and the measures are
+constant on orbits, so the block of M is diag(mu) at the representatives
+that index the block's rows.
+
+The blocks of L_II, the Schur complement S and M + dt S are 1/|K| or
+1/|G| the size of the whole, and the vector folds between the two bases
+cost O(n). Operators that assemble did not build (fixtures pinned from a
+dense kernel matrix) have G = {e}: one block, the matrix itself, through
+the same code.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+
+# the weight of each end of a sigma pair in its even and odd basis vectors
+_HALF = np.sqrt(0.5)
 
 
 @dataclass(frozen=True)
 class Orbits:
-    """The orbits of one node class (strip or interior) under G, in the
-    positions of the class's nodes in ascending node order.
+    """The orbits of one node class (strip or interior) under K, in the
+    positions of the class's nodes in ascending node order, and sigma on
+    them.
 
-    table : (|G|, m) table[k, a] is the position of the image k a of the
+    table : (|K|, m) table[k, a] is the position of the image k a of the
         class's a-th representative; table[0] lists the representatives.
     reps : (m,) global node numbers of the representatives.
     slot, elem : (n_C,) for each position the representative a and the
         group element k with position = k a.
+    transpose : (n_C,) the position of sigma x for each position x, and
+        swap : (m,) the representative sigma a for each representative a;
+        both the identity when sigma is not kept.
+    pair, partner : (p,) the representatives a < sigma a of the sigma pairs
+        and their images sigma a, both empty when sigma is not kept.
+    diag : representatives fixed by sigma, all of them when it is not kept.
+    rank : (m,) the place of each representative in the order pair,
+        partner, diag, in which fold_rows writes the blocks sigma splits.
     """
 
     table: np.ndarray
     reps: np.ndarray
     slot: np.ndarray
     elem: np.ndarray
+    transpose: np.ndarray
+    swap: np.ndarray
+    pair: np.ndarray
+    partner: np.ndarray
+    diag: np.ndarray
+    rank: np.ndarray
 
     @property
     def size(self):
-        """Nodes per sector block: the number of orbits."""
+        """The number of orbits under K."""
         return self.table.shape[1]
+
+
+class Block(NamedTuple):
+    """One block of the p = 2 dense work: the character of K it is folded
+    with (a row of Sectors.signs), its sigma parity (+1 even, -1 odd, 0 for
+    no split) and the number of sectors it serves: 2 for the block of
+    character 1, which sigma shares with character 3 - 1 = 2, the two
+    mixed characters swapping the bits of the two mirrors."""
+
+    char: int
+    parity: int
+    copies: int
 
 
 @dataclass(frozen=True)
 class Sectors:
-    """The mirror group G of one operator and its sectors.
+    """The symmetry group G of one operator and its blocks.
 
-    signs : (|G|, |G|) the characters, signs[c, k] = chi_c(k) = +-1 for the
-        group element k (a bit mask of the kept mirrors) and the character
-        c (a bit mask too), the trivial one first. Symmetric.
+    signs : (|K|, |K|) the characters of the mirrors K, signs[c, k] =
+        chi_c(k) = +-1 for the group element k (a bit mask of the kept
+        mirrors) and the character c (a bit mask too), the trivial one
+        first. Symmetric.
     strip, interior : the Orbits of the two node classes.
+    blocks : the Block list, the trivial one first. Without sigma, one per
+        character; with it, the sigma-even and sigma-odd blocks of the
+        characters 0 and 3 and the block of character 1 shared with 2.
     """
 
     signs: np.ndarray
     strip: Orbits
     interior: Orbits
+    blocks: tuple
 
     @property
-    def count(self):
-        return self.signs.shape[0]
+    def order(self):
+        """|G|: the number of nodes in a generic orbit."""
+        return self.signs.shape[0] * max(blk.copies for blk in self.blocks)
+
+    def block_reps(self, orbits):
+        """Per block, the global node numbers of the representatives that
+        index its rows: the measures on them are the block of M."""
+        out = []
+        for blk in self.blocks:
+            rows = orbits.reps
+            if blk.parity:
+                rows = rows[np.concatenate((orbits.pair, orbits.diag))
+                            if blk.parity > 0 else orbits.pair]
+            out.append(rows)
+        return out
 
     def fold(self, vals, orbits):
-        """(|G|, m) sector coefficients sum_k chi(k) vals[k a] of the values
-        on one class: |G|^(1/2) times those in the orthonormal basis."""
-        return self.signs @ vals[orbits.table]
+        """Per block, the coefficients of the values on one class: sum_k
+        chi(k) vals[k a] over K, then split by sigma. They are |K|^(1/2)
+        times those in the orthonormal basis; the shared block's are an
+        (m, 2) array."""
+        coef = self.signs @ vals[orbits.table]
+        parts = []
+        for blk in self.blocks:
+            row = coef[blk.char]
+            if blk.copies == 2:
+                # the second sector's coefficients, those of the transpose of vals
+                parts.append(np.column_stack((row, coef[3 - blk.char][orbits.swap])))
+            elif blk.parity > 0:
+                parts.append(np.concatenate(((row[orbits.pair] + row[orbits.partner]) * _HALF,
+                                             row[orbits.diag])))
+            elif blk.parity < 0:
+                parts.append((row[orbits.pair] - row[orbits.partner]) * _HALF)
+            else:
+                parts.append(row)
+        return parts
 
-    def unfold(self, coef, orbits):
-        """The class values whose fold is coef: the inverse of fold."""
+    def unfold(self, parts, orbits):
+        """The class values whose fold is parts: the inverse of fold."""
+        coef = np.zeros((self.signs.shape[0], orbits.size))
+        for part, blk in zip(parts, self.blocks):
+            if blk.copies == 2:
+                coef[blk.char] = part[:, 0]
+                coef[3 - blk.char] = part[orbits.swap, 1]
+            elif blk.parity:
+                coef[blk.char] += _spread(part, orbits, blk.parity)
+            else:
+                coef[blk.char] = part
         out = np.empty(orbits.table.size)
-        out[orbits.table] = (self.signs @ coef) / self.count
+        out[orbits.table] = (self.signs @ coef) / self.signs.shape[0]
+        return out
+
+    def basis(self, j, coef, orbits):
+        """(n_C, r) the class vectors with the coefficients coef (m_j, r) in
+        the orthonormal basis of block j; for the shared block, of its first
+        sector. The vectors of its second sector are these transposed,
+        [orbits.transpose]."""
+        blk = self.blocks[j]
+        if blk.parity:
+            coef = _spread(coef, orbits, blk.parity)
+        out = np.empty((orbits.table.size, coef.shape[1]))
+        out[orbits.table] = np.multiply.outer(self.signs[blk.char]
+                                              / np.sqrt(self.signs.shape[0]), coef)
         return out
 
     def fold_rows(self, block, row_orbits, col_orbits):
-        """The sector blocks B_chi[a, b] = sum_k chi(k) B[a, k b] of a CSR
-        block B with sorted columns, rows over the positions of row_orbits'
-        class and columns over those of col_orbits' class, invariant under
-        G. Yields one dense Fortran-ordered (row_orbits.size,
-        col_orbits.size) block per sector, each from one pass over the
-        stored entries of B's rows at the representatives. The terms of
-        B_chi[a, b] are summed in the order of the positions k b, which is
-        the same order of k for every representative b: each mirror takes
-        the representatives' corner of the lattice to higher node numbers,
-        the mirror of the first axis past that of the second. So the block
-        of a symmetric B is exactly symmetric."""
+        """The blocks Q_j^T B Q_j of a CSR block B with sorted columns, rows
+        over the positions of row_orbits' class and columns over those of
+        col_orbits' class, invariant under G. Yields one dense
+        Fortran-ordered block per Block, each character's from one pass over
+        the stored entries of B's rows at the representatives:
+        B_chi[a, b] = sum_k chi(k) B[a, k b], then split by sigma (_halves).
+        The terms of B_chi[a, b] are summed in the order of the positions
+        k b, which is the same order of k for every representative b: each
+        mirror takes the representatives' corner of the lattice to higher
+        node numbers, the mirror of the first axis past that of the second.
+        So the block of a symmetric B is exactly symmetric, and _halves
+        keeps it so."""
         rows = block[row_orbits.table[0]]
         m_r, m_c = row_orbits.size, col_orbits.size
         # the block is written transposed, so that its transpose is Fortran-ordered
-        flat = col_orbits.slot[rows.indices] * m_r
-        flat += np.repeat(np.arange(m_r), np.diff(rows.indptr))
+        col = col_orbits.slot[rows.indices]
+        row = np.repeat(np.arange(m_r), np.diff(rows.indptr))
+        flat = col * m_r + row
+        # the characters that sigma splits are written in the order pair,
+        # partner, diag on both sides, so that _halves reads slices
+        split = None
+        if self.order > self.signs.shape[0]:
+            split = col_orbits.rank[col] * m_r + row_orbits.rank[row]
+        del col, row
         elem = col_orbits.elem[rows.indices]
         data = rows.data
         del rows
-        for chi in self.signs:
-            weights = chi[elem]
+        for blk in self.blocks:
+            if blk.parity < 0:
+                yield odd
+                continue
+            weights = self.signs[blk.char][elem]
             weights *= data
             # bincount of no entries gives integers, even with weights
-            out = np.bincount(flat, weights=weights, minlength=m_r * m_c)
+            out = np.bincount(split if blk.parity else flat, weights=weights,
+                              minlength=m_r * m_c)
             del weights
-            yield out.astype(float, copy=False).reshape(m_c, m_r).T
+            out = out.astype(float, copy=False).reshape(m_c, m_r).T
+            if blk.parity:
+                out, odd = _halves(out, row_orbits.pair.shape[0], col_orbits.pair.shape[0])
+            yield out
 
 
-def _class_orbits(n, class_idx, is_rep, perms):
+def _spread(part, orbits, parity):
+    """The coefficients over all K-representatives of the sigma-even
+    (parity > 0) or sigma-odd coefficients part, along its first axis."""
+    out = np.zeros((orbits.size,) + part.shape[1:])
+    n_pair = orbits.pair.shape[0]
+    half = part[:n_pair] * _HALF
+    out[orbits.pair] = half
+    if parity > 0:
+        out[orbits.partner] = half
+        out[orbits.diag] = part[n_pair:]
+    else:
+        out[orbits.partner] = -half
+    return out
+
+
+def _halves(block, p, q):
+    """The sigma-even and sigma-odd blocks, both Fortran-ordered, of a dense
+    block whose rows are p pairs, their p partners and the diagonal, and
+    whose columns are q pairs, their partners and the diagonal. The even
+    block's entry at two pairs is ((B[a, b] + B[sa, sb]) + (B[a, sb] +
+    B[sa, b])) / 2 with s for sigma, whose transpose sums the same two pairs
+    of terms, so the halves of a symmetric block are exactly symmetric."""
+    same = block[:p, :q] + block[p:2 * p, q:2 * q]
+    cross = block[:p, q:2 * q] + block[p:2 * p, :q]
+    even = np.empty((block.shape[0] - p, block.shape[1] - q), order="F")
+    np.add(same, cross, out=even[:p, :q])
+    even[:p, :q] *= 0.5
+    np.add(block[:p, 2 * q:], block[p:2 * p, 2 * q:], out=even[:p, q:])
+    even[:p, q:] *= _HALF
+    np.add(block[2 * p:, :q], block[2 * p:, q:2 * q], out=even[p:, :q])
+    even[p:, :q] *= _HALF
+    even[p:, q:] = block[2 * p:, 2 * q:]
+    odd = np.subtract(same, cross, out=np.empty((p, q), order="F"))
+    odd *= 0.5
+    return even, odd
+
+
+def _class_orbits(n, class_idx, is_rep, perms, sigma):
     pos = np.full(n, -1)
     pos[class_idx] = np.arange(class_idx.shape[0])
     reps = class_idx[is_rep[class_idx]]
@@ -114,34 +270,56 @@ def _class_orbits(n, class_idx, is_rep, perms):
     slot[table] = np.arange(reps.shape[0])
     elem = np.empty(class_idx.shape[0], dtype=np.int8)
     elem[table] = np.arange(len(perms))[:, None]
-    return Orbits(table=table, reps=reps, slot=slot, elem=elem)
+    swap = slot[pos[sigma[reps]]]
+    pair = np.flatnonzero(swap > np.arange(reps.shape[0]))
+    diag = np.flatnonzero(swap == np.arange(reps.shape[0]))
+    rank = np.empty(reps.shape[0], dtype=np.int64)
+    rank[np.concatenate((pair, swap[pair], diag))] = np.arange(reps.shape[0])
+    return Orbits(table=table, reps=reps, slot=slot, elem=elem,
+                  transpose=pos[sigma[class_idx]], swap=swap, pair=pair, partner=swap[pair],
+                  diag=diag, rank=rank)
+
+
+def _invariant(grid, perm):
+    return np.array_equal(grid.mu[perm], grid.mu) and np.array_equal(grid.klass[perm],
+                                                                      grid.klass)
 
 
 def sectors(op):
     """The sectors of op, worked out on first use and cached on it.
 
-    G holds the mirror i -> m - 1 - i of each lattice axis whose node count
-    m is even and under which grid.mu and grid.klass are unchanged, an O(n)
-    check; an operator that assemble did not build has G = {e}."""
+    K holds the mirror i -> m - 1 - i of each lattice axis whose node count
+    m is even and under which grid.mu and grid.klass are unchanged; sigma
+    is kept when both axis mirrors are, the two counts are equal and mu and
+    klass are unchanged by the transpose. Each is an O(n) check. An
+    operator that assemble did not build has G = {e}."""
     if "sectors" in op._cache:
         return op._cache["sectors"]
     grid = op.grid
     node = np.arange(grid.n)
     perms, is_rep, signs = [node], np.ones(grid.n, dtype=bool), np.ones((1, 1))
+    sigma = node
     if op.lattice is not None:
         index = node.reshape(op.lattice)
         for axis, m in enumerate(op.lattice):
             mirror = np.flip(index, axis).ravel()
-            if (m % 2 or not np.array_equal(grid.mu[mirror], grid.mu)
-                    or not np.array_equal(grid.klass[mirror], grid.klass)):
+            if m % 2 or not _invariant(grid, mirror):
                 continue
             is_rep &= (np.indices(op.lattice)[axis] < m // 2).ravel()
             # the new mirror is the next bit of k: its elements follow the
             # old ones, and a character takes the sign -1 on it or not
             perms += [perm[mirror] for perm in perms]
             signs = np.block([[signs, signs], [signs, -signs]])
-    sec = Sectors(signs=signs,
-                  strip=_class_orbits(grid.n, op.strip_idx, is_rep, perms),
-                  interior=_class_orbits(grid.n, op.interior_idx, is_rep, perms))
+        transpose = index.T.ravel()
+        if len(perms) == 4 and op.lattice[0] == op.lattice[1] and _invariant(grid, transpose):
+            sigma = transpose
+    if sigma is node:
+        blocks = tuple(Block(c, 0, 1) for c in range(len(perms)))
+    else:
+        blocks = (Block(0, 1, 1), Block(0, -1, 1), Block(1, 0, 2), Block(3, 1, 1),
+                  Block(3, -1, 1))
+    sec = Sectors(signs=signs, blocks=blocks,
+                  strip=_class_orbits(grid.n, op.strip_idx, is_rep, perms, sigma),
+                  interior=_class_orbits(grid.n, op.interior_idx, is_rep, perms, sigma))
     op._cache["sectors"] = sec
     return sec

@@ -5,7 +5,6 @@ from hypothesis.configuration import set_hypothesis_home_dir
 import stripflow as sf
 from stripflow.geometry import INTERIOR, STRIP, Grid
 from stripflow.kernels import _operator_from_dense, laplacian_dense
-from stripflow.symmetry import sectors
 
 BOX1 = sf.DomainBox(1, (0.0,), (1.0,))
 BOX2 = sf.DomainBox(2, (0.0, 0.0), (1.0, 1.0))
@@ -54,27 +53,106 @@ def schur_oracle(op):
                                                                    lap[np.ix_(i, s)])
 
 
+def lattice_maps(op):
+    """The node permutations of the axis mirrors and of the transpose that
+    leave mu and klass unchanged, from the node coordinates alone: the
+    mirrors of the axes with an even node count, in axis order, and the
+    transpose (or None) when both mirrors are kept on a square."""
+    grid = op.grid
+    shape = op.lattice
+    ij = np.rint((grid.nodes - np.asarray(grid.domain.lo)) / grid.h - 0.5).astype(int)
+    if grid.dim == 1:
+        ij = np.column_stack((np.zeros(grid.n, dtype=int), ij))
+
+    def keeps(img):
+        perm = np.ravel_multi_index(img.T, shape)
+        ok = (np.array_equal(grid.mu[perm], grid.mu)
+              and np.array_equal(grid.klass[perm], grid.klass))
+        return perm if ok else None
+    mirrors = []
+    for axis in range(2):
+        img = ij.copy()
+        img[:, axis] = shape[axis] - 1 - img[:, axis]
+        perm = keeps(img)
+        if shape[axis] % 2 == 0 and perm is not None:
+            mirrors.append((axis, perm))
+    transpose = None
+    if len(mirrors) == 2 and shape[0] == shape[1]:
+        transpose = keeps(ij[:, ::-1])
+    return ij, mirrors, transpose
+
+
+def sector_basis(op):
+    """Per block of schur_complement(op), in its order, a dense orthonormal
+    n_S x m_j basis Q_j of strip vectors such that the block is Q_j^T S Q_j,
+    built from the node coordinates, mu and klass alone. The kept mirrors
+    (bit i of a character c is the i-th) fold each strip node x onto the
+    representative a in the low corner of the lattice with the sign
+    chi_c(k) = (-1)^popcount(c & k), k the mirrors taking a to x, and
+    weight 1/sqrt(|K|); the columns follow the representatives' node
+    order. With the transpose kept, the characters 0 and 3 split into
+    (q_a + q_sa) / sqrt(2) over the pairs a < sa, then q_a on the
+    diagonal, and (q_a - q_sa) / sqrt(2); the characters 1 and 2 share one
+    block, that of 1. A fixture's one block is the identity."""
+    if op.lattice is None:
+        return [np.eye(op.n_strip)]
+    ij, mirrors, transpose = lattice_maps(op)
+    ij = ij[op.strip_idx]
+    shape = np.array(op.lattice)
+    rep = ij.copy()
+    k = np.zeros(op.n_strip, dtype=int)
+    for bit, (axis, _) in enumerate(mirrors):
+        high = ij[:, axis] >= shape[axis] // 2
+        rep[high, axis] = shape[axis] - 1 - rep[high, axis]
+        k |= high << bit
+    rep_node = np.ravel_multi_index(rep.T, op.lattice)
+    reps, col = np.unique(rep_node, return_inverse=True)
+    order = 1 << len(mirrors)
+
+    def q(c):
+        out = np.zeros((op.n_strip, reps.shape[0]))
+        sign = np.array([(-1.0) ** bin(c & kk).count("1") for kk in k])
+        out[np.arange(op.n_strip), col] = sign / np.sqrt(order)
+        return out
+    if transpose is None:
+        return [q(c) for c in range(order)]
+    r0, r1 = np.divmod(reps, op.lattice[1])
+    partner = np.searchsorted(reps, r1 * op.lattice[1] + r0)
+    pair = np.flatnonzero(r0 < r1)
+    diag = np.flatnonzero(r0 == r1)
+    out = []
+    for c in (0, 1, 3):
+        base = q(c)
+        if c == 1:
+            out.append(base)
+            continue
+        out.append(np.column_stack(((base[:, pair] + base[:, partner[pair]]) / np.sqrt(2.0),
+                                    base[:, diag])))
+        out.append((base[:, pair] - base[:, partner[pair]]) / np.sqrt(2.0))
+    return out
+
+
 def fold_strip(op, mat):
-    """The sector blocks B_chi[a, b] = sum_k chi(k) B[a, k b] of a dense
-    n_S x n_S matrix B that the operator's mirrors leave invariant, in the
-    order and the basis of schur_complement's blocks."""
-    sec = sectors(op)
-    table = sec.strip.table
-    parts = [mat[np.ix_(table[0], table[k])] for k in range(sec.count)]
-    return [sum(c * part for c, part in zip(chi, parts)) for chi in sec.signs]
+    """The blocks Q_j^T B Q_j of a dense n_S x n_S matrix B over the bases
+    of sector_basis: in the order and the basis of schur_complement's
+    blocks."""
+    return [basis.T @ mat @ basis for basis in sector_basis(op)]
 
 
 def assert_mirror_invariant(op):
     """Each mirror of an assembled operator's lattice under which mu and
-    klass are invariant, odd node counts too, maps the edge list onto
-    itself bit for bit."""
+    klass are invariant, odd node counts too, and the transpose of a square
+    lattice under which they are, maps the edge list onto itself bit for
+    bit."""
     index = np.arange(op.n).reshape(op.lattice)
-    for axis in range(2):
-        mirror = np.flip(index, axis).ravel()
-        if not (np.array_equal(op.grid.mu[mirror], op.grid.mu)
-                and np.array_equal(op.grid.klass[mirror], op.grid.klass)):
+    maps = [np.flip(index, axis).ravel() for axis in range(2)]
+    if op.lattice[0] == op.lattice[1]:
+        maps.append(index.T.ravel())
+    for perm in maps:
+        if not (np.array_equal(op.grid.mu[perm], op.grid.mu)
+                and np.array_equal(op.grid.klass[perm], op.grid.klass)):
             continue
-        key = mirror[op.act_rows] * op.n + mirror[op.act_cols]
+        key = perm[op.act_rows] * op.n + perm[op.act_cols]
         order = np.argsort(key)
         np.testing.assert_array_equal(key[order], op.act_rows * op.n + op.act_cols)
         np.testing.assert_array_equal(op.act_coef[order], op.act_coef)

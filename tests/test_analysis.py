@@ -56,15 +56,18 @@ def test_schur_toy3_by_hand(toy3_op):
 
 
 def test_schur_annihilates_constants(toy3_op, op16, op2d):
-    # the constants fold into the trivial sector alone, so S 1 = 0 is the
-    # trivial block's product with the ones; S is exactly symmetric and PSD
-    # when every block is
+    # the constants fold into the trivial block alone, so S 1 = 0 is the
+    # trivial block's product with their fold (the ones on toy3 and the
+    # line, sqrt(2) on a sigma pair against 1 on the diagonal on the
+    # square); S is exactly symmetric and PSD when every block is
     for op in (toy3_op, op16, op2d):
         blocks = sf.schur_complement(op)
-        assert len(blocks) == sectors(op).count
+        sec = sectors(op)
+        assert len(blocks) == len(sec.blocks)
+        (const, *others) = sec.fold(np.ones(op.n_strip), sec.strip)
+        assert all(np.all(part == 0.0) for part in others)
         trivial = blocks[0]
-        ones = np.ones(trivial.shape[0])
-        assert np.max(np.abs(trivial @ ones)) <= 1e-12 * max(1.0, np.max(np.abs(trivial)))
+        assert np.max(np.abs(trivial @ const)) <= 1e-12 * max(1.0, np.max(np.abs(trivial)))
         for block in blocks:
             np.testing.assert_array_equal(block, block.T)
             assert np.linalg.eigvalsh(block)[0] >= -1e-10
@@ -102,16 +105,18 @@ def test_schur_without_interior_is_the_strip_block():
 
 
 def test_schur_complement_keeps_no_extra_copy():
-    # The blocks are built one sector at a time: X_chi = U^-T L_IS^chi is
-    # solved in place in the dense fold of L_IS, and L_SS^chi is folded only
-    # once X_chi is gone, so the build writes no array of the size of the
-    # whole S (the dense L_IS alone is 576/448 = 1.29 times that): it peaks
-    # at 0.53 times the bytes of S, and a second copy of the four blocks
-    # (S/16 each) would take it past 3/4. Later calls read the cache and
+    # The blocks are built one at a time: X_j = U^-T L_IS^j is solved in
+    # place in the dense fold of L_IS, and L_SS^j is folded only once X_j
+    # is gone, so the build writes no array of the size of the whole S (the
+    # dense L_IS alone is 576/448 = 1.29 times that): it peaks at 0.50
+    # times the bytes of S, and a second copy of the five blocks (about
+    # S/8 in all) would take it past 5/8. Later calls read the cache and
     # allocate nothing
     op = make_op(1.0 / 32.0, 0.125, sf.tent_kernel(0.25, 2), dim=2)
     assert (op.n_strip, op.n_interior) == (448, 576)
-    assert sectors(op).count == 4
+    sec = sectors(op)
+    sizes = [rows.shape[0] for rows in sec.block_reps(sec.strip)]
+    assert sizes == [58, 54, 112, 58, 54]
     whole = op.n_strip ** 2 * np.dtype(float).itemsize
     _interior(op)
     tracemalloc.start()
@@ -123,9 +128,9 @@ def test_schur_complement_keeps_no_extra_copy():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert build < 0.75 * whole
+    assert build < 0.625 * whole
     assert peak - held < whole / 100
-    assert sum(block.nbytes for block in blocks) == whole // 4
+    assert sum(block.nbytes for block in blocks) == sum(m * m for m in sizes) * 8 < whole / 7
 
 
 def test_gap_on_toy3(toy3_op):
@@ -208,12 +213,13 @@ def test_gap_is_one_smallest_eigenpair_solve(op2d, monkeypatch):
 
     monkeypatch.setattr(sla, "eigh", spy)
     sf.spectral_gap_beta(op2d)
-    # one smallest eigenpair per sector block, the constants deflated from
-    # the trivial one
+    # one smallest eigenpair per block, the shared one solved once and the
+    # constants deflated from the trivial one: op2d's 28 strip nodes are
+    # the shared block of 7 and blocks of 4, 3, 4, 3
     sec = sectors(op2d)
-    m = sec.strip.size
-    assert sec.count == 4 and sec.count * m == op2d.n_strip
-    assert calls == [((m - 1, m - 1), [0, 0])] + [((m, m), [0, 0])] * 3
+    assert sec.order == 8 and sec.strip.size == 7
+    assert calls == [((3, 3), [0, 0]), ((3, 3), [0, 0]), ((7, 7), [0, 0]),
+                     ((4, 4), [0, 0]), ((3, 3), [0, 0])]
 
 
 def test_gap_on_the_benchmark_square():

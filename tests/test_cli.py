@@ -154,7 +154,7 @@ def test_beta_subcommand(runner, tmp_path):
     assert res.exit_code == 0
     assert res.stdout.splitlines()[0] == "1"
     assert "method=schur-eig" in res.stderr
-    # toy3 is not a lattice: one sector, the whole strip
+    # toy3 is not a lattice: one block, the whole strip
     assert "sectors=1x2" in res.stderr
     op = sf.toy3()
     mode = read_strip_csv(out, op.grid)
@@ -294,10 +294,19 @@ def test_validate_expects_no_gap_with_isolated_strip_nodes(runner, tmp_path):
 def test_beta_reports_isolated_strip_nodes(runner, tmp_path):
     res = runner.invoke(main, ["beta", "--config", write_cfg(tmp_path, ISOLATED_CORNERS)])
     assert res.exit_code == 0
-    assert "beta: method=schur-eig p=2 strip_nodes=624 sectors=4x156 isolated=4" in res.stderr
+    # the unit square's blocks: the shared one of 156, then the sigma-even
+    # and sigma-odd ones, largest first
+    assert ("beta: method=schur-eig p=2 strip_nodes=624 sectors=1x156,2x81,2x75 isolated=4"
+            in res.stderr)
     doc = dict(ISOLATED_CORNERS, r=0.15625)
     res = runner.invoke(main, ["beta", "--config", write_cfg(tmp_path, doc)])
     assert res.stderr.rstrip().endswith(" isolated=0")
+    # a rectangle keeps its four mirror blocks
+    doc = dict(ISOLATED_CORNERS, domain={"dim": 2, "lo": 0.0, "hi": [1.5, 1.0]}, h=1.0 / 16.0,
+               r=0.125)
+    res = runner.invoke(main, ["beta", "--config", write_cfg(tmp_path, doc)])
+    assert res.exit_code == 0
+    assert " strip_nodes=144 sectors=4x36 " in res.stderr
 
 
 def test_validate_expects_a_gap_without_isolated_strip_nodes(runner, tmp_path):
@@ -328,6 +337,27 @@ def test_validate_checks_the_flux_the_integrators_step_with(runner, tmp_path, mo
     res = runner.invoke(main, ["validate", "--config", write_cfg(tmp_path, GRID16)])
     assert res.exit_code == 0
     assert "check quadratic reduction: fail" in res.stdout
+    assert "1 failed" in res.stdout
+
+
+@pytest.mark.parametrize("name", ["step_explicit", "step_implicit"])
+def test_validate_catches_a_step_that_leaks_mass(runner, tmp_path, monkeypatch, name):
+    # the bound is what the solvers leave, about 6e-15 here: a step that
+    # leaks 1e-12 (1 + |m0|) of mass fails, where max(1e-8, 10 tol) (1 + |m0|)
+    # let it pass
+    step = getattr(cli, name)
+
+    def leaking(op, spec, u, dt, **kwargs):
+        mu_s = op.grid.mu[op.strip_idx]
+        m0 = float(np.dot(mu_s, u.values))
+        out = step(op, spec, u, dt, **kwargs).values
+        return sf.StripField(out + 1e-12 * (1.0 + abs(m0)) / np.sum(mu_s), op.grid)
+    res = runner.invoke(main, ["validate", "--config", write_cfg(tmp_path, GRID16)])
+    assert "check mass conservation: pass" in res.stdout
+    monkeypatch.setattr(cli, name, leaking)
+    res = runner.invoke(main, ["validate", "--config", write_cfg(tmp_path, GRID16)])
+    assert res.exit_code == 0
+    assert "check mass conservation: fail" in res.stdout
     assert "1 failed" in res.stdout
 
 

@@ -205,13 +205,15 @@ def test_one_interior_factorisation_per_operator(monkeypatch):
     dt = 0.5 * sf.stability_bound(op)
     for integrator in (sf.EXPLICIT, sf.IMPLICIT):
         sf.evolve(op, sf.ProblemSpec("linear"), g, 2.0 * dt, dt, integrator)
-    # one factor per sector of L_II, the sector sizes summing to n_I
+    # one factor per block of L_II, the sizes, the shared block counted
+    # twice, summing to n_I: 36 interior nodes are the shared block of 9
+    # and blocks of 6, 3, 6, 3; then one per block of M + dt S
     sec = sectors(op)
-    m = sec.interior.size
-    assert sec.count == 4 and sec.count * m == op.n_interior
-    assert sec.strip.size != m
-    assert shapes.count((m, m)) == sec.count
-    assert (op.n_interior, op.n_interior) not in shapes
+    sizes = [rows.shape[0] for rows in sec.block_reps(sec.interior)]
+    assert sizes == [6, 3, 9, 6, 3]
+    assert sum(m * blk.copies for m, blk in zip(sizes, sec.blocks)) == op.n_interior
+    strip = [rows.shape[0] for rows in sec.block_reps(sec.strip)]
+    assert shapes == [(m, m) for m in sizes + strip]
 
 
 def test_interior_cache_keeps_l_ii_only_as_its_factor():
@@ -233,13 +235,15 @@ def test_interior_cache_keeps_l_ii_only_as_its_factor():
                 yield from arrays(part)
         elif isinstance(item, np.ndarray):
             yield item
+    # the interior blocks of 9 and 6 match no strip block (7, 4, 3), so each
+    # cached square array of those sizes is one of the three such factors
     sec = sectors(op)
-    m = sec.interior.size
-    assert sec.count == 4 and sec.count * m == op.n_interior and sec.strip.size != m
+    assert [rows.shape[0] for rows in sec.block_reps(sec.interior)] == [6, 3, 9, 6, 3]
+    assert [rows.shape[0] for rows in sec.block_reps(sec.strip)] == [4, 3, 7, 4, 3]
     cached = [a for item in op._cache.values() for a in arrays(item)]
-    square = [a for a in cached if a.shape == (m, m)]
     factors = [chol for chol, _ in _interior(op)[1]]
-    assert len(square) == sec.count
+    square = [a for a in cached if a.shape in ((9, 9), (6, 6))]
+    assert len(square) == 3
     assert all(any(a is chol for chol in factors) for a in square)
     assert not any(a.shape == (op.n_interior, op.n_interior) for a in cached)
 

@@ -494,9 +494,11 @@ def test_implicit_cache_keeps_one_strip_factor():
         sf.step_implicit(op, LIN, u, dt)
     sec = sectors(op)
     m = sec.strip.size
-    assert sec.count == 4 and sec.interior.size != m
-    # the blocks of S plus the factors of M + dt S_chi for the last dt only
-    assert _square_arrays(list(op._cache.values()), m) == 2 * sec.count
+    # the shared block of 7 is the one block of its size
+    assert sec.order == 8 and m == 7
+    assert 7 not in {rows.shape[0] for rows in sec.block_reps(sec.interior)}
+    # the blocks of S plus the factors of M + dt S_j for the last dt only
+    assert _square_arrays(list(op._cache.values()), m) == 2
     assert _square_arrays(list(op._cache.values()), op.n_strip) == 0
 
 

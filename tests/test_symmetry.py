@@ -1,7 +1,7 @@
-"""The mirror sectors of the p = 2 dense work: which mirrors an operator
-keeps, that an assembled operator really is invariant under them, and that
-the sector route gives what the one-block route and the dense elimination
-oracle give."""
+"""The symmetry blocks of the p = 2 dense work: which mirrors, and on a
+square the swap of axes, an operator keeps, that an assembled operator
+really is invariant under them, and that the block route gives what the
+one-block route and the dense elimination oracle give."""
 
 from dataclasses import replace
 
@@ -12,31 +12,35 @@ import scipy.linalg as sla
 import stripflow as sf
 from stripflow import analysis
 from stripflow.errors import InvalidArgument
+from stripflow.evolution import _implicit_linear_values, _schur_flux
 from stripflow.geometry import STRIP
 from stripflow.kernels import NonlocalOperator, _operator_from_dense
 from stripflow.symmetry import sectors
 
-from conftest import (BOX1, BOX2, assert_mirror_invariant, fold_strip, line_grid,
-                      make_op, nonuniform_line_op, schur_oracle)
+from conftest import (BOX1, BOX2, assert_mirror_invariant, fold_strip, lattice_maps,
+                      line_grid, make_op, nonuniform_line_op, schur_oracle, sector_basis)
 
 EPS = np.finfo(float).eps
 BOX_WIDE = sf.DomainBox(2, (0.0, 0.0), (1.5, 1.0))
 
 
 def one_block(op):
-    """The same edges with no lattice: G = {e}, one sector whose blocks are
-    the whole L_II, S and M + dt S, which is the dense route."""
+    """The same edges with no lattice: G = {e}, one block each for the
+    whole L_II, S and M + dt S, which is the dense route."""
     return NonlocalOperator(op.grid, op.spec, op.edge_mode, op.act_rows, op.act_cols,
                             op.act_coef)
 
 
-def symmetric_mu_grid(grid, seed):
-    """The grid with random measures made invariant under both mirrors."""
+def symmetric_mu_grid(grid, seed, transpose=False):
+    """The grid with random measures made invariant under both mirrors, and
+    under the transpose too if asked."""
     shape = (1,) + grid.counts if grid.dim == 1 else grid.counts
     mu = np.random.default_rng(seed).uniform(0.5, 2.0, shape)
     # sums of two, which commute exactly
     mu = mu + mu[::-1]
     mu = mu + mu[:, ::-1]
+    if transpose:
+        mu = mu + mu.T
     return replace(grid, mu=mu.ravel() * grid.h ** grid.dim)
 
 
@@ -48,32 +52,35 @@ def kernel(family, dim):
     return sf.singular_kernel(0.5, 2.0, dim)
 
 
-# box, h, strip width, kernel family, edge mode, random measures, |G|
+# box, h, strip width, kernel family, edge mode, random measures (None,
+# "mirror" or "dihedral"), |G|
 CASES = [
-    (BOX1, 1 / 32, 0.125, "tent", sf.EXCLUDE_STRIP_STRIP, False, 2),
-    (BOX1, 1 / 32, 0.125, "bump", sf.FULL, False, 2),
-    (BOX1, 1 / 30, 0.1, "singular", sf.EXCLUDE_STRIP_STRIP, True, 2),
-    (BOX1, 1 / 31, 0.125, "tent", sf.FULL, False, 1),
-    (BOX2, 1 / 16, 0.125, "tent", sf.EXCLUDE_STRIP_STRIP, False, 4),
-    (BOX2, 1 / 16, 0.125, "tent", sf.FULL, True, 4),
-    (BOX2, 1 / 20, 0.15, "bump", sf.EXCLUDE_STRIP_STRIP, True, 4),
-    (BOX2, 1 / 12, 0.25, "singular", sf.EXCLUDE_STRIP_STRIP, False, 4),
-    (BOX2, 1 / 15, 0.2, "tent", sf.EXCLUDE_STRIP_STRIP, False, 1),
-    (BOX_WIDE, 1 / 16, 0.125, "tent", sf.FULL, False, 4),
-    (BOX_WIDE, 1 / 10, 0.2, "bump", sf.EXCLUDE_STRIP_STRIP, True, 2),
+    (BOX1, 1 / 32, 0.125, "tent", sf.EXCLUDE_STRIP_STRIP, None, 2),
+    (BOX1, 1 / 32, 0.125, "bump", sf.FULL, None, 2),
+    (BOX1, 1 / 30, 0.1, "singular", sf.EXCLUDE_STRIP_STRIP, "mirror", 2),
+    (BOX1, 1 / 31, 0.125, "tent", sf.FULL, None, 1),
+    (BOX2, 1 / 16, 0.125, "tent", sf.EXCLUDE_STRIP_STRIP, None, 8),
+    (BOX2, 1 / 32, 0.125, "tent", sf.EXCLUDE_STRIP_STRIP, None, 8),
+    (BOX2, 1 / 16, 0.125, "tent", sf.FULL, "mirror", 4),
+    (BOX2, 1 / 16, 0.125, "bump", sf.FULL, "dihedral", 8),
+    (BOX2, 1 / 20, 0.15, "bump", sf.EXCLUDE_STRIP_STRIP, "mirror", 4),
+    (BOX2, 1 / 12, 0.25, "singular", sf.EXCLUDE_STRIP_STRIP, None, 8),
+    (BOX2, 1 / 15, 0.2, "tent", sf.EXCLUDE_STRIP_STRIP, None, 1),
+    (BOX_WIDE, 1 / 16, 0.125, "tent", sf.FULL, None, 4),
+    (BOX_WIDE, 1 / 10, 0.2, "bump", sf.EXCLUDE_STRIP_STRIP, "mirror", 2),
 ]
-IDS = [f"{box.dim}d-{round(1 / h)}-{family}-{mode}-{'mu' if rand else 'h'}"
+IDS = [f"{box.dim}d-{round(1 / h)}-{family}-{mode}-{rand or 'h'}"
        for box, h, _, family, mode, rand, _ in CASES]
 
 
 @pytest.fixture(scope="module", params=CASES, ids=IDS)
 def case(request):
-    box, h, r, family, mode, rand, count = request.param
+    box, h, r, family, mode, rand, order = request.param
     grid = sf.build_grid(box, h, r)
     if rand:
-        grid = symmetric_mu_grid(grid, 7)
+        grid = symmetric_mu_grid(grid, 7, transpose=rand == "dihedral")
     op = sf.assemble(grid, kernel(family, box.dim), mode)
-    assert sectors(op).count == count
+    assert sectors(op).order == order
     return op, one_block(op)
 
 
@@ -84,13 +91,26 @@ def test_assembled_operators_are_invariant_bit_for_bit(case):
 def test_orbits_cover_each_class_once(case):
     op, _ = case
     sec = sectors(op)
+    mirrors = sec.signs.shape[0]
     for orbits, idx in ((sec.strip, op.strip_idx), (sec.interior, op.interior_idx)):
-        assert orbits.table.shape == (sec.count, idx.shape[0] // sec.count)
+        assert orbits.table.shape == (mirrors, idx.shape[0] // mirrors)
         np.testing.assert_array_equal(np.sort(orbits.table.ravel()), np.arange(idx.shape[0]))
         np.testing.assert_array_equal(idx[orbits.table[0]], orbits.reps)
-        # the measures are constant on every orbit
+        # the measures are constant on every orbit, the sigma pairs' too
         mu = op.grid.mu[idx][orbits.table]
         assert np.all(mu == mu[0])
+        np.testing.assert_array_equal(op.grid.mu[orbits.reps[orbits.pair]],
+                                      op.grid.mu[orbits.reps[orbits.partner]])
+        # the transpose is an involution, and the pairs and the diagonal
+        # split the representatives
+        np.testing.assert_array_equal(orbits.transpose[orbits.transpose],
+                                      np.arange(idx.shape[0]))
+        np.testing.assert_array_equal(
+            np.sort(np.concatenate((orbits.pair, orbits.partner, orbits.diag))),
+            np.arange(orbits.size))
+        # the blocks, the shared one counted twice, hold every node once
+        sizes = [rows.shape[0] for rows in sec.block_reps(orbits)]
+        assert sum(m * blk.copies for m, blk in zip(sizes, sec.blocks)) == idx.shape[0]
     vals = np.random.default_rng(3).standard_normal(op.n_strip)
     np.testing.assert_allclose(sec.unfold(sec.fold(vals, sec.strip), sec.strip), vals,
                                rtol=0.0, atol=4 * EPS * np.abs(vals).max())
@@ -142,6 +162,11 @@ def test_extension_and_trajectories_match_the_one_block_route(case):
     if op.spec.family == sf.SINGULAR:
         spec = sf.ProblemSpec("singular", p=2.0)
     dt = 0.5 * sf.stability_bound(op)
+    # the flux and one implicit step, each on its own
+    flux, flux_ref = _schur_flux(op, g.values), _schur_flux(dense, g.values)
+    assert np.abs(flux - flux_ref).max() <= 1e-13 * np.abs(flux_ref).max()
+    one, one_ref = (_implicit_linear_values(o, 20.0 * dt, g.values) for o in (op, dense))
+    assert np.abs(one - one_ref).max() <= 1e-13 * np.abs(one_ref).max()
     for integrator, step in ((sf.EXPLICIT, dt), (sf.IMPLICIT, 20.0 * dt)):
         traj = sf.evolve(op, spec, g, 10 * step, step, integrator)
         ref = sf.evolve(dense, spec, g, 10 * step, step, integrator)
@@ -160,36 +185,62 @@ def test_asymmetric_measures_or_classes_keep_one_sector():
     grid = sf.build_grid(BOX2, 1 / 8, 0.125)
     mu = grid.mu.copy()
     mu[0] *= 1.5
-    assert sectors(sf.assemble(replace(grid, mu=mu), sf.tent_kernel(0.25, 2))).count == 1
+    assert sectors(sf.assemble(replace(grid, mu=mu), sf.tent_kernel(0.25, 2))).order == 1
     # one strip node moved into the interior breaks both mirrors
     klass = grid.klass.copy()
     klass[0] = 1 - STRIP
-    assert sectors(sf.assemble(replace(grid, klass=klass), sf.tent_kernel(0.25, 2))).count == 1
+    assert sectors(sf.assemble(replace(grid, klass=klass), sf.tent_kernel(0.25, 2))).order == 1
     # measures symmetric in one axis only keep that axis's mirror
     mu = np.tile(np.arange(1.0, 9.0), (8, 1)).ravel() / 64.0
-    assert sectors(sf.assemble(replace(grid, mu=mu), sf.tent_kernel(0.25, 2))).count == 2
+    assert sectors(sf.assemble(replace(grid, mu=mu), sf.tent_kernel(0.25, 2))).order == 2
+
+
+def test_the_transpose_is_kept_only_on_a_symmetric_square():
+    spec = sf.tent_kernel(0.25, 2)
+    grid = sf.build_grid(BOX2, 1 / 8, 0.125)
+    assert sectors(sf.assemble(grid, spec)).order == 8
+    # a rectangle keeps its two mirrors
+    wide = sf.assemble(sf.build_grid(BOX_WIDE, 1 / 16, 0.125), spec)
+    sec = sectors(wide)
+    assert sec.order == 4 and len(sec.blocks) == 4
+    assert all(blk.parity == 0 and blk.copies == 1 for blk in sec.blocks)
+    # measures invariant under both mirrors but not under the transpose
+    mirrored = symmetric_mu_grid(grid, 7)
+    assert not np.array_equal(mirrored.mu.reshape(8, 8), mirrored.mu.reshape(8, 8).T)
+    assert sectors(sf.assemble(mirrored, spec)).order == 4
+    assert sectors(sf.assemble(symmetric_mu_grid(grid, 7, transpose=True), spec)).order == 8
+    # classes invariant under both mirrors but not under the transpose:
+    # the node (1, 2) and its mirror images join the strip, (2, 1) does not
+    klass = grid.klass.reshape(8, 8).copy()
+    klass[[1, 1, 6, 6], [2, 5, 2, 5]] = STRIP
+    assert sectors(sf.assemble(replace(grid, klass=klass.ravel()), spec)).order == 4
+    # a line has one axis to mirror, and nothing to swap it with
+    line = make_op(1 / 16, 0.25, sf.tent_kernel(0.5, 1))
+    assert sectors(line).order == 2 and len(sectors(line).blocks) == 2
 
 
 def test_operators_not_assembled_keep_one_sector(toy3_op):
-    assert sectors(toy3_op).count == 1
-    assert sectors(nonuniform_line_op(sf.FULL)).count == 1
+    assert sectors(toy3_op).order == 1
+    assert sectors(nonuniform_line_op(sf.FULL)).order == 1
     # the lattice of build_grid, but built from the dense kernel matrix
     grid = line_grid([STRIP] * 2 + [1 - STRIP] * 4 + [STRIP] * 2, np.full(8, 0.125))
     spec = sf.tent_kernel(0.3, 1)
     jmat = spec.cnorm * np.maximum(spec.R - np.abs(grid.nodes - grid.nodes.T), 0.0)
-    assert sectors(_operator_from_dense(grid, spec, jmat, sf.FULL)).count == 1
-    assert sectors(sf.assemble(grid, spec, sf.FULL)).count == 2
+    assert sectors(_operator_from_dense(grid, spec, jmat, sf.FULL)).order == 1
+    assert sectors(sf.assemble(grid, spec, sf.FULL)).order == 2
 
 
 def test_mirrors_are_decided_on_first_p2_use_not_in_assemble():
     op = make_op(1 / 16, 0.125, sf.tent_kernel(0.25, 2), dim=2)
     assert "sectors" not in op._cache
     sf.extend_linear(op, np.zeros(op.n_strip))
-    assert sectors(op).count == 4
+    assert sectors(op).order == 8
 
 
 def test_eigensolve_cap_applies_to_the_largest_block(op2d, monkeypatch):
-    # op2d has 28 strip nodes in four sectors of 7
+    # op2d has 28 strip nodes: the shared block of 7 and blocks of 4, 3, 4, 3
+    assert [rows.shape[0] for rows in sectors(op2d).block_reps(sectors(op2d).strip)] == [
+        4, 3, 7, 4, 3]
     monkeypatch.setattr(analysis, "_EIG_NODE_CAP", 7)
     beta = sf.spectral_gap_beta(op2d).beta
     with pytest.raises(InvalidArgument, match="per sector block"):
@@ -201,21 +252,91 @@ def test_eigensolve_cap_applies_to_the_largest_block(op2d, monkeypatch):
     assert abs(sf.spectral_gap_beta(one_block(op2d)).beta - beta) <= analysis._eig_tol(op2d)
 
 
-def test_a_double_gap_takes_its_mode_from_the_first_sector():
-    # on the square, beta is double: the two mirror-odd sectors that the
-    # swap of the axes exchanges hold it, and the mode comes from the first
-    # whatever the rounding of the two values
+def _strip_maps(op):
+    """The kept mirrors and the transpose as permutations of strip positions."""
+    _, mirrors, transpose = lattice_maps(op)
+    pos = np.full(op.n, -1)
+    pos[op.strip_idx] = np.arange(op.n_strip)
+    return [pos[perm[op.strip_idx]] for _, perm in mirrors], pos[transpose[op.strip_idx]]
+
+
+def test_a_double_gap_is_the_shared_block_and_takes_its_mode_from_the_first_sector():
+    # on the square, beta is double: the block that the two mirror-odd
+    # sectors exchanged by the swap of axes share holds it, and the mode
+    # comes from the first sector, the one odd under the first mirror
     op = make_op(1 / 16, 0.125, sf.tent_kernel(0.25, 2), dim=2)
     sec = sectors(op)
     tol = analysis._eig_tol(op)
-    lows = [sla.eigh(block / np.outer(np.sqrt(op.grid.mu[sec.strip.reps]),
-                                      np.sqrt(op.grid.mu[sec.strip.reps])),
-                     eigvals_only=True, subset_by_index=[0, 1])
-            for block in sf.schur_complement(op)]
+    lows = [sla.eigh(block / np.sqrt(np.outer(op.grid.mu[reps], op.grid.mu[reps])),
+                     eigvals_only=True, subset_by_index=[0, 0])[0]
+            for block, reps in zip(sf.schur_complement(op), sec.block_reps(sec.strip))]
+    shared = [j for j, blk in enumerate(sec.blocks) if blk.copies == 2]
+    assert shared == [2]
     beta = sf.spectral_gap_beta(op)
-    assert abs(lows[1][0] - lows[2][0]) <= tol
-    assert abs(beta.beta - lows[1][0]) <= tol
-    mode = beta.mode.values[sec.strip.table]
+    assert abs(beta.beta - lows[2]) <= tol
+    assert all(low > beta.beta + tol for j, low in enumerate(lows) if j not in (0, 2))
+    mirrors, transpose = _strip_maps(op)
+    mode = beta.mode.values
     # odd under the first mirror, even under the second
-    np.testing.assert_allclose(mode[1], -mode[0], rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(mode[2], mode[0], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(mode[mirrors[0]], -mode, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(mode[mirrors[1]], mode, rtol=0.0, atol=1e-12)
+    # the second eigenpair is the same value, its mode the transpose of the first
+    lam, modes = analysis._reduced_modes(op, subset=[0, 1])
+    assert lam[0] == lam[1] == beta.beta
+    np.testing.assert_array_equal(modes[:, 1], modes[transpose, 0])
+
+
+@pytest.mark.parametrize("h", [1 / 16, 1 / 32])
+def test_block_spectra_make_up_the_oracle_spectrum(h):
+    op = make_op(h, 0.125, sf.tent_kernel(0.25, 2), dim=2)
+    sec = sectors(op)
+    tol = analysis._eig_tol(op)
+    root = np.sqrt(op.grid.mu[op.strip_idx])
+    want = np.linalg.eigvalsh(schur_oracle(op) / np.outer(root, root))
+    got = []
+    for block, reps, blk in zip(sf.schur_complement(op), sec.block_reps(sec.strip),
+                                sec.blocks):
+        vals = np.linalg.eigvalsh(block / np.sqrt(np.outer(op.grid.mu[reps],
+                                                           op.grid.mu[reps])))
+        got += [vals] * blk.copies
+    assert np.abs(np.sort(np.concatenate(got)) - want).max() <= tol
+    # n_S - 1 M-orthonormal mean-zero modes, the constant's eigenvalue 0 left out
+    lam, modes = analysis._reduced_modes(op)
+    mu_s = op.grid.mu[op.strip_idx]
+    assert lam.shape == (op.n_strip - 1,) and modes.shape == (op.n_strip, op.n_strip - 1)
+    assert np.abs(lam - want[1:]).max() <= tol
+    np.testing.assert_allclose(modes.T @ (mu_s[:, None] * modes), np.eye(op.n_strip - 1),
+                               rtol=0.0, atol=1e-12)
+    assert np.abs(mu_s @ modes).max() <= op.n_strip * EPS
+    # each mode of the sector odd under the first mirror and even under the
+    # second has its transpose, bit for bit, among the modes
+    mirrors, transpose = _strip_maps(op)
+    first = [i for i in range(lam.shape[0])
+             if np.abs(modes[mirrors[0], i] + modes[:, i]).max() <= 1e-9
+             and np.abs(modes[mirrors[1], i] - modes[:, i]).max() <= 1e-9]
+    assert len(first) == sec.strip.size
+    columns = {modes[:, i].tobytes() for i in range(lam.shape[0])}
+    assert all(modes[transpose, i].tobytes() in columns for i in first)
+
+
+def test_trivial_block_deflates_the_folded_constants():
+    # on the square the constants' coefficients in the trivial block are
+    # sqrt(2) times larger on a sigma pair than on the diagonal; deflating
+    # sqrt(mu) alone gave 0.0112158 for that block's smallest value at
+    # h = 1/64 instead of the 0.0112199 its fully symmetric mode has
+    op = make_op(1 / 16, 0.125, sf.tent_kernel(0.25, 2), dim=2)
+    sec = sectors(op)
+    const = sector_basis(op)[0].T @ np.ones(op.n_strip)
+    n_pair = sec.strip.pair.shape[0]
+    np.testing.assert_allclose(const[:n_pair], np.sqrt(8.0), rtol=1e-15)
+    np.testing.assert_allclose(const[n_pair:], 2.0, rtol=1e-15)
+    trivial = sf.schur_complement(op)[0]
+    assert np.abs(trivial @ const).max() <= 1e-14 * np.abs(trivial).max()
+
+    op = make_op(1 / 64, 0.125, sf.tent_kernel(0.25, 2), dim=2)
+    lam, modes = analysis._reduced_modes(op, subset=[0, 5])
+    mirrors, transpose = _strip_maps(op)
+    symmetric = [i for i in range(lam.shape[0])
+                 if all(np.abs(modes[perm, i] - modes[:, i]).max() <= 1e-9
+                        for perm in mirrors + [transpose])]
+    assert abs(lam[symmetric[0]] - 0.011219855066526) <= analysis._eig_tol(op)

@@ -69,19 +69,21 @@ def mass(grid, u):
 def lq_distance_to_mean(grid, u, q):
     """Weighted L^q distance from the strip values to their weighted mean.
 
-    q = inf gives the unweighted sup distance.
+    q = inf gives the unweighted sup distance. Given a sequence of
+    exponents, returns the list of their distances, all from one weighted
+    mean.
     """
-    if q < 1.0:
-        raise InvalidArgument(f"q must be >= 1, got {q}")
+    single = np.ndim(q) == 0
+    qs = (q,) if single else tuple(q)
+    for qi in qs:
+        if qi < 1.0:
+            raise InvalidArgument(f"q must be >= 1, got {qi}")
     uv = u.values if isinstance(u, StripField) else np.asarray(u, dtype=float)
-    return _distances_to_mean(grid.mu[grid.klass == STRIP], uv, (q,))[0]
-
-
-def _distances_to_mean(mu_s, uv, qs):
-    """lq_distance_to_mean for each q in qs, from one weighted mean."""
+    mu_s = grid.mu[grid.klass == STRIP]
     dev = np.abs(uv - np.dot(mu_s, uv) / np.sum(mu_s))
-    return [float(np.max(dev, initial=0.0)) if np.isinf(q) else _lp_norm(mu_s, dev, q)
-            for q in qs]
+    dists = [float(np.max(dev, initial=0.0)) if np.isinf(qi) else _lp_norm(mu_s, dev, qi)
+             for qi in qs]
+    return dists[0] if single else dists
 
 
 def _lp_norm(mu, vals, p):
@@ -201,7 +203,7 @@ def _reduced_modes(op, subset=None):
             vecs -= np.outer(tv, v @ vecs)
         # in the orthonormal basis, so that each mode keeps its unit weighted norm
         full = sec.basis(j, vecs / root[:, None], sec.strip)
-        for copy in range(sec.blocks[j].copies):
+        for copy in range(sec.copies(sec.blocks[j])):
             evals.append(vals)
             modes.append(full[sec.strip.transpose] if copy else full)
             owner.append(np.full(vals.shape[0], len(owner)))

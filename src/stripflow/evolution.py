@@ -26,7 +26,8 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.integrate import cumulative_trapezoid
 
-from .analysis import DIAG_COLUMNS, _distances_to_mean, _lp_norm, schur_complement
+from .analysis import (DIAG_COLUMNS, _lp_norm, lq_distance_to_mean, mass,
+                       schur_complement)
 from .elliptic import (StripField, _extended_values, _interior_start, _midrange,
                        _newton_free, _pairing, _strip_flux)
 from .errors import (InvalidArgument, NoContraction, SingularSystem, SolverError)
@@ -253,10 +254,9 @@ def step_implicit(op, spec, u, dt, tol=1e-10, max_iter=60):
 def _diag_row(op, spec, uv, flux):
     """The DIAG_COLUMNS of one state: mass, the distances of
     lq_distance_to_mean from one weighted mean, and the energy."""
-    mu_s = op.grid.mu[op.strip_idx]
-    return np.array([float(np.dot(mu_s, uv)),
-                     *_distances_to_mean(mu_s, uv, (1.0, 2.0, spec.p, spec.q, np.inf)),
-                     _pairing(mu_s, uv, flux, spec.p)])
+    return np.array([mass(op.grid, uv),
+                     *lq_distance_to_mean(op.grid, uv, (1.0, 2.0, spec.p, spec.q, np.inf)),
+                     _pairing(op.grid.mu[op.strip_idx], uv, flux, spec.p)])
 
 
 def evolve(op, spec, u0, t_end, dt, integrator=EXPLICIT, tol=1e-10, max_iter=60):

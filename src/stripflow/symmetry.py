@@ -59,11 +59,9 @@ class Orbits:
     transpose : (n_C,) the position of sigma x for each position x, and
         swap : (m,) the representative sigma a for each representative a;
         both the identity when sigma is not kept.
-    pair, partner : (p,) the representatives a < sigma a of the sigma pairs
-        and their images sigma a, both empty when sigma is not kept.
+    pair : (p,) the representatives a < sigma a of the sigma pairs, empty
+        when sigma is not kept.
     diag : representatives fixed by sigma, all of them when it is not kept.
-    rank : (m,) the place of each representative in the order pair,
-        partner, diag, in which fold_rows writes the blocks sigma splits.
     """
 
     table: np.ndarray
@@ -73,26 +71,26 @@ class Orbits:
     transpose: np.ndarray
     swap: np.ndarray
     pair: np.ndarray
-    partner: np.ndarray
     diag: np.ndarray
-    rank: np.ndarray
 
     @property
     def size(self):
         """The number of orbits under K."""
         return self.table.shape[1]
 
+    @property
+    def partner(self):
+        """(p,) the images sigma a of the pair representatives."""
+        return self.swap[self.pair]
+
 
 class Block(NamedTuple):
     """One block of the p = 2 dense work: the character of K it is folded
-    with (a row of Sectors.signs), its sigma parity (+1 even, -1 odd, 0 for
-    no split) and the number of sectors it serves: 2 for the block of
-    character 1, which sigma shares with character 3 - 1 = 2, the two
-    mixed characters swapping the bits of the two mirrors."""
+    with (a row of Sectors.signs) and its sigma parity (+1 even, -1 odd, 0
+    for no split)."""
 
     char: int
     parity: int
-    copies: int
 
 
 @dataclass(frozen=True)
@@ -106,7 +104,9 @@ class Sectors:
     strip, interior : the Orbits of the two node classes.
     blocks : the Block list, the trivial one first. Without sigma, one per
         character; with it, the sigma-even and sigma-odd blocks of the
-        characters 0 and 3 and the block of character 1 shared with 2.
+        characters 0 and 3, each odd block right after its even one, and
+        the block of character 1, which sigma shares with character 3 - 1 =
+        2, the two mixed characters swapping the bits of the two mirrors.
     """
 
     signs: np.ndarray
@@ -115,9 +115,18 @@ class Sectors:
     blocks: tuple
 
     @property
+    def split(self):
+        """Whether sigma is kept."""
+        return any(blk.parity for blk in self.blocks)
+
+    @property
     def order(self):
         """|G|: the number of nodes in a generic orbit."""
-        return self.signs.shape[0] * max(blk.copies for blk in self.blocks)
+        return self.signs.shape[0] * (2 if self.split else 1)
+
+    def copies(self, blk):
+        """The number of sectors blk serves: 2 for the block sigma shares."""
+        return 2 if self.split and not blk.parity else 1
 
     def block_reps(self, orbits):
         """Per block, the global node numbers of the representatives that
@@ -140,7 +149,7 @@ class Sectors:
         parts = []
         for blk in self.blocks:
             row = coef[blk.char]
-            if blk.copies == 2:
+            if self.copies(blk) == 2:
                 # the second sector's coefficients, those of the transpose of vals
                 parts.append(np.column_stack((row, coef[3 - blk.char][orbits.swap])))
             elif blk.parity > 0:
@@ -156,7 +165,7 @@ class Sectors:
         """The class values whose fold is parts: the inverse of fold."""
         coef = np.zeros((self.signs.shape[0], orbits.size))
         for part, blk in zip(parts, self.blocks):
-            if blk.copies == 2:
+            if self.copies(blk) == 2:
                 coef[blk.char] = part[:, 0]
                 coef[3 - blk.char] = part[orbits.swap, 1]
             elif blk.parity:
@@ -201,27 +210,36 @@ class Sectors:
         flat = col * m_r + row
         # the characters that sigma splits are written in the order pair,
         # partner, diag on both sides, so that _halves reads slices
-        split = None
-        if self.order > self.signs.shape[0]:
-            split = col_orbits.rank[col] * m_r + row_orbits.rank[row]
+        by_rank = None
+        if self.split:
+            by_rank = _split_rank(col_orbits)[col] * m_r + _split_rank(row_orbits)[row]
         del col, row
         elem = col_orbits.elem[rows.indices]
         data = rows.data
         del rows
         for blk in self.blocks:
             if blk.parity < 0:
-                yield odd
-                continue
+                continue  # yielded with the even block of its character
             weights = self.signs[blk.char][elem]
             weights *= data
             # bincount of no entries gives integers, even with weights
-            out = np.bincount(split if blk.parity else flat, weights=weights,
+            out = np.bincount(by_rank if blk.parity else flat, weights=weights,
                               minlength=m_r * m_c)
             del weights
             out = out.astype(float, copy=False).reshape(m_c, m_r).T
-            if blk.parity:
-                out, odd = _halves(out, row_orbits.pair.shape[0], col_orbits.pair.shape[0])
-            yield out
+            # rebound, so that a split character's whole block is freed
+            # before its halves are handed out
+            out = (_halves(out, row_orbits.pair.shape[0], col_orbits.pair.shape[0])
+                   if blk.parity else (out,))
+            yield from out
+
+
+def _split_rank(orbits):
+    """(m,) the place of each representative in the order pair, partner,
+    diag."""
+    rank = np.empty(orbits.size, dtype=np.int64)
+    rank[np.concatenate((orbits.pair, orbits.partner, orbits.diag))] = np.arange(orbits.size)
+    return rank
 
 
 def _spread(part, orbits, parity):
@@ -273,11 +291,8 @@ def _class_orbits(n, class_idx, is_rep, perms, sigma):
     swap = slot[pos[sigma[reps]]]
     pair = np.flatnonzero(swap > np.arange(reps.shape[0]))
     diag = np.flatnonzero(swap == np.arange(reps.shape[0]))
-    rank = np.empty(reps.shape[0], dtype=np.int64)
-    rank[np.concatenate((pair, swap[pair], diag))] = np.arange(reps.shape[0])
     return Orbits(table=table, reps=reps, slot=slot, elem=elem,
-                  transpose=pos[sigma[class_idx]], swap=swap, pair=pair, partner=swap[pair],
-                  diag=diag, rank=rank)
+                  transpose=pos[sigma[class_idx]], swap=swap, pair=pair, diag=diag)
 
 
 def _invariant(grid, perm):
@@ -314,10 +329,9 @@ def sectors(op):
         if len(perms) == 4 and op.lattice[0] == op.lattice[1] and _invariant(grid, transpose):
             sigma = transpose
     if sigma is node:
-        blocks = tuple(Block(c, 0, 1) for c in range(len(perms)))
+        blocks = tuple(Block(c, 0) for c in range(len(perms)))
     else:
-        blocks = (Block(0, 1, 1), Block(0, -1, 1), Block(1, 0, 2), Block(3, 1, 1),
-                  Block(3, -1, 1))
+        blocks = (Block(0, 1), Block(0, -1), Block(1, 0), Block(3, 1), Block(3, -1))
     sec = Sectors(signs=signs, blocks=blocks,
                   strip=_class_orbits(grid.n, op.strip_idx, is_rep, perms, sigma),
                   interior=_class_orbits(grid.n, op.interior_idx, is_rep, perms, sigma))

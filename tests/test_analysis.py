@@ -46,6 +46,17 @@ def test_constant_field_has_zero_distance(op16):
         sf.lq_distance_to_mean(g, c, 0.5)
 
 
+def test_distances_for_many_exponents_match_one_at_a_time(op16):
+    g = op16.grid
+    u = np.random.default_rng(8).standard_normal(op16.n_strip)
+    qs = (1.0, 1.5, 2.0, 3.0, np.inf)
+    got = sf.lq_distance_to_mean(g, u, qs)
+    assert got == [sf.lq_distance_to_mean(g, u, q) for q in qs]
+    assert sf.lq_distance_to_mean(g, u, np.array(2.0)) == got[2]
+    with pytest.raises(InvalidArgument):
+        sf.lq_distance_to_mean(g, u, (2.0, 0.5))
+
+
 def test_schur_toy3_by_hand(toy3_op):
     # the blocks come from the operator cache; toy3 has one sector, whose
     # block is S itself

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -211,16 +212,17 @@ def test_one_interior_factorisation_per_operator(monkeypatch):
     sec = sectors(op)
     sizes = [rows.shape[0] for rows in sec.block_reps(sec.interior)]
     assert sizes == [6, 3, 9, 6, 3]
-    assert sum(m * blk.copies for m, blk in zip(sizes, sec.blocks)) == op.n_interior
+    assert sum(m * sec.copies(blk) for m, blk in zip(sizes, sec.blocks)) == op.n_interior
     strip = [rows.shape[0] for rows in sec.block_reps(sec.strip)]
     assert shapes == [(m, m) for m in sizes + strip]
 
 
 def test_interior_cache_keeps_l_ii_only_as_its_factor():
-    # L_II is cached sparse for the extension's residual gate and its sector
-    # blocks are written dense only to be factored in place, so after every
-    # p = 2 path the dense interior-block arrays on the operator are the
-    # sector factors, one per sector, and none is n_I x n_I
+    # L_II is cached sparse for the extension's residual gate and its blocks
+    # are written dense only to be factored in place, so after every p = 2
+    # path the dense arrays on the operator are the interior factors, one
+    # per block, the blocks of S and the factors of M + dt S_j, and none is
+    # n_I x n_I
     op = make_op(1.0 / 8.0, 0.125, sf.tent_kernel(0.25, 2), dim=2)
     assert op.n_strip != op.n_interior
     g = sf.StripField(np.random.default_rng(4).standard_normal(op.n_strip), op.grid)
@@ -235,16 +237,20 @@ def test_interior_cache_keeps_l_ii_only_as_its_factor():
                 yield from arrays(part)
         elif isinstance(item, np.ndarray):
             yield item
-    # the interior blocks of 9 and 6 match no strip block (7, 4, 3), so each
-    # cached square array of those sizes is one of the three such factors
     sec = sectors(op)
     assert [rows.shape[0] for rows in sec.block_reps(sec.interior)] == [6, 3, 9, 6, 3]
     assert [rows.shape[0] for rows in sec.block_reps(sec.strip)] == [4, 3, 7, 4, 3]
     cached = [a for item in op._cache.values() for a in arrays(item)]
+    # every size pinned: 9 and 6 are interior factors only, 7 and 4 the
+    # blocks of S and the implicit factors, and 3 two of each kind
+    assert Counter(a.shape for a in cached) == {(9, 9): 1, (6, 6): 2, (7, 7): 2,
+                                                (4, 4): 4, (3, 3): 6}
+    # and each cached array is by identity one of those, with no other copy
     factors = [chol for chol, _ in _interior(op)[1]]
-    square = [a for a in cached if a.shape in ((9, 9), (6, 6))]
-    assert len(square) == 3
-    assert all(any(a is chol for chol in factors) for a in square)
+    implicit = [chol for chol, _ in op._cache["implicit_chol"][1]]
+    owned = factors + list(sf.schur_complement(op)) + implicit
+    assert len(owned) == len(cached)
+    assert all(sum(a is b for b in owned) == 1 for a in cached)
     assert not any(a.shape == (op.n_interior, op.n_interior) for a in cached)
 
 

@@ -129,6 +129,28 @@ def test_evolve_trajectory_layout(toy3_op):
         sf.lq_distance_to_mean(toy3_op.grid, u, 2.0), abs=1e-15)
 
 
+def test_diagnostics_are_one_call_each_to_the_public_functions(toy3_op, monkeypatch):
+    # each state's mass and distances come from one call to mass and one to
+    # lq_distance_to_mean, and equal the one-exponent calls bit for bit
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(evolution, "mass", counting(sf.mass))
+    monkeypatch.setattr(evolution, "lq_distance_to_mean", counting(sf.lq_distance_to_mean))
+    traj = sf.evolve(toy3_op, LIN, sym(toy3_op), 0.1, 0.01)
+    assert calls == ["mass", "lq_distance_to_mean"] * 11
+    for k in range(11):
+        u = traj.field(k)
+        assert traj.diag[k, 0] == sf.mass(toy3_op.grid, u)
+        want = [sf.lq_distance_to_mean(toy3_op.grid, u, q)
+                for q in (1.0, 2.0, LIN.p, LIN.q, np.inf)]
+        np.testing.assert_array_equal(traj.diag[k, 1:6], want)
+
+
 @pytest.mark.parametrize("integrator", [sf.EXPLICIT, sf.IMPLICIT])
 def test_p2_evolve_matches_the_extension_route(op16, op16_full, sing16, integrator):
     # oracle: the flux of every state read off its extension, which is how the
@@ -493,13 +515,16 @@ def test_implicit_cache_keeps_one_strip_factor():
     for dt in (0.1, 1.0, 10.0):
         sf.step_implicit(op, LIN, u, dt)
     sec = sectors(op)
-    m = sec.strip.size
-    # the shared block of 7 is the one block of its size
-    assert sec.order == 8 and m == 7
-    assert 7 not in {rows.shape[0] for rows in sec.block_reps(sec.interior)}
-    # the blocks of S plus the factors of M + dt S_j for the last dt only
-    assert _square_arrays(list(op._cache.values()), m) == 2
-    assert _square_arrays(list(op._cache.values()), op.n_strip) == 0
+    assert sec.order == 8
+    assert [rows.shape[0] for rows in sec.block_reps(sec.strip)] == [4, 3, 7, 4, 3]
+    assert [rows.shape[0] for rows in sec.block_reps(sec.interior)] == [6, 3, 9, 6, 3]
+    # the blocks of S plus the factors of M + dt S_j for the last dt only,
+    # every size pinned, the interior factors among them
+    cache = list(op._cache.values())
+    assert op._cache["implicit_chol"][0] == 10.0
+    assert ({m: _square_arrays(cache, m) for m in (9, 7, 6, 4, 3)}
+            == {9: 1, 7: 2, 6: 2, 4: 4, 3: 6})
+    assert _square_arrays(cache, op.n_strip) == 0
 
 
 def test_implicit_p3_step_from_a_constant_interior(op2d, monkeypatch):

@@ -110,7 +110,7 @@ def test_orbits_cover_each_class_once(case):
             np.arange(orbits.size))
         # the blocks, the shared one counted twice, hold every node once
         sizes = [rows.shape[0] for rows in sec.block_reps(orbits)]
-        assert sum(m * blk.copies for m, blk in zip(sizes, sec.blocks)) == idx.shape[0]
+        assert sum(m * sec.copies(blk) for m, blk in zip(sizes, sec.blocks)) == idx.shape[0]
     vals = np.random.default_rng(3).standard_normal(op.n_strip)
     np.testing.assert_allclose(sec.unfold(sec.fold(vals, sec.strip), sec.strip), vals,
                                rtol=0.0, atol=4 * EPS * np.abs(vals).max())
@@ -203,7 +203,7 @@ def test_the_transpose_is_kept_only_on_a_symmetric_square():
     wide = sf.assemble(sf.build_grid(BOX_WIDE, 1 / 16, 0.125), spec)
     sec = sectors(wide)
     assert sec.order == 4 and len(sec.blocks) == 4
-    assert all(blk.parity == 0 and blk.copies == 1 for blk in sec.blocks)
+    assert all(blk.parity == 0 and sec.copies(blk) == 1 for blk in sec.blocks)
     # measures invariant under both mirrors but not under the transpose
     mirrored = symmetric_mu_grid(grid, 7)
     assert not np.array_equal(mirrored.mu.reshape(8, 8), mirrored.mu.reshape(8, 8).T)
@@ -270,7 +270,7 @@ def test_a_double_gap_is_the_shared_block_and_takes_its_mode_from_the_first_sect
     lows = [sla.eigh(block / np.sqrt(np.outer(op.grid.mu[reps], op.grid.mu[reps])),
                      eigvals_only=True, subset_by_index=[0, 0])[0]
             for block, reps in zip(sf.schur_complement(op), sec.block_reps(sec.strip))]
-    shared = [j for j, blk in enumerate(sec.blocks) if blk.copies == 2]
+    shared = [j for j, blk in enumerate(sec.blocks) if sec.copies(blk) == 2]
     assert shared == [2]
     beta = sf.spectral_gap_beta(op)
     assert abs(beta.beta - lows[2]) <= tol
@@ -298,7 +298,7 @@ def test_block_spectra_make_up_the_oracle_spectrum(h):
                                 sec.blocks):
         vals = np.linalg.eigvalsh(block / np.sqrt(np.outer(op.grid.mu[reps],
                                                            op.grid.mu[reps])))
-        got += [vals] * blk.copies
+        got += [vals] * sec.copies(blk)
     assert np.abs(np.sort(np.concatenate(got)) - want).max() <= tol
     # n_S - 1 M-orthonormal mean-zero modes, the constant's eigenvalue 0 left out
     lam, modes = analysis._reduced_modes(op)

@@ -3,16 +3,21 @@
 Edges are stored flat as (rows, cols, data) in lexicographic order, with
 data the symmetric coefficients mu[x] W[x][y] or a reweighting of them;
 every summation below runs in that fixed order, so results are
-reproducible bit-for-bit. phi_row_sums is the one edge pass over node
-values: every balance, flux, gradient and energy is read off its row sums
-(divided by mu[x] for W units). adjacency is the CSR form of an edge list,
-built without a sort, and every sparse Laplacian block (L_II, L_IS and the
-rows of L_SS) is cut from it by scipy row and column indexing;
-laplacian_block writes only the dense ones, the majoriser matrix and the
-test oracle laplacian_dense. The Newton Hessian is never dense:
-hessian_accumulate returns its diagonal and a sparse matvec, and pcg solves
-with them. Both builders give the Laplacian of edge weights alone and add no
-diagonal term: elliptic._newton_free, which minimizes
+reproducible bit-for-bit. skeleton is the CSR pattern of an edge list,
+built without a sort, and kernels.edge_skeleton caches one per edge set
+of an operator; adjacency puts weights on it without copying them, and
+edge_matrix gives it a fresh data buffer. The edge kernels write their
+per-edge values into such a buffer and sum each row by the product with
+ones, in edge order, as np.bincount sums it. phi_row_sums is the one edge
+pass over node values: every balance, flux, gradient and energy is read
+off its row sums (divided by mu[x] for W units). Every sparse Laplacian
+block (L_II, L_IS and the rows of L_SS) is cut from an adjacency by scipy
+row and column indexing; laplacian_block writes only the dense ones, the
+majoriser matrix and the test oracle laplacian_dense. The Newton Hessian
+is never dense: hessian_accumulate returns its diagonal and a sparse
+matvec on its buffer, and pcg solves with them. Both builders give the
+Laplacian of edge weights alone and add no diagonal term:
+elliptic._newton_free, which minimizes
 F(v) = E_p(v) - <lin, v> + (1/2) sum w (v - t)^2, adds its proximal weights
 w and its Levenberg shift itself.
 """
@@ -21,66 +26,102 @@ import numpy as np
 import scipy.sparse as sp
 
 
-def _phi(d, p, eps):
-    # odd power map |d|^(p-2) d; eps > 0 switches to the regularized form.
-    # p = 3 and p = 4 skip the per-edge pow call, which dominates otherwise
+def _phi(d, p, eps, out=None):
+    # odd power map |d|^(p-2) d, written into out when given; eps > 0
+    # switches to the regularized form. p = 3 and p = 4 skip the per-edge
+    # pow call, which dominates otherwise
+    if out is None:
+        out = np.empty_like(d)
     if p == 2.0:
-        return d
-    if p == 3.0:
-        return np.abs(d) * d
-    if p == 4.0:
-        return d * d * d
-    if eps > 0.0:
-        return d * (d * d + eps * eps) ** ((p - 2.0) / 2.0)
-    out = np.zeros_like(d)
-    nz = d != 0.0
-    out[nz] = np.abs(d[nz]) ** (p - 2.0) * d[nz]
+        np.copyto(out, d)
+    elif p == 3.0:
+        np.abs(d, out=out)
+        out *= d
+    elif p == 4.0:
+        np.multiply(d, d, out=out)
+        out *= d
+    elif eps > 0.0:
+        out[:] = d * (d * d + eps * eps) ** ((p - 2.0) / 2.0)
+    else:
+        out.fill(0.0)
+        nz = d != 0.0
+        out[nz] = np.abs(d[nz]) ** (p - 2.0) * d[nz]
     return out
 
 
-def _psi(d, p, eps):
-    # derivative of _phi; nonnegative for p > 1
+def _psi(d, p, eps, out=None):
+    # derivative of _phi, written into out when given; nonnegative for p > 1
+    if out is None:
+        out = np.empty_like(d)
     if p == 2.0:
-        return np.ones_like(d)
-    if p == 3.0:
-        return 2.0 * np.abs(d)
-    if p == 4.0:
-        return 3.0 * d * d
-    if eps > 0.0:
-        return (d * d + eps * eps) ** ((p - 4.0) / 2.0) * (eps * eps + (p - 1.0) * d * d)
-    out = np.zeros_like(d)
-    nz = d != 0.0
-    out[nz] = (p - 1.0) * np.abs(d[nz]) ** (p - 2.0)
+        out.fill(1.0)
+    elif p == 3.0:
+        np.abs(d, out=out)
+        out *= 2.0
+    elif p == 4.0:
+        np.multiply(d, 3.0, out=out)
+        out *= d
+    elif eps > 0.0:
+        out[:] = (d * d + eps * eps) ** ((p - 4.0) / 2.0) * (eps * eps + (p - 1.0) * d * d)
+    else:
+        out.fill(0.0)
+        nz = d != 0.0
+        out[nz] = (p - 1.0) * np.abs(d[nz]) ** (p - 2.0)
     return out
 
 
-def phi_row_sums(rows, cols, data, vals, p, eps, nrows):
-    """Per-row sums of data * phi_p(vals[col] - vals[row]). With data the
-    coefficients mu[x] W[x][y] this is mu times the nonlocal balance, minus
-    the gradient of the edge energy at p."""
-    # gather once, then in place: each edge-sized temporary is a fresh allocation
+def skeleton(rows, cols, n):
+    """(indices, indptr), the CSR pattern of the lexicographic edges
+    (rows, cols) on n nodes, built without a sort: cols as the column
+    index and the row pointer, both int32 unless the counts need int64.
+    scipy keeps such arrays as they are, so a matrix on the skeleton costs
+    no copy, search or scan of them."""
+    itype = np.int32 if max(n, rows.shape[0]) <= np.iinfo(np.int32).max else np.int64
+    return cols.astype(itype), np.searchsorted(rows, np.arange(n + 1)).astype(itype)
+
+
+def adjacency(skel, w):
+    """The n x n CSR matrix with w at the edges of the skeleton skel: no
+    copy of w."""
+    indices, indptr = skel
+    n = indptr.shape[0] - 1
+    return sp.csr_matrix((w, indices, indptr), shape=(n, n))
+
+
+def edge_matrix(skel):
+    """adjacency on skel with a fresh, unset data buffer, for an edge
+    kernel to write its per-edge values into."""
+    return adjacency(skel, np.empty(skel[0].shape[0]))
+
+
+def phi_row_sums(rows, cols, data, vals, p, eps, nrows, mat=None):
+    """Per-row sums of data * phi_p(vals[col] - vals[row]) over the nrows
+    rows of vals. With data the coefficients mu[x] W[x][y] this is mu times
+    the nonlocal balance, minus the gradient of the edge energy at p. mat,
+    an edge_matrix on the skeleton of (rows, cols), takes the products as
+    its data; None makes one for the call."""
+    if mat is None:
+        mat = edge_matrix(skeleton(rows, cols, nrows))
+    # vals[rows] is each row's value repeated over its edges
     d = vals[cols]
-    d -= vals[rows]
-    contrib = _phi(d, p, eps)
-    contrib *= data
-    return np.bincount(rows, weights=contrib, minlength=nrows)
+    d -= np.repeat(vals, np.diff(mat.indptr))
+    _phi(d, p, eps, out=mat.data)
+    mat.data *= data
+    return mat @ np.ones(nrows)
 
 
-def adjacency(rows, cols, w, n):
-    """The n x n CSR matrix with w at the lexicographic edges (rows, cols),
-    which are its arrays as they stand: no sort and no copy of w."""
-    return sp.csr_matrix((w, cols, np.searchsorted(rows, np.arange(n + 1))), shape=(n, n))
-
-
-def laplacian_block(rows, cols, w, free):
+def laplacian_block(rows, cols, w, free, skel=None):
     """L[free, free] for the Laplacian L of the edges (rows, cols, w),
     lexicographic over all nodes: the full row sums of w on the diagonal,
     -w at each edge whose two ends are free, and no other diagonal term.
-    free lists the free nodes in ascending order. The edge set must be
+    free lists the free nodes in ascending order, skel is the edges'
+    skeleton, built for the call when None. The edge set must be
     symmetric (reciprocity), so no column index exceeds the largest row
     index. The array is Fortran-ordered, so cho_factor(..., overwrite_a=True)
     factors it in place."""
-    adj = adjacency(rows, cols, w, max(rows[-1], free[-1]) + 1)
+    if skel is None:
+        skel = skeleton(rows, cols, max(rows[-1], free[-1]) + 1)
+    adj = adjacency(skel, w)
     block = adj[free][:, free]
     # the cut is a copy; negating its stored entries keeps the zeros +0.0
     block.data *= -1.0
@@ -89,23 +130,33 @@ def laplacian_block(rows, cols, w, free):
     return out
 
 
-def hessian_accumulate(rows, cols, data, vals, p, eps, free):
+def hessian_accumulate(rows, cols, data, vals, p, eps, free, mat=None):
     """(diag, matvec) on the free nodes of what laplacian_block would write
     for the edge weights data * phi_p'(vals[row] - vals[col]): the Hessian of
-    the edge energy at vals, with no other diagonal term. Cutting it to the
-    free nodes would cost more than building it, once per Newton iteration,
-    so pinned nodes enter its products as zeros."""
+    the edge energy at vals, with no other diagonal term. The weights go
+    into the data of mat, an edge_matrix on the skeleton of (rows, cols)
+    (None makes one), and matvec multiplies by it, so mat must not be
+    written again while matvec is in use. With every node free, matvec is
+    the plain product; otherwise pinned nodes enter it as zeros, which
+    costs less than cutting the matrix to the free nodes once per Newton
+    iteration."""
     n = vals.shape[0]
-    w = _psi(vals[rows] - vals[cols], p, eps)
-    w *= data
-    adj = adjacency(rows, cols, w, n)
+    if mat is None:
+        mat = edge_matrix(skeleton(rows, cols, n))
+    d = np.repeat(vals, np.diff(mat.indptr))
+    d -= vals[cols]
+    _psi(d, p, eps, out=mat.data)
+    mat.data *= data
     # each row summed in edge order, as every Laplacian diagonal is
-    diag = (adj @ np.ones(n))[free]
+    sums = mat @ np.ones(n)
+    if free.shape[0] == n:
+        return sums, lambda x: sums * x - mat @ x
+    diag = sums[free]
     full = np.zeros(n)
 
     def matvec(x):
         full[free] = x
-        out = adj @ full
+        out = mat @ full
         return diag * x - out[free]
 
     return diag, matvec

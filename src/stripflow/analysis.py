@@ -115,7 +115,8 @@ def schur_complement(op):
 def _schur_blocks(op):
     """The blocks S_j, built one at a time, so that one X is live."""
     sec = sectors(op)
-    rows = _accel.adjacency(op.act_rows, op.act_cols, op.act_coef, op.n)[op.strip_idx]
+    rows = _accel.adjacency(_accel.skeleton(op.act_rows, op.act_cols, op.n),
+                            op.act_coef)[op.strip_idx]
     l_ss = sp.diags(rows @ np.ones(op.n)) - rows[:, op.strip_idx]
     del rows
     l_ss = sec.fold_rows(l_ss, sec.strip, sec.strip)

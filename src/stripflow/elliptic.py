@@ -15,11 +15,15 @@ gated on one residual r, the W-unit balance of F (whose gradient is
 NoConvergence carries too. The extension pins the strip and drops
 lin and (w, t); the implicit p != 2 step frees every node with w = mu / dt
 and t = u on the strip, and each of its iterates is shifted by the constant
-that keeps the strip mass; estimate_beta_p pins one node and adds lin. L_II
-and L_IS are cut from the edges' CSR adjacency (_accel.adjacency) by scipy
-indexing, the majoriser by _accel.laplacian_block, which adds no diagonal
-term. Balances are in W units, coefficient row sums over mu[x]. Energies
-come from the same row sums by Euler's identity: E_p is p-homogeneous, the
+that keeps the strip mass; estimate_beta_p pins one node and adds lin.
+L_II and L_IS are cut by scipy indexing from the CSR adjacency of the
+coefficients (_accel.adjacency), built for the cut and dropped. Every
+p != 2 edge pass runs on the operator's cached CSR skeleton of its edge set
+(kernels.edge_skeleton), and each descent solve owns two edge-sized
+buffers on it: one for its balances, one for its Hessian or its
+majoriser, which _accel.laplacian_block writes with no diagonal term.
+Balances are in W units, coefficient row sums over mu[x]. Energies come
+from the same row sums by Euler's identity: E_p is p-homogeneous, the
 coefficients symmetric and phi_p odd, so for the balance r of any v and any
 constant c, E_p(v) = (1/p) <mu (c - v), r>. An extended state's interior
 rows vanish, so its energy pairs the strip flux alone.
@@ -32,7 +36,7 @@ import scipy.sparse as sp
 from . import _accel
 from .errors import EmptyInterior, NoConvergence, NonConvexExponent, SingularSystem
 from .fields import EnergyReport, FullField, StripField
-from .kernels import strip_edges
+from .kernels import edge_skeleton, strip_edges
 from .symmetry import sectors
 
 __all__ = [
@@ -76,9 +80,12 @@ def energy_values(op, vals, p):
     return _pairing(op.grid.mu, vals, residual_values(op, vals, p, 0.0), p)
 
 
-def residual_values(op, vals, p, eps):
-    """Per-node weighted sums r[x] = sum_y W[x][y] phi_p(u[y] - u[x])."""
-    sums = _accel.phi_row_sums(op.act_rows, op.act_cols, op.act_coef, vals, p, eps, op.n)
+def residual_values(op, vals, p, eps, mat=None):
+    """Per-node weighted sums r[x] = sum_y W[x][y] phi_p(u[y] - u[x]). mat
+    is the pass's edge buffer on edge_skeleton(op); None makes one."""
+    if mat is None:
+        mat = _accel.edge_matrix(edge_skeleton(op))
+    sums = _accel.phi_row_sums(op.act_rows, op.act_cols, op.act_coef, vals, p, eps, op.n, mat)
     return np.divide(sums, op.grid.mu, out=sums)
 
 
@@ -87,7 +94,8 @@ def _strip_flux(op, vals, p):
     active edges: the strip rows' coefficient sums divided by mu[x],
     regularized with REG_EPS for p < 2."""
     rows, cols, coef = strip_edges(op)
-    sums = _accel.phi_row_sums(rows, cols, coef, vals, p, eps_for(p), op.n)
+    sums = _accel.phi_row_sums(rows, cols, coef, vals, p, eps_for(p), op.n,
+                               _accel.edge_matrix(edge_skeleton(op, strip=True)))
     return sums[op.strip_idx] / op.grid.mu[op.strip_idx]
 
 
@@ -129,7 +137,8 @@ def _interior(op):
     and the folds of the Schur complement."""
     if "interior" not in op._cache:
         sec = sectors(op)
-        rows = _accel.adjacency(op.act_rows, op.act_cols, op.act_coef, op.n)[op.interior_idx]
+        rows = _accel.adjacency(_accel.skeleton(op.act_rows, op.act_cols, op.n),
+                                op.act_coef)[op.interior_idx]
         l_is = rows[:, op.strip_idx]
         l_is.data *= -1.0
         l_ii = sp.diags(rows @ np.ones(op.n)) - rows[:, op.interior_idx]
@@ -231,6 +240,12 @@ def _newton_free(op, p, v0, free, max_iter, converged, *, lin=None, prox=None):
     raised at once when a majorizer factor fails.
     """
     eps = eps_for(p)
+    # this solve's edge buffers on the cached skeleton, dropped on return:
+    # one for the balance, and one for the Hessian or the majoriser, which
+    # stays live while the line search evaluates
+    skel = edge_skeleton(op)
+    balance = _accel.edge_matrix(skel)
+    curvature = _accel.edge_matrix(skel)
     v = v0.copy()
     mu = op.grid.mu
     muf = mu[free]
@@ -239,10 +254,10 @@ def _newton_free(op, p, v0, free, max_iter, converged, *, lin=None, prox=None):
     wsum = float(np.sum(prox[0])) if prox is not None and free.shape[0] == op.n else 0.0
 
     def evaluate(x):
-        resid = residual_values(op, x, p, 0.0)
+        resid = residual_values(op, x, p, 0.0, balance)
         f = _pairing(mu, x, resid, p)
         if eps > 0.0:
-            resid = residual_values(op, x, p, eps)
+            resid = residual_values(op, x, p, eps, balance)
         if lin is not None:
             f -= float(np.dot(lin, x))
             resid += lin / mu
@@ -254,8 +269,9 @@ def _newton_free(op, p, v0, free, max_iter, converged, *, lin=None, prox=None):
 
     def majorizer(x):
         d = x[op.act_cols] - x[op.act_rows]
-        w = op.act_coef * (d * d + eps * eps) ** ((p - 2.0) / 2.0)
-        mat = _accel.laplacian_block(op.act_rows, op.act_cols, w, free)
+        w = np.multiply(op.act_coef, (d * d + eps * eps) ** ((p - 2.0) / 2.0),
+                        out=curvature.data)
+        mat = _accel.laplacian_block(op.act_rows, op.act_cols, w, free, skel)
         mat[np.diag_indices_from(mat)] += wf
         return mat
 
@@ -273,7 +289,7 @@ def _newton_free(op, p, v0, free, max_iter, converged, *, lin=None, prox=None):
         # sensitivity of r to a relative perturbation eps of v: eps max |v|
         # times the largest W-unit row sum of the edge weights phi_p'(d)
         diag, _ = _accel.hessian_accumulate(op.act_rows, op.act_cols, op.act_coef, v,
-                                            p, eps, free)
+                                            p, eps, free, curvature)
         return _EPS * float(np.max(np.abs(v))) * float(np.max(diag / muf, initial=0.0))
 
     def result(iterations, done, stalled=False):
@@ -318,7 +334,7 @@ def _newton_free(op, p, v0, free, max_iter, converged, *, lin=None, prox=None):
                 prev_step = step
         else:
             diag, hess = _accel.hessian_accumulate(op.act_rows, op.act_cols, op.act_coef, v,
-                                                   p, eps, free)
+                                                   p, eps, free, curvature)
             dscale = max(np.mean(diag + wf), 1e-30)
             resid_sup = np.max(np.abs(resid[free]), initial=0.0)
             # inexact Newton: the forcing term shrinks with the gradient

@@ -83,13 +83,18 @@ class Trajectory:
     """Strip states over time with per-step diagnostics.
 
     states has one row per time, columns ordered like the strip nodes.
-    diag columns follow DIAG_COLUMNS.
+    diag columns follow DIAG_COLUMNS. newton_iters and pcg_iters hold, per
+    step, the descent iterations of an implicit p != 2 step and the PCG
+    iterations inside them (EnergyReport.iterations and cg_iterations);
+    both are None for p = 2 and for explicit steps.
     """
 
     times: np.ndarray
     states: np.ndarray
     diag: np.ndarray
     grid: object
+    newton_iters: np.ndarray | None = None
+    pcg_iters: np.ndarray | None = None
 
     def field(self, k):
         return StripField(self.states[k], self.grid)
@@ -210,10 +215,11 @@ def _implicit_linear_values(op, dt, uv):
 
 
 def _step_implicit_values(op, spec, uv, dt, tol, max_iter, warm):
-    """(strip values, full values) after one implicit step; at p = 2 the
-    strip solve makes no extension and the full values are None."""
+    """(strip values, full values, EnergyReport) after one implicit step; at
+    p = 2 the strip solve makes no extension and the full values and the
+    report are None."""
     if spec.p == 2.0:
-        return _implicit_linear_values(op, dt, uv), None
+        return _implicit_linear_values(op, dt, uv), None, None
 
     # F = E_p + (1/2) sum (mu_S / dt) (v - u)^2 is the step's objective over dt
     target = np.zeros(op.n)
@@ -230,9 +236,9 @@ def _step_implicit_values(op, spec, uv, dt, tol, max_iter, warm):
         return (np.max(np.abs(grad), initial=0.0) <= tol
                 and abs(np.sum(grad)) <= tol)
 
-    field, _ = _newton_free(op, spec.p, v0, np.arange(op.n), max_iter, converged,
-                            prox=(weight, target))
-    return field.values[op.strip_idx], field.values
+    field, report = _newton_free(op, spec.p, v0, np.arange(op.n), max_iter, converged,
+                                 prox=(weight, target))
+    return field.values[op.strip_idx], field.values, report
 
 
 def step_implicit(op, spec, u, dt, tol=1e-10, max_iter=60):
@@ -247,7 +253,7 @@ def step_implicit(op, spec, u, dt, tol=1e-10, max_iter=60):
     if dt <= 0.0:
         raise InvalidArgument("dt must be positive")
     uv = u.values if isinstance(u, StripField) else np.asarray(u, dtype=float)
-    out, _ = _step_implicit_values(op, spec, uv, dt, tol, max_iter, None)
+    out, _, _ = _step_implicit_values(op, spec, uv, dt, tol, max_iter, None)
     return StripField(out, op.grid)
 
 
@@ -269,8 +275,10 @@ def evolve(op, spec, u0, t_end, dt, integrator=EXPLICIT, tol=1e-10, max_iter=60)
     the previous extended state. Diagnostics (mass, distances to the
     weighted mean, edge energy of the extended state) are recorded at every
     time; the energy is read off the strip flux that also drives the
-    explicit step. On a solver failure mid-run the raised error carries the
-    partial trajectory in its ``partial`` attribute.
+    explicit step. Implicit p != 2 steps also record their Newton and PCG
+    iteration counts (Trajectory.newton_iters, pcg_iters). On a solver
+    failure mid-run the raised error carries the partial trajectory in its
+    ``partial`` attribute.
     """
     check_compatible(op, spec)
     if t_end <= 0.0 or dt <= 0.0:
@@ -290,6 +298,10 @@ def evolve(op, spec, u0, t_end, dt, integrator=EXPLICIT, tol=1e-10, max_iter=60)
     times = np.arange(nsteps + 1) * dt
     states = np.empty((nsteps + 1, op.n_strip))
     diag = np.empty((nsteps + 1, len(DIAG_COLUMNS)))
+    # each step's Newton and PCG iterations, where a step reports them
+    newton = pcg = None
+    if integrator == IMPLICIT and spec.p != 2.0:
+        newton, pcg = np.zeros(nsteps, dtype=np.int64), np.zeros(nsteps, dtype=np.int64)
 
     # at p = 2 full stays None: the Schur flux and the strip solve need no extension
     linear = spec.p == 2.0
@@ -309,12 +321,17 @@ def evolve(op, spec, u0, t_end, dt, integrator=EXPLICIT, tol=1e-10, max_iter=60)
                 if not linear:
                     full = _extended_values(op, uv, spec.p, warm)
             else:
-                uv, full = _step_implicit_values(op, spec, uv, dt, tol, max_iter, warm)
+                uv, full, report = _step_implicit_values(op, spec, uv, dt, tol, max_iter, warm)
+                if newton is not None:
+                    newton[k], pcg[k] = report.iterations, report.cg_iterations
     except SolverError as exc:
+        steps = max(complete - 1, 0)
         exc.partial = Trajectory(times[:complete], states[:complete].copy(),
-                                 diag[:complete].copy(), op.grid)
+                                 diag[:complete].copy(), op.grid,
+                                 None if newton is None else newton[:steps].copy(),
+                                 None if pcg is None else pcg[:steps].copy())
         raise
-    return Trajectory(times, states, diag, op.grid)
+    return Trajectory(times, states, diag, op.grid, newton, pcg)
 
 
 def picard_solve(op, spec, u0, window, nt=11, tol=1e-10, max_iter=50):

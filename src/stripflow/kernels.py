@@ -148,8 +148,10 @@ class NonlocalOperator:
     weight, minus the strip-strip pairs when edge_mode excludes them.
     Interior rows are identical in both modes. The lexicographic edge list
     with one symmetric coefficient per edge is the only stored form of the
-    edges: every Laplacian block is cut from its CSR adjacency, and
-    strip_edges caches its strip rows. W[x][y] is act_coef / mu[x].
+    edges: every Laplacian block is cut from its CSR adjacency,
+    strip_edges caches its strip rows, and edge_skeleton the CSR pattern
+    of each of the two edge sets, on which the p != 2 edge passes sum.
+    W[x][y] is act_coef / mu[x].
 
     Attributes
     ----------
@@ -348,9 +350,9 @@ def assemble(grid, spec, edge_mode=EXCLUDE_STRIP_STRIP):
     # table, in one block freed before the coefficients are formed. One block
     # rather than two: glibc raises its mmap and trim thresholds to the
     # largest block freed, and below twice the edge arrays' size the p != 2
-    # solvers' edge-sized temporaries page-fault at every call (a p = 3 run
-    # at h = 1/32 took 330k page faults with two blocks, 120k with one and 25k
-    # with the dense n x n evaluation)
+    # solvers' edge buffers and temporaries page-fault at every allocation
+    # (glibc 2.36, one round of the p = 3 benchmark workload at h = 1/32:
+    # about 2,100 minor page faults with one block, 51k with two)
     index = np.empty((2, int(length.sum())), dtype=np.int64)
     cols = targets[_ranges(start, length, index[0])]
     np.subtract(cols, _ranges(shift, length, index[1], step=0), out=index[1])
@@ -381,3 +383,16 @@ def strip_edges(op):
         keep = op.grid.klass[op.act_rows] == STRIP
         op._cache["strip_edges"] = (op.act_rows[keep], op.act_cols[keep], op.act_coef[keep])
     return op._cache["strip_edges"]
+
+
+def edge_skeleton(op, strip=False):
+    """The CSR skeleton (_accel.skeleton) of the active edges, or of
+    strip_edges(op) when strip is set, over all op.n rows. Built once per
+    operator and cached; it holds the column index and the row pointer,
+    int32 where they fit, and no values: each edge pass puts its own
+    buffer on it (_accel.edge_matrix)."""
+    key = "strip_skeleton" if strip else "skeleton"
+    if key not in op._cache:
+        rows, cols = strip_edges(op)[:2] if strip else (op.act_rows, op.act_cols)
+        op._cache[key] = _accel.skeleton(rows, cols, op.n)
+    return op._cache[key]

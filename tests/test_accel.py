@@ -14,11 +14,42 @@ import scipy.linalg as sla
 from stripflow import _accel as A
 from stripflow.elliptic import REG_EPS
 from stripflow.geometry import INTERIOR
-from stripflow.kernels import laplacian_dense
+from stripflow.kernels import EXCLUDE_STRIP_STRIP, edge_skeleton, laplacian_dense, strip_edges
 
-from conftest import add_at_laplacian
+from conftest import add_at_laplacian, nonuniform_line_op
 
 CASES = [(2.0, 0.0), (1.5, 0.0), (1.5, 1e-10), (3.0, 0.0), (4.0, 1e-8)]
+
+
+def plain_phi(d, p, eps):
+    # |d|^(p-2) d and its derivative, written out apart from _accel's in-place
+    # forms, with their fast cases p = 3 and p = 4 in the same order of
+    # operations
+    if p == 2.0:
+        return d.copy()
+    if p == 3.0:
+        return np.abs(d) * d
+    if p == 4.0:
+        return d * d * d
+    if eps > 0.0:
+        return d * (d * d + eps * eps) ** ((p - 2.0) / 2.0)
+    out, nz = np.zeros_like(d), d != 0.0
+    out[nz] = np.abs(d[nz]) ** (p - 2.0) * d[nz]
+    return out
+
+
+def plain_psi(d, p, eps):
+    if p == 2.0:
+        return np.ones_like(d)
+    if p == 3.0:
+        return 2.0 * np.abs(d)
+    if p == 4.0:
+        return 3.0 * d * d
+    if eps > 0.0:
+        return (d * d + eps * eps) ** ((p - 4.0) / 2.0) * (eps * eps + (p - 1.0) * d * d)
+    out, nz = np.zeros_like(d), d != 0.0
+    out[nz] = (p - 1.0) * np.abs(d[nz]) ** (p - 2.0)
+    return out
 
 
 def edge_set(seed, n=300, ne=5000):
@@ -90,13 +121,31 @@ def test_within_backend_bitwise_repeatable():
 def test_in_place_kernels_match_the_plain_formulas(op2d, p, eps):
     rng = np.random.default_rng(5)
     rows, cols, data, vals = edge_set(2)
-    sets = [(rows, cols, data, vals),
-            (op2d.act_rows, op2d.act_cols, op2d.act_coef, rng.standard_normal(op2d.n))]
-    for rows, cols, data, vals in sets:
+    sets = [(rows, cols, data, vals, None)]
+    # the active and the strip edges of op2d and of a line whose measures
+    # vary by a factor of 6, each also on its cached skeleton
+    for op in (op2d, nonuniform_line_op(EXCLUDE_STRIP_STRIP)):
+        v = rng.standard_normal(op.n)
+        sets.append((op.act_rows, op.act_cols, op.act_coef, v, edge_skeleton(op)))
+        sets.append((*strip_edges(op), v, edge_skeleton(op, strip=True)))
+    for rows, cols, data, vals, skel in sets:
         n = vals.shape[0]
-        want = np.bincount(rows, weights=data * A._phi(vals[cols] - vals[rows], p, eps),
+        want = np.bincount(rows, weights=data * plain_phi(vals[cols] - vals[rows], p, eps),
                            minlength=n)
+        hess_w = data * plain_psi(vals[rows] - vals[cols], p, eps)
+        want_diag = np.bincount(rows, weights=hess_w, minlength=n)
         assert np.array_equal(A.phi_row_sums(rows, cols, data, vals, p, eps, n), want)
+        assert np.array_equal(A.hessian_accumulate(rows, cols, data, vals, p, eps,
+                                                   np.arange(n))[0], want_diag)
+        if skel is None:
+            continue
+        # a buffer on the cached skeleton that an earlier pass wrote
+        mat = A.edge_matrix(skel)
+        A.hessian_accumulate(rows, cols, data, -vals, p, eps, np.arange(n), mat)
+        assert np.array_equal(A.phi_row_sums(rows, cols, data, vals, p, eps, n, mat), want)
+        diag, _ = A.hessian_accumulate(rows, cols, data, vals, p, eps, np.arange(n), mat)
+        assert np.array_equal(diag, want_diag)
+        assert np.array_equal(mat.data, hess_w)
 
 
 def free_sets(op):

@@ -11,7 +11,7 @@ from stripflow.elliptic import REG_EPS, _interior, _newton_free, extend_plaplace
 from stripflow.errors import (EmptyInterior, NoConvergence, NonConvexExponent,
                               SingularSystem)
 from stripflow.geometry import INTERIOR, STRIP
-from stripflow.kernels import _operator_from_dense
+from stripflow.kernels import _operator_from_dense, strip_edges
 from stripflow.symmetry import sectors
 
 from conftest import BOX1, add_at_laplacian, line_grid, make_op, schur_oracle
@@ -366,8 +366,9 @@ def test_plaplace_extension_allocates_no_full_matrix():
 def test_solves_cache_no_same_class_edge_copy():
     # every Laplacian block is cut from a CSR adjacency built on demand, so
     # the strip rows the flux reads are the one edge subset cached; the rest
-    # are the mirror sectors, the interior blocks and factors, the blocks of
-    # S and the strip factors
+    # are the CSR skeletons of the two edge sets the p != 2 passes sum on
+    # (column index and row pointer, no values), the mirror sectors, the
+    # interior blocks and factors, the blocks of S and the strip factors
     op = make_op(1.0 / 16.0, 0.25, sf.tent_kernel(0.5, 1))
     g = sf.StripField(np.random.default_rng(9).standard_normal(op.n_strip), op.grid)
     sf.extend_linear(op, g)
@@ -376,7 +377,12 @@ def test_solves_cache_no_same_class_edge_copy():
     for p in (2.0, 3.0):
         sf.evolve(op, sf.ProblemSpec("plaplace", p), g, 0.02, 0.01, sf.IMPLICIT)
     sf.evolve(op, sf.ProblemSpec("plaplace", 3.0), g, 0.02, 0.01, sf.EXPLICIT)
-    assert set(op._cache) == {"sectors", "interior", "schur", "implicit_chol", "strip_edges"}
+    assert set(op._cache) == {"sectors", "interior", "schur", "implicit_chol", "strip_edges",
+                              "skeleton", "strip_skeleton"}
+    for key, cols in (("skeleton", op.act_cols), ("strip_skeleton", strip_edges(op)[1])):
+        indices, indptr = op._cache[key]
+        assert indices.dtype == indptr.dtype == np.int32
+        assert np.array_equal(indices, cols) and indptr.shape == (op.n + 1,)
 
 
 def test_no_convergence_carries_best(op16):

@@ -11,6 +11,7 @@ from stripflow.errors import (InvalidArgument, NoContraction, NoConvergence, Sin
                               SolverError)
 from stripflow.evolution import (LINEAR, LINEAR_FULL, PLAPLACE, PLAPLACE_FULL,
                                  SINGULAR_VARIANT, _step_implicit_values)
+from stripflow.io import write_trajectory_csv
 from stripflow.kernels import laplacian_dense, strip_edges
 from stripflow.symmetry import sectors
 
@@ -18,6 +19,11 @@ from conftest import make_op, nonuniform_line_op, schur_oracle
 
 LIN = sf.ProblemSpec(LINEAR)
 P3 = sf.ProblemSpec(PLAPLACE, p=3.0)
+
+# Newton and PCG iterations of the five implicit p = 3 steps of dt = 0.5 on
+# op2d from default_rng(18) strip data
+NEWTON_ITERS = [4, 4, 4, 4, 4]
+PCG_ITERS = [20, 20, 20, 22, 22]
 
 
 def sym(op):
@@ -99,8 +105,8 @@ def test_linear_implicit_step_matches_full_grid_solve(
         b[op.strip_idx] = mu_s * u
         want = np.linalg.solve(mat, b)
         # the strip solve makes no extension; the test extends its result
-        strip, none = _step_implicit_values(op, spec, u, dt, 1e-10, 60, None)
-        assert none is None
+        strip, none, report = _step_implicit_values(op, spec, u, dt, 1e-10, 60, None)
+        assert none is None and report is None
         full = _extended_values(op, strip, 2.0)
         tol = 1e-13 * (1.0 + np.abs(u).max())
         assert np.abs(full - want).max() <= tol
@@ -252,6 +258,63 @@ def test_evolve_makes_one_strip_pass_per_state(op2d, integrator, monkeypatch):
     sf.evolve(op2d, P3, u0, 5.0 * dt, dt, integrator)
     strip_rows = strip_edges(op2d)[0]
     assert sum(np.array_equal(rows, strip_rows) for rows in passes) == 6
+
+
+def test_implicit_evolve_builds_one_skeleton_per_edge_set(monkeypatch):
+    # the CSR pattern of the active edges and that of the strip edges are
+    # each built once per operator, not once per Newton iteration or pass
+    op = make_op(1.0 / 8.0, 0.125, sf.tent_kernel(0.25, 2), dim=2)
+    real = _accel.skeleton
+    built = []
+
+    def counting(rows, cols, n):
+        built.append(rows.shape[0])
+        return real(rows, cols, n)
+    monkeypatch.setattr(_accel, "skeleton", counting)
+    u0 = sf.StripField(np.random.default_rng(18).standard_normal(op.n_strip), op.grid)
+    traj = sf.evolve(op, P3, u0, 2.5, 0.5, sf.IMPLICIT)
+    assert sorted(built) == sorted([strip_edges(op)[0].shape[0], op.nnz])
+    assert np.sum(traj.newton_iters) > len(built)
+    sf.evolve(op, P3, u0, 2.5, 0.5, sf.IMPLICIT)
+    assert len(built) == 2
+
+
+def test_implicit_p3_evolve_reports_its_iterations(op2d, tmp_path):
+    # one Newton and one PCG count per implicit p != 2 step, none at p = 2 or
+    # for explicit steps; the CSV holds the diagnostics alone, as before
+    u0 = sf.StripField(np.random.default_rng(18).standard_normal(op2d.n_strip), op2d.grid)
+    traj = sf.evolve(op2d, P3, u0, 2.5, 0.5, sf.IMPLICIT)
+    assert traj.newton_iters.tolist() == NEWTON_ITERS
+    assert traj.pcg_iters.tolist() == PCG_ITERS
+    bare = sf.Trajectory(traj.times, traj.states, traj.diag, traj.grid)
+    write_trajectory_csv(tmp_path / "counted.csv", traj)
+    write_trajectory_csv(tmp_path / "bare.csv", bare)
+    assert (tmp_path / "counted.csv").read_bytes() == (tmp_path / "bare.csv").read_bytes()
+    dt = 0.4 * sf.stability_bound(op2d)
+    for spec, integrator in ((LIN, sf.IMPLICIT), (LIN, sf.EXPLICIT), (P3, sf.EXPLICIT)):
+        traj = sf.evolve(op2d, spec, u0, 2.0 * dt, dt, integrator)
+        assert traj.newton_iters is None and traj.pcg_iters is None
+
+
+def test_a_failed_evolve_keeps_the_counts_of_its_steps(op2d, monkeypatch):
+    # the third step fails: the partial trajectory has three states and the
+    # counts of the two steps between them
+    real = evolution._newton_free
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise NoConvergence("budget exhausted")
+        return real(*args, **kwargs)
+    monkeypatch.setattr(evolution, "_newton_free", failing)
+    u0 = sf.StripField(np.random.default_rng(18).standard_normal(op2d.n_strip), op2d.grid)
+    with pytest.raises(NoConvergence) as info:
+        sf.evolve(op2d, P3, u0, 2.5, 0.5, sf.IMPLICIT)
+    partial = info.value.partial
+    assert partial.states.shape[0] == 3
+    assert partial.newton_iters.tolist() == NEWTON_ITERS[:2]
+    assert partial.pcg_iters.tolist() == PCG_ITERS[:2]
 
 
 def test_evolve_mass_column(toy3_op):
@@ -543,7 +606,7 @@ def test_implicit_p3_step_from_a_constant_interior(op2d, monkeypatch):
     monkeypatch.setattr(_accel, "pcg", recording)
     uv = np.random.default_rng(31).standard_normal(op2d.n_strip)
     dt, tol = 0.5, 1e-10
-    out, full = _step_implicit_values(op2d, P3, uv, dt, tol, 60, None)
+    out, full, _ = _step_implicit_values(op2d, P3, uv, dt, tol, 60, None)
     assert signals
     mu_s = op2d.grid.mu[op2d.strip_idx]
     grad = dt * sf.energy_gradient(op2d, full, 3.0).values

@@ -169,7 +169,7 @@ def test_constants_are_fixed_and_implicit_steps_descend(prob, dt):
     # fields made by the step alone; the p = 2 strip solve makes none, so the
     # test extends its result
     def step(u, warm):
-        out, full = _step_implicit_values(op, spec, u, dt, STEP_TOL, 60, warm)
+        out, full, _ = _step_implicit_values(op, spec, u, dt, STEP_TOL, 60, warm)
         return out, (_extended_values(op, out, 2.0) if full is None else full)
 
     u0 = prob.strip_data()

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from . import _accel
 from .elliptic import (_EPS, _extended_values, _interior, _newton_free, _pairing,
@@ -20,7 +19,7 @@ from .errors import (ConstantField, EmptyBump, InvalidArgument, NoConvergence,
                      NonPositiveData, NotMeanZero, TooFewStripNodes, WindowTooSmall)
 from .fields import StripField
 from .geometry import STRIP
-from .symmetry import sectors
+from .symmetry import rep_rows, sectors
 
 SCHUR_EIG = "schur-eig"
 INVERSE_POWER = "inverse-power"
@@ -113,30 +112,24 @@ def schur_complement(op):
 
 
 def _schur_blocks(op):
-    """The blocks S_j, built one at a time, so that one X is live."""
+    """The blocks S_j, built one at a time, so that one X is live. The edges
+    out of the strip representatives give both L_SS and L_IS."""
     sec = sectors(op)
-    rows = _accel.adjacency(_accel.skeleton(op.act_rows, op.act_cols, op.n),
-                            op.act_coef)[op.strip_idx]
-    l_ss = sp.diags(rows @ np.ones(op.n)) - rows[:, op.strip_idx]
+    factors = _interior(op) if op.n_interior else ()
+    rows = rep_rows(op, sec.strip)
+    l_ss = sec.fold_rows(rows, sec.strip, sec.strip)
+    l_is = sec.fold_rows(rows, sec.strip, sec.interior)
     del rows
-    l_ss = sec.fold_rows(l_ss, sec.strip, sec.strip)
-    if op.n_interior:
-        _, factors, l_is = _interior(op)
-        l_is = sec.fold_rows(l_is, sec.interior, sec.strip)
     out = []
-    for j in range(len(sec.blocks)):
-        if op.n_interior:
-            chol, lower = factors[j]
-            x = sla.solve_triangular(chol, next(l_is), trans="T", lower=lower,
-                                     overwrite_b=True, check_finite=False)
-            block = x.T @ x
-            del x  # so that the peak is X^T X and L_SS^chi, without X beside them
-            np.negative(block, out=block)
-            block += next(l_ss)
-        else:
-            block = next(l_ss)
+    for chol, lower in factors:
+        x = sla.solve_triangular(chol, next(l_is), trans="T", lower=lower,
+                                 overwrite_b=True, check_finite=False)
+        block = x.T @ x
+        del x  # so that the peak is X^T X and L_SS^chi, without X beside them
+        np.negative(block, out=block)
+        block += next(l_ss)
         out.append(block)
-    return tuple(out)
+    return tuple(out) if factors else tuple(l_ss)
 
 
 def _signed(vals):

@@ -5,8 +5,9 @@ node; strip values stay pinned. For exponent 2 that balance is a linear
 system in the interior block L_II. The box's symmetries split it into
 blocks (symmetry.sectors: up to 2^d mirror sectors of 1/2^d the size on
 an assembled box; on the unit square one block of a quarter shared by two
-sectors and four of about an eighth; one block otherwise), and each
-block's Cholesky factor is made once per operator. For general p > 1 it is the
+sectors and four of about an eighth; one block otherwise), each folded
+from the edges out of the interior representatives (Sectors.fold_rows)
+and Cholesky-factored once per operator. For general p > 1 it is the
 Euler-Lagrange condition of a strictly convex edge energy E_p.
 _newton_free is the one descent solve for p != 2: it minimizes
 F(v) = E_p(v) - <lin, v> + (1/2) sum w (v - t)^2 over the free nodes, is
@@ -16,12 +17,10 @@ NoConvergence carries too. The extension pins the strip and drops
 lin and (w, t); the implicit p != 2 step frees every node with w = mu / dt
 and t = u on the strip, and each of its iterates is shifted by the constant
 that keeps the strip mass; estimate_beta_p pins one node and adds lin.
-L_II and L_IS are cut by scipy indexing from the CSR adjacency of the
-coefficients (_accel.adjacency), built for the cut and dropped. Every
-p != 2 edge pass runs on the operator's cached CSR skeleton of its edge set
-(kernels.edge_skeleton), and each descent solve owns two edge-sized
-buffers on it: one for its balances, one for its Hessian or its
-majoriser, which _accel.laplacian_block writes with no diagonal term.
+Every p != 2 edge pass runs on the operator's cached CSR skeleton of its
+edge set (kernels.edge_skeleton), and each descent solve owns two
+edge-sized buffers on it: one for its balances, one for its Hessian or
+its majoriser, which _accel.laplacian_block writes with no diagonal term.
 Balances are in W units, coefficient row sums over mu[x]. Energies come
 from the same row sums by Euler's identity: E_p is p-homogeneous, the
 coefficients symmetric and phi_p odd, so for the balance r of any v and any
@@ -37,7 +36,7 @@ from . import _accel
 from .errors import EmptyInterior, NoConvergence, NonConvexExponent, SingularSystem
 from .fields import EnergyReport, FullField, StripField
 from .kernels import edge_skeleton, strip_edges
-from .symmetry import sectors
+from .symmetry import rep_rows, sectors
 
 __all__ = [
     "StripField", "FullField", "EnergyReport", "REG_EPS",
@@ -128,28 +127,32 @@ def interior_residual(op, u, p):
 
 
 def _interior(op):
-    """(L_II, its block factors, L_IS), made once per operator: the interior
-    rows of the Laplacian of the coefficients mu[x] W[x][y], cut from their
-    CSR adjacency, and the Cholesky factor of each block L_II^j of L_II
-    (symmetry.sectors), folded from the rows of L_II at the interior
-    representatives and written dense only to be factored in place. The
-    CSR L_II and L_IS serve the extension's right-hand side and residual
-    and the folds of the Schur complement."""
+    """The Cholesky factor of each block L_II^j (symmetry.sectors) of the
+    interior block of the Laplacian, made once per operator: folded from the
+    edges out of the interior representatives, dense only to be factored."""
     if "interior" not in op._cache:
         sec = sectors(op)
-        rows = _accel.adjacency(_accel.skeleton(op.act_rows, op.act_cols, op.n),
-                                op.act_coef)[op.interior_idx]
-        l_is = rows[:, op.strip_idx]
-        l_is.data *= -1.0
-        l_ii = sp.diags(rows @ np.ones(op.n)) - rows[:, op.interior_idx]
-        del rows  # so that the sector blocks have only L_II and L_IS beside them
         try:
-            factors = tuple(sla.cho_factor(block, overwrite_a=True) for block in
-                            sec.fold_rows(l_ii, sec.interior, sec.interior))
+            op._cache["interior"] = tuple(
+                sla.cho_factor(block, overwrite_a=True) for block in
+                sec.fold_rows(rep_rows(op, sec.interior), sec.interior, sec.interior))
         except sla.LinAlgError as exc:
             raise SingularSystem(f"interior system is singular: {exc}") from exc
-        op._cache["interior"] = (l_ii, factors, l_is)
     return op._cache["interior"]
+
+
+def _interior_row_sums(op, vals):
+    """Per interior node x, sum_y mu[x] W[x][y] vals[y], summed in edge order
+    as np.bincount sums it: a CSR product over the edges of one run of
+    consecutive interior nodes (a lattice line in 2D) at a time."""
+    idx = op.interior_idx
+    start, end = np.searchsorted(op.act_rows, (idx, idx + 1))
+    out = np.empty(idx.shape[0])
+    for run in np.split(np.arange(idx.shape[0]), np.flatnonzero(np.diff(idx) != 1) + 1):
+        a, b = start[run[0]], end[run[-1]]
+        out[run] = sp.csr_matrix((op.act_coef[a:b], op.act_cols[a:b].astype(np.int32),
+                                  np.append(start[run], b) - a), shape=(run.shape[0], op.n)) @ vals
+    return out
 
 
 def extend_linear(op, g):
@@ -158,8 +161,8 @@ def extend_linear(op, g):
     Returns a full field equal to g on the strip whose interior values
     satisfy L_II u = -L_IS g, i.e. diag(row sums) u - W_II u = W_IS g,
     solved block by block with the factors of _interior, the shared block
-    with two columns. The residual is that of the whole CSR L_II, so the
-    gate checks the fold too.
+    with two columns. Its right-hand side and its gate, the whole interior
+    balance, are sums over the interior rows' edges: the gate checks the fold.
     """
     if op.n_interior == 0:
         raise EmptyInterior("linear extension needs interior nodes")
@@ -167,11 +170,12 @@ def extend_linear(op, g):
     # solve anchored at the midrange of g: shifting out the constant mode keeps
     # constant data exactly constant and costs nothing
     shift = _midrange(gv)
-    l_ii, factors, l_is = _interior(op)
     sec = sectors(op)
-    rhs = -(l_is @ (gv - shift))
+    full = np.zeros(op.n)
+    full[op.strip_idx] = gv - shift
+    rhs = _interior_row_sums(op, full)
     parts = sec.fold(rhs, sec.interior)
-    for part, (chol, lower) in zip(parts, factors):
+    for part, (chol, lower) in zip(parts, _interior(op)):
         # L_II^j = U^T U with U the upper factor: two triangular solves take
         # half the time of cho_solve's potrs for one right-hand side. The
         # cached factor is finite; checking it would scan its entries per solve
@@ -179,14 +183,15 @@ def extend_linear(op, g):
         part[:] = sla.solve_triangular(chol, sol, lower=lower, overwrite_b=True,
                                        check_finite=False)
     sol = sec.unfold(parts, sec.interior)
-    # gated in W units (row x of L_II is mu[x] times the balance); NaN fails too
-    resid = np.max(np.abs(l_ii @ sol - rhs) / op.grid.mu[op.interior_idx])
+    full[op.interior_idx] = sol
+    # gated on the whole balance sum_y W[x][y] u[y] - deg[x] u[x]; NaN fails too
+    resid = np.max(np.abs(_interior_row_sums(op, full) / op.grid.mu[op.interior_idx]
+                          - op.deg_active[op.interior_idx] * sol))
     if not resid <= 1e-10 * (1.0 + np.max(np.abs(gv), initial=0.0)):
         raise SingularSystem(f"interior residual {resid:.3e} after interior solve")
-    out = np.empty(op.n)
-    out[op.strip_idx] = gv
-    out[op.interior_idx] = sol + shift
-    return FullField(out, op.grid)
+    full[op.strip_idx] = gv
+    full[op.interior_idx] = sol + shift
+    return FullField(full, op.grid)
 
 
 def _interior_start(op, gv):

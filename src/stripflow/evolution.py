@@ -157,7 +157,7 @@ def rhs(op, spec, u):
 
 
 def stability_bound(op):
-    """Advisory explicit step bound 1 / max strip row sum."""
+    """Advisory explicit step bound 1 / max strip row sum, for p = 2 only."""
     deg = op.deg_active[op.strip_idx]
     top = float(np.max(deg, initial=0.0))
     return np.inf if top == 0.0 else 1.0 / top
@@ -325,6 +325,9 @@ def evolve(op, spec, u0, t_end, dt, integrator=EXPLICIT, tol=1e-10, max_iter=60)
                 if newton is not None:
                     newton[k], pcg[k] = report.iterations, report.cg_iterations
     except SolverError as exc:
+        if integrator == EXPLICIT and not linear and complete:
+            exc.args = (f"explicit step {complete} of {nsteps} with dt={dt:g} failed: {exc}; "
+                        f"stability_bound is the p = 2 advisory only: try a smaller dt",)
         steps = max(complete - 1, 0)
         exc.partial = Trajectory(times[:complete], states[:complete].copy(),
                                  diag[:complete].copy(), op.grid,

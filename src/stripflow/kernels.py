@@ -148,7 +148,7 @@ class NonlocalOperator:
     weight, minus the strip-strip pairs when edge_mode excludes them.
     Interior rows are identical in both modes. The lexicographic edge list
     with one symmetric coefficient per edge is the only stored form of the
-    edges: every Laplacian block is cut from its CSR adjacency,
+    edges: the p = 2 blocks are folded from its rows (symmetry.rep_rows),
     strip_edges caches its strip rows, and edge_skeleton the CSR pattern
     of each of the two edge sets, on which the p != 2 edge passes sum.
     W[x][y] is act_coef / mu[x].

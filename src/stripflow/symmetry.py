@@ -37,9 +37,12 @@ the same code.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+
+from .kernels import _ranges
 
 # the weight of each end of a sigma pair in its even and odd basis vectors
 _HALF = np.sqrt(0.5)
@@ -54,8 +57,8 @@ class Orbits:
     table : (|K|, m) table[k, a] is the position of the image k a of the
         class's a-th representative; table[0] lists the representatives.
     reps : (m,) global node numbers of the representatives.
-    slot, elem : (n_C,) for each position the representative a and the
-        group element k with position = k a.
+    slot, elem : (n,) for each node x of the class the representative a
+        and the group element k with x = k a; slot is -1 off the class.
     transpose : (n_C,) the position of sigma x for each position x, and
         swap : (m,) the representative sigma a for each representative a;
         both the identity when sigma is not kept.
@@ -78,7 +81,7 @@ class Orbits:
         """The number of orbits under K."""
         return self.table.shape[1]
 
-    @property
+    @cached_property
     def partner(self):
         """(p,) the images sigma a of the pair representatives."""
         return self.swap[self.pair]
@@ -114,7 +117,7 @@ class Sectors:
     interior: Orbits
     blocks: tuple
 
-    @property
+    @cached_property
     def split(self):
         """Whether sigma is kept."""
         return any(blk.parity for blk in self.blocks)
@@ -189,49 +192,63 @@ class Sectors:
                                               / np.sqrt(self.signs.shape[0]), coef)
         return out
 
-    def fold_rows(self, block, row_orbits, col_orbits):
-        """The blocks Q_j^T B Q_j of a CSR block B with sorted columns, rows
-        over the positions of row_orbits' class and columns over those of
-        col_orbits' class, invariant under G. Yields one dense
-        Fortran-ordered block per Block, each character's from one pass over
-        the stored entries of B's rows at the representatives:
-        B_chi[a, b] = sum_k chi(k) B[a, k b], then split by sigma (_halves).
-        The terms of B_chi[a, b] are summed in the order of the positions
-        k b, which is the same order of k for every representative b: each
-        mirror takes the representatives' corner of the lattice to higher
-        node numbers, the mirror of the first axis past that of the second.
-        So the block of a symmetric B is exactly symmetric, and _halves
-        keeps it so."""
-        rows = block[row_orbits.table[0]]
+    def fold_rows(self, rows, row_orbits, col_orbits):
+        """The blocks Q_j^T B Q_j of B = L[R, C], the Laplacian of the
+        coefficients cut to the classes R of row_orbits and C of col_orbits,
+        from rows = rep_rows(op, row_orbits): minus the coefficients of the
+        edges into C and, when R is C, the row sums on the diagonal. Each
+        character's block is one bincount, B_chi[a, b] = sum_k chi(k)
+        B[a, k b], of the row sum first (the column a leads its orbit) and
+        then the columns k b in one order of k for every b (each mirror
+        takes the representatives' corner of the lattice to higher node
+        numbers, the first axis's past the second's), split by sigma
+        (_halves). Yields one Fortran-ordered B_chi^T per Block: for R = C
+        B_chi, exactly symmetric, as _halves keeps it; for the strip rows
+        and the interior columns L_IS^chi, as L is symmetric and invariant."""
+        row, col, coef = rows
         m_r, m_c = row_orbits.size, col_orbits.size
+        keep = col_orbits.slot[col] >= 0
+        row, col, data = row[keep], col[keep], np.negative(coef[keep])
+        if row_orbits is col_orbits:
+            row = np.concatenate((np.arange(m_r), row))
+            col = np.concatenate((row_orbits.reps, col))
+            data = np.concatenate((np.bincount(rows[0], weights=coef, minlength=m_r), data))
+        slot, elem = col_orbits.slot[col], col_orbits.elem[col]
+        del rows, coef, keep, col
         # the block is written transposed, so that its transpose is Fortran-ordered
-        col = col_orbits.slot[rows.indices]
-        row = np.repeat(np.arange(m_r), np.diff(rows.indptr))
-        flat = col * m_r + row
+        flat = row * m_c + slot
         # the characters that sigma splits are written in the order pair,
         # partner, diag on both sides, so that _halves reads slices
-        by_rank = None
-        if self.split:
-            by_rank = _split_rank(col_orbits)[col] * m_r + _split_rank(row_orbits)[row]
-        del col, row
-        elem = col_orbits.elem[rows.indices]
-        data = rows.data
-        del rows
+        by_rank = (_split_rank(row_orbits)[row] * m_c + _split_rank(col_orbits)[slot]
+                   if self.split else None)
+        del row, slot
         for blk in self.blocks:
             if blk.parity < 0:
                 continue  # yielded with the even block of its character
-            weights = self.signs[blk.char][elem]
-            weights *= data
+            weights = data
+            if blk.char:  # the trivial character is 1 at every element
+                weights = self.signs[blk.char][elem]
+                weights *= data
             # bincount of no entries gives integers, even with weights
             out = np.bincount(by_rank if blk.parity else flat, weights=weights,
                               minlength=m_r * m_c)
             del weights
-            out = out.astype(float, copy=False).reshape(m_c, m_r).T
+            out = out.astype(float, copy=False).reshape(m_r, m_c).T
             # rebound, so that a split character's whole block is freed
             # before its halves are handed out
-            out = (_halves(out, row_orbits.pair.shape[0], col_orbits.pair.shape[0])
+            out = (_halves(out, col_orbits.pair.shape[0], row_orbits.pair.shape[0])
                    if blk.parity else (out,))
             yield from out
+
+
+def rep_rows(op, orbits):
+    """The active edges out of the representatives of orbits, in edge order:
+    (row, col, coef), the representative's index a, the column and coef."""
+    start, stop = np.searchsorted(op.act_rows, (orbits.reps, orbits.reps + 1))
+    count = stop - start
+    some = count > 0  # _ranges takes no empty run: an isolated strip node has one
+    take = _ranges(start[some], count[some], np.empty(count.sum(), dtype=np.int64))
+    return np.repeat(np.arange(orbits.size), count), op.act_cols[take], op.act_coef[take]
 
 
 def _split_rank(orbits):
@@ -283,12 +300,13 @@ def _class_orbits(n, class_idx, is_rep, perms, sigma):
     pos = np.full(n, -1)
     pos[class_idx] = np.arange(class_idx.shape[0])
     reps = class_idx[is_rep[class_idx]]
-    table = np.stack([pos[perm[reps]] for perm in perms])
-    slot = np.empty(class_idx.shape[0], dtype=np.int64)
-    slot[table] = np.arange(reps.shape[0])
-    elem = np.empty(class_idx.shape[0], dtype=np.int8)
-    elem[table] = np.arange(len(perms))[:, None]
-    swap = slot[pos[sigma[reps]]]
+    images = np.stack([perm[reps] for perm in perms])
+    table = pos[images]
+    slot = np.full(n, -1)
+    slot[images] = np.arange(reps.shape[0])
+    elem = np.zeros(n, dtype=np.int8)
+    elem[images] = np.arange(len(perms))[:, None]
+    swap = slot[sigma[reps]]
     pair = np.flatnonzero(swap > np.arange(reps.shape[0]))
     diag = np.flatnonzero(swap == np.arange(reps.shape[0]))
     return Orbits(table=table, reps=reps, slot=slot, elem=elem,

@@ -363,14 +363,14 @@ def test_validate_catches_a_step_that_leaks_mass(runner, tmp_path, monkeypatch, 
 
 def test_validate_reports_a_failing_solver_as_a_failed_check(runner, tmp_path):
     # explicit p = 4 steps at 0.45 of the p-blind stability bound blow up and
-    # the next extension stalls at a residual below its roundoff floor; the
-    # other checks must still run
+    # the next extension stalls at a residual below its roundoff floor, which
+    # the error names with its step and dt; the other checks must still run
     doc = dict(GRID16, problem={"variant": "plaplace-full", "p": 4.0},
                time={"t_end": 1.0, "dt": 0.5, "integrator": "implicit"})
     res = runner.invoke(main, ["validate", "--config", write_cfg(tmp_path, doc)])
     assert res.exit_code == 0
-    assert ("check integrator agreement: fail (NoConvergence: descent stalled after "
-            in res.stdout)
+    assert ("check integrator agreement: fail (NoConvergence: explicit step 3 of 5 with "
+            "dt=0.5 failed: descent stalled after " in res.stdout)
     assert "check mass conservation: pass" in res.stdout
     assert "check spectral gap: pass" in res.stdout
     assert "6 checks, 1 failed" in res.stdout

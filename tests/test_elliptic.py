@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 import stripflow as sf
 from stripflow import kernels
@@ -217,12 +218,26 @@ def test_one_interior_factorisation_per_operator(monkeypatch):
     assert shapes == [(m, m) for m in sizes + strip]
 
 
+def test_linear_extension_gates_on_the_whole_interior_balance():
+    # the gate is the balance of every interior row, summed from the edge
+    # list apart from the folds and the block factors, so a factor that no
+    # longer factors its block fails it
+    op = make_op(1.0 / 16.0, 0.125, sf.tent_kernel(0.25, 2), dim=2)
+    g = np.random.default_rng(2).standard_normal(op.n_strip)
+    ext = sf.extend_linear(op, g)
+    assert sf.interior_residual(op, ext, 2.0) <= 1e-13 * (1.0 + np.abs(g).max())
+    chol, _ = _interior(op)[2]
+    chol[0, 0] *= 1.0 + 1e-6
+    with pytest.raises(SingularSystem, match="interior residual"):
+        sf.extend_linear(op, g)
+
+
 def test_interior_cache_keeps_l_ii_only_as_its_factor():
-    # L_II is cached sparse for the extension's residual gate and its blocks
-    # are written dense only to be factored in place, so after every p = 2
-    # path the dense arrays on the operator are the interior factors, one
-    # per block, the blocks of S and the factors of M + dt S_j, and none is
-    # n_I x n_I
+    # the blocks of L_II are folded from the edge list and written dense only
+    # to be factored in place, and no sparse L_II or L_IS is kept, so after
+    # every p = 2 path the arrays on the operator are the interior factors,
+    # one per block, the blocks of S and the factors of M + dt S_j, and none
+    # is n_I x n_I
     op = make_op(1.0 / 8.0, 0.125, sf.tent_kernel(0.25, 2), dim=2)
     assert op.n_strip != op.n_interior
     g = sf.StripField(np.random.default_rng(4).standard_normal(op.n_strip), op.grid)
@@ -246,12 +261,13 @@ def test_interior_cache_keeps_l_ii_only_as_its_factor():
     assert Counter(a.shape for a in cached) == {(9, 9): 1, (6, 6): 2, (7, 7): 2,
                                                 (4, 4): 4, (3, 3): 6}
     # and each cached array is by identity one of those, with no other copy
-    factors = [chol for chol, _ in _interior(op)[1]]
+    factors = [chol for chol, _ in _interior(op)]
     implicit = [chol for chol, _ in op._cache["implicit_chol"][1]]
     owned = factors + list(sf.schur_complement(op)) + implicit
     assert len(owned) == len(cached)
     assert all(sum(a is b for b in owned) == 1 for a in cached)
     assert not any(a.shape == (op.n_interior, op.n_interior) for a in cached)
+    assert not any(sp.issparse(item) for item in op._cache.values())
 
 
 def test_majoriser_factor_failure_is_a_solver_error(op16, monkeypatch):
@@ -364,11 +380,12 @@ def test_plaplace_extension_allocates_no_full_matrix():
 
 
 def test_solves_cache_no_same_class_edge_copy():
-    # every Laplacian block is cut from a CSR adjacency built on demand, so
-    # the strip rows the flux reads are the one edge subset cached; the rest
-    # are the CSR skeletons of the two edge sets the p != 2 passes sum on
-    # (column index and row pointer, no values), the mirror sectors, the
-    # interior blocks and factors, the blocks of S and the strip factors
+    # the p = 2 blocks are folded straight from the edge list and the
+    # extension passes over its interior rows, so the strip rows the flux
+    # reads are the one edge subset cached; the rest are the CSR skeletons
+    # of the two edge sets the p != 2 passes sum on (column index and row
+    # pointer, no values), the mirror sectors, the interior factors, the
+    # blocks of S and the strip factors
     op = make_op(1.0 / 16.0, 0.25, sf.tent_kernel(0.5, 1))
     g = sf.StripField(np.random.default_rng(9).standard_normal(op.n_strip), op.grid)
     sf.extend_linear(op, g)

@@ -279,6 +279,47 @@ def test_implicit_evolve_builds_one_skeleton_per_edge_set(monkeypatch):
     assert len(built) == 2
 
 
+def test_the_p2_route_builds_no_csr_adjacency(monkeypatch):
+    # the sector blocks of L_II, L_IS and L_SS are folded straight from the
+    # edge list, so on a fresh operator the gap and p = 2 evolves of either
+    # integrator make no CSR skeleton or adjacency; a p = 3 implicit evolve
+    # shows that the counters count
+    calls = []
+    for name in ("skeleton", "adjacency"):
+        def counting(*args, real=getattr(_accel, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(_accel, name, counting)
+
+    def fresh():
+        return make_op(1.0 / 16.0, 0.125, sf.tent_kernel(0.25, 2), dim=2)
+    sf.spectral_gap_beta(fresh())
+    for integrator in (sf.EXPLICIT, sf.IMPLICIT):
+        op = fresh()
+        u0 = sf.StripField(np.random.default_rng(18).standard_normal(op.n_strip), op.grid)
+        dt = 0.4 * sf.stability_bound(op)
+        sf.evolve(op, LIN, u0, 5.0 * dt, dt, integrator)
+    assert calls == []
+    sf.evolve(op, P3, u0, 0.5, 0.5, sf.IMPLICIT)
+    assert set(calls) == {"skeleton", "adjacency"}
+
+
+def test_an_explicit_p4_failure_names_its_step_and_dt():
+    # stability_bound is the p = 2 bound 1 / max strip row sum; at p = 4 half
+    # of it is too long a step for this data, and the descent that extends
+    # the second state stalls: the error says which step and which dt
+    op = make_op(1.0 / 16.0, 0.25, sf.tent_kernel(0.5, 1), edge_mode=sf.FULL)
+    u0 = sf.StripField(np.random.default_rng(3).standard_normal(op.n_strip), op.grid)
+    dt = 0.5 * sf.stability_bound(op)
+    with pytest.raises(NoConvergence) as info:
+        sf.evolve(op, sf.ProblemSpec(PLAPLACE_FULL, p=4.0), u0, 10 * dt, dt, sf.EXPLICIT)
+    message = str(info.value)
+    assert message.startswith(f"explicit step 2 of 10 with dt={dt:g} failed: descent stalled")
+    assert "stability_bound is the p = 2 advisory only" in message
+    assert info.value.exit_code == 3 and info.value.best is not None
+    np.testing.assert_array_equal(info.value.partial.times, [0.0, dt])
+
+
 def test_implicit_p3_evolve_reports_its_iterations(op2d, tmp_path):
     # one Newton and one PCG count per implicit p != 2 step, none at p = 2 or
     # for explicit steps; the CSV holds the diagnostics alone, as before

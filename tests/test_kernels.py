@@ -8,9 +8,9 @@ from scipy.spatial.distance import cdist
 
 import stripflow as sf
 from stripflow.errors import (EmptySupport, InvalidArgument, SingularAtOrigin)
-from stripflow.elliptic import _interior
 from stripflow.kernels import (_operator_from_dense, _values_from_distance, laplacian_dense,
                                strip_edges)
+from stripflow.symmetry import rep_rows, sectors
 
 from conftest import BOX1, BOX2
 
@@ -126,9 +126,11 @@ def test_toy3_dynamic_edges(toy3_op):
     np.testing.assert_array_equal(rows, [1, 2])
     np.testing.assert_array_equal(cols, [0, 0])
     np.testing.assert_array_equal(coef, [1.0, 1.0])
-    # L_IS: interior-local rows, strip-local columns
-    l_is = _interior(toy3_op)[2]
-    np.testing.assert_array_equal(l_is.toarray(), [[-1.0, -1.0]])
+    # L_IS, interior rows and strip columns, folded from the strip rows:
+    # one block, G = {e}
+    sec = sectors(toy3_op)
+    (l_is,) = sec.fold_rows(rep_rows(toy3_op, sec.strip), sec.strip, sec.interior)
+    np.testing.assert_array_equal(l_is, [[-1.0, -1.0]])
 
 
 def test_quadrature_weights_match_kernel(op16, op2d):

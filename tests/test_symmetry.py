@@ -8,14 +8,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 import stripflow as sf
-from stripflow import analysis
+from stripflow import _accel, analysis
 from stripflow.errors import InvalidArgument
 from stripflow.evolution import _implicit_linear_values, _schur_flux
 from stripflow.geometry import STRIP
 from stripflow.kernels import NonlocalOperator, _operator_from_dense
-from stripflow.symmetry import sectors
+from stripflow.symmetry import _halves, _split_rank, rep_rows, sectors
 
 from conftest import (BOX1, BOX2, assert_mirror_invariant, fold_strip, lattice_maps,
                       line_grid, make_op, nonuniform_line_op, schur_oracle, sector_basis)
@@ -114,6 +115,84 @@ def test_orbits_cover_each_class_once(case):
     vals = np.random.default_rng(3).standard_normal(op.n_strip)
     np.testing.assert_allclose(sec.unfold(sec.fold(vals, sec.strip), sec.strip), vals,
                                rtol=0.0, atol=4 * EPS * np.abs(vals).max())
+
+
+def csr_fold_rows(sec, block, row_orbits, col_orbits, col_idx):
+    """The fold of the sector blocks as it was made from a CSR block B with
+    sorted columns, rows over the positions of row_orbits' class and
+    columns over those of col_orbits' class (col_idx, their nodes): one
+    bincount per character of B's stored entries at the representatives'
+    rows, in the order of their positions."""
+    rows = block[row_orbits.table[0]]
+    m_r, m_c = row_orbits.size, col_orbits.size
+    col = col_orbits.slot[col_idx][rows.indices]
+    row = np.repeat(np.arange(m_r), np.diff(rows.indptr))
+    flat = col * m_r + row
+    if sec.split:
+        by_rank = _split_rank(col_orbits)[col] * m_r + _split_rank(row_orbits)[row]
+    elem = col_orbits.elem[col_idx][rows.indices]
+    for blk in sec.blocks:
+        if blk.parity < 0:
+            continue
+        weights = sec.signs[blk.char][elem]
+        weights *= rows.data
+        out = np.bincount(by_rank if blk.parity else flat, weights=weights,
+                          minlength=m_r * m_c)
+        out = out.astype(float, copy=False).reshape(m_c, m_r).T
+        yield from (_halves(out, row_orbits.pair.shape[0], col_orbits.pair.shape[0])
+                    if blk.parity else (out,))
+
+
+def csr_blocks(op):
+    """The sector blocks of L_II, L_IS and L_SS by the cut they were made
+    with: the CSR adjacency of the edges, its interior or strip rows, those
+    rows' columns in each class, diag(row sums) - cut, then csr_fold_rows."""
+    sec = sectors(op)
+    adj = _accel.adjacency(_accel.skeleton(op.act_rows, op.act_cols, op.n), op.act_coef)
+    rows = adj[op.interior_idx]
+    l_is = rows[:, op.strip_idx]
+    l_is.data *= -1.0
+    l_ii = sp.diags(rows @ np.ones(op.n)) - rows[:, op.interior_idx]
+    rows = adj[op.strip_idx]
+    l_ss = sp.diags(rows @ np.ones(op.n)) - rows[:, op.strip_idx]
+    return [list(csr_fold_rows(sec, l_ii, sec.interior, sec.interior, op.interior_idx)),
+            list(csr_fold_rows(sec, l_is, sec.interior, sec.strip, op.strip_idx)),
+            list(csr_fold_rows(sec, l_ss, sec.strip, sec.strip, op.strip_idx))]
+
+
+def assert_folds_match_the_csr_cut(op):
+    sec = sectors(op)
+    strip = rep_rows(op, sec.strip)
+    folds = [list(sec.fold_rows(rep_rows(op, sec.interior), sec.interior, sec.interior)),
+             list(sec.fold_rows(strip, sec.strip, sec.interior)),
+             list(sec.fold_rows(strip, sec.strip, sec.strip))]
+    for got, want in zip(folds, csr_blocks(op), strict=True):
+        assert len(got) == len(want) == len(sec.blocks)
+        for block, ref in zip(got, want):
+            assert block.shape == ref.shape
+            assert block.flags.f_contiguous and ref.flags.f_contiguous
+            assert block.tobytes(order="A") == ref.tobytes(order="A")
+
+
+def test_folds_from_the_edge_list_match_the_csr_cut_bit_for_bit(case):
+    assert_folds_match_the_csr_cut(case[0])
+
+
+@pytest.mark.parametrize("build", [
+    sf.toy3,
+    lambda: sf.toy3(w1=2.0, w2=1.0, edge_mode=sf.FULL),
+    lambda: nonuniform_line_op(sf.FULL),
+    lambda: nonuniform_line_op(sf.EXCLUDE_STRIP_STRIP),
+    # r = R: 64 strip nodes of the square and 2 of the line have no edge
+    lambda: make_op(1 / 16, 0.25, sf.tent_kernel(0.25, 2), dim=2),
+    lambda: make_op(1 / 64, 0.25, sf.tent_kernel(0.25, 1)),
+], ids=["toy3", "toy3-asym-full", "nonuniform-full", "nonuniform", "square-isolated",
+        "line-isolated"])
+def test_folds_match_the_csr_cut_on_fixtures_and_isolated_nodes(build):
+    op = build()
+    if op.lattice is not None:
+        assert analysis.isolated_strip_nodes(op).shape[0] in (2, 64)
+    assert_folds_match_the_csr_cut(op)
 
 
 def test_schur_blocks_match_the_oracle_and_the_one_block_route(case):

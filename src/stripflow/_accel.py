@@ -22,8 +22,25 @@ F(v) = E_p(v) - <lin, v> + (1/2) sum w (v - t)^2, adds its proximal weights
 w and its Levenberg shift itself.
 """
 
+import ctypes
+import os
+
 import numpy as np
 import scipy.sparse as sp
+
+# glibc's malloc raises its mmap threshold to the largest mapped block freed
+# and its trim threshold to twice that, so once an operator is freed the edge
+# arrays of the next land on the brk heap among small arrays that outlive a
+# run, and the peak resident size of one run moved with the address layout
+# (175 or 188 MB at 2D h = 1/64, glibc 2.36). Fixed, blocks over 12 MiB (those
+# edge arrays) are mapped on their own and the heap keeps up to 24 MiB free
+# rather than trimming it and page-faulting it back at every p != 2 solve.
+try:
+    if os.confstr("CS_GNU_LIBC_VERSION"):
+        ctypes.CDLL(None).mallopt(-3, 12 << 20)  # M_MMAP_THRESHOLD
+        ctypes.CDLL(None).mallopt(-1, 24 << 20)  # M_TRIM_THRESHOLD
+except (AttributeError, ValueError, OSError):
+    pass  # not glibc
 
 
 def _phi(d, p, eps, out=None):

@@ -347,12 +347,7 @@ def assemble(grid, spec, edge_mode=EXCLUDE_STRIP_STRIP):
     if length.size == 0:
         raise EmptySupport("no active node pair has a nonzero weight")
     # each pair's position in targets and its offset's index in the stencil
-    # table, in one block freed before the coefficients are formed. One block
-    # rather than two: glibc raises its mmap and trim thresholds to the
-    # largest block freed, and below twice the edge arrays' size the p != 2
-    # solvers' edge buffers and temporaries page-fault at every allocation
-    # (glibc 2.36, one round of the p = 3 benchmark workload at h = 1/32:
-    # about 2,100 minor page faults with one block, 51k with two)
+    # table, in one block freed before the coefficients are formed
     index = np.empty((2, int(length.sum())), dtype=np.int64)
     cols = targets[_ranges(start, length, index[0])]
     np.subtract(cols, _ranges(shift, length, index[1], step=0), out=index[1])

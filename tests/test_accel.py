@@ -7,6 +7,9 @@ to the free nodes, does. That dense Hessian is the oracle of the sparse
 Hessian operator, and its Cholesky solve the oracle of the PCG loop.
 """
 
+import ctypes
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -236,3 +239,32 @@ def test_pcg_signals_a_matrix_that_is_not_positive_definite(op2d):
     # the zero right-hand side needs no iteration
     x, iters = A.pcg(matvec, diag + 1.0, np.zeros(op2d.n_interior), 1e-10)
     assert iters == 0 and not np.any(x)
+
+
+def _mapped_bytes():
+    # glibc's count of the bytes in blocks mapped on their own
+    class Mallinfo2(ctypes.Structure):
+        _fields_ = [(name, ctypes.c_size_t) for name in
+                    ("arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+                     "fsmblks", "uordblks", "fordblks", "keepcost")]
+    info = ctypes.CDLL(None).mallinfo2
+    info.restype = Mallinfo2
+    return info().hblkhd
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallinfo2")
+                    or not os.confstr("CS_GNU_LIBC_VERSION"), reason="glibc 2.33+ only")
+def test_edge_sized_blocks_stay_mapped_after_one_is_freed():
+    # glibc's own rule would put the second 16 MiB block (the size of the
+    # edge arrays at 2D h = 1/64) on the heap once the first is freed; with
+    # the thresholds _accel fixes, every block over 12 MiB is mapped on its
+    # own, and an 8 MiB one stays on the heap
+    first = np.ones(2 << 20)
+    del first
+    before = _mapped_bytes()
+    second = np.ones(2 << 20)
+    assert _mapped_bytes() - before >= second.nbytes
+    before = _mapped_bytes()
+    small = np.ones(1 << 20)
+    assert _mapped_bytes() == before
+    del second, small

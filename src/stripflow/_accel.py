@@ -26,6 +26,7 @@ import ctypes
 import os
 
 import numpy as np
+import scipy.linalg  # noqa: F401  loads scipy's own OpenBLAS before the pin below
 import scipy.sparse as sp
 
 # glibc's malloc raises its mmap threshold to the largest mapped block freed
@@ -41,6 +42,34 @@ try:
         ctypes.CDLL(None).mallopt(-1, 24 << 20)  # M_TRIM_THRESHOLD
 except (AttributeError, ValueError, OSError):
     pass  # not glibc
+
+
+# OpenBLAS sizes its thread pool from the environment. On the p = 2 blocks (at
+# most 576 rows at 2D h = 1/64) a second thread cost more than it saved and moved
+# beta's last digit, so each OpenBLAS mapped here (numpy's, scipy's) gets one.
+def _pin_blas_threads():
+    try:
+        with open("/proc/self/maps") as maps:
+            libs = sorted({path for path in (ln.split(None, 5)[-1].strip() for ln in maps)
+                           if "openblas" in os.path.basename(path).lower()
+                           and os.path.isfile(path)})
+    except OSError:
+        return "BLAS threads not pinned: no /proc/self/maps"
+    if not libs:
+        return "BLAS threads not pinned: no OpenBLAS loaded"
+    pinned = 0
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        names = [pre + "set_num_threads" + suf for pre in ("openblas_", "scipy_openblas_")
+                 for suf in ("", "64_") if hasattr(lib, pre + "set_num_threads" + suf)]
+        if names:
+            ctypes.CFUNCTYPE(None, ctypes.c_int)((names[0], lib))(1)
+            pinned += 1
+    missing = "" if pinned == len(libs) else "; no thread setter in the others"
+    return f"OpenBLAS 1 thread ({pinned} of {len(libs)} libraries{missing})"
+
+
+_BLAS_THREADS = _pin_blas_threads()
 
 
 def _phi(d, p, eps, out=None):
@@ -210,5 +239,6 @@ def pcg(matvec, diag, b, rtol):
 
 
 def backend():
-    """Name of the edge-kernel backend; numpy is the only one."""
-    return "numpy"
+    """The edge-kernel backend, numpy, and the BLAS threads that importing
+    stripflow pinned: "numpy; OpenBLAS 1 thread (2 of 2 libraries)", or why none."""
+    return f"numpy; {_BLAS_THREADS}"

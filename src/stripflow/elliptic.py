@@ -176,8 +176,8 @@ def extend_linear(op, g):
     rhs = _interior_row_sums(op, full)
     parts = sec.fold(rhs, sec.interior)
     for part, (chol, lower) in zip(parts, _interior(op)):
-        # L_II^j = U^T U with U the upper factor: two triangular solves take
-        # half the time of cho_solve's potrs for one right-hand side. The
+        # L_II^j = U^T U with U the upper factor: for one right-hand side two
+        # triangular solves take two thirds of the time of cho_solve's potrs. The
         # cached factor is finite; checking it would scan its entries per solve
         sol = sla.solve_triangular(chol, part, trans="T", lower=lower, check_finite=False)
         part[:] = sla.solve_triangular(chol, sol, lower=lower, overwrite_b=True,

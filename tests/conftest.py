@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
@@ -17,6 +21,20 @@ def pytest_configure(config):
     cache = getattr(config, "cache", None)
     if cache is not None:
         set_hypothesis_home_dir(cache.mkdir("hypothesis"))
+
+
+def fresh_python(args, blas_threads):
+    """Run `python args` in a new process that imports this stripflow, with
+    OPENBLAS_NUM_THREADS set to blas_threads, or with no thread variable at
+    all when it is None. Returns the finished process; stdout is captured."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
+    src = os.path.dirname(os.path.dirname(sf.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          check=True, timeout=300)
 
 
 def make_op(h, r, kernel, edge_mode=sf.EXCLUDE_STRIP_STRIP, dim=1,

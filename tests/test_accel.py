@@ -19,7 +19,7 @@ from stripflow.elliptic import REG_EPS
 from stripflow.geometry import INTERIOR
 from stripflow.kernels import EXCLUDE_STRIP_STRIP, edge_skeleton, laplacian_dense, strip_edges
 
-from conftest import add_at_laplacian, nonuniform_line_op
+from conftest import add_at_laplacian, fresh_python, nonuniform_line_op
 
 CASES = [(2.0, 0.0), (1.5, 0.0), (1.5, 1e-10), (3.0, 0.0), (4.0, 1e-8)]
 
@@ -268,3 +268,29 @@ def test_edge_sized_blocks_stay_mapped_after_one_is_freed():
     small = np.ones(1 << 20)
     assert _mapped_bytes() == before
     del second, small
+
+
+# every OpenBLAS the process has mapped, with the thread count its exported
+# getter reports; read independently of _accel's own search
+_BLAS_THREADS_SCRIPT = """
+import ctypes, os, stripflow
+libs = {ln.split(None, 5)[-1].strip() for ln in open("/proc/self/maps")}
+for path in sorted(p for p in libs if "openblas" in os.path.basename(p).lower()):
+    lib = ctypes.CDLL(path)
+    names = [n + s for n in ("openblas_get_num_threads", "scipy_openblas_get_num_threads")
+             for s in ("", "64_") if hasattr(lib, n + s)]
+    print(path, ctypes.CFUNCTYPE(ctypes.c_int)((names[0], lib))() if names else "no-getter")
+print(stripflow.backend())
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+def test_import_pins_every_openblas_to_one_thread():
+    # the environment asks for two threads; importing stripflow must leave
+    # every loaded OpenBLAS (numpy's and scipy's) at one
+    out = fresh_python(["-c", _BLAS_THREADS_SCRIPT], blas_threads=2).stdout.splitlines()
+    *libs, backend = out
+    if not libs:
+        pytest.skip("no OpenBLAS loaded")
+    assert [ln.rsplit(" ", 1)[1] for ln in libs] == ["1"] * len(libs), libs
+    assert backend == f"numpy; OpenBLAS 1 thread ({len(libs)} of {len(libs)} libraries)"

@@ -10,6 +10,8 @@ from stripflow import cli
 from stripflow.cli import main
 from stripflow.io import fit_csv, read_strip_csv, read_trajectory_csv
 
+from conftest import fresh_python
+
 TOY3_LINEAR = {
     "fixture": "toy3",
     "problem": {"variant": "linear"},
@@ -25,6 +27,19 @@ GRID16 = {
     "kernel": {"family": "tent", "R": 0.5},
     "problem": {"variant": "linear"},
     "time": {"t_end": 0.5, "dt": 0.01},
+    "initial": {"preset": "random"},
+    "seed": 3,
+}
+
+# the benchmark's linear square: 2D h = 1/64, whose sector blocks (up to 448
+# strip rows) are large enough for OpenBLAS to thread; 20 steps of dt = 0.5
+SQUARE64 = {
+    "domain": {"dim": 2, "lo": [0.0, 0.0], "hi": [1.0, 1.0]},
+    "h": 1.0 / 64.0,
+    "r": 0.125,
+    "kernel": {"family": "tent", "R": 0.25},
+    "problem": {"variant": "linear"},
+    "time": {"t_end": 10.0, "dt": 0.5},
     "initial": {"preset": "random"},
     "seed": 3,
 }
@@ -402,3 +417,23 @@ def test_evolve_rejects_a_nan_config_number(runner, tmp_path):
     assert res.exit_code == 2
     assert "error [ConfigInvalid]" in res.stderr
     assert "time.t_end" in res.stderr
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # one process per command and thread setting, one after another; each
+    # writes its file and stdout, and all three settings must agree byte for byte
+    cfgs = {k: write_cfg(tmp_path, dict(SQUARE64, time=dict(SQUARE64["time"], integrator=k)),
+                         f"{k}.json") for k in ("explicit", "implicit")}
+    runs = {"beta": ["beta", "--config", cfgs["explicit"]],
+            "explicit": ["evolve", "--config", cfgs["explicit"]],
+            "implicit": ["evolve", "--config", cfgs["implicit"]]}
+    seen = {}
+    for threads in (1, 2, None):
+        for name, args in runs.items():
+            out = tmp_path / f"{name}-{threads}.csv"
+            res = fresh_python(["-m", "stripflow.cli", *args, "--out", str(out)], threads)
+            seen.setdefault(name, set()).add((res.stdout, res.stderr, out.read_bytes()))
+    assert {name: len(outs) for name, outs in seen.items()} == dict.fromkeys(runs, 1)
+    # the gap at 1 BLAS thread, which the unpinned 2-thread run missed by 2.8e-17
+    (beta,) = seen["beta"]
+    assert beta[0] == "0.011187723639422359\n"

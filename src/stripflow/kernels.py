@@ -42,6 +42,10 @@ _EDGE_MODES = (EXCLUDE_STRIP_STRIP, FULL)
 # node coordinates, so whether a pair there is kept would hang on that rounding
 _RIM_TOL = 64 * np.finfo(float).eps
 
+# Edges one chunk of a row write holds: every edge of 2D h = 1/32 (128836 at
+# R = 1/4) is one chunk, and the representative rows at h = 1/64 are five
+_ROW_CHUNK = 1 << 17
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -146,12 +150,18 @@ class NonlocalOperator:
 
     The active edge set contains every ordered node pair with a nonzero
     weight, minus the strip-strip pairs when edge_mode excludes them.
-    Interior rows are identical in both modes. The lexicographic edge list
-    with one symmetric coefficient per edge is the only stored form of the
-    edges: the p = 2 blocks are folded from its rows (symmetry.rep_rows),
-    strip_edges caches its strip rows, and edge_skeleton the CSR pattern
-    of each of the two edge sets, on which the p != 2 edge passes sum.
-    W[x][y] is act_coef / mu[x].
+    Interior rows are identical in both modes. An operator that assemble
+    built keeps only the offset stencil of its lattice (_stencil: a few KB)
+    and writes the rows of any node set from it on demand (_node_rows). At
+    assembly these are the rows out of the orbit representatives
+    (symmetry.sectors), which give deg_active and which the two p = 2 folds
+    take (symmetry.rep_rows). The lexicographic edge list with one symmetric
+    coefficient per edge is built on first access to act_rows, act_cols or
+    act_coef (edge_list), which the p != 2 edge passes, the linear
+    extension's row sums and laplacian_dense make; from then on the rows of
+    any node set, strip_edges among them, are gathered from it. An operator
+    built from given edges (_operator_from_dense) has its list from the
+    start. W[x][y] is act_coef / mu[x].
 
     Attributes
     ----------
@@ -160,7 +170,9 @@ class NonlocalOperator:
     act_coef : (nnz,) array
         mu[x] W[x][y] = mu[x] J(x - y) mu[y], the symmetric edge coefficients.
     deg_active : (n,) array
-        Per-node row sums of W over the active edge set.
+        Per-node row sums of W over the active edge set. On an assembled
+        operator each is the row sum of the orbit's representative, so it is
+        exactly equal across every orbit of the mirrors.
     lattice : (m0, m1) or None
         The lattice of the nodes, a 1D grid as one line (1, m1), for an
         operator that assemble built; None for any other.
@@ -170,14 +182,17 @@ class NonlocalOperator:
         self.grid = grid
         self.spec = spec
         self.edge_mode = edge_mode
-        self.act_rows = act_rows
-        self.act_cols = act_cols
-        self.act_coef = act_coef
         self.lattice = lattice
-        self.deg_active = np.bincount(act_rows, weights=act_coef, minlength=grid.n) / grid.mu
         self.strip_idx = strip_indices(grid)
         self.interior_idx = interior_indices(grid)
         self._cache = {}
+        # assemble passes no edges and sets the stencil, deg_active and nnz
+        self._stencil = None
+        self._edges = None
+        if act_rows is not None:
+            self._edges = (act_rows, act_cols, act_coef)
+            self._nnz = act_rows.shape[0]
+            self.deg_active = np.bincount(act_rows, weights=act_coef, minlength=grid.n) / grid.mu
 
     @property
     def n(self):
@@ -193,7 +208,19 @@ class NonlocalOperator:
 
     @property
     def nnz(self):
-        return self.act_rows.shape[0]
+        return self._nnz
+
+    @property
+    def act_rows(self):
+        return edge_list(self)[0]
+
+    @property
+    def act_cols(self):
+        return edge_list(self)[1]
+
+    @property
+    def act_coef(self):
+        return edge_list(self)[2]
 
 
 def _operator_from_dense(grid, spec, jmat, edge_mode):
@@ -271,8 +298,8 @@ def _stencil(spec, h, shape):
     return a, lo, hi, _values_from_distance(spec, np.sqrt(za * za + zb * zb))
 
 
-def _runs(grid, shape, seg_a, seg_lo, seg_hi, edge_mode):
-    """Each node's pairs as runs of consecutive node numbers.
+def _runs(op, node):
+    """The pairs of each of the given nodes as runs of consecutive node numbers.
 
     Node x = (i, j) reaches through the offset run (a, lo..hi) the nodes
     (i + a, j + lo..hi) that are on the grid, node numbers c0..c1. Columns
@@ -282,8 +309,8 @@ def _runs(grid, shape, seg_a, seg_lo, seg_hi, edge_mode):
     node's pair count, and for each nonempty run its first position in
     targets, its length, and its shift: the column less the index of its
     offset in the stencil table, constant along the run."""
-    m0, m1 = shape
-    node = np.arange(grid.n)
+    grid, (m0, m1) = op.grid, op.lattice
+    seg_a, seg_lo, seg_hi, _ = op._stencil
     i, j = np.divmod(node, m1)
     lo = np.maximum(seg_lo, -j[:, None])
     hi = np.minimum(seg_hi, m1 - 1 - j[:, None])
@@ -292,12 +319,12 @@ def _runs(grid, shape, seg_a, seg_lo, seg_hi, edge_mode):
     np.clip(line, 0, m0 - 1, out=line)
     c0 = line * m1 + j[:, None] + lo
     stop = c0 + (hi - lo + 1)
-    targets, start = node, c0
-    if edge_mode == EXCLUDE_STRIP_STRIP:
+    targets, start = np.arange(grid.n), c0
+    if op.edge_mode == EXCLUDE_STRIP_STRIP:
         interior = grid.klass != STRIP
-        targets = np.concatenate((node, np.flatnonzero(interior)))
+        targets = np.concatenate((targets, np.flatnonzero(interior)))
         rank = np.concatenate(([0], np.cumsum(interior))) + grid.n
-        strip_row = ~interior[:, None]
+        strip_row = ~interior[node, None]
         start = np.where(strip_row, rank[c0], c0)
         stop = np.where(strip_row, rank[stop], stop)
     length = np.where(on_grid, stop - start, 0)
@@ -307,6 +334,42 @@ def _runs(grid, shape, seg_a, seg_lo, seg_hi, edge_mode):
     return targets, length.sum(axis=1), start[runs], length[runs], (c0 - first_offset)[runs]
 
 
+def _node_rows(op, nodes):
+    """The active edges out of the ascending nodes, in edge order: (row,
+    col, coef) with row the node's index in nodes. Gathered from the edge
+    list when it exists, else written from the stencil, each coefficient
+    formed as in the edge list, mu[x], then times mu[y], then times J. The
+    runs are written in chunks of about _ROW_CHUNK edges, so that the
+    temporaries stay that small."""
+    if op._edges is not None:
+        rows, cols, coef = op._edges
+        start, stop = np.searchsorted(rows, (nodes, nodes + 1))
+        count = stop - start
+        some = count > 0  # _ranges takes no empty run: an isolated strip node has one
+        take = _ranges(start[some], count[some], np.empty(count.sum(), dtype=np.int64))
+        return np.repeat(np.arange(nodes.shape[0]), count), cols[take], coef[take]
+    jval, mu = op._stencil[3], op.grid.mu
+    targets, counts, start, length, shift = _runs(op, nodes)
+    coef = np.repeat(mu[nodes], counts)
+    cols = np.empty(coef.shape[0], dtype=np.int64)
+    ends = np.cumsum(length)
+    cuts = np.searchsorted(ends, np.arange(_ROW_CHUNK, coef.shape[0], _ROW_CHUNK), side="right")
+    bounds = np.unique(np.concatenate(([0], cuts, [length.shape[0]])))
+    step = np.arange(np.max(np.diff(ends[bounds[1:] - 1], prepend=0), initial=0))
+    for r0, r1 in zip(bounds[:-1], bounds[1:]):
+        e0, e1 = ends[r0] - length[r0], ends[r1 - 1]
+        run_len = length[r0:r1]
+        # each pair's position in targets, then its offset's index in the stencil table
+        pos = np.repeat(start[r0:r1] - (ends[r0:r1] - run_len - e0), run_len)
+        pos += step[:e1 - e0]
+        np.take(targets, pos, out=cols[e0:e1])
+        off = np.repeat(shift[r0:r1], run_len)
+        np.subtract(cols[e0:e1], off, out=off)
+        coef[e0:e1] *= mu[cols[e0:e1]]
+        coef[e0:e1] *= jval[off]
+    return np.repeat(np.arange(nodes.shape[0]), counts), cols, coef
+
+
 def assemble(grid, spec, edge_mode=EXCLUDE_STRIP_STRIP):
     """Assemble the quadrature weights W[x][y] = J(x - y) mu[y] on the
     lattice of build_grid.
@@ -314,12 +377,18 @@ def assemble(grid, spec, edge_mode=EXCLUDE_STRIP_STRIP):
     J is evaluated once per integer offset (a, b) of the support: the disc
     a^2 + b^2 < (R/h)^2 for tent and bump, every offset of the
     (2 m0 - 1) x (2 m1 - 1) box of an m0 x m1 grid for the singular
-    kernel. The offsets form
-    one table in lexicographic order, and a node's pairs at one a are a run
-    of consecutive columns on the grid, so the pairs are emitted run after
-    run, node after node: lexicographic with no sort and no n x n array,
-    in O(nnz) time and memory. The coefficient of a pair is
+    kernel. The offsets form one table in lexicographic order, and a
+    node's pairs at one a are a run of consecutive columns on the grid, so
+    the pairs of any node set are emitted run after run, node after node:
+    lexicographic with no sort and no n x n array, in time and memory
+    proportional to their number. The coefficient of a pair is
     mu[x] mu[y] J(offset), so the measures need not be uniform.
+
+    Assembly keeps the table and writes only the rows out of the orbit
+    representatives of symmetry.sectors: deg_active is each one's row sum,
+    spread over its orbit, nnz is their count times the orbits' size, and
+    the two p = 2 folds take them. The edge list is written on first use
+    (NonlocalOperator).
 
     Offsets whose squared length is within 64 eps (relative) of (R/h)^2
     are left out: J is 0 there up to the rounding of the node coordinates.
@@ -337,29 +406,38 @@ def assemble(grid, spec, edge_mode=EXCLUDE_STRIP_STRIP):
     EmptySupport
         If no node pair interacts, e.g. a compact kernel with R < h.
     """
+    from .symmetry import sectors  # symmetry reads the edges through this module
+
     if spec.dim != grid.dim:
         raise InvalidArgument(f"kernel dim {spec.dim} does not match grid dim {grid.dim}")
     if edge_mode not in _EDGE_MODES:
         raise InvalidArgument(f"unknown edge mode {edge_mode!r}")
-    shape = _lattice_shape(grid)
-    seg_a, seg_lo, seg_hi, jval = _stencil(spec, grid.h, shape)
-    targets, counts, start, length, shift = _runs(grid, shape, seg_a, seg_lo, seg_hi, edge_mode)
-    if length.size == 0:
+    op = NonlocalOperator(grid, spec, edge_mode, None, None, None, lattice=_lattice_shape(grid))
+    op._stencil = _stencil(spec, grid.h, op.lattice)
+    sec = sectors(op)
+    op.deg_active, op._nnz, pending = np.empty(grid.n), 0, {}
+    for name, idx, orbits in (("strip", op.strip_idx, sec.strip),
+                              ("interior", op.interior_idx, sec.interior)):
+        pending[name] = rows = _node_rows(op, orbits.reps)
+        op.deg_active[idx[orbits.table]] = (np.bincount(rows[0], weights=rows[2],
+                                                        minlength=orbits.size)
+                                            / grid.mu[orbits.reps])
+        op._nnz += rows[0].shape[0] * orbits.table.shape[0]
+    if op._nnz == 0:
         raise EmptySupport("no active node pair has a nonzero weight")
-    # each pair's position in targets and its offset's index in the stencil
-    # table, in one block freed before the coefficients are formed
-    index = np.empty((2, int(length.sum())), dtype=np.int64)
-    cols = targets[_ranges(start, length, index[0])]
-    np.subtract(cols, _ranges(shift, length, index[1], step=0), out=index[1])
-    values = jval[index[1]]
-    del index
-    # mu[x] mu[y] is one product from either end: the coefficient is exactly symmetric
-    coef = np.repeat(grid.mu, counts)
-    coef *= grid.mu[cols]
-    coef *= values
-    del values  # before rows: at most four edge-sized arrays are live at once
-    rows = np.repeat(np.arange(grid.n), counts)
-    return NonlocalOperator(grid, spec, edge_mode, rows, cols, coef, lattice=shape)
+    op._cache["rep_rows"] = pending
+    return op
+
+
+def edge_list(op):
+    """The lexicographic active edge list (rows, cols, coef) of op, written
+    from its stencil on first use and kept; the representative rows that
+    assembly left for the p = 2 folds are dropped then, as the folds gather
+    theirs from the list."""
+    if op._edges is None:
+        op._edges = _node_rows(op, np.arange(op.n))
+        op._cache.pop("rep_rows", None)
+    return op._edges
 
 
 def laplacian_dense(op):
@@ -375,8 +453,8 @@ def strip_edges(op):
     mu[x] W[x][y]. Cached on first use; the strip flux reads them at every
     explicit step and every right-hand side."""
     if "strip_edges" not in op._cache:
-        keep = op.grid.klass[op.act_rows] == STRIP
-        op._cache["strip_edges"] = (op.act_rows[keep], op.act_cols[keep], op.act_coef[keep])
+        row, cols, coef = _node_rows(op, op.strip_idx)
+        op._cache["strip_edges"] = (op.strip_idx[row], cols, coef)
     return op._cache["strip_edges"]
 
 

@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import _ranges
+from .kernels import _node_rows
 
 # the weight of each end of a sigma pair in its even and odd basis vectors
 _HALF = np.sqrt(0.5)
@@ -85,6 +85,11 @@ class Orbits:
     def partner(self):
         """(p,) the images sigma a of the pair representatives."""
         return self.swap[self.pair]
+
+    @cached_property
+    def order(self):
+        """(m,) the representatives in the order pair, partner, diag."""
+        return np.concatenate((self.pair, self.partner, self.diag))
 
 
 class Block(NamedTuple):
@@ -147,34 +152,47 @@ class Sectors:
         """Per block, the coefficients of the values on one class: sum_k
         chi(k) vals[k a] over K, then split by sigma. They are |K|^(1/2)
         times those in the orthonormal basis; the shared block's are an
-        (m, 2) array."""
+        (m, 2) array. The sigma-split characters 0 and 3 are split
+        together, in the order pair, partner, diag."""
         coef = self.signs @ vals[orbits.table]
-        parts = []
-        for blk in self.blocks:
-            row = coef[blk.char]
-            if self.copies(blk) == 2:
-                # the second sector's coefficients, those of the transpose of vals
-                parts.append(np.column_stack((row, coef[3 - blk.char][orbits.swap])))
-            elif blk.parity > 0:
-                parts.append(np.concatenate(((row[orbits.pair] + row[orbits.partner]) * _HALF,
-                                             row[orbits.diag])))
-            elif blk.parity < 0:
-                parts.append((row[orbits.pair] - row[orbits.partner]) * _HALF)
-            else:
-                parts.append(row)
-        return parts
+        if not self.split:
+            return list(coef)
+        p = orbits.pair.shape[0]
+        ends = coef[::3][:, orbits.order]
+        even = np.empty((2, orbits.size - p))
+        np.add(ends[:, :p], ends[:, p:2 * p], out=even[:, :p])
+        even[:, :p] *= _HALF
+        even[:, p:] = ends[:, 2 * p:]
+        odd = np.subtract(ends[:, :p], ends[:, p:2 * p])
+        odd *= _HALF
+        # the second sector's coefficients, those of the transpose of vals
+        shared = np.column_stack((coef[1], coef[2][orbits.swap]))
+        return [even[0], odd[0], shared, even[1], odd[1]]
 
     def unfold(self, parts, orbits):
-        """The class values whose fold is parts: the inverse of fold."""
-        coef = np.zeros((self.signs.shape[0], orbits.size))
-        for part, blk in zip(parts, self.blocks):
-            if self.copies(blk) == 2:
-                coef[blk.char] = part[:, 0]
-                coef[3 - blk.char] = part[orbits.swap, 1]
-            elif blk.parity:
-                coef[blk.char] += _spread(part, orbits, blk.parity)
-            else:
-                coef[blk.char] = part
+        """The class values whose fold is parts: the inverse of fold. Each
+        split character's coefficients are summed as onto zeros, its even
+        spread and then its odd one, so that a -0 comes back as +0."""
+        if self.split:
+            even0, odd0, shared, even3, odd3 = parts
+            p = orbits.pair.shape[0]
+            coef = np.empty((4, orbits.size))
+            coef[1] = shared[:, 0]
+            coef[2] = shared[orbits.swap, 1]
+            ends = np.empty((2, orbits.size))
+            np.multiply(even0[:p], _HALF, out=ends[0, :p])
+            np.multiply(even3[:p], _HALF, out=ends[1, :p])
+            ends[0, 2 * p:] = even0[p:]
+            ends[1, 2 * p:] = even3[p:]
+            ends += 0.0
+            ends[:, p:2 * p] = ends[:, :p]
+            half = np.stack((odd0, odd3))
+            half *= _HALF
+            ends[:, :p] += half
+            ends[:, p:2 * p] -= half
+            coef[::3][:, orbits.order] = ends
+        else:
+            coef = np.stack(parts)
         out = np.empty(orbits.table.size)
         out[orbits.table] = (self.signs @ coef) / self.signs.shape[0]
         return out
@@ -243,19 +261,21 @@ class Sectors:
 
 def rep_rows(op, orbits):
     """The active edges out of the representatives of orbits, in edge order:
-    (row, col, coef), the representative's index a, the column and coef."""
-    start, stop = np.searchsorted(op.act_rows, (orbits.reps, orbits.reps + 1))
-    count = stop - start
-    some = count > 0  # _ranges takes no empty run: an isolated strip node has one
-    take = _ranges(start[some], count[some], np.empty(count.sum(), dtype=np.int64))
-    return np.repeat(np.arange(orbits.size), count), op.act_cols[take], op.act_coef[take]
+    (row, col, coef), the representative's index a, the column and coef.
+    The rows that assemble wrote for the class are handed out once and
+    dropped; any other call writes or gathers them (kernels._node_rows)."""
+    pending = op._cache.get("rep_rows", {})
+    rows = pending.pop("strip" if orbits is sectors(op).strip else "interior", None)
+    if not pending:
+        op._cache.pop("rep_rows", None)
+    return _node_rows(op, orbits.reps) if rows is None else rows
 
 
 def _split_rank(orbits):
     """(m,) the place of each representative in the order pair, partner,
     diag."""
     rank = np.empty(orbits.size, dtype=np.int64)
-    rank[np.concatenate((orbits.pair, orbits.partner, orbits.diag))] = np.arange(orbits.size)
+    rank[orbits.order] = np.arange(orbits.size)
     return rank
 
 

@@ -6,8 +6,9 @@ from click.testing import CliRunner
 
 import stripflow as sf
 from stripflow.analysis import fit_decay
-from stripflow import cli
+from stripflow import cli, kernels
 from stripflow.cli import main
+from stripflow.config import build_problem, parse_config
 from stripflow.io import fit_csv, read_strip_csv, read_trajectory_csv
 
 from conftest import fresh_python
@@ -437,3 +438,32 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # the gap at 1 BLAS thread, which the unpinned 2-thread run missed by 2.8e-17
     (beta,) = seen["beta"]
     assert beta[0] == "0.011187723639422359\n"
+
+
+def test_grid_and_beta_build_no_edge_list(runner, tmp_path, monkeypatch):
+    # grid reads nnz and deg_active, beta folds the representatives' rows:
+    # neither builds the edge list, and nnz is the list's length
+    built = []
+    monkeypatch.setattr(kernels, "edge_list", built.append)
+    doc = dict(SQUARE64, h=1.0 / 32.0)
+    cfg = write_cfg(tmp_path, doc)
+    grid = runner.invoke(main, ["grid", "--config", cfg, "--out", str(tmp_path / "g.csv")])
+    beta = runner.invoke(main, ["beta", "--config", cfg])
+    assert grid.exit_code == beta.exit_code == 0 and not built
+    monkeypatch.undo()
+    _, op = build_problem(parse_config(doc))
+    assert f"nnz={kernels.edge_list(op)[0].shape[0]} " in grid.stdout
+
+
+def test_beta_at_h96_peaks_under_300_mb(tmp_path):
+    # the whole beta command in a fresh process, measured by its own peak
+    # resident size (KiB on Linux): 449 MB while assembly wrote the whole
+    # edge list, about 205 MB from the representatives' rows
+    cfg = write_cfg(tmp_path, dict(SQUARE64, h=1.0 / 96.0))
+    script = ("import resource, sys; from stripflow.cli import main; "
+              f"main(['beta', '--config', {cfg!r}, '--quiet'], standalone_mode=False); "
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    res = fresh_python(["-c", script], 1)
+    beta, peak_kib = res.stdout.split()
+    assert float(beta) == 0.00984304734223151
+    assert int(peak_kib) < 300 * 1024

@@ -12,7 +12,7 @@ from stripflow.elliptic import REG_EPS, _interior, _newton_free, extend_plaplace
 from stripflow.errors import (EmptyInterior, NoConvergence, NonConvexExponent,
                               SingularSystem)
 from stripflow.geometry import INTERIOR, STRIP
-from stripflow.kernels import _operator_from_dense, strip_edges
+from stripflow.kernels import _operator_from_dense, edge_list, strip_edges
 from stripflow.symmetry import sectors
 
 from conftest import BOX1, add_at_laplacian, line_grid, make_op, schur_oracle
@@ -363,9 +363,11 @@ def test_warm_start_is_cheap(op16):
 def test_plaplace_extension_allocates_no_full_matrix():
     # the Newton Hessian is a sparse operator on the 256 interior nodes; one
     # full n x n matrix alone takes 8 n^2 bytes. Nothing edge-sized is cached on
-    # the operator either: a copy of the interior edges would stay behind
+    # the operator either: a copy of the interior edges would stay behind. The
+    # edge list, which the first p != 2 pass builds, is built before tracing
     op = make_op(1.0 / 32.0, 0.25, sf.tent_kernel(0.25, 2), dim=2)
     assert (op.n, op.n_interior) == (1024, 256)
+    edge_list(op)
     g = sf.StripField(np.random.default_rng(6).standard_normal(op.n_strip), op.grid)
     tracemalloc.start()
     try:

@@ -7,9 +7,10 @@ from scipy.integrate import quad
 from scipy.spatial.distance import cdist
 
 import stripflow as sf
+from stripflow import kernels
 from stripflow.errors import (EmptySupport, InvalidArgument, SingularAtOrigin)
-from stripflow.kernels import (_operator_from_dense, _values_from_distance, laplacian_dense,
-                               strip_edges)
+from stripflow.kernels import (_operator_from_dense, _values_from_distance, edge_list,
+                               laplacian_dense, strip_edges)
 from stripflow.symmetry import rep_rows, sectors
 
 from conftest import BOX1, BOX2
@@ -33,9 +34,29 @@ def dense_oracle(grid, spec, edge_mode):
     return _operator_from_dense(grid, spec, jmat, edge_mode)
 
 
+# deg_active of an assembled operator off the orbit representatives, against
+# the row sum of each node's own edges: the image of a representative's row
+# holds the same terms in another order. Measured at most 34 eps relative (the
+# singular kernel, s = 0.3, at 2D h = 1/32; tent and bump at h >= 1/96 at most
+# 15); the bound is about twice that, far under the 2 (m - 1) eps by which two
+# orders of m positive terms may differ.
+DEG_OFF_REPS = 64 * np.finfo(float).eps
+
+
+def all_reps(op):
+    sec = sectors(op)
+    return np.concatenate((sec.strip.reps, sec.interior.reps))
+
+
 def same_operator(op, ref):
-    return all(np.array_equal(getattr(op, name), getattr(ref, name))
-               for name in ("act_rows", "act_cols", "act_coef", "deg_active"))
+    # the edge arrays bit for bit; deg_active bit for bit at the
+    # representatives, whose own rows it sums, and to DEG_OFF_REPS off them
+    reps = all_reps(op)
+    return (all(np.array_equal(getattr(op, name), getattr(ref, name))
+                for name in ("act_rows", "act_cols", "act_coef"))
+            and np.array_equal(op.deg_active[reps], ref.deg_active[reps])
+            and np.all(np.abs(op.deg_active - ref.deg_active)
+                       <= DEG_OFF_REPS * ref.deg_active))
 
 
 def test_eval_tent_examples():
@@ -213,6 +234,66 @@ def test_stencil_on_a_non_dyadic_grid_drops_only_rim_pairs(box, h, kernel, mode)
     assert kernel.family == sf.SINGULAR or not kept.all()
     assert ref.act_coef[~kept].max(initial=0.0) <= 1e-14 * ref.act_coef.max()
     np.testing.assert_allclose(op.act_coef, ref.act_coef[kept], rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("mode", [sf.EXCLUDE_STRIP_STRIP, sf.FULL])
+@pytest.mark.parametrize("box,h,kernel,order", [
+    (BOX2, 1.0 / 16.0, sf.tent_kernel(0.3, 2), 8),
+    (BOX2, 1.0 / 16.0, sf.singular_kernel(0.3, 2.5, 2), 8),
+    (sf.DomainBox(2, (-1.0, 0.0), (1.0, 0.5)), 1.0 / 16.0, sf.bump_kernel(0.3, 2), 4),
+    (BOX1, 1.0 / 16.0, sf.singular_kernel(0.5, 2.0, 1), 2),
+])
+def test_deg_active_is_one_row_sum_per_orbit(box, h, kernel, order, mode):
+    # every node of an orbit takes its representative's row sum, which is
+    # bit for bit the dense evaluation's
+    grid = sf.build_grid(box, h, 0.125)
+    op, ref = sf.assemble(grid, kernel, mode), dense_oracle(grid, kernel, mode)
+    sec = sectors(op)
+    assert sec.order == order
+    for idx, orbits in ((op.strip_idx, sec.strip), (op.interior_idx, sec.interior)):
+        deg = op.deg_active[idx[orbits.table]]
+        assert np.array_equal(deg, np.broadcast_to(deg[0], deg.shape))
+        assert np.array_equal(deg[0], ref.deg_active[orbits.reps])
+
+
+def test_p2_work_builds_no_edge_list():
+    # assembly writes the representatives' rows only; the gap, the step
+    # bound and both p = 2 integrators fold them or use S, and nnz is counted
+    # from the run lengths. The list built afterwards is as long as nnz said
+    grid = sf.build_grid(BOX2, 1.0 / 32.0, 0.125)
+    op = sf.assemble(grid, sf.tent_kernel(0.25, 2))
+    assert op._edges is None and op.nnz == 128836 and op._edges is None
+    gap = sf.spectral_gap_beta(op)
+    dt = 0.4 * sf.stability_bound(op)
+    for integrator in (sf.EXPLICIT, sf.IMPLICIT):
+        traj = sf.evolve(op, sf.ProblemSpec("linear"), gap.mode, 20 * dt, dt, integrator)
+        assert traj.times.shape[0] == 21
+    assert op._edges is None and "rep_rows" not in op._cache
+    rows, cols, coef = edge_list(op)
+    assert rows.shape == cols.shape == coef.shape == (op.nnz,)
+    assert np.array_equal(op.deg_active[all_reps(op)],
+                          (np.bincount(rows, weights=coef) / grid.mu)[all_reps(op)])
+
+
+@pytest.mark.parametrize("mode", [sf.EXCLUDE_STRIP_STRIP, sf.FULL])
+def test_rows_written_in_chunks_match_the_edge_list(mode, monkeypatch):
+    # a chunk of 1000 edges splits every row set below into several; the
+    # rows of any node set are the edge list's rows, bit for bit, before and
+    # after the list exists
+    grid = sf.build_grid(BOX2, 1.0 / 16.0, 0.125)
+    kernel = sf.singular_kernel(0.5, 2.0, 2)
+    whole = edge_list(sf.assemble(grid, kernel, mode))
+    monkeypatch.setattr(kernels, "_ROW_CHUNK", 1000)
+    op = sf.assemble(grid, kernel, mode)
+    nodes = np.flatnonzero(np.random.default_rng(3).random(grid.n) < 0.4)
+    written = kernels._node_rows(op, nodes)
+    assert all(np.array_equal(a, b) for a, b in zip(edge_list(op), whole))
+    gathered = kernels._node_rows(op, nodes)
+    keep = np.isin(whole[0], nodes)
+    for rows in (written, gathered):
+        assert np.array_equal(nodes[rows[0]], whole[0][keep])
+        assert np.array_equal(rows[1], whole[1][keep])
+        assert np.array_equal(rows[2], whole[2][keep])
 
 
 def test_assembly_takes_a_lattice_with_any_measures_and_classes():

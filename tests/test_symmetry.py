@@ -309,11 +309,14 @@ def test_operators_not_assembled_keep_one_sector(toy3_op):
     assert sectors(sf.assemble(grid, spec, sf.FULL)).order == 2
 
 
-def test_mirrors_are_decided_on_first_p2_use_not_in_assemble():
+def test_mirrors_are_decided_in_assemble():
+    # assembly writes the rows out of the representatives, so it works out
+    # the sectors; the two folds then take those rows and drop them
     op = make_op(1 / 16, 0.125, sf.tent_kernel(0.25, 2), dim=2)
-    assert "sectors" not in op._cache
-    sf.extend_linear(op, np.zeros(op.n_strip))
-    assert sectors(op).order == 8
+    assert op._cache["sectors"].order == 8
+    assert set(op._cache["rep_rows"]) == {"strip", "interior"}
+    sf.schur_complement(op)
+    assert set(op._cache) == {"sectors", "interior", "schur"}
 
 
 def test_eigensolve_cap_applies_to_the_largest_block(op2d, monkeypatch):

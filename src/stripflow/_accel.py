@@ -12,8 +12,8 @@ ones, in edge order, as np.bincount sums it. phi_row_sums is the one edge
 pass over node values: every balance, flux, gradient and energy is read
 off its row sums (divided by mu[x] for W units). laplacian_block writes
 the dense Laplacian blocks, the majoriser matrix and the test oracle
-laplacian_dense; the p = 2 sector blocks are folded from the edge list
-(symmetry.Sectors.fold_rows) with no adjacency. The Newton Hessian
+laplacian_dense; the p = 2 sector blocks are folded from the rows of the
+orbit representatives (symmetry.Sectors.fold_rows) with no adjacency. The Newton Hessian
 is never dense: hessian_accumulate returns its diagonal and a sparse
 matvec on its buffer, and pcg solves with them. Both builders give the
 Laplacian of edge weights alone and add no diagonal term:

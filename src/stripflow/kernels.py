@@ -1,7 +1,7 @@
 """Radial interaction kernels and the operator assembled from them.
 
 The quadrature weights follow the midpoint rule W[x][y] = J(x - y) * mu[y]
-with a zero diagonal. The operator stores one number per active ordered
+with a zero diagonal. The operator has one number per active ordered
 pair, the coefficient mu[x] W[x][y] = mu[x] J(x - y) mu[y], and W is that
 coefficient divided by mu[x]. The coefficient is exactly symmetric for any
 measures, which is reciprocity W[x][y] mu[x] = W[y][x] mu[y] and what makes
@@ -11,9 +11,11 @@ Assembly needs the nodes of build_grid, the cell centres lo + (i + 1/2) h
 of a lattice, and refuses any other node set. There J(x - y) depends only
 on the integer offset between the two nodes, so J is evaluated once per
 offset of the kernel's support, and the pairs of each node are runs of
-consecutive node numbers, one per line of offsets. The edge list is
-written run after run, already in lexicographic order, in time and memory
-proportional to its length. A compact kernel drops the offsets on the rim
+consecutive node numbers, one per line of offsets. The operator keeps that
+offset table and writes the rows of any node set from it, run after run,
+already in lexicographic order, in time and memory proportional to their
+length: at assembly the rows of the orbit representatives, the whole edge
+list only on first use. A compact kernel drops the offsets on the rim
 |x - y| = R of its support, where J is 0 up to the rounding of the
 coordinates. On a dyadic grid the result is bit for bit that of J
 evaluated at every node pair.
@@ -338,7 +340,8 @@ def _node_rows(op, nodes):
     """The active edges out of the ascending nodes, in edge order: (row,
     col, coef) with row the node's index in nodes. Gathered from the edge
     list when it exists, else written from the stencil, each coefficient
-    formed as in the edge list, mu[x], then times mu[y], then times J. The
+    formed as mu[x], then times mu[y], then times J, as J evaluated at
+    every node pair would give it. The
     runs are written in chunks of about _ROW_CHUNK edges, so that the
     temporaries stay that small."""
     if op._edges is not None:
@@ -350,7 +353,11 @@ def _node_rows(op, nodes):
         return np.repeat(np.arange(nodes.shape[0]), count), cols[take], coef[take]
     jval, mu = op._stencil[3], op.grid.mu
     targets, counts, start, length, shift = _runs(op, nodes)
-    coef = np.repeat(mu[nodes], counts)
+    # equal measures make mu[x] mu[y] one number, so the table takes the product
+    uniform = bool(np.all(mu == mu[0]))
+    if uniform:
+        jval = (mu[0] * mu[0]) * jval
+    coef = np.empty(counts.sum()) if uniform else np.repeat(mu[nodes], counts)
     cols = np.empty(coef.shape[0], dtype=np.int64)
     ends = np.cumsum(length)
     cuts = np.searchsorted(ends, np.arange(_ROW_CHUNK, coef.shape[0], _ROW_CHUNK), side="right")
@@ -365,8 +372,11 @@ def _node_rows(op, nodes):
         np.take(targets, pos, out=cols[e0:e1])
         off = np.repeat(shift[r0:r1], run_len)
         np.subtract(cols[e0:e1], off, out=off)
-        coef[e0:e1] *= mu[cols[e0:e1]]
-        coef[e0:e1] *= jval[off]
+        if uniform:
+            np.take(jval, off, out=coef[e0:e1])
+        else:
+            coef[e0:e1] *= mu[cols[e0:e1]]
+            coef[e0:e1] *= jval[off]
     return np.repeat(np.arange(nodes.shape[0]), counts), cols, coef
 
 

@@ -339,7 +339,8 @@ def _invariant(grid, perm):
 
 
 def sectors(op):
-    """The sectors of op, worked out on first use and cached on it.
+    """The sectors of op, worked out once and cached on it: assemble does
+    it to write the representatives' rows.
 
     K holds the mirror i -> m - 1 - i of each lattice axis whose node count
     m is even and under which grid.mu and grid.klass are unchanged; sigma

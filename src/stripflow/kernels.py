@@ -11,14 +11,13 @@ Assembly needs the nodes of build_grid, the cell centres lo + (i + 1/2) h
 of a lattice, and refuses any other node set. There J(x - y) depends only
 on the integer offset between the two nodes, so J is evaluated once per
 offset of the kernel's support, and the pairs of each node are runs of
-consecutive node numbers, one per line of offsets. The operator keeps that
-offset table and writes the rows of any node set from it, run after run,
-already in lexicographic order, in time and memory proportional to their
-length: at assembly the rows of the orbit representatives, the whole edge
-list only on first use. A compact kernel drops the offsets on the rim
-|x - y| = R of its support, where J is 0 up to the rounding of the
-coordinates. On a dyadic grid the result is bit for bit that of J
-evaluated at every node pair.
+consecutive node numbers, one per line of offsets. The rows of any node
+set are written from that table run after run, already in lexicographic
+order, in time and memory proportional to their length: at assembly those
+of the orbit representatives, the whole edge list on first use. A compact
+kernel drops the offsets on the rim |x - y| = R of its support, where J is
+0 up to the rounding of the coordinates. On a dyadic grid the result is
+bit for bit that of J evaluated at every node pair.
 """
 
 import math
@@ -152,18 +151,15 @@ class NonlocalOperator:
 
     The active edge set contains every ordered node pair with a nonzero
     weight, minus the strip-strip pairs when edge_mode excludes them.
-    Interior rows are identical in both modes. An operator that assemble
-    built keeps only the offset stencil of its lattice (_stencil: a few KB)
-    and writes the rows of any node set from it on demand (_node_rows). At
-    assembly these are the rows out of the orbit representatives
-    (symmetry.sectors), which give deg_active and which the two p = 2 folds
-    take (symmetry.rep_rows). The lexicographic edge list with one symmetric
-    coefficient per edge is built on first access to act_rows, act_cols or
-    act_coef (edge_list), which the p != 2 edge passes, the linear
-    extension's row sums and laplacian_dense make; from then on the rows of
-    any node set, strip_edges among them, are gathered from it. An operator
-    built from given edges (_operator_from_dense) has its list from the
-    start. W[x][y] is act_coef / mu[x].
+    Interior rows are identical in both modes. An assembled operator keeps
+    the offset stencil of its lattice (a few KB) and writes the rows of any
+    node set from it (_node_rows). The lexicographic edge list with one
+    symmetric coefficient per edge is built on first access to act_rows,
+    act_cols or act_coef (edge_list): by the p != 2 edge passes, the linear
+    extension's row sums and laplacian_dense, never by the p = 2 gap or
+    dynamics. Rows are then gathered from it. An operator built from given
+    edges (_operator_from_dense) has its list from the start. W[x][y] is
+    act_coef / mu[x].
 
     Attributes
     ----------
@@ -172,9 +168,8 @@ class NonlocalOperator:
     act_coef : (nnz,) array
         mu[x] W[x][y] = mu[x] J(x - y) mu[y], the symmetric edge coefficients.
     deg_active : (n,) array
-        Per-node row sums of W over the active edge set. On an assembled
-        operator each is the row sum of the orbit's representative, so it is
-        exactly equal across every orbit of the mirrors.
+        Per-node row sums of W over the active edge set; on an assembled
+        operator the sum of the orbit representative's row, for all its orbit.
     lattice : (m0, m1) or None
         The lattice of the nodes, a 1D grid as one line (1, m1), for an
         operator that assemble built; None for any other.
@@ -189,11 +184,9 @@ class NonlocalOperator:
         self.interior_idx = interior_indices(grid)
         self._cache = {}
         # assemble passes no edges and sets the stencil, deg_active and nnz
-        self._stencil = None
-        self._edges = None
+        self._stencil, self._edges = None, None
         if act_rows is not None:
-            self._edges = (act_rows, act_cols, act_coef)
-            self._nnz = act_rows.shape[0]
+            self._edges, self._nnz = (act_rows, act_cols, act_coef), act_rows.shape[0]
             self.deg_active = np.bincount(act_rows, weights=act_coef, minlength=grid.n) / grid.mu
 
     @property
@@ -212,17 +205,9 @@ class NonlocalOperator:
     def nnz(self):
         return self._nnz
 
-    @property
-    def act_rows(self):
-        return edge_list(self)[0]
-
-    @property
-    def act_cols(self):
-        return edge_list(self)[1]
-
-    @property
-    def act_coef(self):
-        return edge_list(self)[2]
+    act_rows = property(lambda self: edge_list(self)[0])
+    act_cols = property(lambda self: edge_list(self)[1])
+    act_coef = property(lambda self: edge_list(self)[2])
 
 
 def _operator_from_dense(grid, spec, jmat, edge_mode):
@@ -262,15 +247,10 @@ def _lattice_shape(grid):
     return (1,) + counts if grid.dim == 1 else counts
 
 
-def _ranges(starts, lengths, out, step=1):
-    """Fill out with the runs start, start + step, ..., one of each positive
-    length, laid end to end: steps with a jump at each run's head, summed in
-    place."""
-    heads = np.cumsum(lengths) - lengths
-    out.fill(step)
-    out[heads] = starts
-    out[heads[1:]] -= starts[:-1] + step * (lengths[:-1] - 1)
-    np.cumsum(out, out=out)
+def _ranges(starts, lengths):
+    """The runs start, start + 1, ..., one of each length, laid end to end."""
+    out = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    out += np.arange(out.shape[0])
     return out
 
 
@@ -296,7 +276,7 @@ def _stencil(spec, h, shape):
     # the coordinates are
     length = hi - lo + 1
     za = np.repeat(a, length) * h
-    zb = _ranges(lo, length, np.empty(length.sum(), dtype=np.int64)) * h
+    zb = _ranges(lo, length) * h
     return a, lo, hi, _values_from_distance(spec, np.sqrt(za * za + zb * zb))
 
 
@@ -339,17 +319,14 @@ def _runs(op, node):
 def _node_rows(op, nodes):
     """The active edges out of the ascending nodes, in edge order: (row,
     col, coef) with row the node's index in nodes. Gathered from the edge
-    list when it exists, else written from the stencil, each coefficient
-    formed as mu[x], then times mu[y], then times J, as J evaluated at
-    every node pair would give it. The
-    runs are written in chunks of about _ROW_CHUNK edges, so that the
-    temporaries stay that small."""
+    list when it exists, else written from the stencil as J evaluated at
+    every node pair gives them, (mu[x] mu[y]) J, in chunks of about
+    _ROW_CHUNK edges so that the temporaries stay that small."""
     if op._edges is not None:
         rows, cols, coef = op._edges
         start, stop = np.searchsorted(rows, (nodes, nodes + 1))
         count = stop - start
-        some = count > 0  # _ranges takes no empty run: an isolated strip node has one
-        take = _ranges(start[some], count[some], np.empty(count.sum(), dtype=np.int64))
+        take = _ranges(start, count)
         return np.repeat(np.arange(nodes.shape[0]), count), cols[take], coef[take]
     jval, mu = op._stencil[3], op.grid.mu
     targets, counts, start, length, shift = _runs(op, nodes)
@@ -360,20 +337,16 @@ def _node_rows(op, nodes):
     coef = np.empty(counts.sum()) if uniform else np.repeat(mu[nodes], counts)
     cols = np.empty(coef.shape[0], dtype=np.int64)
     ends = np.cumsum(length)
-    cuts = np.searchsorted(ends, np.arange(_ROW_CHUNK, coef.shape[0], _ROW_CHUNK), side="right")
-    bounds = np.unique(np.concatenate(([0], cuts, [length.shape[0]])))
-    step = np.arange(np.max(np.diff(ends[bounds[1:] - 1], prepend=0), initial=0))
+    bounds = np.append(np.unique(np.searchsorted(
+        ends, np.arange(0, coef.shape[0], _ROW_CHUNK), side="right")), length.shape[0])
     for r0, r1 in zip(bounds[:-1], bounds[1:]):
-        e0, e1 = ends[r0] - length[r0], ends[r1 - 1]
-        run_len = length[r0:r1]
+        e0, e1, run_len = ends[r0] - length[r0], ends[r1 - 1], length[r0:r1]
         # each pair's position in targets, then its offset's index in the stencil table
-        pos = np.repeat(start[r0:r1] - (ends[r0:r1] - run_len - e0), run_len)
-        pos += step[:e1 - e0]
-        np.take(targets, pos, out=cols[e0:e1])
-        off = np.repeat(shift[r0:r1], run_len)
-        np.subtract(cols[e0:e1], off, out=off)
+        pos = _ranges(start[r0:r1], run_len)
+        np.take(targets, pos, out=cols[e0:e1], mode="clip")  # unbuffered; pos is in range
+        off = np.subtract(cols[e0:e1], np.repeat(shift[r0:r1], run_len), out=pos)
         if uniform:
-            np.take(jval, off, out=coef[e0:e1])
+            np.take(jval, off, out=coef[e0:e1], mode="clip")
         else:
             coef[e0:e1] *= mu[cols[e0:e1]]
             coef[e0:e1] *= jval[off]
@@ -392,13 +365,11 @@ def assemble(grid, spec, edge_mode=EXCLUDE_STRIP_STRIP):
     the pairs of any node set are emitted run after run, node after node:
     lexicographic with no sort and no n x n array, in time and memory
     proportional to their number. The coefficient of a pair is
-    mu[x] mu[y] J(offset), so the measures need not be uniform.
-
-    Assembly keeps the table and writes only the rows out of the orbit
-    representatives of symmetry.sectors: deg_active is each one's row sum,
-    spread over its orbit, nnz is their count times the orbits' size, and
-    the two p = 2 folds take them. The edge list is written on first use
-    (NonlocalOperator).
+    mu[x] mu[y] J(offset), so the measures need not be uniform. Assembly
+    writes only the rows out of the orbit representatives (symmetry.sectors),
+    which the two p = 2 folds take: deg_active is each one's row sum, spread
+    over its orbit, and nnz their count times the orbit size. The edge list
+    is written on first use.
 
     Offsets whose squared length is within 64 eps (relative) of (R/h)^2
     are left out: J is 0 there up to the rounding of the node coordinates.
@@ -417,7 +388,6 @@ def assemble(grid, spec, edge_mode=EXCLUDE_STRIP_STRIP):
         If no node pair interacts, e.g. a compact kernel with R < h.
     """
     from .symmetry import sectors  # symmetry reads the edges through this module
-
     if spec.dim != grid.dim:
         raise InvalidArgument(f"kernel dim {spec.dim} does not match grid dim {grid.dim}")
     if edge_mode not in _EDGE_MODES:
@@ -429,9 +399,8 @@ def assemble(grid, spec, edge_mode=EXCLUDE_STRIP_STRIP):
     for name, idx, orbits in (("strip", op.strip_idx, sec.strip),
                               ("interior", op.interior_idx, sec.interior)):
         pending[name] = rows = _node_rows(op, orbits.reps)
-        op.deg_active[idx[orbits.table]] = (np.bincount(rows[0], weights=rows[2],
-                                                        minlength=orbits.size)
-                                            / grid.mu[orbits.reps])
+        sums = np.bincount(rows[0], weights=rows[2], minlength=orbits.size)
+        op.deg_active[idx[orbits.table]] = sums / grid.mu[orbits.reps]
         op._nnz += rows[0].shape[0] * orbits.table.shape[0]
     if op._nnz == 0:
         raise EmptySupport("no active node pair has a nonzero weight")
@@ -441,9 +410,8 @@ def assemble(grid, spec, edge_mode=EXCLUDE_STRIP_STRIP):
 
 def edge_list(op):
     """The lexicographic active edge list (rows, cols, coef) of op, written
-    from its stencil on first use and kept; the representative rows that
-    assembly left for the p = 2 folds are dropped then, as the folds gather
-    theirs from the list."""
+    from its stencil on first use and kept. The representative rows left
+    for the p = 2 folds go then: the folds gather theirs from the list."""
     if op._edges is None:
         op._edges = _node_rows(op, np.arange(op.n))
         op._cache.pop("rep_rows", None)

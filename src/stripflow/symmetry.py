@@ -87,9 +87,22 @@ class Orbits:
         return self.swap[self.pair]
 
     @cached_property
-    def order(self):
-        """(m,) the representatives in the order pair, partner, diag."""
-        return np.concatenate((self.pair, self.partner, self.diag))
+    def rank(self):
+        """(m,) the place of each representative in the order pair, partner,
+        diag, in which the blocks that sigma splits are folded."""
+        return np.argsort(np.concatenate((self.pair, self.partner, self.diag)))
+
+    @cached_property
+    def ranked(self):
+        """The indices of fold and unfold when sigma is kept: the table in
+        that order (the product with the characters takes each column on
+        its own), where each of its entries goes back to, and the shared
+        block in the characters' coefficients, (m, 2) and back (2, m)."""
+        m, order = self.size, np.argsort(self.rank)
+        table = self.table.take(order, axis=1)
+        return (table, np.argsort(table, axis=None),
+                np.column_stack((m + self.rank, 2 * m + self.rank[self.swap])),
+                np.stack((2 * order, 2 * self.swap[order] + 1)))
 
 
 class Block(NamedTuple):
@@ -152,62 +165,53 @@ class Sectors:
         """Per block, the coefficients of the values on one class: sum_k
         chi(k) vals[k a] over K, then split by sigma. They are |K|^(1/2)
         times those in the orthonormal basis; the shared block's are an
-        (m, 2) array. The sigma-split characters 0 and 3 are split
-        together, in the order pair, partner, diag."""
-        coef = self.signs @ vals[orbits.table]
+        (m, 2) array, the second column those of the transpose of vals."""
         if not self.split:
-            return list(coef)
+            return list(self.signs @ vals[orbits.table])
+        table, _, shared, _ = orbits.ranked
         p = orbits.pair.shape[0]
-        ends = coef[::3][:, orbits.order]
-        even = np.empty((2, orbits.size - p))
-        np.add(ends[:, :p], ends[:, p:2 * p], out=even[:, :p])
-        even[:, :p] *= _HALF
-        even[:, p:] = ends[:, 2 * p:]
-        odd = np.subtract(ends[:, :p], ends[:, p:2 * p])
-        odd *= _HALF
-        # the second sector's coefficients, those of the transpose of vals
-        shared = np.column_stack((coef[1], coef[2][orbits.swap]))
-        return [even[0], odd[0], shared, even[1], odd[1]]
+        coef = self.signs @ vals[table]
+        # per split character its odd block, then its even one: pairs, diag
+        out = np.empty((2, orbits.size))
+        np.subtract(coef[::3, :p], coef[::3, p:2 * p], out=out[:, :p])
+        np.add(coef[::3, :p], coef[::3, p:2 * p], out=out[:, p:2 * p])
+        out[:, :2 * p] *= _HALF
+        out[:, 2 * p:] = coef[::3, 2 * p:]
+        return [out[0, p:], out[0, :p], coef.take(shared), out[1, p:], out[1, :p]]
 
     def unfold(self, parts, orbits):
-        """The class values whose fold is parts: the inverse of fold. Each
-        split character's coefficients are summed as onto zeros, its even
-        spread and then its odd one, so that a -0 comes back as +0."""
-        if self.split:
-            even0, odd0, shared, even3, odd3 = parts
-            p = orbits.pair.shape[0]
-            coef = np.empty((4, orbits.size))
-            coef[1] = shared[:, 0]
-            coef[2] = shared[orbits.swap, 1]
-            ends = np.empty((2, orbits.size))
-            np.multiply(even0[:p], _HALF, out=ends[0, :p])
-            np.multiply(even3[:p], _HALF, out=ends[1, :p])
-            ends[0, 2 * p:] = even0[p:]
-            ends[1, 2 * p:] = even3[p:]
-            ends += 0.0
-            ends[:, p:2 * p] = ends[:, :p]
-            half = np.stack((odd0, odd3))
-            half *= _HALF
-            ends[:, :p] += half
-            ends[:, p:2 * p] -= half
-            coef[::3][:, orbits.order] = ends
-        else:
-            coef = np.stack(parts)
-        out = np.empty(orbits.table.size)
-        out[orbits.table] = (self.signs @ coef) / self.signs.shape[0]
-        return out
+        """The class values whose fold is parts: the inverse of fold."""
+        if not self.split:
+            out = np.empty(orbits.table.size)
+            out[orbits.table] = (self.signs @ np.stack(parts)) / self.signs.shape[0]
+            return out
+        _, back, _, shared = orbits.ranked
+        m, p = orbits.size, orbits.pair.shape[0]
+        even = np.concatenate(parts[::3]).reshape(2, m - p)
+        odd = np.concatenate(parts[1::3]).reshape(2, p)
+        odd *= _HALF
+        # summed as onto zeros: the even spread, then the odd one
+        half = even[:, :p] * _HALF
+        half += 0.0
+        coef = np.empty((4, m))
+        np.add(half, odd, out=coef[::3, :p])
+        np.subtract(half, odd, out=coef[::3, p:2 * p])
+        np.add(even[:, p:], 0.0, out=coef[::3, 2 * p:])
+        coef[1:3] = parts[2].take(shared)
+        return ((self.signs @ coef) / self.signs.shape[0]).take(back)
 
     def basis(self, j, coef, orbits):
         """(n_C, r) the class vectors with the coefficients coef (m_j, r) in
         the orthonormal basis of block j; for the shared block, of its first
         sector. The vectors of its second sector are these transposed,
         [orbits.transpose]."""
-        blk = self.blocks[j]
-        if blk.parity:
-            coef = _spread(coef, orbits, blk.parity)
+        blk, table = self.blocks[j], orbits.table
+        if blk.parity:  # spread over pair, partner and diag
+            p, half = orbits.pair.shape[0], coef[:orbits.pair.shape[0]] * _HALF
+            diag = coef[p:] if blk.parity > 0 else np.zeros((orbits.diag.shape[0],) + coef.shape[1:])
+            coef, table = np.concatenate((half, blk.parity * half, diag)), orbits.ranked[0]
         out = np.empty((orbits.table.size, coef.shape[1]))
-        out[orbits.table] = np.multiply.outer(self.signs[blk.char]
-                                              / np.sqrt(self.signs.shape[0]), coef)
+        out[table] = np.multiply.outer(self.signs[blk.char] / np.sqrt(self.signs.shape[0]), coef)
         return out
 
     def fold_rows(self, rows, row_orbits, col_orbits):
@@ -237,7 +241,7 @@ class Sectors:
         flat = row * m_c + slot
         # the characters that sigma splits are written in the order pair,
         # partner, diag on both sides, so that _halves reads slices
-        by_rank = (_split_rank(row_orbits)[row] * m_c + _split_rank(col_orbits)[slot]
+        by_rank = (row_orbits.rank[row] * m_c + col_orbits.rank[slot]
                    if self.split else None)
         del row, slot
         for blk in self.blocks:
@@ -262,36 +266,13 @@ class Sectors:
 def rep_rows(op, orbits):
     """The active edges out of the representatives of orbits, in edge order:
     (row, col, coef), the representative's index a, the column and coef.
-    The rows that assemble wrote for the class are handed out once and
-    dropped; any other call writes or gathers them (kernels._node_rows)."""
+    Those that assemble wrote are handed out once, then kernels._node_rows
+    writes or gathers them."""
     pending = op._cache.get("rep_rows", {})
     rows = pending.pop("strip" if orbits is sectors(op).strip else "interior", None)
     if not pending:
         op._cache.pop("rep_rows", None)
     return _node_rows(op, orbits.reps) if rows is None else rows
-
-
-def _split_rank(orbits):
-    """(m,) the place of each representative in the order pair, partner,
-    diag."""
-    rank = np.empty(orbits.size, dtype=np.int64)
-    rank[orbits.order] = np.arange(orbits.size)
-    return rank
-
-
-def _spread(part, orbits, parity):
-    """The coefficients over all K-representatives of the sigma-even
-    (parity > 0) or sigma-odd coefficients part, along its first axis."""
-    out = np.zeros((orbits.size,) + part.shape[1:])
-    n_pair = orbits.pair.shape[0]
-    half = part[:n_pair] * _HALF
-    out[orbits.pair] = half
-    if parity > 0:
-        out[orbits.partner] = half
-        out[orbits.diag] = part[n_pair:]
-    else:
-        out[orbits.partner] = -half
-    return out
 
 
 def _halves(block, p, q):
@@ -339,8 +320,7 @@ def _invariant(grid, perm):
 
 
 def sectors(op):
-    """The sectors of op, worked out once and cached on it: assemble does
-    it to write the representatives' rows.
+    """The sectors of op, worked out by assemble and cached on it.
 
     K holds the mirror i -> m - 1 - i of each lattice axis whose node count
     m is even and under which grid.mu and grid.klass are unchanged; sigma

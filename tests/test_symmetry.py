@@ -16,7 +16,7 @@ from stripflow.errors import InvalidArgument
 from stripflow.evolution import _implicit_linear_values, _schur_flux
 from stripflow.geometry import STRIP
 from stripflow.kernels import NonlocalOperator, _operator_from_dense
-from stripflow.symmetry import _halves, _split_rank, rep_rows, sectors
+from stripflow.symmetry import _halves, rep_rows, sectors
 
 from conftest import (BOX1, BOX2, assert_mirror_invariant, fold_strip, lattice_maps,
                       line_grid, make_op, nonuniform_line_op, schur_oracle, sector_basis)
@@ -117,6 +117,59 @@ def test_orbits_cover_each_class_once(case):
                                rtol=0.0, atol=4 * EPS * np.abs(vals).max())
 
 
+def loop_fold(sec, vals, orbits):
+    """fold block by block, each sigma half from its character's row."""
+    coef, half = sec.signs @ vals[orbits.table], np.sqrt(0.5)
+    parts = []
+    for blk in sec.blocks:
+        row = coef[blk.char]
+        if sec.copies(blk) == 2:
+            parts.append(np.column_stack((row, coef[3 - blk.char][orbits.swap])))
+        elif blk.parity:
+            part = (row[orbits.pair] + blk.parity * row[orbits.partner]) * half
+            parts.append(np.concatenate((part, row[orbits.diag])) if blk.parity > 0 else part)
+        else:
+            parts.append(row)
+    return parts
+
+
+def loop_unfold(sec, parts, orbits):
+    """unfold block by block, each sigma half spread and summed onto zeros."""
+    coef, n_pair = np.zeros((sec.signs.shape[0], orbits.size)), orbits.pair.shape[0]
+    for part, blk in zip(parts, sec.blocks):
+        if sec.copies(blk) == 2:
+            coef[blk.char], coef[3 - blk.char] = part[:, 0], part[orbits.swap, 1]
+        elif blk.parity:
+            spread, half = np.zeros(orbits.size), part[:n_pair] * np.sqrt(0.5)
+            spread[orbits.pair], spread[orbits.partner] = half, blk.parity * half
+            spread[orbits.diag] = part[n_pair:] if blk.parity > 0 else 0.0
+            coef[blk.char] += spread
+        else:
+            coef[blk.char] = part
+    out = np.empty(orbits.table.size)
+    out[orbits.table] = (sec.signs @ coef) / sec.signs.shape[0]
+    return out
+
+
+def test_fold_and_unfold_match_the_block_loop_bit_for_bit(case):
+    # values over 24 decades, so that any other order of a sum shows, and
+    # signed zeros, whose signs must come back as the block loop gives them
+    op, _ = case
+    sec, rng = sectors(op), np.random.default_rng(12)
+    bits = lambda a: np.ascontiguousarray(a).view(np.int64)  # noqa: E731
+    for orbits in (sec.strip, sec.interior):
+        n = orbits.table.size
+        for vals in (rng.standard_normal(n) * 10.0 ** rng.uniform(-12, 12, n),
+                     rng.choice([0.0, -0.0, 1.0], n)):
+            parts, ref = sec.fold(vals, orbits), loop_fold(sec, vals, orbits)
+            assert len(parts) == len(ref)
+            assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(parts, ref))
+            for new in ([a * 10.0 ** rng.uniform(-12, 12, a.shape) for a in ref],
+                        [rng.choice([0.0, -0.0, 2.0], a.shape) for a in ref]):
+                assert np.array_equal(bits(sec.unfold([a.copy() for a in new], orbits)),
+                                      bits(loop_unfold(sec, new, orbits)))
+
+
 def csr_fold_rows(sec, block, row_orbits, col_orbits, col_idx):
     """The fold of the sector blocks as it was made from a CSR block B with
     sorted columns, rows over the positions of row_orbits' class and
@@ -129,7 +182,7 @@ def csr_fold_rows(sec, block, row_orbits, col_orbits, col_idx):
     row = np.repeat(np.arange(m_r), np.diff(rows.indptr))
     flat = col * m_r + row
     if sec.split:
-        by_rank = _split_rank(col_orbits)[col] * m_r + _split_rank(row_orbits)[row]
+        by_rank = col_orbits.rank[col] * m_r + row_orbits.rank[row]
     elem = col_orbits.elem[col_idx][rows.indices]
     for blk in sec.blocks:
         if blk.parity < 0:

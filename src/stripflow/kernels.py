@@ -387,7 +387,7 @@ def assemble(grid, spec, edge_mode=EXCLUDE_STRIP_STRIP):
     EmptySupport
         If no node pair interacts, e.g. a compact kernel with R < h.
     """
-    from .symmetry import sectors  # symmetry reads the edges through this module
+    from .symmetry import sectors  # symmetry imports this module
     if spec.dim != grid.dim:
         raise InvalidArgument(f"kernel dim {spec.dim} does not match grid dim {grid.dim}")
     if edge_mode not in _EDGE_MODES:
@@ -411,10 +411,10 @@ def assemble(grid, spec, edge_mode=EXCLUDE_STRIP_STRIP):
 def edge_list(op):
     """The lexicographic active edge list (rows, cols, coef) of op, written
     from its stencil on first use and kept. The representative rows left
-    for the p = 2 folds go then: the folds gather theirs from the list."""
+    for the p = 2 folds go first: the folds gather theirs from the list."""
     if op._edges is None:
-        op._edges = _node_rows(op, np.arange(op.n))
         op._cache.pop("rep_rows", None)
+        op._edges = _node_rows(op, np.arange(op.n))
     return op._edges
 
 

@@ -190,7 +190,7 @@ class Sectors:
         even = np.concatenate(parts[::3]).reshape(2, m - p)
         odd = np.concatenate(parts[1::3]).reshape(2, p)
         odd *= _HALF
-        # summed as onto zeros: the even spread, then the odd one
+        # as if summed onto zeros, the even spread and then the odd one: -0 gives +0
         half = even[:, :p] * _HALF
         half += 0.0
         coef = np.empty((4, m))
@@ -207,7 +207,8 @@ class Sectors:
         [orbits.transpose]."""
         blk, table = self.blocks[j], orbits.table
         if blk.parity:  # spread over pair, partner and diag
-            p, half = orbits.pair.shape[0], coef[:orbits.pair.shape[0]] * _HALF
+            p = orbits.pair.shape[0]
+            half = coef[:p] * _HALF
             diag = coef[p:] if blk.parity > 0 else np.zeros((orbits.diag.shape[0],) + coef.shape[1:])
             coef, table = np.concatenate((half, blk.parity * half, diag)), orbits.ranked[0]
         out = np.empty((orbits.table.size, coef.shape[1]))
@@ -320,7 +321,7 @@ def _invariant(grid, perm):
 
 
 def sectors(op):
-    """The sectors of op, worked out by assemble and cached on it.
+    """The sectors of op, worked out once (by assemble) and cached on it.
 
     K holds the mirror i -> m - 1 - i of each lattice axis whose node count
     m is even and under which grid.mu and grid.klass are unchanged; sigma

@@ -205,9 +205,10 @@ class NonlocalOperator:
     def nnz(self):
         return self._nnz
 
-    act_rows = property(lambda self: edge_list(self)[0])
-    act_cols = property(lambda self: edge_list(self)[1])
-    act_coef = property(lambda self: edge_list(self)[2])
+    # edge_list is called, and traced, only while the list does not exist
+    act_rows = property(lambda self: (self._edges or edge_list(self))[0])
+    act_cols = property(lambda self: (self._edges or edge_list(self))[1])
+    act_coef = property(lambda self: (self._edges or edge_list(self))[2])
 
 
 def _operator_from_dense(grid, spec, jmat, edge_mode):

@@ -169,7 +169,7 @@ class NonlocalOperator:
         mu[x] W[x][y] = mu[x] J(x - y) mu[y], the symmetric edge coefficients.
     deg_active : (n,) array
         Per-node row sums of W over the active edge set; on an assembled
-        operator the sum of the orbit representative's row, for all its orbit.
+        operator one row's sum for each orbit of the symmetry group G.
     lattice : (m0, m1) or None
         The lattice of the nodes, a 1D grid as one line (1, m1), for an
         operator that assemble built; None for any other.
@@ -368,9 +368,8 @@ def assemble(grid, spec, edge_mode=EXCLUDE_STRIP_STRIP):
     proportional to their number. The coefficient of a pair is
     mu[x] mu[y] J(offset), so the measures need not be uniform. Assembly
     writes only the rows out of the orbit representatives (symmetry.sectors),
-    which the two p = 2 folds take: deg_active is each one's row sum, spread
-    over its orbit, and nnz their count times the orbit size. The edge list
-    is written on first use.
+    which the two p = 2 folds take. deg_active takes one row sum per orbit
+    under G, nnz is their length times |K|; the edge list waits for first use.
 
     Offsets whose squared length is within 64 eps (relative) of (R/h)^2
     are left out: J is 0 there up to the rounding of the node coordinates.
@@ -401,6 +400,7 @@ def assemble(grid, spec, edge_mode=EXCLUDE_STRIP_STRIP):
                               ("interior", op.interior_idx, sec.interior)):
         pending[name] = rows = _node_rows(op, orbits.reps)
         sums = np.bincount(rows[0], weights=rows[2], minlength=orbits.size)
+        sums[orbits.partner] = sums[orbits.pair]  # sigma maps the one row onto the other
         op.deg_active[idx[orbits.table]] = sums / grid.mu[orbits.reps]
         op._nnz += rows[0].shape[0] * orbits.table.shape[0]
     if op._nnz == 0:

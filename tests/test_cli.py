@@ -457,7 +457,7 @@ def test_grid_and_beta_build_no_edge_list(runner, tmp_path, monkeypatch):
 
 def test_beta_at_h96_peaks_under_300_mb(tmp_path):
     # the whole beta command in a fresh process, measured by its own peak
-    # resident size (KiB on Linux): 449 MB while assembly wrote the whole
+    # resident size (KiB on Linux): 450 MB while assembly wrote the whole
     # edge list, about 205 MB from the representatives' rows
     cfg = write_cfg(tmp_path, dict(SQUARE64, h=1.0 / 96.0))
     script = ("import resource, sys; from stripflow.cli import main; "

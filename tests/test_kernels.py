@@ -44,8 +44,11 @@ DEG_OFF_REPS = 64 * np.finfo(float).eps
 
 
 def all_reps(op):
+    # one representative of each orbit under G: sigma maps each partner's
+    # row onto its pair's, whose sum deg_active keeps
     sec = sectors(op)
-    return np.concatenate((sec.strip.reps, sec.interior.reps))
+    return np.concatenate([o.reps[np.concatenate((o.pair, o.diag))]
+                           for o in (sec.strip, sec.interior)])
 
 
 def same_operator(op, ref):
@@ -244,8 +247,8 @@ def test_stencil_on_a_non_dyadic_grid_drops_only_rim_pairs(box, h, kernel, mode)
     (BOX1, 1.0 / 16.0, sf.singular_kernel(0.5, 2.0, 1), 2),
 ])
 def test_deg_active_is_one_row_sum_per_orbit(box, h, kernel, order, mode):
-    # every node of an orbit takes its representative's row sum, which is
-    # bit for bit the dense evaluation's
+    # every node of an orbit under G, the mirrors and sigma, takes its
+    # representative's row sum, which is bit for bit the dense evaluation's
     grid = sf.build_grid(box, h, 0.125)
     op, ref = sf.assemble(grid, kernel, mode), dense_oracle(grid, kernel, mode)
     sec = sectors(op)
@@ -253,7 +256,8 @@ def test_deg_active_is_one_row_sum_per_orbit(box, h, kernel, order, mode):
     for idx, orbits in ((op.strip_idx, sec.strip), (op.interior_idx, sec.interior)):
         deg = op.deg_active[idx[orbits.table]]
         assert np.array_equal(deg, np.broadcast_to(deg[0], deg.shape))
-        assert np.array_equal(deg[0], ref.deg_active[orbits.reps])
+        assert np.array_equal(deg[0, orbits.partner], deg[0, orbits.pair])
+    assert np.array_equal(op.deg_active[all_reps(op)], ref.deg_active[all_reps(op)])
 
 
 def test_p2_work_builds_no_edge_list():

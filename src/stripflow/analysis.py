@@ -19,7 +19,8 @@ from .errors import (ConstantField, EmptyBump, InvalidArgument, NoConvergence,
                      NonPositiveData, NotMeanZero, TooFewStripNodes, WindowTooSmall)
 from .fields import StripField
 from .geometry import STRIP
-from .symmetry import rep_rows, sectors
+from .kernels import rep_rows
+from .symmetry import sectors
 
 SCHUR_EIG = "schur-eig"
 INVERSE_POWER = "inverse-power"
@@ -116,7 +117,7 @@ def _schur_blocks(op):
     out of the strip representatives give both L_SS and L_IS."""
     sec = sectors(op)
     factors = _interior(op) if op.n_interior else ()
-    rows = rep_rows(op, sec.strip)
+    rows = rep_rows(op, "strip")
     l_ss = sec.fold_rows(rows, sec.strip, sec.strip)
     l_is = sec.fold_rows(rows, sec.strip, sec.interior)
     del rows

@@ -35,8 +35,8 @@ import scipy.sparse as sp
 from . import _accel
 from .errors import EmptyInterior, NoConvergence, NonConvexExponent, SingularSystem
 from .fields import EnergyReport, FullField, StripField
-from .kernels import edge_skeleton, strip_edges
-from .symmetry import rep_rows, sectors
+from .kernels import edge_skeleton, rep_rows, strip_edges
+from .symmetry import sectors
 
 __all__ = [
     "StripField", "FullField", "EnergyReport", "REG_EPS",
@@ -135,7 +135,7 @@ def _interior(op):
         try:
             op._cache["interior"] = tuple(
                 sla.cho_factor(block, overwrite_a=True) for block in
-                sec.fold_rows(rep_rows(op, sec.interior), sec.interior, sec.interior))
+                sec.fold_rows(rep_rows(op, "interior"), sec.interior, sec.interior))
         except sla.LinAlgError as exc:
             raise SingularSystem(f"interior system is singular: {exc}") from exc
     return op._cache["interior"]
@@ -171,11 +171,14 @@ def extend_linear(op, g):
     # constant data exactly constant and costs nothing
     shift = _midrange(gv)
     sec = sectors(op)
+    # factored first, so that the fold takes the interior rows assemble wrote
+    # before the row sums build the edge list
+    factors = _interior(op)
     full = np.zeros(op.n)
     full[op.strip_idx] = gv - shift
     rhs = _interior_row_sums(op, full)
     parts = sec.fold(rhs, sec.interior)
-    for part, (chol, lower) in zip(parts, _interior(op)):
+    for part, (chol, lower) in zip(parts, factors):
         # L_II^j = U^T U with U the upper factor: for one right-hand side two
         # triangular solves take two thirds of the time of cho_solve's potrs. The
         # cached factor is finite; checking it would scan its entries per solve

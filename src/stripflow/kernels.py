@@ -331,11 +331,7 @@ def _node_rows(op, nodes):
         return np.repeat(np.arange(nodes.shape[0]), count), cols[take], coef[take]
     jval, mu = op._stencil[3], op.grid.mu
     targets, counts, start, length, shift = _runs(op, nodes)
-    # equal measures make mu[x] mu[y] one number, so the table takes the product
-    uniform = bool(np.all(mu == mu[0]))
-    if uniform:
-        jval = (mu[0] * mu[0]) * jval
-    coef = np.empty(counts.sum()) if uniform else np.repeat(mu[nodes], counts)
+    coef = np.repeat(mu[nodes], counts)
     cols = np.empty(coef.shape[0], dtype=np.int64)
     ends = np.cumsum(length)
     bounds = np.append(np.unique(np.searchsorted(
@@ -346,11 +342,8 @@ def _node_rows(op, nodes):
         pos = _ranges(start[r0:r1], run_len)
         np.take(targets, pos, out=cols[e0:e1], mode="clip")  # unbuffered; pos is in range
         off = np.subtract(cols[e0:e1], np.repeat(shift[r0:r1], run_len), out=pos)
-        if uniform:
-            np.take(jval, off, out=coef[e0:e1], mode="clip")
-        else:
-            coef[e0:e1] *= mu[cols[e0:e1]]
-            coef[e0:e1] *= jval[off]
+        coef[e0:e1] *= mu[cols[e0:e1]]
+        coef[e0:e1] *= jval[off]
     return np.repeat(np.arange(nodes.shape[0]), counts), cols, coef
 
 
@@ -407,6 +400,19 @@ def assemble(grid, spec, edge_mode=EXCLUDE_STRIP_STRIP):
         raise EmptySupport("no active node pair has a nonzero weight")
     op._cache["rep_rows"] = pending
     return op
+
+
+def rep_rows(op, name):
+    """The active edges out of the representatives of the orbit class name,
+    "strip" or "interior", of symmetry.sectors(op), in edge order: (row,
+    col, coef) with row the representative's index. The rows assemble
+    wrote are handed out once; later calls write or gather them."""
+    from .symmetry import sectors  # symmetry imports this module
+    pending = op._cache.get("rep_rows", {})
+    rows = pending.pop(name, None)
+    if not pending:
+        op._cache.pop("rep_rows", None)
+    return _node_rows(op, getattr(sectors(op), name).reps) if rows is None else rows
 
 
 def edge_list(op):

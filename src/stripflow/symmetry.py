@@ -42,7 +42,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import _node_rows
 
 # the weight of each end of a sigma pair in its even and odd basis vectors
 _HALF = np.sqrt(0.5)
@@ -218,7 +217,7 @@ class Sectors:
     def fold_rows(self, rows, row_orbits, col_orbits):
         """The blocks Q_j^T B Q_j of B = L[R, C], the Laplacian of the
         coefficients cut to the classes R of row_orbits and C of col_orbits,
-        from rows = rep_rows(op, row_orbits): minus the coefficients of the
+        from the rows kernels.rep_rows gives out of R: minus the coefficients of the
         edges into C and, when R is C, the row sums on the diagonal. Each
         character's block is one bincount, B_chi[a, b] = sum_k chi(k)
         B[a, k b], of the row sum first (the column a leads its orbit) and
@@ -262,18 +261,6 @@ class Sectors:
             out = (_halves(out, col_orbits.pair.shape[0], row_orbits.pair.shape[0])
                    if blk.parity else (out,))
             yield from out
-
-
-def rep_rows(op, orbits):
-    """The active edges out of the representatives of orbits, in edge order:
-    (row, col, coef), the representative's index a, the column and coef.
-    Those that assemble wrote are handed out once, then kernels._node_rows
-    writes or gathers them."""
-    pending = op._cache.get("rep_rows", {})
-    rows = pending.pop("strip" if orbits is sectors(op).strip else "interior", None)
-    if not pending:
-        op._cache.pop("rep_rows", None)
-    return _node_rows(op, orbits.reps) if rows is None else rows
 
 
 def _halves(block, p, q):

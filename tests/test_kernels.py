@@ -10,8 +10,8 @@ import stripflow as sf
 from stripflow import kernels
 from stripflow.errors import (EmptySupport, InvalidArgument, SingularAtOrigin)
 from stripflow.kernels import (_operator_from_dense, _values_from_distance, edge_list,
-                               laplacian_dense, strip_edges)
-from stripflow.symmetry import rep_rows, sectors
+                               laplacian_dense, rep_rows, strip_edges)
+from stripflow.symmetry import sectors
 
 from conftest import BOX1, BOX2
 
@@ -153,7 +153,7 @@ def test_toy3_dynamic_edges(toy3_op):
     # L_IS, interior rows and strip columns, folded from the strip rows:
     # one block, G = {e}
     sec = sectors(toy3_op)
-    (l_is,) = sec.fold_rows(rep_rows(toy3_op, sec.strip), sec.strip, sec.interior)
+    (l_is,) = sec.fold_rows(rep_rows(toy3_op, "strip"), sec.strip, sec.interior)
     np.testing.assert_array_equal(l_is, [[-1.0, -1.0]])
 
 
@@ -277,6 +277,19 @@ def test_p2_work_builds_no_edge_list():
     assert rows.shape == cols.shape == coef.shape == (op.nnz,)
     assert np.array_equal(op.deg_active[all_reps(op)],
                           (np.bincount(rows, weights=coef) / grid.mu)[all_reps(op)])
+
+
+def test_linear_extension_folds_the_rows_assembly_wrote(monkeypatch):
+    # on a fresh operator the interior factors are folded before the row sums
+    # build the edge list, so the only rows written after assembly are the list
+    grid = sf.build_grid(BOX2, 1.0 / 16.0, 0.125)
+    op = sf.assemble(grid, sf.tent_kernel(0.25, 2))
+    written, node_rows = [], kernels._node_rows
+    monkeypatch.setattr(kernels, "_node_rows",
+                        lambda op, nodes: written.append(nodes.shape[0]) or node_rows(op, nodes))
+    g = np.cos(3.0 * grid.nodes[op.strip_idx, 0])
+    sf.extend_linear(op, sf.StripField(g, grid))
+    assert written == [grid.n]
 
 
 @pytest.mark.parametrize("mode", [sf.EXCLUDE_STRIP_STRIP, sf.FULL])

@@ -15,8 +15,8 @@ from stripflow import _accel, analysis
 from stripflow.errors import InvalidArgument
 from stripflow.evolution import _implicit_linear_values, _schur_flux
 from stripflow.geometry import STRIP
-from stripflow.kernels import NonlocalOperator, _operator_from_dense
-from stripflow.symmetry import _halves, rep_rows, sectors
+from stripflow.kernels import NonlocalOperator, _operator_from_dense, rep_rows
+from stripflow.symmetry import _halves, sectors
 
 from conftest import (BOX1, BOX2, assert_mirror_invariant, fold_strip, lattice_maps,
                       line_grid, make_op, nonuniform_line_op, schur_oracle, sector_basis)
@@ -215,8 +215,8 @@ def csr_blocks(op):
 
 def assert_folds_match_the_csr_cut(op):
     sec = sectors(op)
-    strip = rep_rows(op, sec.strip)
-    folds = [list(sec.fold_rows(rep_rows(op, sec.interior), sec.interior, sec.interior)),
+    strip = rep_rows(op, "strip")
+    folds = [list(sec.fold_rows(rep_rows(op, "interior"), sec.interior, sec.interior)),
              list(sec.fold_rows(strip, sec.strip, sec.interior)),
              list(sec.fold_rows(strip, sec.strip, sec.strip))]
     for got, want in zip(folds, csr_blocks(op), strict=True):

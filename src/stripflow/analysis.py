@@ -13,8 +13,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import _accel
-from .elliptic import (_EPS, _extended_values, _interior, _newton_free, _pairing,
-                       _strip_flux, energy_values)
+from .elliptic import (_EPS, _extended_values, _extension_energy, _interior, _newton_free,
+                       energy_values)
 from .errors import (ConstantField, EmptyBump, InvalidArgument, NoConvergence,
                      NonPositiveData, NotMeanZero, TooFewStripNodes, WindowTooSmall)
 from .fields import StripField
@@ -247,7 +247,7 @@ def rayleigh_quotient(op, g, p):
     if abs(mean) > 1e-9 * sup:
         raise NotMeanZero(f"weighted mean {mean:.3e} exceeds 1e-9 * max |g|")
     full = _extended_values(op, gv, p)
-    numerator = p * _pairing(mu_s, gv, _strip_flux(op, full, p), p)
+    numerator = p * _extension_energy(op, full, p)
     denominator = float(np.sum(mu_s * np.abs(gv) ** p))
     return numerator / denominator
 

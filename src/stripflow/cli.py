@@ -20,7 +20,7 @@ from .analysis import (DIAG_COLUMNS, EXPONENTIAL, POLYNOMIAL,
                        counterexample_sequence, fit_decay, isolated_strip_nodes,
                        spectral_gap_beta, estimate_beta_p)
 from .config import PICARD, build_geometry, build_problem, initial_field, load_config
-from .elliptic import (_EPS, EXT_TOL, _extended_values, _strip_flux, energy,
+from .elliptic import (_EPS, EXT_TOL, _extended_values, _extension_energy, _strip_flux,
                        extend_with_report, interior_residual)
 from .errors import SolverError, StripflowError
 from .evolution import (EXPLICIT, IMPLICIT, _schur_flux, evolve, picard_solve,
@@ -106,7 +106,9 @@ def solve_elliptic_cmd(config_path, seed, quiet, values_path, out):
     p = cfg.problem.p
     field, report = extend_with_report(op, g, p, tol=cfg.tol, max_iter=cfg.max_iter)
     if report is None:
-        report = EnergyReport(energy=energy(op, field, p),
+        # p = 2: both figures from the strip rows and the interior products
+        # with the stencil, so no edge list is written
+        report = EnergyReport(energy=_extension_energy(op, field.values, p),
                               grad_norm=interior_residual(op, field, p),
                               iterations=1, converged=True)
     iox.write_field_csv(out, field)

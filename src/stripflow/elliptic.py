@@ -7,7 +7,10 @@ blocks (symmetry.sectors: up to 2^d mirror sectors of 1/2^d the size on
 an assembled box; on the unit square one block of a quarter shared by two
 sectors and four of about an eighth; one block otherwise), each folded
 from the edges out of the interior representatives (Sectors.fold_rows)
-and Cholesky-factored once per operator. For general p > 1 it is the
+and Cholesky-factored once per operator. Its right-hand side and its gate
+are interior row sums (kernels.interior_row_sums): on an assembled grid one
+FFT convolution with the stencil, so the p = 2 extension writes no edge
+list. For general p > 1 it is the
 Euler-Lagrange condition of a strictly convex edge energy E_p.
 _newton_free is the one descent solve for p != 2: it minimizes
 F(v) = E_p(v) - <lin, v> + (1/2) sum w (v - t)^2 over the free nodes, is
@@ -30,12 +33,11 @@ rows vanish, so its energy pairs the strip flux alone.
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from . import _accel
 from .errors import EmptyInterior, NoConvergence, NonConvexExponent, SingularSystem
 from .fields import EnergyReport, FullField, StripField
-from .kernels import edge_skeleton, rep_rows, strip_edges
+from .kernels import edge_skeleton, interior_row_sums, rep_rows, strip_edges
 from .symmetry import sectors
 
 __all__ = [
@@ -98,6 +100,13 @@ def _strip_flux(op, vals, p):
     return sums[op.strip_idx] / op.grid.mu[op.strip_idx]
 
 
+def _extension_energy(op, vals, p):
+    """E_p of an extended state from its strip flux alone: its interior
+    balance vanishes, so Euler's identity pairs the strip rows only."""
+    mu_s = op.grid.mu[op.strip_idx]
+    return _pairing(mu_s, vals[op.strip_idx], _strip_flux(op, vals, p), p)
+
+
 def energy(op, u, p):
     """Edge energy (1/2p) sum over active ordered pairs of
     mu[x] W[x][y] |u[y] - u[x]|**p, read off the balance of u (Euler's identity)."""
@@ -117,11 +126,15 @@ def energy_gradient(op, u, p):
 
 def interior_residual(op, u, p):
     """Sup-norm over interior nodes of the stationary balance: the residual
-    extend_plaplace is gated on and reports as grad_norm. For 1 < p < 2 it
-    is the balance regularized with REG_EPS, as in energy_gradient."""
+    each extension is gated on. At p = 2 it is extend_linear's
+    (_interior_balance), which needs no edge list; otherwise the one
+    extend_plaplace reports as grad_norm, for 1 < p < 2 the balance
+    regularized with REG_EPS, as in energy_gradient."""
     if op.n_interior == 0:
         return 0.0
     vals = u.values if isinstance(u, FullField) else np.asarray(u, dtype=float)
+    if p == 2.0:
+        return float(np.max(np.abs(_interior_balance(op, vals))))
     resid = residual_values(op, vals, p, eps_for(p))
     return float(np.max(np.abs(resid[op.interior_idx])))
 
@@ -141,18 +154,12 @@ def _interior(op):
     return op._cache["interior"]
 
 
-def _interior_row_sums(op, vals):
-    """Per interior node x, sum_y mu[x] W[x][y] vals[y], summed in edge order
-    as np.bincount sums it: a CSR product over the edges of one run of
-    consecutive interior nodes (a lattice line in 2D) at a time."""
+def _interior_balance(op, vals):
+    """Per interior node x, the linear balance sum_y W[x][y] vals[y] -
+    deg[x] vals[x]: the row sums of kernels.interior_row_sums, computed
+    apart from the sector folds and the interior factors."""
     idx = op.interior_idx
-    start, end = np.searchsorted(op.act_rows, (idx, idx + 1))
-    out = np.empty(idx.shape[0])
-    for run in np.split(np.arange(idx.shape[0]), np.flatnonzero(np.diff(idx) != 1) + 1):
-        a, b = start[run[0]], end[run[-1]]
-        out[run] = sp.csr_matrix((op.act_coef[a:b], op.act_cols[a:b].astype(np.int32),
-                                  np.append(start[run], b) - a), shape=(run.shape[0], op.n)) @ vals
-    return out
+    return interior_row_sums(op, vals) / op.grid.mu[idx] - op.deg_active[idx] * vals[idx]
 
 
 def extend_linear(op, g):
@@ -162,7 +169,9 @@ def extend_linear(op, g):
     satisfy L_II u = -L_IS g, i.e. diag(row sums) u - W_II u = W_IS g,
     solved block by block with the factors of _interior, the shared block
     with two columns. Its right-hand side and its gate, the whole interior
-    balance, are sums over the interior rows' edges: the gate checks the fold.
+    balance, are interior row sums (kernels.interior_row_sums: by FFT on
+    the stencil of an assembled operator, with no edge list), computed apart
+    from the folds and the factors, so the gate checks both.
     """
     if op.n_interior == 0:
         raise EmptyInterior("linear extension needs interior nodes")
@@ -171,25 +180,26 @@ def extend_linear(op, g):
     # constant data exactly constant and costs nothing
     shift = _midrange(gv)
     sec = sectors(op)
-    # factored first, so that the fold takes the interior rows assemble wrote
-    # before the row sums build the edge list
     factors = _interior(op)
     full = np.zeros(op.n)
     full[op.strip_idx] = gv - shift
-    rhs = _interior_row_sums(op, full)
-    parts = sec.fold(rhs, sec.interior)
+    parts = sec.fold(interior_row_sums(op, full), sec.interior)
     for part, (chol, lower) in zip(parts, factors):
+        # the cached factors are finite; checking one would scan it per solve
+        if part.ndim == 2:
+            # the shared block's two columns: one potrs call beats two pairs
+            # of triangular solves at one thread
+            part[:] = sla.cho_solve((chol, lower), part, overwrite_b=True, check_finite=False)
+            continue
         # L_II^j = U^T U with U the upper factor: for one right-hand side two
-        # triangular solves take two thirds of the time of cho_solve's potrs. The
-        # cached factor is finite; checking it would scan its entries per solve
+        # triangular solves take two thirds of the time of cho_solve's potrs
         sol = sla.solve_triangular(chol, part, trans="T", lower=lower, check_finite=False)
         part[:] = sla.solve_triangular(chol, sol, lower=lower, overwrite_b=True,
                                        check_finite=False)
     sol = sec.unfold(parts, sec.interior)
     full[op.interior_idx] = sol
     # gated on the whole balance sum_y W[x][y] u[y] - deg[x] u[x]; NaN fails too
-    resid = np.max(np.abs(_interior_row_sums(op, full) / op.grid.mu[op.interior_idx]
-                          - op.deg_active[op.interior_idx] * sol))
+    resid = np.max(np.abs(_interior_balance(op, full)))
     if not resid <= 1e-10 * (1.0 + np.max(np.abs(gv), initial=0.0)):
         raise SingularSystem(f"interior residual {resid:.3e} after interior solve")
     full[op.strip_idx] = gv

@@ -20,7 +20,7 @@ from stripflow.geometry import INTERIOR, STRIP
 from stripflow.kernels import _operator_from_dense, laplacian_dense
 from stripflow.symmetry import sectors
 
-from conftest import fold_strip, line_grid, make_op, schur_oracle
+from conftest import fold_strip, fresh_python, line_grid, make_op, schur_oracle
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "counterexample_golden.json"
 
@@ -318,6 +318,24 @@ def test_mode_scale_invariance(op16):
         scaled = sf.StripField(c * res.mode.values, op16.grid)
         assert sf.rayleigh_quotient(op16, scaled, 2.0) == pytest.approx(
             res.beta, abs=1e-8)
+
+
+def test_gap_and_quotient_at_h64_peak_under_145_mb():
+    # the gap, then the quotient of its mode, in a fresh process measured by
+    # its own peak resident size: 166-169 MB while the extension's row sums
+    # wrote the whole 2.1M-edge list, about 121 MB with them by FFT on the
+    # stencil. VmHWM, not ru_maxrss: a child's ru_maxrss keeps the high-water
+    # mark of the image it was started from, so under a large test process
+    # it reads that process's peak
+    script = ("import stripflow as sf; "
+              "grid = sf.build_grid(sf.DomainBox(2, (0.0, 0.0), (1.0, 1.0)), 1 / 64, 0.125); "
+              "op = sf.assemble(grid, sf.tent_kernel(0.25, 2)); "
+              "gap = sf.spectral_gap_beta(op); "
+              "print(gap.beta, sf.rayleigh_quotient(op, gap.mode, 2.0), "
+              "*[ln.split()[1] for ln in open('/proc/self/status') if ln.startswith('VmHWM')])")
+    beta, quotient, peak_kib = fresh_python(["-c", script], 1).stdout.split()
+    assert float(quotient) == pytest.approx(float(beta), rel=1e-12)
+    assert int(peak_kib) < 145 * 1024
 
 
 def test_rayleigh_toy3_by_hand(toy3_op):

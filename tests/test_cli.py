@@ -455,14 +455,36 @@ def test_grid_and_beta_build_no_edge_list(runner, tmp_path, monkeypatch):
     assert f"nnz={kernels.edge_list(op)[0].shape[0]} " in grid.stdout
 
 
+def test_linear_solve_elliptic_and_validate_build_no_edge_list(runner, tmp_path, monkeypatch):
+    # the p = 2 extension sums its interior rows on the stencil, its energy
+    # pairs the strip flux and its residual is the extension's own gate, so
+    # neither command builds the edge list; the figures printed are the edge
+    # list's to roundoff
+    built = []
+    monkeypatch.setattr(kernels, "edge_list", built.append)
+    doc = dict(SQUARE64, h=1.0 / 32.0)
+    cfg, out = write_cfg(tmp_path, doc), tmp_path / "field.csv"
+    res = runner.invoke(main, ["solve-elliptic", "--config", cfg, "--out", str(out)])
+    checks = runner.invoke(main, ["validate", "--config", cfg])
+    assert res.exit_code == checks.exit_code == 0 and not built
+    monkeypatch.undo()
+    _, op = build_problem(parse_config(doc))
+    vals = np.array([float(row.rsplit(",", 1)[1]) for row in out.read_text().splitlines()[1:]])
+    stats = dict(item.split("=") for item in res.stdout.split())
+    assert float(stats["energy"]) == pytest.approx(sf.energy(op, vals, 2.0), rel=1e-12)
+    assert float(stats["grad_norm"]) <= 1e-13 * (1.0 + np.abs(vals).max())
+
+
 def test_beta_at_h96_peaks_under_300_mb(tmp_path):
     # the whole beta command in a fresh process, measured by its own peak
-    # resident size (KiB on Linux): 450 MB while assembly wrote the whole
-    # edge list, about 205 MB from the representatives' rows
+    # resident size (VmHWM, KiB): 450 MB while assembly wrote the whole
+    # edge list, about 205 MB from the representatives' rows. ru_maxrss
+    # would keep the high-water mark of the test process it was started from
     cfg = write_cfg(tmp_path, dict(SQUARE64, h=1.0 / 96.0))
-    script = ("import resource, sys; from stripflow.cli import main; "
+    script = ("from stripflow.cli import main; "
               f"main(['beta', '--config', {cfg!r}, '--quiet'], standalone_mode=False); "
-              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+              "print(*[ln.split()[1] for ln in open('/proc/self/status') "
+              "if ln.startswith('VmHWM')])")
     res = fresh_python(["-c", script], 1)
     beta, peak_kib = res.stdout.split()
     assert float(beta) == 0.00984304734223151

@@ -219,8 +219,8 @@ def test_one_interior_factorisation_per_operator(monkeypatch):
 
 
 def test_linear_extension_gates_on_the_whole_interior_balance():
-    # the gate is the balance of every interior row, summed from the edge
-    # list apart from the folds and the block factors, so a factor that no
+    # the gate is the balance of every interior row, summed on the stencil
+    # apart from the folds and the block factors, so a factor that no
     # longer factors its block fails it
     op = make_op(1.0 / 16.0, 0.125, sf.tent_kernel(0.25, 2), dim=2)
     g = np.random.default_rng(2).standard_normal(op.n_strip)
@@ -236,8 +236,8 @@ def test_interior_cache_keeps_l_ii_only_as_its_factor():
     # the blocks of L_II are folded from the edge list and written dense only
     # to be factored in place, and no sparse L_II or L_IS is kept, so after
     # every p = 2 path the arrays on the operator are the interior factors,
-    # one per block, the blocks of S and the factors of M + dt S_j, and none
-    # is n_I x n_I
+    # one per block, the blocks of S, the factors of M + dt S_j and the
+    # transform of the stencil's J table, and none is n_I x n_I
     op = make_op(1.0 / 8.0, 0.125, sf.tent_kernel(0.25, 2), dim=2)
     assert op.n_strip != op.n_interior
     g = sf.StripField(np.random.default_rng(4).standard_normal(op.n_strip), op.grid)
@@ -257,13 +257,15 @@ def test_interior_cache_keeps_l_ii_only_as_its_factor():
     assert [rows.shape[0] for rows in sec.block_reps(sec.strip)] == [4, 3, 7, 4, 3]
     cached = [a for item in op._cache.values() for a in arrays(item)]
     # every size pinned: 9 and 6 are interior factors only, 7 and 4 the
-    # blocks of S and the implicit factors, and 3 two of each kind
+    # blocks of S and the implicit factors, and 3 two of each kind; the 8 x 8
+    # lattice's offsets lie on 15 x 15 points, whose real transform is 15 x 8
     assert Counter(a.shape for a in cached) == {(9, 9): 1, (6, 6): 2, (7, 7): 2,
-                                                (4, 4): 4, (3, 3): 6}
+                                                (4, 4): 4, (3, 3): 6, (15, 8): 1}
     # and each cached array is by identity one of those, with no other copy
     factors = [chol for chol, _ in _interior(op)]
     implicit = [chol for chol, _ in op._cache["implicit_chol"][1]]
-    owned = factors + list(sf.schur_complement(op)) + implicit
+    owned = (factors + list(sf.schur_complement(op)) + implicit
+             + [op._cache["stencil_transform"][1]])
     assert len(owned) == len(cached)
     assert all(sum(a is b for b in owned) == 1 for a in cached)
     assert not any(a.shape == (op.n_interior, op.n_interior) for a in cached)
@@ -383,8 +385,9 @@ def test_plaplace_extension_allocates_no_full_matrix():
 
 def test_solves_cache_no_same_class_edge_copy():
     # the p = 2 blocks are folded straight from the edge list and the
-    # extension passes over its interior rows, so the strip rows the flux
-    # reads are the one edge subset cached; the rest are the CSR skeletons
+    # extension convolves with the stencil's cached transform, so the strip
+    # rows the flux reads are the one edge subset cached; the rest are the
+    # transform, the CSR skeletons
     # of the two edge sets the p != 2 passes sum on (column index and row
     # pointer, no values), the mirror sectors, the interior factors, the
     # blocks of S and the strip factors
@@ -397,7 +400,7 @@ def test_solves_cache_no_same_class_edge_copy():
         sf.evolve(op, sf.ProblemSpec("plaplace", p), g, 0.02, 0.01, sf.IMPLICIT)
     sf.evolve(op, sf.ProblemSpec("plaplace", 3.0), g, 0.02, 0.01, sf.EXPLICIT)
     assert set(op._cache) == {"sectors", "interior", "schur", "implicit_chol", "strip_edges",
-                              "skeleton", "strip_skeleton"}
+                              "skeleton", "strip_skeleton", "stencil_transform"}
     for key, cols in (("skeleton", op.act_cols), ("strip_skeleton", strip_edges(op)[1])):
         indices, indptr = op._cache[key]
         assert indices.dtype == indptr.dtype == np.int32

@@ -20,12 +20,10 @@ from .analysis import (DIAG_COLUMNS, EXPONENTIAL, POLYNOMIAL,
                        counterexample_sequence, fit_decay, isolated_strip_nodes,
                        spectral_gap_beta, estimate_beta_p)
 from .config import PICARD, build_geometry, build_problem, initial_field, load_config
-from .elliptic import (_EPS, EXT_TOL, _extended_values, _extension_energy, _strip_flux,
-                       extend_with_report, interior_residual)
+from .elliptic import _EPS, EXT_TOL, _extended_values, _strip_flux, extend_with_report
 from .errors import SolverError, StripflowError
 from .evolution import (EXPLICIT, IMPLICIT, _schur_flux, evolve, picard_solve,
                         stability_bound, step_explicit, step_implicit)
-from .fields import EnergyReport
 from .geometry import strip_indices
 from .svg import write_svg
 from .symmetry import sectors
@@ -103,14 +101,8 @@ def solve_elliptic_cmd(config_path, seed, quiet, values_path, out):
         g = initial_field(cfg, grid, op=op)
     else:
         g = iox.read_strip_csv(values_path, grid)
-    p = cfg.problem.p
-    field, report = extend_with_report(op, g, p, tol=cfg.tol, max_iter=cfg.max_iter)
-    if report is None:
-        # p = 2: both figures from the strip rows and the interior products
-        # with the stencil, so no edge list is written
-        report = EnergyReport(energy=_extension_energy(op, field.values, p),
-                              grad_norm=interior_residual(op, field, p),
-                              iterations=1, converged=True)
+    field, report = extend_with_report(op, g, cfg.problem.p, tol=cfg.tol,
+                                       max_iter=cfg.max_iter)
     iox.write_field_csv(out, field)
     click.echo(f"energy={iox.fmt(report.energy)} grad_norm={iox.fmt(report.grad_norm)} "
                f"iterations={report.iterations} converged={report.converged}")

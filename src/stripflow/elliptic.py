@@ -126,15 +126,11 @@ def energy_gradient(op, u, p):
 
 def interior_residual(op, u, p):
     """Sup-norm over interior nodes of the stationary balance: the residual
-    each extension is gated on. At p = 2 it is extend_linear's
-    (_interior_balance), which needs no edge list; otherwise the one
-    extend_plaplace reports as grad_norm, for 1 < p < 2 the balance
-    regularized with REG_EPS, as in energy_gradient."""
+    extend_plaplace is gated on and reports as grad_norm. For 1 < p < 2 it
+    is the balance regularized with REG_EPS, as in energy_gradient."""
     if op.n_interior == 0:
         return 0.0
     vals = u.values if isinstance(u, FullField) else np.asarray(u, dtype=float)
-    if p == 2.0:
-        return float(np.max(np.abs(_interior_balance(op, vals))))
     resid = residual_values(op, vals, p, eps_for(p))
     return float(np.max(np.abs(resid[op.interior_idx])))
 
@@ -173,6 +169,13 @@ def extend_linear(op, g):
     the stencil of an assembled operator, with no edge list), computed apart
     from the folds and the factors, so the gate checks both.
     """
+    return _extend_linear(op, g)[0]
+
+
+def _extend_linear(op, g):
+    """extend_linear's field and the sup-norm of its gate: the interior
+    balance of the field shifted by the midrange of g, so constant data
+    reads exactly 0."""
     if op.n_interior == 0:
         raise EmptyInterior("linear extension needs interior nodes")
     gv = g.values if isinstance(g, StripField) else np.asarray(g, dtype=float)
@@ -185,26 +188,23 @@ def extend_linear(op, g):
     full[op.strip_idx] = gv - shift
     parts = sec.fold(interior_row_sums(op, full), sec.interior)
     for part, (chol, lower) in zip(parts, factors):
-        # the cached factors are finite; checking one would scan it per solve
-        if part.ndim == 2:
-            # the shared block's two columns: one potrs call beats two pairs
-            # of triangular solves at one thread
-            part[:] = sla.cho_solve((chol, lower), part, overwrite_b=True, check_finite=False)
-            continue
         # L_II^j = U^T U with U the upper factor: for one right-hand side two
-        # triangular solves take two thirds of the time of cho_solve's potrs
+        # triangular solves take two thirds of the time of cho_solve's potrs,
+        # and for the shared block's two columns within 3% of the whole
+        # extension. The cached factor is finite; checking it would scan its
+        # entries per solve
         sol = sla.solve_triangular(chol, part, trans="T", lower=lower, check_finite=False)
         part[:] = sla.solve_triangular(chol, sol, lower=lower, overwrite_b=True,
                                        check_finite=False)
     sol = sec.unfold(parts, sec.interior)
     full[op.interior_idx] = sol
     # gated on the whole balance sum_y W[x][y] u[y] - deg[x] u[x]; NaN fails too
-    resid = np.max(np.abs(_interior_balance(op, full)))
+    resid = float(np.max(np.abs(_interior_balance(op, full))))
     if not resid <= 1e-10 * (1.0 + np.max(np.abs(gv), initial=0.0)):
         raise SingularSystem(f"interior residual {resid:.3e} after interior solve")
     full[op.strip_idx] = gv
     full[op.interior_idx] = sol + shift
-    return FullField(full, op.grid)
+    return FullField(full, op.grid), resid
 
 
 def _interior_start(op, gv):
@@ -430,7 +430,9 @@ def extend_plaplace(op, g, p, tol=1e-10, max_iter=100, x0=None):
 def extend(op, g, p, tol=1e-10, max_iter=100, x0=None):
     """Extension by the appropriate path: linear solve at p = 2, energy
     minimization otherwise. Returns only the field."""
-    return extend_with_report(op, g, p, tol=tol, max_iter=max_iter, x0=x0)[0]
+    if p == 2.0:
+        return extend_linear(op, g)
+    return extend_plaplace(op, g, p, tol=tol, max_iter=max_iter, x0=x0)[0]
 
 
 def _extended_values(op, gv, p, x0=None):
@@ -442,13 +444,15 @@ def _extended_values(op, gv, p, x0=None):
 
 
 def extend_with_report(op, g, p, tol=1e-10, max_iter=100, x0=None):
-    """The one choice between the two extension paths: extend_linear at
-    p = 2, extend_plaplace otherwise.
+    """The extension with its report: extend_linear at p = 2,
+    extend_plaplace otherwise.
 
-    Returns (field, report). The report is extend_plaplace's EnergyReport,
-    or None from the linear path, which does no iterations and whose
-    energy the caller computes only if it wants it.
+    Returns (field, EnergyReport). At p = 2 the energy pairs the strip flux
+    (_extension_energy) and grad_norm is extend_linear's gate, so neither
+    writes the edge list; the solve counts as one iteration.
     """
     if p == 2.0:
-        return extend_linear(op, g), None
+        field, resid = _extend_linear(op, g)
+        return field, EnergyReport(energy=_extension_energy(op, field.values, p),
+                                   grad_norm=resid, iterations=1, converged=True)
     return extend_plaplace(op, g, p, tol=tol, max_iter=max_iter, x0=x0)

@@ -477,14 +477,12 @@ def test_linear_solve_elliptic_and_validate_build_no_edge_list(runner, tmp_path,
 
 def test_beta_at_h96_peaks_under_300_mb(tmp_path):
     # the whole beta command in a fresh process, measured by its own peak
-    # resident size (VmHWM, KiB): 450 MB while assembly wrote the whole
-    # edge list, about 205 MB from the representatives' rows. ru_maxrss
-    # would keep the high-water mark of the test process it was started from
+    # resident size (KiB on Linux): 450 MB while assembly wrote the whole
+    # edge list, about 205 MB from the representatives' rows
     cfg = write_cfg(tmp_path, dict(SQUARE64, h=1.0 / 96.0))
-    script = ("from stripflow.cli import main; "
+    script = ("import resource, sys; from stripflow.cli import main; "
               f"main(['beta', '--config', {cfg!r}, '--quiet'], standalone_mode=False); "
-              "print(*[ln.split()[1] for ln in open('/proc/self/status') "
-              "if ln.startswith('VmHWM')])")
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
     res = fresh_python(["-c", script], 1)
     beta, peak_kib = res.stdout.split()
     assert float(beta) == 0.00984304734223151

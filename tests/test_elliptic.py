@@ -8,7 +8,8 @@ import scipy.sparse as sp
 
 import stripflow as sf
 from stripflow import kernels
-from stripflow.elliptic import REG_EPS, _interior, _newton_free, extend_plaplace
+from stripflow.elliptic import (REG_EPS, _interior, _newton_free, extend_plaplace,
+                               extend_with_report)
 from stripflow.errors import (EmptyInterior, NoConvergence, NonConvexExponent,
                               SingularSystem)
 from stripflow.geometry import INTERIOR, STRIP
@@ -230,6 +231,24 @@ def test_linear_extension_gates_on_the_whole_interior_balance():
     chol[0, 0] *= 1.0 + 1e-6
     with pytest.raises(SingularSystem, match="interior residual"):
         sf.extend_linear(op, g)
+
+
+def test_linear_report_does_not_grow_with_a_constant_offset():
+    # the p = 2 report's grad_norm is extend_linear's gate, taken on values
+    # shifted by the midrange of g, and interior_residual sums W (u_y - u_x):
+    # a constant of any size reads exactly 0 on both, and an offset of the
+    # data leaves the report at the roundoff of the data without it
+    op = make_op(1.0 / 16.0, 0.125, sf.tent_kernel(0.25, 2), dim=2)
+    const = np.full(op.n_strip, -3e9)
+    field, report = extend_with_report(op, const, 2.0)
+    assert np.all(field.values == -3e9)
+    assert report.grad_norm == 0.0 == sf.interior_residual(op, field, 2.0)
+    g = np.random.default_rng(5).standard_normal(op.n_strip)
+    for offset in (0.0, 1e6, -1e9):
+        field, report = extend_with_report(op, g + offset, 2.0)
+        assert report.grad_norm <= 1e-13 * (1.0 + np.abs(g).max())
+        assert report.iterations == 1 and report.converged
+        assert report.energy == pytest.approx(sf.energy(op, field, 2.0), rel=1e-9)
 
 
 def test_interior_cache_keeps_l_ii_only_as_its_factor():

@@ -1,4 +1,4 @@
-"""Hot loops over the active edge list, in numpy.
+"""Hot loops over edge lists, in numpy.
 
 Edges are stored flat as (rows, cols, data) in lexicographic order, with
 data the symmetric coefficients mu[x] W[x][y] or a reweighting of them;
@@ -9,17 +9,20 @@ of an operator; adjacency puts weights on it without copying them, and
 edge_matrix gives it a fresh data buffer. The edge kernels write their
 per-edge values into such a buffer and sum each row by the product with
 ones, in edge order, as np.bincount sums it. phi_row_sums is the one edge
-pass over node values: every balance, flux, gradient and energy is read
-off its row sums (divided by mu[x] for W units). laplacian_block writes
-the dense Laplacian blocks, the majoriser matrix and the test oracle
-laplacian_dense; the p = 2 sector blocks are folded from the rows of the
-orbit representatives (symmetry.Sectors.fold_rows) with no adjacency. The Newton Hessian
-is never dense: hessian_accumulate returns its diagonal and a sparse
-matvec on its buffer, and pcg solves with them. Both builders give the
-Laplacian of edge weights alone and add no diagonal term:
-elliptic._newton_free, which minimizes
-F(v) = E_p(v) - <lin, v> + (1/2) sum w (v - t)^2, adds its proximal weights
-w and its Levenberg shift itself.
+pass over node values: on the ordered strip rows its row sums are mu times
+the strip flux, and on the interacting pairs x < y (kernels.pairs), which
+carry each edge once, the balance is its row sums minus the column sums of
+the same buffer, as phi_p is odd. Every balance, flux, gradient and energy
+is read off those sums (divided by mu[x] for W units). The two curvature
+builders take the pairs: laplacian_block writes the dense Laplacian blocks,
+the majoriser matrix and the test oracle laplacian_dense, and the p = 2
+sector blocks are folded from the rows of the orbit representatives
+(symmetry.Sectors.fold_rows) with no adjacency. The Newton Hessian is
+never dense: hessian_accumulate returns its diagonal and a sparse matvec
+on its buffer, and pcg solves with them. Both builders give the Laplacian
+of edge weights alone and add no diagonal term: elliptic._newton_free,
+which minimizes F(v) = E_p(v) - <lin, v> + (1/2) sum w (v - t)^2, adds its
+proximal weights w and its Levenberg shift itself.
 """
 
 import ctypes
@@ -73,30 +76,30 @@ _BLAS_THREADS = _pin_blas_threads()
 
 
 def _phi(d, p, eps, out=None):
-    # odd power map |d|^(p-2) d, written into out when given; eps > 0
-    # switches to the regularized form. p = 3 and p = 4 skip the per-edge
-    # pow call, which dominates otherwise
+    # odd power map |d|^(p-2) d, written into out when given, which may be d
+    # itself; eps > 0 switches to the regularized form. p = 3 and p = 4 skip
+    # the per-edge pow call, which dominates otherwise
     if out is None:
         out = np.empty_like(d)
     if p == 2.0:
         np.copyto(out, d)
     elif p == 3.0:
-        np.abs(d, out=out)
-        out *= d
+        np.multiply(np.abs(d), d, out=out)
     elif p == 4.0:
-        np.multiply(d, d, out=out)
-        out *= d
+        np.multiply(d * d, d, out=out)
     elif eps > 0.0:
         out[:] = d * (d * d + eps * eps) ** ((p - 2.0) / 2.0)
     else:
-        out.fill(0.0)
         nz = d != 0.0
-        out[nz] = np.abs(d[nz]) ** (p - 2.0) * d[nz]
+        dz = d[nz]
+        out.fill(0.0)
+        out[nz] = np.abs(dz) ** (p - 2.0) * dz
     return out
 
 
 def _psi(d, p, eps, out=None):
-    # derivative of _phi, written into out when given; nonnegative for p > 1
+    # derivative of _phi, written into out when given, which may be d itself;
+    # even in d and nonnegative for p > 1
     if out is None:
         out = np.empty_like(d)
     if p == 2.0:
@@ -105,14 +108,14 @@ def _psi(d, p, eps, out=None):
         np.abs(d, out=out)
         out *= 2.0
     elif p == 4.0:
-        np.multiply(d, 3.0, out=out)
-        out *= d
+        np.multiply(d * 3.0, d, out=out)
     elif eps > 0.0:
         out[:] = (d * d + eps * eps) ** ((p - 4.0) / 2.0) * (eps * eps + (p - 1.0) * d * d)
     else:
-        out.fill(0.0)
         nz = d != 0.0
-        out[nz] = (p - 1.0) * np.abs(d[nz]) ** (p - 2.0)
+        dz = d[nz]
+        out.fill(0.0)
+        out[nz] = (p - 1.0) * np.abs(dz) ** (p - 2.0)
     return out
 
 
@@ -140,69 +143,83 @@ def edge_matrix(skel):
     return adjacency(skel, np.empty(skel[0].shape[0]))
 
 
+def _differences(vals, cols, mat):
+    """vals[col] - vals[row] at every edge of mat, written into its data
+    buffer: np.take in clip mode writes there unbuffered (cols is in range)."""
+    np.take(vals, cols, out=mat.data, mode="clip")
+    # vals[rows] is each row's value repeated over its edges
+    mat.data -= np.repeat(vals, np.diff(mat.indptr))
+    return mat.data
+
+
 def phi_row_sums(rows, cols, data, vals, p, eps, nrows, mat=None):
     """Per-row sums of data * phi_p(vals[col] - vals[row]) over the nrows
-    rows of vals. With data the coefficients mu[x] W[x][y] this is mu times
-    the nonlocal balance, minus the gradient of the edge energy at p. mat,
-    an edge_matrix on the skeleton of (rows, cols), takes the products as
-    its data; None makes one for the call."""
+    rows of vals. With data the coefficients mu[x] W[x][y] of every edge of
+    a row this is mu times the nonlocal balance, minus the gradient of the
+    edge energy at p; on the pairs x < y the balance is these sums minus
+    the column sums of mat. mat, an edge_matrix on the skeleton of (rows,
+    cols), takes the products as its data; None makes one for the call."""
     if mat is None:
         mat = edge_matrix(skeleton(rows, cols, nrows))
-    # vals[rows] is each row's value repeated over its edges
-    d = vals[cols]
-    d -= np.repeat(vals, np.diff(mat.indptr))
-    _phi(d, p, eps, out=mat.data)
-    mat.data *= data
+    d = _differences(vals, cols, mat)
+    _phi(d, p, eps, out=d)
+    d *= data
     return mat @ np.ones(nrows)
 
 
 def laplacian_block(rows, cols, w, free, skel=None):
-    """L[free, free] for the Laplacian L of the edges (rows, cols, w),
-    lexicographic over all nodes: the full row sums of w on the diagonal,
-    -w at each edge whose two ends are free, and no other diagonal term.
-    free lists the free nodes in ascending order, skel is the edges'
-    skeleton, built for the call when None. The edge set must be
-    symmetric (reciprocity), so no column index exceeds the largest row
-    index. The array is Fortran-ordered, so cho_factor(..., overwrite_a=True)
-    factors it in place."""
+    """L[free, free] for the Laplacian L of the pairs (rows, cols, w), each
+    interacting pair x < y once with its weight: the full row sums of w from
+    both ends on the diagonal, -w at each pair whose two ends are free, on
+    both sides of it, and no other diagonal term. free lists the free nodes
+    in ascending order, skel is the pairs' skeleton over every node, built
+    for the call when None. The array is Fortran-ordered, so
+    cho_factor(..., overwrite_a=True) factors it in place."""
     if skel is None:
-        skel = skeleton(rows, cols, max(rows[-1], free[-1]) + 1)
-    adj = adjacency(skel, w)
-    block = adj[free][:, free]
-    # the cut is a copy; negating its stored entries keeps the zeros +0.0
+        skel = skeleton(rows, cols, max(cols.max(initial=0), free[-1]) + 1)
+    upper = adjacency(skel, w)
+    cut = upper[free][:, free]
+    # U and U^T share no entry, so the sum adds none; the cut is a copy, and
+    # negating its stored entries keeps the zeros +0.0
+    block = cut + cut.T
     block.data *= -1.0
     out = block.toarray(order="F")
-    np.fill_diagonal(out, (adj @ np.ones(adj.shape[0]))[free])
+    # the row sums of U + U^T: each pair once from either end
+    ones = np.ones(upper.shape[0])
+    np.fill_diagonal(out, (upper @ ones + upper.T @ ones)[free])
     return out
 
 
 def hessian_accumulate(rows, cols, data, vals, p, eps, free, mat=None):
     """(diag, matvec) on the free nodes of what laplacian_block would write
-    for the edge weights data * phi_p'(vals[row] - vals[col]): the Hessian of
-    the edge energy at vals, with no other diagonal term. The weights go
-    into the data of mat, an edge_matrix on the skeleton of (rows, cols)
-    (None makes one), and matvec multiplies by it, so mat must not be
-    written again while matvec is in use. With every node free, matvec is
-    the plain product; otherwise pinned nodes enter it as zeros, which
-    costs less than cutting the matrix to the free nodes once per Newton
-    iteration."""
+    for the pair weights data * phi_p'(vals[row] - vals[col]): the Hessian
+    of the edge energy at vals, with no other diagonal term. (rows, cols,
+    data) are the pairs x < y; the weights go into the data of mat, an
+    edge_matrix on their skeleton (None makes one), and matvec multiplies
+    by it and by its transpose view, so mat must not be written again while
+    matvec is in use. With every node free, matvec is the plain product;
+    otherwise pinned nodes enter it as zeros, which costs less than cutting
+    the matrix to the free nodes once per Newton iteration."""
     n = vals.shape[0]
     if mat is None:
         mat = edge_matrix(skeleton(rows, cols, n))
-    d = np.repeat(vals, np.diff(mat.indptr))
-    d -= vals[cols]
-    _psi(d, p, eps, out=mat.data)
-    mat.data *= data
-    # each row summed in edge order, as every Laplacian diagonal is
-    sums = mat @ np.ones(n)
+    # phi_p' is even: the differences vals[col] - vals[row] give its values
+    d = _differences(vals, cols, mat)
+    _psi(d, p, eps, out=d)
+    d *= data
+    upper, lower = mat, mat.T
+    ones = np.ones(n)
+    sums = upper @ ones
+    sums += lower @ ones
     if free.shape[0] == n:
-        return sums, lambda x: sums * x - mat @ x
+        return sums, lambda x: sums * x - upper @ x - lower @ x
     diag = sums[free]
     full = np.zeros(n)
 
     def matvec(x):
         full[free] = x
-        out = mat @ full
+        out = upper @ full
+        out += lower @ full
         return diag * x - out[free]
 
     return diag, matvec

@@ -20,12 +20,19 @@ NoConvergence carries too. The extension pins the strip and drops
 lin and (w, t); the implicit p != 2 step frees every node with w = mu / dt
 and t = u on the strip, and each of its iterates is shifted by the constant
 that keeps the strip mass; estimate_beta_p pins one node and adds lin.
-Every p != 2 edge pass runs on the operator's cached CSR skeleton of its
-edge set (kernels.edge_skeleton), and each descent solve owns two
-edge-sized buffers on it: one for its balances, one for its Hessian or
-its majoriser, which _accel.laplacian_block writes with no diagonal term.
-Balances are in W units, coefficient row sums over mu[x]. Energies come
-from the same row sums by Euler's identity: E_p is p-homogeneous, the
+Every whole-operator p != 2 pass runs on the interacting pairs x < y
+(kernels.pairs), one coefficient per pair, and each descent solve owns two
+pair-sized buffers on their cached CSR skeleton U (kernels.edge_skeleton):
+one for its balances, one for its Hessian or its majoriser. phi_p is odd
+and the coefficients symmetric, so the balance is the row sums of the
+balance buffer less its column sums, the Hessian's diagonal the row plus
+the column sums of its buffer and its product U x + U^T x, and the
+majoriser's dense block the cut of U + U^T (_accel.laplacian_block, no
+diagonal term). The strip flux keeps its ordered strip rows
+(kernels.strip_edges), and at p = 2 the public residual and energy take
+the interior rows from interior_row_sums and write no pairs. Balances are
+in W units, coefficient row sums over mu[x]. Energies come from the same
+row sums by Euler's identity: E_p is p-homogeneous, the
 coefficients symmetric and phi_p odd, so for the balance r of any v and any
 constant c, E_p(v) = (1/p) <mu (c - v), r>. An extended state's interior
 rows vanish, so its energy pairs the strip flux alone.
@@ -37,7 +44,7 @@ import scipy.linalg as sla
 from . import _accel
 from .errors import EmptyInterior, NoConvergence, NonConvexExponent, SingularSystem
 from .fields import EnergyReport, FullField, StripField
-from .kernels import edge_skeleton, interior_row_sums, rep_rows, strip_edges
+from .kernels import edge_skeleton, interior_row_sums, pairs, rep_rows, strip_edges
 from .symmetry import sectors
 
 __all__ = [
@@ -81,12 +88,27 @@ def energy_values(op, vals, p):
     return _pairing(op.grid.mu, vals, residual_values(op, vals, p, 0.0), p)
 
 
-def residual_values(op, vals, p, eps, mat=None):
-    """Per-node weighted sums r[x] = sum_y W[x][y] phi_p(u[y] - u[x]). mat
-    is the pass's edge buffer on edge_skeleton(op); None makes one."""
-    if mat is None:
-        mat = _accel.edge_matrix(edge_skeleton(op))
-    sums = _accel.phi_row_sums(op.act_rows, op.act_cols, op.act_coef, vals, p, eps, op.n, mat)
+def residual_values(op, vals, p, eps):
+    """Per-node weighted sums r[x] = sum_y W[x][y] phi_p(u[y] - u[x]). At
+    p = 2 the interior rows are the linear balance of vals less their
+    midrange (_interior_balance) and the strip rows the strip flux, so no
+    whole-operator pass runs; otherwise one pass over the pairs."""
+    if p != 2.0:
+        return _pair_balance(op, vals, p, eps, _accel.edge_matrix(edge_skeleton(op)))
+    out = np.empty(op.n)
+    out[op.interior_idx] = _interior_balance(op, vals - _midrange(vals))
+    out[op.strip_idx] = _strip_flux(op, vals, p)
+    return out
+
+
+def _pair_balance(op, vals, p, eps, mat):
+    """residual_values from one pass over the pairs x < y (kernels.pairs):
+    pair x y carries f = mu[x] W[x][y] phi_p(u[y] - u[x]) into row x and,
+    phi_p being odd, -f into row y, so the balance is the row sums of the
+    pass's buffer mat on edge_skeleton(op) less its column sums."""
+    rows, cols, coef = pairs(op)
+    sums = _accel.phi_row_sums(rows, cols, coef, vals, p, eps, op.n, mat)
+    sums -= mat.T @ np.ones(op.n)
     return np.divide(sums, op.grid.mu, out=sums)
 
 
@@ -258,9 +280,10 @@ def _newton_free(op, p, v0, free, max_iter, converged, *, lin=None, prox=None):
     raised at once when a majorizer factor fails.
     """
     eps = eps_for(p)
-    # this solve's edge buffers on the cached skeleton, dropped on return:
-    # one for the balance, and one for the Hessian or the majoriser, which
-    # stays live while the line search evaluates
+    # this solve's buffers on the cached skeleton of the pairs, dropped on
+    # return: one for the balance, and one for the Hessian or the
+    # majoriser, which stays live while the line search evaluates
+    rows, cols, coef = pairs(op)
     skel = edge_skeleton(op)
     balance = _accel.edge_matrix(skel)
     curvature = _accel.edge_matrix(skel)
@@ -272,10 +295,10 @@ def _newton_free(op, p, v0, free, max_iter, converged, *, lin=None, prox=None):
     wsum = float(np.sum(prox[0])) if prox is not None and free.shape[0] == op.n else 0.0
 
     def evaluate(x):
-        resid = residual_values(op, x, p, 0.0, balance)
+        resid = _pair_balance(op, x, p, 0.0, balance)
         f = _pairing(mu, x, resid, p)
         if eps > 0.0:
-            resid = residual_values(op, x, p, eps, balance)
+            resid = _pair_balance(op, x, p, eps, balance)
         if lin is not None:
             f -= float(np.dot(lin, x))
             resid += lin / mu
@@ -286,10 +309,9 @@ def _newton_free(op, p, v0, free, max_iter, converged, *, lin=None, prox=None):
         return f, resid
 
     def majorizer(x):
-        d = x[op.act_cols] - x[op.act_rows]
-        w = np.multiply(op.act_coef, (d * d + eps * eps) ** ((p - 2.0) / 2.0),
-                        out=curvature.data)
-        mat = _accel.laplacian_block(op.act_rows, op.act_cols, w, free, skel)
+        d = x[cols] - x[rows]
+        w = np.multiply(coef, (d * d + eps * eps) ** ((p - 2.0) / 2.0), out=curvature.data)
+        mat = _accel.laplacian_block(rows, cols, w, free, skel)
         mat[np.diag_indices_from(mat)] += wf
         return mat
 
@@ -306,8 +328,7 @@ def _newton_free(op, p, v0, free, max_iter, converged, *, lin=None, prox=None):
     def floor():
         # sensitivity of r to a relative perturbation eps of v: eps max |v|
         # times the largest W-unit row sum of the edge weights phi_p'(d)
-        diag, _ = _accel.hessian_accumulate(op.act_rows, op.act_cols, op.act_coef, v,
-                                            p, eps, free, curvature)
+        diag, _ = _accel.hessian_accumulate(rows, cols, coef, v, p, eps, free, curvature)
         return _EPS * float(np.max(np.abs(v))) * float(np.max(diag / muf, initial=0.0))
 
     def result(iterations, done, stalled=False):
@@ -351,8 +372,8 @@ def _newton_free(op, p, v0, free, max_iter, converged, *, lin=None, prox=None):
                         found, step = jump, None
                 prev_step = step
         else:
-            diag, hess = _accel.hessian_accumulate(op.act_rows, op.act_cols, op.act_coef, v,
-                                                   p, eps, free, curvature)
+            diag, hess = _accel.hessian_accumulate(rows, cols, coef, v, p, eps, free,
+                                                   curvature)
             dscale = max(np.mean(diag + wf), 1e-30)
             resid_sup = np.max(np.abs(resid[free]), initial=0.0)
             # inexact Newton: the forcing term shrinks with the gradient

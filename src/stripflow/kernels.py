@@ -14,9 +14,11 @@ offset of the kernel's support, and the pairs of each node are runs of
 consecutive node numbers, one per line of offsets. The rows of any node
 set are written from that table run after run, already in lexicographic
 order, in time and memory proportional to their length: at assembly those
-of the orbit representatives, the whole edge list on first use. The
-interior rows' products with node values are one convolution with that
-table (interior_row_sums), with no edge list. A compact
+of the orbit representatives, and for the p != 2 passes the interacting
+pairs x < y (pairs), each once, from the half of the table after the
+self-offset. The interior rows' products with node values are one
+convolution with that table (interior_row_sums). No solve writes the
+whole ordered edge list (edge_list); tests take it as their oracle. A compact
 kernel drops the offsets on the rim |x - y| = R of its support, where J is
 0 up to the rounding of the coordinates. On a dyadic grid the result is
 bit for bit that of J evaluated at every node pair.
@@ -157,13 +159,15 @@ class NonlocalOperator:
     Interior rows are identical in both modes. An assembled operator keeps
     the offset stencil of its lattice (a few KB) and writes the rows of any
     node set from it (_node_rows), and sums the interior rows against node
-    values as one FFT convolution with it (interior_row_sums). The
-    lexicographic edge list with one symmetric coefficient per edge is
-    built on first access to act_rows, act_cols or act_coef (edge_list): by
-    the p != 2 edge passes and laplacian_dense, never by the p = 2 gap,
-    dynamics or linear extension. Rows are then gathered from it. An
-    operator built from given edges (_operator_from_dense) has its list
-    from the start. W[x][y] is act_coef / mu[x].
+    values as one FFT convolution with it (interior_row_sums). The p != 2
+    passes run on the interacting pairs x < y, one coefficient each
+    (pairs), written from the stencil on first use and cached with their
+    CSR skeleton. The lexicographic edge list with one symmetric
+    coefficient per ordered edge is built on first access to act_rows,
+    act_cols or act_coef (edge_list), which no solve makes: it is the
+    tests' oracle. Rows are then gathered from it. An operator built from
+    given edges (_operator_from_dense) has its list from the start and
+    takes its pairs from it. W[x][y] is act_coef / mu[x].
 
     Attributes
     ----------
@@ -285,8 +289,9 @@ def _stencil(spec, h, shape):
     return a, lo, hi, _values_from_distance(spec, np.sqrt(za * za + zb * zb))
 
 
-def _runs(op, node):
-    """The pairs of each of the given nodes as runs of consecutive node numbers.
+def _runs(op, node, stencil):
+    """The pairs of each of the given nodes through the offset runs of
+    stencil (op._stencil or a tail of it) as runs of consecutive node numbers.
 
     Node x = (i, j) reaches through the offset run (a, lo..hi) the nodes
     (i + a, j + lo..hi) that are on the grid, node numbers c0..c1. Columns
@@ -297,7 +302,7 @@ def _runs(op, node):
     targets, its length, and its shift: the column less the index of its
     offset in the stencil table, constant along the run."""
     grid, (m0, m1) = op.grid, op.lattice
-    seg_a, seg_lo, seg_hi, _ = op._stencil
+    seg_a, seg_lo, seg_hi, _ = stencil
     i, j = np.divmod(node, m1)
     lo = np.maximum(seg_lo, -j[:, None])
     hi = np.minimum(seg_hi, m1 - 1 - j[:, None])
@@ -324,17 +329,24 @@ def _runs(op, node):
 def _node_rows(op, nodes):
     """The active edges out of the ascending nodes, in edge order: (row,
     col, coef) with row the node's index in nodes. Gathered from the edge
-    list when it exists, else written from the stencil as J evaluated at
-    every node pair gives them, (mu[x] mu[y]) J, in chunks of about
-    _ROW_CHUNK edges so that the temporaries stay that small."""
+    list when it exists, else written from the stencil (_write_rows)."""
     if op._edges is not None:
         rows, cols, coef = op._edges
         start, stop = np.searchsorted(rows, (nodes, nodes + 1))
         count = stop - start
         take = _ranges(start, count)
         return np.repeat(np.arange(nodes.shape[0]), count), cols[take], coef[take]
-    jval, mu = op._stencil[3], op.grid.mu
-    targets, counts, start, length, shift = _runs(op, nodes)
+    return _write_rows(op, nodes, op._stencil)
+
+
+def _write_rows(op, nodes, stencil):
+    """The active edges out of the ascending nodes through the offset runs
+    of stencil, in edge order, as J evaluated at every node pair gives
+    them, (mu[x] mu[y]) J: (row, col, coef) with row the node's index in
+    nodes. Written in chunks of about _ROW_CHUNK edges so that the
+    temporaries stay that small."""
+    jval, mu = stencil[3], op.grid.mu
+    targets, counts, start, length, shift = _runs(op, nodes, stencil)
     coef = np.repeat(mu[nodes], counts)
     cols = np.empty(coef.shape[0], dtype=np.int64)
     ends = np.cumsum(length)
@@ -376,10 +388,11 @@ def interior_row_sums(op, vals):
     points. It writes no edge list and agrees with the edge sums to at most
     about 20 eps times the row's sum |terms| (the singular kernel; a few eps
     for tent and bump). An operator built from given edges has no stencil;
-    its rows are summed in edge order on edge_skeleton(op)."""
+    its rows are summed in edge order, as np.bincount sums them."""
     idx = op.interior_idx
     if op.lattice is None:
-        return (_accel.adjacency(edge_skeleton(op), op.act_coef) @ vals)[idx]
+        row, cols, coef = _node_rows(op, idx)
+        return np.bincount(row, weights=coef * vals[cols], minlength=idx.shape[0])
     size, transform = _stencil_transform(op)
     (m0, m1), mu = op.lattice, op.grid.mu
     spread = scipy.fft.rfftn((mu * vals).reshape(m0, m1), size)
@@ -456,10 +469,42 @@ def rep_rows(op, name):
     return _node_rows(op, getattr(sectors(op), name).reps) if rows is None else rows
 
 
+def pairs(op):
+    """The interacting pairs x < y of op, one coefficient mu[x] W[x][y]
+    each, in lexicographic order: (rows, cols, coef), the row and column
+    index in the type of the pairs' CSR skeleton (edge_skeleton(op)), whose
+    column index is this cols array. Written once per operator and cached
+    with the skeleton. On an assembled lattice a node's partners y > x are
+    those through the offsets after the self-offset (0, 0), the tail of the
+    stencil table, so the rows are written from that half of it, with no
+    edge list; an operator built from given edges takes the upper triangle
+    of its list. Either way each is bit for bit the upper triangle of
+    edge_list(op): the coefficient is exactly symmetric."""
+    if "pairs" not in op._cache:
+        if op.lattice is None:
+            rows, cols, coef = op._edges
+            upper = rows < cols
+            rows, cols, coef = rows[upper], cols[upper], coef[upper]
+        else:
+            a, lo, hi, jval = op._stencil
+            before = (a < 0) | ((a == 0) & (hi < 0))
+            half = (a[~before], lo[~before], hi[~before],
+                    jval[np.sum(hi[before] - lo[before] + 1):])
+            rows, cols, coef = _write_rows(op, np.arange(op.n), half)
+        # as edge_list does: the representative rows assembly left for the
+        # p = 2 folds go, which the folds write again if they come
+        op._cache.pop("rep_rows", None)
+        skel = _accel.skeleton(rows, cols, op.n)
+        op._cache["pairs"] = rows.astype(skel[0].dtype), skel[0], coef
+        op._cache["skeleton"] = skel
+    return op._cache["pairs"]
+
+
 def edge_list(op):
     """The lexicographic active edge list (rows, cols, coef) of op, written
-    from its stencil on first use and kept. The representative rows left
-    for the p = 2 folds go first: the folds gather theirs from the list."""
+    from its stencil on first use and kept: the oracle of the tests, which
+    no solve reads. The representative rows left for the p = 2 folds go
+    first: the folds gather theirs from the list."""
     if op._edges is None:
         op._cache.pop("rep_rows", None)
         op._edges = _node_rows(op, np.arange(op.n))
@@ -468,9 +513,8 @@ def edge_list(op):
 
 def laplacian_dense(op):
     """Dense matrix of the active-edge Laplacian, diag(row sums) - A with
-    A[x][y] = mu[x] W[x][y]. Symmetric PSD."""
-    return _accel.laplacian_block(op.act_rows, op.act_cols, op.act_coef,
-                                  np.arange(op.n))
+    A[x][y] = mu[x] W[x][y], from the pairs. Symmetric PSD."""
+    return _accel.laplacian_block(*pairs(op), np.arange(op.n), edge_skeleton(op))
 
 
 def strip_edges(op):
@@ -485,13 +529,15 @@ def strip_edges(op):
 
 
 def edge_skeleton(op, strip=False):
-    """The CSR skeleton (_accel.skeleton) of the active edges, or of
+    """The CSR skeleton (_accel.skeleton) of pairs(op), or of
     strip_edges(op) when strip is set, over all op.n rows. Built once per
     operator and cached; it holds the column index and the row pointer,
     int32 where they fit, and no values: each edge pass puts its own
     buffer on it (_accel.edge_matrix)."""
-    key = "strip_skeleton" if strip else "skeleton"
-    if key not in op._cache:
-        rows, cols = strip_edges(op)[:2] if strip else (op.act_rows, op.act_cols)
-        op._cache[key] = _accel.skeleton(rows, cols, op.n)
-    return op._cache[key]
+    if not strip:
+        pairs(op)
+        return op._cache["skeleton"]
+    if "strip_skeleton" not in op._cache:
+        rows, cols = strip_edges(op)[:2]
+        op._cache["strip_skeleton"] = _accel.skeleton(rows, cols, op.n)
+    return op._cache["strip_skeleton"]

@@ -1,10 +1,14 @@
 """Edge kernels on hand-checkable edge lists and on operator edge lists.
 
-Results must be bitwise reproducible, and the one dense Laplacian block
-builder must give the majoriser matrix and the dense Newton Hessian on
-every free set bit for bit as a scatter-add into the full matrix, cut down
-to the free nodes, does. That dense Hessian is the oracle of the sparse
-Hessian operator, and its Cholesky solve the oracle of the PCG loop.
+Results must be bitwise reproducible. The curvature builders take the
+interacting pairs x < y (kernels.pairs), and the one dense Laplacian
+block builder must give the majoriser matrix and the dense Newton Hessian
+on every free set as a scatter-add of the ordered edge list into the full
+matrix, cut down to the free nodes, does: bit for bit off the diagonal,
+and on it within the rounding of the two sums of nonnegative weights,
+which add the same terms in another order. That dense Hessian is the
+oracle of the sparse Hessian operator, and its Cholesky solve the oracle
+of the PCG loop.
 """
 
 import ctypes
@@ -14,12 +18,14 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import stripflow as sf
 from stripflow import _accel as A
 from stripflow.elliptic import REG_EPS
 from stripflow.geometry import INTERIOR
-from stripflow.kernels import EXCLUDE_STRIP_STRIP, edge_skeleton, laplacian_dense, strip_edges
+from stripflow.kernels import (EXCLUDE_STRIP_STRIP, FULL, edge_skeleton, laplacian_dense, pairs,
+                               strip_edges)
 
-from conftest import add_at_laplacian, fresh_python, nonuniform_line_op
+from conftest import add_at_laplacian, fresh_python, make_op, nonuniform_line_op
 
 CASES = [(2.0, 0.0), (1.5, 0.0), (1.5, 1e-10), (3.0, 0.0), (4.0, 1e-8)]
 
@@ -76,15 +82,16 @@ def test_phi_row_sums_by_hand():
 
 
 def test_hessian_accumulate_by_hand():
-    rows = np.array([0, 1], dtype=np.int64)
-    cols = np.array([1, 0], dtype=np.int64)
-    data = np.array([2.0, 5.0])
+    # the one pair 0 < 1, which the Hessian couples from both ends
+    rows = np.array([0], dtype=np.int64)
+    cols = np.array([1], dtype=np.int64)
+    data = np.array([2.0])
     vals = np.array([1.0, 4.0])
     diag, matvec = A.hessian_accumulate(rows, cols, data, vals, 3.0, 0.0, np.arange(2))
-    # psi(d) = 2 |d| at p = 3, both edges see |d| = 3: the matrix [[12, -12], [-30, 30]]
-    assert np.array_equal(diag, [12.0, 30.0])
-    assert np.array_equal(matvec(np.array([1.0, 0.0])), [12.0, -30.0])
-    assert np.array_equal(matvec(np.array([0.0, 1.0])), [-12.0, 30.0])
+    # psi(d) = 2 |d| at p = 3 with |d| = 3: the matrix [[12, -12], [-12, 12]]
+    assert np.array_equal(diag, [12.0, 12.0])
+    assert np.array_equal(matvec(np.array([1.0, 0.0])), [12.0, -12.0])
+    assert np.array_equal(matvec(np.array([0.0, 1.0])), [-12.0, 12.0])
     # node 1 pinned: it enters as zero, node 0 keeps its full row sum; a scale
     # and a diagonal the caller adds, as the solver adds its proximal weights
     diag, matvec = A.hessian_accumulate(rows, cols, data, vals, 3.0, 0.0, np.array([0]))
@@ -129,14 +136,16 @@ def test_in_place_kernels_match_the_plain_formulas(op2d, p, eps):
     # vary by a factor of 6, each also on its cached skeleton
     for op in (op2d, nonuniform_line_op(EXCLUDE_STRIP_STRIP)):
         v = rng.standard_normal(op.n)
-        sets.append((op.act_rows, op.act_cols, op.act_coef, v, edge_skeleton(op)))
+        sets.append((*pairs(op), v, edge_skeleton(op)))
         sets.append((*strip_edges(op), v, edge_skeleton(op, strip=True)))
     for rows, cols, data, vals, skel in sets:
         n = vals.shape[0]
         want = np.bincount(rows, weights=data * plain_phi(vals[cols] - vals[rows], p, eps),
                            minlength=n)
         hess_w = data * plain_psi(vals[rows] - vals[cols], p, eps)
-        want_diag = np.bincount(rows, weights=hess_w, minlength=n)
+        # the Hessian's diagonal sums each edge's weight at both of its ends
+        want_diag = (np.bincount(rows, weights=hess_w, minlength=n)
+                     + np.bincount(cols, weights=hess_w, minlength=n))
         assert np.array_equal(A.phi_row_sums(rows, cols, data, vals, p, eps, n), want)
         assert np.array_equal(A.hessian_accumulate(rows, cols, data, vals, p, eps,
                                                    np.arange(n))[0], want_diag)
@@ -158,54 +167,82 @@ def free_sets(op):
     return [np.arange(op.n), op.interior_idx, op.strip_idx, mixed]
 
 
+def assert_laplacian_matches(block, full, free, rows, w):
+    """block, built from the pairs, against full, the scatter-add of the
+    ordered edge list (rows, cols, w) with w >= 0: bit for bit off the
+    diagonal; on it each of the two sums of a row's m nonnegative weights
+    is within (m - 1) eps / 2 of their exact sum s, relative to s, so the
+    two are within (m - 1) eps s of each other."""
+    off = ~np.eye(free.shape[0], dtype=bool)
+    assert np.array_equal(block[off], full[np.ix_(free, free)][off])
+    n = full.shape[0]
+    terms = np.bincount(rows, minlength=n)[free]
+    sums = np.bincount(rows, weights=w, minlength=n)[free]
+    err = np.abs(np.diag(block) - np.diag(full)[free])
+    assert np.all(err <= np.maximum(terms - 1, 0) * np.finfo(float).eps * sums)
+
+
+def pair_ops(op16, op16_full, op2d):
+    # assembled 1D in both edge modes and 2D in both, and two fixtures built
+    # from given edges
+    return (op16, op16_full, op2d, make_op(1.0 / 8.0, 0.125, sf.tent_kernel(0.25, 2), FULL, 2),
+            nonuniform_line_op(EXCLUDE_STRIP_STRIP), nonuniform_line_op(FULL))
+
+
 @pytest.mark.parametrize("p,eps", [(1.5, REG_EPS), (2.5, 0.0), (3.0, 0.0), (4.0, 0.0)])
 def test_hessian_and_majoriser_match_scatter_add(op16, op16_full, op2d, p, eps):
     rng = np.random.default_rng(4)
-    for op in (op16, op16_full, op2d):
+    for op in pair_ops(op16, op16_full, op2d):
         rows, cols, coef = op.act_rows, op.act_cols, op.act_coef
+        prows, pcols, pcoef = pairs(op)
         vals = rng.standard_normal(op.n)
         d = vals[rows] - vals[cols]
         hess_w = coef * A._psi(d, p, eps)
         hess_full = add_at_laplacian(rows, cols, hess_w, op.n)
         w = coef * (d * d + eps * eps) ** ((p - 2.0) / 2.0)
         maj_full = add_at_laplacian(rows, cols, w, op.n)
+        # the same weights on the pairs, where each edge is the pair's upper end
+        pd = vals[prows] - vals[pcols]
+        hess_pw = pcoef * A._psi(pd, p, eps)
+        pw = pcoef * (pd * pd + eps * eps) ** ((p - 2.0) / 2.0)
         for free in free_sets(op):
-            cut = np.ix_(free, free)
-            hess = A.laplacian_block(rows, cols, hess_w, free)
+            hess = A.laplacian_block(prows, pcols, hess_pw, free)
             assert hess.flags.f_contiguous
-            assert np.array_equal(hess, hess_full[cut])
+            assert_laplacian_matches(hess, hess_full, free, rows, hess_w)
             shift = rng.random(free.shape[0])
             # the operator against its dense oracle, plain and with a diagonal
             # the caller adds (the old scale folded into it, as the solver folds
             # 1/dt into its proximal weights); the products sum the same terms
             # in other orders
             for qf in (0.0, shift / 0.3):
-                oracle = A.laplacian_block(rows, cols, hess_w, free)
+                oracle = A.laplacian_block(prows, pcols, hess_pw, free, edge_skeleton(op))
                 oracle[np.diag_indices_from(oracle)] += qf
-                diag, matvec = A.hessian_accumulate(rows, cols, coef, vals, p, eps, free)
+                diag, matvec = A.hessian_accumulate(prows, pcols, pcoef, vals, p, eps, free)
                 assert np.array_equal(diag + qf, np.diag(oracle))
                 x = rng.standard_normal(free.shape[0])
                 err = np.abs(matvec(x) + qf * x - oracle @ x)
                 assert np.all(err <= 4.0 * np.finfo(float).eps * (np.abs(oracle) @ np.abs(x)))
-            maj = A.laplacian_block(rows, cols, w, free)
-            assert np.array_equal(maj, maj_full[cut])
+            maj = A.laplacian_block(prows, pcols, pw, free)
+            assert_laplacian_matches(maj, maj_full, free, rows, w)
 
 
 def test_laplacian_oracle_matches_scatter_add(op16, op16_full, op2d):
-    for op in (op16, op16_full, op2d):
+    for op in pair_ops(op16, op16_full, op2d):
         rows, cols, coef = op.act_rows, op.act_cols, op.act_coef
         full = add_at_laplacian(rows, cols, coef, op.n)
-        assert np.array_equal(laplacian_dense(op), full)
+        everything = np.arange(op.n)
+        assert_laplacian_matches(laplacian_dense(op), full, everything, rows, coef)
         for free in free_sets(op):
-            block = A.laplacian_block(rows, cols, coef, free)
-            assert np.array_equal(block, full[np.ix_(free, free)])
+            block = A.laplacian_block(*pairs(op), free)
+            assert np.array_equal(block, laplacian_dense(op)[np.ix_(free, free)])
+            assert_laplacian_matches(block, full, free, rows, coef)
 
 
 @pytest.mark.parametrize("p", [3.0, 4.0])
 def test_pcg_matches_cholesky_of_the_dense_hessian(op16, op2d, p):
     rng = np.random.default_rng(6)
     for op in (op16, op2d):
-        rows, cols, coef = op.act_rows, op.act_cols, op.act_coef
+        rows, cols, coef = pairs(op)
         vals = rng.standard_normal(op.n)
         w = coef * A._psi(vals[rows] - vals[cols], p, 0.0)
         # the extension's free set (strip pinned) and the implicit step's
@@ -224,7 +261,7 @@ def test_pcg_matches_cholesky_of_the_dense_hessian(op16, op2d, p):
 def test_pcg_signals_a_matrix_that_is_not_positive_definite(op2d):
     # coinciding interior values at p = 3: every deep interior node, all of
     # whose neighbours are interior, has an all-zero Hessian row
-    rows, cols, coef = op2d.act_rows, op2d.act_cols, op2d.act_coef
+    rows, cols, coef = pairs(op2d)
     vals = np.zeros(op2d.n)
     vals[op2d.strip_idx] = np.random.default_rng(7).standard_normal(op2d.n_strip)
     diag, matvec = A.hessian_accumulate(rows, cols, coef, vals, 3.0, 0.0, op2d.interior_idx)

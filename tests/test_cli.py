@@ -458,8 +458,9 @@ def test_grid_and_beta_build_no_edge_list(runner, tmp_path, monkeypatch):
 def test_linear_solve_elliptic_and_validate_build_no_edge_list(runner, tmp_path, monkeypatch):
     # the p = 2 extension sums its interior rows on the stencil, its energy
     # pairs the strip flux and its residual is the extension's own gate, so
-    # neither command builds the edge list; the figures printed are the edge
-    # list's to roundoff
+    # neither command builds the edge list, and nor does the public p = 2
+    # energy, whose interior rows are FFT row sums and whose strip rows are
+    # the strip edges; the figures printed are the edge list's to roundoff
     built = []
     monkeypatch.setattr(kernels, "edge_list", built.append)
     doc = dict(SQUARE64, h=1.0 / 32.0)
@@ -467,12 +468,17 @@ def test_linear_solve_elliptic_and_validate_build_no_edge_list(runner, tmp_path,
     res = runner.invoke(main, ["solve-elliptic", "--config", cfg, "--out", str(out)])
     checks = runner.invoke(main, ["validate", "--config", cfg])
     assert res.exit_code == checks.exit_code == 0 and not built
-    monkeypatch.undo()
     _, op = build_problem(parse_config(doc))
     vals = np.array([float(row.rsplit(",", 1)[1]) for row in out.read_text().splitlines()[1:]])
     stats = dict(item.split("=") for item in res.stdout.split())
-    assert float(stats["energy"]) == pytest.approx(sf.energy(op, vals, 2.0), rel=1e-12)
+    energy = sf.energy(op, vals, 2.0)
+    assert not built and op._edges is None
+    assert float(stats["energy"]) == pytest.approx(energy, rel=1e-12)
     assert float(stats["grad_norm"]) <= 1e-13 * (1.0 + np.abs(vals).max())
+    monkeypatch.undo()
+    rows, cols, coef = kernels.edge_list(op)
+    d = vals[cols] - vals[rows]
+    assert energy == pytest.approx(0.25 * float(np.dot(coef, d * d)), rel=1e-12)
 
 
 def test_beta_at_h96_peaks_under_300_mb(tmp_path):

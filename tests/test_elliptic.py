@@ -7,13 +7,13 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 import stripflow as sf
-from stripflow import kernels
+from stripflow import _accel, elliptic, kernels
 from stripflow.elliptic import (REG_EPS, _interior, _newton_free, extend_plaplace,
                                extend_with_report)
 from stripflow.errors import (EmptyInterior, NoConvergence, NonConvexExponent,
                               SingularSystem)
 from stripflow.geometry import INTERIOR, STRIP
-from stripflow.kernels import _operator_from_dense, edge_list, strip_edges
+from stripflow.kernels import _operator_from_dense, edge_list, pairs, strip_edges
 from stripflow.symmetry import sectors
 
 from conftest import BOX1, add_at_laplacian, line_grid, make_op, schur_oracle
@@ -385,10 +385,10 @@ def test_plaplace_extension_allocates_no_full_matrix():
     # the Newton Hessian is a sparse operator on the 256 interior nodes; one
     # full n x n matrix alone takes 8 n^2 bytes. Nothing edge-sized is cached on
     # the operator either: a copy of the interior edges would stay behind. The
-    # edge list, which the first p != 2 pass builds, is built before tracing
+    # pairs, which the first p != 2 pass writes, are written before tracing
     op = make_op(1.0 / 32.0, 0.25, sf.tent_kernel(0.25, 2), dim=2)
     assert (op.n, op.n_interior) == (1024, 256)
-    edge_list(op)
+    pairs(op)
     g = sf.StripField(np.random.default_rng(6).standard_normal(op.n_strip), op.grid)
     tracemalloc.start()
     try:
@@ -402,14 +402,64 @@ def test_plaplace_extension_allocates_no_full_matrix():
     assert after - before < 8 * op.nnz
 
 
+def test_p_ne_2_solves_write_no_edge_list(monkeypatch):
+    # the balance, the Hessian and the majoriser run on the pairs x < y, so
+    # neither a p = 3 nor a p = 1.5 extension nor a p = 3 implicit step
+    # writes the ordered list; the p = 3 extension, the pairs written inside
+    # it, peaks below the bytes that list alone would take
+    op = make_op(1.0 / 32.0, 0.125, sf.tent_kernel(0.25, 2), dim=2)
+
+    def refuse(op):
+        raise AssertionError("the ordered edge list was written")
+    monkeypatch.setattr(kernels, "edge_list", refuse)
+    g = np.random.default_rng(6).standard_normal(op.n_strip)
+    tracemalloc.start()
+    try:
+        _, report = extend_plaplace(op, g, 3.0, tol=1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.converged
+    assert peak < 24 * op.nnz
+    assert extend_plaplace(op, g, 1.5)[1].converged
+    step = sf.step_implicit(op, sf.ProblemSpec("plaplace", 3.0), g, 0.5)
+    assert np.all(np.isfinite(step.values))
+    assert op._edges is None
+
+
+# residual_values on the pairs against the ordered edge list's row sums,
+# per node: each sums at most m terms of the row (m its edges), in another
+# order, and the division by mu rounds each once, so the two differ by at
+# most (m + 1) eps times the row's sum of |terms| over mu
+@pytest.mark.parametrize("p", [1.5, 2.5, 3.0, 4.0])
+def test_pair_balance_and_energy_match_the_edge_list(op16, op16_full, op2d, toy3_asym_op, p):
+    rng = np.random.default_rng(31)
+    ops = (op16, op16_full, op2d, make_op(1.0 / 8.0, 0.125, sf.tent_kernel(0.25, 2), sf.FULL, 2),
+           toy3_asym_op, sf.toy3(w1=2.0, w2=0.5, edge_mode=sf.FULL))
+    for op in ops:
+        rows, cols, coef = edge_list(op)
+        mu = op.grid.mu
+        vals = rng.standard_normal(op.n)
+        d = vals[cols] - vals[rows]
+        for eps in (0.0, REG_EPS):
+            terms = coef * _accel._phi(d, p, eps)
+            want = np.bincount(rows, weights=terms, minlength=op.n) / mu
+            bound = ((np.bincount(rows, minlength=op.n) + 1) * np.finfo(float).eps
+                     * np.bincount(rows, weights=np.abs(terms), minlength=op.n) / mu)
+            got = elliptic.residual_values(op, vals, p, eps)
+            assert np.all(np.abs(got - want) <= bound)
+        direct = np.sum(coef * np.abs(d) ** p) / (2.0 * p)
+        assert abs(sf.energy(op, vals, p) - direct) <= 1e-14 * direct
+
+
 def test_solves_cache_no_same_class_edge_copy():
     # the p = 2 blocks are folded straight from the edge list and the
     # extension convolves with the stencil's cached transform, so the strip
-    # rows the flux reads are the one edge subset cached; the rest are the
-    # transform, the CSR skeletons
-    # of the two edge sets the p != 2 passes sum on (column index and row
-    # pointer, no values), the mirror sectors, the interior factors, the
-    # blocks of S and the strip factors
+    # rows the flux reads and the pairs x < y the p != 2 passes run on are
+    # the edge sets cached; the rest are the transform, the CSR skeletons of
+    # those two sets (column index and row pointer, no values; the pairs'
+    # column index is the skeleton's), the mirror sectors, the interior
+    # factors, the blocks of S and the strip factors
     op = make_op(1.0 / 16.0, 0.25, sf.tent_kernel(0.5, 1))
     g = sf.StripField(np.random.default_rng(9).standard_normal(op.n_strip), op.grid)
     sf.extend_linear(op, g)
@@ -419,8 +469,9 @@ def test_solves_cache_no_same_class_edge_copy():
         sf.evolve(op, sf.ProblemSpec("plaplace", p), g, 0.02, 0.01, sf.IMPLICIT)
     sf.evolve(op, sf.ProblemSpec("plaplace", 3.0), g, 0.02, 0.01, sf.EXPLICIT)
     assert set(op._cache) == {"sectors", "interior", "schur", "implicit_chol", "strip_edges",
-                              "skeleton", "strip_skeleton", "stencil_transform"}
-    for key, cols in (("skeleton", op.act_cols), ("strip_skeleton", strip_edges(op)[1])):
+                              "pairs", "skeleton", "strip_skeleton", "stencil_transform"}
+    assert op._cache["skeleton"][0] is pairs(op)[1]
+    for key, cols in (("skeleton", pairs(op)[1]), ("strip_skeleton", strip_edges(op)[1])):
         indices, indptr = op._cache[key]
         assert indices.dtype == indptr.dtype == np.int32
         assert np.array_equal(indices, cols) and indptr.shape == (op.n + 1,)

@@ -7,8 +7,9 @@ conservation, L1(mu) nonexpansiveness and order preservation of the
 steps, constants fixed by both steps, implicit steps that raise neither
 the energy nor the L2(mu) distance to the mean, and at p = 2 the decay the
 spectral gap promises through the eliminated interior (the Schur
-complement S). Reciprocity is also checked exactly on a line grid with
-measures that are not dyadic.
+complement S) and the gap's bound by every strip node's degree.
+Reciprocity is also checked exactly on a line grid with measures that are
+not dyadic.
 
 Draws are derandomized and no example database is written, so every run
 checks the same problems.
@@ -23,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import stripflow as sf
-from stripflow.analysis import _reduced_modes
+from stripflow.analysis import _eig_tol, _reduced_modes
 from stripflow.elliptic import EXT_TOL, _extended_values, _strip_flux
 from stripflow.evolution import _schur_flux, _step_implicit_values
 from stripflow.geometry import INTERIOR, STRIP
@@ -245,6 +246,19 @@ def check_p2_decay(op, spec, g, dt):
     want = _schur_flux(op, g)
     flux = _strip_flux(op, _extended_values(op, g, 2.0), 2.0)
     assert np.max(np.abs(flux - want)) <= sum_tol
+
+
+@CHECKS
+@given(problems(exponents=(2.0,)))
+def test_gap_is_at_most_every_strip_degree_bound(prob):
+    # the mean-zero vector delta_x - (mu_x / sum mu_S) 1 has M-norm^2
+    # mu_x (1 - mu_x / sum mu_S) and S-form S_xx <= mu_x deg_active[x], so
+    # beta <= deg_active[x] / (1 - mu_x / sum mu_S) at every strip node x, in
+    # both edge modes; beta itself is exact to the eigensolve's backward error
+    op = prob.op
+    mu_s = op.grid.mu[op.strip_idx]
+    bound = op.deg_active[op.strip_idx] / (1.0 - mu_s / np.sum(mu_s))
+    assert np.all(sf.spectral_gap_beta(op).beta <= bound + _eig_tol(op))
 
 
 @CHECKS

@@ -367,6 +367,39 @@ def test_rows_written_in_chunks_match_the_edge_list(mode, monkeypatch):
         assert np.array_equal(rows[2], whole[2][keep])
 
 
+@pytest.mark.parametrize("mode", [sf.EXCLUDE_STRIP_STRIP, sf.FULL])
+@pytest.mark.parametrize("box,h,kernel", [
+    (BOX1, 1.0 / 32.0, sf.tent_kernel(0.25, 1)),
+    (BOX1, 1.0 / 48.0, sf.singular_kernel(0.5, 3.0, 1)),
+    (BOX2, 1.0 / 16.0, sf.tent_kernel(0.25, 2)),
+    (BOX2, 1.0 / 24.0, sf.bump_kernel(0.25, 2)),
+    (BOX2, 1.0 / 12.0, sf.singular_kernel(0.5, 1.5, 2)),
+    (sf.DomainBox(2, (-1.0, 0.0), (1.0, 0.5)), 1.0 / 16.0, sf.bump_kernel(0.3, 2)),
+])
+def test_pairs_are_the_upper_triangle_of_the_edge_list(box, h, kernel, mode, monkeypatch):
+    # written from the half of the stencil after the self-offset with no
+    # edge list, on random measures too, and in chunks that split the rows:
+    # bit for bit the edge list's pairs x < y, whose column index the cached
+    # skeleton shares; an operator built from the same edges takes them
+    # from its list
+    grid = sf.build_grid(box, h, 0.125)
+    rng = np.random.default_rng(5)
+    for grid in (grid, dataclasses.replace(grid, mu=rng.uniform(0.5, 2.0, grid.n) * grid.mu)):
+        op = sf.assemble(grid, kernel, mode)
+        monkeypatch.setattr(kernels, "_ROW_CHUNK", 1000)
+        rows, cols, coef = kernels.pairs(op)
+        monkeypatch.undo()
+        assert op._edges is None
+        assert kernels.edge_skeleton(op)[0] is cols
+        whole = edge_list(op)
+        upper = whole[0] < whole[1]
+        for got, want in zip((rows, cols, coef), whole):
+            assert np.array_equal(got, want[upper])
+        assert 2 * rows.shape[0] == op.nnz
+        edges = sf.NonlocalOperator(grid, kernel, mode, *whole)
+        assert all(np.array_equal(a, b) for a, b in zip(kernels.pairs(edges), (rows, cols, coef)))
+
+
 def test_assembly_takes_a_lattice_with_any_measures_and_classes():
     # strip nodes scattered at random: in exclude mode a strip row's run of
     # columns then has strip nodes inside it, not only at its ends

@@ -15,9 +15,10 @@ carry each edge once, the balance is its row sums minus the column sums of
 the same buffer, as phi_p is odd. Every balance, flux, gradient and energy
 is read off those sums (divided by mu[x] for W units). The two curvature
 builders take the pairs: laplacian_block writes the dense Laplacian blocks,
-the majoriser matrix and the test oracle laplacian_dense, and the p = 2
-sector blocks are folded from the rows of the orbit representatives
-(symmetry.Sectors.fold_rows) with no adjacency. The Newton Hessian is
+the majoriser matrix and laplacian_dense, whose cuts are the p = 2 blocks
+of an operator without a lattice; on a lattice those blocks are read off
+the stencil's J table (symmetry.Sectors.fold_laplacian) with no edge and
+no adjacency. The Newton Hessian is
 never dense: hessian_accumulate returns its diagonal and a sparse matvec
 on its buffer, and pcg solves with them. Both builders give the Laplacian
 of edge weights alone and add no diagonal term: elliptic._newton_free,

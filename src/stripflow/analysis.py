@@ -19,7 +19,6 @@ from .errors import (ConstantField, EmptyBump, InvalidArgument, NoConvergence,
                      NonPositiveData, NotMeanZero, TooFewStripNodes, WindowTooSmall)
 from .fields import StripField
 from .geometry import STRIP
-from .kernels import rep_rows
 from .symmetry import sectors
 
 SCHUR_EIG = "schur-eig"
@@ -113,14 +112,12 @@ def schur_complement(op):
 
 
 def _schur_blocks(op):
-    """The blocks S_j, built one at a time, so that one X is live. The edges
-    out of the strip representatives give both L_SS and L_IS."""
+    """The blocks S_j, built one at a time, so that one X is live. L_SS and
+    L_IS are read off the stencil's J table (Sectors.fold_laplacian)."""
     sec = sectors(op)
     factors = _interior(op) if op.n_interior else ()
-    rows = rep_rows(op, "strip")
-    l_ss = sec.fold_rows(rows, sec.strip, sec.strip)
-    l_is = sec.fold_rows(rows, sec.strip, sec.interior)
-    del rows
+    l_ss = sec.fold_laplacian(op, sec.strip, sec.strip)
+    l_is = sec.fold_laplacian(op, sec.interior, sec.strip)
     out = []
     for chol, lower in factors:
         x = sla.solve_triangular(chol, next(l_is), trans="T", lower=lower,

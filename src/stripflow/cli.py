@@ -191,6 +191,12 @@ def beta_cmd(config_path, seed, quiet, out, restarts):
             sizes = Counter(rows.shape[0] for rows in sec.block_reps(sec.strip))
             split = "sectors=" + ",".join(f"{count}x{size}" for size, count
                                           in sorted(sizes.items(), reverse=True)) + " "
+        # the smallest strip degree, which bounds the p = 2 gap above, and
+        # its node, the first of those that tie
+        strip_deg = op.deg_active[op.strip_idx]
+        low = int(np.argmin(strip_deg))
+        at = ", ".join(f"{c:.6g}" for c in grid.nodes[op.strip_idx[low]])
+        click.echo(f"beta: min_strip_degree={strip_deg[low]:.6g} at=({at})", err=True)
         click.echo(f"beta: method={res.method} p={p:g} strip_nodes={op.n_strip} {split}"
                    f"isolated={isolated_strip_nodes(op).shape[0]}", err=True)
 

@@ -5,12 +5,12 @@ node; strip values stay pinned. For exponent 2 that balance is a linear
 system in the interior block L_II. The box's symmetries split it into
 blocks (symmetry.sectors: up to 2^d mirror sectors of 1/2^d the size on
 an assembled box; on the unit square one block of a quarter shared by two
-sectors and four of about an eighth; one block otherwise), each folded
-from the edges out of the interior representatives (Sectors.fold_rows)
-and Cholesky-factored once per operator. Its right-hand side and its gate
-are interior row sums (kernels.interior_row_sums): on an assembled grid one
-FFT convolution with the stencil, so the p = 2 extension writes no edge
-list. For general p > 1 it is the
+sectors and four of about an eighth; one block otherwise), each read off
+the stencil's J table (Sectors.fold_laplacian) and Cholesky-factored once
+per operator. Its right-hand side and its gate are interior row sums
+(kernels.interior_row_sums): on an assembled grid one FFT convolution with
+the stencil, so the p = 2 extension writes no row. For general p > 1 it is
+the
 Euler-Lagrange condition of a strictly convex edge energy E_p.
 _newton_free is the one descent solve for p != 2: it minimizes
 F(v) = E_p(v) - <lin, v> + (1/2) sum w (v - t)^2 over the free nodes, is
@@ -28,9 +28,10 @@ and the coefficients symmetric, so the balance is the row sums of the
 balance buffer less its column sums, the Hessian's diagonal the row plus
 the column sums of its buffer and its product U x + U^T x, and the
 majoriser's dense block the cut of U + U^T (_accel.laplacian_block, no
-diagonal term). The strip flux keeps its ordered strip rows
-(kernels.strip_edges), and at p = 2 the public residual and energy take
-the interior rows from interior_row_sums and write no pairs. Balances are
+diagonal term). The p != 2 strip flux keeps its ordered strip rows
+(kernels.strip_edges). At p = 2 the strip flux is a convolution too
+(kernels.strip_row_sums), and the public residual and energy take the
+interior rows from interior_row_sums: no p = 2 path writes a row. Balances are
 in W units, coefficient row sums over mu[x]. Energies come from the same
 row sums by Euler's identity: E_p is p-homogeneous, the
 coefficients symmetric and phi_p odd, so for the balance r of any v and any
@@ -44,7 +45,8 @@ import scipy.linalg as sla
 from . import _accel
 from .errors import EmptyInterior, NoConvergence, NonConvexExponent, SingularSystem
 from .fields import EnergyReport, FullField, StripField
-from .kernels import edge_skeleton, interior_row_sums, pairs, rep_rows, strip_edges
+from .kernels import (edge_skeleton, interior_row_sums, pairs, strip_edges,
+                      strip_row_sums)
 from .symmetry import sectors
 
 __all__ = [
@@ -115,11 +117,23 @@ def _pair_balance(op, vals, p, eps, mat):
 def _strip_flux(op, vals, p):
     """Per strip node x, sum_y W[x][y] phi_p(vals[y] - vals[x]) over its
     active edges: the strip rows' coefficient sums divided by mu[x],
-    regularized with REG_EPS for p < 2."""
+    regularized with REG_EPS for p < 2. At p = 2 it is the strip row sums
+    (kernels.strip_row_sums, by FFT on an assembled operator) of the values
+    less their midrange c, divided by mu[x], less deg_active[x] (vals[x] -
+    c): constant data reads exactly 0, and so does a node with no active
+    pair, whose degree is exactly 0. Otherwise one pass over the strip
+    rows (kernels.strip_edges)."""
+    idx = op.strip_idx
+    if p == 2.0:
+        centred = vals - _midrange(vals)
+        deg = op.deg_active[idx]
+        flux = strip_row_sums(op, centred) / op.grid.mu[idx] - deg * centred[idx]
+        flux[deg == 0.0] = 0.0
+        return flux
     rows, cols, coef = strip_edges(op)
     sums = _accel.phi_row_sums(rows, cols, coef, vals, p, eps_for(p), op.n,
                                _accel.edge_matrix(edge_skeleton(op, strip=True)))
-    return sums[op.strip_idx] / op.grid.mu[op.strip_idx]
+    return sums[idx] / op.grid.mu[idx]
 
 
 def _extension_energy(op, vals, p):
@@ -159,14 +173,14 @@ def interior_residual(op, u, p):
 
 def _interior(op):
     """The Cholesky factor of each block L_II^j (symmetry.sectors) of the
-    interior block of the Laplacian, made once per operator: folded from the
-    edges out of the interior representatives, dense only to be factored."""
+    interior block of the Laplacian, made once per operator: read off the
+    stencil's J table (Sectors.fold_laplacian), dense only to be factored."""
     if "interior" not in op._cache:
         sec = sectors(op)
         try:
             op._cache["interior"] = tuple(
                 sla.cho_factor(block, overwrite_a=True) for block in
-                sec.fold_rows(rep_rows(op, "interior"), sec.interior, sec.interior))
+                sec.fold_laplacian(op, sec.interior, sec.interior))
         except sla.LinAlgError as exc:
             raise SingularSystem(f"interior system is singular: {exc}") from exc
     return op._cache["interior"]

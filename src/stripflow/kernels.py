@@ -10,18 +10,22 @@ the discrete mass balance of the evolution problems exact.
 Assembly needs the nodes of build_grid, the cell centres lo + (i + 1/2) h
 of a lattice, and refuses any other node set. There J(x - y) depends only
 on the integer offset between the two nodes, so J is evaluated once per
-offset of the kernel's support, and the pairs of each node are runs of
-consecutive node numbers, one per line of offsets. The rows of any node
-set are written from that table run after run, already in lexicographic
-order, in time and memory proportional to their length: at assembly those
-of the orbit representatives, and for the p != 2 passes the interacting
-pairs x < y (pairs), each once, from the half of the table after the
-self-offset. The interior rows' products with node values are one
-convolution with that table (interior_row_sums). No solve writes the
-whole ordered edge list (edge_list); tests take it as their oracle. A compact
-kernel drops the offsets on the rim |x - y| = R of its support, where J is
-0 up to the rounding of the coordinates. On a dyadic grid the result is
-bit for bit that of J evaluated at every node pair.
+offset of the kernel's support, and assembly writes no row: the row sums
+deg_active are matrix products of the measures with that table over
+rectangles of the orbit representatives (_reach_sums), the p = 2 sector
+blocks are read off the table (symmetry.Sectors.fold_laplacian), and the
+products of whole rows with node values are one convolution with it
+(interior_row_sums, strip_row_sums). The pairs of each node are runs of
+consecutive node numbers, one per line of offsets, so the rows of any node
+set are written from the table run after run, already in lexicographic
+order, in time and memory proportional to their length: for the p != 2
+passes the interacting pairs x < y (pairs), each once, from the half of
+the table after the self-offset, and their strip rows (strip_edges). No
+solve writes the whole ordered edge list (edge_list); tests take it as
+their oracle. A compact kernel drops the offsets on the rim |x - y| = R of
+its support, where J is 0 up to the rounding of the coordinates. On a
+dyadic grid the edges are bit for bit those of J evaluated at every node
+pair.
 """
 
 import math
@@ -29,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _accel
 from .errors import EmptySupport, InvalidArgument, SingularAtOrigin
@@ -49,7 +54,7 @@ _EDGE_MODES = (EXCLUDE_STRIP_STRIP, FULL)
 _RIM_TOL = 64 * np.finfo(float).eps
 
 # Edges one chunk of a row write holds: every edge of 2D h = 1/32 (128836 at
-# R = 1/4) is one chunk, and the representative rows at h = 1/64 are five
+# R = 1/4) is one chunk
 _ROW_CHUNK = 1 << 17
 
 
@@ -157,17 +162,17 @@ class NonlocalOperator:
     The active edge set contains every ordered node pair with a nonzero
     weight, minus the strip-strip pairs when edge_mode excludes them.
     Interior rows are identical in both modes. An assembled operator keeps
-    the offset stencil of its lattice (a few KB) and writes the rows of any
-    node set from it (_node_rows), and sums the interior rows against node
-    values as one FFT convolution with it (interior_row_sums). The p != 2
-    passes run on the interacting pairs x < y, one coefficient each
-    (pairs), written from the stencil on first use and cached with their
-    CSR skeleton. The lexicographic edge list with one symmetric
-    coefficient per ordered edge is built on first access to act_rows,
-    act_cols or act_coef (edge_list), which no solve makes: it is the
-    tests' oracle. Rows are then gathered from it. An operator built from
-    given edges (_operator_from_dense) has its list from the start and
-    takes its pairs from it. W[x][y] is act_coef / mu[x].
+    the offset stencil of its lattice (a few KB) and writes no row at
+    assembly: its row sums, its sector blocks and its row products with
+    node values are read off the stencil's J table. The p != 2 passes run
+    on the interacting pairs x < y, one coefficient each (pairs), and on
+    the strip rows (strip_edges), written from the stencil on first use
+    (_node_rows) and cached with their CSR skeletons. The lexicographic
+    edge list with one symmetric coefficient per ordered edge is built on
+    first access to act_rows, act_cols or act_coef (edge_list), which no
+    solve makes: it is the tests' oracle. Rows are then gathered from it.
+    An operator built from given edges (_operator_from_dense) has its list
+    from the start and takes its pairs from it. W[x][y] is act_coef / mu[x].
 
     Attributes
     ----------
@@ -177,7 +182,8 @@ class NonlocalOperator:
         mu[x] W[x][y] = mu[x] J(x - y) mu[y], the symmetric edge coefficients.
     deg_active : (n,) array
         Per-node row sums of W over the active edge set; on an assembled
-        operator one row's sum for each orbit of the symmetry group G.
+        operator one sum for each orbit of the symmetry group G, exactly
+        0 at a node with no active pair.
     lattice : (m0, m1) or None
         The lattice of the nodes, a 1D grid as one line (1, m1), for an
         operator that assemble built; None for any other.
@@ -363,42 +369,143 @@ def _write_rows(op, nodes, stencil):
     return np.repeat(np.arange(nodes.shape[0]), counts), cols, coef
 
 
+def _table(op):
+    """The stencil's J as a dense (2 m0 - 1) x (2 m1 - 1) table of an
+    assembled operator: offset (a, b) at (a + m0 - 1, b + m1 - 1), 0 off the
+    support and at the self-offset. |z| is summed from the squares of the
+    two components, so the table is exactly even in each offset alone. Made
+    once per operator and cached: O(n) numbers whatever nnz is."""
+    if "table" not in op._cache:
+        (m0, m1), (a, lo, hi, jval) = op.lattice, op._stencil
+        length = hi - lo + 1
+        table = np.zeros((2 * m0 - 1, 2 * m1 - 1))
+        table[np.repeat(a, length) + m0 - 1, _ranges(lo, length) + m1 - 1] = jval
+        op._cache["table"] = table
+    return op._cache["table"]
+
+
+def _rectangles(m1, nodes):
+    """The ascending nodes of a lattice of m1 columns as rectangles, each a
+    run of consecutive columns j0..j1 - 1 on the consecutive lines
+    i0..i1 - 1 that hold the same runs: (i0, i1, j0, j1, first, width,
+    offset) per rectangle, node (i, j) being the nodes' entry first +
+    (i - i0) width + offset + (j - j0). The corner quarter of a strip is
+    two rectangles; nodes scattered at random are as many short runs."""
+    i, j = np.divmod(nodes, m1)
+    first = np.flatnonzero((np.diff(i, prepend=-1) != 0) | (np.diff(j, prepend=-2) != 1))
+    length = np.diff(first, append=nodes.shape[0])
+    lines = np.flatnonzero(np.diff(i[first], prepend=-1)).tolist() + [first.shape[0]]
+    groups = []
+    for s, e in zip(lines[:-1], lines[1:]):
+        line, runs = int(i[first[s]]), (j[first[s:e]].tolist(), length[s:e].tolist())
+        if groups and groups[-1][1] == line and groups[-1][3] == runs:
+            groups[-1][1] += 1
+        else:
+            groups.append([line, line + 1, int(first[s]), runs])
+    out = []
+    for i0, i1, base, (starts, lengths) in groups:
+        offsets = np.cumsum([0] + lengths).tolist()
+        out += [(i0, i1, j0, j0 + n, base, offsets[-1], off)
+                for j0, n, off in zip(starts, lengths, offsets)]
+    return tuple(out)
+
+
+def _targets(op, strip):
+    """1.0 at the nodes that the rows of one class (the strip if strip is
+    set, else the interior) reach, 0.0 elsewhere: every node, but only the
+    interior ones from a strip row in exclude mode."""
+    if strip and op.edge_mode == EXCLUDE_STRIP_STRIP:
+        return (op.grid.klass != STRIP).astype(float)
+    return np.ones(op.n)
+
+
+def _reach_sums(op, mask, rects):
+    """sum_y mu[y] J(y - x) over the nodes y with mask 1, at each node x of
+    the rectangles rects (_rectangles) of an assembled operator's lattice,
+    as an (n,) array to be read at those nodes only, and the number of such
+    pairs x y in all.
+
+    A rectangle's sums are one matrix product. Its lines, each with the
+    lines of the stencil's reach (the grid padded with A zero lines either
+    side, A the largest line offset), cut to the columns within reach
+    B of it (B the largest column offset) and laid side by side, times the
+    J table cut to those offsets, read as a Toeplitz matrix in the
+    rectangle's columns (a strided view of the table). The terms are
+    nonnegative, so each sum is accurate to a few eps of itself, and a node
+    with no such pair reads exactly 0. The count is the same product of the
+    mask and the table's support, each summed over the rectangle first:
+    integers, exact in floating point."""
+    (m0, m1), table = op.lattice, _table(op)
+    a, _, hi = op._stencil[:3]
+    reach, wide = int(np.abs(a).max(initial=0)), int(hi.max(initial=0))
+    lines = np.zeros((2, m0 + 2 * reach, m1))
+    lines[:, reach:reach + m0] = np.stack((op.grid.mu * mask, mask)).reshape(2, m0, m1)
+    # windows of the table's reach lines: win[t, s, k] = J(t - A, s + k - m1 + 1)
+    win = sliding_window_view(table[m0 - 1 - reach:m0 + reach], m1, axis=1)
+    sums, count = np.empty((m0, m1)), 0.0
+    for i0, i1, j0, j1, *_ in rects:
+        y0, y1 = max(j0 - wide, 0), min(j1 + wide, m1)
+        # left[i, (t, y)]: node (i0 + i + t - A, y) of the lines in reach
+        left = sliding_window_view(lines[:, i0:i1 + 2 * reach, y0:y1], 2 * reach + 1, axis=1)
+        # right[(t, y), j]: J(t - A, y - j) for the rectangle's columns j
+        right = np.flip(win[:, m1 + y0 - j1:m1 + y0 - j0, :y1 - y0], axis=1)
+        right = right.transpose(0, 2, 1).reshape(-1, j1 - j0)
+        sums[i0:i1, j0:j1] = left[0].transpose(0, 2, 1).reshape(i1 - i0, -1) @ right
+        count += left[1].sum(axis=0).T.ravel() @ (right > 0.0).sum(axis=1)
+    return sums.ravel(), int(count)
+
+
 def _stencil_transform(op):
-    """The real transform of the stencil's J table laid on a periodic
+    """The real transform of the J table (_table) laid on a periodic
     N0 x N1 lattice, offset (a, b) at (a mod N0, b mod N1), with Ni the
     first fast length of at least 2 mi - 1 points, so that no two offsets
-    share a point: (N0, N1) and the transform, O(n) numbers whatever nnz
-    is. Made once per operator and cached."""
+    share a point: (N0, N1) and the transform. Made once per operator and
+    cached."""
     if "stencil_transform" not in op._cache:
-        a, lo, hi, jval = op._stencil
+        m0, m1 = op.lattice
         size = tuple(scipy.fft.next_fast_len(2 * m - 1, real=True) for m in op.lattice)
-        length = hi - lo + 1
-        table = np.zeros(size)
-        table[np.repeat(a, length) % size[0], _ranges(lo, length) % size[1]] = jval
-        op._cache["stencil_transform"] = size, scipy.fft.rfftn(table)
+        periodic = np.zeros(size)
+        periodic[np.ix_(np.arange(1 - m0, m0) % size[0],
+                        np.arange(1 - m1, m1) % size[1])] = _table(op)
+        op._cache["stencil_transform"] = size, scipy.fft.rfftn(periodic)
     return op._cache["stencil_transform"]
 
 
-def interior_row_sums(op, vals):
-    """Per interior node x, sum_y mu[x] W[x][y] vals[y] over its active
-    edges, which are the same in both edge modes. On an assembled operator
-    that is mu[x] (J * (mu vals))[x], J being even: one circular
-    convolution with the stencil's table (_stencil_transform), in which no
-    node's reach wraps back onto the grid, as it spans at most 2 m - 1
-    points. It writes no edge list and agrees with the edge sums to at most
-    about 20 eps times the row's sum |terms| (the singular kernel; a few eps
-    for tent and bump). An operator built from given edges has no stencil;
-    its rows are summed in edge order, as np.bincount sums them."""
-    idx = op.interior_idx
+def _row_sums(op, vals, idx, targets):
+    """Per node x of idx, all of one class, sum_y mu[x] W[x][y] vals[y]
+    over its active edges, the nodes y with targets 1 (_targets). On an
+    assembled operator that is mu[x] (J * (targets mu vals))[x], J being
+    even: one circular convolution with the J table's transform
+    (_stencil_transform), in which no node's reach wraps back onto the
+    grid, as it spans at most 2 m - 1 points. It writes no edge list. An
+    operator built from given edges has no stencil; its rows are summed in
+    edge order, as np.bincount sums them."""
     if op.lattice is None:
         row, cols, coef = _node_rows(op, idx)
         return np.bincount(row, weights=coef * vals[cols], minlength=idx.shape[0])
     size, transform = _stencil_transform(op)
     (m0, m1), mu = op.lattice, op.grid.mu
-    spread = scipy.fft.rfftn((mu * vals).reshape(m0, m1), size)
+    spread = scipy.fft.rfftn((targets * mu * vals).reshape(m0, m1), size)
     spread *= transform
     conv = scipy.fft.irfftn(spread, size, overwrite_x=True)[:m0, :m1]
     return mu[idx] * conv.ravel()[idx]
+
+
+def interior_row_sums(op, vals):
+    """Per interior node x, sum_y mu[x] W[x][y] vals[y] over its active
+    edges, which are the same in both edge modes (_row_sums). By FFT it
+    agrees with the edge sums to at most about 20 eps times the row's sum
+    |terms| (the singular kernel; a few eps for tent and bump)."""
+    return _row_sums(op, vals, op.interior_idx, 1.0)
+
+
+def strip_row_sums(op, vals):
+    """Per strip node x, sum_y mu[x] W[x][y] vals[y] over its active edges
+    (_row_sums): in exclude mode over the interior nodes y only, whose
+    values the convolution takes with the strip's set to 0. Its error is
+    that of the convolution, a few eps of the largest row's sum |terms|,
+    not of each row's own."""
+    return _row_sums(op, vals, op.strip_idx, _targets(op, strip=True))
 
 
 def assemble(grid, spec, edge_mode=EXCLUDE_STRIP_STRIP):
@@ -414,9 +521,11 @@ def assemble(grid, spec, edge_mode=EXCLUDE_STRIP_STRIP):
     lexicographic with no sort and no n x n array, in time and memory
     proportional to their number. The coefficient of a pair is
     mu[x] mu[y] J(offset), so the measures need not be uniform. Assembly
-    writes only the rows out of the orbit representatives (symmetry.sectors),
-    which the two p = 2 folds take. deg_active takes one row sum per orbit
-    under G, nnz is their length times |K|; the edge list waits for first use.
+    works out the sectors (symmetry.sectors) and writes no row: deg_active
+    sums the measures against the table over rectangles of the orbit
+    representatives (_reach_sums), one sum per orbit under G, exactly 0 at
+    a node with no active pair, and nnz counts the representatives' pairs
+    times |K|. Every edge set waits for first use.
 
     Offsets whose squared length is within 64 eps (relative) of (R/h)^2
     are left out: J is 0 there up to the rounding of the node coordinates.
@@ -442,31 +551,16 @@ def assemble(grid, spec, edge_mode=EXCLUDE_STRIP_STRIP):
     op = NonlocalOperator(grid, spec, edge_mode, None, None, None, lattice=_lattice_shape(grid))
     op._stencil = _stencil(spec, grid.h, op.lattice)
     sec = sectors(op)
-    op.deg_active, op._nnz, pending = np.empty(grid.n), 0, {}
-    for name, idx, orbits in (("strip", op.strip_idx, sec.strip),
-                              ("interior", op.interior_idx, sec.interior)):
-        pending[name] = rows = _node_rows(op, orbits.reps)
-        sums = np.bincount(rows[0], weights=rows[2], minlength=orbits.size)
-        sums[orbits.partner] = sums[orbits.pair]  # sigma maps the one row onto the other
-        op.deg_active[idx[orbits.table]] = sums / grid.mu[orbits.reps]
-        op._nnz += rows[0].shape[0] * orbits.table.shape[0]
+    op.deg_active, op._nnz = np.empty(grid.n), 0
+    for idx, orbits in ((op.strip_idx, sec.strip), (op.interior_idx, sec.interior)):
+        sums, count = _reach_sums(op, _targets(op, orbits is sec.strip), orbits.rects)
+        sums = sums[orbits.reps]
+        sums[orbits.partner] = sums[orbits.pair]  # sigma maps the one sum onto the other
+        op.deg_active[idx[orbits.table]] = sums
+        op._nnz += count * orbits.table.shape[0]
     if op._nnz == 0:
         raise EmptySupport("no active node pair has a nonzero weight")
-    op._cache["rep_rows"] = pending
     return op
-
-
-def rep_rows(op, name):
-    """The active edges out of the representatives of the orbit class name,
-    "strip" or "interior", of symmetry.sectors(op), in edge order: (row,
-    col, coef) with row the representative's index. The rows assemble
-    wrote are handed out once; later calls write or gather them."""
-    from .symmetry import sectors  # symmetry imports this module
-    pending = op._cache.get("rep_rows", {})
-    rows = pending.pop(name, None)
-    if not pending:
-        op._cache.pop("rep_rows", None)
-    return _node_rows(op, getattr(sectors(op), name).reps) if rows is None else rows
 
 
 def pairs(op):
@@ -491,9 +585,6 @@ def pairs(op):
             half = (a[~before], lo[~before], hi[~before],
                     jval[np.sum(hi[before] - lo[before] + 1):])
             rows, cols, coef = _write_rows(op, np.arange(op.n), half)
-        # as edge_list does: the representative rows assembly left for the
-        # p = 2 folds go, which the folds write again if they come
-        op._cache.pop("rep_rows", None)
         skel = _accel.skeleton(rows, cols, op.n)
         op._cache["pairs"] = rows.astype(skel[0].dtype), skel[0], coef
         op._cache["skeleton"] = skel
@@ -503,10 +594,8 @@ def pairs(op):
 def edge_list(op):
     """The lexicographic active edge list (rows, cols, coef) of op, written
     from its stencil on first use and kept: the oracle of the tests, which
-    no solve reads. The representative rows left for the p = 2 folds go
-    first: the folds gather theirs from the list."""
+    no solve reads."""
     if op._edges is None:
-        op._cache.pop("rep_rows", None)
         op._edges = _node_rows(op, np.arange(op.n))
     return op._edges
 
@@ -520,8 +609,8 @@ def laplacian_dense(op):
 def strip_edges(op):
     """The active edges out of strip nodes, as (rows, cols, coef) in
     lexicographic order with global node indices and the coefficients
-    mu[x] W[x][y]. Cached on first use; the strip flux reads them at every
-    explicit step and every right-hand side."""
+    mu[x] W[x][y]. Cached on first use; the p != 2 strip flux reads them at
+    every explicit step and every right-hand side."""
     if "strip_edges" not in op._cache:
         row, cols, coef = _node_rows(op, op.strip_idx)
         op._cache["strip_edges"] = (op.strip_idx[row], cols, coef)

@@ -12,8 +12,13 @@ The coordinate mirrors kept form the abelian group K, each along an axis
 with an even node count so that every orbit has |K| nodes; each character
 chi of K is a sector. In the orthonormal basis e_a^chi = |K|^(-1/2)
 sum_k chi(k) e_(k a) over the orbit representatives a, the block of a
-matrix L is L_chi[a, b] = sum_k chi(k) L[a, k b]: read off the rows of L
-at the representatives, with no product of sparse matrices.
+matrix L is L_chi[a, b] = sum_k chi(k) L[a, k b]. For the Laplacian of an
+assembled operator, off its diagonal, that is -mu_a mu_b sum_k chi(k)
+J(k b - a), read straight off the stencil's J table with no row written
+(Sectors.fold_laplacian): the representatives are a few rectangles of the
+lattice, and along one axis the images of b under the identity and the
+mirror are Toeplitz and Hankel in the two rectangles' coordinates, so each
+character's block is two sums of strided views of the table.
 
 On a square whose mu and klass are unchanged by the transpose sigma, G is
 the dihedral group of order 8, K and sigma K. sigma maps the
@@ -32,8 +37,8 @@ that index the block's rows.
 The blocks of L_II, the Schur complement S and M + dt S are 1/|K| or
 1/|G| the size of the whole, and the vector folds between the two bases
 cost O(n). Operators that assemble did not build (fixtures pinned from a
-dense kernel matrix) have G = {e}: one block, the matrix itself, through
-the same code.
+dense kernel matrix) have G = {e}: one block, the matrix itself, whose
+Laplacian blocks are cuts of their dense Laplacian.
 """
 
 from dataclasses import dataclass
@@ -41,7 +46,9 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
+from .kernels import EXCLUDE_STRIP_STRIP, _rectangles, _table, laplacian_dense
 
 # the weight of each end of a sigma pair in its even and odd basis vectors
 _HALF = np.sqrt(0.5)
@@ -56,24 +63,23 @@ class Orbits:
     table : (|K|, m) table[k, a] is the position of the image k a of the
         class's a-th representative; table[0] lists the representatives.
     reps : (m,) global node numbers of the representatives.
-    slot, elem : (n,) for each node x of the class the representative a
-        and the group element k with x = k a; slot is -1 off the class.
     transpose : (n_C,) the position of sigma x for each position x, and
         swap : (m,) the representative sigma a for each representative a;
         both the identity when sigma is not kept.
     pair : (p,) the representatives a < sigma a of the sigma pairs, empty
         when sigma is not kept.
     diag : representatives fixed by sigma, all of them when it is not kept.
+    rects : the representatives as rectangles of the lattice
+        (kernels._rectangles), empty for an operator without one.
     """
 
     table: np.ndarray
     reps: np.ndarray
-    slot: np.ndarray
-    elem: np.ndarray
     transpose: np.ndarray
     swap: np.ndarray
     pair: np.ndarray
     diag: np.ndarray
+    rects: tuple
 
     @property
     def size(self):
@@ -92,12 +98,17 @@ class Orbits:
         return np.argsort(np.concatenate((self.pair, self.partner, self.diag)))
 
     @cached_property
+    def order(self):
+        """(m,) the representatives in the order pair, partner, diag."""
+        return np.argsort(self.rank)
+
+    @cached_property
     def ranked(self):
         """The indices of fold and unfold when sigma is kept: the table in
         that order (the product with the characters takes each column on
         its own), where each of its entries goes back to, and the shared
         block in the characters' coefficients, (m, 2) and back (2, m)."""
-        m, order = self.size, np.argsort(self.rank)
+        m, order = self.size, self.order
         table = self.table.take(order, axis=1)
         return (table, np.argsort(table, axis=None),
                 np.column_stack((m + self.rank, 2 * m + self.rank[self.swap])),
@@ -122,6 +133,7 @@ class Sectors:
         mirrors) and the character c (a bit mask too), the trivial one
         first. Symmetric.
     strip, interior : the Orbits of the two node classes.
+    axes : the lattice axis of each kept mirror, in the order of the bits.
     blocks : the Block list, the trivial one first. Without sigma, one per
         character; with it, the sigma-even and sigma-odd blocks of the
         characters 0 and 3, each odd block right after its even one, and
@@ -132,6 +144,7 @@ class Sectors:
     signs: np.ndarray
     strip: Orbits
     interior: Orbits
+    axes: tuple
     blocks: tuple
 
     @cached_property
@@ -214,53 +227,112 @@ class Sectors:
         out[table] = np.multiply.outer(self.signs[blk.char] / np.sqrt(self.signs.shape[0]), coef)
         return out
 
-    def fold_rows(self, rows, row_orbits, col_orbits):
+    def fold_laplacian(self, op, row_orbits, col_orbits):
         """The blocks Q_j^T B Q_j of B = L[R, C], the Laplacian of the
-        coefficients cut to the classes R of row_orbits and C of col_orbits,
-        from the rows kernels.rep_rows gives out of R: minus the coefficients of the
-        edges into C and, when R is C, the row sums on the diagonal. Each
-        character's block is one bincount, B_chi[a, b] = sum_k chi(k)
-        B[a, k b], of the row sum first (the column a leads its orbit) and
-        then the columns k b in one order of k for every b (each mirror
-        takes the representatives' corner of the lattice to higher node
-        numbers, the first axis's past the second's), split by sigma
-        (_halves). Yields one Fortran-ordered B_chi^T per Block: for R = C
-        B_chi, exactly symmetric, as _halves keeps it; for the strip rows
-        and the interior columns L_IS^chi, as L is symmetric and invariant."""
-        row, col, coef = rows
-        m_r, m_c = row_orbits.size, col_orbits.size
-        keep = col_orbits.slot[col] >= 0
-        row, col, data = row[keep], col[keep], np.negative(coef[keep])
-        if row_orbits is col_orbits:
-            row = np.concatenate((np.arange(m_r), row))
-            col = np.concatenate((row_orbits.reps, col))
-            data = np.concatenate((np.bincount(rows[0], weights=coef, minlength=m_r), data))
-        slot, elem = col_orbits.slot[col], col_orbits.elem[col]
-        del rows, coef, keep, col
-        # the block is written transposed, so that its transpose is Fortran-ordered
-        flat = row * m_c + slot
-        # the characters that sigma splits are written in the order pair,
-        # partner, diag on both sides, so that _halves reads slices
-        by_rank = (row_orbits.rank[row] * m_c + col_orbits.rank[slot]
-                   if self.split else None)
-        del row, slot
+        coefficients cut to the classes R of row_orbits and C of
+        col_orbits: one Fortran-ordered array per Block, exactly symmetric
+        when R is C. Off the diagonal, B_chi[a, b] = -mu_a mu_b sum_k chi(k)
+        J(k b - a), the measures being constant on orbits: for each
+        character the sum of the J table over K (_table_fold), in the
+        representatives' order, split by sigma (_halves, the block reordered
+        to pair, partner, diag on both sides), then scaled by -mu_a mu_b,
+        one product of the two measures per entry, so that the transpose
+        of a symmetric block takes the same numbers. When R is C its row
+        sums mu_a deg_active[a] go on the diagonal. In exclude mode L_SS is
+        that diagonal alone. An operator without a lattice (G = {e}) takes
+        the cut of its dense Laplacian."""
+        if op.lattice is None:
+            cut = laplacian_dense(op)[np.ix_(row_orbits.reps, col_orbits.reps)]
+            yield np.asfortranarray(cut)
+            return
+        mu, same = op.grid.mu, row_orbits is col_orbits
+        rows, cols = self.block_reps(row_orbits), self.block_reps(col_orbits)
+        couple = not (same and row_orbits is self.strip and op.edge_mode == EXCLUDE_STRIP_STRIP)
+        j = 0
         for blk in self.blocks:
             if blk.parity < 0:
                 continue  # yielded with the even block of its character
-            weights = data
-            if blk.char:  # the trivial character is 1 at every element
-                weights = self.signs[blk.char][elem]
-                weights *= data
-            # bincount of no entries gives integers, even with weights
-            out = np.bincount(by_rank if blk.parity else flat, weights=weights,
-                              minlength=m_r * m_c)
-            del weights
-            out = out.astype(float, copy=False).reshape(m_r, m_c).T
-            # rebound, so that a split character's whole block is freed
-            # before its halves are handed out
-            out = (_halves(out, col_orbits.pair.shape[0], row_orbits.pair.shape[0])
-                   if blk.parity else (out,))
-            yield from out
+            if not couple:
+                outs = [np.zeros((r.shape[0],) * 2, order="F") for r in rows[j:j + 1 + blk.parity]]
+            else:
+                signs = [0] * len(op.lattice)
+                for bit, axis in enumerate(self.axes):
+                    signs[axis] = -1 if blk.char >> bit & 1 else 1
+                # written with the rows C, so that its transpose is Fortran-ordered
+                fold = _table_fold(_table(op), op.lattice, col_orbits, row_orbits, signs)
+                if blk.parity:
+                    fold = fold.take(col_orbits.order, axis=0).take(row_orbits.order, axis=1)
+                    outs = _halves(fold.T, row_orbits.pair.shape[0], col_orbits.pair.shape[0])
+                else:
+                    outs = (fold.T,)
+                del fold
+            for out in outs:
+                if couple:
+                    _scale(out, -mu[rows[j]], mu[cols[j]])
+                if same:
+                    out[np.diag_indices_from(out)] += mu[rows[j]] * op.deg_active[rows[j]]
+                j += 1
+                yield out
+
+
+def _table_fold(table, lattice, a_orbits, b_orbits, signs):
+    """(m_a, m_b) F[a, b] = sum_k chi(k) J(k b - a) over the representatives
+    a of a_orbits and b of b_orbits, C-ordered, with chi(k) the product of
+    signs[axis] over the axes that k mirrors (0: the axis keeps no mirror).
+    Per rectangle of each (kernels._rectangles) and per axis, from the
+    mirror i -> m - 1 - i and the evenness of J: the identity takes the
+    table at offset i_b - i_a, a Toeplitz view in the two rectangles'
+    coordinates, and the mirror at m - 1 - i_b - i_a, read at i_a + i_b, a
+    Hankel view. The second axis is summed first over every line offset,
+    then the first axis from that. Each sum takes the same numbers for a b
+    as for b a, so the fold of one class with itself is exactly symmetric."""
+    m0, m1 = lattice
+    out = np.empty((a_orbits.size, b_orbits.size))
+    for ai0, ai1, aj0, aj1, a_first, a_width, a_off in a_orbits.rects:
+        for bi0, bi1, bj0, bj1, b_first, b_width, b_off in b_orbits.rects:
+            # [d, u, v]: line offset d - m0 + 1, columns aj0 + u and bj0 + v
+            part = _lagged(table, m1 - 1 + bj0 - aj0, aj1 - aj0, bj1 - bj0, 1, toeplitz=True)
+            if signs[1]:
+                part = _signed_sum(part, _lagged(table, aj0 + bj0, aj1 - aj0, bj1 - bj0, 1),
+                                   signs[1])
+            # [u, ., v, .]: lines ai0 + u and bi0 + v
+            dest = out[a_first:a_first + (ai1 - ai0) * a_width,
+                       b_first:b_first + (bi1 - bi0) * b_width]
+            dest = dest.reshape(ai1 - ai0, a_width, bi1 - bi0, b_width)[
+                :, a_off:a_off + aj1 - aj0, :, b_off:b_off + bj1 - bj0]
+            lines = _lagged(part, m0 - 1 + bi0 - ai0, ai1 - ai0, bi1 - bi0, 0, toeplitz=True)
+            if signs[0]:
+                _signed_sum(lines.transpose(0, 1, 3, 2),
+                            _lagged(part, ai0 + bi0, ai1 - ai0, bi1 - bi0, 0).transpose(0, 1, 3, 2),
+                            signs[0], out=dest)
+            else:
+                dest[...] = lines.transpose(0, 1, 3, 2)
+    return out
+
+
+def _lagged(x, first, count, width, axis, toeplitz=False):
+    """A view y of x with, along axis, y[u] at axis and y[v] last equal to
+    x[first + u + v] (Hankel), or x[first - u + v] when toeplitz is set, for
+    u in range(count) and v in range(width)."""
+    win = sliding_window_view(x, width, axis=axis)
+    lead = (slice(None),) * axis
+    if toeplitz:
+        return np.flip(win[lead + (slice(first - count + 1, first + 1),)], axis=axis)
+    return win[lead + (slice(first, first + count),)]
+
+
+def _signed_sum(x, y, sign, out=None):
+    """x + y, or x - y for a negative sign."""
+    return np.add(x, y, out=out) if sign > 0 else np.subtract(x, y, out=out)
+
+
+def _scale(block, row_mu, col_mu):
+    """block[a, b] *= row_mu[a] col_mu[b] in place, the product of the two
+    measures formed first, a few columns of the Fortran-ordered block at a
+    time, in its order."""
+    step = max(1, (1 << 16) // max(block.shape[0], 1))
+    for c in range(0, block.shape[1], step):
+        block[:, c:c + step] *= np.multiply.outer(col_mu[c:c + step], row_mu).T
 
 
 def _halves(block, p, q):
@@ -285,7 +357,7 @@ def _halves(block, p, q):
     return even, odd
 
 
-def _class_orbits(n, class_idx, is_rep, perms, sigma):
+def _class_orbits(n, class_idx, is_rep, perms, sigma, lattice):
     pos = np.full(n, -1)
     pos[class_idx] = np.arange(class_idx.shape[0])
     reps = class_idx[is_rep[class_idx]]
@@ -293,13 +365,12 @@ def _class_orbits(n, class_idx, is_rep, perms, sigma):
     table = pos[images]
     slot = np.full(n, -1)
     slot[images] = np.arange(reps.shape[0])
-    elem = np.zeros(n, dtype=np.int8)
-    elem[images] = np.arange(len(perms))[:, None]
     swap = slot[sigma[reps]]
     pair = np.flatnonzero(swap > np.arange(reps.shape[0]))
     diag = np.flatnonzero(swap == np.arange(reps.shape[0]))
-    return Orbits(table=table, reps=reps, slot=slot, elem=elem,
-                  transpose=pos[sigma[class_idx]], swap=swap, pair=pair, diag=diag)
+    rects = () if lattice is None else _rectangles(lattice[1], reps)
+    return Orbits(table=table, reps=reps, transpose=pos[sigma[class_idx]], swap=swap,
+                  pair=pair, diag=diag, rects=rects)
 
 
 def _invariant(grid, perm):
@@ -319,7 +390,7 @@ def sectors(op):
         return op._cache["sectors"]
     grid = op.grid
     node = np.arange(grid.n)
-    perms, is_rep, signs = [node], np.ones(grid.n, dtype=bool), np.ones((1, 1))
+    perms, is_rep, signs, axes = [node], np.ones(grid.n, dtype=bool), np.ones((1, 1)), []
     sigma = node
     if op.lattice is not None:
         index = node.reshape(op.lattice)
@@ -332,6 +403,7 @@ def sectors(op):
             # old ones, and a character takes the sign -1 on it or not
             perms += [perm[mirror] for perm in perms]
             signs = np.block([[signs, signs], [signs, -signs]])
+            axes.append(axis)
         transpose = index.T.ravel()
         if len(perms) == 4 and op.lattice[0] == op.lattice[1] and _invariant(grid, transpose):
             sigma = transpose
@@ -339,8 +411,9 @@ def sectors(op):
         blocks = tuple(Block(c, 0) for c in range(len(perms)))
     else:
         blocks = (Block(0, 1), Block(0, -1), Block(1, 0), Block(3, 1), Block(3, -1))
-    sec = Sectors(signs=signs, blocks=blocks,
-                  strip=_class_orbits(grid.n, op.strip_idx, is_rep, perms, sigma),
-                  interior=_class_orbits(grid.n, op.interior_idx, is_rep, perms, sigma))
+    sec = Sectors(signs=signs, axes=tuple(axes), blocks=blocks,
+                  strip=_class_orbits(grid.n, op.strip_idx, is_rep, perms, sigma, op.lattice),
+                  interior=_class_orbits(grid.n, op.interior_idx, is_rep, perms, sigma,
+                                         op.lattice))
     op._cache["sectors"] = sec
     return sec

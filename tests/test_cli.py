@@ -325,6 +325,22 @@ def test_beta_reports_isolated_strip_nodes(runner, tmp_path):
     assert " strip_nodes=144 sectors=4x36 " in res.stderr
 
 
+def test_beta_reports_the_smallest_strip_degree(runner, tmp_path):
+    # the exact bound beta <= deg_active[x] / (1 - mu_x / sum mu_S) makes the
+    # smallest strip degree the ceiling of the gap; on the square it sits at
+    # the corner node (h/2, h/2), the first of the four that tie exactly
+    res = runner.invoke(main, ["beta", "--config", write_cfg(tmp_path, SQUARE64)])
+    assert res.exit_code == 0
+    _, op = build_problem(parse_config(SQUARE64))
+    deg = op.deg_active[op.strip_idx]
+    low = float(np.min(deg))
+    assert f"beta: min_strip_degree={low:.6g} at=(0.0078125, 0.0078125)\n" in res.stderr
+    assert f"{low:.6g}" == "0.0112045"
+    assert op.strip_idx[np.argmin(deg)] == 0
+    # beta sits just under it: 0.9985 of it at h = 1/64
+    assert 0.998 * low < float(res.stdout) < low
+
+
 def test_validate_expects_a_gap_without_isolated_strip_nodes(runner, tmp_path):
     doc = dict(ISOLATED_CORNERS, r=0.15625)
     res = runner.invoke(main, ["validate", "--config", write_cfg(tmp_path, doc)])
@@ -437,11 +453,11 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert {name: len(outs) for name, outs in seen.items()} == dict.fromkeys(runs, 1)
     # the gap at 1 BLAS thread, which the unpinned 2-thread run missed by 2.8e-17
     (beta,) = seen["beta"]
-    assert beta[0] == "0.011187723639422359\n"
+    assert beta[0] == "0.011187723639422392\n"
 
 
 def test_grid_and_beta_build_no_edge_list(runner, tmp_path, monkeypatch):
-    # grid reads nnz and deg_active, beta folds the representatives' rows:
+    # grid reads nnz and deg_active, beta reads its blocks off the J table:
     # neither builds the edge list, and nnz is the list's length
     built = []
     monkeypatch.setattr(kernels, "edge_list", built.append)
@@ -484,12 +500,13 @@ def test_linear_solve_elliptic_and_validate_build_no_edge_list(runner, tmp_path,
 def test_beta_at_h96_peaks_under_300_mb(tmp_path):
     # the whole beta command in a fresh process, measured by its own peak
     # resident size (KiB on Linux): 450 MB while assembly wrote the whole
-    # edge list, about 205 MB from the representatives' rows
+    # edge list, about 205 MB from the representatives' rows, and below
+    # that with no row written
     cfg = write_cfg(tmp_path, dict(SQUARE64, h=1.0 / 96.0))
     script = ("import resource, sys; from stripflow.cli import main; "
               f"main(['beta', '--config', {cfg!r}, '--quiet'], standalone_mode=False); "
               "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
     res = fresh_python(["-c", script], 1)
     beta, peak_kib = res.stdout.split()
-    assert float(beta) == 0.00984304734223151
+    assert float(beta) == 0.0098430473422315128
     assert int(peak_kib) < 300 * 1024

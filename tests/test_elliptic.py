@@ -252,11 +252,11 @@ def test_linear_report_does_not_grow_with_a_constant_offset():
 
 
 def test_interior_cache_keeps_l_ii_only_as_its_factor():
-    # the blocks of L_II are folded from the edge list and written dense only
-    # to be factored in place, and no sparse L_II or L_IS is kept, so after
+    # the blocks of L_II are read off the J table and written dense only to
+    # be factored in place, and no sparse L_II or L_IS is kept, so after
     # every p = 2 path the arrays on the operator are the interior factors,
-    # one per block, the blocks of S, the factors of M + dt S_j and the
-    # transform of the stencil's J table, and none is n_I x n_I
+    # one per block, the blocks of S, the factors of M + dt S_j, the J table
+    # and its transform, and none is n_I x n_I
     op = make_op(1.0 / 8.0, 0.125, sf.tent_kernel(0.25, 2), dim=2)
     assert op.n_strip != op.n_interior
     g = sf.StripField(np.random.default_rng(4).standard_normal(op.n_strip), op.grid)
@@ -277,14 +277,16 @@ def test_interior_cache_keeps_l_ii_only_as_its_factor():
     cached = [a for item in op._cache.values() for a in arrays(item)]
     # every size pinned: 9 and 6 are interior factors only, 7 and 4 the
     # blocks of S and the implicit factors, and 3 two of each kind; the 8 x 8
-    # lattice's offsets lie on 15 x 15 points, whose real transform is 15 x 8
+    # lattice's offsets lie on 15 x 15 points, the J table, whose real
+    # transform is 15 x 8
     assert Counter(a.shape for a in cached) == {(9, 9): 1, (6, 6): 2, (7, 7): 2,
-                                                (4, 4): 4, (3, 3): 6, (15, 8): 1}
+                                                (4, 4): 4, (3, 3): 6, (15, 15): 1,
+                                                (15, 8): 1}
     # and each cached array is by identity one of those, with no other copy
     factors = [chol for chol, _ in _interior(op)]
     implicit = [chol for chol, _ in op._cache["implicit_chol"][1]]
     owned = (factors + list(sf.schur_complement(op)) + implicit
-             + [op._cache["stencil_transform"][1]])
+             + [op._cache["table"], op._cache["stencil_transform"][1]])
     assert len(owned) == len(cached)
     assert all(sum(a is b for b in owned) == 1 for a in cached)
     assert not any(a.shape == (op.n_interior, op.n_interior) for a in cached)
@@ -453,13 +455,13 @@ def test_pair_balance_and_energy_match_the_edge_list(op16, op16_full, op2d, toy3
 
 
 def test_solves_cache_no_same_class_edge_copy():
-    # the p = 2 blocks are folded straight from the edge list and the
-    # extension convolves with the stencil's cached transform, so the strip
-    # rows the flux reads and the pairs x < y the p != 2 passes run on are
-    # the edge sets cached; the rest are the transform, the CSR skeletons of
-    # those two sets (column index and row pointer, no values; the pairs'
-    # column index is the skeleton's), the mirror sectors, the interior
-    # factors, the blocks of S and the strip factors
+    # the p = 2 blocks are read off the J table and the extension convolves
+    # with its cached transform, so the strip rows the p != 2 flux reads and
+    # the pairs x < y the p != 2 passes run on are the edge sets cached; the
+    # rest are the table and its transform, the CSR skeletons of those two
+    # sets (column index and row pointer, no values; the pairs' column index
+    # is the skeleton's), the mirror sectors, the interior factors, the
+    # blocks of S and the strip factors
     op = make_op(1.0 / 16.0, 0.25, sf.tent_kernel(0.5, 1))
     g = sf.StripField(np.random.default_rng(9).standard_normal(op.n_strip), op.grid)
     sf.extend_linear(op, g)
@@ -469,7 +471,8 @@ def test_solves_cache_no_same_class_edge_copy():
         sf.evolve(op, sf.ProblemSpec("plaplace", p), g, 0.02, 0.01, sf.IMPLICIT)
     sf.evolve(op, sf.ProblemSpec("plaplace", 3.0), g, 0.02, 0.01, sf.EXPLICIT)
     assert set(op._cache) == {"sectors", "interior", "schur", "implicit_chol", "strip_edges",
-                              "pairs", "skeleton", "strip_skeleton", "stencil_transform"}
+                              "pairs", "skeleton", "strip_skeleton", "table",
+                              "stencil_transform"}
     assert op._cache["skeleton"][0] is pairs(op)[1]
     for key, cols in (("skeleton", pairs(op)[1]), ("strip_skeleton", strip_edges(op)[1])):
         indices, indptr = op._cache[key]

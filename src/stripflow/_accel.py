@@ -4,16 +4,16 @@ Edges are stored flat as (rows, cols, data) in lexicographic order, with
 data the symmetric coefficients mu[x] W[x][y] or a reweighting of them;
 every summation below runs in that fixed order, so results are
 reproducible bit-for-bit. skeleton is the CSR pattern of an edge list,
-built without a sort, and kernels.edge_skeleton caches one per edge set
-of an operator; adjacency puts weights on it without copying them, and
+built without a sort, and kernels.edge_skeleton caches the one of an
+operator's pairs; adjacency puts weights on it without copying them, and
 edge_matrix gives it a fresh data buffer. The edge kernels write their
 per-edge values into such a buffer and sum each row by the product with
 ones, in edge order, as np.bincount sums it. phi_row_sums is the one edge
-pass over node values: on the ordered strip rows its row sums are mu times
-the strip flux, and on the interacting pairs x < y (kernels.pairs), which
-carry each edge once, the balance is its row sums minus the column sums of
-the same buffer, as phi_p is odd. Every balance, flux, gradient and energy
-is read off those sums (divided by mu[x] for W units). The two curvature
+pass over node values: on the interacting pairs x < y (kernels.pairs),
+which carry each edge once, the balance is its row sums minus the column
+sums of the same buffer, as phi_p is odd, and its strip rows are the
+strip flux. Every balance, flux, gradient and energy is read off those
+sums (divided by mu[x] for W units). The two curvature
 builders take the pairs: laplacian_block writes the dense Laplacian blocks,
 the majoriser matrix and laplacian_dense, whose cuts are the p = 2 blocks
 of an operator without a lattice; on a lattice those blocks are read off

@@ -231,7 +231,7 @@ def rayleigh_quotient(op, g, p):
     The numerator is half the weighted sum of |u_hat[y] - u_hat[x]|^p over
     active ordered pairs, with u_hat the stationary extension of g, read off
     its strip flux. The caller must supply mean-zero data. At p = 2 this
-    route (extension, then an edge pass) stays apart from the Schur
+    route (extension, then the strip row sums) stays apart from the Schur
     complement that spectral_gap_beta and the p = 2 dynamics use, so the
     quotient of the gap mode checks beta independently.
     """
@@ -243,8 +243,7 @@ def rayleigh_quotient(op, g, p):
     mean = np.dot(mu_s, gv) / np.sum(mu_s)
     if abs(mean) > 1e-9 * sup:
         raise NotMeanZero(f"weighted mean {mean:.3e} exceeds 1e-9 * max |g|")
-    full = _extended_values(op, gv, p)
-    numerator = p * _extension_energy(op, full, p)
+    numerator = p * _extension_energy(op, *_extended_values(op, gv, p), p)
     denominator = float(np.sum(mu_s * np.abs(gv) ** p))
     return numerator / denominator
 
@@ -298,7 +297,7 @@ def estimate_beta_p(op, p, restarts=8, seed=0):
         while np.sum(mu_s * np.abs(gv) ** p) < 1e-24:
             gv = _project_mean_zero(rng.standard_normal(op.n_strip), mu_s)
         gv = gv / _lp_norm(mu_s, gv, p)
-        v = _extended_values(op, gv, p)
+        v = _extended_values(op, gv, p)[0]
         quot = p * energy_values(op, v, p)
 
         for _ in range(_POWER_MAX_ITER):

@@ -10,8 +10,7 @@ the stencil's J table (Sectors.fold_laplacian) and Cholesky-factored once
 per operator. Its right-hand side and its gate are interior row sums
 (kernels.interior_row_sums): on an assembled grid one FFT convolution with
 the stencil, so the p = 2 extension writes no row. For general p > 1 it is
-the
-Euler-Lagrange condition of a strictly convex edge energy E_p.
+the Euler-Lagrange condition of a strictly convex edge energy E_p.
 _newton_free is the one descent solve for p != 2: it minimizes
 F(v) = E_p(v) - <lin, v> + (1/2) sum w (v - t)^2 over the free nodes, is
 gated on one residual r, the W-unit balance of F (whose gradient is
@@ -28,12 +27,12 @@ and the coefficients symmetric, so the balance is the row sums of the
 balance buffer less its column sums, the Hessian's diagonal the row plus
 the column sums of its buffer and its product U x + U^T x, and the
 majoriser's dense block the cut of U + U^T (_accel.laplacian_block, no
-diagonal term). The p != 2 strip flux keeps its ordered strip rows
-(kernels.strip_edges). At p = 2 the strip flux is a convolution too
-(kernels.strip_row_sums), and the public residual and energy take the
-interior rows from interior_row_sums: no p = 2 path writes a row. Balances are
-in W units, coefficient row sums over mu[x]. Energies come from the same
-row sums by Euler's identity: E_p is p-homogeneous, the
+diagonal term). The strip rows of a solve's balance of E_p
+(EnergyReport.balance) are the p != 2 strip flux. At p = 2 it is a
+convolution (kernels.strip_row_sums), and the public residual and energy
+take the interior rows from interior_row_sums: no p = 2 path writes a
+row. Balances are in W units, coefficient row sums over mu[x]. Energies
+come from the same row sums by Euler's identity: E_p is p-homogeneous, the
 coefficients symmetric and phi_p odd, so for the balance r of any v and any
 constant c, E_p(v) = (1/p) <mu (c - v), r>. An extended state's interior
 rows vanish, so its energy pairs the strip flux alone.
@@ -45,8 +44,7 @@ import scipy.linalg as sla
 from . import _accel
 from .errors import EmptyInterior, NoConvergence, NonConvexExponent, SingularSystem
 from .fields import EnergyReport, FullField, StripField
-from .kernels import (edge_skeleton, interior_row_sums, pairs, strip_edges,
-                      strip_row_sums)
+from .kernels import edge_skeleton, interior_row_sums, pairs, strip_row_sums
 from .symmetry import sectors
 
 __all__ = [
@@ -99,7 +97,7 @@ def residual_values(op, vals, p, eps):
         return _pair_balance(op, vals, p, eps, _accel.edge_matrix(edge_skeleton(op)))
     out = np.empty(op.n)
     out[op.interior_idx] = _interior_balance(op, vals - _midrange(vals))
-    out[op.strip_idx] = _strip_flux(op, vals, p)
+    out[op.strip_idx] = _strip_flux(op, vals)
     return out
 
 
@@ -114,33 +112,25 @@ def _pair_balance(op, vals, p, eps, mat):
     return np.divide(sums, op.grid.mu, out=sums)
 
 
-def _strip_flux(op, vals, p):
-    """Per strip node x, sum_y W[x][y] phi_p(vals[y] - vals[x]) over its
-    active edges: the strip rows' coefficient sums divided by mu[x],
-    regularized with REG_EPS for p < 2. At p = 2 it is the strip row sums
-    (kernels.strip_row_sums, by FFT on an assembled operator) of the values
-    less their midrange c, divided by mu[x], less deg_active[x] (vals[x] -
-    c): constant data reads exactly 0, and so does a node with no active
-    pair, whose degree is exactly 0. Otherwise one pass over the strip
-    rows (kernels.strip_edges)."""
+def _strip_flux(op, vals):
+    """Per strip node x, the p = 2 flux sum_y W[x][y] (vals[y] - vals[x])
+    over its active edges: the strip row sums (kernels.strip_row_sums, by
+    FFT on an assembled operator) of the values less their midrange c,
+    divided by mu[x], less deg_active[x] (vals[x] - c). Constant data reads
+    exactly 0, and so does a node with no active pair, whose degree is
+    exactly 0."""
     idx = op.strip_idx
-    if p == 2.0:
-        centred = vals - _midrange(vals)
-        deg = op.deg_active[idx]
-        flux = strip_row_sums(op, centred) / op.grid.mu[idx] - deg * centred[idx]
-        flux[deg == 0.0] = 0.0
-        return flux
-    rows, cols, coef = strip_edges(op)
-    sums = _accel.phi_row_sums(rows, cols, coef, vals, p, eps_for(p), op.n,
-                               _accel.edge_matrix(edge_skeleton(op, strip=True)))
-    return sums[idx] / op.grid.mu[idx]
+    centred = vals - _midrange(vals)
+    deg = op.deg_active[idx]
+    flux = strip_row_sums(op, centred) / op.grid.mu[idx] - deg * centred[idx]
+    flux[deg == 0.0] = 0.0
+    return flux
 
 
-def _extension_energy(op, vals, p):
+def _extension_energy(op, vals, flux, p):
     """E_p of an extended state from its strip flux alone: its interior
     balance vanishes, so Euler's identity pairs the strip rows only."""
-    mu_s = op.grid.mu[op.strip_idx]
-    return _pairing(mu_s, vals[op.strip_idx], _strip_flux(op, vals, p), p)
+    return _pairing(op.grid.mu[op.strip_idx], vals[op.strip_idx], flux, p)
 
 
 def energy(op, u, p):
@@ -284,14 +274,15 @@ def _newton_free(op, p, v0, free, max_iter, converged, *, lin=None, prox=None):
     this c minimizes, and sum w (v - t) = 0 after it: the implicit step
     keeps its strip mass exactly. F and r are updated in closed form.
 
-    Returns (FullField, EnergyReport) at the minimizer: energy is F and
-    grad_norm is max |r[free]|. Raises NoConvergence carrying the same pair
-    for the last iterate, with converged False, when the budget runs out
-    (every accepted step lowers F, up to roundoff) or at once when the
-    descent stalls: STALL_STEPS accepted points in a row that lower F by
-    no more than roundoff and set no new best max |r[free]|. A stalled
-    report has stalled True and its floor estimate set. SingularSystem is
-    raised at once when a majorizer factor fails.
+    Returns (FullField, EnergyReport) at the minimizer: energy is F,
+    grad_norm is max |r[free]| and balance that of E_p alone. Raises
+    NoConvergence carrying the same pair for the last iterate, with
+    converged False, when the budget runs out (every accepted step lowers
+    F, up to roundoff) or at once when the descent stalls: STALL_STEPS
+    accepted points in a row that lower F by no more than roundoff and set
+    no new best max |r[free]|. A stalled report has stalled True and its
+    floor estimate set. SingularSystem is raised at once when a majorizer
+    factor fails.
     """
     eps = eps_for(p)
     # this solve's buffers on the cached skeleton of the pairs, dropped on
@@ -309,18 +300,19 @@ def _newton_free(op, p, v0, free, max_iter, converged, *, lin=None, prox=None):
     wsum = float(np.sum(prox[0])) if prox is not None and free.shape[0] == op.n else 0.0
 
     def evaluate(x):
-        resid = _pair_balance(op, x, p, 0.0, balance)
-        f = _pairing(mu, x, resid, p)
+        bal = _pair_balance(op, x, p, 0.0, balance)
+        f = _pairing(mu, x, bal, p)
         if eps > 0.0:
-            resid = _pair_balance(op, x, p, eps, balance)
+            bal = _pair_balance(op, x, p, eps, balance)
+        resid = bal
         if lin is not None:
             f -= float(np.dot(lin, x))
-            resid += lin / mu
+            resid = resid + lin / mu
         if prox is not None:
             d = x - prox[1]
             f += 0.5 * float(np.dot(prox[0], d * d))
-            resid -= prox[0] * d / mu
-        return f, resid
+            resid = resid - prox[0] * d / mu
+        return f, resid, bal
 
     def majorizer(x):
         d = x[cols] - x[rows]
@@ -334,10 +326,11 @@ def _newton_free(op, p, v0, free, max_iter, converged, *, lin=None, prox=None):
         x[free] = v[free] + step
         return (x,) + evaluate(x)
 
-    def recentered(x, fx, rx):
-        # F(x + c) - F(x) = c sum w d + c^2 sum w / 2 = -c^2 sum w / 2 at the minimizing c
+    def recentered(x, fx, rx, bx):
+        # F(x + c) - F(x) = c sum w d + c^2 sum w / 2 = -c^2 sum w / 2 at the
+        # minimizing c; E_p's balance does not change under the shift
         c = -float(np.dot(prox[0], x - prox[1])) / wsum
-        return x + c, fx - 0.5 * c * c * wsum, rx - prox[0] * (c / mu)
+        return x + c, fx - 0.5 * c * c * wsum, rx - prox[0] * (c / mu), bx
 
     def floor():
         # sensitivity of r to a relative perturbation eps of v: eps max |v|
@@ -349,9 +342,9 @@ def _newton_free(op, p, v0, free, max_iter, converged, *, lin=None, prox=None):
         return FullField(v, op.grid), EnergyReport(
             energy=f, grad_norm=float(np.max(np.abs(resid[free]), initial=0.0)),
             iterations=iterations, converged=done, cg_iterations=cg_iters,
-            stalled=stalled, floor=floor() if stalled else None)
+            stalled=stalled, floor=floor() if stalled else None, balance=bal)
 
-    f, resid = evaluate(v)
+    f, resid, bal = evaluate(v)
     lam = 0.0
     prev_step = None
     cg_iters = 0
@@ -420,9 +413,9 @@ def _newton_free(op, p, v0, free, max_iter, converged, *, lin=None, prox=None):
         if found is None:
             break
         f_prev = f
-        v, f, resid = found
+        v, f, resid, bal = found
         if wsum > 0.0:
-            v, f, resid = recentered(v, f, resid)
+            v, f, resid, bal = recentered(v, f, resid, bal)
         sup = np.max(np.abs(resid[free]), initial=0.0)
         flat = 0 if f < f_prev - fnoise or sup < best_sup else flat + 1
         best_sup = min(best_sup, sup)
@@ -472,10 +465,15 @@ def extend(op, g, p, tol=1e-10, max_iter=100, x0=None):
 
 def _extended_values(op, gv, p, x0=None):
     """Nodal values of the extension of strip values gv at tolerance EXT_TOL,
-    or gv itself on a grid with no interior."""
+    or gv itself on a grid with no interior, and their strip flux: at p != 2
+    the strip rows of the solve's balance, or of one pass where none ran."""
+    if p == 2.0:
+        vals = gv if op.n_interior == 0 else extend_linear(op, gv).values
+        return vals, _strip_flux(op, vals)
     if op.n_interior == 0:
-        return gv
-    return extend(op, gv, p, tol=EXT_TOL, x0=x0).values
+        return gv, residual_values(op, gv, p, eps_for(p))
+    field, report = extend_plaplace(op, gv, p, tol=EXT_TOL, x0=x0)
+    return field.values, report.balance[op.strip_idx]
 
 
 def extend_with_report(op, g, p, tol=1e-10, max_iter=100, x0=None):
@@ -488,6 +486,7 @@ def extend_with_report(op, g, p, tol=1e-10, max_iter=100, x0=None):
     """
     if p == 2.0:
         field, resid = _extend_linear(op, g)
-        return field, EnergyReport(energy=_extension_energy(op, field.values, p),
+        flux = _strip_flux(op, field.values)
+        return field, EnergyReport(energy=_extension_energy(op, field.values, flux, p),
                                    grad_norm=resid, iterations=1, converged=True)
     return extend_plaplace(op, g, p, tol=tol, max_iter=max_iter, x0=x0)

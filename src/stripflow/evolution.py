@@ -29,7 +29,7 @@ from scipy.integrate import cumulative_trapezoid
 from .analysis import (DIAG_COLUMNS, _lp_norm, lq_distance_to_mean, mass,
                        schur_complement)
 from .elliptic import (StripField, _extended_values, _interior_start, _midrange,
-                       _newton_free, _pairing, _strip_flux)
+                       _newton_free, _pairing)
 from .errors import (InvalidArgument, NoContraction, SingularSystem, SolverError)
 from .kernels import EXCLUDE_STRIP_STRIP, FULL, SINGULAR
 from .symmetry import sectors
@@ -140,7 +140,7 @@ def _schur_flux(op, uv):
 def _rhs_values(op, spec, uv):
     if spec.p == 2.0:
         return _schur_flux(op, uv)
-    return _strip_flux(op, _extended_values(op, uv, spec.p), spec.p)
+    return _extended_values(op, uv, spec.p)[1]
 
 
 def rhs(op, spec, u):
@@ -215,11 +215,11 @@ def _implicit_linear_values(op, dt, uv):
 
 
 def _step_implicit_values(op, spec, uv, dt, tol, max_iter, warm):
-    """(strip values, full values, EnergyReport) after one implicit step; at
-    p = 2 the strip solve makes no extension and the full values and the
-    report are None."""
+    """(strip values, full values, strip flux, EnergyReport) after one
+    implicit step, the flux read off the report's balance; at p = 2 the
+    strip solve makes no extension and all but the strip values are None."""
     if spec.p == 2.0:
-        return _implicit_linear_values(op, dt, uv), None, None
+        return _implicit_linear_values(op, dt, uv), None, None, None
 
     # F = E_p + (1/2) sum (mu_S / dt) (v - u)^2 is the step's objective over dt
     target = np.zeros(op.n)
@@ -238,7 +238,8 @@ def _step_implicit_values(op, spec, uv, dt, tol, max_iter, warm):
 
     field, report = _newton_free(op, spec.p, v0, np.arange(op.n), max_iter, converged,
                                  prox=(weight, target))
-    return field.values[op.strip_idx], field.values, report
+    return (field.values[op.strip_idx], field.values, report.balance[op.strip_idx],
+            report)
 
 
 def step_implicit(op, spec, u, dt, tol=1e-10, max_iter=60):
@@ -253,7 +254,7 @@ def step_implicit(op, spec, u, dt, tol=1e-10, max_iter=60):
     if dt <= 0.0:
         raise InvalidArgument("dt must be positive")
     uv = u.values if isinstance(u, StripField) else np.asarray(u, dtype=float)
-    out, _, _ = _step_implicit_values(op, spec, uv, dt, tol, max_iter, None)
+    out = _step_implicit_values(op, spec, uv, dt, tol, max_iter, None)[0]
     return StripField(out, op.grid)
 
 
@@ -275,7 +276,8 @@ def evolve(op, spec, u0, t_end, dt, integrator=EXPLICIT, tol=1e-10, max_iter=60)
     the previous extended state. Diagnostics (mass, distances to the
     weighted mean, edge energy of the extended state) are recorded at every
     time; the energy is read off the strip flux that also drives the
-    explicit step. Implicit p != 2 steps also record their Newton and PCG
+    explicit step, which for p != 2 the state's extension or implicit step
+    computed. Implicit p != 2 steps also record their Newton and PCG
     iteration counts (Trajectory.newton_iters, pcg_iters). On a solver
     failure mid-run the raised error carries the partial trajectory in its
     ``partial`` attribute.
@@ -307,9 +309,10 @@ def evolve(op, spec, u0, t_end, dt, integrator=EXPLICIT, tol=1e-10, max_iter=60)
     linear = spec.p == 2.0
     complete = 0
     try:
-        full = None if linear else _extended_values(op, uv, spec.p)
+        full, flux = (None, None) if linear else _extended_values(op, uv, spec.p)
         for k in range(nsteps + 1):
-            flux = _schur_flux(op, uv) if linear else _strip_flux(op, full, spec.p)
+            if linear:
+                flux = _schur_flux(op, uv)
             states[k] = uv
             diag[k] = _diag_row(op, spec, uv, flux)
             complete = k + 1
@@ -319,9 +322,10 @@ def evolve(op, spec, u0, t_end, dt, integrator=EXPLICIT, tol=1e-10, max_iter=60)
             if integrator == EXPLICIT:
                 uv = uv + dt * flux
                 if not linear:
-                    full = _extended_values(op, uv, spec.p, warm)
+                    full, flux = _extended_values(op, uv, spec.p, warm)
             else:
-                uv, full, report = _step_implicit_values(op, spec, uv, dt, tol, max_iter, warm)
+                uv, full, flux, report = _step_implicit_values(op, spec, uv, dt, tol,
+                                                               max_iter, warm)
                 if newton is not None:
                     newton[k], pcg[k] = report.iterations, report.cg_iterations
     except SolverError as exc:

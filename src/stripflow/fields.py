@@ -1,6 +1,6 @@
 """Value containers for nodal data on a grid."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,7 +51,9 @@ class EnergyReport:
     residual improved any more; its floor estimates the residual that
     roundoff in the iterate alone produces, eps max |v| max_x sum_y
     W[x][y] phi_p'(v[y] - v[x]), and is None for a solve that did not stall.
-    A gate below the floor is met, if at all, by how the roundoff falls."""
+    A gate below the floor is met, if at all, by how the roundoff falls.
+    balance is the W-unit balance of E_p alone at the returned point,
+    regularized for p < 2 as the residual is, or None where no descent ran."""
 
     energy: float
     grad_norm: float
@@ -60,3 +62,4 @@ class EnergyReport:
     cg_iterations: int = 0
     stalled: bool = False
     floor: float | None = None
+    balance: np.ndarray | None = field(default=None, compare=False, repr=False)

@@ -7,6 +7,7 @@ rename, so readers never observe a partial file.
 """
 
 import os
+import stat
 import tempfile
 from dataclasses import dataclass
 
@@ -24,13 +25,25 @@ def fmt(x):
     return "%.17g" % float(x)
 
 
+def _file_mode(path):
+    """The mode of the file at path, or 0o666 less the umask for a new one."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def atomic_write_text(path, text):
-    """Write text to path via a sibling temp file and an atomic rename."""
+    """Write text to path via a sibling temp file and an atomic rename,
+    with _file_mode, not the temp file's 0o600."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        os.chmod(tmp, _file_mode(path))
         os.replace(tmp, path)
     except BaseException:
         try:

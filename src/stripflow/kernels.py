@@ -20,7 +20,7 @@ consecutive node numbers, one per line of offsets, so the rows of any node
 set are written from the table run after run, already in lexicographic
 order, in time and memory proportional to their length: for the p != 2
 passes the interacting pairs x < y (pairs), each once, from the half of
-the table after the self-offset, and their strip rows (strip_edges). No
+the table after the self-offset, the one edge set a solve writes. No
 solve writes the whole ordered edge list (edge_list); tests take it as
 their oracle. A compact kernel drops the offsets on the rim |x - y| = R of
 its support, where J is 0 up to the rounding of the coordinates. On a
@@ -165,14 +165,13 @@ class NonlocalOperator:
     the offset stencil of its lattice (a few KB) and writes no row at
     assembly: its row sums, its sector blocks and its row products with
     node values are read off the stencil's J table. The p != 2 passes run
-    on the interacting pairs x < y, one coefficient each (pairs), and on
-    the strip rows (strip_edges), written from the stencil on first use
-    (_node_rows) and cached with their CSR skeletons. The lexicographic
-    edge list with one symmetric coefficient per ordered edge is built on
-    first access to act_rows, act_cols or act_coef (edge_list), which no
-    solve makes: it is the tests' oracle. Rows are then gathered from it.
-    An operator built from given edges (_operator_from_dense) has its list
-    from the start and takes its pairs from it. W[x][y] is act_coef / mu[x].
+    on the interacting pairs x < y, one coefficient each (pairs), written
+    from the stencil on first use and cached with their CSR skeleton. The
+    lexicographic edge list with one symmetric coefficient per ordered edge
+    is built on first access to act_rows, act_cols or act_coef (edge_list),
+    which no solve makes: it is the tests' oracle. An operator built from
+    given edges (_operator_from_dense) has its list from the start, takes
+    its pairs from it and sums its rows over it. W[x][y] is act_coef / mu[x].
 
     Attributes
     ----------
@@ -332,19 +331,6 @@ def _runs(op, node, stencil):
     return targets, length.sum(axis=1), start[runs], length[runs], (c0 - first_offset)[runs]
 
 
-def _node_rows(op, nodes):
-    """The active edges out of the ascending nodes, in edge order: (row,
-    col, coef) with row the node's index in nodes. Gathered from the edge
-    list when it exists, else written from the stencil (_write_rows)."""
-    if op._edges is not None:
-        rows, cols, coef = op._edges
-        start, stop = np.searchsorted(rows, (nodes, nodes + 1))
-        count = stop - start
-        take = _ranges(start, count)
-        return np.repeat(np.arange(nodes.shape[0]), count), cols[take], coef[take]
-    return _write_rows(op, nodes, op._stencil)
-
-
 def _write_rows(op, nodes, stencil):
     """The active edges out of the ascending nodes through the offset runs
     of stencil, in edge order, as J evaluated at every node pair gives
@@ -481,8 +467,8 @@ def _row_sums(op, vals, idx, targets):
     operator built from given edges has no stencil; its rows are summed in
     edge order, as np.bincount sums them."""
     if op.lattice is None:
-        row, cols, coef = _node_rows(op, idx)
-        return np.bincount(row, weights=coef * vals[cols], minlength=idx.shape[0])
+        rows, cols, coef = op._edges
+        return np.bincount(rows, weights=coef * vals[cols], minlength=op.n)[idx]
     size, transform = _stencil_transform(op)
     (m0, m1), mu = op.lattice, op.grid.mu
     spread = scipy.fft.rfftn((targets * mu * vals).reshape(m0, m1), size)
@@ -505,7 +491,7 @@ def strip_row_sums(op, vals):
     values the convolution takes with the strip's set to 0. Its error is
     that of the convolution, a few eps of the largest row's sum |terms|,
     not of each row's own."""
-    return _row_sums(op, vals, op.strip_idx, _targets(op, strip=True))
+    return _row_sums(op, vals, op.strip_idx, _targets(op, True))
 
 
 def assemble(grid, spec, edge_mode=EXCLUDE_STRIP_STRIP):
@@ -596,7 +582,7 @@ def edge_list(op):
     from its stencil on first use and kept: the oracle of the tests, which
     no solve reads."""
     if op._edges is None:
-        op._edges = _node_rows(op, np.arange(op.n))
+        op._edges = _write_rows(op, np.arange(op.n), op._stencil)
     return op._edges
 
 
@@ -606,27 +592,10 @@ def laplacian_dense(op):
     return _accel.laplacian_block(*pairs(op), np.arange(op.n), edge_skeleton(op))
 
 
-def strip_edges(op):
-    """The active edges out of strip nodes, as (rows, cols, coef) in
-    lexicographic order with global node indices and the coefficients
-    mu[x] W[x][y]. Cached on first use; the p != 2 strip flux reads them at
-    every explicit step and every right-hand side."""
-    if "strip_edges" not in op._cache:
-        row, cols, coef = _node_rows(op, op.strip_idx)
-        op._cache["strip_edges"] = (op.strip_idx[row], cols, coef)
-    return op._cache["strip_edges"]
-
-
-def edge_skeleton(op, strip=False):
-    """The CSR skeleton (_accel.skeleton) of pairs(op), or of
-    strip_edges(op) when strip is set, over all op.n rows. Built once per
-    operator and cached; it holds the column index and the row pointer,
-    int32 where they fit, and no values: each edge pass puts its own
-    buffer on it (_accel.edge_matrix)."""
-    if not strip:
-        pairs(op)
-        return op._cache["skeleton"]
-    if "strip_skeleton" not in op._cache:
-        rows, cols = strip_edges(op)[:2]
-        op._cache["strip_skeleton"] = _accel.skeleton(rows, cols, op.n)
-    return op._cache["strip_skeleton"]
+def edge_skeleton(op):
+    """The CSR skeleton (_accel.skeleton) of pairs(op) over all op.n rows.
+    Built once per operator and cached; it holds the column index and the
+    row pointer, int32 where they fit, and no values: each edge pass puts
+    its own buffer on it (_accel.edge_matrix)."""
+    pairs(op)
+    return op._cache["skeleton"]

@@ -22,8 +22,8 @@ import stripflow as sf
 from stripflow import _accel as A
 from stripflow.elliptic import REG_EPS
 from stripflow.geometry import INTERIOR
-from stripflow.kernels import (EXCLUDE_STRIP_STRIP, FULL, edge_skeleton, laplacian_dense, pairs,
-                               strip_edges)
+from stripflow.kernels import (EXCLUDE_STRIP_STRIP, FULL, edge_list, edge_skeleton,
+                               laplacian_dense, pairs)
 
 from conftest import add_at_laplacian, fresh_python, make_op, nonuniform_line_op
 
@@ -132,12 +132,14 @@ def test_in_place_kernels_match_the_plain_formulas(op2d, p, eps):
     rng = np.random.default_rng(5)
     rows, cols, data, vals = edge_set(2)
     sets = [(rows, cols, data, vals, None)]
-    # the active and the strip edges of op2d and of a line whose measures
-    # vary by a factor of 6, each also on its cached skeleton
+    # the pairs and the ordered edge list of op2d and of a line whose
+    # measures vary by a factor of 6, the pairs on their cached skeleton and
+    # the list on one of its own
     for op in (op2d, nonuniform_line_op(EXCLUDE_STRIP_STRIP)):
         v = rng.standard_normal(op.n)
         sets.append((*pairs(op), v, edge_skeleton(op)))
-        sets.append((*strip_edges(op), v, edge_skeleton(op, strip=True)))
+        edges = edge_list(op)
+        sets.append((*edges, v, A.skeleton(edges[0], edges[1], op.n)))
     for rows, cols, data, vals, skel in sets:
         n = vals.shape[0]
         want = np.bincount(rows, weights=data * plain_phi(vals[cols] - vals[rows], p, eps),

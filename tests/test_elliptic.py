@@ -13,7 +13,7 @@ from stripflow.elliptic import (REG_EPS, _interior, _newton_free, extend_plaplac
 from stripflow.errors import (EmptyInterior, NoConvergence, NonConvexExponent,
                               SingularSystem)
 from stripflow.geometry import INTERIOR, STRIP
-from stripflow.kernels import _operator_from_dense, edge_list, pairs, strip_edges
+from stripflow.kernels import _operator_from_dense, edge_list, pairs
 from stripflow.symmetry import sectors
 
 from conftest import BOX1, add_at_laplacian, line_grid, make_op, schur_oracle
@@ -456,12 +456,12 @@ def test_pair_balance_and_energy_match_the_edge_list(op16, op16_full, op2d, toy3
 
 def test_solves_cache_no_same_class_edge_copy():
     # the p = 2 blocks are read off the J table and the extension convolves
-    # with its cached transform, so the strip rows the p != 2 flux reads and
-    # the pairs x < y the p != 2 passes run on are the edge sets cached; the
-    # rest are the table and its transform, the CSR skeletons of those two
-    # sets (column index and row pointer, no values; the pairs' column index
-    # is the skeleton's), the mirror sectors, the interior factors, the
-    # blocks of S and the strip factors
+    # with its cached transform, and the p != 2 strip flux is read off the
+    # solves' own balance, so the pairs x < y the p != 2 passes run on are
+    # the one edge set cached; the rest are the table and its transform, the
+    # CSR skeleton of the pairs (column index and row pointer, no values; the
+    # pairs' column index is the skeleton's), the mirror sectors, the
+    # interior factors, the blocks of S and the strip factors
     op = make_op(1.0 / 16.0, 0.25, sf.tent_kernel(0.5, 1))
     g = sf.StripField(np.random.default_rng(9).standard_normal(op.n_strip), op.grid)
     sf.extend_linear(op, g)
@@ -470,14 +470,11 @@ def test_solves_cache_no_same_class_edge_copy():
     for p in (2.0, 3.0):
         sf.evolve(op, sf.ProblemSpec("plaplace", p), g, 0.02, 0.01, sf.IMPLICIT)
     sf.evolve(op, sf.ProblemSpec("plaplace", 3.0), g, 0.02, 0.01, sf.EXPLICIT)
-    assert set(op._cache) == {"sectors", "interior", "schur", "implicit_chol", "strip_edges",
-                              "pairs", "skeleton", "strip_skeleton", "table",
-                              "stencil_transform"}
-    assert op._cache["skeleton"][0] is pairs(op)[1]
-    for key, cols in (("skeleton", pairs(op)[1]), ("strip_skeleton", strip_edges(op)[1])):
-        indices, indptr = op._cache[key]
-        assert indices.dtype == indptr.dtype == np.int32
-        assert np.array_equal(indices, cols) and indptr.shape == (op.n + 1,)
+    assert set(op._cache) == {"sectors", "interior", "schur", "implicit_chol", "pairs",
+                              "skeleton", "table", "stencil_transform"}
+    indices, indptr = op._cache["skeleton"]
+    assert indices is pairs(op)[1]
+    assert indices.dtype == indptr.dtype == np.int32 and indptr.shape == (op.n + 1,)
 
 
 def test_no_convergence_carries_best(op16):

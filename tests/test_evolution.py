@@ -5,14 +5,14 @@ import pytest
 import scipy.linalg as sla
 
 import stripflow as sf
-from stripflow import _accel, elliptic, evolution
-from stripflow.elliptic import EXT_TOL, _extended_values, _strip_flux
+from stripflow import _accel, elliptic, evolution, kernels
+from stripflow.elliptic import EXT_TOL, _extended_values, _midrange, _pairing, eps_for
 from stripflow.errors import (InvalidArgument, NoContraction, NoConvergence, SingularSystem,
                               SolverError)
 from stripflow.evolution import (LINEAR, LINEAR_FULL, PLAPLACE, PLAPLACE_FULL,
                                  SINGULAR_VARIANT, _step_implicit_values)
 from stripflow.io import write_trajectory_csv
-from stripflow.kernels import laplacian_dense, strip_edges
+from stripflow.kernels import edge_list, laplacian_dense
 from stripflow.symmetry import sectors
 
 from conftest import make_op, nonuniform_line_op, schur_oracle
@@ -105,9 +105,9 @@ def test_linear_implicit_step_matches_full_grid_solve(
         b[op.strip_idx] = mu_s * u
         want = np.linalg.solve(mat, b)
         # the strip solve makes no extension; the test extends its result
-        strip, none, report = _step_implicit_values(op, spec, u, dt, 1e-10, 60, None)
-        assert none is None and report is None
-        full = _extended_values(op, strip, 2.0)
+        strip, *rest = _step_implicit_values(op, spec, u, dt, 1e-10, 60, None)
+        assert rest == [None, None, None]
+        full = _extended_values(op, strip, 2.0)[0]
         tol = 1e-13 * (1.0 + np.abs(u).max())
         assert np.abs(full - want).max() <= tol
         drift = abs(np.dot(mu_s, strip) - np.dot(mu_s, u))
@@ -179,7 +179,7 @@ def test_p2_evolve_matches_the_extension_route(op16, op16_full, sing16, integrat
         states, diag = [], []
         u = u0
         for _ in range(nsteps + 1):
-            flux = _strip_flux(op, _extended_values(op, u, 2.0), 2.0)
+            flux = _extended_values(op, u, 2.0)[1]
             states.append(u)
             diag.append(evolution._diag_row(op, spec, u, flux))
             if integrator == sf.EXPLICIT:
@@ -232,51 +232,110 @@ def test_energy_column_is_the_energy_of_the_extended_state(toy3_op, op16, op2d, 
                 assert abs(col - want) <= slack + 1e-12 * want
 
 
-@pytest.mark.parametrize("integrator", [sf.EXPLICIT, sf.IMPLICIT])
-def test_evolve_makes_one_strip_pass_per_state(op2d, integrator, monkeypatch):
-    # at p = 2 the Schur complement gives every state's flux and energy, so
-    # the run makes no edge pass and no extension; at p = 3 one strip flux
-    # per state gives its energy and the explicit step
-    real = _accel.phi_row_sums
-    passes = []
-
-    def recording(rows, *args):
-        passes.append(rows)
-        return real(rows, *args)
-    monkeypatch.setattr(_accel, "phi_row_sums", recording)
-    real_linear = elliptic.extend_linear
-    extensions = []
-
-    def counting(*args):
-        extensions.append(None)
-        return real_linear(*args)
-    monkeypatch.setattr(elliptic, "extend_linear", counting)
-    u0 = sf.StripField(np.random.default_rng(18).standard_normal(op2d.n_strip), op2d.grid)
-    dt = 0.4 * sf.stability_bound(op2d)
-    sf.evolve(op2d, LIN, u0, 5.0 * dt, dt, integrator)
-    assert passes == [] and extensions == []
-    sf.evolve(op2d, P3, u0, 5.0 * dt, dt, integrator)
-    strip_rows = strip_edges(op2d)[0]
-    assert sum(np.array_equal(rows, strip_rows) for rows in passes) == 6
-
-
-def test_implicit_evolve_builds_one_skeleton_per_edge_set(monkeypatch):
-    # the CSR pattern of the pairs x < y and that of the strip edges are
-    # each built once per operator, not once per Newton iteration or pass
-    op = make_op(1.0 / 8.0, 0.125, sf.tent_kernel(0.25, 2), dim=2)
-    real = _accel.skeleton
-    built = []
-
-    def counting(rows, cols, n):
-        built.append(rows.shape[0])
-        return real(rows, cols, n)
-    monkeypatch.setattr(_accel, "skeleton", counting)
+@pytest.mark.parametrize("mode", [sf.EXCLUDE_STRIP_STRIP, sf.FULL])
+def test_p_ne_2_work_writes_one_edge_set(mode, monkeypatch):
+    # the p != 2 strip flux is read off the balance that the state's
+    # extension or implicit step computed, so the pairs x < y are the one
+    # edge set that p = 3 evolves of either integrator, rhs, an explicit step
+    # and the quotient write: their rows once and their CSR skeleton once,
+    # not once per Newton iteration, pass or state. The p = 2 evolves before
+    # them write neither
+    op = make_op(1.0 / 16.0, 0.125, sf.tent_kernel(0.25, 2), mode, dim=2)
+    calls = {"_write_rows": 0, "skeleton": 0}
+    for owner, name in ((kernels, "_write_rows"), (_accel, "skeleton")):
+        def counting(*args, real=getattr(owner, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(owner, name, counting)
+    full = mode == sf.FULL
+    lin = sf.ProblemSpec(LINEAR_FULL if full else LINEAR)
+    p3 = sf.ProblemSpec(PLAPLACE_FULL if full else PLAPLACE, p=3.0)
     u0 = sf.StripField(np.random.default_rng(18).standard_normal(op.n_strip), op.grid)
-    traj = sf.evolve(op, P3, u0, 2.5, 0.5, sf.IMPLICIT)
-    assert sorted(built) == sorted([strip_edges(op)[0].shape[0], op.nnz // 2])
-    assert np.sum(traj.newton_iters) > len(built)
-    sf.evolve(op, P3, u0, 2.5, 0.5, sf.IMPLICIT)
-    assert len(built) == 2
+    dt = 0.1 * sf.stability_bound(op)
+    for integrator in (sf.EXPLICIT, sf.IMPLICIT):
+        sf.evolve(op, lin, u0, 3.0 * dt, dt, integrator)
+    assert calls == {"_write_rows": 0, "skeleton": 0}
+    for integrator in (sf.EXPLICIT, sf.IMPLICIT):
+        sf.evolve(op, p3, u0, 3.0 * dt, dt, integrator)
+    sf.rhs(op, p3, u0)
+    sf.step_explicit(op, p3, u0, dt)
+    mu_s = op.grid.mu[op.strip_idx]
+    sf.rayleigh_quotient(op, u0.values - np.dot(mu_s, u0.values) / np.sum(mu_s), 3.0)
+    assert calls == {"_write_rows": 1, "skeleton": 1}
+
+
+def _flux_bound(op, vals, p):
+    # per strip row, the rounding of a balance as
+    # test_pair_balance_and_energy_match_the_edge_list bounds it, plus that
+    # of an iterate rounded by eps relative: eps max |v| times the row's
+    # W-unit sum of phi_p' (the formula behind EnergyReport.floor)
+    rows, cols, coef = edge_list(op)
+    mu, eps = op.grid.mu, np.finfo(float).eps
+    d = vals[cols] - vals[rows]
+    terms = np.abs(coef * _accel._phi(d, p, eps_for(p)))
+    slopes = coef * _accel._psi(d, p, eps_for(p))
+    bound = ((np.bincount(rows, minlength=op.n) + 1) * eps
+             * np.bincount(rows, weights=terms, minlength=op.n) / mu
+             + eps * np.max(np.abs(vals)) * np.bincount(rows, weights=slopes, minlength=op.n) / mu)
+    return bound[op.strip_idx]
+
+
+def _assert_flux_of(op, vals, flux, p):
+    fresh = elliptic.residual_values(op, vals, p, eps_for(p))[op.strip_idx]
+    assert np.all(np.abs(flux - fresh) <= _flux_bound(op, vals, p))
+    return fresh
+
+
+@pytest.mark.parametrize("p", [1.5, 2.5, 3.0, 4.0])
+def test_solve_flux_matches_a_fresh_pass(op2d, p, monkeypatch):
+    # rhs, an implicit step and each state of an evolve take the strip flux
+    # from the balance their own solve computed; it is a fresh pass's strip
+    # rows at the state they return, up to the rounding of the two passes
+    # and, for the implicit step, which returns x + c for the balance taken
+    # at x, of the shift. The energy column pairs that flux
+    ops = (op2d, make_op(1.0 / 8.0, 0.125, sf.tent_kernel(0.25, 2), sf.FULL, 2),
+           nonuniform_line_op(sf.EXCLUDE_STRIP_STRIP))
+    rng = np.random.default_rng(23)
+    seen = []
+    for name in ("_extended_values", "_step_implicit_values"):
+        def recording(*args, real=getattr(evolution, name), **kwargs):
+            out = real(*args, **kwargs)
+            seen.append(out if len(out) == 2 else out[1:3])
+            return out
+        monkeypatch.setattr(evolution, name, recording)
+    for op in ops:
+        spec = sf.ProblemSpec(PLAPLACE_FULL if op.edge_mode == sf.FULL else PLAPLACE, p=p)
+        mu_s = op.grid.mu[op.strip_idx]
+        uv = rng.standard_normal(op.n_strip)
+        seen.clear()
+        flux = sf.rhs(op, spec, uv).values
+        (vals, got), = seen
+        np.testing.assert_array_equal(got, flux)
+        _assert_flux_of(op, vals, flux, p)
+        seen.clear()
+        out, vals, flux, report = _step_implicit_values(op, spec, uv, 0.5, 1e-10, 60, None)
+        assert report.balance.shape == (op.n,)
+        np.testing.assert_array_equal(flux, report.balance[op.strip_idx])
+        np.testing.assert_array_equal(out, vals[op.strip_idx])
+        _assert_flux_of(op, vals, flux, p)
+        dt = 0.1 * sf.stability_bound(op)
+        for integrator in (sf.EXPLICIT, sf.IMPLICIT):
+            seen.clear()
+            traj = sf.evolve(op, spec, uv, 4.0 * dt, dt, integrator)
+            assert len(seen) == traj.states.shape[0]
+            for state, energy, (vals, flux) in zip(traj.states, traj.diag[:, -1], seen):
+                np.testing.assert_array_equal(vals[op.strip_idx], state)
+                fresh = _assert_flux_of(op, vals, flux, p)
+                weight = mu_s * np.abs(_midrange(state) - state)
+                slack = (np.dot(weight, _flux_bound(op, vals, p))
+                         + op.n_strip * np.finfo(float).eps * np.dot(weight, np.abs(fresh))) / p
+                assert abs(energy - _pairing(mu_s, state, fresh, p)) <= slack
+    # a solve that gives up reports its balance too
+    with pytest.raises(NoConvergence) as info:
+        elliptic.extend_plaplace(op2d, rng.standard_normal(op2d.n_strip), p, tol=1e-15,
+                                 max_iter=1)
+    field, report = info.value.best
+    _assert_flux_of(op2d, field.values, report.balance[op2d.strip_idx], p)
 
 
 def test_the_p2_route_builds_no_csr_adjacency(monkeypatch):
@@ -647,7 +706,7 @@ def test_implicit_p3_step_from_a_constant_interior(op2d, monkeypatch):
     monkeypatch.setattr(_accel, "pcg", recording)
     uv = np.random.default_rng(31).standard_normal(op2d.n_strip)
     dt, tol = 0.5, 1e-10
-    out, full, _ = _step_implicit_values(op2d, P3, uv, dt, tol, 60, None)
+    out, full = _step_implicit_values(op2d, P3, uv, dt, tol, 60, None)[:2]
     assert signals
     mu_s = op2d.grid.mu[op2d.strip_idx]
     grad = dt * sf.energy_gradient(op2d, full, 3.0).values

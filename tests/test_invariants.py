@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 import stripflow as sf
 from stripflow.analysis import _eig_tol, _reduced_modes
-from stripflow.elliptic import EXT_TOL, _extended_values, _strip_flux
+from stripflow.elliptic import EXT_TOL, _extended_values
 from stripflow.evolution import _schur_flux, _step_implicit_values
 from stripflow.geometry import INTERIOR, STRIP
 from stripflow.kernels import _operator_from_dense
@@ -170,8 +170,8 @@ def test_constants_are_fixed_and_implicit_steps_descend(prob, dt):
     # fields made by the step alone; the p = 2 strip solve makes none, so the
     # test extends its result
     def step(u, warm):
-        out, full, _ = _step_implicit_values(op, spec, u, dt, STEP_TOL, 60, warm)
-        return out, (_extended_values(op, out, 2.0) if full is None else full)
+        out, full = _step_implicit_values(op, spec, u, dt, STEP_TOL, 60, warm)[:2]
+        return out, (_extended_values(op, out, 2.0)[0] if full is None else full)
 
     u0 = prob.strip_data()
     u1, f1 = step(u0, None)
@@ -244,7 +244,7 @@ def check_p2_decay(op, spec, g, dt):
     # the strip flux of the extension is the Schur flux that both integrators
     # step with
     want = _schur_flux(op, g)
-    flux = _strip_flux(op, _extended_values(op, g, 2.0), 2.0)
+    flux = _extended_values(op, g, 2.0)[1]
     assert np.max(np.abs(flux - want)) <= sum_tol
 
 

@@ -132,6 +132,23 @@ def test_atomic_write_leaves_no_temp(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["out.txt"]
 
 
+def test_atomic_write_keeps_the_usual_file_modes(tmp_path):
+    # a new file gets 0o666 less the umask, as open() gives it, and a file
+    # replaced keeps its mode: not the temp file's private 0o600
+    old = os.umask(0o022)
+    try:
+        fresh, kept = tmp_path / "new.csv", tmp_path / "kept.svg"
+        atomic_write_text(fresh, "a\n")
+        kept.write_text("old\n")
+        os.chmod(kept, 0o640)
+        atomic_write_text(kept, "b\n")
+    finally:
+        os.umask(old)
+    assert os.stat(fresh).st_mode & 0o777 == 0o644
+    assert os.stat(kept).st_mode & 0o777 == 0o640
+    assert kept.read_text() == "b\n"
+
+
 def _series(n=20):
     t = np.linspace(0.0, 1.0, n)
     return [(t, np.exp(-t)), (t, np.exp(-2.0 * t))]

@@ -7,10 +7,10 @@ from scipy.integrate import quad
 from scipy.spatial.distance import cdist
 
 import stripflow as sf
-from stripflow import analysis, elliptic, kernels
+from stripflow import analysis, kernels
 from stripflow.errors import (EmptySupport, InvalidArgument, SingularAtOrigin)
 from stripflow.kernels import (_operator_from_dense, _values_from_distance, edge_list,
-                               laplacian_dense, strip_edges)
+                               laplacian_dense)
 from stripflow.symmetry import sectors
 
 from conftest import BOX1, BOX2
@@ -151,11 +151,12 @@ def test_toy3_active_pairs(toy3_op, toy3_full_op):
 
 
 def test_toy3_dynamic_edges(toy3_op):
-    # the strip rows, global rows and columns
-    rows, cols, coef = strip_edges(toy3_op)
-    np.testing.assert_array_equal(rows, [1, 2])
-    np.testing.assert_array_equal(cols, [0, 0])
-    np.testing.assert_array_equal(coef, [1.0, 1.0])
+    # the strip rows of the edge list, global rows and columns
+    rows, cols, coef = edge_list(toy3_op)
+    strip = np.isin(rows, toy3_op.strip_idx)
+    np.testing.assert_array_equal(rows[strip], [1, 2])
+    np.testing.assert_array_equal(cols[strip], [0, 0])
+    np.testing.assert_array_equal(coef[strip], [1.0, 1.0])
     # L_IS, interior rows and strip columns, the cut of the dense
     # Laplacian: one block, G = {e}
     sec = sectors(toy3_op)
@@ -311,9 +312,7 @@ def test_p2_work_writes_no_rows(dim, mode, monkeypatch):
     # nodes at n = 16 and 32 on the square, so those quotients stay exactly 0
     def refuse(*args):
         raise AssertionError("a row was written")
-    for owner, name in ((kernels, "_write_rows"), (kernels, "strip_edges"),
-                        (elliptic, "strip_edges")):
-        monkeypatch.setattr(owner, name, refuse)
+    monkeypatch.setattr(kernels, "_write_rows", refuse)
     box, h, kernel = ((BOX1, 1.0 / 64.0, sf.tent_kernel(0.25, 1)) if dim == 1
                       else (BOX2, 1.0 / 32.0, sf.tent_kernel(0.25, 2)))
     op = sf.assemble(sf.build_grid(box, h, 0.125), kernel, mode)
@@ -402,22 +401,19 @@ def test_interior_row_sums_by_fft_match_the_edge_list(box, h, kernel, mode):
 @pytest.mark.parametrize("mode", [sf.EXCLUDE_STRIP_STRIP, sf.FULL])
 def test_rows_written_in_chunks_match_the_edge_list(mode, monkeypatch):
     # a chunk of 1000 edges splits every row set below into several; the
-    # rows of any node set are the edge list's rows, bit for bit, before and
-    # after the list exists
+    # rows of any node set are the edge list's rows, bit for bit
     grid = sf.build_grid(BOX2, 1.0 / 16.0, 0.125)
     kernel = sf.singular_kernel(0.5, 2.0, 2)
     whole = edge_list(sf.assemble(grid, kernel, mode))
     monkeypatch.setattr(kernels, "_ROW_CHUNK", 1000)
     op = sf.assemble(grid, kernel, mode)
     nodes = np.flatnonzero(np.random.default_rng(3).random(grid.n) < 0.4)
-    written = kernels._node_rows(op, nodes)
+    rows, cols, coef = kernels._write_rows(op, nodes, op._stencil)
     assert all(np.array_equal(a, b) for a, b in zip(edge_list(op), whole))
-    gathered = kernels._node_rows(op, nodes)
     keep = np.isin(whole[0], nodes)
-    for rows in (written, gathered):
-        assert np.array_equal(nodes[rows[0]], whole[0][keep])
-        assert np.array_equal(rows[1], whole[1][keep])
-        assert np.array_equal(rows[2], whole[2][keep])
+    assert np.array_equal(nodes[rows], whole[0][keep])
+    assert np.array_equal(cols, whole[1][keep])
+    assert np.array_equal(coef, whole[2][keep])
 
 
 @pytest.mark.parametrize("mode", [sf.EXCLUDE_STRIP_STRIP, sf.FULL])

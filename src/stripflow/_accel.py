@@ -6,7 +6,8 @@ every summation below runs in that fixed order, so results are
 reproducible bit-for-bit. skeleton is the CSR pattern of an edge list,
 built without a sort, and kernels.edge_skeleton caches the one of an
 operator's pairs; adjacency puts weights on it without copying them, and
-edge_matrix gives it a fresh data buffer. The edge kernels write their
+edge_matrix gives it a fresh data buffer with its transpose view, made
+once per buffer rather than once per pass. The edge kernels write their
 per-edge values into such a buffer and sum each row by the product with
 ones, in edge order, as np.bincount sums it. phi_row_sums is the one edge
 pass over node values: on the interacting pairs x < y (kernels.pairs),
@@ -139,9 +140,11 @@ def adjacency(skel, w):
 
 
 def edge_matrix(skel):
-    """adjacency on skel with a fresh, unset data buffer, for an edge
-    kernel to write its per-edge values into."""
-    return adjacency(skel, np.empty(skel[0].shape[0]))
+    """(mat, mat.T): adjacency on skel with a fresh, unset data buffer, for
+    an edge kernel to write its per-edge values into, and the transpose
+    view on the same buffer, which sees every later write."""
+    mat = adjacency(skel, np.empty(skel[0].shape[0]))
+    return mat, mat.T
 
 
 def _differences(vals, cols, mat):
@@ -153,15 +156,17 @@ def _differences(vals, cols, mat):
     return mat.data
 
 
-def phi_row_sums(rows, cols, data, vals, p, eps, nrows, mat=None):
+def phi_row_sums(rows, cols, data, vals, p, eps, nrows, buf=None):
     """Per-row sums of data * phi_p(vals[col] - vals[row]) over the nrows
     rows of vals. With data the coefficients mu[x] W[x][y] of every edge of
     a row this is mu times the nonlocal balance, minus the gradient of the
     edge energy at p; on the pairs x < y the balance is these sums minus
-    the column sums of mat. mat, an edge_matrix on the skeleton of (rows,
-    cols), takes the products as its data; None makes one for the call."""
-    if mat is None:
-        mat = edge_matrix(skeleton(rows, cols, nrows))
+    the column sums of the buffer. buf, an edge_matrix on the skeleton of
+    (rows, cols), takes the products as its data; None makes one for the
+    call."""
+    if buf is None:
+        buf = edge_matrix(skeleton(rows, cols, nrows))
+    mat = buf[0]
     d = _differences(vals, cols, mat)
     _phi(d, p, eps, out=d)
     d *= data
@@ -191,24 +196,24 @@ def laplacian_block(rows, cols, w, free, skel=None):
     return out
 
 
-def hessian_accumulate(rows, cols, data, vals, p, eps, free, mat=None):
+def hessian_accumulate(rows, cols, data, vals, p, eps, free, buf=None):
     """(diag, matvec) on the free nodes of what laplacian_block would write
     for the pair weights data * phi_p'(vals[row] - vals[col]): the Hessian
     of the edge energy at vals, with no other diagonal term. (rows, cols,
-    data) are the pairs x < y; the weights go into the data of mat, an
+    data) are the pairs x < y; the weights go into the data of buf, an
     edge_matrix on their skeleton (None makes one), and matvec multiplies
-    by it and by its transpose view, so mat must not be written again while
-    matvec is in use. With every node free, matvec is the plain product;
-    otherwise pinned nodes enter it as zeros, which costs less than cutting
-    the matrix to the free nodes once per Newton iteration."""
+    by its matrix and its transpose view, so buf must not be written again
+    while matvec is in use. With every node free, matvec is the plain
+    product; otherwise pinned nodes enter it as zeros, which costs less
+    than cutting the matrix to the free nodes once per Newton iteration."""
     n = vals.shape[0]
-    if mat is None:
-        mat = edge_matrix(skeleton(rows, cols, n))
+    if buf is None:
+        buf = edge_matrix(skeleton(rows, cols, n))
+    upper, lower = buf
     # phi_p' is even: the differences vals[col] - vals[row] give its values
-    d = _differences(vals, cols, mat)
+    d = _differences(vals, cols, upper)
     _psi(d, p, eps, out=d)
     d *= data
-    upper, lower = mat, mat.T
     ones = np.ones(n)
     sums = upper @ ones
     sums += lower @ ones

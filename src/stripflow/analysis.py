@@ -13,8 +13,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import _accel
-from .elliptic import (_EPS, _extended_values, _extension_energy, _interior, _newton_free,
-                       energy_values)
+from .elliptic import (_EPS, EXT_TOL, _extended_values, _extension_energy, _interior,
+                       _newton_free, extend_with_report)
 from .errors import (ConstantField, EmptyBump, InvalidArgument, NoConvergence,
                      NonPositiveData, NotMeanZero, TooFewStripNodes, WindowTooSmall)
 from .fields import StripField
@@ -267,7 +267,8 @@ def estimate_beta_p(op, p, restarts=8, seed=0):
     node but the first strip node, held at 0, where s = mu phi_p(f) shifted
     by a multiple of mu to sum to 0. The strip part of the minimizer, made
     mean-zero and of unit p-norm, is the next f; its interior already is the
-    extension of f, so the quotient is p E_p of it. A restart ends when the
+    extension of f, so the quotient is p E_p of it, read off the step's
+    report rather than summed again. A restart ends when the
     quotient drops by at most _POWER_TOL relative, and raises NoConvergence
     after _POWER_MAX_ITER steps. An isolated strip node (no active edge)
     leaves the step unbounded; then beta is 0.0 and the mode is that node's
@@ -297,8 +298,8 @@ def estimate_beta_p(op, p, restarts=8, seed=0):
         while np.sum(mu_s * np.abs(gv) ** p) < 1e-24:
             gv = _project_mean_zero(rng.standard_normal(op.n_strip), mu_s)
         gv = gv / _lp_norm(mu_s, gv, p)
-        v = _extended_values(op, gv, p)[0]
-        quot = p * energy_values(op, v, p)
+        field, report = extend_with_report(op, gv, p, tol=EXT_TOL)
+        v, quot = field.values, p * report.energy
 
         for _ in range(_POWER_MAX_ITER):
             s = mu_s * _accel._phi(gv, p, 0.0)
@@ -307,12 +308,17 @@ def estimate_beta_p(op, p, restarts=8, seed=0):
             gate = _POWER_TOL * (1.0 + np.max(np.abs(s / mu_s)))
             # <s, gv> = 1, so this scale minimizes the objective on the ray of v
             v0 = (v - v[pin]) * quot ** (-1.0 / (p - 1.0))
-            v = _newton_free(op, p, v0, free, 100, lambda r: np.max(np.abs(r)) <= gate,
-                             lin=lin)[0].values
+            field, report = _newton_free(op, p, v0, free, 100,
+                                         lambda r: np.max(np.abs(r)) <= gate, lin=lin)
+            v = field.values
+            # the report's energy is E_p(v) - <lin, v>; E_p does not change
+            # under the shift below and scales by the p-th power of the divisor
+            e_p = report.energy + float(np.dot(lin, v))
             v -= np.dot(mu_s, v[op.strip_idx]) / np.sum(mu_s)
-            v /= _lp_norm(mu_s, v[op.strip_idx], p)
+            norm = _lp_norm(mu_s, v[op.strip_idx], p)
+            v /= norm
             gv = v[op.strip_idx]
-            prev, quot = quot, p * energy_values(op, v, p)
+            prev, quot = quot, p * e_p / norm ** p
             if prev - quot <= _POWER_TOL * prev:
                 break
         else:

@@ -21,8 +21,9 @@ and t = u on the strip, and each of its iterates is shifted by the constant
 that keeps the strip mass; estimate_beta_p pins one node and adds lin.
 Every whole-operator p != 2 pass runs on the interacting pairs x < y
 (kernels.pairs), one coefficient per pair, and each descent solve owns two
-pair-sized buffers on their cached CSR skeleton U (kernels.edge_skeleton):
-one for its balances, one for its Hessian or its majoriser. phi_p is odd
+pair-sized buffers on their cached CSR skeleton U (kernels.edge_skeleton),
+each with its transpose view (_accel.edge_matrix): one for its balances,
+one for its Hessian or its majoriser. phi_p is odd
 and the coefficients symmetric, so the balance is the row sums of the
 balance buffer less its column sums, the Hessian's diagonal the row plus
 the column sums of its buffer and its product U x + U^T x, and the
@@ -101,14 +102,15 @@ def residual_values(op, vals, p, eps):
     return out
 
 
-def _pair_balance(op, vals, p, eps, mat):
+def _pair_balance(op, vals, p, eps, buf):
     """residual_values from one pass over the pairs x < y (kernels.pairs):
     pair x y carries f = mu[x] W[x][y] phi_p(u[y] - u[x]) into row x and,
     phi_p being odd, -f into row y, so the balance is the row sums of the
-    pass's buffer mat on edge_skeleton(op) less its column sums."""
+    pass's buffer buf on edge_skeleton(op) (_accel.edge_matrix) less its
+    column sums, the row sums of its transpose view."""
     rows, cols, coef = pairs(op)
-    sums = _accel.phi_row_sums(rows, cols, coef, vals, p, eps, op.n, mat)
-    sums -= mat.T @ np.ones(op.n)
+    sums = _accel.phi_row_sums(rows, cols, coef, vals, p, eps, op.n, buf)
+    sums -= buf[1] @ np.ones(op.n)
     return np.divide(sums, op.grid.mu, out=sums)
 
 
@@ -316,7 +318,8 @@ def _newton_free(op, p, v0, free, max_iter, converged, *, lin=None, prox=None):
 
     def majorizer(x):
         d = x[cols] - x[rows]
-        w = np.multiply(coef, (d * d + eps * eps) ** ((p - 2.0) / 2.0), out=curvature.data)
+        w = np.multiply(coef, (d * d + eps * eps) ** ((p - 2.0) / 2.0),
+                        out=curvature[0].data)
         mat = _accel.laplacian_block(rows, cols, w, free, skel)
         mat[np.diag_indices_from(mat)] += wf
         return mat

@@ -16,7 +16,8 @@ reproduces backward Euler on the strip and the stationary balance on the
 interior in one convex solve: elliptic._newton_free on that objective
 over dt, with proximal weights mu / dt on the strip. The fixed point
 integrator rebuilds the solution on a whole time window from its integral
-form and only contracts on short windows.
+form and only contracts on short windows; its cumulative trapezoid rule is
+written out in numpy, so the module imports no scipy.integrate.
 """
 
 import warnings
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.integrate import cumulative_trapezoid
 
 from .analysis import (DIAG_COLUMNS, _lp_norm, lq_distance_to_mean, mass,
                        schur_complement)
@@ -366,7 +366,10 @@ def picard_solve(op, spec, u0, window, nt=11, tol=1e-10, max_iter=50):
         deriv = np.empty_like(u_iter)
         for k in range(nt):
             deriv[k] = _rhs_values(op, spec, u_iter[k])
-        integral = cumulative_trapezoid(deriv, x=times, axis=0, initial=0.0)
+        # scipy's cumulative_trapezoid with initial 0, term for term
+        integral = np.zeros_like(deriv)
+        integral[1:] = np.cumsum(np.diff(times)[:, None] * (deriv[1:] + deriv[:-1]) / 2.0,
+                                 axis=0)
         u_next = uv0[None, :] + integral
         delta = max(_lp_norm(mu_s, u_next[k] - u_iter[k], spec.p)
                     for k in range(nt))

@@ -15,24 +15,24 @@ deg_active are matrix products of the measures with that table over
 rectangles of the orbit representatives (_reach_sums), the p = 2 sector
 blocks are read off the table (symmetry.Sectors.fold_laplacian), and the
 products of whole rows with node values are one convolution with it
-(interior_row_sums, strip_row_sums). The pairs of each node are runs of
-consecutive node numbers, one per line of offsets, so the rows of any node
-set are written from the table run after run, already in lexicographic
-order, in time and memory proportional to their length: for the p != 2
-passes the interacting pairs x < y (pairs), each once, from the half of
-the table after the self-offset, the one edge set a solve writes. No
-solve writes the whole ordered edge list (edge_list); tests take it as
-their oracle. A compact kernel drops the offsets on the rim |x - y| = R of
-its support, where J is 0 up to the rounding of the coordinates. On a
-dyadic grid the edges are bit for bit those of J evaluated at every node
-pair.
+(interior_row_sums, strip_row_sums), by scipy.fft, which the module
+imports on the first convolution, not on its own import. The pairs of
+each node are runs of consecutive node numbers, one per line of offsets,
+so the rows of any node set are written from the table run after run,
+already in lexicographic order, in time and memory proportional to their
+length: for the p != 2 passes the interacting pairs x < y (pairs), each
+once, from the half of the table after the self-offset, the one edge set
+a solve writes. No solve writes the whole ordered edge list (edge_list);
+tests take it as their oracle. A compact kernel drops the offsets on the
+rim |x - y| = R of its support, where J is 0 up to the rounding of the
+coordinates. On a dyadic grid the edges are bit for bit those of J
+evaluated at every node pair.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _accel
@@ -447,6 +447,10 @@ def _stencil_transform(op):
     first fast length of at least 2 mi - 1 points, so that no two offsets
     share a point: (N0, N1) and the transform. Made once per operator and
     cached."""
+    # scipy.fft and the scipy.special it loads cost about 5 MB, so only a
+    # run that convolves imports them
+    import scipy.fft
+
     if "stencil_transform" not in op._cache:
         m0, m1 = op.lattice
         size = tuple(scipy.fft.next_fast_len(2 * m - 1, real=True) for m in op.lattice)
@@ -469,6 +473,8 @@ def _row_sums(op, vals, idx, targets):
     if op.lattice is None:
         rows, cols, coef = op._edges
         return np.bincount(rows, weights=coef * vals[cols], minlength=op.n)[idx]
+    import scipy.fft
+
     size, transform = _stencil_transform(op)
     (m0, m1), mu = op.lattice, op.grid.mu
     spread = scipy.fft.rfftn((targets * mu * vals).reshape(m0, m1), size)

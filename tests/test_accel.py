@@ -159,7 +159,7 @@ def test_in_place_kernels_match_the_plain_formulas(op2d, p, eps):
         assert np.array_equal(A.phi_row_sums(rows, cols, data, vals, p, eps, n, mat), want)
         diag, _ = A.hessian_accumulate(rows, cols, data, vals, p, eps, np.arange(n), mat)
         assert np.array_equal(diag, want_diag)
-        assert np.array_equal(mat.data, hess_w)
+        assert np.array_equal(mat[0].data, hess_w)
 
 
 def free_sets(op):
@@ -333,3 +333,30 @@ def test_import_pins_every_openblas_to_one_thread():
         pytest.skip("no OpenBLAS loaded")
     assert [ln.rsplit(" ", 1)[1] for ln in libs] == ["1"] * len(libs), libs
     assert backend == f"numpy; OpenBLAS 1 thread ({len(libs)} of {len(libs)} libraries)"
+
+
+# which of scipy's unused subpackages are loaded after the import, whether
+# scipy.fft is after the first convolution, and the BLAS pin
+_LAZY_SCIPY_SCRIPT = """
+import sys
+import numpy as np
+import stripflow as sf
+print(repr([m for m in ("scipy.integrate", "scipy.fft", "scipy.special") if m in sys.modules]))
+grid = sf.build_grid(sf.DomainBox(2, (0.0, 0.0), (1.0, 1.0)), 1 / 16, 0.125)
+op = sf.assemble(grid, sf.tent_kernel(0.25, 2))
+sf.extend_linear(op, np.cos(np.arange(op.n_strip)))
+print("scipy.fft" in sys.modules)
+print(sf.backend())
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+def test_import_loads_no_scipy_integrate_or_fft():
+    # about 21 MB of resident code that only picard_solve's quadrature and
+    # the p = 2 convolutions would use; the first convolution loads scipy.fft,
+    # and loading it maps no OpenBLAS the import left unpinned
+    loaded, convolved, backend = fresh_python(["-c", _LAZY_SCIPY_SCRIPT],
+                                              blas_threads=2).stdout.splitlines()
+    assert loaded == "[]"
+    assert convolved == "True"
+    assert backend == "numpy; OpenBLAS 1 thread (2 of 2 libraries)"

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg as sla
 
 import stripflow as sf
-from stripflow import _accel
+from stripflow import _accel, analysis, elliptic
 from stripflow.analysis import (DIAG_COLUMNS, EXPONENTIAL, POLYNOMIAL,
                                 INVERSE_POWER, SCHUR_EIG)
 from stripflow.elliptic import _interior
@@ -320,13 +320,14 @@ def test_mode_scale_invariance(op16):
             res.beta, abs=1e-8)
 
 
-def test_gap_and_quotient_at_h64_peak_under_145_mb():
+def test_gap_and_quotient_at_h64_peak_under_100_mb():
     # the gap, then the quotient of its mode, in a fresh process measured by
     # its own peak resident size: 166-169 MB while the extension's row sums
     # wrote the whole 2.1M-edge list, about 121 MB with them by FFT on the
-    # stencil. VmHWM, not ru_maxrss: a child's ru_maxrss keeps the high-water
-    # mark of the image it was started from, so under a large test process
-    # it reads that process's peak
+    # stencil, 106 MB while the import loaded scipy.integrate and scipy.fft
+    # and about 89 MB without. VmHWM, not ru_maxrss: a child's ru_maxrss
+    # keeps the high-water mark of the image it was started from, so under
+    # a large test process it reads that process's peak
     script = ("import stripflow as sf; "
               "grid = sf.build_grid(sf.DomainBox(2, (0.0, 0.0), (1.0, 1.0)), 1 / 64, 0.125); "
               "op = sf.assemble(grid, sf.tent_kernel(0.25, 2)); "
@@ -335,7 +336,7 @@ def test_gap_and_quotient_at_h64_peak_under_145_mb():
               "*[ln.split()[1] for ln in open('/proc/self/status') if ln.startswith('VmHWM')])")
     beta, quotient, peak_kib = fresh_python(["-c", script], 1).stdout.split()
     assert float(quotient) == pytest.approx(float(beta), rel=1e-12)
-    assert int(peak_kib) < 145 * 1024
+    assert int(peak_kib) < 100 * 1024
 
 
 def test_rayleigh_toy3_by_hand(toy3_op):
@@ -375,6 +376,31 @@ def test_inverse_power_argument_checks(toy3_op):
         sf.estimate_beta_p(toy3_op, 2.0, restarts=0)
     with pytest.raises(InvalidArgument):
         sf.estimate_beta_p(toy3_op, 1.0)
+
+
+def test_inverse_power_quotients_come_from_the_solves(monkeypatch):
+    # every quotient is read off the report of the solve that made its
+    # state, so no pass over the pairs runs outside a descent solve
+    op = make_op(1.0 / 16.0, 0.125, sf.tent_kernel(0.25, 2), dim=2)
+    depth, outside = [0], [0]
+
+    def solving(*args, real=elliptic._newton_free, **kwargs):
+        depth[0] += 1
+        try:
+            return real(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def balance(*args, real=elliptic._pair_balance):
+        outside[0] += depth[0] == 0
+        return real(*args)
+
+    for owner in (elliptic, analysis):
+        monkeypatch.setattr(owner, "_newton_free", solving)
+    monkeypatch.setattr(elliptic, "_pair_balance", balance)
+    est = sf.estimate_beta_p(op, 3.0, restarts=2)
+    assert outside[0] == 0
+    assert sf.rayleigh_quotient(op, est.mode, 3.0) == pytest.approx(est.beta, rel=1e-8)
 
 
 # estimates of the projected gradient descent that inverse power iteration

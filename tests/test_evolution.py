@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 import stripflow as sf
 from stripflow import _accel, elliptic, evolution, kernels
@@ -262,6 +263,26 @@ def test_p_ne_2_work_writes_one_edge_set(mode, monkeypatch):
     mu_s = op.grid.mu[op.strip_idx]
     sf.rayleigh_quotient(op, u0.values - np.dot(mu_s, u0.values) / np.sum(mu_s), 3.0)
     assert calls == {"_write_rows": 1, "skeleton": 1}
+
+
+@pytest.mark.parametrize("mode", [sf.EXCLUDE_STRIP_STRIP, sf.FULL])
+def test_a_pass_buffer_builds_its_transpose_once(mode, monkeypatch):
+    # the balances read their column sums and the Hessian products multiply
+    # through the transpose view their buffer was made with, not through one
+    # built again on every pass
+    op = make_op(1.0 / 16.0, 0.125, sf.tent_kernel(0.25, 2), mode, dim=2)
+    spec = sf.ProblemSpec(PLAPLACE_FULL if mode == sf.FULL else PLAPLACE, p=3.0)
+    u0 = sf.StripField(np.random.default_rng(19).standard_normal(op.n_strip), op.grid)
+    calls = {"edge_matrix": 0, "transpose": 0, "_pair_balance": 0}
+    for owner, name in ((_accel, "edge_matrix"), (sp.csr_matrix, "transpose"),
+                        (elliptic, "_pair_balance")):
+        def counting(*args, real=getattr(owner, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counting)
+    sf.step_implicit(op, spec, u0, 0.1 * sf.stability_bound(op))
+    assert calls["edge_matrix"] == 2 and calls["_pair_balance"] > 2
+    assert calls["transpose"] <= calls["edge_matrix"]
 
 
 def _flux_bound(op, vals, p):

@@ -156,16 +156,13 @@ def _differences(vals, cols, mat):
     return mat.data
 
 
-def phi_row_sums(rows, cols, data, vals, p, eps, nrows, buf=None):
+def phi_row_sums(rows, cols, data, vals, p, eps, nrows, buf):
     """Per-row sums of data * phi_p(vals[col] - vals[row]) over the nrows
     rows of vals. With data the coefficients mu[x] W[x][y] of every edge of
     a row this is mu times the nonlocal balance, minus the gradient of the
     edge energy at p; on the pairs x < y the balance is these sums minus
     the column sums of the buffer. buf, an edge_matrix on the skeleton of
-    (rows, cols), takes the products as its data; None makes one for the
-    call."""
-    if buf is None:
-        buf = edge_matrix(skeleton(rows, cols, nrows))
+    (rows, cols), takes the products as its data."""
     mat = buf[0]
     d = _differences(vals, cols, mat)
     _phi(d, p, eps, out=d)
@@ -173,16 +170,14 @@ def phi_row_sums(rows, cols, data, vals, p, eps, nrows, buf=None):
     return mat @ np.ones(nrows)
 
 
-def laplacian_block(rows, cols, w, free, skel=None):
+def laplacian_block(rows, cols, w, free, skel):
     """L[free, free] for the Laplacian L of the pairs (rows, cols, w), each
     interacting pair x < y once with its weight: the full row sums of w from
     both ends on the diagonal, -w at each pair whose two ends are free, on
     both sides of it, and no other diagonal term. free lists the free nodes
-    in ascending order, skel is the pairs' skeleton over every node, built
-    for the call when None. The array is Fortran-ordered, so
-    cho_factor(..., overwrite_a=True) factors it in place."""
-    if skel is None:
-        skel = skeleton(rows, cols, max(cols.max(initial=0), free[-1]) + 1)
+    in ascending order, skel is the pairs' skeleton over every node. The
+    array is Fortran-ordered, so cho_factor(..., overwrite_a=True) factors
+    it in place."""
     upper = adjacency(skel, w)
     cut = upper[free][:, free]
     # U and U^T share no entry, so the sum adds none; the cut is a copy, and
@@ -196,19 +191,17 @@ def laplacian_block(rows, cols, w, free, skel=None):
     return out
 
 
-def hessian_accumulate(rows, cols, data, vals, p, eps, free, buf=None):
+def hessian_accumulate(rows, cols, data, vals, p, eps, free, buf):
     """(diag, matvec) on the free nodes of what laplacian_block would write
     for the pair weights data * phi_p'(vals[row] - vals[col]): the Hessian
     of the edge energy at vals, with no other diagonal term. (rows, cols,
     data) are the pairs x < y; the weights go into the data of buf, an
-    edge_matrix on their skeleton (None makes one), and matvec multiplies
-    by its matrix and its transpose view, so buf must not be written again
-    while matvec is in use. With every node free, matvec is the plain
-    product; otherwise pinned nodes enter it as zeros, which costs less
-    than cutting the matrix to the free nodes once per Newton iteration."""
+    edge_matrix on their skeleton, and matvec multiplies by its matrix and
+    its transpose view, so buf must not be written again while matvec is in
+    use. With every node free, matvec is the plain product; otherwise
+    pinned nodes enter it as zeros, which costs less than cutting the
+    matrix to the free nodes once per Newton iteration."""
     n = vals.shape[0]
-    if buf is None:
-        buf = edge_matrix(skeleton(rows, cols, n))
     upper, lower = buf
     # phi_p' is even: the differences vals[col] - vals[row] give its values
     d = _differences(vals, cols, upper)

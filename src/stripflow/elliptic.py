@@ -6,10 +6,12 @@ system in the interior block L_II. The box's symmetries split it into
 blocks (symmetry.sectors: up to 2^d mirror sectors of 1/2^d the size on
 an assembled box; on the unit square one block of a quarter shared by two
 sectors and four of about an eighth; one block otherwise), each read off
-the stencil's J table (Sectors.fold_laplacian) and Cholesky-factored once
-per operator. Its right-hand side and its gate are interior row sums
-(kernels.interior_row_sums): on an assembled grid one FFT convolution with
-the stencil, so the p = 2 extension writes no row. For general p > 1 it is
+the stencil's J table (Sectors.fold_laplacian), Cholesky-factored once per
+operator (_cholesky) and solved with cho_solve through Sectors.blockwise,
+the seam of every p = 2 block product and solve. Its right-hand side and
+its gate are interior row sums (kernels.interior_row_sums): on an assembled
+grid one FFT convolution with the stencil, so the p = 2 extension writes no
+row. For general p > 1 it is
 the Euler-Lagrange condition of a strictly convex edge energy E_p.
 _newton_free is the one descent solve for p != 2: it minimizes
 F(v) = E_p(v) - <lin, v> + (1/2) sum w (v - t)^2 over the free nodes, is
@@ -163,18 +165,31 @@ def interior_residual(op, u, p):
     return float(np.max(np.abs(resid[op.interior_idx])))
 
 
+def _cholesky(blocks, system):
+    """The Cholesky factor of each symmetric positive definite block, made in
+    place (a Fortran-ordered block is overwritten) as the iterable yields it,
+    so that one unfactored block is live at a time. Raises SingularSystem
+    naming the system when a block is not positive definite."""
+    try:
+        return tuple(sla.cho_factor(block, overwrite_a=True) for block in blocks)
+    except sla.LinAlgError as exc:
+        raise SingularSystem(f"{system} is not positive definite: {exc}") from exc
+
+
+def _cho_solve(factor, rhs):
+    """The one block solve, with a factor of _cholesky: the factor is finite,
+    and checking it would scan its entries per solve."""
+    return sla.cho_solve(factor, rhs, check_finite=False)
+
+
 def _interior(op):
     """The Cholesky factor of each block L_II^j (symmetry.sectors) of the
     interior block of the Laplacian, made once per operator: read off the
     stencil's J table (Sectors.fold_laplacian), dense only to be factored."""
     if "interior" not in op._cache:
         sec = sectors(op)
-        try:
-            op._cache["interior"] = tuple(
-                sla.cho_factor(block, overwrite_a=True) for block in
-                sec.fold_laplacian(op, sec.interior, sec.interior))
-        except sla.LinAlgError as exc:
-            raise SingularSystem(f"interior system is singular: {exc}") from exc
+        op._cache["interior"] = _cholesky(sec.fold_laplacian(op, sec.interior, sec.interior),
+                                          "interior system")
     return op._cache["interior"]
 
 
@@ -191,11 +206,12 @@ def extend_linear(op, g):
 
     Returns a full field equal to g on the strip whose interior values
     satisfy L_II u = -L_IS g, i.e. diag(row sums) u - W_II u = W_IS g,
-    solved block by block with the factors of _interior, the shared block
-    with two columns. Its right-hand side and its gate, the whole interior
-    balance, are interior row sums (kernels.interior_row_sums: by FFT on
-    the stencil of an assembled operator, with no edge list), computed apart
-    from the folds and the factors, so the gate checks both.
+    solved block by block (Sectors.blockwise) with cho_solve on the factors
+    of _interior, the shared block with two columns. Its right-hand side
+    and its gate, the whole interior balance, are interior row sums
+    (kernels.interior_row_sums: by FFT on the stencil of an assembled
+    operator, with no edge list), computed apart from the folds and the
+    factors, so the gate checks both.
     """
     return _extend_linear(op, g)[0]
 
@@ -214,17 +230,7 @@ def _extend_linear(op, g):
     factors = _interior(op)
     full = np.zeros(op.n)
     full[op.strip_idx] = gv - shift
-    parts = sec.fold(interior_row_sums(op, full), sec.interior)
-    for part, (chol, lower) in zip(parts, factors):
-        # L_II^j = U^T U with U the upper factor: for one right-hand side two
-        # triangular solves take two thirds of the time of cho_solve's potrs,
-        # and for the shared block's two columns within 3% of the whole
-        # extension. The cached factor is finite; checking it would scan its
-        # entries per solve
-        sol = sla.solve_triangular(chol, part, trans="T", lower=lower, check_finite=False)
-        part[:] = sla.solve_triangular(chol, sol, lower=lower, overwrite_b=True,
-                                       check_finite=False)
-    sol = sec.unfold(parts, sec.interior)
+    sol = sec.blockwise(interior_row_sums(op, full), sec.interior, factors, _cho_solve)
     full[op.interior_idx] = sol
     # gated on the whole balance sum_y W[x][y] u[y] - deg[x] u[x]; NaN fails too
     resid = float(np.max(np.abs(_interior_balance(op, full))))
@@ -366,11 +372,8 @@ def _newton_free(op, p, v0, free, max_iter, converged, *, lin=None, prox=None):
         fnoise = 1e-12 * (1.0 + abs(f))
         found = None
         if p < 2.0:
-            try:
-                factor = sla.cho_factor(majorizer(v), overwrite_a=True)
-            except sla.LinAlgError as exc:
-                raise SingularSystem(f"majorizer system is singular: {exc}") from exc
-            step = -sla.cho_solve(factor, gfree)
+            factor, = _cholesky((majorizer(v),), "majorizer system")
+            step = -_cho_solve(factor, gfree)
             cand = moved(step)
             if cand[1] <= f + fnoise:
                 found = cand

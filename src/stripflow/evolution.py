@@ -6,10 +6,11 @@ evolves by u' = -M^-1 S u with S the Schur complement of the interior and
 M the strip measures: the flux is one product with the cached S, and no
 step of either integrator extends. Explicit Euler steps u + dt flux; the
 implicit step solves the strip system (M + dt S) v = M u. Both work on the
-blocks of S under the box's symmetries (symmetry.sectors): u is folded
-into one coefficient vector per block, two for the block that two sectors
-share on the unit square, multiplied or solved block by block, and
-unfolded. For p != 2 the explicit flux is that of the extended state,
+blocks of S under the box's symmetries (symmetry.sectors), through the seam
+Sectors.blockwise: u is folded into one coefficient vector per block, two
+for the block that two sectors share on the unit square, multiplied by S_j
+or solved with the factor of M_j + dt S_j, and unfolded. For p != 2 the
+explicit flux is that of the extended state (_state gives both for any p),
 re-solved after each step, and the implicit step minimizes
 dt * E_p(v) + (1/2) sum_strip mu (v - u)^2 jointly over all nodes, which
 reproduces backward Euler on the strip and the stationary balance on the
@@ -24,12 +25,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .analysis import (DIAG_COLUMNS, _lp_norm, lq_distance_to_mean, mass,
                        schur_complement)
-from .elliptic import (StripField, _extended_values, _interior_start, _midrange,
-                       _newton_free, _pairing)
+from .elliptic import (StripField, _cho_solve, _cholesky, _extended_values,
+                       _interior_start, _midrange, _newton_free, _pairing)
 from .errors import (InvalidArgument, NoContraction, SingularSystem, SolverError)
 from .kernels import EXCLUDE_STRIP_STRIP, FULL, SINGULAR
 from .symmetry import sectors
@@ -128,19 +128,19 @@ def check_compatible(op, spec):
 def _schur_flux(op, uv):
     """The p = 2 strip flux -M^-1 S u, anchored at the midrange c of u as
     extend_linear is: S (c - u) is exactly +0 for constant data. The
-    product is taken block by block: c - u folded, one product with each
-    block S_j, unfolded."""
+    product is taken block by block (Sectors.blockwise with the blocks S_j)."""
     sec = sectors(op)
-    parts = sec.fold(_midrange(uv) - uv, sec.strip)
-    for part, block in zip(parts, schur_complement(op)):
-        part[:] = block @ part
-    return sec.unfold(parts, sec.strip) / op.grid.mu[op.strip_idx]
+    prod = sec.blockwise(_midrange(uv) - uv, sec.strip, schur_complement(op), np.matmul)
+    return prod / op.grid.mu[op.strip_idx]
 
 
-def _rhs_values(op, spec, uv):
+def _state(op, spec, uv, warm=None):
+    """(full values, strip flux) of the strip values uv: at p = 2 no
+    extension (None) and the Schur flux; otherwise the extension, its
+    interior solve started from warm, and the strip rows of its balance."""
     if spec.p == 2.0:
-        return _schur_flux(op, uv)
-    return _extended_values(op, uv, spec.p)[1]
+        return None, _schur_flux(op, uv)
+    return _extended_values(op, uv, spec.p, warm)
 
 
 def rhs(op, spec, u):
@@ -153,7 +153,7 @@ def rhs(op, spec, u):
     """
     check_compatible(op, spec)
     uv = u.values if isinstance(u, StripField) else np.asarray(u, dtype=float)
-    return StripField(_rhs_values(op, spec, uv), op.grid)
+    return StripField(_state(op, spec, uv)[1], op.grid)
 
 
 def stability_bound(op):
@@ -172,7 +172,7 @@ def step_explicit(op, spec, u, dt):
     if dt > bound:
         warnings.warn(f"dt={dt} exceeds the stability advisory {bound:.6g}")
     uv = u.values if isinstance(u, StripField) else np.asarray(u, dtype=float)
-    return StripField(uv + dt * _rhs_values(op, spec, uv), op.grid)
+    return StripField(uv + dt * _state(op, spec, uv)[1], op.grid)
 
 
 def _implicit_linear_values(op, dt, uv):
@@ -180,7 +180,8 @@ def _implicit_linear_values(op, dt, uv):
     S the Schur complement and M the strip measures, for v - c with c the
     midrange of u, so that constant data stays exactly constant. M is
     constant on orbits, so the system splits into one (M_j + dt S_j) per
-    block, each factored once and solved with cho_solve. The rows of the
+    block, each factored once (elliptic._cholesky, for the last dt) and
+    solved with cho_solve through Sectors.blockwise. The rows of the
     computed S sum to roundoff rather than 0, so v is then shifted by the
     constant sum mu (u - v) / sum mu that restores the strip mass, as the
     p != 2 step shifts its iterates; constant data gives a zero shift."""
@@ -189,24 +190,18 @@ def _implicit_linear_values(op, dt, uv):
     # one set of factors per operator, for the last dt: a set per dt ever used adds up
     if op._cache.get("implicit_chol", (None,))[0] != dt:
         op._cache.pop("implicit_chol", None)
-        factors = []
-        for block, reps in zip(schur_complement(op), sec.block_reps(sec.strip)):
-            # S_j is exactly symmetric, and its transpose is the Fortran
-            # order cho_factor overwrites
-            mat = dt * block.T
-            mat[np.diag_indices_from(mat)] += op.grid.mu[reps]
-            try:
-                factors.append(sla.cho_factor(mat, overwrite_a=True))
-            except sla.LinAlgError as exc:
-                raise SingularSystem(
-                    f"implicit system is not positive definite: {exc}") from exc
-        op._cache["implicit_chol"] = (dt, tuple(factors))
+
+        def blocks():
+            for block, reps in zip(schur_complement(op), sec.block_reps(sec.strip)):
+                # S_j is exactly symmetric, and its transpose is the Fortran
+                # order cho_factor overwrites
+                mat = dt * block.T
+                mat[np.diag_indices_from(mat)] += op.grid.mu[reps]
+                yield mat
+        op._cache["implicit_chol"] = (dt, _cholesky(blocks(), "implicit system"))
     shift = _midrange(uv)
-    parts = sec.fold(mu_s * (uv - shift), sec.strip)
-    for part, factor in zip(parts, op._cache["implicit_chol"][1]):
-        # the cached factor is finite; checking it would scan its entries per solve
-        part[:] = sla.cho_solve(factor, part, check_finite=False)
-    v = sec.unfold(parts, sec.strip)
+    v = sec.blockwise(mu_s * (uv - shift), sec.strip, op._cache["implicit_chol"][1],
+                      _cho_solve)
     if not np.all(np.isfinite(v)):
         raise SingularSystem("implicit solve produced non-finite values")
     v += shift
@@ -217,9 +212,11 @@ def _implicit_linear_values(op, dt, uv):
 def _step_implicit_values(op, spec, uv, dt, tol, max_iter, warm):
     """(strip values, full values, strip flux, EnergyReport) after one
     implicit step, the flux read off the report's balance; at p = 2 the
-    strip solve makes no extension and all but the strip values are None."""
+    strip solve makes no extension, the flux is the new state's Schur flux
+    and the full values and the report are None."""
     if spec.p == 2.0:
-        return _implicit_linear_values(op, dt, uv), None, None, None
+        out = _implicit_linear_values(op, dt, uv)
+        return out, None, _schur_flux(op, out), None
 
     # F = E_p + (1/2) sum (mu_S / dt) (v - u)^2 is the step's objective over dt
     target = np.zeros(op.n)
@@ -306,13 +303,10 @@ def evolve(op, spec, u0, t_end, dt, integrator=EXPLICIT, tol=1e-10, max_iter=60)
         newton, pcg = np.zeros(nsteps, dtype=np.int64), np.zeros(nsteps, dtype=np.int64)
 
     # at p = 2 full stays None: the Schur flux and the strip solve need no extension
-    linear = spec.p == 2.0
     complete = 0
     try:
-        full, flux = (None, None) if linear else _extended_values(op, uv, spec.p)
+        full, flux = _state(op, spec, uv)
         for k in range(nsteps + 1):
-            if linear:
-                flux = _schur_flux(op, uv)
             states[k] = uv
             diag[k] = _diag_row(op, spec, uv, flux)
             complete = k + 1
@@ -321,15 +315,14 @@ def evolve(op, spec, u0, t_end, dt, integrator=EXPLICIT, tol=1e-10, max_iter=60)
             warm = full[op.interior_idx] if full is not None and op.n_interior > 0 else None
             if integrator == EXPLICIT:
                 uv = uv + dt * flux
-                if not linear:
-                    full, flux = _extended_values(op, uv, spec.p, warm)
+                full, flux = _state(op, spec, uv, warm)
             else:
                 uv, full, flux, report = _step_implicit_values(op, spec, uv, dt, tol,
                                                                max_iter, warm)
                 if newton is not None:
                     newton[k], pcg[k] = report.iterations, report.cg_iterations
     except SolverError as exc:
-        if integrator == EXPLICIT and not linear and complete:
+        if integrator == EXPLICIT and spec.p != 2.0 and complete:
             exc.args = (f"explicit step {complete} of {nsteps} with dt={dt:g} failed: {exc}; "
                         f"stability_bound is the p = 2 advisory only: try a smaller dt",)
         steps = max(complete - 1, 0)
@@ -365,7 +358,7 @@ def picard_solve(op, spec, u0, window, nt=11, tol=1e-10, max_iter=50):
     for _ in range(max_iter):
         deriv = np.empty_like(u_iter)
         for k in range(nt):
-            deriv[k] = _rhs_values(op, spec, u_iter[k])
+            deriv[k] = _state(op, spec, u_iter[k])[1]
         # scipy's cumulative_trapezoid with initial 0, term for term
         integral = np.zeros_like(deriv)
         integral[1:] = np.cumsum(np.diff(times)[:, None] * (deriv[1:] + deriv[:-1]) / 2.0,
@@ -377,7 +370,7 @@ def picard_solve(op, spec, u0, window, nt=11, tol=1e-10, max_iter=50):
         if delta <= tol:
             diag = np.empty((nt, len(DIAG_COLUMNS)))
             for k in range(nt):
-                diag[k] = _diag_row(op, spec, u_iter[k], _rhs_values(op, spec, u_iter[k]))
+                diag[k] = _diag_row(op, spec, u_iter[k], _state(op, spec, u_iter[k])[1])
             return Trajectory(times, u_iter, diag, op.grid)
         if not np.all(np.isfinite(u_iter)) or delta > 1e100:
             break

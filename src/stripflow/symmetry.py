@@ -36,9 +36,10 @@ that index the block's rows.
 
 The blocks of L_II, the Schur complement S and M + dt S are 1/|K| or
 1/|G| the size of the whole, and the vector folds between the two bases
-cost O(n). Operators that assemble did not build (fixtures pinned from a
-dense kernel matrix) have G = {e}: one block, the matrix itself, whose
-Laplacian blocks are cuts of their dense Laplacian.
+cost O(n); Sectors.blockwise is the one seam of every block product and
+solve. Operators that assemble did not build (fixtures pinned from a dense
+kernel matrix) have G = {e}: one block, the matrix itself, whose Laplacian
+blocks are cuts of their dense Laplacian.
 """
 
 from dataclasses import dataclass
@@ -211,6 +212,15 @@ class Sectors:
         np.add(even[:, p:], 0.0, out=coef[::3, 2 * p:])
         coef[1:3] = parts[2].take(shared)
         return ((self.signs @ coef) / self.signs.shape[0]).take(back)
+
+    def blockwise(self, vals, orbits, mats, apply):
+        """The class values whose fold is apply(mat_j, part_j) for each block
+        j, with part_j the fold of vals (two columns for the shared block)
+        and mat_j the block's matrix or factor."""
+        parts = self.fold(vals, orbits)
+        for part, mat in zip(parts, mats):
+            part[:] = apply(mat, part)
+        return self.unfold(parts, orbits)
 
     def basis(self, j, coef, orbits):
         """(n_C, r) the class vectors with the coefficients coef (m_j, r) in

@@ -70,12 +70,17 @@ def edge_set(seed, n=300, ne=5000):
     return rows, cols, data, vals
 
 
+def buf(rows, cols, n):
+    """A fresh edge buffer on the skeleton of (rows, cols) over n rows."""
+    return A.edge_matrix(A.skeleton(rows, cols, n))
+
+
 def test_phi_row_sums_by_hand():
     rows = np.array([0, 1], dtype=np.int64)
     cols = np.array([1, 0], dtype=np.int64)
     data = np.array([2.0, 5.0])
     vals = np.array([1.0, 3.0])
-    out = A.phi_row_sums(rows, cols, data, vals, 3.0, 0.0, 2)
+    out = A.phi_row_sums(rows, cols, data, vals, 3.0, 0.0, 2, buf(rows, cols, 2))
     # phi(d) = |d| d at p = 3
     assert out[0] == 2.0 * 4.0
     assert out[1] == 5.0 * -4.0
@@ -87,14 +92,16 @@ def test_hessian_accumulate_by_hand():
     cols = np.array([1], dtype=np.int64)
     data = np.array([2.0])
     vals = np.array([1.0, 4.0])
-    diag, matvec = A.hessian_accumulate(rows, cols, data, vals, 3.0, 0.0, np.arange(2))
+    diag, matvec = A.hessian_accumulate(rows, cols, data, vals, 3.0, 0.0, np.arange(2),
+                                        buf(rows, cols, 2))
     # psi(d) = 2 |d| at p = 3 with |d| = 3: the matrix [[12, -12], [-12, 12]]
     assert np.array_equal(diag, [12.0, 12.0])
     assert np.array_equal(matvec(np.array([1.0, 0.0])), [12.0, -12.0])
     assert np.array_equal(matvec(np.array([0.0, 1.0])), [-12.0, 12.0])
     # node 1 pinned: it enters as zero, node 0 keeps its full row sum; a scale
     # and a diagonal the caller adds, as the solver adds its proximal weights
-    diag, matvec = A.hessian_accumulate(rows, cols, data, vals, 3.0, 0.0, np.array([0]))
+    diag, matvec = A.hessian_accumulate(rows, cols, data, vals, 3.0, 0.0, np.array([0]),
+                                        buf(rows, cols, 2))
     diag = 0.5 * diag + 1.0
     assert np.array_equal(diag, [7.0])
     assert np.array_equal(0.5 * matvec(np.array([2.0])) + 1.0 * 2.0, [14.0])
@@ -106,9 +113,10 @@ def test_zero_differences_are_finite(p, eps):
     cols = np.array([1], dtype=np.int64)
     data = np.array([3.0])
     vals = np.zeros(2)
-    out = A.phi_row_sums(rows, cols, data, vals, p, eps, 2)
+    out = A.phi_row_sums(rows, cols, data, vals, p, eps, 2, buf(rows, cols, 2))
     assert np.isfinite(out).all() and out[0] == 0.0
-    diag, matvec = A.hessian_accumulate(rows, cols, data, vals, p, eps, np.arange(2))
+    diag, matvec = A.hessian_accumulate(rows, cols, data, vals, p, eps, np.arange(2),
+                                        buf(rows, cols, 2))
     assert np.isfinite(diag).all() and np.isfinite(matvec(np.ones(2))).all()
 
 
@@ -116,7 +124,8 @@ def test_empty_edge_list():
     empty_i = np.zeros(0, dtype=np.int64)
     empty_f = np.zeros(0)
     vals = np.ones(3)
-    out = A.phi_row_sums(empty_i, empty_i, empty_f, vals, 3.0, 0.0, 3)
+    out = A.phi_row_sums(empty_i, empty_i, empty_f, vals, 3.0, 0.0, 3,
+                         buf(empty_i, empty_i, 3))
     assert np.array_equal(out, np.zeros(3))
 
 
@@ -124,7 +133,8 @@ def test_within_backend_bitwise_repeatable():
     rows, cols, data, vals = edge_set(1)
     n = vals.shape[0]
     args = (rows, cols, data, vals, 1.5, 1e-10, n)
-    assert np.array_equal(A.phi_row_sums(*args), A.phi_row_sums(*args))
+    assert np.array_equal(A.phi_row_sums(*args, buf(rows, cols, n)),
+                          A.phi_row_sums(*args, buf(rows, cols, n)))
 
 
 @pytest.mark.parametrize("p,eps", CASES)
@@ -148,9 +158,11 @@ def test_in_place_kernels_match_the_plain_formulas(op2d, p, eps):
         # the Hessian's diagonal sums each edge's weight at both of its ends
         want_diag = (np.bincount(rows, weights=hess_w, minlength=n)
                      + np.bincount(cols, weights=hess_w, minlength=n))
-        assert np.array_equal(A.phi_row_sums(rows, cols, data, vals, p, eps, n), want)
+        assert np.array_equal(A.phi_row_sums(rows, cols, data, vals, p, eps, n,
+                                             buf(rows, cols, n)), want)
         assert np.array_equal(A.hessian_accumulate(rows, cols, data, vals, p, eps,
-                                                   np.arange(n))[0], want_diag)
+                                                   np.arange(n), buf(rows, cols, n))[0],
+                              want_diag)
         if skel is None:
             continue
         # a buffer on the cached skeleton that an earlier pass wrote
@@ -197,6 +209,7 @@ def test_hessian_and_majoriser_match_scatter_add(op16, op16_full, op2d, p, eps):
     for op in pair_ops(op16, op16_full, op2d):
         rows, cols, coef = op.act_rows, op.act_cols, op.act_coef
         prows, pcols, pcoef = pairs(op)
+        skel = edge_skeleton(op)
         vals = rng.standard_normal(op.n)
         d = vals[rows] - vals[cols]
         hess_w = coef * A._psi(d, p, eps)
@@ -208,7 +221,7 @@ def test_hessian_and_majoriser_match_scatter_add(op16, op16_full, op2d, p, eps):
         hess_pw = pcoef * A._psi(pd, p, eps)
         pw = pcoef * (pd * pd + eps * eps) ** ((p - 2.0) / 2.0)
         for free in free_sets(op):
-            hess = A.laplacian_block(prows, pcols, hess_pw, free)
+            hess = A.laplacian_block(prows, pcols, hess_pw, free, skel)
             assert hess.flags.f_contiguous
             assert_laplacian_matches(hess, hess_full, free, rows, hess_w)
             shift = rng.random(free.shape[0])
@@ -217,14 +230,15 @@ def test_hessian_and_majoriser_match_scatter_add(op16, op16_full, op2d, p, eps):
             # 1/dt into its proximal weights); the products sum the same terms
             # in other orders
             for qf in (0.0, shift / 0.3):
-                oracle = A.laplacian_block(prows, pcols, hess_pw, free, edge_skeleton(op))
+                oracle = A.laplacian_block(prows, pcols, hess_pw, free, skel)
                 oracle[np.diag_indices_from(oracle)] += qf
-                diag, matvec = A.hessian_accumulate(prows, pcols, pcoef, vals, p, eps, free)
+                diag, matvec = A.hessian_accumulate(prows, pcols, pcoef, vals, p, eps, free,
+                                                    A.edge_matrix(skel))
                 assert np.array_equal(diag + qf, np.diag(oracle))
                 x = rng.standard_normal(free.shape[0])
                 err = np.abs(matvec(x) + qf * x - oracle @ x)
                 assert np.all(err <= 4.0 * np.finfo(float).eps * (np.abs(oracle) @ np.abs(x)))
-            maj = A.laplacian_block(prows, pcols, pw, free)
+            maj = A.laplacian_block(prows, pcols, pw, free, skel)
             assert_laplacian_matches(maj, maj_full, free, rows, w)
 
 
@@ -235,7 +249,7 @@ def test_laplacian_oracle_matches_scatter_add(op16, op16_full, op2d):
         everything = np.arange(op.n)
         assert_laplacian_matches(laplacian_dense(op), full, everything, rows, coef)
         for free in free_sets(op):
-            block = A.laplacian_block(*pairs(op), free)
+            block = A.laplacian_block(*pairs(op), free, edge_skeleton(op))
             assert np.array_equal(block, laplacian_dense(op)[np.ix_(free, free)])
             assert_laplacian_matches(block, full, free, rows, coef)
 
@@ -250,9 +264,10 @@ def test_pcg_matches_cholesky_of_the_dense_hessian(op16, op2d, p):
         # the extension's free set (strip pinned) and the implicit step's
         # (every node, the strip measures on the diagonal)
         for free, shift in ((op.interior_idx, 0.0), (np.arange(op.n), op.grid.mu)):
-            diag, matvec = A.hessian_accumulate(rows, cols, coef, vals, p, 0.0, free)
+            diag, matvec = A.hessian_accumulate(rows, cols, coef, vals, p, 0.0, free,
+                                                A.edge_matrix(edge_skeleton(op)))
             b = rng.standard_normal(free.shape[0])
-            dense = A.laplacian_block(rows, cols, w, free)
+            dense = A.laplacian_block(rows, cols, w, free, edge_skeleton(op))
             dense[np.diag_indices_from(dense)] += shift
             want = sla.cho_solve(sla.cho_factor(dense), b)
             x, iters = A.pcg(lambda x: matvec(x) + shift * x, diag + shift, b, 1e-14)
@@ -266,7 +281,8 @@ def test_pcg_signals_a_matrix_that_is_not_positive_definite(op2d):
     rows, cols, coef = pairs(op2d)
     vals = np.zeros(op2d.n)
     vals[op2d.strip_idx] = np.random.default_rng(7).standard_normal(op2d.n_strip)
-    diag, matvec = A.hessian_accumulate(rows, cols, coef, vals, 3.0, 0.0, op2d.interior_idx)
+    diag, matvec = A.hessian_accumulate(rows, cols, coef, vals, 3.0, 0.0, op2d.interior_idx,
+                                        A.edge_matrix(edge_skeleton(op2d)))
     assert np.any(diag == 0.0)
     b = np.ones(op2d.n_interior)
     with pytest.raises(sla.LinAlgError):

@@ -11,7 +11,7 @@ from stripflow.elliptic import EXT_TOL, _extended_values, _midrange, _pairing, e
 from stripflow.errors import (InvalidArgument, NoContraction, NoConvergence, SingularSystem,
                               SolverError)
 from stripflow.evolution import (LINEAR, LINEAR_FULL, PLAPLACE, PLAPLACE_FULL,
-                                 SINGULAR_VARIANT, _step_implicit_values)
+                                 SINGULAR_VARIANT, _schur_flux, _step_implicit_values)
 from stripflow.io import write_trajectory_csv
 from stripflow.kernels import edge_list, laplacian_dense
 from stripflow.symmetry import sectors
@@ -105,9 +105,11 @@ def test_linear_implicit_step_matches_full_grid_solve(
         b = np.zeros(op.n)
         b[op.strip_idx] = mu_s * u
         want = np.linalg.solve(mat, b)
-        # the strip solve makes no extension; the test extends its result
-        strip, *rest = _step_implicit_values(op, spec, u, dt, 1e-10, 60, None)
-        assert rest == [None, None, None]
+        # the strip solve makes no extension and no report; its flux is the
+        # Schur flux of the new state. The test extends the result
+        strip, vals, flux, report = _step_implicit_values(op, spec, u, dt, 1e-10, 60, None)
+        assert vals is None and report is None
+        np.testing.assert_array_equal(flux, _schur_flux(op, strip))
         full = _extended_values(op, strip, 2.0)[0]
         tol = 1e-13 * (1.0 + np.abs(u).max())
         assert np.abs(full - want).max() <= tol

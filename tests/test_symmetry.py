@@ -16,7 +16,7 @@ from stripflow.errors import InvalidArgument
 from stripflow.evolution import _implicit_linear_values, _schur_flux
 from stripflow.geometry import STRIP
 from stripflow.kernels import NonlocalOperator, _operator_from_dense
-from stripflow.symmetry import _halves, sectors
+from stripflow.symmetry import Sectors, _halves, sectors
 
 from conftest import (BOX1, BOX2, assert_mirror_invariant, fold_strip, lattice_maps,
                       line_grid, make_op, nonuniform_line_op, schur_oracle, sector_basis)
@@ -505,3 +505,35 @@ def test_trivial_block_deflates_the_folded_constants():
                  if all(np.abs(modes[perm, i] - modes[:, i]).max() <= 1e-9
                         for perm in mirrors + [transpose])]
     assert abs(lam[symmetric[0]] - 0.011219855066526) <= analysis._eig_tol(op)
+
+
+def test_every_p2_block_product_and_solve_passes_one_seam(monkeypatch):
+    # with S and the interior factors cached, the p = 2 extension, each Schur
+    # flux and each implicit strip solve fold once and unfold once
+    # (Sectors.blockwise) and solve with cho_solve alone: solve_triangular
+    # only forms S. A p < 2 extension folds nothing
+    op = make_op(1 / 16, 0.125, sf.tent_kernel(0.25, 2), dim=2)
+    assert sectors(op).split
+    sf.schur_complement(op)
+    calls = {"fold": 0, "unfold": 0}
+    for name in calls:
+        def counting(self, *args, name=name, real=getattr(Sectors, name)):
+            calls[name] += 1
+            return real(self, *args)
+        monkeypatch.setattr(Sectors, name, counting)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the p = 2 blocks are solved with cho_solve alone")
+    monkeypatch.setattr(sla, "solve_triangular", refuse)
+    g = np.random.default_rng(12).standard_normal(op.n_strip)
+    sf.extend_linear(op, g)
+    assert calls == {"fold": 1, "unfold": 1}
+    dt, steps = 0.5 * sf.stability_bound(op), 3
+    for integrator, solves in ((sf.EXPLICIT, 0), (sf.IMPLICIT, steps)):
+        calls.update(fold=0, unfold=0)
+        sf.evolve(op, sf.ProblemSpec("linear"), g, steps * dt, dt, integrator)
+        # one flux per state and one strip solve per implicit step
+        assert calls == {"fold": steps + 1 + solves, "unfold": steps + 1 + solves}
+    calls.update(fold=0, unfold=0)
+    sf.extend_plaplace(op, g, 1.5)
+    assert calls == {"fold": 0, "unfold": 0}

@@ -15,7 +15,7 @@ which carry each edge once, the balance is its row sums minus the column
 sums of the same buffer, as phi_p is odd, and its strip rows are the
 strip flux. Every balance, flux, gradient and energy is read off those
 sums (divided by mu[x] for W units). The two curvature
-builders take the pairs: laplacian_block writes the dense Laplacian blocks,
+builders work on the pairs: laplacian_block writes the dense Laplacian blocks,
 the majoriser matrix and laplacian_dense, whose cuts are the p = 2 blocks
 of an operator without a lattice; on a lattice those blocks are read off
 the stencil's J table (symmetry.Sectors.fold_laplacian) with no edge and
@@ -170,14 +170,14 @@ def phi_row_sums(rows, cols, data, vals, p, eps, nrows, buf):
     return mat @ np.ones(nrows)
 
 
-def laplacian_block(rows, cols, w, free, skel):
-    """L[free, free] for the Laplacian L of the pairs (rows, cols, w), each
-    interacting pair x < y once with its weight: the full row sums of w from
-    both ends on the diagonal, -w at each pair whose two ends are free, on
-    both sides of it, and no other diagonal term. free lists the free nodes
-    in ascending order, skel is the pairs' skeleton over every node. The
-    array is Fortran-ordered, so cho_factor(..., overwrite_a=True) factors
-    it in place."""
+def laplacian_block(w, free, skel):
+    """L[free, free] for the Laplacian L of the interacting pairs x < y with
+    the weights w, one per pair in the order of their skeleton skel over
+    every node: the full row sums of w from both ends on the diagonal, -w
+    at each pair whose two ends are free, on both sides of it, and no other
+    diagonal term. free lists the free nodes in ascending order. The array
+    is Fortran-ordered, so cho_factor(..., overwrite_a=True) factors it in
+    place."""
     upper = adjacency(skel, w)
     cut = upper[free][:, free]
     # U and U^T share no entry, so the sum adds none; the cut is a copy, and

@@ -235,7 +235,7 @@ def rayleigh_quotient(op, g, p):
     complement that spectral_gap_beta and the p = 2 dynamics use, so the
     quotient of the gap mode checks beta independently.
     """
-    gv = g.values if isinstance(g, StripField) else np.asarray(g, dtype=float)
+    gv = g.values if isinstance(g, StripField) else StripField(g, op.grid).values
     sup = float(np.max(np.abs(gv), initial=0.0))
     if sup == 0.0 or np.ptp(gv) == 0.0:
         raise ConstantField("quotient is undefined for constant strip data")

@@ -348,7 +348,7 @@ def validate_cmd(config_path, seed, quiet):
         report(_ratio_check(d_coarse, d_fine, scale),
                f"explicit-implicit gap {d_coarse:.3e} -> {d_fine:.3e} on halving")
 
-    # fixed-point sweep against the stepped solutions (linear problems)
+    # fixed-point sweep against the stepped solutions (p = 2)
     with check("fixed-point agreement") as report:
         if spec.is_linear:
             pic = picard_solve(op, spec, u0, t_hor, nt=11, tol=small.tol).states[-1]
@@ -358,7 +358,7 @@ def validate_cmd(config_path, seed, quiet):
                    f"gap to sweep solution {dp_coarse:.3e} -> {dp_fine:.3e}")
         else:
             lines.append(("fixed-point agreement", "skipped",
-                          "sweep path applies to the linear variants only"))
+                          "sweep path applies at p = 2 only"))
 
     # conservation over one step of each scheme, to what each solver leaves.
     # Both implicit steps shift to the exact mass, and the p = 2 explicit

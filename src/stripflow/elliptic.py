@@ -30,10 +30,12 @@ and the coefficients symmetric, so the balance is the row sums of the
 balance buffer less its column sums, the Hessian's diagonal the row plus
 the column sums of its buffer and its product U x + U^T x, and the
 majoriser's dense block the cut of U + U^T (_accel.laplacian_block, no
-diagonal term). The strip rows of a solve's balance of E_p
-(EnergyReport.balance) are the p != 2 strip flux. At p = 2 it is a
-convolution (kernels.strip_row_sums), and the public residual and energy
-take the interior rows from interior_row_sums: no p = 2 path writes a
+diagonal term). Both extensions return (FullField, EnergyReport), and
+extend_with_report alone picks one by p. Every extension's report carries
+its balance of E_p (EnergyReport.balance), whose strip rows are the strip
+flux: at p = 2 a convolution (kernels.strip_row_sums) beside the interior
+rows of extend_linear's gate. The public residual and energy take the
+p = 2 interior rows from interior_row_sums: no p = 2 path writes a
 row. Balances are in W units, coefficient row sums over mu[x]. Energies
 come from the same row sums by Euler's identity: E_p is p-homogeneous, the
 coefficients symmetric and phi_p odd, so for the balance r of any v and any
@@ -140,7 +142,7 @@ def _extension_energy(op, vals, flux, p):
 def energy(op, u, p):
     """Edge energy (1/2p) sum over active ordered pairs of
     mu[x] W[x][y] |u[y] - u[x]|**p, read off the balance of u (Euler's identity)."""
-    vals = u.values if isinstance(u, FullField) else np.asarray(u, dtype=float)
+    vals = u.values if isinstance(u, FullField) else FullField(u, op.grid).values
     return float(energy_values(op, vals, p))
 
 
@@ -150,7 +152,7 @@ def energy_gradient(op, u, p):
     For 1 < p < 2 the modulus in the derivative is regularized with
     REG_EPS; for p >= 2 the exact derivative is used.
     """
-    vals = u.values if isinstance(u, FullField) else np.asarray(u, dtype=float)
+    vals = u.values if isinstance(u, FullField) else FullField(u, op.grid).values
     return FullField(-op.grid.mu * residual_values(op, vals, p, eps_for(p)), op.grid)
 
 
@@ -160,7 +162,7 @@ def interior_residual(op, u, p):
     is the balance regularized with REG_EPS, as in energy_gradient."""
     if op.n_interior == 0:
         return 0.0
-    vals = u.values if isinstance(u, FullField) else np.asarray(u, dtype=float)
+    vals = u.values if isinstance(u, FullField) else FullField(u, op.grid).values
     resid = residual_values(op, vals, p, eps_for(p))
     return float(np.max(np.abs(resid[op.interior_idx])))
 
@@ -204,27 +206,23 @@ def _interior_balance(op, vals):
 def extend_linear(op, g):
     """Extend strip values by the linear stationary balance.
 
-    Returns a full field equal to g on the strip whose interior values
-    satisfy L_II u = -L_IS g, i.e. diag(row sums) u - W_II u = W_IS g,
-    solved block by block (Sectors.blockwise) with cho_solve on the factors
-    of _interior, the shared block with two columns. Its right-hand side
-    and its gate, the whole interior balance, are interior row sums
+    Returns (FullField, EnergyReport). The field equals g on the strip and
+    its interior values satisfy L_II u = -L_IS g, i.e. diag(row sums) u -
+    W_II u = W_IS g, solved block by block (Sectors.blockwise) with
+    cho_solve on the factors of _interior, the shared block with two
+    columns, for the values less the midrange c of g, so constant data
+    stays exactly constant. Its right-hand side and its gate, the whole
+    interior balance of those shifted values, are interior row sums
     (kernels.interior_row_sums: by FFT on the stencil of an assembled
     operator, with no edge list), computed apart from the folds and the
-    factors, so the gate checks both.
+    factors, so the gate checks both. The report's grad_norm is the gate's
+    sup-norm, its balance the gate's interior rows with the strip flux
+    (_strip_flux) in the strip rows, and its energy pairs that flux
+    (_extension_energy); the solve counts as one converged iteration.
     """
-    return _extend_linear(op, g)[0]
-
-
-def _extend_linear(op, g):
-    """extend_linear's field and the sup-norm of its gate: the interior
-    balance of the field shifted by the midrange of g, so constant data
-    reads exactly 0."""
     if op.n_interior == 0:
         raise EmptyInterior("linear extension needs interior nodes")
-    gv = g.values if isinstance(g, StripField) else np.asarray(g, dtype=float)
-    # solve anchored at the midrange of g: shifting out the constant mode keeps
-    # constant data exactly constant and costs nothing
+    gv = g.values if isinstance(g, StripField) else StripField(g, op.grid).values
     shift = _midrange(gv)
     sec = sectors(op)
     factors = _interior(op)
@@ -233,12 +231,17 @@ def _extend_linear(op, g):
     sol = sec.blockwise(interior_row_sums(op, full), sec.interior, factors, _cho_solve)
     full[op.interior_idx] = sol
     # gated on the whole balance sum_y W[x][y] u[y] - deg[x] u[x]; NaN fails too
-    resid = float(np.max(np.abs(_interior_balance(op, full))))
+    balance = np.empty(op.n)
+    balance[op.interior_idx] = _interior_balance(op, full)
+    resid = float(np.max(np.abs(balance[op.interior_idx])))
     if not resid <= 1e-10 * (1.0 + np.max(np.abs(gv), initial=0.0)):
         raise SingularSystem(f"interior residual {resid:.3e} after interior solve")
     full[op.strip_idx] = gv
     full[op.interior_idx] = sol + shift
-    return FullField(full, op.grid), resid
+    balance[op.strip_idx] = _strip_flux(op, full)
+    return FullField(full, op.grid), EnergyReport(
+        energy=_extension_energy(op, full, balance[op.strip_idx], 2.0), grad_norm=resid,
+        iterations=1, converged=True, balance=balance)
 
 
 def _interior_start(op, gv):
@@ -326,7 +329,7 @@ def _newton_free(op, p, v0, free, max_iter, converged, *, lin=None, prox=None):
         d = x[cols] - x[rows]
         w = np.multiply(coef, (d * d + eps * eps) ** ((p - 2.0) / 2.0),
                         out=curvature[0].data)
-        mat = _accel.laplacian_block(rows, cols, w, free, skel)
+        mat = _accel.laplacian_block(w, free, skel)
         mat[np.diag_indices_from(mat)] += wf
         return mat
 
@@ -450,7 +453,7 @@ def extend_plaplace(op, g, p, tol=1e-10, max_iter=100, x0=None):
         raise NonConvexExponent(f"exponent must exceed 1, got {p}")
     if op.n_interior == 0:
         raise EmptyInterior("extension needs interior nodes")
-    gv = g.values if isinstance(g, StripField) else np.asarray(g, dtype=float)
+    gv = g.values if isinstance(g, StripField) else StripField(g, op.grid).values
 
     v0 = np.empty(op.n)
     v0[op.strip_idx] = gv
@@ -461,38 +464,25 @@ def extend_plaplace(op, g, p, tol=1e-10, max_iter=100, x0=None):
                         lambda r: np.max(np.abs(r), initial=0.0) <= scale)
 
 
-def extend(op, g, p, tol=1e-10, max_iter=100, x0=None):
-    """Extension by the appropriate path: linear solve at p = 2, energy
-    minimization otherwise. Returns only the field."""
-    if p == 2.0:
-        return extend_linear(op, g)
-    return extend_plaplace(op, g, p, tol=tol, max_iter=max_iter, x0=x0)[0]
+def extend(op, g, p, tol=1e-10, max_iter=100):
+    """The field of extend_with_report alone."""
+    return extend_with_report(op, g, p, tol=tol, max_iter=max_iter)[0]
 
 
 def _extended_values(op, gv, p, x0=None):
     """Nodal values of the extension of strip values gv at tolerance EXT_TOL,
-    or gv itself on a grid with no interior, and their strip flux: at p != 2
-    the strip rows of the solve's balance, or of one pass where none ran."""
-    if p == 2.0:
-        vals = gv if op.n_interior == 0 else extend_linear(op, gv).values
-        return vals, _strip_flux(op, vals)
+    or gv itself on a grid with no interior, and their strip flux: the strip
+    rows of the solve's balance, or of one pass where none ran."""
     if op.n_interior == 0:
         return gv, residual_values(op, gv, p, eps_for(p))
-    field, report = extend_plaplace(op, gv, p, tol=EXT_TOL, x0=x0)
+    field, report = extend_with_report(op, gv, p, tol=EXT_TOL, x0=x0)
     return field.values, report.balance[op.strip_idx]
 
 
 def extend_with_report(op, g, p, tol=1e-10, max_iter=100, x0=None):
-    """The extension with its report: extend_linear at p = 2,
-    extend_plaplace otherwise.
-
-    Returns (field, EnergyReport). At p = 2 the energy pairs the strip flux
-    (_extension_energy) and grad_norm is extend_linear's gate, so neither
-    writes the edge list; the solve counts as one iteration.
-    """
+    """The extension of g with its report, (FullField, EnergyReport): the
+    one choice of solver, extend_linear at p = 2 and extend_plaplace with
+    tol, max_iter and x0 otherwise. Either report carries its balance."""
     if p == 2.0:
-        field, resid = _extend_linear(op, g)
-        flux = _strip_flux(op, field.values)
-        return field, EnergyReport(energy=_extension_energy(op, field.values, flux, p),
-                                   grad_norm=resid, iterations=1, converged=True)
+        return extend_linear(op, g)
     return extend_plaplace(op, g, p, tol=tol, max_iter=max_iter, x0=x0)

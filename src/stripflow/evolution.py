@@ -75,7 +75,8 @@ class ProblemSpec:
 
     @property
     def is_linear(self):
-        return self.variant in (LINEAR, LINEAR_FULL)
+        """Whether the dynamics are linear: p = 2, in any variant."""
+        return self.p == 2.0
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,7 @@ def rhs(op, spec, u):
     same flux with the interior eliminated.
     """
     check_compatible(op, spec)
-    uv = u.values if isinstance(u, StripField) else np.asarray(u, dtype=float)
+    uv = u.values if isinstance(u, StripField) else StripField(u, op.grid).values
     return StripField(_state(op, spec, uv)[1], op.grid)
 
 
@@ -171,7 +172,7 @@ def step_explicit(op, spec, u, dt):
     bound = stability_bound(op)
     if dt > bound:
         warnings.warn(f"dt={dt} exceeds the stability advisory {bound:.6g}")
-    uv = u.values if isinstance(u, StripField) else np.asarray(u, dtype=float)
+    uv = u.values if isinstance(u, StripField) else StripField(u, op.grid).values
     return StripField(uv + dt * _state(op, spec, uv)[1], op.grid)
 
 
@@ -250,7 +251,7 @@ def step_implicit(op, spec, u, dt, tol=1e-10, max_iter=60):
     check_compatible(op, spec)
     if dt <= 0.0:
         raise InvalidArgument("dt must be positive")
-    uv = u.values if isinstance(u, StripField) else np.asarray(u, dtype=float)
+    uv = u.values if isinstance(u, StripField) else StripField(u, op.grid).values
     out = _step_implicit_values(op, spec, uv, dt, tol, max_iter, None)[0]
     return StripField(out, op.grid)
 
@@ -288,7 +289,7 @@ def evolve(op, spec, u0, t_end, dt, integrator=EXPLICIT, tol=1e-10, max_iter=60)
     if integrator not in (EXPLICIT, IMPLICIT):
         raise InvalidArgument(f"unknown integrator {integrator!r}")
 
-    uv = (u0.values if isinstance(u0, StripField) else np.asarray(u0, dtype=float)).copy()
+    uv = (u0.values if isinstance(u0, StripField) else StripField(u0, op.grid).values).copy()
     if integrator == EXPLICIT:
         bound = stability_bound(op)
         if dt > bound:
@@ -344,13 +345,13 @@ def picard_solve(op, spec, u0, window, nt=11, tol=1e-10, max_iter=50):
     """
     check_compatible(op, spec)
     if not spec.is_linear:
-        raise InvalidArgument("the integral-form iteration is defined for linear variants")
+        raise InvalidArgument("the integral-form iteration is defined for p = 2 only")
     if nt < 11:
         raise InvalidArgument(f"need at least 11 time nodes, got {nt}")
     if window <= 0.0:
         raise InvalidArgument("window must be positive")
 
-    uv0 = u0.values if isinstance(u0, StripField) else np.asarray(u0, dtype=float)
+    uv0 = u0.values if isinstance(u0, StripField) else StripField(u0, op.grid).values
     times = np.linspace(0.0, window, nt)
     mu_s = op.grid.mu[op.strip_idx]
     u_iter = np.tile(uv0, (nt, 1))

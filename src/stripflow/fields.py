@@ -53,7 +53,10 @@ class EnergyReport:
     W[x][y] phi_p'(v[y] - v[x]), and is None for a solve that did not stall.
     A gate below the floor is met, if at all, by how the roundoff falls.
     balance is the W-unit balance of E_p alone at the returned point,
-    regularized for p < 2 as the residual is, or None where no descent ran."""
+    regularized for p < 2 as the residual is. Every extension sets it; at
+    p = 2 its interior rows are extend_linear's gate, taken on the values
+    less the midrange of the strip data. It is None only in a report built
+    by hand."""
 
     energy: float
     grad_norm: float

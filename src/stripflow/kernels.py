@@ -595,7 +595,7 @@ def edge_list(op):
 def laplacian_dense(op):
     """Dense matrix of the active-edge Laplacian, diag(row sums) - A with
     A[x][y] = mu[x] W[x][y], from the pairs. Symmetric PSD."""
-    return _accel.laplacian_block(*pairs(op), np.arange(op.n), edge_skeleton(op))
+    return _accel.laplacian_block(pairs(op)[2], np.arange(op.n), edge_skeleton(op))
 
 
 def edge_skeleton(op):

@@ -198,7 +198,7 @@ def test_criterion_7_three_node_oracle(toy3_op):
     worst = 0.0
     for _ in range(20):
         g = rng.standard_normal(2)
-        out = sf.extend_linear(op, sf.StripField(g, op.grid))
+        out = sf.extend_linear(op, sf.StripField(g, op.grid))[0]
         worst = max(worst, abs(out.values[inode] - (0.5 * g[0] + 0.5 * g[1])))
     if worst > 1e-15:
         failures.append(f"extension off the strip mean by {worst:.3e}")

@@ -361,6 +361,16 @@ def test_validate_singular_kernel_away_from_p2(runner, tmp_path):
     assert "6 checks, 0 failed" in res.stdout
 
 
+def test_validate_sweeps_the_p_laplace_variant_at_p2(runner, tmp_path):
+    # linearity is p = 2, whatever the variant's name, so the fixed-point
+    # check runs for the p-Laplacian variant at p = 2
+    doc = dict(GRID16, problem={"variant": "plaplace", "p": 2.0})
+    res = runner.invoke(main, ["validate", "--config", write_cfg(tmp_path, doc)])
+    assert res.exit_code == 0
+    assert "check fixed-point agreement: pass" in res.stdout
+    assert "6 checks, 0 failed" in res.stdout
+
+
 def test_validate_checks_the_flux_the_integrators_step_with(runner, tmp_path, monkeypatch):
     # the quadratic reduction check reads the production Schur flux, so a
     # relative error of 1e-6 in it fails the check and nothing else
@@ -501,11 +511,13 @@ def test_beta_at_h96_peaks_under_300_mb(tmp_path):
     # the whole beta command in a fresh process, measured by its own peak
     # resident size (KiB on Linux): 450 MB while assembly wrote the whole
     # edge list, about 205 MB from the representatives' rows, and below
-    # that with no row written
+    # that with no row written. VmHWM, not ru_maxrss: a child's ru_maxrss
+    # keeps the high-water mark of the process that started it
     cfg = write_cfg(tmp_path, dict(SQUARE64, h=1.0 / 96.0))
-    script = ("import resource, sys; from stripflow.cli import main; "
+    script = ("from stripflow.cli import main; "
               f"main(['beta', '--config', {cfg!r}, '--quiet'], standalone_mode=False); "
-              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+              "print(*[ln.split()[1] for ln in open('/proc/self/status') "
+              "if ln.startswith('VmHWM')])")
     res = fresh_python(["-c", script], 1)
     beta, peak_kib = res.stdout.split()
     assert float(beta) == 0.0098430473422315128

@@ -8,10 +8,10 @@ import scipy.sparse as sp
 
 import stripflow as sf
 from stripflow import _accel, elliptic, kernels
-from stripflow.elliptic import (REG_EPS, _interior, _newton_free, extend_plaplace,
-                               extend_with_report)
-from stripflow.errors import (EmptyInterior, NoConvergence, NonConvexExponent,
-                              SingularSystem)
+from stripflow.elliptic import (EXT_TOL, REG_EPS, _interior, _newton_free, eps_for,
+                               extend_plaplace, extend_with_report, residual_values)
+from stripflow.errors import (EmptyInterior, InvalidArgument, NoConvergence,
+                              NonConvexExponent, SingularSystem)
 from stripflow.geometry import INTERIOR, STRIP
 from stripflow.kernels import _operator_from_dense, edge_list, pairs
 from stripflow.symmetry import sectors
@@ -23,14 +23,14 @@ P4_ASYM_ROOT = 0.55750666597555787
 
 
 def test_toy3_linear_extension(toy3_op):
-    out = sf.extend_linear(toy3_op, sf.StripField(np.array([0.0, 1.0]), toy3_op.grid))
+    out = sf.extend_linear(toy3_op, sf.StripField(np.array([0.0, 1.0]), toy3_op.grid))[0]
     assert abs(out.values[0] - 0.5) <= 1e-15
     np.testing.assert_array_equal(out.values[1:], [0.0, 1.0])
 
 
 def test_toy3_asymmetric_weights(toy3_asym_op):
     g = sf.StripField(np.array([1.0, 0.0]), toy3_asym_op.grid)
-    lin = sf.extend_linear(toy3_asym_op, g)
+    lin = sf.extend_linear(toy3_asym_op, g)[0]
     assert abs(lin.values[0] - 2.0 / 3.0) <= 1e-12
     field, report = extend_plaplace(toy3_asym_op, g, 4.0)
     assert report.converged
@@ -151,7 +151,7 @@ def test_plaplace_matches_linear_at_p2(op16, op2d):
     rng = np.random.default_rng(15)
     for op in (op16, op2d):
         g = sf.StripField(rng.standard_normal(op.n_strip), op.grid)
-        lin = sf.extend_linear(op, g)
+        lin = sf.extend_linear(op, g)[0]
         newt, report = extend_plaplace(op, g, 2.0)
         assert report.converged
         assert np.abs(lin.values - newt.values).max() <= 1e-8
@@ -168,7 +168,7 @@ def test_interior_solves_with_nonuniform_measures(edge_mode):
     op = _operator_from_dense(grid, kernel, kernel.cnorm * np.maximum(kernel.R - dist, 0.0),
                               edge_mode)
     g = sf.StripField(np.array([1.0, -0.5, 2.0, 0.25]), grid)
-    assert sf.interior_residual(op, sf.extend_linear(op, g), 2.0) <= 1e-12
+    assert sf.interior_residual(op, sf.extend_linear(op, g)[0], 2.0) <= 1e-12
     (s,) = sf.schur_complement(op)
     assert np.abs(s - schur_oracle(op)).max() <= 1e-14 * np.abs(s).max()
 
@@ -225,7 +225,7 @@ def test_linear_extension_gates_on_the_whole_interior_balance():
     # longer factors its block fails it
     op = make_op(1.0 / 16.0, 0.125, sf.tent_kernel(0.25, 2), dim=2)
     g = np.random.default_rng(2).standard_normal(op.n_strip)
-    ext = sf.extend_linear(op, g)
+    ext = sf.extend_linear(op, g)[0]
     assert sf.interior_residual(op, ext, 2.0) <= 1e-13 * (1.0 + np.abs(g).max())
     chol, _ = _interior(op)[2]
     chol[0, 0] *= 1.0 + 1e-6
@@ -249,6 +249,35 @@ def test_linear_report_does_not_grow_with_a_constant_offset():
         assert report.grad_norm <= 1e-13 * (1.0 + np.abs(g).max())
         assert report.iterations == 1 and report.converged
         assert report.energy == pytest.approx(sf.energy(op, field, 2.0), rel=1e-9)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_every_extension_reports_its_balance(op2d, p):
+    # extend_with_report is the one choice of solver, and at every p its
+    # report carries the balance of E_p at the field: its strip rows are the
+    # strip flux, and grad_norm is the sup of its interior rows
+    g = np.random.default_rng(9).standard_normal(op2d.n_strip)
+    field, report = extend_with_report(op2d, g, p, tol=EXT_TOL)
+    strip = op2d.strip_idx
+    assert report.balance.shape == (op2d.n,)
+    assert np.array_equal(report.balance[strip],
+                          residual_values(op2d, field.values, p, eps_for(p))[strip])
+    assert report.grad_norm == np.max(np.abs(report.balance[op2d.interior_idx]))
+    assert report.converged
+    if p == 2.0:
+        lin_field, lin_report = sf.extend_linear(op2d, g)
+        assert np.array_equal(lin_field.values, field.values) and lin_report == report
+        assert report.iterations == 1
+
+
+def test_linear_extension_refuses_non_finite_data(op2d):
+    # a raw array is checked as a StripField is: NaN data is an input error
+    # (exit 2), not a singular system (exit 3)
+    g = np.zeros(op2d.n_strip)
+    g[0] = np.nan
+    with pytest.raises(InvalidArgument, match="finite") as info:
+        sf.extend_linear(op2d, g)
+    assert info.value.exit_code == 2
 
 
 def test_interior_cache_keeps_l_ii_only_as_its_factor():

@@ -600,12 +600,55 @@ def test_picard_large_window_fails(toy3_op):
 
 
 def test_picard_argument_checks(toy3_op, sing16):
-    with pytest.raises(InvalidArgument):
+    with pytest.raises(InvalidArgument, match="p = 2"):
         sf.picard_solve(toy3_op, P3, sym(toy3_op), 0.1)
     with pytest.raises(InvalidArgument):
         sf.picard_solve(toy3_op, LIN, sym(toy3_op), 0.1, nt=5)
     with pytest.raises(InvalidArgument):
         sf.picard_solve(toy3_op, LIN, sym(toy3_op), -0.1)
+
+
+def test_picard_takes_any_variant_at_p2(op16):
+    # linearity is p = 2, whatever the variant's name: the p-Laplacian
+    # variant at p = 2 steps bit for bit as the linear one, and so sweeps
+    u0 = sf.StripField(np.random.default_rng(21).standard_normal(op16.n_strip), op16.grid)
+    assert sf.ProblemSpec(PLAPLACE, p=2.0).is_linear and not P3.is_linear
+    lin = sf.picard_solve(op16, LIN, u0, 0.05)
+    np.testing.assert_array_equal(
+        sf.picard_solve(op16, sf.ProblemSpec(PLAPLACE, p=2.0), u0, 0.05).states, lin.states)
+
+
+def test_rhs_refuses_strip_values_of_the_wrong_length(op2d):
+    with pytest.raises(InvalidArgument, match="strip values"):
+        sf.rhs(op2d, LIN, np.zeros(op2d.n_strip + 1))
+
+
+def test_explicit_evolve_refuses_non_finite_data(op2d):
+    u0 = np.zeros(op2d.n_strip)
+    u0[1] = np.nan
+    dt = 0.4 * sf.stability_bound(op2d)
+    with pytest.raises(InvalidArgument, match="finite"):
+        sf.evolve(op2d, LIN, u0, 2.0 * dt, dt)
+
+
+def test_every_entry_point_checks_a_raw_array(toy3_op):
+    # each public solver takes a raw array as it takes a StripField or a
+    # FullField, and refuses one of the wrong length as the field would
+    short = np.zeros(1)
+    calls = [lambda: sf.energy(toy3_op, short, 2.0),
+             lambda: sf.energy_gradient(toy3_op, short, 3.0),
+             lambda: sf.interior_residual(toy3_op, short, 2.0),
+             lambda: sf.extend_linear(toy3_op, short),
+             lambda: sf.extend_plaplace(toy3_op, short, 3.0),
+             lambda: sf.rhs(toy3_op, LIN, short),
+             lambda: sf.step_explicit(toy3_op, LIN, short, 0.1),
+             lambda: sf.step_implicit(toy3_op, P3, short, 0.1),
+             lambda: sf.evolve(toy3_op, LIN, short, 0.2, 0.1),
+             lambda: sf.picard_solve(toy3_op, LIN, short, 0.1),
+             lambda: sf.rayleigh_quotient(toy3_op, short, 2.0)]
+    for call in calls:
+        with pytest.raises(InvalidArgument, match="expected"):
+            call()
 
 
 def test_compatibility_checks(op16, op16_full, sing16):

@@ -321,7 +321,7 @@ def test_p2_work_writes_no_rows(dim, mode, monkeypatch):
     spec = sf.ProblemSpec("linear" if mode == sf.EXCLUDE_STRIP_STRIP else "linear-full")
     for integrator in (sf.EXPLICIT, sf.IMPLICIT):
         sf.evolve(op, spec, gap.mode, 5 * dt, dt, integrator)
-    ext = sf.extend_linear(op, gap.mode)
+    ext = sf.extend_linear(op, gap.mode)[0]
     quotient = sf.rayleigh_quotient(op, gap.mode, 2.0)
     assert abs(quotient - gap.beta) <= analysis._eig_tol(op) + 1e-10 * gap.beta
     assert sf.energy(op, ext, 2.0) == pytest.approx(0.5 * gap.beta, rel=1e-9)

@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses,
+and no private function outlives its last reference."""
 
 import ast
 from pathlib import Path
@@ -51,3 +52,42 @@ def test_unused_import_check_sees_a_leftover(tmp_path):
         "def f(x):\n"
         "    return np.sum(x)\n")
     assert unused_imports(mod) == [(2, "sla"), (4, "StripField")]
+
+
+def unreferenced_private_functions(src):
+    """(file name, name) of each module-level function whose name starts
+    with a single "_" and that no module under src refers to: no load of
+    the name, no attribute of that name, no import of it."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced |= {alias.name for alias in node.names}
+    return sorted((name, node.name) for name, tree in trees.items() for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                  and not node.name.startswith("__") and node.name not in referenced)
+
+
+def test_no_unreferenced_private_functions():
+    assert unreferenced_private_functions(SRC) == []
+
+
+def test_unreferenced_function_check_sees_a_leftover(tmp_path):
+    # a refactor that inlines a helper leaves its definition behind; a call,
+    # an import from another module and an attribute of the module count as
+    # references, and a dunder is never reported
+    (tmp_path / "a.py").write_text(
+        "def _called():\n    return 1\n"
+        "def _imported():\n    return 2\n"
+        "def _by_attribute():\n    return 3\n"
+        "def _left_behind():\n    return _called()\n"
+        "def __getattr__(name):\n    raise AttributeError(name)\n")
+    (tmp_path / "b.py").write_text(
+        "from . import a\nfrom .a import _imported\n"
+        "def f():\n    return a._by_attribute() + _imported()\n")
+    assert unreferenced_private_functions(tmp_path) == [("a.py", "_left_behind")]

@@ -316,7 +316,7 @@ def test_extension_and_trajectories_match_the_one_block_route(case):
     op, dense = case
     rng = np.random.default_rng(5)
     g = sf.StripField(rng.uniform(-2.0, 2.0, op.n_strip), op.grid)
-    ext, ext_ref = sf.extend_linear(op, g).values, sf.extend_linear(dense, g).values
+    ext, ext_ref = sf.extend_linear(op, g)[0].values, sf.extend_linear(dense, g)[0].values
     assert np.abs(ext - ext_ref).max() <= 1e-13 * (1.0 + np.abs(g.values).max())
     spec = sf.ProblemSpec("linear" if op.edge_mode == sf.EXCLUDE_STRIP_STRIP else "linear-full",
                           p=2.0)

@@ -113,19 +113,26 @@ def schur_complement(op):
 
 def _schur_blocks(op):
     """The blocks S_j, built one at a time, so that one X is live. L_SS and
-    L_IS are read off the stencil's J table (Sectors.fold_laplacian)."""
+    L_IS are read off the stencil's J table (Sectors.fold_laplacian); an
+    L_SS that is its diagonal alone is added as that, with no dense block."""
     sec = sectors(op)
     factors = _interior(op) if op.n_interior else ()
     l_ss = sec.fold_laplacian(op, sec.strip, sec.strip)
     l_is = sec.fold_laplacian(op, sec.interior, sec.strip)
+    diagonal = sec.degrees(op, sec.strip) if sec.diagonal_only(op, sec.strip) else None
     out = []
-    for chol, lower in factors:
+    for j, (chol, lower) in enumerate(factors):
         x = sla.solve_triangular(chol, next(l_is), trans="T", lower=lower,
                                  overwrite_b=True, check_finite=False)
         block = x.T @ x
         del x  # so that the peak is X^T X and L_SS^chi, without X beside them
-        np.negative(block, out=block)
-        block += next(l_ss)
+        if diagonal is None:
+            np.negative(block, out=block)
+            block += next(l_ss)
+        else:
+            # 0 - v equals -v + 0, the sum with L_SS's zero entries, to the sign of a zero
+            np.subtract(0.0, block, out=block)
+            block[np.diag_indices_from(block)] += diagonal[j]
         out.append(block)
     return tuple(out) if factors else tuple(l_ss)
 

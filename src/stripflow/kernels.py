@@ -15,8 +15,8 @@ deg_active are matrix products of the measures with that table over
 rectangles of the orbit representatives (_reach_sums), the p = 2 sector
 blocks are read off the table (symmetry.Sectors.fold_laplacian), and the
 products of whole rows with node values are one convolution with it
-(interior_row_sums, strip_row_sums), by scipy.fft, which the module
-imports on the first convolution, not on its own import. The pairs of
+(interior_row_sums, strip_row_sums), by numpy.fft, so that no run loads
+scipy.fft or the scipy.special it pulls in. The pairs of
 each node are runs of consecutive node numbers, one per line of offsets,
 so the rows of any node set are written from the table run after run,
 already in lexicographic order, in time and memory proportional to their
@@ -441,23 +441,33 @@ def _reach_sums(op, mask, rects):
     return sums.ravel(), int(count)
 
 
+def _fast_len(n):
+    """The least 2^a 3^b 5^c >= n, a length pocketfft transforms fast:
+    scipy.fft.next_fast_len(n, real=True), with no scipy.fft loaded."""
+    best, five = 1 << (n - 1).bit_length(), 1
+    while five < best:
+        odd = five
+        while odd < best:
+            # odd times the least power of 2 that reaches n
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        five *= 5
+    return best
+
+
 def _stencil_transform(op):
     """The real transform of the J table (_table) laid on a periodic
     N0 x N1 lattice, offset (a, b) at (a mod N0, b mod N1), with Ni the
-    first fast length of at least 2 mi - 1 points, so that no two offsets
-    share a point: (N0, N1) and the transform. Made once per operator and
-    cached."""
-    # scipy.fft and the scipy.special it loads cost about 5 MB, so only a
-    # run that convolves imports them
-    import scipy.fft
-
+    first fast length of at least 2 mi - 1 points (_fast_len), so that no
+    two offsets share a point: (N0, N1) and the transform. Made once per
+    operator and cached."""
     if "stencil_transform" not in op._cache:
         m0, m1 = op.lattice
-        size = tuple(scipy.fft.next_fast_len(2 * m - 1, real=True) for m in op.lattice)
+        size = tuple(_fast_len(2 * m - 1) for m in op.lattice)
         periodic = np.zeros(size)
         periodic[np.ix_(np.arange(1 - m0, m0) % size[0],
                         np.arange(1 - m1, m1) % size[1])] = _table(op)
-        op._cache["stencil_transform"] = size, scipy.fft.rfftn(periodic)
+        op._cache["stencil_transform"] = size, np.fft.rfftn(periodic)
     return op._cache["stencil_transform"]
 
 
@@ -473,13 +483,11 @@ def _row_sums(op, vals, idx, targets):
     if op.lattice is None:
         rows, cols, coef = op._edges
         return np.bincount(rows, weights=coef * vals[cols], minlength=op.n)[idx]
-    import scipy.fft
-
     size, transform = _stencil_transform(op)
     (m0, m1), mu = op.lattice, op.grid.mu
-    spread = scipy.fft.rfftn((targets * mu * vals).reshape(m0, m1), size)
+    spread = np.fft.rfftn((targets * mu * vals).reshape(m0, m1), size, axes=(0, 1))
     spread *= transform
-    conv = scipy.fft.irfftn(spread, size, overwrite_x=True)[:m0, :m1]
+    conv = np.fft.irfftn(spread, size, axes=(0, 1))[:m0, :m1]
     return mu[idx] * conv.ravel()[idx]
 
 

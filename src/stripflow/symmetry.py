@@ -237,6 +237,18 @@ class Sectors:
         out[table] = np.multiply.outer(self.signs[blk.char] / np.sqrt(self.signs.shape[0]), coef)
         return out
 
+    def diagonal_only(self, op, orbits):
+        """Whether L[C, C] on the class C of orbits folds to its diagonal
+        (degrees) alone: L_SS in exclude mode, on a lattice."""
+        return (op.lattice is not None and orbits is self.strip
+                and op.edge_mode == EXCLUDE_STRIP_STRIP)
+
+    def degrees(self, op, orbits):
+        """Per block, the row sums mu_a deg_active[a] of the Laplacian at the
+        representatives that index its rows: its diagonal, which is the
+        whole of L_SS in exclude mode."""
+        return [op.grid.mu[rows] * op.deg_active[rows] for rows in self.block_reps(orbits)]
+
     def fold_laplacian(self, op, row_orbits, col_orbits):
         """The blocks Q_j^T B Q_j of B = L[R, C], the Laplacian of the
         coefficients cut to the classes R of row_orbits and C of
@@ -244,20 +256,23 @@ class Sectors:
         when R is C. Off the diagonal, B_chi[a, b] = -mu_a mu_b sum_k chi(k)
         J(k b - a), the measures being constant on orbits: for each
         character the sum of the J table over K (_table_fold), in the
-        representatives' order, split by sigma (_halves, the block reordered
-        to pair, partner, diag on both sides), then scaled by -mu_a mu_b,
-        one product of the two measures per entry, so that the transpose
-        of a symmetric block takes the same numbers. When R is C its row
-        sums mu_a deg_active[a] go on the diagonal. In exclude mode L_SS is
-        that diagonal alone. An operator without a lattice (G = {e}) takes
-        the cut of its dense Laplacian."""
+        representatives' order, with the C side as its rows, the one
+        full-size array each character holds. Split by sigma, those rows
+        are taken once into pair, partner, diag order and the fold dropped,
+        and each half gathers its columns from them (_halves). Then each
+        block is scaled by -mu_a mu_b, one product of the two measures per
+        entry, so that the transpose of a symmetric block takes the same
+        numbers. When R is C its row sums (degrees) go on the diagonal. In
+        exclude mode L_SS is that diagonal alone. An operator without a
+        lattice (G = {e}) takes the cut of its dense Laplacian."""
         if op.lattice is None:
             cut = laplacian_dense(op)[np.ix_(row_orbits.reps, col_orbits.reps)]
             yield np.asfortranarray(cut)
             return
         mu, same = op.grid.mu, row_orbits is col_orbits
         rows, cols = self.block_reps(row_orbits), self.block_reps(col_orbits)
-        couple = not (same and row_orbits is self.strip and op.edge_mode == EXCLUDE_STRIP_STRIP)
+        diags = self.degrees(op, row_orbits) if same else None
+        couple = not (same and self.diagonal_only(op, row_orbits))
         j = 0
         for blk in self.blocks:
             if blk.parity < 0:
@@ -271,18 +286,22 @@ class Sectors:
                 # written with the rows C, so that its transpose is Fortran-ordered
                 fold = _table_fold(_table(op), op.lattice, col_orbits, row_orbits, signs)
                 if blk.parity:
-                    fold = fold.take(col_orbits.order, axis=0).take(row_orbits.order, axis=1)
-                    outs = _halves(fold.T, row_orbits.pair.shape[0], col_orbits.pair.shape[0])
+                    fold = fold.take(col_orbits.order, axis=0)
+                    outs = _halves(fold, row_orbits, col_orbits.pair.shape[0])
                 else:
-                    outs = (fold.T,)
+                    outs = [fold.T]
                 del fold
             for out in outs:
                 if couple:
                     _scale(out, -mu[rows[j]], mu[cols[j]])
                 if same:
-                    out[np.diag_indices_from(out)] += mu[rows[j]] * op.deg_active[rows[j]]
+                    out[np.diag_indices_from(out)] += diags[j]
                 j += 1
-                yield out
+            # each block is dropped here once yielded, so that what the
+            # caller solves in its place goes with the caller's last reference
+            del out
+            while outs:
+                yield outs.pop(0)
 
 
 def _table_fold(table, lattice, a_orbits, b_orbits, signs):
@@ -345,26 +364,35 @@ def _scale(block, row_mu, col_mu):
         block[:, c:c + step] *= np.multiply.outer(col_mu[c:c + step], row_mu).T
 
 
-def _halves(block, p, q):
-    """The sigma-even and sigma-odd blocks, both Fortran-ordered, of a dense
-    block whose rows are p pairs, their p partners and the diagonal, and
-    whose columns are q pairs, their partners and the diagonal. The even
-    block's entry at two pairs is ((B[a, b] + B[sa, sb]) + (B[a, sb] +
-    B[sa, b])) / 2 with s for sigma, whose transpose sums the same two pairs
-    of terms, so the halves of a symmetric block are exactly symmetric."""
-    same = block[:p, :q] + block[p:2 * p, q:2 * q]
-    cross = block[:p, q:2 * q] + block[p:2 * p, :q]
-    even = np.empty((block.shape[0] - p, block.shape[1] - q), order="F")
-    np.add(same, cross, out=even[:p, :q])
-    even[:p, :q] *= 0.5
-    np.add(block[:p, 2 * q:], block[p:2 * p, 2 * q:], out=even[:p, q:])
-    even[:p, q:] *= _HALF
-    np.add(block[2 * p:, :q], block[2 * p:, q:2 * q], out=even[p:, :q])
-    even[p:, :q] *= _HALF
-    even[p:, q:] = block[2 * p:, 2 * q:]
-    odd = np.subtract(same, cross, out=np.empty((p, q), order="F"))
+def _halves(fold, orbits, q):
+    """The sigma-even and sigma-odd blocks, both Fortran-ordered, of the
+    block B = fold.T, where fold's rows are the q pairs b of the column
+    class, their q partners and its diagonal, and its columns the
+    representatives a of orbits in their own order: each half is written
+    C-ordered, as its transpose, its columns gathered straight from those
+    rows, with no reordered copy of the whole. The even block's entry at
+    two pairs is ((B[a, b] + B[sa, sb]) + (B[a, sb] + B[sa, b])) / 2 with s
+    for sigma, whose transpose sums the same two pairs of terms, so the
+    halves of a symmetric block are exactly symmetric."""
+    pair, partner, diag = orbits.pair, orbits.partner, orbits.diag
+    p = pair.shape[0]
+    lead, swapped, tail = fold[:q], fold[q:2 * q], fold[2 * q:]
+    same = lead.take(pair, axis=1)
+    same += swapped.take(partner, axis=1)
+    cross = swapped.take(pair, axis=1)
+    cross += lead.take(partner, axis=1)
+    even = np.empty((fold.shape[0] - q, orbits.size - p))
+    np.add(same, cross, out=even[:q, :p])
+    even[:q, :p] *= 0.5
+    odd = np.subtract(same, cross, out=same)
+    del cross
     odd *= 0.5
-    return even, odd
+    np.add(lead.take(diag, axis=1), swapped.take(diag, axis=1), out=even[:q, p:])
+    even[:q, p:] *= _HALF
+    np.add(tail.take(pair, axis=1), tail.take(partner, axis=1), out=even[q:, :p])
+    even[q:, :p] *= _HALF
+    even[q:, p:] = tail.take(diag, axis=1)
+    return [even.T, odd.T]
 
 
 def _class_orbits(n, class_idx, is_rep, perms, sigma, lattice):

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.integrate import quad
 from scipy.spatial.distance import cdist
 
@@ -570,3 +571,10 @@ def test_dim_mismatch():
         sf.assemble(grid, sf.tent_kernel(0.5, 2))
     with pytest.raises(InvalidArgument):
         sf.assemble(grid, sf.tent_kernel(0.5, 1), edge_mode="open")
+
+
+def test_fast_len_is_scipys_real_fast_length():
+    # the convolution's transform lengths, worked out with no scipy.fft
+    # loaded in the package: the least 2^a 3^b 5^c at or above n
+    assert [kernels._fast_len(n) for n in range(1, 10 ** 4 + 1)] == [
+        scipy.fft.next_fast_len(n, real=True) for n in range(1, 10 ** 4 + 1)]

@@ -1,5 +1,6 @@
-"""Source hygiene: no module of the package imports a name it never uses,
-and no private function outlives its last reference."""
+"""Source hygiene: no module of the package imports a name it never uses
+or a scipy subpackage beyond scipy.linalg and scipy.sparse, and no private
+function outlives its last reference."""
 
 import ast
 from pathlib import Path
@@ -52,6 +53,61 @@ def test_unused_import_check_sees_a_leftover(tmp_path):
         "def f(x):\n"
         "    return np.sum(x)\n")
     assert unused_imports(mod) == [(2, "sla"), (4, "StripField")]
+
+
+# every run loads these, so their mapped code is the floor of its peak
+# resident size; scipy.fft, scipy.special and the rest stay unloaded
+SCIPY_ALLOWED = ("scipy.linalg", "scipy.sparse")
+
+
+def scipy_imports(path):
+    """(line, module) of each scipy module that an import in the module at
+    path names, other than those of SCIPY_ALLOWED: `import scipy.x`, `from
+    scipy.x import y` and `from scipy import x` name scipy.x, a bare
+    `import scipy` names scipy."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "scipy":
+            names = [f"scipy.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        out += [(node.lineno, name) for name in names
+                if name.split(".")[0] == "scipy" and name not in SCIPY_ALLOWED]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_no_scipy_beyond_linalg_and_sparse(path):
+    assert scipy_imports(path) == []
+
+
+def test_scipy_import_check_sees_each_form(tmp_path):
+    # a convolution back on scipy.fft, a subpackage of an allowed one, a
+    # name from scipy itself and a bare scipy, at module level or in a
+    # function; the allowed two in every form pass, and so does a name that
+    # only starts with scipy
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "import scipy.linalg\n"
+        "import scipy.sparse as sp\n"
+        "from scipy.linalg import cho_solve\n"
+        "from scipy import sparse\n"
+        "import scipy_like\n"
+        "from . import scipy\n"
+        "import scipy.fft\n"
+        "from scipy.sparse.linalg import splu\n"
+        "from scipy import special, linalg\n"
+        "import scipy\n"
+        "def f():\n"
+        "    from scipy.integrate import quad\n"
+        "    return quad\n")
+    assert scipy_imports(mod) == [(7, "scipy.fft"), (8, "scipy.sparse.linalg"),
+                                  (9, "scipy.special"), (10, "scipy"),
+                                  (12, "scipy.integrate")]
 
 
 def unreferenced_private_functions(src):

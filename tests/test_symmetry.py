@@ -3,6 +3,7 @@ square the swap of axes, an operator keeps, that an assembled operator
 really is invariant under them, and that the block route gives what the
 one-block route and the dense elimination oracle give."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ import scipy.sparse as sp
 
 import stripflow as sf
 from stripflow import _accel, analysis
+from stripflow.elliptic import _interior
 from stripflow.errors import InvalidArgument
 from stripflow.evolution import _implicit_linear_values, _schur_flux
 from stripflow.geometry import STRIP
@@ -187,7 +189,7 @@ def csr_fold_rows(sec, block, row_orbits, col_orbits):
     row = np.repeat(np.arange(m_r), np.diff(rows.indptr))
     flat = col * m_r + row
     if sec.split:
-        by_rank = col_orbits.rank[col] * m_r + row_orbits.rank[row]
+        by_rank = col_orbits.rank[col] * m_r + row
     elem = elem[rows.indices]
     for blk in sec.blocks:
         if blk.parity < 0:
@@ -197,7 +199,7 @@ def csr_fold_rows(sec, block, row_orbits, col_orbits):
         out = np.bincount(by_rank if blk.parity else flat, weights=weights,
                           minlength=m_r * m_c)
         out = out.astype(float, copy=False).reshape(m_c, m_r).T
-        yield from (_halves(out, row_orbits.pair.shape[0], col_orbits.pair.shape[0])
+        yield from (_halves(out.T, row_orbits, col_orbits.pair.shape[0])
                     if blk.parity else (out,))
 
 
@@ -537,3 +539,25 @@ def test_every_p2_block_product_and_solve_passes_one_seam(monkeypatch):
     calls.update(fold=0, unfold=0)
     sf.extend_plaplace(op, g, 1.5)
     assert calls == {"fold": 0, "unfold": 0}
+
+
+@pytest.mark.parametrize("mode", [sf.EXCLUDE_STRIP_STRIP, sf.FULL])
+def test_schur_build_holds_few_copies_of_a_fold(mode):
+    # with the interior factors cached, what the Schur build allocates
+    # beyond the blocks it keeps is at most 3 times one character's fold of
+    # L_IS (576 x 448 at h = 1/64): the fold, its rows taken once into sigma
+    # order, and the halves and S_j built from them, each block dropped by
+    # fold_laplacian once yielded. A fold reordered on both sides, a dense
+    # zero L_SS in exclude mode and yielded blocks kept until the next one
+    # took 4.4 times; it is about 1.6
+    op = make_op(1 / 64, 0.125, sf.tent_kernel(0.25, 2), mode, dim=2)
+    sec = sectors(op)
+    assert (sec.interior.size, sec.strip.size) == (576, 448)
+    _interior(op)
+    tracemalloc.start()
+    try:
+        sf.schur_complement(op)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - held <= 3 * 576 * 448 * np.dtype(float).itemsize

@@ -5,7 +5,8 @@ the kernel support, and decay-rate fitting. The reduced form S and its
 eigenproblem are worked block by block under the box's symmetries
 (symmetry.sectors: its coordinate mirrors, and on a square the swap of
 its axes): one dense block each, with its own triangular solve, rank-k
-update and eigh, the block that two sectors share solved once."""
+update and eigh, the block that two sectors share solved once; the gap
+skips the eigh of each block that a Cholesky shows to lie above it."""
 
 from dataclasses import dataclass
 
@@ -18,7 +19,6 @@ from .elliptic import (_EPS, EXT_TOL, _extended_values, _extension_energy, _inte
 from .errors import (ConstantField, EmptyBump, InvalidArgument, NoConvergence,
                      NonPositiveData, NotMeanZero, TooFewStripNodes, WindowTooSmall)
 from .fields import StripField
-from .geometry import STRIP
 from .symmetry import sectors
 
 SCHUR_EIG = "schur-eig"
@@ -61,8 +61,7 @@ class DecayFit:
 def mass(grid, u):
     """Weighted sum of the strip values."""
     uv = u.values if isinstance(u, StripField) else np.asarray(u, dtype=float)
-    mu_s = grid.mu[grid.klass == STRIP]
-    return float(np.dot(mu_s, uv))
+    return float(np.dot(grid.strip_mu, uv))
 
 
 def lq_distance_to_mean(grid, u, q):
@@ -70,7 +69,7 @@ def lq_distance_to_mean(grid, u, q):
 
     q = inf gives the unweighted sup distance. Given a sequence of
     exponents, returns the list of their distances, all from one weighted
-    mean.
+    mean, each distinct exponent computed once.
     """
     single = np.ndim(q) == 0
     qs = (q,) if single else tuple(q)
@@ -78,11 +77,15 @@ def lq_distance_to_mean(grid, u, q):
         if qi < 1.0:
             raise InvalidArgument(f"q must be >= 1, got {qi}")
     uv = u.values if isinstance(u, StripField) else np.asarray(u, dtype=float)
-    mu_s = grid.mu[grid.klass == STRIP]
+    mu_s = grid.strip_mu
     dev = np.abs(uv - np.dot(mu_s, uv) / np.sum(mu_s))
-    dists = [float(np.max(dev, initial=0.0)) if np.isinf(qi) else _lp_norm(mu_s, dev, qi)
-             for qi in qs]
-    return dists[0] if single else dists
+    dists = {}
+    for qi in qs:
+        if float(qi) not in dists:
+            dists[float(qi)] = (float(np.max(dev, initial=0.0)) if np.isinf(qi)
+                                else _lp_norm(mu_s, dev, qi))
+    out = [dists[float(qi)] for qi in qs]
+    return out[0] if single else out
 
 
 def _lp_norm(mu, vals, p):
@@ -150,6 +153,30 @@ def _eig_tol(op):
     return op.n_strip * _EPS * 2.0 * float(np.max(op.deg_active[op.strip_idx]))
 
 
+def _exceeds(red, floor):
+    """Whether every eigenvalue of the symmetric matrix red exceeds floor,
+    certified by a Cholesky of red - s I with s above floor by a bound on
+    its backward error: it succeeds only if red - s I is positive definite
+    up to that error (Sylvester's law of inertia; Parlett, The Symmetric
+    Eigenvalue Problem, SIAM 1998). The computed factor R has R^T R = A + E
+    with |E| <= gamma_(n+1) |R^T| |R| for A = red - s I (Higham, Accuracy and
+    Stability of Numerical Algorithms, Thm 10.3), so ||E||_2 <= gamma
+    trace(R^T R) <= gamma / (1 - gamma) trace(A); forming each a_ii - s, s
+    included, rounds by u (|a_ii| + 2 |s|) more. The margin is twice that
+    bound, which covers the margin's own share of s. A floor that is not
+    finite is never exceeded."""
+    if not np.isfinite(floor):
+        return False
+    n, u = red.shape[0], 0.5 * _EPS
+    gamma = (n + 1) * u / (1.0 - (n + 1) * u)
+    diag = np.diagonal(red)
+    error = (gamma / (1.0 - gamma) * max(float(np.sum(diag)) - n * floor, 0.0)
+             + u * (float(np.max(np.abs(diag))) + 2.0 * abs(floor)))
+    shifted = np.array(red, order="F")
+    shifted[np.diag_indices(n)] -= floor + 2.0 * error
+    return sla.lapack.dpotrf(shifted, overwrite_a=1, clean=0)[1] == 0
+
+
 def _reduced_modes(op, subset=None):
     """Eigenpairs of the reduced form against the strip measures, on the
     mean-zero subspace: ascending eigenvalues and modes as columns, each
@@ -171,6 +198,13 @@ def _reduced_modes(op, subset=None):
     eigenvalues within _eig_tol of their neighbours in that order count as
     tied and keep the order of their blocks, so that the mode of a
     multiple eigenvalue split across blocks does not hang on roundoff.
+
+    With subset [0, 0] (the gap) the trivial block is solved first, and a
+    later block is solved only if no Cholesky certifies (_exceeds) that
+    its every eigenvalue exceeds best + (number of blocks) _eig_tol, best
+    the smallest eigenvalue found so far: such a block can neither hold
+    the smallest eigenvalue nor tie with it through a chain of ties, so
+    beta and its mode are those of solving every block, bit for bit.
     """
     if op.n_strip < 2:
         raise TooFewStripNodes("gap needs at least two strip nodes")
@@ -180,13 +214,16 @@ def _reduced_modes(op, subset=None):
         raise InvalidArgument(f"dense eigensolve capped at {_EIG_NODE_CAP} strip nodes "
                               f"per sector block")
     top = None if subset is None else subset[1]
+    # at the gap, only the blocks that may hold beta or tie with it are solved
+    certify, best = subset is not None and tuple(subset) == (0, 0), np.inf
     evals, modes, owner = [], [], []
     for j, block in enumerate(schur_complement(op)):
         root = np.sqrt(op.grid.mu[reps[j]])
-        red = block / np.outer(root, root)
+        red = np.outer(root, root)
+        np.divide(block, red, out=red)
         deflate = j == 0
         if deflate:
-            v = root * sec.fold(np.ones(op.n_strip), sec.strip)[0]
+            v = root * sec.constants
             v /= np.linalg.norm(v)
             v[0] += 1.0  # v[0] > 0, so the shift cannot cancel
             tv = (2.0 / np.dot(v, v)) * v
@@ -195,8 +232,11 @@ def _reduced_modes(op, subset=None):
             red = red[1:, 1:]
         if red.shape[0] == 0:
             continue
+        if certify and _exceeds(red, best + len(sec.blocks) * _eig_tol(op)):
+            continue
         last = red.shape[0] - 1 if top is None else min(top, red.shape[0] - 1)
         vals, vecs = sla.eigh(red, subset_by_index=[0, last])
+        best = min(best, vals[0])
         if deflate:
             vecs = np.vstack([np.zeros(vecs.shape[1]), vecs])
             vecs -= np.outer(tv, v @ vecs)
@@ -236,8 +276,9 @@ def rayleigh_quotient(op, g, p):
     """Quotient of the extended edge energy against the strip p-norm.
 
     The numerator is half the weighted sum of |u_hat[y] - u_hat[x]|^p over
-    active ordered pairs, with u_hat the stationary extension of g, read off
-    its strip flux. The caller must supply mean-zero data. At p = 2 this
+    active ordered pairs, with u_hat the stationary extension of g: p times
+    the energy its report holds, which pairs its strip flux. The caller
+    must supply mean-zero data. At p = 2 this
     route (extension, then the strip row sums) stays apart from the Schur
     complement that spectral_gap_beta and the p = 2 dynamics use, so the
     quotient of the gap mode checks beta independently.
@@ -250,7 +291,11 @@ def rayleigh_quotient(op, g, p):
     mean = np.dot(mu_s, gv) / np.sum(mu_s)
     if abs(mean) > 1e-9 * sup:
         raise NotMeanZero(f"weighted mean {mean:.3e} exceeds 1e-9 * max |g|")
-    numerator = p * _extension_energy(op, *_extended_values(op, gv, p), p)
+    # the extension's report holds its energy; with no interior there is no
+    # extension, and the energy pairs the strip rows of one pass
+    energy = (extend_with_report(op, gv, p, tol=EXT_TOL)[1].energy if op.n_interior
+              else _extension_energy(op, *_extended_values(op, gv, p), p))
+    numerator = p * energy
     denominator = float(np.sum(mu_s * np.abs(gv) ** p))
     return numerator / denominator
 

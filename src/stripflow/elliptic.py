@@ -8,7 +8,8 @@ an assembled box; on the unit square one block of a quarter shared by two
 sectors and four of about an eighth; one block otherwise), each read off
 the stencil's J table (Sectors.fold_laplacian), Cholesky-factored once per
 operator (_cholesky) and solved with cho_solve through Sectors.blockwise,
-the seam of every p = 2 block product and solve. Its right-hand side and
+the seam of the p = 2 block work outside the dynamics (whose seam is
+Sectors.march). Its right-hand side and
 its gate are interior row sums (kernels.interior_row_sums): on an assembled
 grid one FFT convolution with the stencil, so the p = 2 extension writes no
 row. For general p > 1 it is

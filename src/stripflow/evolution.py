@@ -6,10 +6,15 @@ evolves by u' = -M^-1 S u with S the Schur complement of the interior and
 M the strip measures: the flux is one product with the cached S, and no
 step of either integrator extends. Explicit Euler steps u + dt flux; the
 implicit step solves the strip system (M + dt S) v = M u. Both work on the
-blocks of S under the box's symmetries (symmetry.sectors), through the seam
-Sectors.blockwise: u is folded into one coefficient vector per block, two
-for the block that two sectors share on the unit square, multiplied by S_j
-or solved with the factor of M_j + dt S_j, and unfolded. For p != 2 the
+blocks of S under the box's symmetries (symmetry.sectors), as a march
+(Sectors.march): u less its midrange is folded once into coefficient
+columns per block, two for the block that two sectors share on the unit
+square; every step multiplies each block's live columns by S_j, or solves
+with the factor of M_j + dt S_j, in the sector basis; and at the end each
+state and its flux, one product S_j X_j per block over all states, is
+unfolded once. A column of exact zeros is never stepped, so the gap mode
+steps one column of one block. A single flux or implicit step is a march
+of no or one step. For p != 2 the
 explicit flux is that of the extended state (_state gives both for any p),
 re-solved after each step, and the implicit step minimizes
 dt * E_p(v) + (1/2) sum_strip mu (v - u)^2 jointly over all nodes, which
@@ -32,7 +37,7 @@ from .elliptic import (StripField, _cho_solve, _cholesky, _extended_values,
                        _interior_start, _midrange, _newton_free, _pairing)
 from .errors import (InvalidArgument, NoContraction, SingularSystem, SolverError)
 from .kernels import EXCLUDE_STRIP_STRIP, FULL, SINGULAR
-from .symmetry import sectors
+from .symmetry import March, sectors
 
 LINEAR = "linear"
 LINEAR_FULL = "linear-full"
@@ -126,13 +131,87 @@ def check_compatible(op, spec):
     check_kernel(op.spec, spec)
 
 
-def _schur_flux(op, uv):
-    """The p = 2 strip flux -M^-1 S u, anchored at the midrange c of u as
-    extend_linear is: S (c - u) is exactly +0 for constant data. The
-    product is taken block by block (Sectors.blockwise with the blocks S_j)."""
+def _block_mu(op):
+    """Per block of S, the strip measures at the representatives that index
+    its rows: its block of M."""
     sec = sectors(op)
-    prod = sec.blockwise(_midrange(uv) - uv, sec.strip, schur_complement(op), np.matmul)
-    return prod / op.grid.mu[op.strip_idx]
+    return [op.grid.mu[rows] for rows in sec.block_reps(sec.strip)]
+
+
+def _march(op, uv):
+    """(march, c): the strip values uv less their midrange c, folded once
+    into a March (Sectors.march). Constant data folds to exact zeros, so no
+    block is stepped and every state is c bit for bit."""
+    sec = sectors(op)
+    shift = _midrange(uv)
+    return sec.march(uv - shift, sec.strip), shift
+
+
+def _explicit_step(op, dt):
+    """The forward Euler step of a march's block j, x - dt M_j^-1 S_j x."""
+    blocks, mu = schur_complement(op), _block_mu(op)
+
+    def step(j, x):
+        return x - dt * ((blocks[j] @ x) / mu[j][:, None])
+    return step
+
+
+def _implicit_factor(op, dt, j):
+    """The Cholesky factor (elliptic._cholesky) of M_j + dt S_j, made when
+    block j is first solved with: one set per operator, for the last dt,
+    since a set per dt ever used adds up."""
+    last, factors = op._cache.get("implicit_chol", (None, None))
+    if last != dt:
+        op._cache.pop("implicit_chol", None)
+        factors = (None,) * len(sectors(op).blocks)
+    if factors[j] is None:
+        # S_j is exactly symmetric, and its transpose is the Fortran order
+        # cho_factor overwrites
+        mat = dt * schur_complement(op)[j].T
+        mat[np.diag_indices_from(mat)] += _block_mu(op)[j]
+        factors = factors[:j] + _cholesky([mat], "implicit system") + factors[j + 1:]
+        op._cache["implicit_chol"] = (dt, factors)
+    return factors[j]
+
+
+def _implicit_step(op, dt):
+    """The backward Euler step of a march's block j: solve (M_j + dt S_j) x'
+    = M_j x with cho_solve. The rows of the computed S sum to roundoff
+    rather than 0, which a long step scales up, so in the trivial block,
+    the one that holds the constants and the mass sum_S mu u, x' then moves
+    along the constants' coefficients e by the multiple that restores the
+    mass of x, as the p != 2 step shifts its iterates."""
+    mu, ones = _block_mu(op), sectors(op).constants
+    # the mass of the trivial block's coefficients x is weight @ x / |K|
+    weight = mu[0] * ones
+
+    def step(j, x):
+        out = _cho_solve(_implicit_factor(op, dt, j), mu[j][:, None] * x)
+        if j == 0:
+            out += np.outer(ones, weight @ (x - out) / np.dot(weight, ones))
+        if not np.all(np.isfinite(out)):
+            raise SingularSystem("implicit solve produced non-finite values")
+        return out
+    return step
+
+
+def _fluxes(op, march):
+    """(count, n_S) the strip flux -M^-1 S u of every state of a march: one
+    product S_j X_j per block over all its states, unfolded once."""
+    blocks, mu = schur_complement(op), _block_mu(op)
+
+    def flux(j, x):
+        prod = blocks[j] @ x.reshape(x.shape[0], -1)
+        np.negative(prod, out=prod)
+        return np.divide(prod, mu[j][:, None], out=prod).reshape(x.shape)
+    return march.unfold(flux)
+
+
+def _schur_flux(op, uv):
+    """The p = 2 strip flux -M^-1 S u: that of a march of uv with no step,
+    anchored at the midrange of uv as extend_linear is, so that constant
+    data gives exactly +0."""
+    return _fluxes(op, _march(op, uv)[0])[0]
 
 
 def _state(op, spec, uv, warm=None):
@@ -177,45 +256,27 @@ def step_explicit(op, spec, u, dt):
 
 
 def _implicit_linear_values(op, dt, uv):
-    """Backward Euler at p = 2 on the strip: solve (M + dt S) v = M u with
-    S the Schur complement and M the strip measures, for v - c with c the
-    midrange of u, so that constant data stays exactly constant. M is
-    constant on orbits, so the system splits into one (M_j + dt S_j) per
-    block, each factored once (elliptic._cholesky, for the last dt) and
-    solved with cho_solve through Sectors.blockwise. The rows of the
-    computed S sum to roundoff rather than 0, so v is then shifted by the
-    constant sum mu (u - v) / sum mu that restores the strip mass, as the
-    p != 2 step shifts its iterates; constant data gives a zero shift."""
-    sec = sectors(op)
-    mu_s = op.grid.mu[op.strip_idx]
-    # one set of factors per operator, for the last dt: a set per dt ever used adds up
-    if op._cache.get("implicit_chol", (None,))[0] != dt:
-        op._cache.pop("implicit_chol", None)
-
-        def blocks():
-            for block, reps in zip(schur_complement(op), sec.block_reps(sec.strip)):
-                # S_j is exactly symmetric, and its transpose is the Fortran
-                # order cho_factor overwrites
-                mat = dt * block.T
-                mat[np.diag_indices_from(mat)] += op.grid.mu[reps]
-                yield mat
-        op._cache["implicit_chol"] = (dt, _cholesky(blocks(), "implicit system"))
-    shift = _midrange(uv)
-    v = sec.blockwise(mu_s * (uv - shift), sec.strip, op._cache["implicit_chol"][1],
-                      _cho_solve)
-    if not np.all(np.isfinite(v)):
-        raise SingularSystem("implicit solve produced non-finite values")
-    v += shift
-    v += np.dot(mu_s, uv - v) / np.sum(mu_s)
-    return v
+    """Backward Euler at p = 2 on the strip: the strip values v with (M + dt
+    S) v = M u, S the Schur complement and M the strip measures, as a march
+    of one step (_implicit_step). M is constant on orbits, so the system
+    splits into one M_j + dt S_j per block."""
+    march, shift = _march(op, uv)
+    march.advance(_implicit_step(op, dt))
+    return march.unfold()[1] + shift
 
 
 def _step_implicit_values(op, spec, uv, dt, tol, max_iter, warm):
     """(strip values, full values, strip flux, EnergyReport) after one
     implicit step, the flux read off the report's balance; at p = 2 the
     strip solve makes no extension, the flux is the new state's Schur flux
-    and the full values and the report are None."""
+    and the full values and the report are None. At p = 2 uv may also be
+    the March of a run, which the step advances in place (_implicit_step)
+    and returns with no value unfolded: evolve unfolds every state at the
+    end."""
     if spec.p == 2.0:
+        if isinstance(uv, March):
+            uv.advance(_implicit_step(op, dt))
+            return uv, None, None, None
         out = _implicit_linear_values(op, dt, uv)
         return out, None, _schur_flux(op, out), None
 
@@ -269,7 +330,9 @@ def evolve(op, spec, u0, t_end, dt, integrator=EXPLICIT, tol=1e-10, max_iter=60)
 
     dt must divide t_end within 1e-9. At p = 2 no state is extended: the
     flux is the product with the cached Schur complement S, and the
-    implicit step is the strip solve alone. For p != 2, u0 is extended once,
+    implicit step is the strip solve alone, each step a step of the march
+    of u0 in the sector basis, whose states are unfolded when the run ends
+    or fails. For p != 2, u0 is extended once,
     and each step of either integrator then starts its interior solve from
     the previous extended state. Diagnostics (mass, distances to the
     weighted mean, edge energy of the extended state) are recorded at every
@@ -303,9 +366,25 @@ def evolve(op, spec, u0, t_end, dt, integrator=EXPLICIT, tol=1e-10, max_iter=60)
     if integrator == IMPLICIT and spec.p != 2.0:
         newton, pcg = np.zeros(nsteps, dtype=np.int64), np.zeros(nsteps, dtype=np.int64)
 
-    # at p = 2 full stays None: the Schur flux and the strip solve need no extension
     complete = 0
     try:
+        if spec.p == 2.0:
+            # S is built before the first state, so that its failure leaves none
+            explicit = _explicit_step(op, dt)
+            march, shift = _march(op, uv)
+            try:
+                for _ in range(nsteps):
+                    if integrator == EXPLICIT:
+                        march.advance(explicit)
+                    else:
+                        _step_implicit_values(op, spec, march, dt, tol, max_iter, None)
+            finally:
+                complete = march.count
+                states[:complete] = march.unfold()
+                states[:complete] += shift
+                for k, flux in enumerate(_fluxes(op, march)):
+                    diag[k] = _diag_row(op, spec, states[k], flux)
+            return Trajectory(times, states, diag, op.grid)
         full, flux = _state(op, spec, uv)
         for k in range(nsteps + 1):
             states[k] = uv
@@ -313,7 +392,7 @@ def evolve(op, spec, u0, t_end, dt, integrator=EXPLICIT, tol=1e-10, max_iter=60)
             complete = k + 1
             if k == nsteps:
                 break
-            warm = full[op.interior_idx] if full is not None and op.n_interior > 0 else None
+            warm = full[op.interior_idx] if op.n_interior > 0 else None
             if integrator == EXPLICIT:
                 uv = uv + dt * flux
                 full, flux = _state(op, spec, uv, warm)

@@ -2,6 +2,7 @@
 boundary strip by distance to the box boundary."""
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -80,6 +81,11 @@ class Grid:
     @property
     def n(self):
         return self.nodes.shape[0]
+
+    @cached_property
+    def strip_mu(self):
+        """(n_S,) the measures of the strip nodes, in node order, read-only."""
+        return _frozen(self.mu[self.klass == STRIP])
 
     @property
     def dim(self):

@@ -36,10 +36,14 @@ that index the block's rows.
 
 The blocks of L_II, the Schur complement S and M + dt S are 1/|K| or
 1/|G| the size of the whole, and the vector folds between the two bases
-cost O(n); Sectors.blockwise is the one seam of every block product and
-solve. Operators that assemble did not build (fixtures pinned from a dense
-kernel matrix) have G = {e}: one block, the matrix itself, whose Laplacian
-blocks are cuts of their dense Laplacian.
+cost O(n). Two seams carry every block product and solve:
+Sectors.blockwise folds, works per block and unfolds (the linear
+extension), and Sectors.march folds once, keeps a run's states as the
+coefficients of each block's live columns, the columns not exactly 0, and
+unfolds them once at the end (the p = 2 dynamics). Operators that
+assemble did not build (fixtures pinned from a dense kernel matrix) have
+G = {e}: one block, the matrix itself, whose Laplacian blocks are cuts of
+their dense Laplacian.
 """
 
 from dataclasses import dataclass
@@ -53,6 +57,9 @@ from .kernels import EXCLUDE_STRIP_STRIP, _rectangles, _table, laplacian_dense
 
 # the weight of each end of a sigma pair in its even and odd basis vectors
 _HALF = np.sqrt(0.5)
+
+# the states March.unfold unfolds at a time
+_UNFOLD_STATES = 4
 
 
 @dataclass(frozen=True)
@@ -153,6 +160,12 @@ class Sectors:
         """Whether sigma is kept."""
         return any(blk.parity for blk in self.blocks)
 
+    @cached_property
+    def constants(self):
+        """The coefficients of the strip values 1 in the trivial block, the
+        one block that holds the constants."""
+        return self.fold(np.ones(self.strip.table.size), self.strip)[0]
+
     @property
     def order(self):
         """|G|: the number of nodes in a generic orbit."""
@@ -193,25 +206,31 @@ class Sectors:
         return [out[0, p:], out[0, :p], coef.take(shared), out[1, p:], out[1, :p]]
 
     def unfold(self, parts, orbits):
-        """The class values whose fold is parts: the inverse of fold."""
+        """The class values whose fold is parts: the inverse of fold. Parts
+        with one more trailing axis, of as many states, unfold to values
+        that carry it too."""
+        tail = parts[0].shape[1:]
         if not self.split:
-            out = np.empty(orbits.table.size)
-            out[orbits.table] = (self.signs @ np.stack(parts)) / self.signs.shape[0]
+            out = np.empty((orbits.table.size,) + tail)
+            coef = np.stack(parts)
+            out[orbits.table] = _mix(self.signs, coef) / self.signs.shape[0]
             return out
         _, back, _, shared = orbits.ranked
         m, p = orbits.size, orbits.pair.shape[0]
-        even = np.concatenate(parts[::3]).reshape(2, m - p)
-        odd = np.concatenate(parts[1::3]).reshape(2, p)
+        even = np.concatenate(parts[::3]).reshape((2, m - p) + tail)
+        odd = np.concatenate(parts[1::3]).reshape((2, p) + tail)
         odd *= _HALF
         # as if summed onto zeros, the even spread and then the odd one: -0 gives +0
         half = even[:, :p] * _HALF
         half += 0.0
-        coef = np.empty((4, m))
+        coef = np.empty((4, m) + tail)
         np.add(half, odd, out=coef[::3, :p])
         np.subtract(half, odd, out=coef[::3, p:2 * p])
         np.add(even[:, p:], 0.0, out=coef[::3, 2 * p:])
-        coef[1:3] = parts[2].take(shared)
-        return ((self.signs @ coef) / self.signs.shape[0]).take(back)
+        coef[1:3] = parts[2].reshape((2 * m,) + tail)[shared]
+        coef = _mix(self.signs, coef)
+        coef /= self.signs.shape[0]
+        return coef.reshape((4 * m,) + tail)[back]
 
     def blockwise(self, vals, orbits, mats, apply):
         """The class values whose fold is apply(mat_j, part_j) for each block
@@ -221,6 +240,11 @@ class Sectors:
         for part, mat in zip(parts, mats):
             part[:] = apply(mat, part)
         return self.unfold(parts, orbits)
+
+    def march(self, vals, orbits):
+        """The March of the class values vals: folded once, to be stepped
+        block by block and unfolded once at the end."""
+        return March(self, orbits, self.fold(vals, orbits))
 
     def basis(self, j, coef, orbits):
         """(n_C, r) the class vectors with the coefficients coef (m_j, r) in
@@ -258,8 +282,8 @@ class Sectors:
         character the sum of the J table over K (_table_fold), in the
         representatives' order, with the C side as its rows, the one
         full-size array each character holds. Split by sigma, those rows
-        are taken once into pair, partner, diag order and the fold dropped,
-        and each half gathers its columns from them (_halves). Then each
+        are written in pair, partner, diag order, and each half gathers its
+        columns from them (_halves). Then each
         block is scaled by -mu_a mu_b, one product of the two measures per
         entry, so that the transpose of a symmetric block takes the same
         numbers. When R is C its row sums (degrees) go on the diagonal. In
@@ -283,10 +307,11 @@ class Sectors:
                 signs = [0] * len(op.lattice)
                 for bit, axis in enumerate(self.axes):
                     signs[axis] = -1 if blk.char >> bit & 1 else 1
-                # written with the rows C, so that its transpose is Fortran-ordered
-                fold = _table_fold(_table(op), op.lattice, col_orbits, row_orbits, signs)
+                # written with the rows C, so that its transpose is
+                # Fortran-ordered; split by sigma, in pair, partner, diag order
+                fold = _table_fold(_table(op), op.lattice, col_orbits, row_orbits, signs,
+                                   col_orbits.rank if blk.parity else None)
                 if blk.parity:
-                    fold = fold.take(col_orbits.order, axis=0)
                     outs = _halves(fold, row_orbits, col_orbits.pair.shape[0])
                 else:
                     outs = [fold.T]
@@ -304,7 +329,67 @@ class Sectors:
                 yield outs.pop(0)
 
 
-def _table_fold(table, lattice, a_orbits, b_orbits, signs):
+class March:
+    """Class values stepped in the sector basis (Sectors.march), every state
+    kept as its coefficients. Per block j only the live columns of the fold
+    are kept and stepped, those with a coefficient that is not exactly 0
+    (the shared block's second column holds its second sector): a linear
+    step keeps a zero column zero, so the others unfold as zeros. The gap
+    mode, say, is one column of one block.
+
+    count : the number of states, the folded values the first.
+    live : {j: (columns, states)}, the live column indices of block j and
+        one (m_j, r) array of their coefficients per state.
+    """
+
+    def __init__(self, sec, orbits, parts):
+        self.sec, self.orbits, self.count = sec, orbits, 1
+        self.shapes = [part.shape for part in parts]
+        self.live = {}
+        for j, part in enumerate(parts):
+            part = part.reshape(part.shape[0], -1)
+            cols = np.flatnonzero(np.any(part != 0.0, axis=0))
+            if cols.shape[0]:
+                self.live[j] = (cols, [part[:, cols]])
+
+    def advance(self, step):
+        """One more state: step(j, X) of each live block j's last columns X.
+        When a step raises, no block has moved."""
+        new = {j: step(j, states[-1]) for j, (_, states) in self.live.items()}
+        for j, x in new.items():
+            self.live[j][1].append(x)
+        self.count += 1
+
+    def unfold(self, apply=None):
+        """(count, n_C) the class values of every state, each unfolded once,
+        _UNFOLD_STATES states at a time so that the unfold's temporaries stay
+        a fraction of the result; with apply, those whose coefficients are
+        apply(j, X) for the (m_j, r, count) stack X of block j's live
+        columns, one call per block, linear so that a dead column still maps
+        to zeros."""
+        live = {j: (cols, states if apply is None else apply(j, np.stack(states, axis=-1)))
+                for j, (cols, states) in self.live.items()}
+        out = np.empty((self.count, self.orbits.table.size))
+        for lo in range(0, self.count, _UNFOLD_STATES):
+            hi = min(lo + _UNFOLD_STATES, self.count)
+            parts = []
+            for j, shape in enumerate(self.shapes):
+                part = np.zeros(shape + (hi - lo,))
+                if j in live:
+                    cols, coef = live[j]
+                    part.reshape(shape[0], -1, hi - lo)[:, cols] = (
+                        np.stack(coef[lo:hi], axis=-1) if apply is None else coef[..., lo:hi])
+                parts.append(part)
+            out[lo:hi] = self.sec.unfold(parts, self.orbits).T
+        return out
+
+
+def _mix(signs, coef):
+    """signs @ coef over the first axis of coef, whatever axes follow it."""
+    return (signs @ coef.reshape(coef.shape[0], -1)).reshape(coef.shape)
+
+
+def _table_fold(table, lattice, a_orbits, b_orbits, signs, rank=None):
     """(m_a, m_b) F[a, b] = sum_k chi(k) J(k b - a) over the representatives
     a of a_orbits and b of b_orbits, C-ordered, with chi(k) the product of
     signs[axis] over the axes that k mirrors (0: the axis keeps no mirror).
@@ -314,9 +399,13 @@ def _table_fold(table, lattice, a_orbits, b_orbits, signs):
     coordinates, and the mirror at m - 1 - i_b - i_a, read at i_a + i_b, a
     Hankel view. The second axis is summed first over every line offset,
     then the first axis from that. Each sum takes the same numbers for a b
-    as for b a, so the fold of one class with itself is exactly symmetric."""
+    as for b a, so the fold of one class with itself is exactly symmetric.
+    Each line of a rectangle of a is written as a whole, with row a at
+    rank[a] if rank is given (Orbits.rank: pair, partner, diag order), so
+    that no reordered copy of the whole is made."""
     m0, m1 = lattice
     out = np.empty((a_orbits.size, b_orbits.size))
+    rows = np.arange(a_orbits.size) if rank is None else rank
     for ai0, ai1, aj0, aj1, a_first, a_width, a_off in a_orbits.rects:
         for bi0, bi1, bj0, bj1, b_first, b_width, b_off in b_orbits.rects:
             # [d, u, v]: line offset d - m0 + 1, columns aj0 + u and bj0 + v
@@ -325,17 +414,17 @@ def _table_fold(table, lattice, a_orbits, b_orbits, signs):
                 part = _signed_sum(part, _lagged(table, aj0 + bj0, aj1 - aj0, bj1 - bj0, 1),
                                    signs[1])
             # [u, ., v, .]: lines ai0 + u and bi0 + v
-            dest = out[a_first:a_first + (ai1 - ai0) * a_width,
-                       b_first:b_first + (bi1 - bi0) * b_width]
-            dest = dest.reshape(ai1 - ai0, a_width, bi1 - bi0, b_width)[
-                :, a_off:a_off + aj1 - aj0, :, b_off:b_off + bj1 - bj0]
-            lines = _lagged(part, m0 - 1 + bi0 - ai0, ai1 - ai0, bi1 - bi0, 0, toeplitz=True)
-            if signs[0]:
-                _signed_sum(lines.transpose(0, 1, 3, 2),
-                            _lagged(part, ai0 + bi0, ai1 - ai0, bi1 - bi0, 0).transpose(0, 1, 3, 2),
-                            signs[0], out=dest)
-            else:
-                dest[...] = lines.transpose(0, 1, 3, 2)
+            lines = _lagged(part, m0 - 1 + bi0 - ai0, ai1 - ai0, bi1 - bi0, 0,
+                            toeplitz=True).transpose(0, 1, 3, 2)
+            mirrored = (_lagged(part, ai0 + bi0, ai1 - ai0, bi1 - bi0, 0).transpose(0, 1, 3, 2)
+                        if signs[0] else None)
+            # [row, v, .]: the columns bi0 + v of every row
+            cols = out[:, b_first:b_first + (bi1 - bi0) * b_width].reshape(
+                out.shape[0], bi1 - bi0, b_width)[:, :, b_off:b_off + bj1 - bj0]
+            for u in range(ai1 - ai0):
+                start = a_first + u * a_width + a_off
+                cols[rows[start:start + aj1 - aj0]] = (
+                    _signed_sum(lines[u], mirrored[u], signs[0]) if signs[0] else lines[u])
     return out
 
 
@@ -350,9 +439,9 @@ def _lagged(x, first, count, width, axis, toeplitz=False):
     return win[lead + (slice(first, first + count),)]
 
 
-def _signed_sum(x, y, sign, out=None):
+def _signed_sum(x, y, sign):
     """x + y, or x - y for a negative sign."""
-    return np.add(x, y, out=out) if sign > 0 else np.subtract(x, y, out=out)
+    return np.add(x, y) if sign > 0 else np.subtract(x, y)
 
 
 def _scale(block, row_mu, col_mu):

@@ -115,6 +115,19 @@ def test_schur_without_interior_is_the_strip_block():
         assert np.allclose(block, ref, atol=1e-15)
 
 
+def test_quotient_without_interior_pairs_the_strip_rows():
+    # with no interior there is no extension to report an energy: the
+    # numerator is that of g itself, g^T L g at p = 2
+    op = make_op(1.0 / 4.0, 0.5, sf.tent_kernel(0.5, 1), edge_mode=sf.FULL,
+                 allow_empty=True)
+    mu_s = op.grid.mu[op.strip_idx]
+    g = np.random.default_rng(6).standard_normal(op.n_strip)
+    g -= np.dot(mu_s, g) / np.sum(mu_s)
+    lap = laplacian_dense(op)[np.ix_(op.strip_idx, op.strip_idx)]
+    assert sf.rayleigh_quotient(op, g, 2.0) == pytest.approx(
+        g @ lap @ g / np.dot(mu_s, g * g), rel=1e-12)
+
+
 def test_schur_complement_keeps_no_extra_copy():
     # The blocks are built one at a time: X_j = U^-T L_IS^j is solved in
     # place in the dense fold of L_IS, and L_SS^j is folded only once X_j
@@ -242,13 +255,83 @@ def test_gap_is_one_smallest_eigenpair_solve(op2d, monkeypatch):
 
     monkeypatch.setattr(sla, "eigh", spy)
     sf.spectral_gap_beta(op2d)
-    # one smallest eigenpair per block, the shared one solved once and the
-    # constants deflated from the trivial one: op2d's 28 strip nodes are
-    # the shared block of 7 and blocks of 4, 3, 4, 3
+    # one smallest eigenpair per block that a Cholesky cannot rule out, the
+    # shared one solved once and the constants deflated from the trivial
+    # one, which is solved first: op2d's 28 strip nodes are the shared block
+    # of 7 and blocks of 4, 3, 4, 3, and beta lies in the shared block
     sec = sectors(op2d)
     assert sec.order == 8 and sec.strip.size == 7
-    assert calls == [((3, 3), [0, 0]), ((3, 3), [0, 0]), ((7, 7), [0, 0]),
-                     ((4, 4), [0, 0]), ((3, 3), [0, 0])]
+    assert calls == [((3, 3), [0, 0]), ((7, 7), [0, 0])]
+
+
+def _eigh_shapes(monkeypatch):
+    shapes = []
+    eigh = sla.eigh
+
+    def spy(a, *args, **kwargs):
+        shapes.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+    monkeypatch.setattr(sla, "eigh", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("mode", [sf.EXCLUDE_STRIP_STRIP, sf.FULL])
+def test_certificate_skips_blocks_and_keeps_beta_bit_for_bit(mode, monkeypatch):
+    # the trivial block is solved first; each later block whose Cholesky at
+    # best + (blocks) _eig_tol, plus its backward error, succeeds has no
+    # eigenvalue that could be beta or tie with it, and is not solved. Beta
+    # and the mode are those of solving every block, bit for bit
+    op = make_op(1 / 16, 0.125, sf.tent_kernel(0.25, 2), mode, dim=2)
+    sec = sectors(op)
+    sizes = [rows.shape[0] for rows in sec.block_reps(sec.strip)]
+    shapes = _eigh_shapes(monkeypatch)
+    res = sf.spectral_gap_beta(op)
+    solved = list(shapes)
+    monkeypatch.setattr(analysis, "_exceeds", lambda red, floor: False)
+    shapes.clear()
+    ref = sf.spectral_gap_beta(op)
+    assert shapes == [sizes[0] - 1] + sizes[1:]
+    assert solved[0] == sizes[0] - 1 and len(solved) < len(sizes)
+    assert res.beta == ref.beta
+    np.testing.assert_array_equal(res.mode.values, ref.mode.values)
+    # every block skipped lies above the margin
+    margin = len(sec.blocks) * analysis._eig_tol(op)
+    for j, block in enumerate(sf.schur_complement(op)):
+        if j and sizes[j] not in solved:
+            root = np.sqrt(op.grid.mu[sec.block_reps(sec.strip)[j]])
+            low = np.linalg.eigvalsh(block / np.outer(root, root))[0]
+            assert low > res.beta + margin
+
+
+def test_certificate_solves_a_block_within_its_margin(monkeypatch):
+    # a block whose smallest eigenvalue is lowered to beta + 2.5 tol, inside
+    # the margin of 5 tol over the best value so far, is eigensolved; beta
+    # and its mode stay those of the block that holds them
+    op = make_op(1 / 16, 0.125, sf.tent_kernel(0.25, 2), dim=2)
+    sec = sectors(op)
+    res = sf.spectral_gap_beta(op)
+    tol, blocks = analysis._eig_tol(op), list(sf.schur_complement(op))
+    mu = op.grid.mu[sec.block_reps(sec.strip)[3]]
+    low = np.linalg.eigvalsh(blocks[3] / np.sqrt(np.outer(mu, mu)))[0]
+    assert low > res.beta + 5 * tol
+    blocks[3] = blocks[3] - (low - res.beta - 2.5 * tol) * np.diag(mu)
+    monkeypatch.setattr(analysis, "schur_complement", lambda op: tuple(blocks))
+    shapes = _eigh_shapes(monkeypatch)
+    lowered = sf.spectral_gap_beta(op)
+    assert blocks[3].shape[0] in shapes[2:]
+    assert lowered.beta == res.beta
+    np.testing.assert_array_equal(lowered.mode.values, res.mode.values)
+
+
+def test_cholesky_certificate_bounds():
+    # a diagonal matrix with smallest entry 1: a floor below it by far more
+    # than the factor's backward error is exceeded, one that is within that
+    # error, or above 1, or not finite is not
+    red = np.diag(np.linspace(1.0, 3.0, 200))
+    assert analysis._exceeds(red, 1.0 - 1e-9)
+    assert not analysis._exceeds(red, 1.0 - 1e-14)
+    assert not analysis._exceeds(red, 1.0 + 1e-9)
+    assert not analysis._exceeds(red, np.inf)
 
 
 def test_gap_on_the_benchmark_square():

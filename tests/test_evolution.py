@@ -693,6 +693,27 @@ def test_solver_failure_carries_partial_trajectory(op16):
     np.testing.assert_array_equal(partial.states[0], u0.values)
 
 
+def test_p2_failure_keeps_the_marched_states_before_it(op2d, monkeypatch):
+    # the third implicit step of a p = 2 march fails: the partial trajectory
+    # unfolds the three states marched so far, with their diagnostics
+    u0 = sf.StripField(np.random.default_rng(18).standard_normal(op2d.n_strip), op2d.grid)
+    whole = sf.evolve(op2d, LIN, u0, 2.0, 0.5, integrator=sf.IMPLICIT)
+    real, calls = evolution._step_implicit_values, []
+
+    def third_fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise SingularSystem("forced")
+        return real(*args, **kwargs)
+    monkeypatch.setattr(evolution, "_step_implicit_values", third_fails)
+    with pytest.raises(SingularSystem) as info:
+        sf.evolve(op2d, LIN, u0, 2.0, 0.5, integrator=sf.IMPLICIT)
+    partial = info.value.partial
+    np.testing.assert_array_equal(partial.times, whole.times[:3])
+    np.testing.assert_array_equal(partial.states, whole.states[:3])
+    np.testing.assert_allclose(partial.diag, whole.diag[:3], rtol=1e-14, atol=0.0)
+
+
 def test_implicit_failure_carries_the_last_field_and_report(op16):
     # every descent solve fails with the (FullField, EnergyReport) pair it
     # returns on success, for its last iterate; evolve adds the partial run

@@ -12,7 +12,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 import stripflow as sf
-from stripflow import _accel, analysis
+from stripflow import _accel, analysis, evolution, symmetry
 from stripflow.elliptic import _interior
 from stripflow.errors import InvalidArgument
 from stripflow.evolution import _implicit_linear_values, _schur_flux
@@ -170,6 +170,11 @@ def test_fold_and_unfold_match_the_block_loop_bit_for_bit(case):
                         [rng.choice([0.0, -0.0, 2.0], a.shape) for a in ref]):
                 assert np.array_equal(bits(sec.unfold([a.copy() for a in new], orbits)),
                                       bits(loop_unfold(sec, new, orbits)))
+        # three states stacked on a trailing axis unfold as each on its own
+        states = [[a * 10.0 ** rng.uniform(-12, 12, a.shape) for a in ref] for _ in range(3)]
+        stacked = sec.unfold([np.stack(col, axis=-1) for col in zip(*states)], orbits)
+        for k, parts in enumerate(states):
+            assert np.array_equal(bits(stacked[:, k]), bits(sec.unfold(parts, orbits)))
 
 
 def csr_fold_rows(sec, block, row_orbits, col_orbits):
@@ -344,6 +349,120 @@ def test_extension_and_trajectories_match_the_one_block_route(case):
         assert np.all(const.diag[:, 6] == 0.0)
 
 
+# the march against the per-step route: the square split by sigma in both
+# edge modes, a fixture with G = {e}, a line with one mirror and a wide box
+# with two mirrors and no sigma
+MARCH_CASES = {
+    "2d-16-exclude": (lambda: make_op(1 / 16, 0.125, sf.tent_kernel(0.25, 2), dim=2), 8),
+    "2d-16-full": (lambda: make_op(1 / 16, 0.125, sf.tent_kernel(0.25, 2), sf.FULL, 2), 8),
+    "toy3": (sf.toy3, 1),
+    "1d-32": (lambda: make_op(1 / 32, 0.125, sf.tent_kernel(0.25, 1)), 2),
+    "wide-16": (lambda: sf.assemble(sf.build_grid(BOX_WIDE, 1 / 16, 0.125),
+                                    sf.tent_kernel(0.25, 2), sf.FULL), 4),
+}
+
+
+@pytest.mark.parametrize("name", MARCH_CASES)
+def test_march_matches_the_per_step_route(name):
+    # evolve folds u0 once and steps every state in the sector basis; the
+    # per-step route folds, steps and unfolds each state on its own
+    # (step_explicit and step_implicit, the flux from rhs)
+    build, order = MARCH_CASES[name]
+    op = build()
+    assert sectors(op).order == order
+    spec = sf.ProblemSpec("linear" if op.edge_mode == sf.EXCLUDE_STRIP_STRIP else "linear-full")
+    u0 = np.random.default_rng(31).standard_normal(op.n_strip) + 2.0
+    bound, steps = sf.stability_bound(op), 12
+    for integrator, dt in ((sf.EXPLICIT, 0.4 * bound), (sf.IMPLICIT, 5.0 * bound)):
+        traj = sf.evolve(op, spec, u0, steps * dt, dt, integrator)
+        step = sf.step_explicit if integrator == sf.EXPLICIT else sf.step_implicit
+        u, states, diag = sf.StripField(u0, op.grid), [], []
+        for _ in range(steps + 1):
+            states.append(u.values)
+            diag.append(evolution._diag_row(op, spec, u.values, sf.rhs(op, spec, u).values))
+            u = step(op, spec, u, dt)
+        states, diag = np.array(states), np.array(diag)
+        assert np.abs(traj.states - states).max() <= 1e-13 * np.abs(states).max()
+        assert np.all(np.abs(traj.diag - diag).max(axis=0) <= 1e-13 * np.abs(diag).max(axis=0))
+
+
+class _Products(np.ndarray):
+    """An S_j that records the shape of what it multiplies."""
+
+    shapes = []
+
+    def __matmul__(self, other):
+        self.shapes.append(other.shape)
+        return np.asarray(self) @ other
+
+
+def test_gap_mode_evolve_steps_only_its_block_column(monkeypatch):
+    # the gap mode is one column of the shared block (the sector odd under
+    # the first mirror and even under the second), with midrange 0: the
+    # march steps that column alone, multiplies it by S_j once per explicit
+    # step, solves with M_j + dt S_j once per implicit step and factors that
+    # block alone, and takes every state's flux in one product
+    op = make_op(1 / 16, 0.125, sf.tent_kernel(0.25, 2), dim=2)
+    sec = sectors(op)
+    gap = sf.spectral_gap_beta(op)
+    march, shift = evolution._march(op, gap.mode.values)
+    assert shift == 0.0
+    (j, (cols, _)), = march.live.items()
+    assert sec.copies(sec.blocks[j]) == 2 and cols.tolist() == [0]
+    m = sec.strip.size
+    blocks = tuple(block.view(_Products) for block in sf.schur_complement(op))
+    monkeypatch.setattr(evolution, "schur_complement", lambda op: blocks)
+    monkeypatch.setattr(_Products, "shapes", [])
+    solves = []
+    real = sla.cho_solve
+
+    def solving(factor, rhs, **kwargs):
+        solves.append(rhs.shape)
+        return real(factor, rhs, **kwargs)
+    monkeypatch.setattr(sla, "cho_solve", solving)
+    dt, steps = 0.4 * sf.stability_bound(op), 6
+    lin = sf.ProblemSpec("linear")
+    explicit = sf.evolve(op, lin, gap.mode, steps * dt, dt, sf.EXPLICIT)
+    assert _Products.shapes == [(m, 1)] * steps + [(m, steps + 1)] and solves == []
+    _Products.shapes.clear()
+    implicit = sf.evolve(op, lin, gap.mode, steps * dt, dt, sf.IMPLICIT)
+    assert _Products.shapes == [(m, steps + 1)] and solves == [(m, 1)] * steps
+    assert [f is not None for f in op._cache["implicit_chol"][1]] == [
+        k == j for k in range(len(sec.blocks))]
+    # and the mode decays by each integrator's factor at beta
+    for traj, factor in ((explicit, 1.0 - dt * gap.beta), (implicit, 1.0 / (1.0 + dt * gap.beta))):
+        want = factor ** np.arange(steps + 1)[:, None] * gap.mode.values
+        assert np.abs(traj.states - want).max() <= 1e-12
+
+
+def test_p2_evolve_holds_few_state_stacks():
+    # with S and the implicit factors cached, a 40-step p = 2 evolve at
+    # h = 1/64 allocates, beyond the trajectory it returns, the march's live
+    # columns, their fluxes' coefficients, the fluxes and the unfold's
+    # temporaries, _UNFOLD_STATES states at a time: with every column live
+    # (random data) at most 4 stacks of its 41 states (3.5 measured), with
+    # the gap mode's one column of 4 at most 2.5 (1.95). Holding the dead
+    # columns as well takes the gap mode to 3.5, and unfolding every state
+    # at once takes the two to 6.9 and 5.3
+    op = make_op(1 / 64, 0.125, sf.tent_kernel(0.25, 2), dim=2)
+    dt, steps = 0.4 * sf.stability_bound(op), 40
+    lin = sf.ProblemSpec("linear")
+    stack = (steps + 1) * op.n_strip * np.dtype(float).itemsize
+    cases = ((np.random.default_rng(8).standard_normal(op.n_strip), 4.0),
+             (sf.spectral_gap_beta(op).mode.values, 2.5))
+    for u0, bound in cases:
+        for integrator in (sf.EXPLICIT, sf.IMPLICIT):
+            sf.evolve(op, lin, u0, dt, dt, integrator)
+            tracemalloc.start()
+            try:
+                traj = sf.evolve(op, lin, u0, steps * dt, dt, integrator)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert traj.states.nbytes == stack and held <= 1.1 * stack
+            assert peak - held <= bound * stack
+
+
 def test_asymmetric_measures_or_classes_keep_one_sector():
     grid = sf.build_grid(BOX2, 1 / 8, 0.125)
     mu = grid.mu.copy()
@@ -510,13 +629,17 @@ def test_trivial_block_deflates_the_folded_constants():
 
 
 def test_every_p2_block_product_and_solve_passes_one_seam(monkeypatch):
-    # with S and the interior factors cached, the p = 2 extension, each Schur
-    # flux and each implicit strip solve fold once and unfold once
-    # (Sectors.blockwise) and solve with cho_solve alone: solve_triangular
-    # only forms S. A p < 2 extension folds nothing
+    # with S, the interior factors and the constants' coefficients cached,
+    # the p = 2 extension folds once and unfolds once (Sectors.blockwise);
+    # an evolve of either integrator folds its first state once, and no step
+    # folds or unfolds: its states and then their fluxes are unfolded
+    # (Sectors.march), _UNFOLD_STATES states per unfold. The blocks are
+    # solved with cho_solve alone: solve_triangular only forms S. A p < 2
+    # extension folds nothing
     op = make_op(1 / 16, 0.125, sf.tent_kernel(0.25, 2), dim=2)
     assert sectors(op).split
     sf.schur_complement(op)
+    assert sectors(op).constants.shape == (sf.schur_complement(op)[0].shape[0],)
     calls = {"fold": 0, "unfold": 0}
     for name in calls:
         def counting(self, *args, name=name, real=getattr(Sectors, name)):
@@ -530,12 +653,12 @@ def test_every_p2_block_product_and_solve_passes_one_seam(monkeypatch):
     g = np.random.default_rng(12).standard_normal(op.n_strip)
     sf.extend_linear(op, g)
     assert calls == {"fold": 1, "unfold": 1}
-    dt, steps = 0.5 * sf.stability_bound(op), 3
-    for integrator, solves in ((sf.EXPLICIT, 0), (sf.IMPLICIT, steps)):
-        calls.update(fold=0, unfold=0)
-        sf.evolve(op, sf.ProblemSpec("linear"), g, steps * dt, dt, integrator)
-        # one flux per state and one strip solve per implicit step
-        assert calls == {"fold": steps + 1 + solves, "unfold": steps + 1 + solves}
+    dt, per = 0.5 * sf.stability_bound(op), symmetry._UNFOLD_STATES
+    for integrator in (sf.EXPLICIT, sf.IMPLICIT):
+        for steps in (1, per - 1, 3 * per):
+            calls.update(fold=0, unfold=0)
+            sf.evolve(op, sf.ProblemSpec("linear"), g, steps * dt, dt, integrator)
+            assert calls == {"fold": 1, "unfold": 2 * -(-(steps + 1) // per)}
     calls.update(fold=0, unfold=0)
     sf.extend_plaplace(op, g, 1.5)
     assert calls == {"fold": 0, "unfold": 0}
@@ -545,11 +668,11 @@ def test_every_p2_block_product_and_solve_passes_one_seam(monkeypatch):
 def test_schur_build_holds_few_copies_of_a_fold(mode):
     # with the interior factors cached, what the Schur build allocates
     # beyond the blocks it keeps is at most 3 times one character's fold of
-    # L_IS (576 x 448 at h = 1/64): the fold, its rows taken once into sigma
+    # L_IS (576 x 448 at h = 1/64): the fold, its rows written in sigma
     # order, and the halves and S_j built from them, each block dropped by
     # fold_laplacian once yielded. A fold reordered on both sides, a dense
     # zero L_SS in exclude mode and yielded blocks kept until the next one
-    # took 4.4 times; it is about 1.6
+    # took 4.4 times, a reordered copy of the rows 1.6; it is 1.4 to 1.5
     op = make_op(1 / 64, 0.125, sf.tent_kernel(0.25, 2), mode, dim=2)
     sec = sectors(op)
     assert (sec.interior.size, sec.strip.size) == (576, 448)
@@ -561,3 +684,19 @@ def test_schur_build_holds_few_copies_of_a_fold(mode):
     finally:
         tracemalloc.stop()
     assert peak - held <= 3 * 576 * 448 * np.dtype(float).itemsize
+
+
+def test_interior_factorisation_makes_no_reordered_copy_of_a_fold():
+    # what the interior factorisation at h = 1/64 allocates beyond the
+    # factors it keeps is at most 1.4 times one character's fold of L_II
+    # (576 x 576): _table_fold writes a sigma-split fold's rows in pair,
+    # partner, diag order (1.29 times). Reordering a copy of them took 1.51
+    op = make_op(1 / 64, 0.125, sf.tent_kernel(0.25, 2), dim=2)
+    assert sectors(op).interior.size == 576
+    tracemalloc.start()
+    try:
+        _interior(op)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - held <= 1.4 * 576 * 576 * np.dtype(float).itemsize

@@ -74,7 +74,7 @@ def lq_distance_to_mean(grid, u, q):
     single = np.ndim(q) == 0
     qs = (q,) if single else tuple(q)
     for qi in qs:
-        if qi < 1.0:
+        if not qi >= 1.0:  # NaN too
             raise InvalidArgument(f"q must be >= 1, got {qi}")
     uv = u.values if isinstance(u, StripField) else np.asarray(u, dtype=float)
     mu_s = grid.strip_mu

@@ -7,12 +7,11 @@ blocks (symmetry.sectors: up to 2^d mirror sectors of 1/2^d the size on
 an assembled box; on the unit square one block of a quarter shared by two
 sectors and four of about an eighth; one block otherwise), each read off
 the stencil's J table (Sectors.fold_laplacian), Cholesky-factored once per
-operator (_cholesky) and solved with cho_solve through Sectors.blockwise,
-the seam of the p = 2 block work outside the dynamics (whose seam is
-Sectors.march). Its right-hand side and
-its gate are interior row sums (kernels.interior_row_sums): on an assembled
-grid one FFT convolution with the stencil, so the p = 2 extension writes no
-row. For general p > 1 it is
+operator (_cholesky) and solved with cho_solve as a march of one step
+(Sectors.march), the one seam of the p = 2 block work. Its right-hand
+side and its gate are interior row sums (kernels.interior_row_sums): on
+an assembled grid one FFT convolution with the stencil, so the p = 2
+extension writes no row. For general p > 1 it is
 the Euler-Lagrange condition of a strictly convex edge energy E_p.
 _newton_free is the one descent solve for p != 2: it minimizes
 F(v) = E_p(v) - <lin, v> + (1/2) sum w (v - t)^2 over the free nodes, is
@@ -209,14 +208,14 @@ def extend_linear(op, g):
 
     Returns (FullField, EnergyReport). The field equals g on the strip and
     its interior values satisfy L_II u = -L_IS g, i.e. diag(row sums) u -
-    W_II u = W_IS g, solved block by block (Sectors.blockwise) with
-    cho_solve on the factors of _interior, the shared block with two
-    columns, for the values less the midrange c of g, so constant data
-    stays exactly constant. Its right-hand side and its gate, the whole
-    interior balance of those shifted values, are interior row sums
-    (kernels.interior_row_sums: by FFT on the stencil of an assembled
-    operator, with no edge list), computed apart from the folds and the
-    factors, so the gate checks both. The report's grad_norm is the gate's
+    W_II u = W_IS g, solved block by block as a march of one step
+    (Sectors.march) with cho_solve on the factors of _interior, each block
+    with its live columns, for the values less the midrange c of g, so
+    constant data stays exactly constant. Its right-hand side and its
+    gate, the whole interior balance of those shifted values, are interior
+    row sums (kernels.interior_row_sums: by FFT on the stencil of an
+    assembled operator, with no edge list), computed apart from the folds
+    and the factors, so the gate checks both. The report's grad_norm is the gate's
     sup-norm, its balance the gate's interior rows with the strip flux
     (_strip_flux) in the strip rows, and its energy pairs that flux
     (_extension_energy); the solve counts as one converged iteration.
@@ -229,7 +228,9 @@ def extend_linear(op, g):
     factors = _interior(op)
     full = np.zeros(op.n)
     full[op.strip_idx] = gv - shift
-    sol = sec.blockwise(interior_row_sums(op, full), sec.interior, factors, _cho_solve)
+    march = sec.march(interior_row_sums(op, full), sec.interior, 1)
+    march.advance(lambda j, x: _cho_solve(factors[j], x.T).T)
+    sol = march.unfold(start=1)[0]
     full[op.interior_idx] = sol
     # gated on the whole balance sum_y W[x][y] u[y] - deg[x] u[x]; NaN fails too
     balance = np.empty(op.n)

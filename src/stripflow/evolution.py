@@ -11,10 +11,11 @@ blocks of S under the box's symmetries (symmetry.sectors), as a march
 columns per block, two for the block that two sectors share on the unit
 square; every step multiplies each block's live columns by S_j, or solves
 with the factor of M_j + dt S_j, in the sector basis; and at the end each
-state and its flux, one product S_j X_j per block over all states, is
-unfolded once. A column of exact zeros is never stepped, so the gap mode
-steps one column of one block. A single flux or implicit step is a march
-of no or one step. For p != 2 the
+state and its flux is unfolded once. An explicit step's product is its
+state's flux, so only the last state's is left to make; an implicit run
+makes all of them in one product S_j X_j per block. A column of exact
+zeros is never stepped, so the gap mode steps one column of one block. A
+single flux or implicit step is a march of no or one step. For p != 2 the
 explicit flux is that of the extended state (_state gives both for any p),
 re-solved after each step, and the implicit step minimizes
 dt * E_p(v) + (1/2) sum_strip mu (v - u)^2 jointly over all nodes, which
@@ -71,7 +72,7 @@ class ProblemSpec:
             raise InvalidArgument(f"exponent p must exceed 1, got {self.p}")
         if self.variant in (LINEAR, LINEAR_FULL) and self.p != 2.0:
             raise InvalidArgument("linear variants fix p = 2")
-        if self.q < 1.0:
+        if not self.q >= 1.0:  # NaN too
             raise InvalidArgument(f"diagnostic exponent q must be >= 1, got {self.q}")
 
     @property
@@ -138,22 +139,37 @@ def _block_mu(op):
     return [op.grid.mu[rows] for rows in sec.block_reps(sec.strip)]
 
 
-def _march(op, uv):
+def _march(op, uv, steps):
     """(march, c): the strip values uv less their midrange c, folded once
-    into a March (Sectors.march). Constant data folds to exact zeros, so no
-    block is stepped and every state is c bit for bit."""
+    into a March (Sectors.march) with room for steps more states. Constant
+    data folds to exact zeros, so no block is stepped and every state is c
+    bit for bit."""
     sec = sectors(op)
     shift = _midrange(uv)
-    return sec.march(uv - shift, sec.strip), shift
+    return sec.march(uv - shift, sec.strip, steps), shift
 
 
-def _explicit_step(op, dt):
-    """The forward Euler step of a march's block j, x - dt M_j^-1 S_j x."""
+def _rate(block, mu, x, out=None):
+    """-(S_j X) / mu_j for the coefficient rows x (..., m_j) of block j, as
+    rows, into out if given: one product x S_j, S_j being symmetric."""
+    prod = np.matmul(x.reshape(-1, x.shape[-1]), block,
+                     out=None if out is None else out.reshape(-1, x.shape[-1]))
+    np.negative(prod, out=prod)
+    return np.divide(prod, mu, out=prod).reshape(x.shape)
+
+
+def _explicit_step(op, dt, march):
+    """(step, rates): the forward Euler step of a march's block j, x + dt f
+    with f = -M_j^-1 S_j x, and per live block an array like its states
+    whose row k the step fills with f of the state k it steps from (the
+    march's last, count - 1), so that a run's fluxes are all made by its
+    steps but the last state's (_fluxes)."""
     blocks, mu = schur_complement(op), _block_mu(op)
+    rates = {j: np.empty_like(states) for j, (_, states) in march.live.items()}
 
     def step(j, x):
-        return x - dt * ((blocks[j] @ x) / mu[j][:, None])
-    return step
+        return x + dt * _rate(blocks[j], mu[j], x, rates[j][march.count - 1])
+    return step, rates
 
 
 def _implicit_factor(op, dt, j):
@@ -176,34 +192,39 @@ def _implicit_factor(op, dt, j):
 
 def _implicit_step(op, dt):
     """The backward Euler step of a march's block j: solve (M_j + dt S_j) x'
-    = M_j x with cho_solve. The rows of the computed S sum to roundoff
-    rather than 0, which a long step scales up, so in the trivial block,
-    the one that holds the constants and the mass sum_S mu u, x' then moves
-    along the constants' coefficients e by the multiple that restores the
-    mass of x, as the p != 2 step shifts its iterates."""
+    = M_j x with cho_solve, the rows x taken as its columns. The rows of
+    the computed S sum to roundoff rather than 0, which a long step scales
+    up, so in the trivial block, the one that holds the constants and the
+    mass sum_S mu u, x' then moves along the constants' coefficients e by
+    the multiple that restores the mass of x, as the p != 2 step shifts its
+    iterates."""
     mu, ones = _block_mu(op), sectors(op).constants
-    # the mass of the trivial block's coefficients x is weight @ x / |K|
+    # the mass of the trivial block's coefficients x is x @ weight / |K|
     weight = mu[0] * ones
 
     def step(j, x):
-        out = _cho_solve(_implicit_factor(op, dt, j), mu[j][:, None] * x)
+        out = _cho_solve(_implicit_factor(op, dt, j), (x * mu[j]).T).T
         if j == 0:
-            out += np.outer(ones, weight @ (x - out) / np.dot(weight, ones))
+            out += np.outer((x - out) @ weight / np.dot(weight, ones), ones)
         if not np.all(np.isfinite(out)):
             raise SingularSystem("implicit solve produced non-finite values")
         return out
     return step
 
 
-def _fluxes(op, march):
-    """(count, n_S) the strip flux -M^-1 S u of every state of a march: one
-    product S_j X_j per block over all its states, unfolded once."""
+def _fluxes(op, march, rates=None):
+    """(count, n_S) the strip flux -M^-1 S u of every state of a march,
+    unfolded once: per block one product S_j X_j over all its states, or,
+    with the rates of an explicit run (_explicit_step), over its last
+    state alone."""
     blocks, mu = schur_complement(op), _block_mu(op)
 
     def flux(j, x):
-        prod = blocks[j] @ x.reshape(x.shape[0], -1)
-        np.negative(prod, out=prod)
-        return np.divide(prod, mu[j][:, None], out=prod).reshape(x.shape)
+        if rates is None:
+            return _rate(blocks[j], mu[j], x)
+        out = rates[j][:x.shape[0]]
+        _rate(blocks[j], mu[j], x[-1], out[-1])
+        return out
     return march.unfold(flux)
 
 
@@ -211,7 +232,7 @@ def _schur_flux(op, uv):
     """The p = 2 strip flux -M^-1 S u: that of a march of uv with no step,
     anchored at the midrange of uv as extend_linear is, so that constant
     data gives exactly +0."""
-    return _fluxes(op, _march(op, uv)[0])[0]
+    return _fluxes(op, _march(op, uv, 0)[0])[0]
 
 
 def _state(op, spec, uv, warm=None):
@@ -260,9 +281,9 @@ def _implicit_linear_values(op, dt, uv):
     S) v = M u, S the Schur complement and M the strip measures, as a march
     of one step (_implicit_step). M is constant on orbits, so the system
     splits into one M_j + dt S_j per block."""
-    march, shift = _march(op, uv)
+    march, shift = _march(op, uv, 1)
     march.advance(_implicit_step(op, dt))
-    return march.unfold()[1] + shift
+    return march.unfold(start=1)[0] + shift
 
 
 def _step_implicit_values(op, spec, uv, dt, tol, max_iter, warm):
@@ -359,7 +380,8 @@ def evolve(op, spec, u0, t_end, dt, integrator=EXPLICIT, tol=1e-10, max_iter=60)
             warnings.warn(f"dt={dt} exceeds the stability advisory {bound:.6g}")
 
     times = np.arange(nsteps + 1) * dt
-    states = np.empty((nsteps + 1, op.n_strip))
+    # at p = 2 the march's unfold makes the states
+    states = np.empty((0 if spec.p == 2.0 else nsteps + 1, op.n_strip))
     diag = np.empty((nsteps + 1, len(DIAG_COLUMNS)))
     # each step's Newton and PCG iterations, where a step reports them
     newton = pcg = None
@@ -370,8 +392,11 @@ def evolve(op, spec, u0, t_end, dt, integrator=EXPLICIT, tol=1e-10, max_iter=60)
     try:
         if spec.p == 2.0:
             # S is built before the first state, so that its failure leaves none
-            explicit = _explicit_step(op, dt)
-            march, shift = _march(op, uv)
+            schur_complement(op)
+            march, shift = _march(op, uv, nsteps)
+            explicit = rates = None
+            if integrator == EXPLICIT:
+                explicit, rates = _explicit_step(op, dt, march)
             try:
                 for _ in range(nsteps):
                     if integrator == EXPLICIT:
@@ -380,9 +405,9 @@ def evolve(op, spec, u0, t_end, dt, integrator=EXPLICIT, tol=1e-10, max_iter=60)
                         _step_implicit_values(op, spec, march, dt, tol, max_iter, None)
             finally:
                 complete = march.count
-                states[:complete] = march.unfold()
-                states[:complete] += shift
-                for k, flux in enumerate(_fluxes(op, march)):
+                states = march.unfold()
+                states += shift
+                for k, flux in enumerate(_fluxes(op, march, rates)):
                     diag[k] = _diag_row(op, spec, states[k], flux)
             return Trajectory(times, states, diag, op.grid)
         full, flux = _state(op, spec, uv)

@@ -36,16 +36,18 @@ that index the block's rows.
 
 The blocks of L_II, the Schur complement S and M + dt S are 1/|K| or
 1/|G| the size of the whole, and the vector folds between the two bases
-cost O(n). Two seams carry every block product and solve:
-Sectors.blockwise folds, works per block and unfolds (the linear
-extension), and Sectors.march folds once, keeps a run's states as the
-coefficients of each block's live columns, the columns not exactly 0, and
-unfolds them once at the end (the p = 2 dynamics). Operators that
+cost O(n). One seam carries every block product and solve:
+Sectors.march folds the values once, keeps each state as the coefficients
+of each block's live columns, the columns not exactly 0, steps those
+columns block by block and unfolds the states asked for once at the end.
+The linear extension is a march of one step, a cho_solve per block; a
+p = 2 run is a march of all its steps. Operators that
 assemble did not build (fixtures pinned from a dense kernel matrix) have
 G = {e}: one block, the matrix itself, whose Laplacian blocks are cuts of
 their dense Laplacian.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -232,19 +234,11 @@ class Sectors:
         coef /= self.signs.shape[0]
         return coef.reshape((4 * m,) + tail)[back]
 
-    def blockwise(self, vals, orbits, mats, apply):
-        """The class values whose fold is apply(mat_j, part_j) for each block
-        j, with part_j the fold of vals (two columns for the shared block)
-        and mat_j the block's matrix or factor."""
-        parts = self.fold(vals, orbits)
-        for part, mat in zip(parts, mats):
-            part[:] = apply(mat, part)
-        return self.unfold(parts, orbits)
-
-    def march(self, vals, orbits):
-        """The March of the class values vals: folded once, to be stepped
-        block by block and unfolded once at the end."""
-        return March(self, orbits, self.fold(vals, orbits))
+    def march(self, vals, orbits, steps):
+        """The March of the class values vals, with room for steps more
+        states: folded once, to be stepped block by block and unfolded once
+        at the end."""
+        return March(self, orbits, self.fold(vals, orbits), steps)
 
     def basis(self, j, coef, orbits):
         """(n_C, r) the class vectors with the coefficients coef (m_j, r) in
@@ -338,47 +332,52 @@ class March:
     mode, say, is one column of one block.
 
     count : the number of states, the folded values the first.
-    live : {j: (columns, states)}, the live column indices of block j and
-        one (m_j, r) array of their coefficients per state.
+    live : {j: (columns, states)}, the r live column indices of block j and
+        a (steps + 1, r, m_j) array whose row k holds their coefficients in
+        state k, one contiguous line per column; the first count rows are
+        filled.
     """
 
-    def __init__(self, sec, orbits, parts):
+    def __init__(self, sec, orbits, parts, steps):
         self.sec, self.orbits, self.count = sec, orbits, 1
         self.shapes = [part.shape for part in parts]
         self.live = {}
         for j, part in enumerate(parts):
-            part = part.reshape(part.shape[0], -1)
+            # (m_j, r), m_j = 0 for a block with no representative
+            part = part.reshape(part.shape[0], math.prod(part.shape[1:]))
             cols = np.flatnonzero(np.any(part != 0.0, axis=0))
             if cols.shape[0]:
-                self.live[j] = (cols, [part[:, cols]])
+                states = np.empty((steps + 1, cols.shape[0], part.shape[0]))
+                states[0] = part[:, cols].T
+                self.live[j] = (cols, states)
 
     def advance(self, step):
-        """One more state: step(j, X) of each live block j's last columns X.
-        When a step raises, no block has moved."""
-        new = {j: step(j, states[-1]) for j, (_, states) in self.live.items()}
-        for j, x in new.items():
-            self.live[j][1].append(x)
+        """One more state: step(j, X) of each live block j's last row X, an
+        (r, m_j) array. When a step raises, count, and so every state, is
+        unchanged."""
+        for j, (_, states) in self.live.items():
+            states[self.count] = step(j, states[self.count - 1])
         self.count += 1
 
-    def unfold(self, apply=None):
-        """(count, n_C) the class values of every state, each unfolded once,
-        _UNFOLD_STATES states at a time so that the unfold's temporaries stay
-        a fraction of the result; with apply, those whose coefficients are
-        apply(j, X) for the (m_j, r, count) stack X of block j's live
-        columns, one call per block, linear so that a dead column still maps
-        to zeros."""
-        live = {j: (cols, states if apply is None else apply(j, np.stack(states, axis=-1)))
+    def unfold(self, apply=None, start=0):
+        """(count - start, n_C) the class values of the states from start on,
+        each unfolded once, _UNFOLD_STATES states at a time so that the
+        unfold's temporaries stay a fraction of the result; with apply,
+        those whose coefficients are apply(j, X) for the (count - start, r,
+        m_j) rows X of block j, one call per block, linear so that a dead
+        column still maps to zeros."""
+        live = {j: (cols, states[start:self.count] if apply is None
+                    else apply(j, states[start:self.count]))
                 for j, (cols, states) in self.live.items()}
-        out = np.empty((self.count, self.orbits.table.size))
-        for lo in range(0, self.count, _UNFOLD_STATES):
-            hi = min(lo + _UNFOLD_STATES, self.count)
+        out = np.empty((self.count - start, self.orbits.table.size))
+        for lo in range(0, out.shape[0], _UNFOLD_STATES):
+            hi = min(lo + _UNFOLD_STATES, out.shape[0])
             parts = []
             for j, shape in enumerate(self.shapes):
                 part = np.zeros(shape + (hi - lo,))
                 if j in live:
                     cols, coef = live[j]
-                    part.reshape(shape[0], -1, hi - lo)[:, cols] = (
-                        np.stack(coef[lo:hi], axis=-1) if apply is None else coef[..., lo:hi])
+                    part.reshape(shape[0], -1, hi - lo)[:, cols] = coef[lo:hi].transpose(2, 1, 0)
                 parts.append(part)
             out[lo:hi] = self.sec.unfold(parts, self.orbits).T
         return out

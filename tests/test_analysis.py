@@ -57,6 +57,16 @@ def test_distances_for_many_exponents_match_one_at_a_time(op16):
         sf.lq_distance_to_mean(g, u, (2.0, 0.5))
 
 
+def test_nan_exponents_are_rejected(op16):
+    # a NaN fails q >= 1 as q < 1 does; no NaN distance is made or looked up
+    u = np.random.default_rng(8).standard_normal(op16.n_strip)
+    for q in (float("nan"), np.float64("nan"), (2.0, np.float64("nan")), np.array([np.nan])):
+        with pytest.raises(InvalidArgument):
+            sf.lq_distance_to_mean(op16.grid, u, q)
+    with pytest.raises(InvalidArgument):
+        sf.ProblemSpec("plaplace", p=3.0, q=float("nan"))
+
+
 def test_schur_toy3_by_hand(toy3_op):
     # the blocks come from the operator cache; toy3 has one sector, whose
     # block is S itself

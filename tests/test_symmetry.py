@@ -69,6 +69,8 @@ CASES = [
     (BOX2, 1 / 20, 0.15, "bump", sf.EXCLUDE_STRIP_STRIP, "mirror", 4),
     (BOX2, 1 / 12, 0.25, "singular", sf.EXCLUDE_STRIP_STRIP, None, 8),
     (BOX2, 1 / 15, 0.2, "tent", sf.EXCLUDE_STRIP_STRIP, None, 1),
+    # a 2 x 2 interior: one interior orbit, so its sigma-odd blocks are empty
+    (BOX2, 1 / 6, 1 / 3, "tent", sf.EXCLUDE_STRIP_STRIP, None, 8),
     (BOX_WIDE, 1 / 16, 0.125, "tent", sf.FULL, None, 4),
     (BOX_WIDE, 1 / 10, 0.2, "bump", sf.EXCLUDE_STRIP_STRIP, "mirror", 2),
 ]
@@ -387,25 +389,28 @@ def test_march_matches_the_per_step_route(name):
 
 
 class _Products(np.ndarray):
-    """An S_j that records the shape of what it multiplies."""
+    """An S_j that records the shape of the rows it multiplies."""
 
     shapes = []
 
-    def __matmul__(self, other):
-        self.shapes.append(other.shape)
-        return np.asarray(self) @ other
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            assert inputs[1] is self
+            self.shapes.append(inputs[0].shape)
+        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
 
 
 def test_gap_mode_evolve_steps_only_its_block_column(monkeypatch):
     # the gap mode is one column of the shared block (the sector odd under
     # the first mirror and even under the second), with midrange 0: the
-    # march steps that column alone, multiplies it by S_j once per explicit
-    # step, solves with M_j + dt S_j once per implicit step and factors that
-    # block alone, and takes every state's flux in one product
+    # march steps that column alone. An explicit run multiplies it by S_j
+    # once per state, each step's product giving that state's flux; an
+    # implicit run solves with M_j + dt S_j once per step, factors that
+    # block alone and takes every state's flux in one product
     op = make_op(1 / 16, 0.125, sf.tent_kernel(0.25, 2), dim=2)
     sec = sectors(op)
     gap = sf.spectral_gap_beta(op)
-    march, shift = evolution._march(op, gap.mode.values)
+    march, shift = evolution._march(op, gap.mode.values, 0)
     assert shift == 0.0
     (j, (cols, _)), = march.live.items()
     assert sec.copies(sec.blocks[j]) == 2 and cols.tolist() == [0]
@@ -423,10 +428,10 @@ def test_gap_mode_evolve_steps_only_its_block_column(monkeypatch):
     dt, steps = 0.4 * sf.stability_bound(op), 6
     lin = sf.ProblemSpec("linear")
     explicit = sf.evolve(op, lin, gap.mode, steps * dt, dt, sf.EXPLICIT)
-    assert _Products.shapes == [(m, 1)] * steps + [(m, steps + 1)] and solves == []
+    assert _Products.shapes == [(1, m)] * (steps + 1) and solves == []
     _Products.shapes.clear()
     implicit = sf.evolve(op, lin, gap.mode, steps * dt, dt, sf.IMPLICIT)
-    assert _Products.shapes == [(m, steps + 1)] and solves == [(m, 1)] * steps
+    assert _Products.shapes == [(steps + 1, m)] and solves == [(m, 1)] * steps
     assert [f is not None for f in op._cache["implicit_chol"][1]] == [
         k == j for k in range(len(sec.blocks))]
     # and the mode decays by each integrator's factor at beta
@@ -438,12 +443,12 @@ def test_gap_mode_evolve_steps_only_its_block_column(monkeypatch):
 def test_p2_evolve_holds_few_state_stacks():
     # with S and the implicit factors cached, a 40-step p = 2 evolve at
     # h = 1/64 allocates, beyond the trajectory it returns, the march's live
-    # columns, their fluxes' coefficients, the fluxes and the unfold's
-    # temporaries, _UNFOLD_STATES states at a time: with every column live
-    # (random data) at most 4 stacks of its 41 states (3.5 measured), with
-    # the gap mode's one column of 4 at most 2.5 (1.95). Holding the dead
-    # columns as well takes the gap mode to 3.5, and unfolding every state
-    # at once takes the two to 6.9 and 5.3
+    # columns, their fluxes' coefficients (an explicit run's steps make
+    # them), the fluxes and the unfold's temporaries, _UNFOLD_STATES states
+    # at a time: with every column live (random data) at most 4 stacks of
+    # its 41 states (3.4 measured), with the gap mode's one column of 4 at
+    # most 2.5 (1.9). Holding the dead columns as well takes the gap mode
+    # to 3.5, and unfolding every state at once takes the two to 6.9 and 5.3
     op = make_op(1 / 64, 0.125, sf.tent_kernel(0.25, 2), dim=2)
     dt, steps = 0.4 * sf.stability_bound(op), 40
     lin = sf.ProblemSpec("linear")
@@ -630,38 +635,51 @@ def test_trivial_block_deflates_the_folded_constants():
 
 def test_every_p2_block_product_and_solve_passes_one_seam(monkeypatch):
     # with S, the interior factors and the constants' coefficients cached,
-    # the p = 2 extension folds once and unfolds once (Sectors.blockwise);
-    # an evolve of either integrator folds its first state once, and no step
-    # folds or unfolds: its states and then their fluxes are unfolded
-    # (Sectors.march), _UNFOLD_STATES states per unfold. The blocks are
-    # solved with cho_solve alone: solve_triangular only forms S. A p < 2
+    # every p = 2 block solve and product is a march (Sectors.march): the
+    # extension folds once and unfolds its one solved state, a lone
+    # implicit step unfolds its stepped state and folds it again for its
+    # flux, and an evolve of either integrator folds its first state once
+    # and no step folds or unfolds: its states and then their fluxes are
+    # unfolded, _UNFOLD_STATES states per unfold. The blocks are solved
+    # with cho_solve alone: solve_triangular only forms S. A p < 2
     # extension folds nothing
     op = make_op(1 / 16, 0.125, sf.tent_kernel(0.25, 2), dim=2)
     assert sectors(op).split
     sf.schur_complement(op)
     assert sectors(op).constants.shape == (sf.schur_complement(op)[0].shape[0],)
-    calls = {"fold": 0, "unfold": 0}
-    for name in calls:
-        def counting(self, *args, name=name, real=getattr(Sectors, name)):
-            calls[name] += 1
-            return real(self, *args)
-        monkeypatch.setattr(Sectors, name, counting)
+    calls = {"fold": 0, "unfold": 0, "unfolded": 0}
+
+    def folding(self, *args, real=Sectors.fold):
+        calls["fold"] += 1
+        return real(self, *args)
+
+    def unfolding(self, parts, orbits, real=Sectors.unfold):
+        # the block first in order is never the shared one: (m_0, states)
+        calls["unfold"] += 1
+        calls["unfolded"] += parts[0].shape[1]
+        return real(self, parts, orbits)
+    monkeypatch.setattr(Sectors, "fold", folding)
+    monkeypatch.setattr(Sectors, "unfold", unfolding)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the p = 2 blocks are solved with cho_solve alone")
     monkeypatch.setattr(sla, "solve_triangular", refuse)
     g = np.random.default_rng(12).standard_normal(op.n_strip)
     sf.extend_linear(op, g)
-    assert calls == {"fold": 1, "unfold": 1}
+    assert calls == {"fold": 1, "unfold": 1, "unfolded": 1}
     dt, per = 0.5 * sf.stability_bound(op), symmetry._UNFOLD_STATES
+    calls.update(fold=0, unfold=0, unfolded=0)
+    sf.step_implicit(op, sf.ProblemSpec("linear"), g, dt)
+    assert calls == {"fold": 2, "unfold": 2, "unfolded": 2}
     for integrator in (sf.EXPLICIT, sf.IMPLICIT):
         for steps in (1, per - 1, 3 * per):
-            calls.update(fold=0, unfold=0)
+            calls.update(fold=0, unfold=0, unfolded=0)
             sf.evolve(op, sf.ProblemSpec("linear"), g, steps * dt, dt, integrator)
-            assert calls == {"fold": 1, "unfold": 2 * -(-(steps + 1) // per)}
-    calls.update(fold=0, unfold=0)
+            assert calls == {"fold": 1, "unfold": 2 * -(-(steps + 1) // per),
+                             "unfolded": 2 * (steps + 1)}
+    calls.update(fold=0, unfold=0, unfolded=0)
     sf.extend_plaplace(op, g, 1.5)
-    assert calls == {"fold": 0, "unfold": 0}
+    assert calls == {"fold": 0, "unfold": 0, "unfolded": 0}
 
 
 @pytest.mark.parametrize("mode", [sf.EXCLUDE_STRIP_STRIP, sf.FULL])

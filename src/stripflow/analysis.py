@@ -260,9 +260,11 @@ def spectral_gap_beta(op, p=2.0):
 
     Solves the generalized symmetric problem S v = beta M v with M the
     diagonal of strip measures, block by block, after deflating the
-    constant vector in the M-inner product of the trivial block, and
-    computes only the smallest eigenpair of each block (_reduced_modes).
-    Exponent 2 only; see estimate_beta_p for other p.
+    constant vector in the M-inner product of the trivial block. It
+    computes the smallest eigenpair of the trivial block and of each later
+    block that a Cholesky does not certify to lie above the smallest
+    eigenvalue so far and its tie margin; a certified block is not solved
+    (_reduced_modes). Exponent 2 only; see estimate_beta_p for other p.
     """
     if p != 2.0:
         raise InvalidArgument("eigenvalue path is exponent-2 only; use estimate_beta_p")
@@ -328,7 +330,7 @@ def estimate_beta_p(op, p, restarts=8, seed=0):
     """
     if restarts <= 0:
         raise InvalidArgument("need at least one restart")
-    if p <= 1.0:
+    if not p > 1.0:
         raise InvalidArgument(f"exponent must exceed 1, got {p}")
     if op.n_strip < 2:
         raise TooFewStripNodes("gap needs at least two strip nodes")
@@ -390,7 +392,8 @@ def counterexample_sequence(op, n_list):
     The bumps sit at strip nodes closest to the outer boundary, where the
     coupling into the interior vanishes as the supports shrink, so the
     quotient sequence collapses toward zero. Bumps are sharp indicators,
-    weighted to zero mean and unit weighted 2-norm.
+    weighted to zero mean and unit weighted 2-norm. Each n of n_list is a
+    positive integer, the bumps' radius 1/n.
     """
     grid = op.grid
     if not op.spec.compact:
@@ -411,6 +414,8 @@ def counterexample_sequence(op, n_list):
 
     out = []
     for n in n_list:
+        if not (n >= 1 and float(n).is_integer()):  # NaN too
+            raise InvalidArgument(f"bump index n must be a positive integer, got {n}")
         radius = 1.0 / n
         if radius < grid.h / 2.0:
             raise EmptyBump(f"bump radius 1/{n} is below half the spacing {grid.h}")

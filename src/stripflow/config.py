@@ -46,6 +46,12 @@ class ExperimentConfig:
     allow_empty_interior: bool = False
     allow_r_equal_R: bool = False
 
+    def __post_init__(self):
+        # numpy's default_rng refuses a negative seed; the CLI's --seed
+        # override (dataclasses.replace) is checked here too
+        if self.seed < 0:
+            raise ConfigInvalid("seed", f"must be nonnegative, got {self.seed}")
+
 
 def load_config(path):
     """Read and validate a JSON config file."""

@@ -8,7 +8,7 @@ an assembled box; on the unit square one block of a quarter shared by two
 sectors and four of about an eighth; one block otherwise), each read off
 the stencil's J table (Sectors.fold_laplacian), Cholesky-factored once per
 operator (_cholesky) and solved with cho_solve as a march of one step
-(Sectors.march), the one seam of the p = 2 block work. Its right-hand
+(symmetry.March), the one seam of the p = 2 block work. Its right-hand
 side and its gate are interior row sums (kernels.interior_row_sums): on
 an assembled grid one FFT convolution with the stencil, so the p = 2
 extension writes no row. For general p > 1 it is
@@ -50,7 +50,7 @@ from . import _accel
 from .errors import EmptyInterior, NoConvergence, NonConvexExponent, SingularSystem
 from .fields import EnergyReport, FullField, StripField
 from .kernels import edge_skeleton, interior_row_sums, pairs, strip_row_sums
-from .symmetry import sectors
+from .symmetry import March, sectors
 
 __all__ = [
     "StripField", "FullField", "EnergyReport", "REG_EPS",
@@ -209,7 +209,7 @@ def extend_linear(op, g):
     Returns (FullField, EnergyReport). The field equals g on the strip and
     its interior values satisfy L_II u = -L_IS g, i.e. diag(row sums) u -
     W_II u = W_IS g, solved block by block as a march of one step
-    (Sectors.march) with cho_solve on the factors of _interior, each block
+    (symmetry.March) with cho_solve on the factors of _interior, each block
     with its live columns, for the values less the midrange c of g, so
     constant data stays exactly constant. Its right-hand side and its
     gate, the whole interior balance of those shifted values, are interior
@@ -228,7 +228,7 @@ def extend_linear(op, g):
     factors = _interior(op)
     full = np.zeros(op.n)
     full[op.strip_idx] = gv - shift
-    march = sec.march(interior_row_sums(op, full), sec.interior, 1)
+    march = March(sec, interior_row_sums(op, full), sec.interior, 1)
     march.advance(lambda j, x: _cho_solve(factors[j], x.T).T)
     sol = march.unfold(start=1)[0]
     full[op.interior_idx] = sol
@@ -451,7 +451,7 @@ def extend_plaplace(op, g, p, tol=1e-10, max_iter=100, x0=None):
         interior_residual of the field. NoConvergence carries the same pair
         for the last iterate.
     """
-    if p <= 1.0:
+    if not p > 1.0:
         raise NonConvexExponent(f"exponent must exceed 1, got {p}")
     if op.n_interior == 0:
         raise EmptyInterior("extension needs interior nodes")

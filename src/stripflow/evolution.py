@@ -7,7 +7,7 @@ M the strip measures: the flux is one product with the cached S, and no
 step of either integrator extends. Explicit Euler steps u + dt flux; the
 implicit step solves the strip system (M + dt S) v = M u. Both work on the
 blocks of S under the box's symmetries (symmetry.sectors), as a march
-(Sectors.march): u less its midrange is folded once into coefficient
+(symmetry.March): u less its midrange is folded once into coefficient
 columns per block, two for the block that two sectors share on the unit
 square; every step multiplies each block's live columns by S_j, or solves
 with the factor of M_j + dt S_j, in the sector basis; and at the end each
@@ -15,7 +15,8 @@ state and its flux is unfolded once. An explicit step's product is its
 state's flux, so only the last state's is left to make; an implicit run
 makes all of them in one product S_j X_j per block. A column of exact
 zeros is never stepped, so the gap mode steps one column of one block. A
-single flux or implicit step is a march of no or one step. For p != 2 the
+single flux is a march of no step, and a single implicit step a march of
+one step that unfolds its new state alone. For p != 2 the
 explicit flux is that of the extended state (_state gives both for any p),
 re-solved after each step, and the implicit step minimizes
 dt * E_p(v) + (1/2) sum_strip mu (v - u)^2 jointly over all nodes, which
@@ -68,7 +69,7 @@ class ProblemSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise InvalidArgument(f"unknown variant {self.variant!r}")
-        if self.p <= 1.0:
+        if not self.p > 1.0:  # NaN too
             raise InvalidArgument(f"exponent p must exceed 1, got {self.p}")
         if self.variant in (LINEAR, LINEAR_FULL) and self.p != 2.0:
             raise InvalidArgument("linear variants fix p = 2")
@@ -141,12 +142,12 @@ def _block_mu(op):
 
 def _march(op, uv, steps):
     """(march, c): the strip values uv less their midrange c, folded once
-    into a March (Sectors.march) with room for steps more states. Constant
-    data folds to exact zeros, so no block is stepped and every state is c
-    bit for bit."""
+    into a March with room for steps more states. Constant data folds to
+    exact zeros, so no block is stepped and every state is c bit for
+    bit."""
     sec = sectors(op)
     shift = _midrange(uv)
-    return sec.march(uv - shift, sec.strip, steps), shift
+    return March(sec, uv - shift, sec.strip, steps), shift
 
 
 def _rate(block, mu, x, out=None):
@@ -267,7 +268,7 @@ def stability_bound(op):
 def step_explicit(op, spec, u, dt):
     """Forward Euler step u + dt * rhs(u)."""
     check_compatible(op, spec)
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise InvalidArgument("dt must be positive")
     bound = stability_bound(op)
     if dt > bound:
@@ -276,30 +277,20 @@ def step_explicit(op, spec, u, dt):
     return StripField(uv + dt * _state(op, spec, uv)[1], op.grid)
 
 
-def _implicit_linear_values(op, dt, uv):
-    """Backward Euler at p = 2 on the strip: the strip values v with (M + dt
-    S) v = M u, S the Schur complement and M the strip measures, as a march
-    of one step (_implicit_step). M is constant on orbits, so the system
-    splits into one M_j + dt S_j per block."""
-    march, shift = _march(op, uv, 1)
-    march.advance(_implicit_step(op, dt))
-    return march.unfold(start=1)[0] + shift
-
-
 def _step_implicit_values(op, spec, uv, dt, tol, max_iter, warm):
     """(strip values, full values, strip flux, EnergyReport) after one
-    implicit step, the flux read off the report's balance; at p = 2 the
-    strip solve makes no extension, the flux is the new state's Schur flux
-    and the full values and the report are None. At p = 2 uv may also be
-    the March of a run, which the step advances in place (_implicit_step)
-    and returns with no value unfolded: evolve unfolds every state at the
-    end."""
+    implicit step, the flux read off the report's balance. At p = 2 the
+    step is one _implicit_step of a march, the strip values v with (M + dt
+    S) v = M u solved block by block, M being constant on orbits; it makes
+    no extension, and the full values, the flux and the report are None.
+    uv is then either the March of a run, which the step advances in place
+    and returns with no value unfolded (evolve unfolds every state at the
+    end), or a lone step's values, marched one step and the new state
+    alone unfolded."""
     if spec.p == 2.0:
-        if isinstance(uv, March):
-            uv.advance(_implicit_step(op, dt))
-            return uv, None, None, None
-        out = _implicit_linear_values(op, dt, uv)
-        return out, None, _schur_flux(op, out), None
+        march, shift = (uv, None) if isinstance(uv, March) else _march(op, uv, 1)
+        march.advance(_implicit_step(op, dt))
+        return (march if shift is None else march.unfold(start=1)[0] + shift), None, None, None
 
     # F = E_p + (1/2) sum (mu_S / dt) (v - u)^2 is the step's objective over dt
     target = np.zeros(op.n)
@@ -331,7 +322,7 @@ def step_implicit(op, spec, u, dt, tol=1e-10, max_iter=60):
     the new state.
     """
     check_compatible(op, spec)
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise InvalidArgument("dt must be positive")
     uv = u.values if isinstance(u, StripField) else StripField(u, op.grid).values
     out = _step_implicit_values(op, spec, uv, dt, tol, max_iter, None)[0]
@@ -365,7 +356,7 @@ def evolve(op, spec, u0, t_end, dt, integrator=EXPLICIT, tol=1e-10, max_iter=60)
     ``partial`` attribute.
     """
     check_compatible(op, spec)
-    if t_end <= 0.0 or dt <= 0.0:
+    if not t_end > 0.0 or not dt > 0.0:
         raise InvalidArgument("t_end and dt must be positive")
     nsteps = int(round(t_end / dt))
     if nsteps < 1 or abs(nsteps * dt - t_end) > 1e-9:
@@ -452,7 +443,7 @@ def picard_solve(op, spec, u0, window, nt=11, tol=1e-10, max_iter=50):
         raise InvalidArgument("the integral-form iteration is defined for p = 2 only")
     if nt < 11:
         raise InvalidArgument(f"need at least 11 time nodes, got {nt}")
-    if window <= 0.0:
+    if not window > 0.0:
         raise InvalidArgument("window must be positive")
 
     uv0 = u0.values if isinstance(u0, StripField) else StripField(u0, op.grid).values
@@ -469,8 +460,8 @@ def picard_solve(op, spec, u0, window, nt=11, tol=1e-10, max_iter=50):
         integral[1:] = np.cumsum(np.diff(times)[:, None] * (deriv[1:] + deriv[:-1]) / 2.0,
                                  axis=0)
         u_next = uv0[None, :] + integral
-        delta = max(_lp_norm(mu_s, u_next[k] - u_iter[k], spec.p)
-                    for k in range(nt))
+        # np.max, unlike max, keeps a NaN distance
+        delta = np.max([_lp_norm(mu_s, u_next[k] - u_iter[k], spec.p) for k in range(nt)])
         u_iter = u_next
         if delta <= tol:
             diag = np.empty((nt, len(DIAG_COLUMNS)))

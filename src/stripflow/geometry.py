@@ -120,9 +120,9 @@ def build_grid(domain, h, r, allow_empty_interior=False):
     ------
     BadSpacing, NoStripNodes, EmptyInterior, InvalidArgument
     """
-    if h <= 0:
+    if not h > 0:
         raise InvalidArgument(f"spacing must be positive, got {h}")
-    if r <= 0:
+    if not r > 0:
         raise InvalidArgument(f"strip width must be positive, got {r}")
 
     counts = []

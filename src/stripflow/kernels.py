@@ -82,10 +82,10 @@ class KernelSpec:
         if self.family == SINGULAR:
             if self.s is None or not 0.0 < self.s < 1.0:
                 raise InvalidArgument("singular kernel needs s in (0, 1)")
-            if self.p <= 1.0:
+            if not self.p > 1.0:
                 raise InvalidArgument("singular kernel needs p > 1")
         else:
-            if self.R is None or self.R <= 0.0:
+            if self.R is None or not self.R > 0.0:
                 raise InvalidArgument(f"{self.family} kernel needs R > 0")
 
     @property
@@ -100,7 +100,7 @@ def normalization(family, R, dim):
     """
     if family == SINGULAR:
         return 1.0
-    if R <= 0.0:
+    if not R > 0.0:
         raise InvalidArgument(f"{family} kernel needs R > 0, got {R}")
     if family == TENT:
         return 1.0 / R**2 if dim == 1 else 3.0 / (math.pi * R**3)

@@ -36,12 +36,12 @@ that index the block's rows.
 
 The blocks of L_II, the Schur complement S and M + dt S are 1/|K| or
 1/|G| the size of the whole, and the vector folds between the two bases
-cost O(n). One seam carries every block product and solve:
-Sectors.march folds the values once, keeps each state as the coefficients
-of each block's live columns, the columns not exactly 0, steps those
-columns block by block and unfolds the states asked for once at the end.
-The linear extension is a march of one step, a cho_solve per block; a
-p = 2 run is a march of all its steps. Operators that
+cost O(n). One seam carries every block product and solve: a March
+folds the values once, keeps each state as the coefficients of each
+block's live columns, the columns not exactly 0, steps those columns
+block by block and unfolds the states asked for once at the end.
+The linear extension and a lone implicit step are marches of one step, a
+cho_solve per block; a p = 2 run is a march of all its steps. Operators that
 assemble did not build (fixtures pinned from a dense kernel matrix) have
 G = {e}: one block, the matrix itself, whose Laplacian blocks are cuts of
 their dense Laplacian.
@@ -234,12 +234,6 @@ class Sectors:
         coef /= self.signs.shape[0]
         return coef.reshape((4 * m,) + tail)[back]
 
-    def march(self, vals, orbits, steps):
-        """The March of the class values vals, with room for steps more
-        states: folded once, to be stepped block by block and unfolded once
-        at the end."""
-        return March(self, orbits, self.fold(vals, orbits), steps)
-
     def basis(self, j, coef, orbits):
         """(n_C, r) the class vectors with the coefficients coef (m_j, r) in
         the orthonormal basis of block j; for the shared block, of its first
@@ -324,8 +318,10 @@ class Sectors:
 
 
 class March:
-    """Class values stepped in the sector basis (Sectors.march), every state
-    kept as its coefficients. Per block j only the live columns of the fold
+    """The class values vals of orbits stepped in the sector basis of sec,
+    with room for steps more states: folded once (Sectors.fold), every
+    state kept as its coefficients, to be stepped block by block and
+    unfolded once at the end. Per block j only the live columns of the fold
     are kept and stepped, those with a coefficient that is not exactly 0
     (the shared block's second column holds its second sector): a linear
     step keeps a zero column zero, so the others unfold as zeros. The gap
@@ -338,8 +334,9 @@ class March:
         filled.
     """
 
-    def __init__(self, sec, orbits, parts, steps):
+    def __init__(self, sec, vals, orbits, steps):
         self.sec, self.orbits, self.count = sec, orbits, 1
+        parts = sec.fold(vals, orbits)
         self.shapes = [part.shape for part in parts]
         self.live = {}
         for j, part in enumerate(parts):

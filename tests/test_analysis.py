@@ -554,6 +554,10 @@ def test_counterexample_validation(op64, op64_rr):
     with pytest.raises(InvalidArgument):
         # radius 1 swallows both wall neighborhoods at once
         sf.counterexample_sequence(op64_rr, [1])
+    # the radius is 1/n: n = 4.5 would run at 1/4.5 and be labelled 4
+    for n in (0, -4, 4.5, float("nan"), float("inf")):
+        with pytest.raises(InvalidArgument, match="positive integer"):
+            sf.counterexample_sequence(op64_rr, [8, n])
 
 
 def test_decay_bound_from_gap(op16):

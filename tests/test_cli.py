@@ -235,6 +235,24 @@ def test_counterexample_needs_degenerate_width(runner, tmp_path):
     assert "error [EmptyBump]" in res.stderr
 
 
+@pytest.mark.parametrize("seed, override", [(-3, []), (3, ["--seed", "-3"])],
+                         ids=["config", "override"])
+def test_negative_seed_is_bad_config(runner, tmp_path, seed, override):
+    cfg = write_cfg(tmp_path, dict(GRID16, seed=seed))
+    res = runner.invoke(main, ["evolve", "--config", cfg, *override,
+                               "--out", str(tmp_path / "x.csv")])
+    assert res.exit_code == 2
+    assert res.stderr == "error [ConfigInvalid] seed: must be nonnegative, got -3\n"
+
+
+def test_counterexample_refuses_a_zero_bump_index(runner, tmp_path):
+    cfg = write_cfg(tmp_path, _r_equals_R_doc())
+    res = runner.invoke(main, ["counterexample", "--config", cfg, "--n", "0"])
+    assert res.exit_code == 2
+    assert res.stderr == ("error [InvalidArgument] bump index n must be a positive "
+                          "integer, got 0\n")
+
+
 def test_decay_fit_round_trip(runner, tmp_path):
     cfg = write_cfg(tmp_path, TOY3_LINEAR)
     out = tmp_path / "traj.csv"

@@ -11,7 +11,7 @@ from stripflow.elliptic import EXT_TOL, _extended_values, _midrange, _pairing, e
 from stripflow.errors import (InvalidArgument, NoContraction, NoConvergence, SingularSystem,
                               SolverError)
 from stripflow.evolution import (LINEAR, LINEAR_FULL, PLAPLACE, PLAPLACE_FULL,
-                                 SINGULAR_VARIANT, _schur_flux, _step_implicit_values)
+                                 SINGULAR_VARIANT, _step_implicit_values)
 from stripflow.io import write_trajectory_csv
 from stripflow.kernels import edge_list, laplacian_dense
 from stripflow.symmetry import sectors
@@ -105,11 +105,10 @@ def test_linear_implicit_step_matches_full_grid_solve(
         b = np.zeros(op.n)
         b[op.strip_idx] = mu_s * u
         want = np.linalg.solve(mat, b)
-        # the strip solve makes no extension and no report; its flux is the
-        # Schur flux of the new state. The test extends the result
+        # the strip solve makes no extension, no flux and no report. The
+        # test extends the result
         strip, vals, flux, report = _step_implicit_values(op, spec, u, dt, 1e-10, 60, None)
-        assert vals is None and report is None
-        np.testing.assert_array_equal(flux, _schur_flux(op, strip))
+        assert vals is None and flux is None and report is None
         full = _extended_values(op, strip, 2.0)[0]
         tol = 1e-13 * (1.0 + np.abs(u).max())
         assert np.abs(full - want).max() <= tol
@@ -606,6 +605,36 @@ def test_picard_argument_checks(toy3_op, sing16):
         sf.picard_solve(toy3_op, LIN, sym(toy3_op), 0.1, nt=5)
     with pytest.raises(InvalidArgument):
         sf.picard_solve(toy3_op, LIN, sym(toy3_op), -0.1)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda op: sf.evolve(op, LIN, sym(op), NAN, 0.1),
+    lambda op: sf.evolve(op, LIN, sym(op), 1.0, NAN, sf.IMPLICIT),
+    lambda op: sf.step_implicit(op, LIN, sym(op), NAN),
+    lambda op: sf.step_implicit(op, P3, sym(op), NAN),
+    lambda op: sf.step_explicit(op, LIN, sym(op), NAN),
+    lambda op: sf.picard_solve(op, LIN, sym(op), NAN),
+], ids=["evolve-t_end", "evolve-dt", "implicit-p2", "implicit-p3", "explicit", "picard"])
+def test_nan_time_arguments_are_refused(toy3_op, call, monkeypatch):
+    # refused before any flux or solve: a NaN fails every comparison, so a
+    # guard written as x <= 0 lets it through
+    monkeypatch.setattr(evolution, "_state", None)
+    monkeypatch.setattr(evolution, "_newton_free", None)
+    with pytest.raises(InvalidArgument, match="must be positive"):
+        call(toy3_op)
+
+
+def test_picard_sweep_distance_keeps_a_nan(toy3_op, monkeypatch):
+    # a flux gone NaN: row 0 of every sweep is u0 itself, at distance 0.0,
+    # over which Python's max would drop the NaN of every other row and
+    # return a NaN trajectory as converged
+    monkeypatch.setattr(evolution, "_state",
+                        lambda op, spec, uv, warm=None: (None, np.full_like(uv, NAN)))
+    with pytest.raises(NoContraction):
+        sf.picard_solve(toy3_op, LIN, sym(toy3_op), 0.1)
 
 
 def test_picard_takes_any_variant_at_p2(op16):

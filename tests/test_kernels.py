@@ -9,7 +9,8 @@ from scipy.spatial.distance import cdist
 
 import stripflow as sf
 from stripflow import analysis, kernels
-from stripflow.errors import (EmptySupport, InvalidArgument, SingularAtOrigin)
+from stripflow.errors import (EmptySupport, InvalidArgument, NonConvexExponent,
+                              SingularAtOrigin)
 from stripflow.kernels import (_operator_from_dense, _values_from_distance, edge_list,
                                laplacian_dense)
 from stripflow.symmetry import sectors
@@ -578,3 +579,23 @@ def test_fast_len_is_scipys_real_fast_length():
     # loaded in the package: the least 2^a 3^b 5^c at or above n
     assert [kernels._fast_len(n) for n in range(1, 10 ** 4 + 1)] == [
         scipy.fft.next_fast_len(n, real=True) for n in range(1, 10 ** 4 + 1)]
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda op: sf.ProblemSpec("plaplace", p=NAN), InvalidArgument),
+    (lambda op: sf.singular_kernel(0.5, NAN, 2), InvalidArgument),
+    (lambda op: sf.tent_kernel(NAN, 2), InvalidArgument),
+    (lambda op: sf.bump_kernel(NAN, 1), InvalidArgument),
+    (lambda op: sf.build_grid(BOX2, NAN, 0.125), InvalidArgument),
+    (lambda op: sf.build_grid(BOX2, 1.0 / 16.0, NAN), InvalidArgument),
+    (lambda op: sf.extend_plaplace(op, np.array([1.0, -1.0]), NAN), NonConvexExponent),
+    (lambda op: sf.estimate_beta_p(op, NAN), InvalidArgument),
+], ids=["spec-p", "singular-p", "tent-R", "bump-R", "grid-h", "grid-r", "extend-p", "beta-p"])
+def test_nan_sizes_and_exponents_are_refused(toy3_op, call, error):
+    # with the typed error of a nonpositive size or an exponent <= 1: a NaN
+    # fails every comparison, so a guard written as x <= c lets it through
+    with pytest.raises(error, match="must exceed 1|p > 1|R > 0|must be positive"):
+        call(toy3_op)

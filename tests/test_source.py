@@ -1,13 +1,14 @@
 """Source hygiene: no module of the package imports a name it never uses
 or a scipy subpackage beyond scipy.linalg and scipy.sparse, and no private
-function outlives its last reference."""
+function or class member outlives its last reference."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "stripflow"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "stripflow"
 
 
 def unused_imports(path):
@@ -147,3 +148,57 @@ def test_unreferenced_function_check_sees_a_leftover(tmp_path):
         "from . import a\nfrom .a import _imported\n"
         "def f():\n    return a._by_attribute() + _imported()\n")
     assert unreferenced_private_functions(tmp_path) == [("a.py", "_left_behind")]
+
+
+def unreferenced_members(src, readers):
+    """(class name, member) of each method, property or annotated field
+    (a dataclass or NamedTuple field) of a module-level class in a module
+    under src that no attribute read in any module under the directories
+    readers names. A dunder is never reported."""
+    read = set()
+    for root in readers:
+        for path in sorted(root.rglob("*.py")):
+            read |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    out = []
+    for path in sorted(src.glob("*.py")):
+        for cls in ast.parse(path.read_text()).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for item in cls.body:
+                if isinstance(item, ast.FunctionDef):
+                    name = item.name
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    name = item.target.id
+                else:
+                    continue
+                if not (name.startswith("__") and name.endswith("__")) and name not in read:
+                    out.append((cls.name, name))
+    return sorted(out)
+
+
+def test_no_unreferenced_class_members():
+    assert unreferenced_members(SRC, [ROOT / "src", ROOT / "tests", ROOT / "stripbench"]) == []
+
+
+def test_unreferenced_member_check_sees_a_leftover(tmp_path):
+    # a method whose last caller moved to the constructor stays behind; a
+    # call, a property read, a field read from another module and a method
+    # taken as a value count as reads, a field only written does not, and
+    # a dunder is never reported
+    (tmp_path / "a.py").write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class Box:\n"
+        "    read: int\n"
+        "    written: int = 0\n"
+        "    def __post_init__(self):\n        self.written = 1\n"
+        "    def called(self):\n        return self.read\n"
+        "    @property\n    def size(self):\n        return 2\n"
+        "    def taken(self):\n        return 3\n"
+        "    def left_behind(self):\n        return 4\n")
+    (tmp_path / "b.py").write_text(
+        "from .a import Box\n"
+        "def f(box):\n    g = Box.taken\n    return box.called() + box.size + g(box)\n")
+    assert unreferenced_members(tmp_path, [tmp_path]) == [("Box", "left_behind"),
+                                                          ("Box", "written")]

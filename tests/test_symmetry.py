@@ -15,7 +15,7 @@ import stripflow as sf
 from stripflow import _accel, analysis, evolution, symmetry
 from stripflow.elliptic import _interior
 from stripflow.errors import InvalidArgument
-from stripflow.evolution import _implicit_linear_values, _schur_flux
+from stripflow.evolution import _schur_flux
 from stripflow.geometry import STRIP
 from stripflow.kernels import NonlocalOperator, _operator_from_dense
 from stripflow.symmetry import Sectors, _halves, sectors
@@ -335,7 +335,7 @@ def test_extension_and_trajectories_match_the_one_block_route(case):
     # the flux and one implicit step, each on its own
     flux, flux_ref = _schur_flux(op, g.values), _schur_flux(dense, g.values)
     assert np.abs(flux - flux_ref).max() <= 1e-13 * np.abs(flux_ref).max()
-    one, one_ref = (_implicit_linear_values(o, 20.0 * dt, g.values) for o in (op, dense))
+    one, one_ref = (sf.step_implicit(o, spec, g, 20.0 * dt).values for o in (op, dense))
     assert np.abs(one - one_ref).max() <= 1e-13 * np.abs(one_ref).max()
     for integrator, step in ((sf.EXPLICIT, dt), (sf.IMPLICIT, 20.0 * dt)):
         traj = sf.evolve(op, spec, g, 10 * step, step, integrator)
@@ -635,10 +635,10 @@ def test_trivial_block_deflates_the_folded_constants():
 
 def test_every_p2_block_product_and_solve_passes_one_seam(monkeypatch):
     # with S, the interior factors and the constants' coefficients cached,
-    # every p = 2 block solve and product is a march (Sectors.march): the
+    # every p = 2 block solve and product is a march (symmetry.March): the
     # extension folds once and unfolds its one solved state, a lone
-    # implicit step unfolds its stepped state and folds it again for its
-    # flux, and an evolve of either integrator folds its first state once
+    # implicit step does the same and makes no flux, so no product with a
+    # block of S, and an evolve of either integrator folds its first state once
     # and no step folds or unfolds: its states and then their fluxes are
     # unfolded, _UNFOLD_STATES states per unfold. The blocks are solved
     # with cho_solve alone: solve_triangular only forms S. A p < 2
@@ -669,8 +669,14 @@ def test_every_p2_block_product_and_solve_passes_one_seam(monkeypatch):
     assert calls == {"fold": 1, "unfold": 1, "unfolded": 1}
     dt, per = 0.5 * sf.stability_bound(op), symmetry._UNFOLD_STATES
     calls.update(fold=0, unfold=0, unfolded=0)
+    rates = []
+
+    def rate(*args, real=evolution._rate):
+        rates.append(args)
+        return real(*args)
+    monkeypatch.setattr(evolution, "_rate", rate)
     sf.step_implicit(op, sf.ProblemSpec("linear"), g, dt)
-    assert calls == {"fold": 2, "unfold": 2, "unfolded": 2}
+    assert calls == {"fold": 1, "unfold": 1, "unfolded": 1} and rates == []
     for integrator in (sf.EXPLICIT, sf.IMPLICIT):
         for steps in (1, per - 1, 3 * per):
             calls.update(fold=0, unfold=0, unfolded=0)

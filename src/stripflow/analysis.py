@@ -58,10 +58,17 @@ class DecayFit:
     r2: float
 
 
+def _strip_values(grid, u):
+    """u's values; a raw array must have the length of the cached grid.strip_mu."""
+    uv = u.values if isinstance(u, StripField) else np.asarray(u, dtype=float)
+    if uv.shape != grid.strip_mu.shape:
+        raise InvalidArgument(f"expected {grid.strip_mu.shape[0]} strip values, got {uv.shape}")
+    return uv
+
+
 def mass(grid, u):
     """Weighted sum of the strip values."""
-    uv = u.values if isinstance(u, StripField) else np.asarray(u, dtype=float)
-    return float(np.dot(grid.strip_mu, uv))
+    return float(np.dot(grid.strip_mu, _strip_values(grid, u)))
 
 
 def lq_distance_to_mean(grid, u, q):
@@ -76,8 +83,7 @@ def lq_distance_to_mean(grid, u, q):
     for qi in qs:
         if not qi >= 1.0:  # NaN too
             raise InvalidArgument(f"q must be >= 1, got {qi}")
-    uv = u.values if isinstance(u, StripField) else np.asarray(u, dtype=float)
-    mu_s = grid.strip_mu
+    uv, mu_s = _strip_values(grid, u), grid.strip_mu
     dev = np.abs(uv - np.dot(mu_s, uv) / np.sum(mu_s))
     dists = {}
     for qi in qs:
@@ -185,19 +191,22 @@ def _reduced_modes(op, subset=None):
     n_S - 1.
 
     Each block is solved on its own, with its own eigh: the measures are
-    constant on orbits, so the block of M is diag(mu) at the
-    representatives that index its rows. The block two sectors share gives
-    each eigenpair twice, the second mode the transpose of the first. The
-    constants lie in the trivial block only, with the coefficients of
-    their fold (uniform without the swap of axes; sqrt(2) times larger on
-    a sigma pair than on the diagonal with it), and are deflated there:
-    the reflection H = I - tau v v^T taking sqrt(mu) times those
-    coefficients to a multiple of e_0 is applied one side at a time, in
-    O(m^2), and a mode y of the trailing block of H A H maps back to
-    H [0; y]. The blocks' eigenvalues are merged in ascending order;
-    eigenvalues within _eig_tol of their neighbours in that order count as
-    tied and keep the order of their blocks, so that the mode of a
-    multiple eigenvalue split across blocks does not hang on roundoff.
+    constant on orbits, so the block of M is diag(mu) at the representatives
+    that index its rows. Divided by sqrt(mu), a solved block's eigenvectors
+    are coefficients in the orthonormal basis, |K|^(-1/2) times those of
+    Sectors.fold, and leave the sector basis as states do, through one
+    Sectors.unfold; the block two sectors share gives each eigenpair twice,
+    the second mode (the fold's second column) the transpose of the first.
+    The constants lie in the trivial block only, with the coefficients of
+    their fold (uniform without the swap of axes; sqrt(2) times larger on a
+    sigma pair than on the diagonal with it), and are deflated there: the
+    reflection H = I - tau v v^T taking sqrt(mu) times those coefficients to
+    a multiple of e_0 is applied one side at a time, in O(m^2), and a mode y
+    of the trailing block of H A H maps back to H [0; y]. The blocks'
+    eigenvalues are merged in ascending order; eigenvalues within _eig_tol
+    of their neighbours in that order count as tied and keep the order of
+    their blocks, so that the mode of a multiple eigenvalue split across
+    blocks does not hang on roundoff.
 
     With subset [0, 0] (the gap) the trivial block is solved first, and a
     later block is solved only if no Cholesky certifies (_exceeds) that
@@ -240,19 +249,24 @@ def _reduced_modes(op, subset=None):
         if deflate:
             vecs = np.vstack([np.zeros(vecs.shape[1]), vecs])
             vecs -= np.outer(tv, v @ vecs)
-        # in the orthonormal basis, so that each mode keeps its unit weighted norm
-        full = sec.basis(j, vecs / root[:, None], sec.strip)
-        for copy in range(sec.copies(sec.blocks[j])):
-            evals.append(vals)
-            modes.append(full[sec.strip.transpose] if copy else full)
-            owner.append(np.full(vals.shape[0], len(owner)))
+        # |K| times the orthonormal basis vectors' entries, exactly; sector c in column c
+        coef = vecs / root[:, None] * (1.0 / np.sqrt(len(sec.signs))) * len(sec.signs)
+        copies, r = sec.copies(sec.blocks[j]), vals.shape[0]
+        parts = [np.zeros((rows.shape[0],) + (2,) * (sec.copies(blk) - 1) + (copies * r,))
+                 for rows, blk in zip(reps, sec.blocks)]
+        parts[j].reshape(-1, copies, copies, r)[:, range(copies), range(copies)] = coef[:, None]
+        full = sec.unfold(parts, sec.strip)
+        del parts
+        evals += [vals] * copies
+        modes += np.hsplit(full, copies)
+        owner += [np.full(r, len(owner) + copy) for copy in range(copies)]
     evals, owner = np.concatenate(evals), np.concatenate(owner)
     order = np.argsort(evals, kind="stable")
     cluster = np.concatenate(([0], np.cumsum(np.diff(evals[order]) > _eig_tol(op))))
     order = order[np.lexsort((owner[order], cluster))]
     lo, hi = (0, order.shape[0] - 1) if subset is None else subset
     order = order[lo:hi + 1]
-    return evals[order], np.concatenate(modes, axis=1)[:, order]
+    return evals[order], np.concatenate(modes, axis=1).take(order, axis=1)
 
 
 def spectral_gap_beta(op, p=2.0):
@@ -328,10 +342,10 @@ def estimate_beta_p(op, p, restarts=8, seed=0):
     leaves the step unbounded; then beta is 0.0 and the mode is that node's
     indicator, made mean-zero.
     """
-    if restarts <= 0:
-        raise InvalidArgument("need at least one restart")
-    if not p > 1.0:
-        raise InvalidArgument(f"exponent must exceed 1, got {p}")
+    if not (isinstance(restarts, (int, np.integer)) and restarts >= 1):
+        raise InvalidArgument(f"restarts must be positive and an integer, got {restarts!r}")
+    if not 1.0 < p < np.inf:  # NaN too
+        raise InvalidArgument(f"exponent must exceed 1 and be finite, got {p}")
     if op.n_strip < 2:
         raise TooFewStripNodes("gap needs at least two strip nodes")
     mu_s = op.grid.mu[op.strip_idx]

@@ -47,7 +47,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import _accel
-from .errors import EmptyInterior, NoConvergence, NonConvexExponent, SingularSystem
+from .errors import (EmptyInterior, InvalidArgument, NoConvergence, NonConvexExponent,
+                     SingularSystem)
 from .fields import EnergyReport, FullField, StripField
 from .kernels import edge_skeleton, interior_row_sums, pairs, strip_row_sums
 from .symmetry import March, sectors
@@ -453,6 +454,8 @@ def extend_plaplace(op, g, p, tol=1e-10, max_iter=100, x0=None):
     """
     if not p > 1.0:
         raise NonConvexExponent(f"exponent must exceed 1, got {p}")
+    if p == np.inf:
+        raise InvalidArgument(f"exponent p > 1 must be finite, got {p}")
     if op.n_interior == 0:
         raise EmptyInterior("extension needs interior nodes")
     gv = g.values if isinstance(g, StripField) else StripField(g, op.grid).values

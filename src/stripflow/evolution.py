@@ -69,8 +69,8 @@ class ProblemSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise InvalidArgument(f"unknown variant {self.variant!r}")
-        if not self.p > 1.0:  # NaN too
-            raise InvalidArgument(f"exponent p must exceed 1, got {self.p}")
+        if not 1.0 < self.p < np.inf:  # NaN too
+            raise InvalidArgument(f"exponent p must exceed 1 and be finite, got {self.p}")
         if self.variant in (LINEAR, LINEAR_FULL) and self.p != 2.0:
             raise InvalidArgument("linear variants fix p = 2")
         if not self.q >= 1.0:  # NaN too
@@ -268,8 +268,8 @@ def stability_bound(op):
 def step_explicit(op, spec, u, dt):
     """Forward Euler step u + dt * rhs(u)."""
     check_compatible(op, spec)
-    if not dt > 0.0:
-        raise InvalidArgument("dt must be positive")
+    if not 0.0 < dt < np.inf:  # NaN too
+        raise InvalidArgument(f"dt must be positive and finite, got {dt}")
     bound = stability_bound(op)
     if dt > bound:
         warnings.warn(f"dt={dt} exceeds the stability advisory {bound:.6g}")
@@ -322,8 +322,8 @@ def step_implicit(op, spec, u, dt, tol=1e-10, max_iter=60):
     the new state.
     """
     check_compatible(op, spec)
-    if not dt > 0.0:
-        raise InvalidArgument("dt must be positive")
+    if not 0.0 < dt < np.inf:  # NaN too
+        raise InvalidArgument(f"dt must be positive and finite, got {dt}")
     uv = u.values if isinstance(u, StripField) else StripField(u, op.grid).values
     out = _step_implicit_values(op, spec, uv, dt, tol, max_iter, None)[0]
     return StripField(out, op.grid)
@@ -356,8 +356,8 @@ def evolve(op, spec, u0, t_end, dt, integrator=EXPLICIT, tol=1e-10, max_iter=60)
     ``partial`` attribute.
     """
     check_compatible(op, spec)
-    if not t_end > 0.0 or not dt > 0.0:
-        raise InvalidArgument("t_end and dt must be positive")
+    if not (0.0 < t_end < np.inf and 0.0 < dt < np.inf):  # NaN too
+        raise InvalidArgument(f"t_end and dt must be positive and finite, got {t_end} and {dt}")
     nsteps = int(round(t_end / dt))
     if nsteps < 1 or abs(nsteps * dt - t_end) > 1e-9:
         raise InvalidArgument(f"dt={dt} does not divide t_end={t_end}")
@@ -441,10 +441,10 @@ def picard_solve(op, spec, u0, window, nt=11, tol=1e-10, max_iter=50):
     check_compatible(op, spec)
     if not spec.is_linear:
         raise InvalidArgument("the integral-form iteration is defined for p = 2 only")
-    if nt < 11:
-        raise InvalidArgument(f"need at least 11 time nodes, got {nt}")
-    if not window > 0.0:
-        raise InvalidArgument("window must be positive")
+    if not (isinstance(nt, (int, np.integer)) and nt >= 11):
+        raise InvalidArgument(f"nt must be positive, an integer and at least 11, got {nt!r}")
+    if not 0.0 < window < np.inf:  # NaN too
+        raise InvalidArgument(f"window must be positive and finite, got {window}")
 
     uv0 = u0.values if isinstance(u0, StripField) else StripField(u0, op.grid).values
     times = np.linspace(0.0, window, nt)

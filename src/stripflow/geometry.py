@@ -33,8 +33,8 @@ class DomainBox:
         hi = np.asarray(self.hi, dtype=float).reshape(-1)
         if lo.shape != (self.dim,) or hi.shape != (self.dim,):
             raise InvalidArgument("lo and hi must have length dim")
-        if not np.all(lo < hi):
-            raise InvalidArgument("need lo < hi on every axis")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)) and np.all(lo < hi)):
+            raise InvalidArgument("each side hi - lo must be positive, with lo and hi finite")
         object.__setattr__(self, "lo", _frozen(lo))
         object.__setattr__(self, "hi", _frozen(hi))
 

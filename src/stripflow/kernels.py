@@ -82,11 +82,11 @@ class KernelSpec:
         if self.family == SINGULAR:
             if self.s is None or not 0.0 < self.s < 1.0:
                 raise InvalidArgument("singular kernel needs s in (0, 1)")
-            if not self.p > 1.0:
-                raise InvalidArgument("singular kernel needs p > 1")
+            if not 1.0 < self.p < math.inf:  # NaN too
+                raise InvalidArgument(f"singular kernel needs a finite p > 1, got {self.p}")
         else:
-            if self.R is None or not self.R > 0.0:
-                raise InvalidArgument(f"{self.family} kernel needs R > 0")
+            if self.R is None or not 0.0 < self.R < math.inf:  # NaN too
+                raise InvalidArgument(f"{self.family} kernel needs a finite R > 0, got {self.R}")
 
     @property
     def compact(self):
@@ -100,8 +100,8 @@ def normalization(family, R, dim):
     """
     if family == SINGULAR:
         return 1.0
-    if not R > 0.0:
-        raise InvalidArgument(f"{family} kernel needs R > 0, got {R}")
+    if not 0.0 < R < math.inf:  # NaN too
+        raise InvalidArgument(f"{family} kernel needs a finite R > 0, got {R}")
     if family == TENT:
         return 1.0 / R**2 if dim == 1 else 3.0 / (math.pi * R**3)
     if family == BUMP:

@@ -68,14 +68,14 @@ _UNFOLD_STATES = 4
 class Orbits:
     """The orbits of one node class (strip or interior) under K, in the
     positions of the class's nodes in ascending node order, and sigma on
-    them.
+    their representatives; Sectors.fold and its inverse Sectors.unfold
+    carry every p = 2 value, state or mode between the two bases with them.
 
     table : (|K|, m) table[k, a] is the position of the image k a of the
         class's a-th representative; table[0] lists the representatives.
     reps : (m,) global node numbers of the representatives.
-    transpose : (n_C,) the position of sigma x for each position x, and
-        swap : (m,) the representative sigma a for each representative a;
-        both the identity when sigma is not kept.
+    swap : (m,) the representative sigma a for each representative a, the
+        identity when sigma is not kept.
     pair : (p,) the representatives a < sigma a of the sigma pairs, empty
         when sigma is not kept.
     diag : representatives fixed by sigma, all of them when it is not kept.
@@ -85,7 +85,6 @@ class Orbits:
 
     table: np.ndarray
     reps: np.ndarray
-    transpose: np.ndarray
     swap: np.ndarray
     pair: np.ndarray
     diag: np.ndarray
@@ -214,40 +213,24 @@ class Sectors:
         tail = parts[0].shape[1:]
         if not self.split:
             out = np.empty((orbits.table.size,) + tail)
-            coef = np.stack(parts)
-            out[orbits.table] = _mix(self.signs, coef) / self.signs.shape[0]
+            out[orbits.table] = _mix(self.signs, np.stack(parts)) / self.signs.shape[0]
             return out
         _, back, _, shared = orbits.ranked
         m, p = orbits.size, orbits.pair.shape[0]
-        even = np.concatenate(parts[::3]).reshape((2, m - p) + tail)
-        odd = np.concatenate(parts[1::3]).reshape((2, p) + tail)
-        odd *= _HALF
-        # as if summed onto zeros, the even spread and then the odd one: -0 gives +0
-        half = even[:, :p] * _HALF
-        half += 0.0
         coef = np.empty((4, m) + tail)
-        np.add(half, odd, out=coef[::3, :p])
-        np.subtract(half, odd, out=coef[::3, p:2 * p])
-        np.add(even[:, p:], 0.0, out=coef[::3, 2 * p:])
-        coef[1:3] = parts[2].reshape((2 * m,) + tail)[shared]
+        for row, even, odd in ((coef[0], parts[0], parts[1]), (coef[3], parts[3], parts[4])):
+            # as if summed onto zeros, the even spread and then the odd one: -0 gives +0
+            odd = odd * _HALF
+            half = np.multiply(even[:p], _HALF, out=row[p:2 * p])
+            half += 0.0
+            np.add(half, odd, out=row[:p])
+            np.subtract(half, odd, out=half)
+            np.add(even[p:], 0.0, out=row[2 * p:])
+        # clip mode: the indices are in range, and so out is written unbuffered
+        np.take(parts[2].reshape((2 * m,) + tail), shared, axis=0, out=coef[1:3], mode="clip")
         coef = _mix(self.signs, coef)
         coef /= self.signs.shape[0]
-        return coef.reshape((4 * m,) + tail)[back]
-
-    def basis(self, j, coef, orbits):
-        """(n_C, r) the class vectors with the coefficients coef (m_j, r) in
-        the orthonormal basis of block j; for the shared block, of its first
-        sector. The vectors of its second sector are these transposed,
-        [orbits.transpose]."""
-        blk, table = self.blocks[j], orbits.table
-        if blk.parity:  # spread over pair, partner and diag
-            p = orbits.pair.shape[0]
-            half = coef[:p] * _HALF
-            diag = coef[p:] if blk.parity > 0 else np.zeros((orbits.diag.shape[0],) + coef.shape[1:])
-            coef, table = np.concatenate((half, blk.parity * half, diag)), orbits.ranked[0]
-        out = np.empty((orbits.table.size, coef.shape[1]))
-        out[table] = np.multiply.outer(self.signs[blk.char] / np.sqrt(self.signs.shape[0]), coef)
-        return out
+        return coef.reshape((4 * m,) + tail).take(back, axis=0)
 
     def diagonal_only(self, op, orbits):
         """Whether L[C, C] on the class C of orbits folds to its diagonal
@@ -492,8 +475,7 @@ def _class_orbits(n, class_idx, is_rep, perms, sigma, lattice):
     pair = np.flatnonzero(swap > np.arange(reps.shape[0]))
     diag = np.flatnonzero(swap == np.arange(reps.shape[0]))
     rects = () if lattice is None else _rectangles(lattice[1], reps)
-    return Orbits(table=table, reps=reps, transpose=pos[sigma[class_idx]], swap=swap,
-                  pair=pair, diag=diag, rects=rects)
+    return Orbits(table=table, reps=reps, swap=swap, pair=pair, diag=diag, rects=rects)
 
 
 def _invariant(grid, perm):

@@ -607,7 +607,7 @@ def test_picard_argument_checks(toy3_op, sing16):
         sf.picard_solve(toy3_op, LIN, sym(toy3_op), -0.1)
 
 
-NAN = float("nan")
+NAN, INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize("call", [
@@ -617,7 +617,15 @@ NAN = float("nan")
     lambda op: sf.step_implicit(op, P3, sym(op), NAN),
     lambda op: sf.step_explicit(op, LIN, sym(op), NAN),
     lambda op: sf.picard_solve(op, LIN, sym(op), NAN),
-], ids=["evolve-t_end", "evolve-dt", "implicit-p2", "implicit-p3", "explicit", "picard"])
+    lambda op: sf.evolve(op, LIN, sym(op), INF, 0.1),
+    lambda op: sf.evolve(op, LIN, sym(op), 1.0, INF, sf.IMPLICIT),
+    lambda op: sf.step_implicit(op, LIN, sym(op), INF),
+    lambda op: sf.step_explicit(op, LIN, sym(op), INF),
+    lambda op: sf.picard_solve(op, LIN, sym(op), INF),
+    lambda op: sf.picard_solve(op, LIN, sym(op), 0.1, nt=11.5),
+], ids=["evolve-t_end", "evolve-dt", "implicit-p2", "implicit-p3", "explicit", "picard",
+        "evolve-t_end-inf", "evolve-dt-inf", "implicit-p2-inf", "explicit-inf", "picard-inf",
+        "picard-nt"])
 def test_nan_time_arguments_are_refused(toy3_op, call, monkeypatch):
     # refused before any flux or solve: a NaN fails every comparison, so a
     # guard written as x <= 0 lets it through

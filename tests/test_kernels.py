@@ -581,7 +581,7 @@ def test_fast_len_is_scipys_real_fast_length():
         scipy.fft.next_fast_len(n, real=True) for n in range(1, 10 ** 4 + 1)]
 
 
-NAN = float("nan")
+NAN, INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize("call, error", [
@@ -593,7 +593,19 @@ NAN = float("nan")
     (lambda op: sf.build_grid(BOX2, 1.0 / 16.0, NAN), InvalidArgument),
     (lambda op: sf.extend_plaplace(op, np.array([1.0, -1.0]), NAN), NonConvexExponent),
     (lambda op: sf.estimate_beta_p(op, NAN), InvalidArgument),
-], ids=["spec-p", "singular-p", "tent-R", "bump-R", "grid-h", "grid-r", "extend-p", "beta-p"])
+    (lambda op: sf.ProblemSpec("plaplace", p=INF), InvalidArgument),
+    (lambda op: sf.singular_kernel(0.5, INF, 2), InvalidArgument),
+    (lambda op: sf.tent_kernel(INF, 2), InvalidArgument),
+    (lambda op: sf.bump_kernel(INF, 1), InvalidArgument),
+    (lambda op: sf.normalization(kernels.TENT, INF, 2), InvalidArgument),
+    (lambda op: sf.DomainBox(2, (0.0, -INF), (1.0, 1.0)), InvalidArgument),
+    (lambda op: sf.DomainBox(1, (0.0,), (INF,)), InvalidArgument),
+    (lambda op: sf.extend_plaplace(op, np.array([1.0, -1.0]), INF), InvalidArgument),
+    (lambda op: sf.estimate_beta_p(op, INF), InvalidArgument),
+    (lambda op: sf.estimate_beta_p(op, 3.0, restarts=2.5), InvalidArgument),
+], ids=["spec-p", "singular-p", "tent-R", "bump-R", "grid-h", "grid-r", "extend-p", "beta-p",
+        "spec-p-inf", "singular-p-inf", "tent-R-inf", "bump-R-inf", "normalization-R-inf",
+        "box-lo-inf", "box-hi-inf", "extend-p-inf", "beta-p-inf", "beta-restarts"])
 def test_nan_sizes_and_exponents_are_refused(toy3_op, call, error):
     # with the typed error of a nonpositive size or an exponent <= 1: a NaN
     # fails every comparison, so a guard written as x <= c lets it through

@@ -106,10 +106,7 @@ def test_orbits_cover_each_class_once(case):
         assert np.all(mu == mu[0])
         np.testing.assert_array_equal(op.grid.mu[orbits.reps[orbits.pair]],
                                       op.grid.mu[orbits.reps[orbits.partner]])
-        # the transpose is an involution, and the pairs and the diagonal
-        # split the representatives
-        np.testing.assert_array_equal(orbits.transpose[orbits.transpose],
-                                      np.arange(idx.shape[0]))
+        # the pairs and the diagonal split the representatives
         np.testing.assert_array_equal(
             np.sort(np.concatenate((orbits.pair, orbits.partner, orbits.diag))),
             np.arange(orbits.size))
@@ -631,6 +628,87 @@ def test_trivial_block_deflates_the_folded_constants():
                  if all(np.abs(modes[perm, i] - modes[:, i]).max() <= 1e-9
                         for perm in mirrors + [transpose])]
     assert abs(lam[symmetric[0]] - 0.011219855066526) <= analysis._eig_tol(op)
+
+
+def basis_modes(op):
+    """Per solved block of _reduced_modes(op), its modes built with no
+    Sectors.unfold: the orthonormal basis vectors, signs[char] / sqrt(|K|)
+    outer the sigma-spread coefficients vecs / root over the strip
+    positions, and for the shared block also their transpose, its second
+    sector."""
+    sec = sectors(op)
+    out = []
+    for j, (block, rows) in enumerate(zip(sf.schur_complement(op), sec.block_reps(sec.strip))):
+        root = np.sqrt(op.grid.mu[rows])
+        red = block / np.outer(root, root)
+        if j == 0:  # the constants deflated as _reduced_modes does
+            v = root * sec.constants
+            v /= np.linalg.norm(v)
+            v[0] += 1.0
+            tv = (2.0 / np.dot(v, v)) * v
+            red -= np.outer(tv, v @ red)
+            red -= np.outer(red @ v, tv)
+            red = red[1:, 1:]
+        vecs = sla.eigh(red, subset_by_index=[0, red.shape[0] - 1])[1]
+        if j == 0:
+            vecs = np.vstack([np.zeros(vecs.shape[1]), vecs])
+            vecs -= np.outer(tv, v @ vecs)
+        coef, table, blk = vecs / root[:, None], sec.strip.table, sec.blocks[j]
+        if blk.parity:  # spread over pair, partner and diag
+            p = sec.strip.pair.shape[0]
+            half = coef[:p] * np.sqrt(0.5)
+            diag = (coef[p:] if blk.parity > 0
+                    else np.zeros((sec.strip.diag.shape[0], coef.shape[1])))
+            coef, table = np.concatenate((half, blk.parity * half, diag)), sec.strip.ranked[0]
+        full = np.empty((op.n_strip, coef.shape[1]))
+        full[table] = np.multiply.outer(sec.signs[blk.char] / np.sqrt(sec.signs.shape[0]), coef)
+        out.append(full)
+        if sec.copies(blk) == 2:
+            out.append(full[_strip_maps(op)[1]])
+    return out
+
+
+@pytest.mark.parametrize("shape", ["dihedral", "wide", "line"])
+def test_modes_leave_the_sector_basis_through_one_unfold_per_block(shape, monkeypatch):
+    # the dihedral square (|G| = 8), the 1.5 x 1 box (|K| = 4, no sigma)
+    # and the line (|K| = 2): each solved block's modes are one
+    # Sectors.unfold of its coefficients, the shared block's two sectors its
+    # two columns, and they are the vectors of the orthonormal basis bit
+    # for bit, up to the sign of a zero
+    box, dim, order = {"dihedral": (BOX2, 2, 8), "wide": (BOX_WIDE, 2, 4),
+                       "line": (BOX1, 1, 2)}[shape]
+    op = sf.assemble(sf.build_grid(box, 1 / 16, 0.125), sf.tent_kernel(0.25, dim))
+    assert sectors(op).order == order
+    want = basis_modes(op)
+    calls = {"unfold": [], "eigh": 0}
+    unfold, eigh = Sectors.unfold, analysis.sla.eigh
+
+    def counted_unfold(self, parts, orbits):
+        out = unfold(self, parts, orbits)
+        calls["unfold"].append(out)
+        return out
+
+    def counted_eigh(*args, **kwargs):
+        calls["eigh"] += 1
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(Sectors, "unfold", counted_unfold)
+    monkeypatch.setattr(analysis.sla, "eigh", counted_eigh)
+    lam, modes = analysis._reduced_modes(op)
+    sec = sectors(op)
+    assert calls["eigh"] == len(sec.blocks) == len(calls["unfold"])
+    got = []
+    for out, blk in zip(calls["unfold"], sec.blocks):
+        got += np.hsplit(out, sec.copies(blk))
+    for new, ref in zip(got, want, strict=True):
+        assert (new + 0.0).tobytes() == (ref + 0.0).tobytes()
+    # the merge takes its columns from those
+    columns = {col.tobytes() for col in np.concatenate(got, axis=1).T}
+    assert all(modes[:, i].tobytes() in columns for i in range(lam.shape[0]))
+    # the gap unfolds once per block that it solves, the others certified
+    calls["unfold"], calls["eigh"] = [], 0
+    analysis._reduced_modes(op, subset=[0, 0])
+    assert len(calls["unfold"]) == calls["eigh"] >= 1
 
 
 def test_every_p2_block_product_and_solve_passes_one_seam(monkeypatch):
